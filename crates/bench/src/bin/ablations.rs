@@ -8,11 +8,7 @@
 //!    support vs a stock allocator),
 //! 5. synchronization transitive reduction on vs off (arc counts),
 //! 6. the optimality gap (movement / `dmcp-bound` lower bound) with reuse
-//!    awareness on vs off,
-//! 7. the Steiner relay pass on vs off (DESIGN.md §16): per-workload
-//!    movement with relay junctions allowed vs the paper's MST-only
-//!    construction — the on column can never exceed the off column,
-//!    because the pass keeps the plain plan unless relays strictly win.
+//!    awareness on vs off.
 //!
 //! Each study fans its 12 workloads out over `dmcp-pool` (one task per
 //! application, rows printed in suite order; every task plans
@@ -37,7 +33,6 @@ fn main() {
     let pool = Pool::default();
     println!("(workload sweeps run on {} pool thread(s))", pool.threads());
     reuse_ablation(scale, &pool);
-    steiner_ablation(scale, &pool);
     gap_ablation(scale, &pool);
     balance_ablation(scale, &pool);
     page_policy_ablation(scale, &pool);
@@ -80,37 +75,6 @@ fn reuse_ablation(scale: Scale, pool: &Pool) {
     for (name, aware, agnostic) in rows {
         let gap = if aware == 0 { 0.0 } else { agnostic as f64 / aware as f64 - 1.0 };
         println!("{:<10} {:>14} {:>14} {:>+7.1}%", name, aware, agnostic, 100.0 * gap);
-    }
-}
-
-/// The Steiner relay pass on vs off (DESIGN.md §16), in planner Eq.-1
-/// movement — the quantity the pass's per-nest gate guards, so
-/// `on ≤ off` per workload is an invariant, asserted here (the
-/// `steiner-no-regress` check property fuzzes the same law). Simulated
-/// movement is deliberately not compared: the cache model can move
-/// either way when relay steps reshape L1 reuse, and the pass makes no
-/// promise about it.
-fn steiner_ablation(scale: Scale, pool: &Pool) {
-    println!("\n== Ablation: Steiner relay pass on vs off (planned movement) ==");
-    println!("{:<10} {:>14} {:>14} {:>8}", "app", "steiner(move)", "mst-only(move)", "saved");
-    let machine = MachineConfig::knl_like();
-    let rows = pool.map(&all(scale), |_, w| {
-        let movement = |cfg: PartitionConfig| -> u64 {
-            let part = Partitioner::new(&machine, &w.program, cfg);
-            let out = part.partition_with_data_pooled(&w.program, &w.data, &Pool::single());
-            out.nests.iter().map(|n| n.stats.movement_opt).sum()
-        };
-        let on = movement(PartitionConfig::default());
-        let off = movement(PartitionConfig {
-            opts: PlanOptions { steiner: false, ..PlanOptions::default() },
-            ..PartitionConfig::default()
-        });
-        (w.name, on, off)
-    });
-    for (name, on, off) in rows {
-        assert!(on <= off, "{name}: the Steiner pass regressed planned movement ({on} > {off})");
-        let saved = if off == 0 { 0.0 } else { 100.0 * (off - on) as f64 / off as f64 };
-        println!("{name:<10} {on:>14} {off:>14} {saved:>7.2}%");
     }
 }
 

@@ -15,14 +15,6 @@
 //! The mask family compares bit-for-bit (`rel_tol = 0.0`); the division
 //! family under a small relative tolerance, since reordered division
 //! chains legitimately differ in the last ulps.
-//!
-//! With [`dmcp_core::PlanOptions::steiner`] on by default, generated
-//! plans may carry *relay* combining steps — steps at a junction node
-//! that own no element of their own and exist purely to merge partial
-//! results ([`dmcp_core::SteinerPass`]). All three execution modes above
-//! cover them unchanged, and the degraded check's usable-node sweep
-//! applies to relay steps exactly as to operand-bearing ones (relay
-//! candidates are drawn from the live set).
 
 use crate::gencase::BuiltCase;
 use dmcp_core::{Partitioner, Schedule};
@@ -200,57 +192,6 @@ mod tests {
             check_degraded(&built, 0.0).unwrap_or_else(|e| panic!("{e}\ncase:\n{spec}"));
         }
         assert!(exercised > 3, "generator produced too few faulted cases");
-    }
-
-    #[test]
-    fn relay_bearing_plans_conform_three_ways() {
-        use crate::golden::canonical_faults;
-        use dmcp_core::{PartitionConfig, PlanOptions};
-        use dmcp_ir::ProgramBuilder;
-        use dmcp_mach::MachineConfig;
-
-        // A reorderable-chain family on the full knl-like mesh whose
-        // relayed plan is strictly cheaper than the MST plan, so the
-        // optimized schedule is guaranteed to carry relay steps. It must
-        // conform in schedule order, against the baseline, in adversarial
-        // topological orders, and degraded under the canonical faults.
-        let mut b = ProgramBuilder::new();
-        let mut ids = Vec::new();
-        for n in ["A", "B", "C", "D", "E", "X", "Y"] {
-            ids.push(b.array(n, &[256], 8));
-        }
-        b.nest(&[("i", 0, 48)], &["A[i] = B[i] + C[i] + D[i] + E[i]", "X[i] = Y[i] + C[i] + E[i]"])
-            .unwrap();
-        let program = b.build();
-        let machine = MachineConfig::knl_like();
-        let data = program.initial_data();
-
-        let on = PartitionConfig::default();
-        let off = PartitionConfig { opts: PlanOptions { steiner: false, ..on.opts }, ..on.clone() };
-        let movement = |cfg: PartitionConfig| -> u64 {
-            Partitioner::new(&machine, &program, cfg)
-                .partition_with_data(&program, &data)
-                .nests
-                .iter()
-                .map(|n| n.stats.movement_opt)
-                .sum()
-        };
-        assert!(
-            movement(on.clone()) < movement(off),
-            "case must adopt relays (strict movement win) for this test to bite"
-        );
-
-        let built = BuiltCase {
-            program,
-            array_ids: ids,
-            machine,
-            config: on,
-            faults: Some(canonical_faults()),
-            data,
-        };
-        let mut rng = Rng64::new(7);
-        check_healthy(&built, &mut rng, 3, 0.0).expect("relayed healthy plan conforms");
-        check_degraded(&built, 0.0).expect("relayed degraded plan conforms");
     }
 
     #[test]

@@ -12,51 +12,14 @@
 //! gate consume these tables, so a digest drift fails both.
 
 use crate::digest::plan_digest;
-use dmcp_core::{PartitionConfig, PartitionOutput, Partitioner, PlanOptions};
+use dmcp_core::{PartitionConfig, PartitionOutput, Partitioner};
 use dmcp_mach::{FaultPlan, FaultState, MachineConfig, NodeId};
 use dmcp_pool::Pool;
 use dmcp_serve::PlanRequest;
 use dmcp_workloads::{by_name, Scale, Workload};
 
-/// Expected healthy plan digest per workload (default configuration,
-/// Steiner relay pass on).
+/// Expected healthy plan digest per workload (default configuration).
 pub const GOLDEN_HEALTHY: &[(&str, u64)] = &[
-    ("Barnes", 0xfcc3d21b971148af),
-    ("Cholesky", 0xec3103d3d6ef6ce8),
-    ("FFT", 0x7ee4c14e0346b142),
-    ("FMM", 0x362451db685f9acb),
-    ("LU", 0xe40ff39351c55bdb),
-    ("Ocean", 0x99c6b56d39b91391),
-    ("Radiosity", 0xa013cb3f0476605f),
-    ("Radix", 0xd33cf59f2860809c),
-    ("Raytrace", 0xbd205ffa11453f34),
-    ("Water", 0x20347db488c4f63d),
-    ("MiniMD", 0xbac0d0dc0eba9c86),
-    ("MiniXyce", 0x6d172a91265be22b),
-];
-
-/// Expected plan digest per workload under [`canonical_faults`]
-/// (default configuration, Steiner relay pass on).
-pub const GOLDEN_DEGRADED: &[(&str, u64)] = &[
-    ("Barnes", 0x072fd0f743e89848),
-    ("Cholesky", 0x0101bc93e6ec1b7c),
-    ("FFT", 0xb291f80b72c5ef84),
-    ("FMM", 0x07b2bbf63353b60a),
-    ("LU", 0x5e2019fdbca3908f),
-    ("Ocean", 0xbc3250cd7188f521),
-    ("Radiosity", 0xa86d63029054e21c),
-    ("Radix", 0x1bf4cca79b496c01),
-    ("Raytrace", 0xba09a3830ee0609a),
-    ("Water", 0x2e03da78b70547ee),
-    ("MiniMD", 0x134b5952b3ddfef7),
-    ("MiniXyce", 0x6bb6b16657896878),
-];
-
-/// Expected healthy plan digest per workload with the Steiner pass *off*
-/// ([`no_steiner_config`]). These are the exact digests the suite pinned
-/// before the pass existed: `steiner: false` must keep the planner
-/// bit-identical to the paper's MST-only construction, forever.
-pub const GOLDEN_HEALTHY_NO_STEINER: &[(&str, u64)] = &[
     ("Barnes", 0xfcc3d21b971148af),
     ("Cholesky", 0xec3103d3d6ef6ce8),
     ("FFT", 0x7ee4c14e0346b142),
@@ -71,9 +34,9 @@ pub const GOLDEN_HEALTHY_NO_STEINER: &[(&str, u64)] = &[
     ("MiniXyce", 0x6d172a91265be22b),
 ];
 
-/// Expected degraded plan digest per workload with the Steiner pass off
-/// — the pre-pass pins, like [`GOLDEN_HEALTHY_NO_STEINER`].
-pub const GOLDEN_DEGRADED_NO_STEINER: &[(&str, u64)] = &[
+/// Expected plan digest per workload under [`canonical_faults`]
+/// (default configuration).
+pub const GOLDEN_DEGRADED: &[(&str, u64)] = &[
     ("Barnes", 0x072fd0f743e89848),
     ("Cholesky", 0x0101bc93e6ec1b7c),
     ("FFT", 0xb291f80b72c5ef84),
@@ -94,18 +57,18 @@ pub const GOLDEN_DEGRADED_NO_STEINER: &[(&str, u64)] = &[
 ///
 /// [`PlanKey`]: dmcp_serve::PlanKey
 pub const GOLDEN_KEYS: &[(&str, u64, u64)] = &[
-    ("Barnes", 0x712cafe19f1ff641, 0x0d1b87d7890b8a60),
-    ("Cholesky", 0x6f99e482a66cdab3, 0x7a778e302cf47cf3),
-    ("FFT", 0xf40fe9083cf07bdb, 0x1392d32394c1117e),
-    ("FMM", 0x44b2f5f3b9b951e4, 0x009bf6cf854b9fdb),
-    ("LU", 0x85f0a1e731766362, 0xa88c8d62f1112db3),
-    ("Ocean", 0x4f5fd49d3f6ec662, 0x8c95943e061629e9),
-    ("Radiosity", 0x405887b94f85a841, 0x778ee17981c98fb9),
-    ("Radix", 0x1bebd252dd13c254, 0x48b627748191d43b),
-    ("Raytrace", 0x69f10be15a5d5a6a, 0x4167c5113fe48892),
-    ("Water", 0x70307195bd5fd314, 0x4a654f2f52ba2568),
-    ("MiniMD", 0x0c04af5150a18101, 0xbf5a5aa869ecfbdc),
-    ("MiniXyce", 0x6286aa5f91618614, 0x02367653536f053b),
+    ("Barnes", 0x2b284ccd847a83af, 0x92c3b0c339d98265),
+    ("Cholesky", 0x8116946ee5c3848a, 0x85a40576b075a245),
+    ("FFT", 0x8cb258078c94d2ef, 0x5c078f122e2cef2b),
+    ("FMM", 0xf5baaebc69fb6a20, 0x11225063e25f13a4),
+    ("LU", 0x8edad6e52aad7745, 0xb1b37ab169ee9ea0),
+    ("Ocean", 0xf44be029bda2089b, 0xe5f796eaf76032b7),
+    ("Radiosity", 0x50e7a33edfbd4f30, 0x2b858ad801dc5df0),
+    ("Radix", 0x6df40a527a0d6fb2, 0x6fd475bd816e101e),
+    ("Raytrace", 0x97cb65d36e11bbe3, 0xd01c53005632e1e6),
+    ("Water", 0x2418b2785eef2cbd, 0x84e6c175ce1602af),
+    ("MiniMD", 0xce20d781cbc013eb, 0x26b902730ace6184),
+    ("MiniXyce", 0xa0cb8418498dd25a, 0xeda354f8ba6f77e5),
 ];
 
 /// The canonical degradation every degraded golden is pinned under: one
@@ -123,43 +86,12 @@ fn workload(name: &str) -> Workload {
     by_name(name, Scale::Tiny).unwrap_or_else(|| panic!("unknown workload {name}"))
 }
 
-/// The default configuration with the Steiner relay pass disabled — the
-/// paper's MST-only construction, pinned by the `*_NO_STEINER` tables.
-#[must_use]
-pub fn no_steiner_config() -> PartitionConfig {
-    let base = PartitionConfig::default();
-    PartitionConfig { opts: PlanOptions { steiner: false, ..base.opts }, ..base }
-}
-
-/// Compiles `name` on a healthy machine over `pool` under `config`.
-#[must_use]
-pub fn healthy_output_with(name: &str, pool: &Pool, config: PartitionConfig) -> PartitionOutput {
-    let w = workload(name);
-    let machine = MachineConfig::knl_like();
-    let part = Partitioner::new(&machine, &w.program, config);
-    part.partition_with_data_pooled(&w.program, &w.data, pool)
-}
-
 /// Compiles `name` on a healthy machine over `pool` (default config).
 #[must_use]
 pub fn healthy_output(name: &str, pool: &Pool) -> PartitionOutput {
-    healthy_output_with(name, pool, PartitionConfig::default())
-}
-
-/// Compiles `name` under [`canonical_faults`] over `pool` under `config`.
-///
-/// # Panics
-///
-/// Panics if the canonical fault plan is rejected (it never is on the
-/// KNL-like mesh).
-#[must_use]
-pub fn degraded_output_with(name: &str, pool: &Pool, config: PartitionConfig) -> PartitionOutput {
     let w = workload(name);
     let machine = MachineConfig::knl_like();
-    let faults = FaultState::new(canonical_faults(), machine.mesh)
-        .expect("canonical faults fit the KNL-like mesh");
-    let part = Partitioner::new_degraded(&machine, &w.program, config, &faults)
-        .expect("default config is valid");
+    let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
     part.partition_with_data_pooled(&w.program, &w.data, pool)
 }
 
@@ -172,7 +104,13 @@ pub fn degraded_output_with(name: &str, pool: &Pool, config: PartitionConfig) ->
 /// KNL-like mesh).
 #[must_use]
 pub fn degraded_output(name: &str, pool: &Pool) -> PartitionOutput {
-    degraded_output_with(name, pool, PartitionConfig::default())
+    let w = workload(name);
+    let machine = MachineConfig::knl_like();
+    let faults = FaultState::new(canonical_faults(), machine.mesh)
+        .expect("canonical faults fit the KNL-like mesh");
+    let part = Partitioner::new_degraded(&machine, &w.program, PartitionConfig::default(), &faults)
+        .expect("default config is valid");
+    part.partition_with_data_pooled(&w.program, &w.data, pool)
 }
 
 /// The healthy plan digest of `name`, compiled over `pool`.
@@ -185,18 +123,6 @@ pub fn healthy_digest(name: &str, pool: &Pool) -> u64 {
 #[must_use]
 pub fn degraded_digest(name: &str, pool: &Pool) -> u64 {
     plan_digest(&degraded_output(name, pool))
-}
-
-/// The healthy plan digest of `name` with the Steiner pass off.
-#[must_use]
-pub fn healthy_digest_no_steiner(name: &str, pool: &Pool) -> u64 {
-    plan_digest(&healthy_output_with(name, pool, no_steiner_config()))
-}
-
-/// The degraded plan digest of `name` with the Steiner pass off.
-#[must_use]
-pub fn degraded_digest_no_steiner(name: &str, pool: &Pool) -> u64 {
-    plan_digest(&degraded_output_with(name, pool, no_steiner_config()))
 }
 
 /// The `(healthy, degraded)` [`dmcp_serve::PlanKey`] digests of `name`.
@@ -225,14 +151,6 @@ mod tests {
             assert!(GOLDEN_HEALTHY.iter().any(|(n, _)| n == name), "{name} missing (healthy)");
             assert!(GOLDEN_DEGRADED.iter().any(|(n, _)| n == name), "{name} missing (degraded)");
             assert!(GOLDEN_KEYS.iter().any(|(n, _, _)| n == name), "{name} missing (keys)");
-            assert!(
-                GOLDEN_HEALTHY_NO_STEINER.iter().any(|(n, _)| n == name),
-                "{name} missing (healthy, no steiner)"
-            );
-            assert!(
-                GOLDEN_DEGRADED_NO_STEINER.iter().any(|(n, _)| n == name),
-                "{name} missing (degraded, no steiner)"
-            );
         }
     }
 
@@ -270,16 +188,6 @@ mod tests {
         for w in all(Scale::Tiny) {
             let (h, d) = key_digests(w.name);
             println!("    (\"{}\", {h:#018x}, {d:#018x}),", w.name);
-        }
-        println!("];");
-        println!("pub const GOLDEN_HEALTHY_NO_STEINER: &[(&str, u64)] = &[");
-        for w in all(Scale::Tiny) {
-            println!("    (\"{}\", {:#018x}),", w.name, healthy_digest_no_steiner(w.name, &pool));
-        }
-        println!("];");
-        println!("pub const GOLDEN_DEGRADED_NO_STEINER: &[(&str, u64)] = &[");
-        for w in all(Scale::Tiny) {
-            println!("    (\"{}\", {:#018x}),", w.name, degraded_digest_no_steiner(w.name, &pool));
         }
         println!("];");
     }

@@ -12,7 +12,6 @@ use crate::crashprop::{check_crash_prefix, check_degrade_restore};
 use crate::gencase::{gen_div_case, gen_mask_case, gen_wild_spec, shrink, CaseSpec};
 use crate::meta::{check_fault_monotonicity, check_isometry, check_lexer_total, check_rename};
 use crate::oracle::check_oracle_case;
-use crate::steinerprop::{check_steiner_exact, check_steiner_no_regress};
 use dmcp_ir::exec::run_sequential;
 use dmcp_mach::rng::{mix, Rng64};
 use dmcp_pool::Pool;
@@ -322,16 +321,6 @@ fn sweep_seed(cfg: &CheckConfig, seed: u64) -> CheckReport {
         check_crash_prefix(rng, shrink_attempts)
     });
     free_property(&mut report, cfg, seed, 0x18, "crash-degrade", check_degrade_restore);
-    case_property(
-        &mut report,
-        cfg,
-        seed,
-        0x19,
-        "steiner-no-regress",
-        |rng| gen_mask_case(rng, budget.min(160)),
-        |s, _| check_steiner_no_regress(s),
-    );
-    free_property(&mut report, cfg, seed, 0x1A, "steiner-exact", check_steiner_exact);
     report
 }
 

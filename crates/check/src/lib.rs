@@ -56,7 +56,6 @@ pub mod golden;
 pub mod harness;
 pub mod meta;
 pub mod oracle;
-pub mod steinerprop;
 
 pub use digest::plan_digest;
 pub use gencase::{BuiltCase, CaseSpec};

@@ -16,23 +16,16 @@
 //! the Dreyfus–Wagner DP (and validate the DP against a literal
 //! combining-schedule enumerator in unit tests).
 //!
-//! The oracle therefore asserts, per generated statement, planning each
-//! case twice (Steiner relays off, then on):
+//! The oracle therefore asserts, per generated statement:
 //!
 //! ```text
 //! steiner_min ≤ movement_opt           (the planner never beats exact)
-//! movement_opt == mst_weight           (steiner off: the MST bound, bit-for-bit)
-//! movement_steiner == steiner_min      (steiner on: the exact minimum, bit-for-bit)
+//! movement_opt == mst_weight           (the MST bound, bit-for-bit)
 //! ```
 //!
-//! The second assertion is the ISSUE's "bit-equal for 2-operand
-//! statements" strengthened to every flat chain — for k = 2 the MST *is*
-//! the exact schedule, so equality there follows from both lines. The
-//! third is the Steiner pass's optimality proof in the oracle regime:
-//! relay augmentation closes the MST-vs-Steiner gap *exactly* (every
-//! operand has a singleton candidate set, so the augmented tree weighs
-//! the Dreyfus–Wagner optimum, and the single fresh instance realises
-//! every tree edge once with no balance detour).
+//! The second assertion is "bit-equal for 2-operand statements"
+//! strengthened to every flat chain — for k = 2 the MST *is* the exact
+//! schedule, so equality there follows from both lines.
 
 use crate::gencase::pick_node;
 use dmcp_core::partitioner::PredictorSpec;
@@ -42,8 +35,8 @@ use dmcp_mach::rng::Rng64;
 use dmcp_mach::{MachineConfig, Mesh, NodeId};
 
 // The MST and Dreyfus–Wagner Steiner kernels were promoted to
-// `dmcp_mach::graph` so `dmcp-bound` and future placement passes share the
-// oracle-validated implementation; these re-exports keep the historical
+// `dmcp_mach::graph` so `dmcp-bound` shares the oracle-validated
+// implementation; these re-exports keep the historical
 // `crate::oracle::{mst_weight, steiner_min}` paths working.
 pub use dmcp_mach::graph::{mst_weight, steiner_min};
 
@@ -56,10 +49,8 @@ const ORACLE_MESHES: [(u16, u16); 4] = [(2, 2), (3, 2), (2, 3), (3, 3)];
 pub struct OracleOutcome {
     /// Operand count.
     pub k: usize,
-    /// Planner movement for the statement with relays off (Eq. 1 units).
+    /// Planner movement for the statement (Eq. 1 units).
     pub movement_opt: u64,
-    /// Planner movement for the statement with relays on.
-    pub movement_steiner: u64,
     /// Independent MST weight over {operand homes} ∪ {store home}.
     pub mst: u64,
     /// Exact Steiner minimum over the same terminals.
@@ -98,19 +89,11 @@ pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
     let core = pick_node(rng, &mesh);
 
     let tag = StmtTag { nest: 0, stmt: 0, instance: 0 };
-    let opts = PlanOptions { reuse_aware: false, steiner: false, ..PlanOptions::default() };
+    let opts = PlanOptions { reuse_aware: false, ..PlanOptions::default() };
     let mut planner = Planner::new(&program, layout, &data, HitPredictor::AlwaysHit, opts);
     let mut steps: Vec<Step> = Vec::new();
     let rec =
         planner.plan_statement(&mut steps, tag, &program.nests()[0].body[0], &[0], core, false);
-
-    // The same case planned with relay augmentation on (a fresh planner:
-    // no carried state).
-    let s_opts = PlanOptions { reuse_aware: false, steiner: true, ..PlanOptions::default() };
-    let mut s_planner = Planner::new(&program, layout, &data, HitPredictor::AlwaysHit, s_opts);
-    let mut s_steps: Vec<Step> = Vec::new();
-    let s_rec =
-        s_planner.plan_statement(&mut s_steps, tag, &program.nests()[0].body[0], &[0], core, false);
 
     // Terminals: believed operand primaries (AlwaysHit ⇒ the home bank)
     // plus the real store home.
@@ -121,7 +104,6 @@ pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
     let outcome = OracleOutcome {
         k,
         movement_opt: rec.movement_opt,
-        movement_steiner: s_rec.movement_opt,
         mst: mst_weight(&terminals),
         steiner: steiner_min(&mesh, &terminals),
     };
@@ -158,13 +140,6 @@ pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
             "planner missed its MST bound ({} != {}): stmt `{stmt}` on {cols}x{rows}, \
              core {core:?}, terminals {terminals:?}, {outcome:?}",
             outcome.movement_opt, outcome.mst
-        ));
-    }
-    if outcome.movement_steiner != outcome.steiner {
-        return Err(format!(
-            "steiner-augmented planner missed the exact minimum ({} != {}): stmt `{stmt}` on \
-             {cols}x{rows}, core {core:?}, terminals {terminals:?}, {outcome:?}",
-            outcome.movement_steiner, outcome.steiner
         ));
     }
     Ok(outcome)

@@ -50,7 +50,6 @@ pub mod partitioner;
 pub mod pipeline;
 pub mod split;
 pub mod stats;
-pub mod steiner;
 pub mod step;
 pub mod sync;
 pub mod unionfind;
@@ -65,6 +64,5 @@ pub use partitioner::{
 pub use pipeline::{passes, NestCtx, Pass, PlanCtx};
 pub use split::{HitPredictor, PlanOptions, Planner};
 pub use stats::{OpMix, StmtRecord};
-pub use steiner::SteinerPass;
 pub use step::{ElemLoc, Operand, Schedule, Step, StepInput, StmtTag, StoreTarget, SubId};
-pub use window::{place_nest, plan_nest, sync_nest, NestPlan, NestStats};
+pub use window::{place_nest, sync_nest, NestPlan, NestStats};

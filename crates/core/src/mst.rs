@@ -124,51 +124,6 @@ pub fn kruskal(vertices: &[MstVertex]) -> Vec<MstEdge> {
     mst
 }
 
-/// Removes relay (Steiner) vertices — indices `terminals..` — whose
-/// removal does not increase the MST weight (dangling leaves, dead
-/// pass-throughs), re-running Kruskal until the tree is stable, and
-/// returns the compacted vertex list with its final MST.
-///
-/// Relay vertices are *candidates*: a Steiner junction only pays for
-/// itself when it is an interior combining point that shortens the tree.
-/// A relay the MST turns into a leaf adds a dangling edge (often
-/// zero-weight, when the relay duplicates a terminal's location) that the
-/// scheduling walk would try to read an operand from — relays carry no
-/// operand — and `RootedTree::build` additionally assumes the edge list
-/// spans a hole-free `0..n`. Pruning therefore deletes the vertex itself
-/// and recomputes the MST, so indices stay compact and every surviving
-/// relay strictly pays for its place in the tree.
-///
-/// Terminal vertices (`0..terminals`) are never removed and keep their
-/// indices. The result spans (debug-asserted via [`UnionFind::spans`])
-/// and weighs no more than the input MST.
-pub fn prune_relays(
-    mut vertices: Vec<MstVertex>,
-    terminals: usize,
-) -> (Vec<MstVertex>, Vec<MstEdge>) {
-    loop {
-        let edges = kruskal(&vertices);
-        let weight: u64 = edges.iter().map(|e| u64::from(e.weight)).sum();
-        // Drop the highest-indexed removable relay first so lower relay
-        // indices stay valid for the next round.
-        let removable = (terminals..vertices.len()).rev().find(|&v| {
-            let mut cand = vertices.clone();
-            cand.remove(v);
-            let w: u64 = kruskal(&cand).iter().map(|e| u64::from(e.weight)).sum();
-            w <= weight
-        });
-        match removable {
-            Some(v) => {
-                vertices.remove(v);
-            }
-            None => {
-                debug_assert!(UnionFind::spans(vertices.len(), edges.iter().map(|e| (e.a, e.b))));
-                return (vertices, edges);
-            }
-        }
-    }
-}
-
 /// The MST rooted at a chosen vertex, ready for the leaf-to-root scheduling
 /// walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -369,66 +324,5 @@ mod tests {
     fn rooted_tree_rejects_forests() {
         let edges = vec![MstEdge { a: 0, b: 1, weight: 1 }];
         let _ = RootedTree::build(3, &edges, 0);
-    }
-
-    #[test]
-    fn prune_relays_drops_leaf_relays_and_keeps_junctions() {
-        // Shrunken from the first harness counterexample: the T-shaped
-        // statement (operands at (0,2),(2,2), store at (1,0)) augmented
-        // with the true junction (1,2) *and* a stray candidate (0,0).
-        // Kruskal attaches (0,0) to the store as a weight-1 leaf; the
-        // scheduling walk would then read an operand from a relay.
-        let vs = vec![v(0, 2), v(2, 2), v(1, 0), v(1, 2), v(0, 0)];
-        let plain: u32 = kruskal(&vs[..3]).iter().map(|e| e.weight).sum();
-        assert_eq!(plain, 5);
-        let (pruned, edges) = prune_relays(vs, 3);
-        assert_eq!(pruned.len(), 4, "stray relay not pruned: {pruned:?}");
-        assert_eq!(pruned[3], v(1, 2), "junction pruned: {pruned:?}");
-        let aug: u32 = edges.iter().map(|e| e.weight).sum();
-        assert_eq!(aug, 4, "junction tree should beat the MST");
-        // The compacted result roots cleanly; the tree spans.
-        let tree = RootedTree::build(pruned.len(), &edges, 2);
-        assert!(!tree.is_leaf(3), "surviving relay must be interior");
-    }
-
-    #[test]
-    fn prune_relays_compacts_indices_for_the_rooted_walk() {
-        // The latent assumption this guards: every MST edge endpoint is a
-        // terminal, so edge indices span a hole-free 0..n. Removing a leaf
-        // relay's *edge* without removing the vertex leaves a hole that
-        // RootedTree::build rejects; prune_relays removes the vertex and
-        // recomputes, so the walk never sees the hole.
-        let vs = vec![v(0, 0), v(3, 0), v(0, 3), v(0, 0)]; // relay duplicates a terminal
-        let naive = {
-            let mut edges = kruskal(&vs);
-            // Drop the relay's zero-weight leaf edge but keep 4 vertices.
-            edges.retain(|e| e.a != 3 && e.b != 3);
-            edges
-        };
-        assert!(!UnionFind::spans(4, naive.iter().map(|e| (e.a, e.b))));
-        let naive_panics = std::panic::catch_unwind(|| RootedTree::build(4, &naive, 0)).is_err();
-        assert!(naive_panics, "un-compacted pruning must trip the spanning assert");
-        let (pruned, edges) = prune_relays(vs, 3);
-        assert_eq!(pruned.len(), 3);
-        assert!(UnionFind::spans(pruned.len(), edges.iter().map(|e| (e.a, e.b))));
-        let _ = RootedTree::build(pruned.len(), &edges, 0);
-    }
-
-    #[test]
-    fn prune_relays_cascades_chains_and_never_raises_weight() {
-        // A chain of relays hanging off one terminal: pruning the outer
-        // leaf exposes the next, until only interior relays survive.
-        let vs = vec![v(0, 0), v(4, 0), v(2, 3), v(2, 0), v(6, 6), v(6, 4)];
-        let plain: u32 = kruskal(&vs[..3]).iter().map(|e| e.weight).sum();
-        let (pruned, edges) = prune_relays(vs, 3);
-        assert!(pruned.len() <= 4);
-        assert!(!pruned.contains(&v(6, 6)) && !pruned.contains(&v(6, 4)));
-        let aug: u32 = edges.iter().map(|e| e.weight).sum();
-        assert!(aug <= plain, "pruned tree {aug} worse than plain MST {plain}");
-        // No relays at all is the identity.
-        let vs2 = vec![v(0, 0), v(4, 0), v(2, 3)];
-        let (same, e2) = prune_relays(vs2.clone(), 3);
-        assert_eq!(same, vs2);
-        assert_eq!(e2, kruskal(&vs2));
     }
 }

@@ -99,7 +99,6 @@ impl PartitionConfig {
         h.write_u8(u8::from(self.opts.ideal_analysis));
         h.write_f64(self.opts.balance_threshold);
         h.write_f64(self.opts.split_threshold);
-        h.write_u8(u8::from(self.opts.steiner));
         h.write_u8(match self.predictor {
             PredictorSpec::Reuse => 0,
             PredictorSpec::L2Model => 1,
@@ -769,7 +768,10 @@ mod tests {
                 opts: PlanOptions { split_threshold: 0.9, ..base.opts },
                 ..base.clone()
             },
-            PartitionConfig { opts: PlanOptions { steiner: false, ..base.opts }, ..base.clone() },
+            PartitionConfig {
+                opts: PlanOptions { ideal_analysis: true, ..base.opts },
+                ..base.clone()
+            },
             PartitionConfig { predictor: PredictorSpec::AlwaysHit, ..base.clone() },
             PartitionConfig { max_window: 4, ..base.clone() },
             PartitionConfig { search_sample: 128, ..base.clone() },

@@ -1,6 +1,6 @@
 //! The staged planning pipeline: explicit passes over a [`PlanCtx`].
 //!
-//! The partitioner's work factors into six stages that run strictly in
+//! The partitioner's work factors into five stages that run strictly in
 //! order, each a stateless [`Pass`] over the shared context:
 //!
 //! 1. [`AnalyzePass`] — per nest, resolve the iteration→core assignment
@@ -10,16 +10,12 @@
 //! 2. [`WindowSearchPass`] — the paper's pre-processing step: plan a
 //!    sample at every window size 1‥`max_window` for each undecided nest
 //!    and keep the size minimising warm movement (ties prefer smaller);
-//! 3. [`SteinerPass`](crate::steiner::SteinerPass) — optional Steiner
-//!    relay placement (DESIGN.md §16): place each nest with and without
-//!    relay augmentation and keep the relayed plan only when its
-//!    predicted post-split movement is strictly lower;
-//! 4. [`PlacePass`] — full placement of every nest the Steiner pass did
-//!    not already place ([`crate::window::place_nest`]);
-//! 5. [`SplitPass`] — the nest-level split-vs-default decision: nests
+//! 3. [`PlacePass`] — full placement of every nest at its decided window
+//!    size ([`crate::window::place_nest`]);
+//! 4. [`SplitPass`] — the nest-level split-vs-default decision: nests
 //!    whose warm planned movement does not clearly beat default
 //!    execution are re-placed at iteration granularity;
-//! 6. [`SyncPass`] — dependence wiring and per-window transitive
+//! 5. [`SyncPass`] — dependence wiring and per-window transitive
 //!    reduction ([`crate::window::sync_nest`]).
 //!
 //! Every parallel dimension (search trials, per-nest placement, replans,
@@ -32,8 +28,6 @@ use crate::layout::Layout;
 use crate::partitioner::{
     nest_assignment, NestPartition, PartitionConfig, PartitionOutput, Partitioner,
 };
-use crate::split::PlanOptions;
-use crate::steiner::SteinerPass;
 use crate::window::{place_nest, sync_nest, NestPlan};
 use dmcp_ir::program::{DataStore, Program};
 use dmcp_mach::{MachineConfig, NodeId};
@@ -101,24 +95,8 @@ impl<'a> PlanCtx<'a> {
 
     /// Places `nest` (by position in [`PlanCtx::nests`]) at window `w`,
     /// with a fresh predictor — the shared planning kernel of the search,
-    /// place and split passes. Always plans MST-only (`steiner: false`):
-    /// relay augmentation is the Steiner pass's job, which compares both
-    /// modes explicitly via [`PlanCtx::place_opts`].
+    /// place and split passes.
     fn place(&self, pos: usize, w: usize, limit: Option<u64>, force_default: bool) -> NestPlan {
-        let opts = PlanOptions { steiner: false, ..self.config.opts };
-        self.place_opts(pos, w, limit, force_default, opts)
-    }
-
-    /// [`PlanCtx::place`] with explicit planner options (the Steiner pass
-    /// places each nest under both `steiner` settings).
-    pub(crate) fn place_opts(
-        &self,
-        pos: usize,
-        w: usize,
-        limit: Option<u64>,
-        force_default: bool,
-        opts: PlanOptions,
-    ) -> NestPlan {
         let nc = &self.nests[pos];
         place_nest(
             self.program,
@@ -126,7 +104,7 @@ impl<'a> PlanCtx<'a> {
             self.layout,
             self.data,
             self.config.predictor.build(self.machine),
-            opts,
+            self.config.opts,
             w,
             &nc.assignment,
             limit,
@@ -164,8 +142,8 @@ pub trait Pass: Sync {
 
 /// The standard pass sequence, in execution order.
 #[must_use]
-pub fn passes() -> [&'static dyn Pass; 6] {
-    [&AnalyzePass, &WindowSearchPass, &SteinerPass, &PlacePass, &SplitPass, &SyncPass]
+pub fn passes() -> [&'static dyn Pass; 5] {
+    [&AnalyzePass, &WindowSearchPass, &PlacePass, &SplitPass, &SyncPass]
 }
 
 /// Pass 1: resolve assignments and window-size sources per nest.
@@ -236,9 +214,7 @@ impl Pass for WindowSearchPass {
     }
 }
 
-/// Pass 4: full placement of every nest at its decided window size.
-/// Nests the Steiner pass already placed (it compares both planning
-/// modes and stores the winner) are skipped untouched.
+/// Pass 3: full placement of every nest at its decided window size.
 pub struct PlacePass;
 
 impl Pass for PlacePass {
@@ -247,25 +223,20 @@ impl Pass for PlacePass {
     }
 
     fn run(&self, ctx: &mut PlanCtx) {
-        let todo: Vec<usize> =
-            (0..ctx.nests.len()).filter(|&pos| ctx.nests[pos].plan.is_none()).collect();
-        if todo.is_empty() {
-            return;
-        }
         let plans: Vec<NestPlan> = {
             let c: &PlanCtx = ctx;
-            c.pool.map(&todo, |_, &pos| {
+            c.pool.run(c.nests.len(), |pos| {
                 let w = c.nests[pos].window.expect("window decided before placement");
                 c.place(pos, w, None, c.force_default)
             })
         };
-        for (&pos, plan) in todo.iter().zip(plans) {
-            ctx.nests[pos].plan = Some(plan);
+        for (nc, plan) in ctx.nests.iter_mut().zip(plans) {
+            nc.plan = Some(plan);
         }
     }
 }
 
-/// Pass 5: the nest-level split-vs-default decision.
+/// Pass 4: the nest-level split-vs-default decision.
 ///
 /// Splitting a nest is only worthwhile when its planned movement clearly
 /// beats default execution (mixed placements destroy each other's L1
@@ -307,7 +278,7 @@ impl Pass for SplitPass {
     }
 }
 
-/// Pass 6: dependence wiring and per-window sync minimisation.
+/// Pass 5: dependence wiring and per-window sync minimisation.
 ///
 /// Nests are independent, so they fan out over the pool; within a nest
 /// the replay is inherently sequential (dependences chain through the
@@ -352,7 +323,7 @@ mod tests {
     #[test]
     fn pass_sequence_is_stable() {
         let names: Vec<&str> = passes().iter().map(|p| p.name()).collect();
-        assert_eq!(names, ["analyze", "window-search", "steiner", "place", "split", "sync"]);
+        assert_eq!(names, ["analyze", "window-search", "place", "split", "sync"]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::balance::LoadTracker;
 use crate::l1model::L1Model;
 use crate::layout::Layout;
-use crate::mst::{kruskal, prune_relays, MstEdge, MstVertex, RootedTree};
+use crate::mst::{kruskal, MstEdge, MstVertex, RootedTree};
 use crate::stats::{OpMix, StmtRecord};
 use crate::step::{ElemLoc, Operand, Step, StepInput, StmtTag, StoreTarget, SubId};
 use dmcp_ir::nested::{Element, Group, OpClass, Term};
@@ -77,11 +77,6 @@ pub struct PlanOptions {
     /// (hysteresis compensating for the synchronization overhead splitting
     /// introduces; 1.0 splits on any planned win).
     pub split_threshold: f64,
-    /// Augment each statement's outermost tree with Steiner relay nodes
-    /// ([`dmcp_mach::graph::steiner_relays_sets`]) when the relayed tree is
-    /// *strictly* cheaper than the plain MST (DESIGN.md §16). Off, the
-    /// planner is bit-identical to the MST-only paper construction.
-    pub steiner: bool,
 }
 
 impl Default for PlanOptions {
@@ -91,7 +86,6 @@ impl Default for PlanOptions {
             ideal_analysis: false,
             balance_threshold: 0.10,
             split_threshold: 0.75,
-            steiner: true,
         }
     }
 }
@@ -121,10 +115,6 @@ pub struct Planner<'a> {
     /// statement's planning (applied when the statement commits).
     pending_touches: Vec<(NodeId, LineAddr)>,
     pending_loads: Vec<(NodeId, f64)>,
-    /// Relay candidates per distinct terminal-set shape. Statement
-    /// instances of a nest cycle over a bounded set of home patterns, so
-    /// the Steiner kernels run once per pattern, not once per instance.
-    steiner_memo: std::collections::HashMap<Vec<Vec<NodeId>>, Vec<NodeId>>,
 }
 
 /// One operand location resolved by `GetNode`.
@@ -166,14 +156,9 @@ struct GroupPlan {
     /// to the group's root step).
     consts: Vec<(BinOp, f64)>,
     /// MST vertices aligned with `nodes` (plus possibly an extra store
-    /// vertex appended by the outermost level, plus Steiner relay
-    /// vertices after that).
+    /// vertex appended by the outermost level).
     vertices: Vec<MstVertex>,
     edges: Vec<MstEdge>,
-    /// First relay vertex index (`usize::MAX` when the tree has none).
-    /// Vertices at `relay_start..` carry no operand: they emit pure
-    /// combining steps seeded with the class identity.
-    relay_start: usize,
 }
 
 /// Outcome of emitting a group: where its value is and what it cost.
@@ -206,7 +191,6 @@ impl<'a> Planner<'a> {
             loads: LoadTracker::new(opts.balance_threshold),
             pending_touches: Vec::new(),
             pending_loads: Vec::new(),
-            steiner_memo: std::collections::HashMap::new(),
         }
     }
 
@@ -294,20 +278,6 @@ impl<'a> Planner<'a> {
         plan.vertices.push(MstVertex::single(store.home));
         plan.edges = kruskal(&plan.vertices);
 
-        // Steiner relay augmentation (DESIGN.md §16): splice relay
-        // vertices into the outermost tree when they make it strictly
-        // cheaper than the MST. Fallback statements are default execution
-        // by definition; fixed (shift) groups emit a single ordered step
-        // with no tree to shorten; trees of ≤ 2 terminals have no room
-        // for a junction.
-        if self.opts.steiner
-            && !fallback
-            && !matches!(plan.class, OpClass::Fixed(_))
-            && plan.vertices.len() >= 3
-        {
-            self.augment_with_relays(&mut plan);
-        }
-
         // Predict the store line too (write-allocate into L2).
         let _ = self.predictor.predict(store.line);
 
@@ -346,45 +316,6 @@ impl<'a> Planner<'a> {
             fallback,
             first_step,
             last_step: steps.len() as u32,
-        }
-    }
-
-    /// Augments the outermost statement tree with Steiner relay vertices
-    /// when — and only when — the pruned relayed tree is *strictly*
-    /// cheaper than the plain MST. On a tie or a loss the plan is left
-    /// bit-identical, so the construction can only ever lower movement.
-    ///
-    /// Relays come from [`dmcp_mach::graph::steiner_relays_sets`] (exact
-    /// Dreyfus–Wagner junctions for small terminal counts, L-path
-    /// candidates above that), restricted to live nodes on a degraded
-    /// machine so a relay step can always execute, and shortcut through
-    /// [`prune_relays`] so every surviving relay is an interior combining
-    /// point that pays for itself.
-    fn augment_with_relays(&mut self, plan: &mut GroupPlan) {
-        let sets: Vec<Vec<NodeId>> = plan.vertices.iter().map(|v| v.locs.clone()).collect();
-        let relays = match self.steiner_memo.get(&sets) {
-            Some(r) => r.clone(),
-            None => {
-                let mesh = self.layout.machine().mesh;
-                let allowed = self.layout.live_nodes();
-                let r = dmcp_mach::graph::steiner_relays_sets(&mesh, &sets, allowed);
-                self.steiner_memo.insert(sets, r.clone());
-                r
-            }
-        };
-        if relays.is_empty() {
-            return;
-        }
-        let plain: u64 = plan.edges.iter().map(|e| u64::from(e.weight)).sum();
-        let terminals = plan.vertices.len();
-        let mut aug = plan.vertices.clone();
-        aug.extend(relays.into_iter().map(MstVertex::single));
-        let (vertices, edges) = prune_relays(aug, terminals);
-        let weight: u64 = edges.iter().map(|e| u64::from(e.weight)).sum();
-        if weight < plain {
-            plan.relay_start = terminals;
-            plan.vertices = vertices;
-            plan.edges = edges;
         }
     }
 
@@ -488,7 +419,7 @@ impl<'a> Planner<'a> {
         let anchor = self.const_anchor();
         let vertices: Vec<MstVertex> = nodes.iter().map(|n| plan_vertex(n, anchor)).collect();
         let edges = kruskal(&vertices);
-        GroupPlan { class: group.class, nodes, consts, vertices, edges, relay_start: usize::MAX }
+        GroupPlan { class: group.class, nodes, consts, vertices, edges }
     }
 
     /// Emits the steps of a planned group, directing its result towards
@@ -573,13 +504,10 @@ impl<'a> Planner<'a> {
             return Emitted { operand: Operand::Temp(id), node, movement: 0, l1_hits: 0 };
         }
 
-        // Vertices at `relay_start..` are Steiner relays (outermost
-        // statement trees only): operand-less combining points.
-        let rs = plan.relay_start.min(n);
         // Root selection: the store vertex if present, else the vertex
         // nearest to the requested target.
         let root = if store.is_some() {
-            rs - 1 // the appended store vertex (relays follow it)
+            n - 1 // the appended store vertex
         } else {
             (0..n)
                 .min_by_key(|&i| {
@@ -630,9 +558,8 @@ impl<'a> Planner<'a> {
 
             let exec = node_of[v];
             let mut inputs = Vec::new();
-            // Own element (absent for the synthetic store vertex and for
-            // relay vertices, which carry no operand of their own).
-            if !is_store_root && v < rs {
+            // Own element (absent for the synthetic store vertex).
+            if !is_store_root {
                 let (op, operand, fetch, l1h) =
                     self.vertex_operand(steps, plan, v, exec, tag, force);
                 total_movement += fetch;
@@ -652,10 +579,7 @@ impl<'a> Planner<'a> {
                     }
                     None => {
                         // A tree-leaf child: fetch its element or emit its
-                        // sub-group directed at us. Relays never land here:
-                        // pruning keeps only interior relay vertices, so a
-                        // relay child has always emitted a step already.
-                        debug_assert!(c < rs, "relay vertex {c} folded as a leaf operand");
+                        // sub-group directed at us.
                         let (op, operand, fetch, l1h) =
                             self.vertex_operand(steps, plan, c, exec, tag, force);
                         total_movement += fetch;
@@ -1133,39 +1057,6 @@ mod tests {
         }
         assert!(mix.total() > 0, "nothing was re-mapped");
         assert!(mix.mul_div > 0, "expected re-mapped mul/div ops: {mix:?}");
-    }
-    #[test]
-    fn steiner_relays_lower_movement_and_stay_correct() {
-        // With relays on, planned movement can only drop (the guard keeps
-        // the plain MST on ties/losses) and values must stay bit-equal to
-        // the reference interpreter.
-        let stmts =
-            &["A[i] = B[i] + C[i] + D[i] + E[i]", "X[i] = Y[i] + Z[i] + B[i] + D[i] + E[i]"];
-        let off = PlanOptions { steiner: false, reuse_aware: false, ..PlanOptions::default() };
-        let on = PlanOptions { steiner: true, reuse_aware: false, ..PlanOptions::default() };
-        let (_, _, rec_off) = plan_program(stmts, off);
-        let (program, sched_on, rec_on) = plan_program(stmts, on);
-        check_correct(&program, &sched_on);
-        let m_off: u64 = rec_off.iter().map(|r| r.movement_opt).sum();
-        let m_on: u64 = rec_on.iter().map(|r| r.movement_opt).sum();
-        assert!(m_on <= m_off, "steiner movement {m_on} exceeds MST movement {m_off}");
-        // Defaults are untouched by the augmentation.
-        for (a, b) in rec_off.iter().zip(&rec_on) {
-            assert_eq!(a.movement_default, b.movement_default);
-        }
-    }
-
-    #[test]
-    fn steiner_off_is_bit_identical_to_the_mst_planner() {
-        let stmts = &["A[i] = B[i] + C[i] + D[i] + E[i]", "X[i] = Y[i] * C[i] * D[i]"];
-        let legacy = PlanOptions { steiner: false, ..PlanOptions::default() };
-        let (_, s1, r1) = plan_program(stmts, legacy);
-        let (_, s2, r2) = plan_program(stmts, legacy);
-        assert_eq!(s1.steps, s2.steps);
-        assert_eq!(r1.len(), r2.len());
-        for (a, b) in r1.iter().zip(&r2) {
-            assert_eq!(a.movement_opt, b.movement_opt);
-        }
     }
 
     #[test]

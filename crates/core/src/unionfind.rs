@@ -80,29 +80,6 @@ impl UnionFind {
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// `true` if `edges` join `0..len` into a single component — the
-    /// spanning-tree shape [`crate::mst::RootedTree::build`] asserts.
-    ///
-    /// Historically every MST vertex was a terminal, so Kruskal's output
-    /// spanned by construction and nothing ever checked. Relay (Steiner)
-    /// vertices broke that: pruning a relay leaf removes a vertex, and an
-    /// edge list whose indices were not compacted afterwards silently
-    /// leaves holes that only surface as a panic deep in the rooted walk.
-    /// Pruned edge lists are validated with this before rooting.
-    pub fn spans(len: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> bool {
-        if len == 0 {
-            return true;
-        }
-        let mut uf = UnionFind::new(len);
-        for (a, b) in edges {
-            if a >= len || b >= len {
-                return false;
-            }
-            uf.union(a, b);
-        }
-        uf.components() == 1
-    }
 }
 
 #[cfg(test)]
@@ -152,19 +129,5 @@ mod tests {
         let uf = UnionFind::new(0);
         assert!(uf.is_empty());
         assert_eq!(uf.components(), 0);
-    }
-
-    #[test]
-    fn spans_detects_holes_left_by_relay_pruning() {
-        // A 4-vertex path spans; dropping vertex 3's edge without
-        // compacting indices leaves a hole that `spans` must reject.
-        assert!(UnionFind::spans(4, [(0, 1), (1, 2), (2, 3)]));
-        assert!(!UnionFind::spans(4, [(0, 1), (1, 2)]));
-        // Compacted after removing the old vertex 3: spans again.
-        assert!(UnionFind::spans(3, [(0, 1), (1, 2)]));
-        // Out-of-range endpoints (stale relay indices) are rejected, not
-        // a panic.
-        assert!(!UnionFind::spans(3, [(0, 1), (1, 5)]));
-        assert!(UnionFind::spans(0, []));
     }
 }

@@ -121,44 +121,6 @@ pub struct NestPlan {
     pub stats: NestStats,
 }
 
-/// Plans one loop nest with a fixed window size.
-///
-/// `assignment[it % assignment.len()]` is the default core of iteration
-/// `it`; `limit_instances` truncates planning (used by the window-size
-/// search); `force_default` generates the baseline schedule instead.
-///
-/// Equivalent to [`place_nest`] followed by [`sync_nest`] — the staged
-/// pipeline runs the two passes separately so placement can fan out
-/// across a pool while sync wiring replays sequentially per nest.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_nest(
-    program: &Program,
-    nest_index: usize,
-    layout: &Layout,
-    data: &DataStore,
-    predictor: HitPredictor,
-    opts: PlanOptions,
-    window: usize,
-    assignment: &[NodeId],
-    limit_instances: Option<u64>,
-    force_default: bool,
-) -> NestPlan {
-    let mut plan = place_nest(
-        program,
-        nest_index,
-        layout,
-        data,
-        predictor,
-        opts,
-        window,
-        assignment,
-        limit_instances,
-        force_default,
-    );
-    sync_nest(&mut plan);
-    plan
-}
-
 /// The *placement* half of nest planning: streams statement instances in
 /// execution order, plans each one's subcomputations (MST placement, L1
 /// reuse within the window, load balancing), and resets the
@@ -166,10 +128,14 @@ pub fn plan_nest(
 /// wired — every step's `waits` list comes back empty and the sync
 /// counters are zero until [`sync_nest`] runs.
 ///
-/// Placement never reads wait arcs, so splitting the two phases is
-/// bit-identical to the fused loop; it also lets the window-size search
-/// skip sync wiring entirely (its decision metric, warm movement, is a
-/// pure function of the placement records).
+/// `assignment[it % assignment.len()]` is the default core of iteration
+/// `it`; `limit_instances` truncates planning (used by the window-size
+/// search); `force_default` generates the baseline schedule instead.
+///
+/// Placement never reads wait arcs, so the two phases run separately:
+/// placement fans out across a pool, and the window-size search skips
+/// sync wiring entirely (its decision metric, warm movement, is a pure
+/// function of the placement records).
 #[allow(clippy::too_many_arguments)]
 pub fn place_nest(
     program: &Program,
@@ -230,11 +196,11 @@ pub fn place_nest(
 /// The *synchronization* half of nest planning: replays the placement
 /// records of a [`place_nest`] plan in order, wiring element-level
 /// flow/anti/output dependences and transitively reducing each window's
-/// arcs exactly as the fused loop did.
+/// arcs.
 ///
-/// Each window is reduced over the step prefix that existed when the
-/// fused loop hit that boundary (`steps[..last_step_of_the_window]`), so
-/// arcs and counters are bit-identical to interleaved wiring. Updates
+/// Each window is reduced over the step prefix that existed when
+/// placement reached that boundary (`steps[..last_step_of_the_window]`),
+/// so arcs and counters are the same as wiring during placement. Updates
 /// `stats.syncs_before` / `stats.syncs_after` in place. Idempotent-safe
 /// only on freshly placed plans (wait arcs are rewritten from scratch per
 /// record range, but windows already reduced would re-reduce).
@@ -251,8 +217,8 @@ pub fn sync_nest(plan: &mut NestPlan) {
         deps.wire(steps, rec.first_step as usize, rec.last_step as usize);
         in_window += 1;
         if in_window == window {
-            // Reduce over the prefix that existed at this boundary in the
-            // fused loop: later windows' steps must stay out of scope.
+            // Reduce over the prefix that existed at this boundary during
+            // placement: later windows' steps must stay out of scope.
             let end = rec.last_step as usize;
             let (before, after) = reduce_window(&mut steps[..end], window_first_step);
             syncs_before += before;
@@ -419,21 +385,37 @@ mod tests {
         crate::partitioner::chunked_assignment(machine.mesh, iters as u64)
     }
 
-    fn plan(stmts: &[&str], iters: i64, window: usize, opts: PlanOptions) -> (Program, NestPlan) {
-        let (program, machine, layout) = setup(stmts, iters);
+    /// Places and syncs nest 0, as the pipeline's place and sync passes do.
+    fn place_and_sync(
+        program: &Program,
+        layout: &Layout,
+        opts: PlanOptions,
+        window: usize,
+        assignment: &[NodeId],
+        limit: Option<u64>,
+        force_default: bool,
+    ) -> NestPlan {
         let data = program.initial_data();
-        let plan = plan_nest(
-            &program,
+        let mut plan = place_nest(
+            program,
             0,
-            &layout,
+            layout,
             &data,
             HitPredictor::AlwaysHit,
             opts,
             window,
-            &assignment(&machine, iters as usize),
-            None,
-            false,
+            assignment,
+            limit,
+            force_default,
         );
+        sync_nest(&mut plan);
+        plan
+    }
+
+    fn plan(stmts: &[&str], iters: i64, window: usize, opts: PlanOptions) -> (Program, NestPlan) {
+        let (program, machine, layout) = setup(stmts, iters);
+        let asg = assignment(&machine, iters as usize);
+        let plan = place_and_sync(&program, &layout, opts, window, &asg, None, false);
         (program, plan)
     }
 
@@ -530,39 +512,16 @@ mod tests {
             b.nest(&[("i", 0, 64)], &["A[i] = B[i] + C[i]"]).unwrap();
             b.build()
         };
-        let data = program.initial_data();
-        let p = plan_nest(
-            &program,
-            0,
-            &layout,
-            &data,
-            HitPredictor::AlwaysHit,
-            PlanOptions::default(),
-            4,
-            &assignment(&machine, 64),
-            Some(10),
-            false,
-        );
+        let asg = assignment(&machine, 64);
+        let p = place_and_sync(&program, &layout, PlanOptions::default(), 4, &asg, Some(10), false);
         assert_eq!(p.stats.instances, 10);
     }
 
     #[test]
     fn baseline_generation_keeps_iteration_granularity() {
         let (program, machine, layout) = setup(&["A[i] = B[i] + C[i] + D[i]"], 16);
-        let data = program.initial_data();
         let asg = assignment(&machine, 16);
-        let p = plan_nest(
-            &program,
-            0,
-            &layout,
-            &data,
-            HitPredictor::AlwaysHit,
-            PlanOptions::default(),
-            1,
-            &asg,
-            None,
-            true,
-        );
+        let p = place_and_sync(&program, &layout, PlanOptions::default(), 1, &asg, None, true);
         // Every step of iteration `it` runs on the assigned core.
         for s in &p.schedule.steps {
             let it = s.tag.instance as usize;
@@ -592,19 +551,6 @@ mod tests {
         assert!(staged.schedule.steps.iter().all(|s| s.waits.is_empty()));
         assert_eq!((staged.stats.syncs_before, staged.stats.syncs_after), (0, 0));
         sync_nest(&mut staged);
-        let fused = plan_nest(
-            &program,
-            0,
-            &layout,
-            &data,
-            HitPredictor::AlwaysHit,
-            PlanOptions::default(),
-            3,
-            &asg,
-            None,
-            false,
-        );
-        assert_eq!(staged, fused, "staged place+sync must be bit-identical to the fused plan");
         assert!(staged.stats.syncs_before > 0, "the chain above must need sync arcs");
     }
 

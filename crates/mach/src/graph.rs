@@ -1,8 +1,8 @@
 //! Exact graph kernels over the mesh metric: MST and Steiner minima.
 //!
 //! Promoted out of `dmcp-check`'s oracle so every consumer — the oracle
-//! itself, the `dmcp-bound` lower bounds, and any future Steiner placement
-//! pass — shares one validated implementation instead of a copy.
+//! itself and the `dmcp-bound` lower bounds — shares one validated
+//! implementation instead of a copy.
 //!
 //! Two families live here:
 //!
@@ -141,226 +141,6 @@ pub fn steiner_min_sets(mesh: &Mesh, sets: &[Vec<NodeId>]) -> u64 {
     dp[full].iter().copied().min().expect("mesh has nodes")
 }
 
-/// Steiner *junctions* (relay nodes) realising the minimum group
-/// Steiner tree of `sets` on `mesh`: extra non-terminal nodes such that
-/// a minimum spanning tree over `sets ∪ {junction singletons}` achieves
-/// the group-Steiner weight. With at most [`EXACT_SET_LIMIT`] distinct
-/// sets the junctions come from an exact Dreyfus–Wagner backtrack (the
-/// returned set realises [`steiner_min_sets`] exactly); above it a
-/// 2-approximation is used — the MST over the sets' metric closure is
-/// expanded edge-by-edge into L-shaped Manhattan paths whose interior
-/// nodes become relay *candidates* (callers shortcut the result by
-/// pruning non-terminal MST leaves, e.g. `dmcp_core::mst::prune_relays`).
-///
-/// `allowed` restricts junctions to a node subset (degraded machines:
-/// only live nodes may execute relay steps); `None` allows every mesh
-/// node. Terminal option nodes are never returned as junctions. The
-/// result is sorted and deduplicated, so it is deterministic.
-///
-/// # Panics
-///
-/// Panics on an empty option set.
-pub fn steiner_relays_sets(
-    mesh: &Mesh,
-    sets: &[Vec<NodeId>],
-    allowed: Option<&[NodeId]>,
-) -> Vec<NodeId> {
-    let mut groups: Vec<&Vec<NodeId>> = Vec::new();
-    for s in sets {
-        assert!(!s.is_empty(), "terminal option set must be non-empty");
-        if !groups.contains(&s) {
-            groups.push(s);
-        }
-    }
-    let t = groups.len();
-    if t <= 2 {
-        // 0–2 terminals: the optimal tree is a single metric edge (or
-        // nothing); no junction can improve it.
-        return Vec::new();
-    }
-    let nodes: Vec<NodeId> = match allowed {
-        Some(a) => a.to_vec(),
-        None => mesh.nodes().collect(),
-    };
-    if nodes.is_empty() {
-        return Vec::new();
-    }
-    let mut relays = if t <= EXACT_SET_LIMIT {
-        exact_junctions(&groups, &nodes)
-    } else {
-        approx_relays(&groups, &nodes)
-    };
-    let is_terminal = |n: NodeId| groups.iter().any(|g| g.contains(&n));
-    relays.retain(|&r| !is_terminal(r));
-    relays.sort();
-    relays.dedup();
-    relays
-}
-
-/// Largest number of distinct terminal sets [`steiner_relays_sets`]
-/// solves exactly (Dreyfus–Wagner is exponential in the set count).
-pub const EXACT_SET_LIMIT: usize = 6;
-
-/// Dreyfus–Wagner over `nodes` with full choice tracking, backtracked to
-/// the tree nodes of one optimal group Steiner tree.
-fn exact_junctions(groups: &[&Vec<NodeId>], nodes: &[NodeId]) -> Vec<NodeId> {
-    let t = groups.len();
-    let n = nodes.len();
-    let full: usize = (1 << t) - 1;
-    const INF: u64 = u64::MAX / 4;
-    let mut dp = vec![vec![INF; n]; full + 1];
-    // How dp[mask][v] was achieved: a merge of two submasks at v, or a
-    // metric-closure move from another node (`usize::MAX` = neither, i.e.
-    // the singleton initialisation).
-    let mut from_merge = vec![vec![0usize; n]; full + 1];
-    let mut from_move = vec![vec![usize::MAX; n]; full + 1];
-    for (i, group) in groups.iter().enumerate() {
-        for (v, node) in nodes.iter().enumerate() {
-            dp[1 << i][v] = group
-                .iter()
-                .map(|t| u64::from(t.manhattan(*node)))
-                .min()
-                .expect("non-empty option set");
-        }
-    }
-    for mask in 1..=full {
-        if mask.count_ones() >= 2 {
-            #[allow(clippy::needless_range_loop)] // several dp rows are read while one is written
-            for v in 0..n {
-                let mut best = dp[mask][v];
-                let mut best_sub = 0usize;
-                let mut sub = (mask - 1) & mask;
-                while sub > 0 {
-                    let other = mask ^ sub;
-                    if sub <= other {
-                        let cand = dp[sub][v].saturating_add(dp[other][v]);
-                        if cand < best {
-                            best = cand;
-                            best_sub = sub;
-                        }
-                    }
-                    sub = (sub - 1) & mask;
-                }
-                if best < dp[mask][v] {
-                    dp[mask][v] = best;
-                    from_merge[mask][v] = best_sub;
-                }
-            }
-        }
-        // One metric-closure pass (exact under the triangle inequality);
-        // the snapshot means a recorded move always lands on a pre-move
-        // (init or merge) value, so backtrack chains have length one.
-        let snapshot: Vec<u64> = dp[mask].clone();
-        for v in 0..n {
-            let mut best = dp[mask][v];
-            let mut best_u = usize::MAX;
-            for (u, du) in snapshot.iter().enumerate() {
-                if u == v {
-                    continue;
-                }
-                let cand = du.saturating_add(u64::from(nodes[u].manhattan(nodes[v])));
-                if cand < best {
-                    best = cand;
-                    best_u = u;
-                }
-            }
-            if best_u != usize::MAX {
-                dp[mask][v] = best;
-                from_move[mask][v] = best_u;
-                from_merge[mask][v] = 0; // the move target re-derives its own merge
-            }
-        }
-    }
-    let root = (0..n).min_by_key(|&v| (dp[full][v], v)).expect("nodes non-empty");
-    // Backtrack: every visited DP node is a tree node of the optimum.
-    let mut tree_nodes = Vec::new();
-    let mut stack = vec![(full, root, false)];
-    while let Some((mask, mut v, skip_move)) = stack.pop() {
-        if !skip_move && from_move[mask][v] != usize::MAX {
-            tree_nodes.push(nodes[v]);
-            v = from_move[mask][v];
-            // The move source holds the pre-closure value for this mask.
-            stack.push((mask, v, true));
-            continue;
-        }
-        tree_nodes.push(nodes[v]);
-        if mask.count_ones() >= 2 {
-            let sub = from_merge[mask][v];
-            if sub != 0 {
-                stack.push((sub, v, false));
-                stack.push((mask ^ sub, v, false));
-            }
-            // `sub == 0` with several bits cannot happen: a multi-bit mask's
-            // pre-move value always comes from a merge.
-        }
-        // Singleton masks attach their group's nearest option directly —
-        // the option is a terminal, not a junction, so nothing to record.
-    }
-    tree_nodes
-}
-
-/// The 2-approximation: MST over the sets' metric closure, each tree
-/// edge expanded into an L-shaped Manhattan path whose interior nodes
-/// (restricted to `nodes`) become relay candidates.
-fn approx_relays(groups: &[&Vec<NodeId>], nodes: &[NodeId]) -> Vec<NodeId> {
-    let t = groups.len();
-    // Prim over the set distance, tracking the realising node pair of
-    // every tree edge.
-    let dist = |a: &[NodeId], b: &[NodeId]| -> (u32, NodeId, NodeId) {
-        let mut best = (u32::MAX, NodeId::new(0, 0), NodeId::new(0, 0));
-        for &x in a {
-            for &y in b {
-                let d = x.manhattan(y);
-                if d < best.0 || (d == best.0 && (x, y) < (best.1, best.2)) {
-                    best = (d, x, y);
-                }
-            }
-        }
-        best
-    };
-    let mut in_tree = vec![false; t];
-    let mut key = vec![(u32::MAX, NodeId::new(0, 0), NodeId::new(0, 0)); t];
-    key[0].0 = 0;
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    for _ in 0..t {
-        let v = (0..t).filter(|&v| !in_tree[v]).min_by_key(|&v| (key[v].0, v)).expect("a set");
-        in_tree[v] = true;
-        if key[v].0 != 0 || key[v].1 != key[v].2 {
-            edges.push((key[v].1, key[v].2));
-        }
-        for u in 0..t {
-            if !in_tree[u] {
-                let (d, a, b) = dist(groups[v], groups[u]);
-                if d < key[u].0 {
-                    key[u] = (d, a, b);
-                }
-            }
-        }
-    }
-    let allowed: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
-    let mut relays = Vec::new();
-    for (a, b) in edges {
-        // Walk x first, then y (deterministic L-shape); interior nodes
-        // only — endpoints are terminal options.
-        let (mut x, mut y) = (a.x(), a.y());
-        while x != b.x() {
-            x = if x < b.x() { x + 1 } else { x - 1 };
-            let node = NodeId::new(x, y);
-            if node != b && allowed.contains(&node) {
-                relays.push(node);
-            }
-        }
-        while y != b.y() {
-            y = if y < b.y() { y + 1 } else { y - 1 };
-            let node = NodeId::new(x, y);
-            if node != b && allowed.contains(&node) {
-                relays.push(node);
-            }
-        }
-    }
-    relays
-}
-
 /// MST weight over terminal option sets under the *set* distance
 /// `d(S, T) = min_{a ∈ S, b ∈ T} manhattan(a, b)`.
 ///
@@ -465,6 +245,11 @@ mod tests {
         assert!(s <= m);
         assert_eq!(m, 6);
         assert_eq!(s, 6); // on a grid the corner set has no better Steiner tree
+                          // The classic T does gain from one: MST = 2 + 3 = 5, while the
+                          // tree through the junction (1,2) costs 1 + 1 + 2 = 4.
+        let t = [NodeId::new(0, 2), NodeId::new(2, 2), NodeId::new(1, 0)];
+        assert_eq!(mst_weight(&t), 5);
+        assert_eq!(steiner_min(&mesh, &t), 4);
     }
 
     #[test]
@@ -528,130 +313,6 @@ mod tests {
             }
             assert_eq!(steiner_min_sets(&mesh, &sets), brute, "sets {sets:?}");
         }
-    }
-
-    #[test]
-    fn exact_relays_realise_the_steiner_minimum() {
-        // Over random terminal sets in the exact regime, an MST over
-        // terminals ∪ relays must weigh exactly the Steiner minimum:
-        // ≥ because any spanning tree of the union connects the
-        // terminals, ≤ because the optimal tree spans the union.
-        let mut rng = Rng64::new(41);
-        for (cols, rows) in [(2u16, 2u16), (3, 2), (3, 3), (4, 3)] {
-            let mesh = Mesh::new(cols, rows);
-            for _ in 0..30 {
-                let k = 3 + rng.gen_range(4) as usize; // 3..=6
-                let terms: Vec<NodeId> = (0..k).map(|_| pick_node(&mut rng, &mesh)).collect();
-                let sets: Vec<Vec<NodeId>> = terms.iter().map(|&t| vec![t]).collect();
-                let relays = steiner_relays_sets(&mesh, &sets, None);
-                for &r in &relays {
-                    assert!(!terms.contains(&r), "terminal {r} returned as relay");
-                    assert!(r.x() < cols && r.y() < rows, "relay {r} off-mesh");
-                }
-                let mut union = terms.clone();
-                union.extend_from_slice(&relays);
-                assert_eq!(
-                    mst_weight(&union),
-                    steiner_min(&mesh, &terms),
-                    "terms {terms:?} relays {relays:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn relays_find_the_t_junction() {
-        // Classic T: terminals (0,2),(2,2),(1,0). MST = 2 + 3 = 5; the
-        // Steiner tree through junction (1,2) costs 1 + 1 + 2 = 4.
-        let mesh = Mesh::new(3, 3);
-        let terms = [NodeId::new(0, 2), NodeId::new(2, 2), NodeId::new(1, 0)];
-        assert_eq!(mst_weight(&terms), 5);
-        assert_eq!(steiner_min(&mesh, &terms), 4);
-        let sets: Vec<Vec<NodeId>> = terms.iter().map(|&t| vec![t]).collect();
-        let relays = steiner_relays_sets(&mesh, &sets, None);
-        assert!(relays.contains(&NodeId::new(1, 2)), "junction missing: {relays:?}");
-        let mut union = terms.to_vec();
-        union.extend_from_slice(&relays);
-        assert_eq!(mst_weight(&union), 4);
-    }
-
-    #[test]
-    fn relays_respect_the_allowed_set() {
-        // Kill the T-junction: every returned relay must come from the
-        // allowed (live) set.
-        let mesh = Mesh::new(3, 3);
-        let dead = NodeId::new(1, 2);
-        let allowed: Vec<NodeId> = mesh.nodes().filter(|&n| n != dead).collect();
-        let sets: Vec<Vec<NodeId>> = [NodeId::new(0, 2), NodeId::new(2, 2), NodeId::new(1, 0)]
-            .iter()
-            .map(|&t| vec![t])
-            .collect();
-        let relays = steiner_relays_sets(&mesh, &sets, Some(&allowed));
-        for &r in &relays {
-            assert!(allowed.contains(&r), "relay {r} outside allowed set");
-        }
-        let big: Vec<Vec<NodeId>> =
-            (0..8).map(|i| vec![NodeId::new(i % 3, (i * 7 + 1) % 3)]).collect();
-        for &r in &steiner_relays_sets(&mesh, &big, Some(&allowed)) {
-            assert!(allowed.contains(&r), "approx relay {r} outside allowed set");
-        }
-    }
-
-    #[test]
-    fn group_relays_never_exceed_the_group_steiner_weight() {
-        let mut rng = Rng64::new(47);
-        let mesh = Mesh::new(3, 3);
-        for _ in 0..25 {
-            let k = 3 + rng.gen_range(3) as usize; // 3..=5 groups
-            let sets: Vec<Vec<NodeId>> = (0..k)
-                .map(|_| {
-                    let opts = 1 + rng.gen_range(2) as usize;
-                    (0..opts).map(|_| pick_node(&mut rng, &mesh)).collect()
-                })
-                .collect();
-            let relays = steiner_relays_sets(&mesh, &sets, None);
-            let mut union = sets.clone();
-            union.extend(relays.iter().map(|&r| vec![r]));
-            assert!(
-                mst_weight_sets(&union) <= steiner_min_sets(&mesh, &sets),
-                "augmented set-MST exceeds group Steiner for {sets:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn approx_relays_are_deterministic_and_on_mesh() {
-        let mut rng = Rng64::new(53);
-        let mesh = Mesh::new(6, 6);
-        for _ in 0..10 {
-            let k = (EXACT_SET_LIMIT + 1) + rng.gen_range(4) as usize;
-            let sets: Vec<Vec<NodeId>> = (0..k).map(|_| vec![pick_node(&mut rng, &mesh)]).collect();
-            let a = steiner_relays_sets(&mesh, &sets, None);
-            let b = steiner_relays_sets(&mesh, &sets, None);
-            assert_eq!(a, b, "approx relays not deterministic");
-            let terms: Vec<NodeId> = sets.iter().map(|s| s[0]).collect();
-            for &r in &a {
-                assert!(r.x() < 6 && r.y() < 6);
-                assert!(!terms.contains(&r));
-            }
-            // 2-approx sanity: forcing the candidates into the tree never
-            // costs more than twice the exact optimum.
-            let mut union = terms.clone();
-            union.extend_from_slice(&a);
-            assert!(mst_weight(&union) <= 2 * steiner_min(&mesh, &terms).max(1));
-        }
-    }
-
-    #[test]
-    fn two_terminals_or_fewer_need_no_relays() {
-        let mesh = Mesh::new(3, 3);
-        assert!(steiner_relays_sets(&mesh, &[], None).is_empty());
-        assert!(steiner_relays_sets(&mesh, &[vec![NodeId::new(0, 0)]], None).is_empty());
-        let two = [vec![NodeId::new(0, 0)], vec![NodeId::new(2, 2)]];
-        assert!(steiner_relays_sets(&mesh, &two, None).is_empty());
-        // Duplicate sets dedupe down to ≤ 2 distinct groups.
-        let dup = [vec![NodeId::new(0, 0)], vec![NodeId::new(0, 0)], vec![NodeId::new(2, 2)]];
-        assert!(steiner_relays_sets(&mesh, &dup, None).is_empty());
     }
 
     #[test]

@@ -36,15 +36,17 @@ use crate::cache::CacheStats;
 use crate::disk::DiskStats;
 use crate::key::PlanRequest;
 
-/// Codec version byte leading every encoded request.
-pub const REQUEST_CODEC_V1: u8 = 1;
+/// Codec version byte leading every encoded request. The first request
+/// layout (byte 1) carried one more configuration byte; it is refused
+/// with [`CodecError::BadVersion`]. Bytes 2–4 lead plans and stats, so
+/// no two layouts share a leading byte.
+pub const REQUEST_CODEC_V2: u8 = 5;
 /// Codec version byte leading every encoded plan.
 pub const PLAN_CODEC_V1: u8 = 2;
-/// Codec version byte leading every encoded stats snapshot (superseded
-/// by [`STATS_CODEC_V2`]; kept so old captures are recognizably old).
-pub const STATS_CODEC_V1: u8 = 3;
-/// Current stats codec: v1 plus the chaos-era counters (worker panics,
-/// disk errors, quarantined segments, pending records, degraded flag).
+/// Codec version byte leading every encoded stats snapshot: the service
+/// counters plus the chaos-era ones (worker panics, disk errors,
+/// quarantined segments, pending records, degraded flag). The first
+/// stats layout used byte 3.
 pub const STATS_CODEC_V2: u8 = 4;
 
 /// A typed decode failure. Encoders are infallible.
@@ -210,6 +212,15 @@ impl<'a> Dec<'a> {
         std::str::from_utf8(self.take(n)?)
             .map_err(|_| CodecError::Invalid(format!("{what} is not UTF-8")))
     }
+
+    /// Ends decoding of one `what`: every byte must have been consumed, so
+    /// an input that only *starts* with a valid value is refused.
+    pub fn finish(self, what: &str) -> Result<(), CodecError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CodecError::Invalid(format!("{n} trailing bytes after the {what}"))),
+        }
+    }
 }
 
 fn enc_node(e: &mut Enc, n: NodeId) {
@@ -298,7 +309,7 @@ fn collect_flags(stmt: &dmcp_ir::Statement) -> Vec<bool> {
 #[must_use]
 pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
     let mut e = Enc::new();
-    e.u8(REQUEST_CODEC_V1);
+    e.u8(REQUEST_CODEC_V2);
 
     // Program, under canonical names.
     let canonical = canonicalize(&req.program);
@@ -397,7 +408,6 @@ pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
     e.u8(u8::from(c.opts.ideal_analysis));
     e.f64(c.opts.balance_threshold);
     e.f64(c.opts.split_threshold);
-    e.u8(u8::from(c.opts.steiner));
     e.u8(match c.predictor {
         PredictorSpec::Reuse => 0,
         PredictorSpec::L2Model => 1,
@@ -462,7 +472,7 @@ pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
 pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
     let mut d = Dec::new(bytes);
     let version = d.u8()?;
-    if version != REQUEST_CODEC_V1 {
+    if version != REQUEST_CODEC_V2 {
         return Err(CodecError::BadVersion("request", version));
     }
 
@@ -641,7 +651,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
     config.opts.ideal_analysis = d.u8()? != 0;
     config.opts.balance_threshold = d.f64()?;
     config.opts.split_threshold = d.f64()?;
-    config.opts.steiner = d.u8()? != 0;
     config.predictor = match d.u8()? {
         0 => PredictorSpec::Reuse,
         1 => PredictorSpec::L2Model,
@@ -710,6 +719,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
         }
         other => return Err(CodecError::BadTag("fault presence", other)),
     };
+    d.finish("request")?;
 
     let mut req = PlanRequest::new(program, machine, config);
     req.data = data;
@@ -923,6 +933,7 @@ pub fn decode_plan(bytes: &[u8]) -> Result<PartitionOutput, CodecError> {
         };
         nests.push(NestPartition { nest, schedule: Schedule { steps }, stats });
     }
+    d.finish("plan")?;
     Ok(PartitionOutput::new(nests))
 }
 
@@ -971,7 +982,7 @@ pub fn encode_stats(s: &ServeStats) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`CodecError`] on truncated or version-mismatched input.
+/// [`CodecError`] on truncated, over-long or version-mismatched input.
 pub fn decode_stats(bytes: &[u8]) -> Result<ServeStats, CodecError> {
     let mut d = Dec::new(bytes);
     let version = d.u8()?;
@@ -1007,6 +1018,7 @@ pub fn decode_stats(bytes: &[u8]) -> Result<ServeStats, CodecError> {
     disk.quarantined_segments = d.u64()?;
     disk.pending_records = d.u64()?;
     disk.degraded = d.u64()? != 0;
+    d.finish("stats")?;
     Ok(ServeStats { cache, compiles, shared, submitted, rejected, timeouts, panics, disk })
 }
 
@@ -1045,12 +1057,10 @@ mod tests {
         req.faults = Some(faults);
         req.config.fixed_window = Some(4);
         req.config.opts.reuse_aware = false;
-        req.config.opts.steiner = false;
         let decoded = decode_request(&encode_request(&req)).expect("decodes");
         assert_eq!(req.key(), decoded.key());
         assert_eq!(decoded.config.fixed_window, Some(4));
         assert!(!decoded.config.opts.reuse_aware);
-        assert!(!decoded.config.opts.steiner);
         let f = decoded.faults.expect("faults survive");
         assert_eq!(f.seed(), 0xFA17);
         assert_eq!(f.dead_nodes().count(), 1);
@@ -1124,10 +1134,46 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_rejected_without_allocation() {
         let mut e = Enc::new();
-        e.u8(REQUEST_CODEC_V1);
+        e.u8(REQUEST_CODEC_V2);
         e.u64(u64::MAX); // array count far beyond the remaining bytes
         let err = decode_request(&e.finish()).unwrap_err();
         assert_eq!(err, CodecError::Oversized("arrays"));
+    }
+
+    #[test]
+    fn first_layout_requests_are_refused_by_version() {
+        // A request in the first layout leads with byte 1; whatever
+        // follows, it must never decode under the current field order.
+        let mut bytes = encode_request(&suite_requests().remove(2));
+        bytes[0] = 1;
+        assert_eq!(decode_request(&bytes).unwrap_err(), CodecError::BadVersion("request", 1));
+        let kinds = [REQUEST_CODEC_V2, PLAN_CODEC_V1, STATS_CODEC_V2];
+        assert!(!kinds.contains(&1), "the retired request byte must stay unused");
+        assert_eq!(
+            kinds.iter().collect::<std::collections::HashSet<_>>().len(),
+            kinds.len(),
+            "requests, plans and stats need distinct leading bytes"
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused_by_every_decoder() {
+        let trailing = |mut bytes: Vec<u8>| {
+            bytes.push(0);
+            bytes
+        };
+        let req = suite_requests().remove(0);
+        let err = decode_request(&trailing(encode_request(&req))).unwrap_err();
+        assert!(matches!(err, CodecError::Invalid(_)), "request: {err:?}");
+
+        let service = crate::PlanService::new(crate::ServeConfig::default());
+        let plan = service.plan(req).expect("compiles");
+        service.shutdown();
+        let err = decode_plan(&trailing(encode_plan(&plan))).unwrap_err();
+        assert!(matches!(err, CodecError::Invalid(_)), "plan: {err:?}");
+
+        let err = decode_stats(&trailing(encode_stats(&ServeStats::default()))).unwrap_err();
+        assert!(matches!(err, CodecError::Invalid(_)), "stats: {err:?}");
     }
 
     #[test]

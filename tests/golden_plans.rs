@@ -15,9 +15,7 @@
 //! ```
 
 use dmcp::check::golden::{
-    degraded_digest, degraded_digest_no_steiner, healthy_digest, healthy_digest_no_steiner,
-    key_digests, GOLDEN_DEGRADED, GOLDEN_DEGRADED_NO_STEINER, GOLDEN_HEALTHY,
-    GOLDEN_HEALTHY_NO_STEINER, GOLDEN_KEYS,
+    degraded_digest, healthy_digest, key_digests, GOLDEN_DEGRADED, GOLDEN_HEALTHY, GOLDEN_KEYS,
 };
 use dmcp::pool::Pool;
 use dmcp::workloads::{all, Scale};
@@ -63,39 +61,9 @@ fn every_workload_matches_its_key_goldens() {
     }
 }
 
-/// With the Steiner pass off, every workload must reproduce the exact
-/// digests the suite pinned *before* the pass existed: `steiner: false`
-/// keeps the planner bit-identical to the paper's MST-only construction.
-#[test]
-fn steiner_off_reproduces_the_pre_pass_goldens() {
-    let pool = Pool::single();
-    for (name, want) in GOLDEN_HEALTHY_NO_STEINER {
-        let got = healthy_digest_no_steiner(name, &pool);
-        assert_eq!(got, *want, "{name}: steiner-off healthy digest drifted ({got:#018x})");
-    }
-    for (name, want) in GOLDEN_DEGRADED_NO_STEINER {
-        let got = degraded_digest_no_steiner(name, &pool);
-        assert_eq!(got, *want, "{name}: steiner-off degraded digest drifted ({got:#018x})");
-    }
-}
-
-/// At least one workload must actually adopt relays at Tiny scale —
-/// otherwise the steiner-on tables silently degenerate into the
-/// steiner-off ones and the pass is untested by the goldens.
-#[test]
-fn the_steiner_pass_changes_at_least_one_golden() {
-    let differs =
-        GOLDEN_HEALTHY.iter().zip(GOLDEN_HEALTHY_NO_STEINER).filter(|((an, a), (bn, b))| {
-            assert_eq!(an, bn, "tables must share workload order");
-            a != b
-        });
-    assert!(differs.count() >= 1, "no workload adopted relays: the pass is golden-invisible");
-}
-
 /// The pooled pipeline must be bit-identical regardless of thread
 /// count: an 8-thread pool reproduces the single-thread goldens for
-/// every workload, healthy and degraded — including the relay-bearing
-/// plans (LU, Radiosity), whose Steiner placement fans out per nest.
+/// every workload, healthy and degraded.
 #[test]
 fn eight_threads_reproduce_the_single_thread_goldens() {
     let pool = Pool::new(8);

@@ -215,6 +215,39 @@ fn oversized_frame_length_is_refused_with_too_large() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A request in the first request layout (version byte 1) and a current
+/// request with a byte appended are both answered with a `Malformed`
+/// error frame, before anything is compiled.
+#[test]
+fn old_layout_and_over_long_requests_get_malformed_frames() {
+    let dir = tmpdir("old-layout");
+    let (server, service, addr) = boot(&dir, NetConfig::default());
+
+    let current = encode_request(&request("fft"));
+    let mut old_layout = current.clone();
+    old_layout[0] = 1;
+    let mut over_long = current;
+    over_long.push(0);
+    for (label, payload, needle) in
+        [("old layout", old_layout, "version 1"), ("over-long", over_long, "trailing")]
+    {
+        let mut stream = TcpStream::connect(addr).expect("connect raw");
+        write_frame(&mut stream, FrameKind::PlanRequest, &payload).expect("write request");
+        match read_reply(&mut stream) {
+            Ok((FrameKind::Error, payload)) => {
+                let (code, message) = decode_error(&payload);
+                assert_eq!(code, ErrorCode::Malformed, "{label}: {message}");
+                assert!(message.contains(needle), "{label}: unexpected message {message:?}");
+            }
+            other => panic!("{label}: expected a Malformed error frame, got {other:?}"),
+        }
+    }
+    assert_eq!(service.stats().compiles, 0, "a refused request must never compile");
+
+    halt(server, service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A peer that sends a valid header then stalls mid-payload is cut off by
 /// the per-connection deadline; the handler pool does not stay pinned and
 /// honest clients keep getting answers while the staller waits.
