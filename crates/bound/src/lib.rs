@@ -207,7 +207,7 @@ pub fn bound_nest(
             rhs_leaves(&stmt.rhs, &mut leaves);
             for r in &leaves {
                 let elem = program.element_of(r, &iter, data);
-                let info = layout.locate(program, r.array, elem, core);
+                let (info, belief) = layout.locate_and_believe(program, r.array, elem, core);
                 let analyzable = r.analyzable || config.opts.ideal_analysis;
                 let fresh = if lhs_known && config.opts.reuse_aware {
                     // Split accounting may source a previously-seen line
@@ -236,7 +236,6 @@ pub fn bound_nest(
                 // fetch (the default-L1 mirror is touched immediately).
                 if analyzable && fresh && stmt_lines.insert(info.line) {
                     chargeable_leaves += 1;
-                    let belief = layout.believed(program, r.array, elem, core);
                     let options = match config.predictor {
                         // Always-hit planning sources every analyzable leaf
                         // from its believed home bank.

@@ -1,6 +1,8 @@
 //! Golden pins for the 12-workload suite: plan digests (healthy and
 //! canonically degraded) and [`PlanKey`] digests, all at Tiny scale on
-//! the KNL-like machine with the default configuration.
+//! the KNL-like machine with the default configuration, plus
+//! [`GOLDEN_VARIANTS`]: FFT and Radix under every non-default planning
+//! configuration in [`VARIANTS`].
 //!
 //! These tables pin the planner's output bit-for-bit across refactors.
 //! Any change to splitting, placement, window choice, sync reduction or
@@ -12,8 +14,12 @@
 //! gate consume these tables, so a digest drift fails both.
 
 use crate::digest::plan_digest;
-use dmcp_core::{PartitionConfig, PartitionOutput, Partitioner};
-use dmcp_mach::{FaultPlan, FaultState, MachineConfig, NodeId};
+use dmcp_baselines::preferred_mc_overrides;
+use dmcp_core::{
+    nest_assignment, PartitionConfig, PartitionOutput, Partitioner, PlanOptions, PredictorSpec,
+};
+use dmcp_mach::{ClusterMode, FaultPlan, FaultState, MachineConfig, NodeId};
+use dmcp_mem::page::PagePolicy;
 use dmcp_pool::Pool;
 use dmcp_serve::PlanRequest;
 use dmcp_workloads::{by_name, Scale, Workload};
@@ -138,6 +144,146 @@ pub fn key_digests(name: &str) -> (u64, u64) {
     (healthy.key().digest(), degraded.key().digest())
 }
 
+/// The non-default planning configurations pinned in [`GOLDEN_VARIANTS`],
+/// by name: every predictor, every planner knob and the machine-side
+/// switches (page policy, cluster mode, explicit assignment), plus the
+/// default schedule (`baseline`) and the Figure-23 data-to-controller
+/// overrides (`mc-override`).
+pub const VARIANTS: [&str; 11] = [
+    "l2-model",
+    "always-hit",
+    "ideal-analysis",
+    "reuse-agnostic",
+    "scramble",
+    "fixed-window-4",
+    "short-search",
+    "snc4",
+    "reversed-assignment",
+    "baseline",
+    "mc-override",
+];
+
+/// The workloads every variant is pinned on: FFT (affine references only)
+/// and Radix (indirect references resolved through the data).
+pub const VARIANT_WORKLOADS: [&str; 2] = ["FFT", "Radix"];
+
+/// Expected `(variant, workload, healthy digest, degraded digest)` for
+/// every [`VARIANTS`] × [`VARIANT_WORKLOADS`] pair. The degraded digest
+/// is `None` where [`Partitioner::new_degraded`] refuses the config (the
+/// reversed assignment names the canonically dead node).
+///
+/// Some rows repeat a default digest, and the pins hold that too: the
+/// L2-model predictor plans both workloads exactly as the default reuse
+/// predictor does, and the planner reads controllers off the VA-based
+/// belief, which the Figure-23 overrides leave alone.
+pub const GOLDEN_VARIANTS: &[(&str, &str, u64, Option<u64>)] = &[
+    ("l2-model", "FFT", 0x7ee4c14e0346b142, Some(0xb291f80b72c5ef84)),
+    ("l2-model", "Radix", 0xd33cf59f2860809c, Some(0x1bf4cca79b496c01)),
+    ("always-hit", "FFT", 0xbdcb741a567463b0, Some(0xe4fa81d9aead2c4d)),
+    ("always-hit", "Radix", 0x021ece51bc7dba3e, Some(0x02c5c677839f82b9)),
+    ("ideal-analysis", "FFT", 0x5378fe2446a1fe25, Some(0x70031156c7ea1b65)),
+    ("ideal-analysis", "Radix", 0x0f7c29e1d971a3a1, Some(0xb36fb401d8aa4c6a)),
+    ("reuse-agnostic", "FFT", 0xa3160e4bf5060bd4, Some(0x012c972d7853781d)),
+    ("reuse-agnostic", "Radix", 0xc31cbf1425bd0230, Some(0xbd0f016df1aa441c)),
+    ("scramble", "FFT", 0xda1e9209178eda4e, Some(0x9e4b19e24a4a3cf6)),
+    ("scramble", "Radix", 0x548ec22bdfee3ce4, Some(0x6214c718bfef808b)),
+    ("fixed-window-4", "FFT", 0x85468992a82ba57f, Some(0x85993da1c417795c)),
+    ("fixed-window-4", "Radix", 0xbf7c779816d647da, Some(0x1bf4cca79b496c01)),
+    ("short-search", "FFT", 0x7eb35f01c900e671, Some(0x736fa92f0c7b0a02)),
+    ("short-search", "Radix", 0x652636faf00697b8, Some(0xb55c3c9e339918ef)),
+    ("snc4", "FFT", 0x61583f03db564bfc, Some(0xab189100c4fd3f57)),
+    ("snc4", "Radix", 0xfd1cffec51dde401, Some(0x5cc9ddaee9944f51)),
+    ("reversed-assignment", "FFT", 0x08a3ca6d84792e6d, None),
+    ("reversed-assignment", "Radix", 0x8eded88ca5ea1f50, None),
+    ("baseline", "FFT", 0xa3160e4bf5060bd4, Some(0x012c972d7853781d)),
+    ("baseline", "Radix", 0xbd1ce226270a7b97, Some(0xcd6b6607e69926a3)),
+    ("mc-override", "FFT", 0x7ee4c14e0346b142, Some(0xb291f80b72c5ef84)),
+    ("mc-override", "Radix", 0xd33cf59f2860809c, Some(0x1bf4cca79b496c01)),
+];
+
+/// The machine and configuration of `variant`.
+///
+/// # Panics
+///
+/// Panics on a name outside [`VARIANTS`].
+fn variant_config(variant: &str) -> (MachineConfig, PartitionConfig) {
+    let machine = MachineConfig::knl_like();
+    let base = PartitionConfig::default();
+    let config = match variant {
+        "l2-model" => PartitionConfig { predictor: PredictorSpec::L2Model, ..base },
+        "always-hit" => PartitionConfig { predictor: PredictorSpec::AlwaysHit, ..base },
+        "ideal-analysis" => PartitionConfig {
+            predictor: PredictorSpec::L2Model,
+            opts: PlanOptions { ideal_analysis: true, ..base.opts },
+            ..base
+        },
+        "reuse-agnostic" => {
+            PartitionConfig { opts: PlanOptions { reuse_aware: false, ..base.opts }, ..base }
+        }
+        "scramble" => PartitionConfig { page_policy: PagePolicy::Scramble, ..base },
+        "fixed-window-4" => PartitionConfig { fixed_window: Some(4), ..base },
+        "short-search" => PartitionConfig { search_sample: 64, max_window: 5, ..base },
+        "snc4" => return (machine.with_cluster(ClusterMode::Snc4), base),
+        "reversed-assignment" => {
+            PartitionConfig { assignment: Some(reversed_nodes(&machine)), ..base }
+        }
+        "baseline" | "mc-override" => base,
+        other => panic!("unknown golden variant {other}"),
+    };
+    (machine, config)
+}
+
+/// Every mesh node in reverse row-major order.
+fn reversed_nodes(machine: &MachineConfig) -> Vec<NodeId> {
+    let mut nodes: Vec<NodeId> = machine.mesh.nodes().collect();
+    nodes.reverse();
+    nodes
+}
+
+/// One compiled variant: the inputs it was planned from and the plan.
+pub struct VariantRun {
+    /// The workload (program and data).
+    pub workload: Workload,
+    /// The partitioner the plan came from.
+    pub partitioner: Partitioner,
+    /// The plan.
+    pub output: PartitionOutput,
+}
+
+/// Compiles `name` under `variant`, healthy or under [`canonical_faults`],
+/// over `pool`. `None` where [`Partitioner::new_degraded`] refuses the
+/// variant's config.
+///
+/// # Panics
+///
+/// Panics on a variant outside [`VARIANTS`].
+#[must_use]
+pub fn variant_run(variant: &str, name: &str, degraded: bool, pool: &Pool) -> Option<VariantRun> {
+    let w = workload(name);
+    let (machine, config) = variant_config(variant);
+    let mut part = if degraded {
+        let faults = FaultState::new(canonical_faults(), machine.mesh)
+            .expect("canonical faults fit the KNL-like mesh");
+        Partitioner::new_degraded(&machine, &w.program, config, &faults).ok()?
+    } else {
+        Partitioner::new(&machine, &w.program, config)
+    };
+    if variant == "mc-override" {
+        let iterations = w.program.nests()[0].iteration_count();
+        let assignment = nest_assignment(part.config(), part.layout(), machine.mesh, iterations);
+        for (page, mc) in preferred_mc_overrides(&w.program, part.layout(), &w.data, 0, &assignment)
+        {
+            part.layout_mut().override_page_controller(page, mc);
+        }
+    }
+    let output = if variant == "baseline" {
+        part.baseline(&w.program, &w.data)
+    } else {
+        part.partition_with_data_pooled(&w.program, &w.data, pool)
+    };
+    Some(VariantRun { workload: w, partitioner: part, output })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +297,17 @@ mod tests {
             assert!(GOLDEN_HEALTHY.iter().any(|(n, _)| n == name), "{name} missing (healthy)");
             assert!(GOLDEN_DEGRADED.iter().any(|(n, _)| n == name), "{name} missing (degraded)");
             assert!(GOLDEN_KEYS.iter().any(|(n, _, _)| n == name), "{name} missing (keys)");
+        }
+    }
+
+    #[test]
+    fn variant_table_covers_every_variant_and_workload() {
+        assert_eq!(GOLDEN_VARIANTS.len(), VARIANTS.len() * VARIANT_WORKLOADS.len());
+        for variant in VARIANTS {
+            for name in VARIANT_WORKLOADS {
+                let rows = GOLDEN_VARIANTS.iter().filter(|r| r.0 == variant && r.1 == name);
+                assert_eq!(rows.count(), 1, "{variant}/{name} must be pinned exactly once");
+            }
         }
     }
 
@@ -188,6 +345,21 @@ mod tests {
         for w in all(Scale::Tiny) {
             let (h, d) = key_digests(w.name);
             println!("    (\"{}\", {h:#018x}, {d:#018x}),", w.name);
+        }
+        println!("];");
+        println!("pub const GOLDEN_VARIANTS: &[(&str, &str, u64, Option<u64>)] = &[");
+        for variant in VARIANTS {
+            for name in VARIANT_WORKLOADS {
+                let digest = |degraded| {
+                    variant_run(variant, name, degraded, &pool).map(|r| plan_digest(&r.output))
+                };
+                let h = digest(false).expect("healthy always plans");
+                let d = match digest(true) {
+                    Some(d) => format!("Some({d:#018x})"),
+                    None => "None".to_owned(),
+                };
+                println!("    (\"{variant}\", \"{name}\", {h:#018x}, {d}),");
+            }
         }
         println!("];");
     }

@@ -29,7 +29,9 @@
 
 use crate::gencase::pick_node;
 use dmcp_core::partitioner::PredictorSpec;
-use dmcp_core::{HitPredictor, PartitionConfig, Partitioner, PlanOptions, Planner, Step, StmtTag};
+use dmcp_core::{
+    place_nest, resolve_nest, HitPredictor, PartitionConfig, Partitioner, PlanOptions,
+};
 use dmcp_ir::ProgramBuilder;
 use dmcp_mach::rng::Rng64;
 use dmcp_mach::{MachineConfig, Mesh, NodeId};
@@ -58,8 +60,8 @@ pub struct OracleOutcome {
 }
 
 /// Generates one flat-chain statement on a small mesh, plans it through
-/// the real [`Planner`], and checks the movement sandwich. Returns a
-/// human-readable report on violation.
+/// the real planner ([`resolve_nest`] then [`place_nest`]), and checks the
+/// movement sandwich. Returns a human-readable report on violation.
 pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
     let (cols, rows) = ORACLE_MESHES[rng.gen_range(ORACLE_MESHES.len() as u64) as usize];
     let mesh = Mesh::new(cols, rows);
@@ -88,12 +90,11 @@ pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
     let data = program.initial_data();
     let core = pick_node(rng, &mesh);
 
-    let tag = StmtTag { nest: 0, stmt: 0, instance: 0 };
     let opts = PlanOptions { reuse_aware: false, ..PlanOptions::default() };
-    let mut planner = Planner::new(&program, layout, &data, HitPredictor::AlwaysHit, opts);
-    let mut steps: Vec<Step> = Vec::new();
-    let rec =
-        planner.plan_statement(&mut steps, tag, &program.nests()[0].body[0], &[0], core, false);
+    let resolution =
+        resolve_nest(&program, 0, layout, &data, HitPredictor::AlwaysHit, opts, &[core]);
+    let plan = place_nest(&resolution, layout, opts, 1, None, false);
+    let rec = &plan.stats.records[0];
 
     // Terminals: believed operand primaries (AlwaysHit ⇒ the home bank)
     // plus the real store home.

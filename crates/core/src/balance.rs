@@ -7,36 +7,41 @@
 //! most-loaded node, the scheduler skips it and tries the next candidate.
 //! Subcomputation cost is measured in operations, division counting 10×.
 
-use dmcp_mach::NodeId;
-use std::collections::HashMap;
+use dmcp_mach::{Mesh, NodeId};
 
 /// Tracks per-node accumulated load and applies the skip rule.
 #[derive(Clone, Debug)]
 pub struct LoadTracker {
+    mesh: Mesh,
     threshold: f64,
-    loads: HashMap<NodeId, f64>,
+    /// Accumulated load per node, indexed by [`Mesh::node_index`].
+    loads: Vec<f64>,
     max_load: f64,
 }
 
 impl LoadTracker {
-    /// Creates a tracker with the given imbalance threshold (the paper's
-    /// default is `0.10`).
-    pub fn new(threshold: f64) -> Self {
+    /// Creates a tracker over the nodes of `mesh` with the given imbalance
+    /// threshold (the paper's default is `0.10`).
+    pub fn new(mesh: Mesh, threshold: f64) -> Self {
         assert!(threshold >= 0.0, "threshold must be non-negative");
-        Self { threshold, loads: HashMap::new(), max_load: 0.0 }
+        Self { mesh, threshold, loads: vec![0.0; mesh.node_count() as usize], max_load: 0.0 }
+    }
+
+    fn index(&self, node: NodeId) -> usize {
+        self.mesh.node_index(node) as usize
     }
 
     /// Current load of a node.
     pub fn load(&self, node: NodeId) -> f64 {
-        self.loads.get(&node).copied().unwrap_or(0.0)
+        self.loads[self.index(node)]
     }
 
     /// Adds `cost` to a node's load.
     pub fn add(&mut self, node: NodeId, cost: f64) {
-        let l = self.loads.entry(node).or_insert(0.0);
-        *l += cost;
-        if *l > self.max_load {
-            self.max_load = *l;
+        let i = self.index(node);
+        self.loads[i] += cost;
+        if self.loads[i] > self.max_load {
+            self.max_load = self.loads[i];
         }
     }
 
@@ -44,13 +49,16 @@ impl LoadTracker {
     /// balance rule: the node would end up more than `threshold` above the
     /// most-loaded *other* node.
     pub fn would_overload(&self, node: NodeId, cost: f64) -> bool {
-        let own = self.load(node);
+        let i = self.index(node);
+        let own = self.loads[i];
         // The most-loaded other node: max_load unless `node` itself is the
-        // unique maximum, in which case we fall back to a scan.
+        // unique maximum, in which case we fall back to a scan. Idle nodes
+        // read 0, which the fold's 0 floor already covers.
         let max_other = if own < self.max_load {
             self.max_load
         } else {
-            self.loads.iter().filter(|(&n, _)| n != node).map(|(_, &l)| l).fold(0.0, f64::max)
+            let (before, after) = (&self.loads[..i], &self.loads[i + 1..]);
+            before.iter().chain(after).copied().fold(0.0, f64::max)
         };
         own + cost > (1.0 + self.threshold) * max_other + f64::EPSILON && own > 0.0
         // an idle node can always accept work
@@ -78,29 +86,6 @@ impl LoadTracker {
                 .expect("non-empty candidates")
         })
     }
-
-    /// [`LoadTracker::select`] followed by recording the cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `candidates` is empty.
-    pub fn pick(&mut self, candidates: &[NodeId], cost: f64) -> NodeId {
-        let chosen = self.select(candidates, cost);
-        self.add(chosen, cost);
-        chosen
-    }
-
-    /// Ratio of the maximum node load to the mean node load over `nodes`
-    /// (1.0 = perfectly balanced). Nodes with no recorded load count as 0.
-    pub fn imbalance(&self, nodes: impl Iterator<Item = NodeId>) -> f64 {
-        let loads: Vec<f64> = nodes.map(|n| self.load(n)).collect();
-        let total: f64 = loads.iter().sum();
-        if total == 0.0 || loads.is_empty() {
-            return 1.0;
-        }
-        let mean = total / loads.len() as f64;
-        loads.iter().fold(0.0, |a, &b| f64::max(a, b)) / mean
-    }
 }
 
 #[cfg(test)]
@@ -111,15 +96,26 @@ mod tests {
         NodeId::new(x, 0)
     }
 
+    fn tracker(threshold: f64) -> LoadTracker {
+        LoadTracker::new(Mesh::new(4, 1), threshold)
+    }
+
+    /// [`LoadTracker::select`] followed by recording the cost.
+    fn pick(t: &mut LoadTracker, candidates: &[NodeId], cost: f64) -> NodeId {
+        let chosen = t.select(candidates, cost);
+        t.add(chosen, cost);
+        chosen
+    }
+
     #[test]
     fn empty_tracker_never_overloads() {
-        let t = LoadTracker::new(0.1);
+        let t = tracker(0.1);
         assert!(!t.would_overload(n(0), 100.0));
     }
 
     #[test]
     fn overload_detected_beyond_threshold() {
-        let mut t = LoadTracker::new(0.1);
+        let mut t = tracker(0.1);
         t.add(n(0), 100.0);
         t.add(n(1), 100.0);
         // Adding 20 to node 0 -> 120 > 1.1 * 100.
@@ -129,33 +125,43 @@ mod tests {
     }
 
     #[test]
+    fn unique_maximum_compares_against_the_runner_up() {
+        let mut t = tracker(0.1);
+        t.add(n(3), 100.0);
+        t.add(n(1), 95.0);
+        // Node 3 is the unique maximum: the scan finds node 1 at 95.
+        assert!(!t.would_overload(n(3), 4.0));
+        assert!(t.would_overload(n(3), 10.0));
+    }
+
+    #[test]
     fn pick_prefers_first_balanced_candidate() {
-        let mut t = LoadTracker::new(0.1);
+        let mut t = tracker(0.1);
         t.add(n(0), 100.0);
         t.add(n(1), 100.0);
         // node 0 would overload with 20, node 1 is checked next… also
         // overloads, node 2 is fresh relative to max 100: 0+20 <= 110.
-        let winner = t.pick(&[n(0), n(1), n(2)], 20.0);
+        let winner = pick(&mut t, &[n(0), n(1), n(2)], 20.0);
         assert_eq!(winner, n(2));
         assert_eq!(t.load(n(2)), 20.0);
     }
 
     #[test]
     fn pick_falls_back_to_least_loaded() {
-        let mut t = LoadTracker::new(0.0);
+        let mut t = tracker(0.0);
         t.add(n(0), 50.0);
         t.add(n(1), 30.0);
         // Huge cost overloads everyone; least-loaded candidate wins.
-        let winner = t.pick(&[n(0), n(1)], 1000.0);
+        let winner = pick(&mut t, &[n(0), n(1)], 1000.0);
         assert_eq!(winner, n(1));
     }
 
     #[test]
     fn spreads_work_under_zero_threshold() {
-        let mut t = LoadTracker::new(0.0);
+        let mut t = tracker(0.0);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..30 {
-            let w = t.pick(&[n(0), n(1), n(2)], 1.0);
+            let w = pick(&mut t, &[n(0), n(1), n(2)], 1.0);
             *counts.entry(w).or_insert(0u32) += 1;
         }
         assert_eq!(counts.len(), 3, "work should spread over all candidates");
@@ -165,20 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_metric() {
-        let mut t = LoadTracker::new(0.1);
-        t.add(n(0), 30.0);
-        t.add(n(1), 10.0);
-        let imb = t.imbalance([n(0), n(1)].into_iter());
-        assert!((imb - 1.5).abs() < 1e-12);
-        let t2 = LoadTracker::new(0.1);
-        assert_eq!(t2.imbalance([n(0)].into_iter()), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one candidate")]
     fn pick_requires_candidates() {
-        let mut t = LoadTracker::new(0.1);
-        let _ = t.pick(&[], 1.0);
+        let t = tracker(0.1);
+        let _ = t.select(&[], 1.0);
     }
 }

@@ -7,17 +7,19 @@
 //! L1 *pollution*: in an oversized window, a reuse candidate may already
 //! have been evicted by the time the consumer is scheduled (Section 4.4).
 
-use dmcp_mach::NodeId;
+use dmcp_mach::{Mesh, NodeId};
 use dmcp_mem::LineAddr;
 use std::collections::HashMap;
 
 /// Compile-time per-node L1 occupancy plus the line→holders reverse map.
 #[derive(Clone, Debug)]
 pub struct L1Model {
+    mesh: Mesh,
     /// L1 capacity per node, in lines.
     capacity: usize,
-    /// Per-node LRU list, most recently used last.
-    node_lru: HashMap<NodeId, Vec<LineAddr>>,
+    /// Per-node LRU list, most recently used last, indexed by
+    /// [`Mesh::node_index`].
+    node_lru: Vec<Vec<LineAddr>>,
     /// line → nodes believed to hold it in L1 (the `variable2node` map).
     holders: HashMap<LineAddr, Vec<NodeId>>,
     /// line → total touches (distinguishes hot loop-invariant lines from
@@ -26,11 +28,13 @@ pub struct L1Model {
 }
 
 impl L1Model {
-    /// Creates an empty model with the given per-node capacity in lines.
-    pub fn new(capacity_lines: u32) -> Self {
+    /// Creates an empty model of the nodes of `mesh`, each holding
+    /// `capacity_lines` lines.
+    pub fn new(mesh: Mesh, capacity_lines: u32) -> Self {
         Self {
+            mesh,
             capacity: capacity_lines.max(1) as usize,
-            node_lru: HashMap::new(),
+            node_lru: vec![Vec::new(); mesh.node_count() as usize],
             holders: HashMap::new(),
             touches: HashMap::new(),
         }
@@ -40,7 +44,7 @@ impl L1Model {
     /// evicting its LRU line if full.
     pub fn touch(&mut self, node: NodeId, line: LineAddr) {
         *self.touches.entry(line).or_insert(0) += 1;
-        let lru = self.node_lru.entry(node).or_default();
+        let lru = &mut self.node_lru[self.mesh.node_index(node) as usize];
         if let Some(pos) = lru.iter().position(|&l| l == line) {
             lru.remove(pos);
             lru.push(line);
@@ -84,13 +88,10 @@ impl L1Model {
     /// does not cross windows, per the paper's Figure 12c discussion).
     /// Touch counts survive (they describe the program, not the window).
     pub fn reset(&mut self) {
-        self.node_lru.clear();
+        for lru in &mut self.node_lru {
+            lru.clear();
+        }
         self.holders.clear();
-    }
-
-    /// Total number of (line, node) residency facts currently tracked.
-    pub fn fact_count(&self) -> usize {
-        self.holders.values().map(Vec::len).sum()
     }
 }
 
@@ -106,9 +107,13 @@ mod tests {
         LineAddr::new(v)
     }
 
+    fn model(capacity_lines: u32) -> L1Model {
+        L1Model::new(Mesh::new(3, 3), capacity_lines)
+    }
+
     #[test]
     fn touch_registers_holder() {
-        let mut m = L1Model::new(4);
+        let mut m = model(4);
         m.touch(n(1, 1), l(10));
         assert!(m.holds(n(1, 1), l(10)));
         assert_eq!(m.holders(l(10)), &[n(1, 1)]);
@@ -117,7 +122,7 @@ mod tests {
 
     #[test]
     fn multiple_holders_tracked() {
-        let mut m = L1Model::new(4);
+        let mut m = model(4);
         m.touch(n(0, 0), l(5));
         m.touch(n(1, 0), l(5));
         assert_eq!(m.holders(l(5)).len(), 2);
@@ -125,7 +130,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_lru() {
-        let mut m = L1Model::new(2);
+        let mut m = model(2);
         m.touch(n(0, 0), l(1));
         m.touch(n(0, 0), l(2));
         m.touch(n(0, 0), l(3)); // evicts 1
@@ -136,7 +141,7 @@ mod tests {
 
     #[test]
     fn retouch_refreshes_lru_position() {
-        let mut m = L1Model::new(2);
+        let mut m = model(2);
         m.touch(n(0, 0), l(1));
         m.touch(n(0, 0), l(2));
         m.touch(n(0, 0), l(1)); // 2 is now LRU
@@ -147,7 +152,7 @@ mod tests {
 
     #[test]
     fn eviction_is_per_node() {
-        let mut m = L1Model::new(1);
+        let mut m = model(1);
         m.touch(n(0, 0), l(1));
         m.touch(n(1, 1), l(1));
         m.touch(n(0, 0), l(2)); // evicts line 1 from node (0,0) only
@@ -156,7 +161,7 @@ mod tests {
 
     #[test]
     fn hot_holders_require_repeated_touches() {
-        let mut m = L1Model::new(4);
+        let mut m = model(4);
         m.touch(n(0, 0), l(1));
         assert!(m.hot_holders(l(1), 4).is_empty(), "one touch is not hot");
         for _ in 0..3 {
@@ -172,12 +177,18 @@ mod tests {
 
     #[test]
     fn reset_clears_facts() {
-        let mut m = L1Model::new(4);
+        let mut m = model(4);
         m.touch(n(0, 0), l(1));
         m.touch(n(1, 0), l(2));
-        assert_eq!(m.fact_count(), 2);
+        assert!(m.holds(n(0, 0), l(1)) && m.holds(n(1, 0), l(2)));
         m.reset();
-        assert_eq!(m.fact_count(), 0);
         assert!(m.holders(l(1)).is_empty());
+        assert!(m.holders(l(2)).is_empty());
+        // A reset node starts from an empty LRU list: refilling to
+        // capacity evicts nothing.
+        for v in 10..14 {
+            m.touch(n(0, 0), l(v));
+        }
+        assert!((10..14).all(|v| m.holds(n(0, 0), l(v))));
     }
 }

@@ -35,9 +35,10 @@ pub struct ElemInfo {
 struct DegradedView {
     /// Usable nodes, row-major. Never empty.
     live: Vec<NodeId>,
-    /// Unusable node → nearest usable node (re-homing rule for pages whose
-    /// home bank or controller died).
-    rehome: HashMap<NodeId, NodeId>,
+    /// Per node, indexed by [`dmcp_mach::Mesh::node_index`]: the node itself
+    /// if usable, else its nearest usable node (re-homing rule for pages
+    /// whose home bank or controller died).
+    rehome: Vec<NodeId>,
 }
 
 /// The machine-wide memory layout: VA→PA→(home bank, controller).
@@ -93,12 +94,11 @@ impl Layout {
             self.degraded = None;
             return;
         }
-        let rehome: HashMap<NodeId, NodeId> = self
+        let rehome = self
             .machine
             .mesh
             .nodes()
-            .filter(|&n| !faults.is_usable(n))
-            .map(|n| (n, faults.nearest_live(n)))
+            .map(|n| if faults.is_usable(n) { n } else { faults.nearest_live(n) })
             .collect();
         self.degraded = Some(DegradedView { live: faults.live_nodes().to_vec(), rehome });
     }
@@ -111,10 +111,7 @@ impl Layout {
     /// `true` if `node` is usable for computation and data under the
     /// installed fault view (always `true` on a healthy machine).
     pub fn is_live(&self, node: NodeId) -> bool {
-        match &self.degraded {
-            None => true,
-            Some(d) => !d.rehome.contains_key(&node),
-        }
+        self.rehomed(node) == node
     }
 
     /// The usable nodes in row-major order, or `None` on a healthy machine
@@ -127,7 +124,7 @@ impl Layout {
     fn rehomed(&self, node: NodeId) -> NodeId {
         match &self.degraded {
             None => node,
-            Some(d) => d.rehome.get(&node).copied().unwrap_or(node),
+            Some(d) => d.rehome[self.machine.mesh.node_index(node) as usize],
         }
     }
 
@@ -185,16 +182,27 @@ impl Layout {
         elem: u64,
         requester: NodeId,
     ) -> ElemInfo {
-        let va = program.array(array).va_of(elem);
-        // Interpret the VA as if translation were the identity.
-        let pa_guess = PhysAddr::new(va);
+        self.locate_and_believe(program, array, elem, requester).1
+    }
+
+    /// [`Layout::locate`] and [`Layout::believed`] together, from one
+    /// page-table lookup: `(real, believed)`.
+    pub fn locate_and_believe(
+        &self,
+        program: &Program,
+        array: ArrayId,
+        elem: u64,
+        requester: NodeId,
+    ) -> (ElemInfo, ElemInfo) {
         let real = self.locate(program, array, elem, requester);
-        ElemInfo {
-            line: real.line, // the *identity* of the line is always real
+        // Interpret the VA as if translation were the identity.
+        let pa_guess = PhysAddr::new(program.array(array).va_of(elem));
+        let believed = ElemInfo {
             home: self.rehomed(self.snuca.home_node(pa_guess, requester)),
             mc: self.rehomed(self.snuca.controller_node(pa_guess, requester)),
-            hot: real.hot,
-        }
+            ..real // the *identity* of the line is always real
+        };
+        (real, believed)
     }
 
     /// Installs a page→controller override (profile-guided data-to-MC

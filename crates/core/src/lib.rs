@@ -48,6 +48,7 @@ pub mod layout;
 pub mod mst;
 pub mod partitioner;
 pub mod pipeline;
+pub mod resolve;
 pub mod split;
 pub mod stats;
 pub mod step;
@@ -62,7 +63,8 @@ pub use partitioner::{
     PartitionOutput, Partitioner, PredictorSpec,
 };
 pub use pipeline::{passes, NestCtx, Pass, PlanCtx};
-pub use split::{HitPredictor, PlanOptions, Planner};
+pub use resolve::{resolve_nest, HitPredictor, NestResolution};
+pub use split::PlanOptions;
 pub use stats::{OpMix, StmtRecord};
 pub use step::{ElemLoc, Operand, Schedule, Step, StepInput, StmtTag, StoreTarget, SubId};
 pub use window::{place_nest, sync_nest, NestPlan, NestStats};

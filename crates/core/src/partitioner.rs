@@ -9,7 +9,8 @@
 use crate::error::PartitionError;
 use crate::layout::Layout;
 use crate::pipeline::{passes, PlanCtx};
-use crate::split::{HitPredictor, PlanOptions};
+use crate::resolve::HitPredictor;
+use crate::split::PlanOptions;
 use crate::step::Schedule;
 use crate::window::NestStats;
 use dmcp_ir::program::{DataStore, Program};

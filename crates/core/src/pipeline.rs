@@ -4,9 +4,10 @@
 //! order, each a stateless [`Pass`] over the shared context:
 //!
 //! 1. [`AnalyzePass`] — per nest, resolve the iteration→core assignment
-//!    (explicit config, or chunked over the live nodes) and decide the
+//!    (explicit config, or chunked over the live nodes), decide the
 //!    window size *source* (forced 1 for baselines, `fixed_window`,
-//!    caller hint, or "search me");
+//!    caller hint, or "search me") and resolve the statement-instance
+//!    stream every later placement walks ([`crate::resolve`]);
 //! 2. [`WindowSearchPass`] — the paper's pre-processing step: plan a
 //!    sample at every window size 1‥`max_window` for each undecided nest
 //!    and keep the size minimising warm movement (ties prefer smaller);
@@ -14,20 +15,22 @@
 //!    size ([`crate::window::place_nest`]);
 //! 4. [`SplitPass`] — the nest-level split-vs-default decision: nests
 //!    whose warm planned movement does not clearly beat default
-//!    execution are re-placed at iteration granularity;
+//!    execution are re-placed at iteration granularity; the resolutions
+//!    are dropped here, as sync never reads them;
 //! 5. [`SyncPass`] — dependence wiring and per-window transitive
 //!    reduction ([`crate::window::sync_nest`]).
 //!
-//! Every parallel dimension (search trials, per-nest placement, replans,
-//! per-nest sync) fans out over the context's [`Pool`] with ordered
-//! joins, and nothing ever depends on thread identity, so the pipeline
-//! is bit-identical across thread counts — `Pool::single()` and
-//! `Pool::new(8)` produce the same golden digests.
+//! Every parallel dimension (per-nest resolution, search trials, per-nest
+//! placement, replans, per-nest sync) fans out over the context's
+//! [`Pool`] with ordered joins, and nothing ever depends on thread
+//! identity, so the pipeline is bit-identical across thread counts —
+//! `Pool::single()` and `Pool::new(8)` produce the same golden digests.
 
 use crate::layout::Layout;
 use crate::partitioner::{
     nest_assignment, NestPartition, PartitionConfig, PartitionOutput, Partitioner,
 };
+use crate::resolve::{resolve_nest, NestResolution};
 use crate::window::{place_nest, sync_nest, NestPlan};
 use dmcp_ir::program::{DataStore, Program};
 use dmcp_mach::{MachineConfig, NodeId};
@@ -42,6 +45,9 @@ pub struct NestCtx {
     pub assignment: Vec<NodeId>,
     /// Chosen window size; `None` until the search pass decides.
     pub window: Option<usize>,
+    /// The resolved statement-instance stream every placement of the nest
+    /// walks; set by the analyze pass and dropped by the split pass.
+    pub resolution: Option<NestResolution>,
     /// The placed (and eventually synced) plan.
     pub plan: Option<NestPlan>,
 }
@@ -93,23 +99,13 @@ impl<'a> PlanCtx<'a> {
         }
     }
 
-    /// Places `nest` (by position in [`PlanCtx::nests`]) at window `w`,
-    /// with a fresh predictor — the shared planning kernel of the search,
+    /// Places `nest` (by position in [`PlanCtx::nests`]) at window `w`
+    /// from its resolution — the shared planning kernel of the search,
     /// place and split passes.
     fn place(&self, pos: usize, w: usize, limit: Option<u64>, force_default: bool) -> NestPlan {
-        let nc = &self.nests[pos];
-        place_nest(
-            self.program,
-            nc.nest,
-            self.layout,
-            self.data,
-            self.config.predictor.build(self.machine),
-            self.config.opts,
-            w,
-            &nc.assignment,
-            limit,
-            force_default,
-        )
+        let resolution =
+            self.nests[pos].resolution.as_ref().expect("nest resolved before placement");
+        place_nest(resolution, self.layout, self.config.opts, w, limit, force_default)
     }
 
     /// Consumes the context into the partitioner's output.
@@ -146,7 +142,9 @@ pub fn passes() -> [&'static dyn Pass; 5] {
     [&AnalyzePass, &WindowSearchPass, &PlacePass, &SplitPass, &SyncPass]
 }
 
-/// Pass 1: resolve assignments and window-size sources per nest.
+/// Pass 1: resolve assignments, window-size sources and the
+/// statement-instance stream per nest, one pool task (and one fresh
+/// predictor) per nest.
 pub struct AnalyzePass;
 
 impl Pass for AnalyzePass {
@@ -155,20 +153,29 @@ impl Pass for AnalyzePass {
     }
 
     fn run(&self, ctx: &mut PlanCtx) {
-        ctx.nests = (0..ctx.program.nests().len())
-            .map(|n| {
-                let iters = ctx.program.nests()[n].iteration_count();
-                let assignment = nest_assignment(ctx.config, ctx.layout, ctx.machine.mesh, iters);
-                let window = if ctx.force_default {
-                    Some(1)
-                } else if let Some(w) = ctx.config.fixed_window {
-                    Some(w)
-                } else {
-                    ctx.window_hints.get(n).copied()
-                };
-                NestCtx { nest: n, assignment, window, plan: None }
-            })
-            .collect();
+        let c: &PlanCtx = ctx;
+        let nests = c.pool.run(c.program.nests().len(), |n| {
+            let iters = c.program.nests()[n].iteration_count();
+            let assignment = nest_assignment(c.config, c.layout, c.machine.mesh, iters);
+            let window = if c.force_default {
+                Some(1)
+            } else if let Some(w) = c.config.fixed_window {
+                Some(w)
+            } else {
+                c.window_hints.get(n).copied()
+            };
+            let resolution = resolve_nest(
+                c.program,
+                n,
+                c.layout,
+                c.data,
+                c.config.predictor.build(c.machine),
+                c.config.opts,
+                &assignment,
+            );
+            NestCtx { nest: n, assignment, window, resolution: Some(resolution), plan: None }
+        });
+        ctx.nests = nests;
     }
 }
 
@@ -244,6 +251,7 @@ impl Pass for PlacePass {
 /// warm half of the records — the cold-start sweep, all predicted
 /// misses, is unrepresentative of steady state. Flagged nests are
 /// re-placed at iteration granularity with the *same* window size.
+/// Placement ends here, so the pass drops every nest's resolution.
 pub struct SplitPass;
 
 impl Pass for SplitPass {
@@ -252,29 +260,34 @@ impl Pass for SplitPass {
     }
 
     fn run(&self, ctx: &mut PlanCtx) {
-        if ctx.force_default {
-            return;
+        if !ctx.force_default {
+            replan_flagged(ctx);
         }
-        let flagged: Vec<usize> = (0..ctx.nests.len())
-            .filter(|&pos| {
-                let stats = &ctx.nests[pos].plan.as_ref().expect("placed before split").stats;
-                let (warm_opt, warm_def) = stats.warm_movement();
-                warm_opt as f64 > ctx.config.opts.split_threshold * warm_def as f64
-            })
-            .collect();
-        if flagged.is_empty() {
-            return;
+        for nc in &mut ctx.nests {
+            nc.resolution = None;
         }
-        let replans: Vec<NestPlan> = {
-            let c: &PlanCtx = ctx;
-            c.pool.map(&flagged, |_, &pos| {
-                let w = c.nests[pos].window.expect("window decided");
-                c.place(pos, w, None, true)
-            })
-        };
-        for (&pos, plan) in flagged.iter().zip(replans) {
-            ctx.nests[pos].plan = Some(plan);
-        }
+    }
+}
+
+/// Re-places default-style every nest whose warm planned movement does
+/// not clear `split_threshold` × default movement.
+fn replan_flagged(ctx: &mut PlanCtx) {
+    let flagged: Vec<usize> = (0..ctx.nests.len())
+        .filter(|&pos| {
+            let stats = &ctx.nests[pos].plan.as_ref().expect("placed before split").stats;
+            let (warm_opt, warm_def) = stats.warm_movement();
+            warm_opt as f64 > ctx.config.opts.split_threshold * warm_def as f64
+        })
+        .collect();
+    let replans: Vec<NestPlan> = {
+        let c: &PlanCtx = ctx;
+        c.pool.map(&flagged, |_, &pos| {
+            let w = c.nests[pos].window.expect("window decided");
+            c.place(pos, w, None, true)
+        })
+    };
+    for (&pos, plan) in flagged.iter().zip(replans) {
+        ctx.nests[pos].plan = Some(plan);
     }
 }
 

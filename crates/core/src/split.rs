@@ -1,11 +1,12 @@
 //! Single-statement splitting and subcomputation placement
 //! (paper Algorithm 1 + Section 4.3).
 //!
-//! For one statement instance the [`Planner`]:
+//! For one statement instance the planner:
 //!
 //! 1. locates every operand (`GetNode`): home L2 bank, or the memory
-//!    controller on a predicted L2 miss, or L1 copies recorded in the
-//!    `variable2node` map ([`crate::l1model::L1Model`]);
+//!    controller on a predicted L2 miss (both resolved once per nest by
+//!    [`crate::resolve`]), or L1 copies recorded in the `variable2node`
+//!    map ([`crate::l1model::L1Model`]);
 //! 2. classifies the operands into nested sets by priority/parentheses and
 //!    builds an MST per set, innermost first, treating processed sets as
 //!    single multi-located components ([`crate::mst`]);
@@ -28,38 +29,13 @@ use crate::balance::LoadTracker;
 use crate::l1model::L1Model;
 use crate::layout::Layout;
 use crate::mst::{kruskal, MstEdge, MstVertex, RootedTree};
+use crate::resolve::{ResolvedInstance, ResolvedLeaf};
 use crate::stats::{OpMix, StmtRecord};
 use crate::step::{ElemLoc, Operand, Step, StepInput, StmtTag, StoreTarget, SubId};
 use dmcp_ir::nested::{Element, Group, OpClass, Term};
-use dmcp_ir::program::{DataStore, Program, Statement};
 use dmcp_ir::BinOp;
 use dmcp_mach::NodeId;
-use dmcp_mem::{Cache, LineAddr, MissPredictor};
-
-/// How the planner predicts L2 hits when locating data (Section 4.1).
-#[derive(Clone, Debug)]
-pub enum HitPredictor {
-    /// The realistic reuse-distance predictor of [`dmcp_mem::predictor`]
-    /// (imperfect; its accuracy is the paper's Table 2).
-    Reuse(MissPredictor),
-    /// An idealised predictor that models the actual L2 contents (used by
-    /// the "ideal data analysis" scenario of Figure 17).
-    L2Model(Cache),
-    /// Pretends everything hits on-chip (for tests and ablations).
-    AlwaysHit,
-}
-
-impl HitPredictor {
-    /// Predicts whether an access to `line` is served on-chip, updating the
-    /// predictor's internal model.
-    pub fn predict(&mut self, line: LineAddr) -> bool {
-        match self {
-            HitPredictor::Reuse(p) => p.predict_hit(line),
-            HitPredictor::L2Model(c) => !c.access(line).is_miss(),
-            HitPredictor::AlwaysHit => true,
-        }
-    }
-}
+use dmcp_mem::LineAddr;
 
 /// Planner knobs.
 #[derive(Clone, Copy, Debug)]
@@ -68,7 +44,7 @@ pub struct PlanOptions {
     /// this off gives the paper's "reuse-agnostic" ablation.
     pub reuse_aware: bool,
     /// Treat every reference as analyzable (the "ideal data analysis"
-    /// scenario). Pair with [`HitPredictor::L2Model`].
+    /// scenario). Pair with [`crate::HitPredictor::L2Model`].
     pub ideal_analysis: bool,
     /// Load-balance skip threshold (paper default 10 %).
     pub balance_threshold: f64,
@@ -90,44 +66,46 @@ impl Default for PlanOptions {
     }
 }
 
-/// Plans statements of one loop nest into subcomputation steps.
-pub struct Planner<'a> {
-    program: &'a Program,
+/// Plans the statement instances of one nest placement into
+/// subcomputation steps, walking a [`crate::NestResolution`].
+pub(crate) struct Planner<'a> {
     layout: &'a Layout,
-    data: &'a DataStore,
     opts: PlanOptions,
+    /// Where location-free operands (constants and constants-only
+    /// subgroups) anchor: the origin tile, or the live node nearest it on
+    /// a degraded machine. Anchor locations can become execution sites,
+    /// so the anchor must be somewhere a step may actually run.
+    const_anchor: NodeId,
     /// Compile-time L1 model (`variable2node` map).
     pub l1: L1Model,
-    /// A second L1 model tracking what the *default* execution's per-core
-    /// L1s would hold, so the split-vs-default comparison is honest.
-    l1_default: L1Model,
     /// Persistent residency estimator for the *split* execution: real L1s
     /// do not forget at window boundaries, so movement accounting may
     /// credit hits the window-scoped `variable2node` map no longer records
     /// (placement decisions still use only the windowed map, as in the
     /// paper).
     l1_persist: L1Model,
-    /// L2 hit predictor.
-    pub predictor: HitPredictor,
     /// Load tracker for the balance rule.
-    pub loads: LoadTracker,
+    loads: LoadTracker,
     /// Side effects (L1 touches, load additions) buffered during one
     /// statement's planning (applied when the statement commits).
     pending_touches: Vec<(NodeId, LineAddr)>,
     pending_loads: Vec<(NodeId, f64)>,
+    /// `choose_node`'s scored candidates, reused across calls.
+    scored: Vec<(u32, u32, NodeId)>,
+    /// `choose_node`'s candidate list, reused across calls.
+    shortlist: Vec<NodeId>,
 }
 
 /// One operand location resolved by `GetNode`.
 #[derive(Clone)]
 struct LeafInfo {
+    /// The element; `elem.believed` is its primary (network) source.
     elem: ElemLoc,
     /// Candidate compute sites where the data is locally available:
     /// the believed primary source plus any L1-copy holders.
     candidates: Vec<NodeId>,
     /// The subset of `candidates` that are L1 copies.
     l1_candidates: Vec<NodeId>,
-    /// Believed primary (network) source: home bank or controller.
-    primary: NodeId,
 }
 
 /// A node of the (recursive) group plan.
@@ -170,27 +148,29 @@ struct Emitted {
 }
 
 impl<'a> Planner<'a> {
-    /// Creates a planner for one nest-planning run.
-    pub fn new(
-        program: &'a Program,
-        layout: &'a Layout,
-        data: &'a DataStore,
-        predictor: HitPredictor,
-        opts: PlanOptions,
-    ) -> Self {
+    /// Creates a planner for one nest placement.
+    pub fn new(layout: &'a Layout, opts: PlanOptions) -> Self {
         let machine = layout.machine();
+        let origin = NodeId::new(0, 0);
+        let const_anchor = match layout.live_nodes() {
+            None => origin,
+            Some(live) => live
+                .iter()
+                .copied()
+                .min_by_key(|n| (n.manhattan(origin), *n))
+                .expect("degraded layouts keep at least one live node"),
+        };
         Self {
-            program,
             layout,
-            data,
             opts,
-            l1: L1Model::new(machine.l1_lines()),
-            l1_default: L1Model::new(machine.l1_lines()),
-            l1_persist: L1Model::new(machine.l1_lines()),
-            predictor,
-            loads: LoadTracker::new(opts.balance_threshold),
+            const_anchor,
+            l1: L1Model::new(machine.mesh, machine.l1_lines()),
+            l1_persist: L1Model::new(machine.mesh, machine.l1_lines()),
+            loads: LoadTracker::new(machine.mesh, opts.balance_threshold),
             pending_touches: Vec::new(),
             pending_loads: Vec::new(),
+            scored: Vec::new(),
+            shortlist: Vec::new(),
         }
     }
 
@@ -204,22 +184,19 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn clear_pending(&mut self) {
-        self.pending_touches.clear();
-        self.pending_loads.clear();
-    }
-
-    /// Plans one statement instance, appending its steps to `steps`.
+    /// Plans one resolved statement instance (`inst`, its operands
+    /// `leaves` and its statement's nested sets `group`), appending its
+    /// steps to `steps`.
     ///
-    /// `assigned_core` is the node the default (iteration-granularity)
+    /// `inst.core` is the node the default (iteration-granularity)
     /// placement gives this iteration; it anchors unanalyzable references
     /// and fallback execution. With `force_default = true` the whole
     /// statement executes default-style on the assigned core (this is how
-    /// baseline schedules and rolled-back windows are generated).
+    /// baseline schedules and rolled-back nests are generated).
     ///
-    /// The split-vs-default decision is made per *nest* by the
-    /// [`crate::Partitioner`]: it compares the nest's planned warm-phase
-    /// movement against default execution and re-plans the whole nest
+    /// The split-vs-default decision is made per *nest* by the pipeline's
+    /// split pass: it compares the nest's planned warm-phase movement
+    /// against default execution and re-plans the whole nest
     /// default-style when splitting is not worth it — mixed placements
     /// destroy each other's L1 locality, so the choice is all-or-nothing
     /// per nest.
@@ -227,59 +204,27 @@ impl<'a> Planner<'a> {
         &mut self,
         steps: &mut Vec<Step>,
         tag: StmtTag,
-        stmt: &Statement,
-        iter: &[i64],
-        assigned_core: NodeId,
+        inst: &ResolvedInstance,
+        leaves: &[ResolvedLeaf],
+        group: &Group,
         force_default: bool,
     ) -> StmtRecord {
-        let rec = self.plan_once(steps, tag, stmt, iter, assigned_core, force_default);
-        self.apply_pending();
-        rec
-    }
-
-    fn plan_once(
-        &mut self,
-        steps: &mut Vec<Step>,
-        tag: StmtTag,
-        stmt: &Statement,
-        iter: &[i64],
-        assigned_core: NodeId,
-        force_default: bool,
-    ) -> StmtRecord {
-        self.clear_pending();
         let first_step = steps.len() as u32;
-
-        // --- Store-target resolution -----------------------------------
-        let lhs_elem = self.program.element_of(&stmt.lhs, iter, self.data);
-        let lhs_info = self.layout.locate(self.program, stmt.lhs.array, lhs_elem, assigned_core);
-        let store = StoreTarget {
-            array: stmt.lhs.array,
-            elem: lhs_elem,
-            line: lhs_info.line,
-            home: lhs_info.home,
-            hot: lhs_info.hot,
-        };
-        let lhs_known = stmt.lhs.analyzable || self.opts.ideal_analysis;
-        let fallback = force_default || !lhs_known;
+        let store = inst.store;
+        let fallback = force_default || !inst.lhs_known;
         // When the store target is unknown the compiler cannot do better
         // than default placement on the assigned core.
-        let force: Option<NodeId> = if fallback { Some(assigned_core) } else { None };
+        let force: Option<NodeId> = if fallback { Some(inst.core) } else { None };
 
         // --- Build the nested-set plan (innermost MSTs first) ----------
-        let group = Group::of_expr(&stmt.rhs);
-        let mut default_movement = 0u64;
-        let mut plan = self.plan_group(&group, assigned_core, &mut default_movement, iter);
-        // Default execution also ships the result from the core to the
-        // store node.
-        default_movement += u64::from(assigned_core.manhattan(store.home));
+        let mut leaves = leaves.iter();
+        let mut plan = self.plan_group(group, &mut leaves);
+        debug_assert!(leaves.next().is_none(), "every resolved operand is planned");
 
         // The outermost MST includes the store node as a vertex
         // (paper Figure 9c) and is rooted there.
         plan.vertices.push(MstVertex::single(store.home));
         plan.edges = kruskal(&plan.vertices);
-
-        // Predict the store line too (write-allocate into L2).
-        let _ = self.predictor.predict(store.line);
 
         // --- Emit subcomputations ---------------------------------------
         let emitted = self.emit_group(steps, &plan, store.home, Some(store), tag, force);
@@ -287,19 +232,19 @@ impl<'a> Planner<'a> {
         // A fallback/forced statement IS default execution; its planned
         // movement is the default estimate by definition.
         let movement_opt = if fallback {
-            default_movement
+            inst.default_movement
         } else {
             emitted.movement + u64::from(emitted.node.manhattan(store.home))
         };
         self.pending_touches.push((store.home, store.line));
-        self.l1_default.touch(assigned_core, store.line);
+        self.apply_pending();
 
         // --- Statistics --------------------------------------------------
         let stmt_steps = &steps[first_step as usize..];
         let parallelism = dag_width(stmt_steps, first_step);
         let mut remapped = OpMix::default();
         for s in stmt_steps {
-            if s.node != assigned_core {
+            if s.node != inst.core {
                 for i in &s.inputs {
                     remapped.record(i.op.category());
                 }
@@ -308,7 +253,7 @@ impl<'a> Planner<'a> {
         StmtRecord {
             tag,
             movement_opt,
-            movement_default: default_movement,
+            movement_default: inst.default_movement,
             parallelism,
             step_count: stmt_steps.len() as u32,
             planned_l1_hits: emitted.l1_hits,
@@ -319,68 +264,27 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// `GetNode` (Algorithm 1, line 11): resolves one leaf operand.
-    fn locate_leaf(
-        &mut self,
-        r: &dmcp_ir::ArrayRef,
-        iter: &[i64],
-        assigned_core: NodeId,
-        default_movement: &mut u64,
-    ) -> LeafInfo {
-        let elem = self.program.element_of(r, iter, self.data);
-        let info = self.layout.locate(self.program, r.array, elem, assigned_core);
-        // The compiler reads locations off the virtual address; with the
-        // paper's colour-preserving OS support the belief equals reality.
-        let belief = self.layout.believed(self.program, r.array, elem, assigned_core);
-        let analyzable = r.analyzable || self.opts.ideal_analysis;
-        let predicted_hit = self.predictor.predict(info.line);
-        let primary = if analyzable {
-            if predicted_hit {
-                belief.home
-            } else {
-                belief.mc
-            }
-        } else {
-            // Unplaceable: the compiler assumes the data must come to the
-            // requesting core, exactly as in default execution.
-            assigned_core
-        };
-        let elem_loc =
-            ElemLoc { array: r.array, elem, line: info.line, believed: primary, hot: info.hot };
-        // Default execution fetches the operand to the assigned core (its
-        // private L1 may already hold the line under default placement).
-        let default_cost = if self.l1_default.holds(assigned_core, info.line) {
-            0
-        } else {
-            u64::from(primary.manhattan(assigned_core))
-        };
-        *default_movement += default_cost;
-        self.l1_default.touch(assigned_core, info.line);
-
-        let mut candidates = vec![primary];
-        // On a predicted miss the line passes through the controller *and*
-        // is installed in its home bank, so both are legitimate near-data
-        // sites; listing both also gives the balance rule room to spread
-        // load away from the (few) controller tiles.
-        if analyzable && !predicted_hit {
-            candidates.push(belief.home);
-        }
+    /// `GetNode` (Algorithm 1, line 11), placement-dependent half: adds the
+    /// L1-copy holders to a resolved operand's candidate sites.
+    fn locate_leaf(&self, leaf: &ResolvedLeaf) -> LeafInfo {
+        let mut candidates = vec![leaf.elem.believed];
+        candidates.extend(leaf.miss_home);
         let mut l1_candidates = Vec::new();
-        if self.opts.reuse_aware && analyzable {
+        if self.opts.reuse_aware && leaf.analyzable {
             // Window-scoped reuse knowledge (the paper's variable2node map)
             // plus the persistent residency estimator: short-reuse-distance
             // lines (loop-invariant operands) stay cached at their past
             // consumers across windows, like register-promoted scalars.
-            let hot = self.l1_persist.hot_holders(info.line, 4);
-            for &h in self.l1.holders(info.line).iter().chain(hot) {
+            let line = leaf.elem.line;
+            let hot = self.l1_persist.hot_holders(line, 4);
+            for &h in self.l1.holders(line).iter().chain(hot) {
                 if !candidates.contains(&h) {
                     candidates.push(h);
                     l1_candidates.push(h);
                 }
             }
         }
-        let _ = default_cost;
-        LeafInfo { elem: elem_loc, candidates, l1_candidates, primary }
+        LeafInfo { elem: leaf.elem, candidates, l1_candidates }
     }
 
     /// Recursively plans a group: locates leaves, recurses into sub-groups
@@ -389,9 +293,7 @@ impl<'a> Planner<'a> {
     fn plan_group(
         &mut self,
         group: &Group,
-        assigned_core: NodeId,
-        default_movement: &mut u64,
-        iter: &[i64],
+        leaves: &mut std::slice::Iter<'_, ResolvedLeaf>,
     ) -> GroupPlan {
         let ordered = matches!(group.class, OpClass::Fixed(_));
         let mut nodes = Vec::new();
@@ -406,18 +308,18 @@ impl<'a> Planner<'a> {
                         consts.push((op, *v));
                     }
                 }
-                Term::Leaf(r) => {
-                    let info = self.locate_leaf(r, iter, assigned_core, default_movement);
-                    nodes.push(PlanNode::Leaf { op, info });
+                Term::Leaf(_) => {
+                    let leaf = leaves.next().expect("one resolved operand per leaf");
+                    nodes.push(PlanNode::Leaf { op, info: self.locate_leaf(leaf) });
                 }
                 Term::Group(g) => {
-                    let plan = self.plan_group(g, assigned_core, default_movement, iter);
+                    let plan = self.plan_group(g, leaves);
                     nodes.push(PlanNode::Sub { op, plan });
                 }
             }
         }
-        let anchor = self.const_anchor();
-        let vertices: Vec<MstVertex> = nodes.iter().map(|n| plan_vertex(n, anchor)).collect();
+        let vertices: Vec<MstVertex> =
+            nodes.iter().map(|n| plan_vertex(n, self.const_anchor)).collect();
         let edges = kruskal(&vertices);
         GroupPlan { class: group.class, nodes, consts, vertices, edges }
     }
@@ -715,7 +617,7 @@ impl<'a> Planner<'a> {
         {
             (exec, 1)
         } else {
-            (info.primary, 0)
+            (info.elem.believed, 0)
         }
     }
 
@@ -723,22 +625,6 @@ impl<'a> Planner<'a> {
     /// are tried in order of distance from `anchor`; an overloaded node is
     /// skipped in favour of the next one (paper Section 4.5), falling back
     /// to the least-loaded candidate when all would overload.
-    /// Where location-free operands (constants and constants-only
-    /// subgroups) anchor: the origin tile, or the live node nearest it on
-    /// a degraded machine. Anchor locations can become execution sites,
-    /// so the anchor must be somewhere a step may actually run.
-    fn const_anchor(&self) -> NodeId {
-        let origin = NodeId::new(0, 0);
-        match self.layout.live_nodes() {
-            None => origin,
-            Some(live) => live
-                .iter()
-                .copied()
-                .min_by_key(|n| (n.manhattan(origin), *n))
-                .expect("degraded layouts keep at least one live node"),
-        }
-    }
-
     fn choose_node(&mut self, vertex: &MstVertex, anchor: NodeId, cost: f64) -> NodeId {
         // Candidates: every mesh node, ordered by the true movement cost of
         // executing the subcomputation there — fetching the vertex's datum
@@ -753,26 +639,24 @@ impl<'a> Planner<'a> {
         // Under degraded mode dead nodes are excluded outright — a step may
         // never execute there. On a healthy machine the filter passes every
         // node, leaving the candidate order untouched.
-        let mut cands: Vec<(u32, u32, NodeId)> = mesh
-            .nodes()
-            .filter(|&n| self.layout.is_live(n))
-            .map(|n| {
-                let fetch = vertex
-                    .locs
-                    .iter()
-                    .map(|&l| l.manhattan(n))
-                    .min()
-                    .expect("vertex has locations");
-                (fetch + n.manhattan(anchor), fetch, n)
-            })
-            .collect();
-        cands.sort_unstable();
-        let best = cands[0].0;
+        self.scored.clear();
+        let mut best = u32::MAX;
+        for n in mesh.nodes().filter(|&n| self.layout.is_live(n)) {
+            let fetch =
+                vertex.locs.iter().map(|&l| l.manhattan(n)).min().expect("vertex has locations");
+            let total = fetch + n.manhattan(anchor);
+            best = best.min(total);
+            self.scored.push((total, fetch, n));
+        }
         // Only consider detours of up to 3 extra links — beyond that the
-        // movement penalty outweighs balance.
-        let list: Vec<NodeId> =
-            cands.iter().take_while(|&&(c, _, _)| c <= best + 3).map(|&(_, _, n)| n).collect();
-        let chosen = self.loads.select(&list, cost);
+        // movement penalty outweighs balance. `(cost, fetch, node)` is a
+        // total order, so sorting only the kept subset gives the same list
+        // as sorting everything.
+        self.scored.retain(|&(c, _, _)| c <= best + 3);
+        self.scored.sort_unstable();
+        self.shortlist.clear();
+        self.shortlist.extend(self.scored.iter().map(|&(_, _, n)| n));
+        let chosen = self.loads.select(&self.shortlist, cost);
         self.pending_loads.push((chosen, cost));
         chosen
     }
@@ -802,10 +686,8 @@ fn cost_estimate(plan: &GroupPlan, v: usize) -> f64 {
 }
 
 /// `const_anchor` is the site location-free operands (constants,
-/// constants-only subgroups) are anchored at: the origin tile on a
-/// healthy machine, the live node nearest the origin on a degraded one —
-/// anchor locations can become execution sites, so a dead anchor would
-/// leak dead nodes into the schedule.
+/// constants-only subgroups) are anchored at (see `Planner::const_anchor`):
+/// a dead anchor would leak dead nodes into the schedule.
 fn plan_vertex(node: &PlanNode, const_anchor: NodeId) -> MstVertex {
     match node {
         PlanNode::Leaf { info, .. } => MstVertex::multi(info.candidates.clone()),
@@ -833,8 +715,7 @@ fn dag_width(stmt_steps: &[Step], first_id: u32) -> u32 {
         return 0;
     }
     let mut level = vec![0u32; stmt_steps.len()];
-    let mut width: std::collections::HashMap<u32, std::collections::HashSet<NodeId>> =
-        std::collections::HashMap::new();
+    let mut at_level: Vec<(u32, NodeId)> = Vec::with_capacity(stmt_steps.len());
     for (k, s) in stmt_steps.iter().enumerate() {
         let mut lvl = 0;
         for input in &s.inputs {
@@ -845,19 +726,41 @@ fn dag_width(stmt_steps: &[Step], first_id: u32) -> u32 {
             }
         }
         level[k] = lvl;
-        width.entry(lvl).or_default().insert(s.node);
+        at_level.push((lvl, s.node));
     }
-    width.values().map(|nodes| nodes.len() as u32).max().unwrap_or(0)
+    at_level.sort_unstable();
+    at_level.dedup();
+    at_level.chunk_by(|a, b| a.0 == b.0).map(|nodes| nodes.len() as u32).max().unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::{resolve_nest, HitPredictor};
     use crate::step::Schedule;
+    use crate::window::{place_nest, NestPlan};
     use dmcp_ir::exec::run_sequential;
-    use dmcp_ir::ProgramBuilder;
+    use dmcp_ir::{Program, ProgramBuilder};
     use dmcp_mach::MachineConfig;
     use dmcp_mem::page::PagePolicy;
+
+    /// Resolves nest 0 of `program` under the always-hit predictor and
+    /// places it (the first `limit` instances) in one window spanning the
+    /// whole nest, so the `variable2node` map is never reset.
+    fn place(
+        program: &Program,
+        opts: PlanOptions,
+        assignment: &[NodeId],
+        limit: Option<u64>,
+        force_default: bool,
+    ) -> NestPlan {
+        let machine = MachineConfig::knl_like();
+        let layout = Layout::new(&machine, program, PagePolicy::ColorPreserving);
+        let data = program.initial_data();
+        let resolution =
+            resolve_nest(program, 0, &layout, &data, HitPredictor::AlwaysHit, opts, assignment);
+        place_nest(&resolution, &layout, opts, usize::MAX, limit, force_default)
+    }
 
     fn plan_program(stmts: &[&str], opts: PlanOptions) -> (Program, Schedule, Vec<StmtRecord>) {
         let mut b = ProgramBuilder::new();
@@ -866,26 +769,10 @@ mod tests {
         }
         b.nest(&[("i", 0, 16)], stmts).unwrap();
         let program = b.build();
-        let machine = MachineConfig::knl_like();
-        let layout = Layout::new(&machine, &program, PagePolicy::ColorPreserving);
-        let data = program.initial_data();
-        let mut planner = Planner::new(&program, &layout, &data, HitPredictor::AlwaysHit, opts);
-        let mesh = machine.mesh;
-        let mut steps = Vec::new();
-        let mut records = Vec::new();
-        let nest = &program.nests()[0];
-        for (it, iter) in nest.iterations().enumerate() {
-            for (si, stmt) in nest.body.iter().enumerate() {
-                let tag = StmtTag {
-                    nest: 0,
-                    stmt: si as u32,
-                    instance: (it * nest.body.len() + si) as u64,
-                };
-                let core = mesh.bank_node(it as u32 % mesh.node_count());
-                records.push(planner.plan_statement(&mut steps, tag, stmt, &iter, core, false));
-            }
-        }
-        (program, Schedule { steps }, records)
+        // Iteration `it` runs on node `it mod 36`, row-major.
+        let assignment: Vec<NodeId> = MachineConfig::knl_like().mesh.nodes().collect();
+        let NestPlan { schedule, stats } = place(&program, opts, &assignment, None, false);
+        (program, schedule, stats.records)
     }
 
     fn check_correct(program: &Program, sched: &Schedule) {
@@ -1000,16 +887,11 @@ mod tests {
         b.array("Z", &[64], 8);
         b.nest(&[("i", 0, 4)], &["X[Y[i]] = Z[i] + 1"]).unwrap();
         let program = b.build();
-        let machine = MachineConfig::knl_like();
-        let layout = Layout::new(&machine, &program, PagePolicy::ColorPreserving);
-        let data = program.initial_data();
-        let mut planner =
-            Planner::new(&program, &layout, &data, HitPredictor::AlwaysHit, PlanOptions::default());
         let core = NodeId::new(3, 2);
-        let mut steps = Vec::new();
-        let stmt = &program.nests()[0].body[0];
-        let rec = planner.plan_statement(&mut steps, StmtTag::default(), stmt, &[0], core, false);
+        let plan = place(&program, PlanOptions::default(), &[core], Some(1), false);
+        let rec = &plan.stats.records[0];
         assert!(rec.fallback);
+        let steps = &plan.schedule.steps;
         assert!(steps.iter().all(|s| s.node == core), "fallback steps must stay on the core");
         assert_eq!(rec.movement_opt, rec.movement_default);
     }
@@ -1022,17 +904,13 @@ mod tests {
         }
         b.nest(&[("i", 0, 4)], &["A[i] = B[i] + C[i]"]).unwrap();
         let program = b.build();
-        let machine = MachineConfig::knl_like();
-        let layout = Layout::new(&machine, &program, PagePolicy::ColorPreserving);
-        let data = program.initial_data();
-        let mut planner =
-            Planner::new(&program, &layout, &data, HitPredictor::AlwaysHit, PlanOptions::default());
         let core = NodeId::new(4, 4);
-        let mut steps = Vec::new();
-        let stmt = &program.nests()[0].body[0];
-        let rec = planner.plan_statement(&mut steps, StmtTag::default(), stmt, &[1], core, true);
-        assert!(steps.iter().all(|s| s.node == core));
-        assert_eq!(rec.movement_opt, rec.movement_default);
+        let plan = place(&program, PlanOptions::default(), &[core], None, true);
+        assert!(plan.schedule.steps.iter().all(|s| s.node == core));
+        for rec in &plan.stats.records {
+            assert!(rec.fallback);
+            assert_eq!(rec.movement_opt, rec.movement_default);
+        }
     }
 
     #[test]

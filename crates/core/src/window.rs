@@ -13,13 +13,12 @@
 //! transitive reduction ([`crate::sync`]).
 
 use crate::layout::Layout;
-use crate::split::{HitPredictor, PlanOptions, Planner};
+use crate::resolve::NestResolution;
+use crate::split::{PlanOptions, Planner};
 use crate::stats::{OpMix, StmtRecord};
 use crate::step::{Operand, Schedule, Step, StmtTag, SubId};
 use crate::sync::transitive_reduce;
-use dmcp_ir::program::{DataStore, Program};
 use dmcp_ir::ArrayId;
-use dmcp_mach::NodeId;
 use std::collections::HashMap;
 
 /// Aggregated planning statistics for one nest.
@@ -121,62 +120,51 @@ pub struct NestPlan {
     pub stats: NestStats,
 }
 
-/// The *placement* half of nest planning: streams statement instances in
-/// execution order, plans each one's subcomputations (MST placement, L1
-/// reuse within the window, load balancing), and resets the
-/// `variable2node` map at window boundaries. No synchronization arcs are
-/// wired — every step's `waits` list comes back empty and the sync
-/// counters are zero until [`sync_nest`] runs.
+/// The *placement* half of nest planning: walks a nest's resolved
+/// statement instances in execution order, plans each one's
+/// subcomputations (MST placement, L1 reuse within the window, load
+/// balancing), and resets the `variable2node` map at window boundaries.
+/// No synchronization arcs are wired — every step's `waits` list comes
+/// back empty and the sync counters are zero until [`sync_nest`] runs.
 ///
-/// `assignment[it % assignment.len()]` is the default core of iteration
-/// `it`; `limit_instances` truncates planning (used by the window-size
-/// search); `force_default` generates the baseline schedule instead.
+/// `limit_instances` truncates planning to a prefix of the stream (used
+/// by the window-size search); `force_default` generates the baseline
+/// schedule instead. Every placement of a nest reads the same
+/// [`NestResolution`], which does not depend on the window size, the
+/// prefix or `force_default`.
 ///
 /// Placement never reads wait arcs, so the two phases run separately:
 /// placement fans out across a pool, and the window-size search skips
 /// sync wiring entirely (its decision metric, warm movement, is a pure
 /// function of the placement records).
-#[allow(clippy::too_many_arguments)]
 pub fn place_nest(
-    program: &Program,
-    nest_index: usize,
+    resolution: &NestResolution,
     layout: &Layout,
-    data: &DataStore,
-    predictor: HitPredictor,
     opts: PlanOptions,
     window: usize,
-    assignment: &[NodeId],
     limit_instances: Option<u64>,
     force_default: bool,
 ) -> NestPlan {
     assert!(window > 0, "window size must be at least 1");
-    assert!(!assignment.is_empty(), "need a default core assignment");
-    let nest = &program.nests()[nest_index];
-
-    let mut planner = Planner::new(program, layout, data, predictor, opts);
+    let mut planner = Planner::new(layout, opts);
+    let count = limit_instances.map_or(usize::MAX, |l| usize::try_from(l).unwrap_or(usize::MAX));
+    let count = count.min(resolution.instance_count());
 
     let mut steps: Vec<Step> = Vec::new();
-    let mut records: Vec<StmtRecord> = Vec::new();
-
+    let mut records: Vec<StmtRecord> = Vec::with_capacity(count);
     let mut in_window = 0usize;
-    let mut instance: u64 = 0;
-    let limit = limit_instances.unwrap_or(u64::MAX);
-
-    'outer: for (it, iter) in nest.iterations().enumerate() {
-        let core = assignment[it % assignment.len()];
-        for (si, stmt) in nest.body.iter().enumerate() {
-            if instance >= limit {
-                break 'outer;
-            }
-            let tag = StmtTag { nest: nest_index as u32, stmt: si as u32, instance };
-            let rec = planner.plan_statement(&mut steps, tag, stmt, &iter, core, force_default);
-            records.push(rec);
-            instance += 1;
-            in_window += 1;
-            if in_window == window {
-                planner.l1.reset();
-                in_window = 0;
-            }
+    for i in 0..count {
+        let (inst, leaves, group) = resolution.instance(i);
+        let tag = StmtTag {
+            nest: resolution.nest() as u32,
+            stmt: resolution.statement_of(i) as u32,
+            instance: i as u64,
+        };
+        records.push(planner.plan_statement(&mut steps, tag, inst, leaves, group, force_default));
+        in_window += 1;
+        if in_window == window {
+            planner.l1.reset();
+            in_window = 0;
         }
     }
 
@@ -363,10 +351,10 @@ fn count_cross_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split::PlanOptions;
+    use crate::resolve::{resolve_nest, HitPredictor};
     use dmcp_ir::exec::run_sequential;
-    use dmcp_ir::ProgramBuilder;
-    use dmcp_mach::MachineConfig;
+    use dmcp_ir::{Program, ProgramBuilder};
+    use dmcp_mach::{MachineConfig, NodeId};
     use dmcp_mem::page::PagePolicy;
 
     fn setup(stmts: &[&str], iters: i64) -> (Program, MachineConfig, Layout) {
@@ -385,7 +373,19 @@ mod tests {
         crate::partitioner::chunked_assignment(machine.mesh, iters as u64)
     }
 
-    /// Places and syncs nest 0, as the pipeline's place and sync passes do.
+    /// Resolves nest 0 under the always-hit predictor.
+    fn resolve(
+        program: &Program,
+        layout: &Layout,
+        opts: PlanOptions,
+        assignment: &[NodeId],
+    ) -> NestResolution {
+        let data = program.initial_data();
+        resolve_nest(program, 0, layout, &data, HitPredictor::AlwaysHit, opts, assignment)
+    }
+
+    /// Resolves, places and syncs nest 0, as the pipeline's analyze, place
+    /// and sync passes do.
     fn place_and_sync(
         program: &Program,
         layout: &Layout,
@@ -395,19 +395,8 @@ mod tests {
         limit: Option<u64>,
         force_default: bool,
     ) -> NestPlan {
-        let data = program.initial_data();
-        let mut plan = place_nest(
-            program,
-            0,
-            layout,
-            &data,
-            HitPredictor::AlwaysHit,
-            opts,
-            window,
-            assignment,
-            limit,
-            force_default,
-        );
+        let resolution = resolve(program, layout, opts, assignment);
+        let mut plan = place_nest(&resolution, layout, opts, window, limit, force_default);
         sync_nest(&mut plan);
         plan
     }
@@ -534,20 +523,10 @@ mod tests {
     fn placement_is_wait_free_until_sync_runs() {
         let stmts = ["A[i] = B[i] + C[i]", "X[i] = A[i] * 2", "Y[i] = X[i] + A[i]"];
         let (program, machine, layout) = setup(&stmts, 24);
-        let data = program.initial_data();
         let asg = assignment(&machine, 24);
-        let mut staged = place_nest(
-            &program,
-            0,
-            &layout,
-            &data,
-            HitPredictor::AlwaysHit,
-            PlanOptions::default(),
-            3,
-            &asg,
-            None,
-            false,
-        );
+        let opts = PlanOptions::default();
+        let resolution = resolve(&program, &layout, opts, &asg);
+        let mut staged = place_nest(&resolution, &layout, opts, 3, None, false);
         assert!(staged.schedule.steps.iter().all(|s| s.waits.is_empty()));
         assert_eq!((staged.stats.syncs_before, staged.stats.syncs_after), (0, 0));
         sync_nest(&mut staged);

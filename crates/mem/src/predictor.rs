@@ -41,7 +41,6 @@ pub struct MissPredictor {
     /// time difference (the classic footprint approximation: with a roughly
     /// uniform mix, elapsed accesses ≈ distinct lines × reuse factor).
     reuse_factor: f64,
-    predictions: u64,
 }
 
 impl MissPredictor {
@@ -53,13 +52,7 @@ impl MissPredictor {
             clock: 0,
             last_access: HashMap::new(),
             reuse_factor: 2.0,
-            predictions: 0,
         }
-    }
-
-    /// Number of predictions made so far.
-    pub fn predictions(&self) -> u64 {
-        self.predictions
     }
 
     /// Predicts whether an access to `line` hits on-chip (L2), and records
@@ -69,7 +62,6 @@ impl MissPredictor {
     /// window predicts a hit.
     pub fn predict_hit(&mut self, line: LineAddr) -> bool {
         self.clock += 1;
-        self.predictions += 1;
         let hit = match self.last_access.get(&line) {
             None => false,
             Some(&t) => {
@@ -81,22 +73,10 @@ impl MissPredictor {
         hit
     }
 
-    /// Peeks at the prediction without recording the access.
-    pub fn would_hit(&self, line: LineAddr) -> bool {
-        match self.last_access.get(&line) {
-            None => false,
-            Some(&t) => {
-                let elapsed = (self.clock + 1 - t) as f64;
-                elapsed <= self.capacity_lines as f64 * self.reuse_factor
-            }
-        }
-    }
-
     /// Forgets all history (e.g. between loop nests).
     pub fn reset(&mut self) {
         self.clock = 0;
         self.last_access.clear();
-        self.predictions = 0;
     }
 }
 
@@ -156,16 +136,6 @@ mod tests {
             p.predict_hit(LineAddr::new(i));
         }
         assert!(!p.predict_hit(LineAddr::new(0)));
-    }
-
-    #[test]
-    fn would_hit_matches_predict_without_recording() {
-        let mut p = MissPredictor::new(64);
-        p.predict_hit(LineAddr::new(5));
-        let before = p.predictions();
-        assert!(p.would_hit(LineAddr::new(5)));
-        assert!(!p.would_hit(LineAddr::new(6)));
-        assert_eq!(p.predictions(), before);
     }
 
     #[test]

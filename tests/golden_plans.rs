@@ -8,6 +8,10 @@
 //! reduction, fault re-homing *or* cache-key derivation all surface
 //! here.
 //!
+//! FFT and Radix are also pinned under every non-default configuration
+//! (`GOLDEN_VARIANTS`), where each plan must in addition be reproduced by
+//! a replan that reuses its window sizes.
+//!
 //! To regenerate after an intentional planner change:
 //!
 //! ```text
@@ -15,8 +19,10 @@
 //! ```
 
 use dmcp::check::golden::{
-    degraded_digest, healthy_digest, key_digests, GOLDEN_DEGRADED, GOLDEN_HEALTHY, GOLDEN_KEYS,
+    degraded_digest, healthy_digest, key_digests, variant_run, GOLDEN_DEGRADED, GOLDEN_HEALTHY,
+    GOLDEN_KEYS, GOLDEN_VARIANTS,
 };
+use dmcp::check::plan_digest;
 use dmcp::pool::Pool;
 use dmcp::workloads::{all, Scale};
 
@@ -82,4 +88,41 @@ fn digests_are_stable_across_repeated_compiles() {
         assert_eq!(healthy_digest(name, &pool), healthy_digest(name, &pool));
         assert_eq!(degraded_digest(name, &pool), degraded_digest(name, &pool));
     }
+}
+
+/// Plans `name` under every pinned variant, healthy and degraded, checks
+/// each digest, and checks that replanning with the chosen window sizes
+/// (`partition_with_data_reusing`) reproduces it. The default schedule
+/// (`baseline`) has no window search to reuse.
+fn check_variants(name: &str) {
+    let pool = Pool::single();
+    for &(variant, _, healthy, degraded) in GOLDEN_VARIANTS.iter().filter(|row| row.1 == name) {
+        for (faulty, want) in [(false, Some(healthy)), (true, degraded)] {
+            let run = variant_run(variant, name, faulty, &pool);
+            let got = run.as_ref().map(|r| plan_digest(&r.output));
+            assert_eq!(got, want, "{name} {variant} (degraded: {faulty}): plan digest drifted");
+            let Some(run) = run.filter(|_| variant != "baseline") else { continue };
+            let w = &run.workload;
+            let replan = run.partitioner.partition_with_data_reusing(
+                &w.program,
+                &w.data,
+                run.output.window_sizes(),
+            );
+            assert_eq!(
+                Some(plan_digest(&replan)),
+                want,
+                "{name} {variant} (degraded: {faulty}): replan with reused windows differs"
+            );
+        }
+    }
+}
+
+#[test]
+fn fft_matches_its_variant_goldens() {
+    check_variants("FFT");
+}
+
+#[test]
+fn radix_matches_its_variant_goldens() {
+    check_variants("Radix");
 }
