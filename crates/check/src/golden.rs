@@ -2,7 +2,8 @@
 //! canonically degraded) and [`PlanKey`] digests, all at Tiny scale on
 //! the KNL-like machine with the default configuration, plus
 //! [`GOLDEN_VARIANTS`]: FFT and Radix under every non-default planning
-//! configuration in [`VARIANTS`].
+//! configuration in [`VARIANTS`], and [`GOLDEN_LARGE_MESH`]: FFT, Radix
+//! and LU on a 10×10 mesh.
 //!
 //! These tables pin the planner's output bit-for-bit across refactors.
 //! Any change to splitting, placement, window choice, sync reduction or
@@ -18,7 +19,7 @@ use dmcp_baselines::preferred_mc_overrides;
 use dmcp_core::{
     nest_assignment, PartitionConfig, PartitionOutput, Partitioner, PlanOptions, PredictorSpec,
 };
-use dmcp_mach::{ClusterMode, FaultPlan, FaultState, MachineConfig, NodeId};
+use dmcp_mach::{ClusterMode, FaultPlan, FaultState, MachineConfig, Mesh, NodeId};
 use dmcp_mem::page::PagePolicy;
 use dmcp_pool::Pool;
 use dmcp_serve::PlanRequest;
@@ -76,6 +77,50 @@ pub const GOLDEN_KEYS: &[(&str, u64, u64)] = &[
     ("MiniMD", 0xce20d781cbc013eb, 0x26b902730ace6184),
     ("MiniXyce", 0xa0cb8418498dd25a, 0xeda354f8ba6f77e5),
 ];
+
+/// Expected `(workload, healthy digest, degraded digest)` on
+/// [`large_mesh_machine`] with the default configuration, the degraded
+/// plan under [`canonical_faults`].
+///
+/// Every other golden runs on the 36-node KNL-like mesh, so these are the
+/// only pins on per-node and per-line state beyond 64 nodes (node indices
+/// that no longer fit one machine word). Generated before the placement
+/// kernel moved to dense line ids and reusable scratch, and never
+/// regenerated.
+pub const GOLDEN_LARGE_MESH: &[(&str, u64, u64)] = &[
+    ("FFT", 0xec43f2053210d9db, 0x09b10122a13740d9),
+    ("Radix", 0x37e875214f299883, 0x66eb83454da25d69),
+    ("LU", 0x5307dc96f2ff9061, 0x55ac12f53ad04680),
+];
+
+/// The KNL-like machine on a 10×10 mesh (100 nodes).
+#[must_use]
+pub fn large_mesh_machine() -> MachineConfig {
+    MachineConfig::knl_like().with_mesh(Mesh::new(10, 10))
+}
+
+/// The plan digest of `name` on [`large_mesh_machine`] (default config),
+/// healthy or under [`canonical_faults`], compiled over `pool`.
+///
+/// # Panics
+///
+/// Panics if the canonical fault plan is rejected (it never is on the
+/// 10×10 mesh).
+#[must_use]
+pub fn large_mesh_digest(name: &str, degraded: bool, pool: &Pool) -> u64 {
+    let w = workload(name);
+    let machine = large_mesh_machine();
+    let config = PartitionConfig::default();
+    let part = if degraded {
+        let faults = FaultState::new(canonical_faults(), machine.mesh)
+            .expect("canonical faults fit the 10×10 mesh");
+        Partitioner::new_degraded(&machine, &w.program, config, &faults)
+            .expect("default config is valid")
+    } else {
+        Partitioner::new(&machine, &w.program, config)
+    };
+    plan_digest(&part.partition_with_data_pooled(&w.program, &w.data, pool))
+}
 
 /// The canonical degradation every degraded golden is pinned under: one
 /// dead node away from the origin plus one dead link on the far side of
@@ -360,6 +405,13 @@ mod tests {
                 };
                 println!("    (\"{variant}\", \"{name}\", {h:#018x}, {d}),");
             }
+        }
+        println!("];");
+        println!("pub const GOLDEN_LARGE_MESH: &[(&str, u64, u64)] = &[");
+        for &(name, _, _) in GOLDEN_LARGE_MESH {
+            let (h, d) =
+                (large_mesh_digest(name, false, &pool), large_mesh_digest(name, true, &pool));
+            println!("    (\"{name}\", {h:#018x}, {d:#018x}),");
         }
         println!("];");
     }

@@ -42,12 +42,16 @@ impl MstVertex {
     /// The candidate closest to `target` (deterministic tie-break on node
     /// order), with the distance.
     pub fn nearest_to(&self, target: NodeId) -> (NodeId, u32) {
-        self.locs
-            .iter()
-            .map(|&n| (n, n.manhattan(target)))
-            .min_by_key(|&(n, d)| (d, n))
-            .expect("non-empty candidate set")
+        nearest(&self.locs, target)
     }
+}
+
+/// [`MstVertex::nearest_to`] over a location slice.
+pub(crate) fn nearest(locs: &[NodeId], target: NodeId) -> (NodeId, u32) {
+    locs.iter()
+        .map(|&n| (n, n.manhattan(target)))
+        .min_by_key(|&(n, d)| (d, n))
+        .expect("non-empty candidate set")
 }
 
 /// Minimum distance between two vertices' candidate sets, with the
@@ -60,6 +64,18 @@ pub fn vertex_distance(a: &MstVertex, b: &MstVertex) -> (u32, NodeId, NodeId) {
             if d < best.0 || (d == best.0 && (na, nb) < (best.1, best.2)) {
                 best = (d, na, nb);
             }
+        }
+    }
+    best
+}
+
+/// Minimum distance between two candidate-location sets: the edge weight
+/// of [`kruskal`], without the realising pair [`vertex_distance`] reports.
+pub(crate) fn loc_distance(a: &[NodeId], b: &[NodeId]) -> u32 {
+    let mut best = u32::MAX;
+    for &na in a {
+        for &nb in b {
+            best = best.min(na.manhattan(nb));
         }
     }
     best
@@ -81,7 +97,8 @@ pub struct MstEdge {
 /// (weight, a, b); the paper breaks weight ties randomly, we break them
 /// deterministically for reproducibility.
 ///
-/// Returns `vertices.len().saturating_sub(1)` edges.
+/// Returns `vertices.len().saturating_sub(1)` edges. A one-off run of
+/// [`KruskalScratch::run`].
 ///
 /// # Examples
 ///
@@ -99,41 +116,80 @@ pub struct MstEdge {
 /// assert_eq!(total, 5); // 2 + 3
 /// ```
 pub fn kruskal(vertices: &[MstVertex]) -> Vec<MstEdge> {
-    let n = vertices.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let mut edges = Vec::with_capacity(n * (n - 1) / 2);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let (w, _, _) = vertex_distance(&vertices[a], &vertices[b]);
-            edges.push(MstEdge { a, b, weight: w });
-        }
-    }
-    edges.sort_by_key(|e| (e.weight, e.a, e.b));
-    let mut uf = UnionFind::new(n);
-    let mut mst = Vec::with_capacity(n - 1);
-    for e in edges {
-        if uf.union(e.a, e.b) {
-            mst.push(e);
-            if mst.len() == n - 1 {
-                break;
-            }
-        }
-    }
+    let mut mst = Vec::new();
+    KruskalScratch::default().run(
+        vertices.len(),
+        |a, b| loc_distance(&vertices[a].locs, &vertices[b].locs),
+        &mut mst,
+    );
     mst
 }
 
+/// The buffers of [`kruskal`] — the candidate edges and the union–find
+/// forest — kept across runs, so a planner that builds an MST per nested
+/// set allocates nothing once they have grown to its largest set.
+#[derive(Clone, Debug, Default)]
+pub struct KruskalScratch {
+    candidates: Vec<MstEdge>,
+    forest: UnionFind,
+}
+
+impl KruskalScratch {
+    /// Appends to `mst` the MST of the complete graph over `n` vertices
+    /// whose edge `a < b` weighs `distance(a, b)`: `n.saturating_sub(1)`
+    /// edges in the order Kruskal accepts them, candidates sorted by
+    /// `(weight, a, b)` as in [`kruskal`].
+    pub fn run(
+        &mut self,
+        n: usize,
+        mut distance: impl FnMut(usize, usize) -> u32,
+        mst: &mut Vec<MstEdge>,
+    ) {
+        if n < 2 {
+            return;
+        }
+        self.candidates.clear();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                self.candidates.push(MstEdge { a, b, weight: distance(a, b) });
+            }
+        }
+        // `(weight, a, b)` is unique per edge, so the unstable sort gives
+        // the stable sort's order.
+        self.candidates.sort_unstable_by_key(|e| (e.weight, e.a, e.b));
+        self.forest.reset(n);
+        let mut accepted = 0;
+        for &e in &self.candidates {
+            if self.forest.union(e.a, e.b) {
+                mst.push(e);
+                accepted += 1;
+                if accepted == n - 1 {
+                    break;
+                }
+            }
+        }
+    }
+}
+
 /// The MST rooted at a chosen vertex, ready for the leaf-to-root scheduling
-/// walk.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// walk. [`RootedTree::rebuild`] re-roots another tree in place, reusing
+/// every buffer.
+#[derive(Clone, Debug, Default)]
 pub struct RootedTree {
     /// Parent of each vertex (`None` for the root).
-    pub parent: Vec<Option<usize>>,
-    /// Children of each vertex.
-    pub children: Vec<Vec<usize>>,
+    parent: Vec<Option<usize>>,
+    /// Vertex `v`'s children are `children[child_span[v].0..child_span[v].1]`.
+    children: Vec<usize>,
+    child_span: Vec<(usize, usize)>,
     /// Vertices in post-order (children before parents, root last).
-    pub postorder: Vec<usize>,
+    postorder: Vec<usize>,
+    /// Adjacency in edge-list order: `v`'s neighbours are
+    /// `adj[adj_start[v]..adj_start[v + 1]]`.
+    adj: Vec<usize>,
+    adj_start: Vec<usize>,
+    adj_fill: Vec<usize>,
+    visited: Vec<bool>,
+    stack: Vec<(usize, bool)>,
 }
 
 impl RootedTree {
@@ -143,43 +199,93 @@ impl RootedTree {
     ///
     /// Panics if the edges do not form a spanning tree of `0..n`.
     pub fn build(n: usize, edges: &[MstEdge], root: usize) -> Self {
+        let mut tree = Self::default();
+        tree.rebuild(n, edges, root);
+        tree
+    }
+
+    /// [`RootedTree::build`] in place: every vertex's neighbours are
+    /// visited in edge-list order, so the children and the post-order come
+    /// out the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edges do not form a spanning tree of `0..n`.
+    pub fn rebuild(&mut self, n: usize, edges: &[MstEdge], root: usize) {
         assert!(root < n, "root {root} out of range");
-        let mut adj = vec![Vec::new(); n];
+        self.adj_start.clear();
+        self.adj_start.resize(n + 1, 0);
         for e in edges {
-            adj[e.a].push(e.b);
-            adj[e.b].push(e.a);
+            self.adj_start[e.a + 1] += 1;
+            self.adj_start[e.b + 1] += 1;
         }
-        let mut parent = vec![None; n];
-        let mut children = vec![Vec::new(); n];
-        let mut postorder = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
+        for v in 0..n {
+            self.adj_start[v + 1] += self.adj_start[v];
+        }
+        self.adj_fill.clear();
+        self.adj_fill.extend_from_slice(&self.adj_start[..n]);
+        self.adj.clear();
+        self.adj.resize(2 * edges.len(), 0);
+        for e in edges {
+            for (from, to) in [(e.a, e.b), (e.b, e.a)] {
+                self.adj[self.adj_fill[from]] = to;
+                self.adj_fill[from] += 1;
+            }
+        }
+
+        self.parent.clear();
+        self.parent.resize(n, None);
+        self.children.clear();
+        self.child_span.clear();
+        self.child_span.resize(n, (0, 0));
+        self.postorder.clear();
+        self.visited.clear();
+        self.visited.resize(n, false);
         // Iterative DFS emitting post-order.
-        let mut stack = vec![(root, false)];
-        while let Some((v, processed)) = stack.pop() {
+        self.stack.clear();
+        self.stack.push((root, false));
+        while let Some((v, processed)) = self.stack.pop() {
             if processed {
-                postorder.push(v);
+                self.postorder.push(v);
                 continue;
             }
-            if visited[v] {
+            if self.visited[v] {
                 continue;
             }
-            visited[v] = true;
-            stack.push((v, true));
-            for &u in &adj[v] {
-                if !visited[u] {
-                    parent[u] = Some(v);
-                    children[v].push(u);
-                    stack.push((u, false));
+            self.visited[v] = true;
+            self.stack.push((v, true));
+            let first = self.children.len();
+            for &u in &self.adj[self.adj_start[v]..self.adj_start[v + 1]] {
+                if !self.visited[u] {
+                    self.parent[u] = Some(v);
+                    self.children.push(u);
+                    self.stack.push((u, false));
                 }
             }
+            self.child_span[v] = (first, self.children.len());
         }
-        assert!(visited.iter().all(|&v| v), "MST edges do not span all vertices");
-        Self { parent, children, postorder }
+        assert!(self.visited.iter().all(|&v| v), "MST edges do not span all vertices");
+    }
+
+    /// Parent of `v` (`None` for the root).
+    pub fn parent(&self, v: usize) -> Option<usize> {
+        self.parent[v]
+    }
+
+    /// Children of `v`, in the order the walk discovered them.
+    pub fn children(&self, v: usize) -> &[usize] {
+        let (first, end) = self.child_span[v];
+        &self.children[first..end]
+    }
+
+    /// Every vertex in post-order (children before parents, root last).
+    pub fn postorder(&self) -> &[usize] {
+        &self.postorder
     }
 
     /// `true` if `v` has no children (a leaf of the rooted tree).
     pub fn is_leaf(&self, v: usize) -> bool {
-        self.children[v].is_empty()
+        self.children(v).is_empty()
     }
 }
 
@@ -278,18 +384,18 @@ mod tests {
         let vs = vec![v(0, 0), v(0, 1), v(0, 2), v(3, 0)];
         let mst = kruskal(&vs);
         let tree = RootedTree::build(4, &mst, 0);
-        assert_eq!(*tree.postorder.last().unwrap(), 0);
-        assert_eq!(tree.parent[0], None);
+        assert_eq!(*tree.postorder().last().unwrap(), 0);
+        assert_eq!(tree.parent(0), None);
         // Every non-root appears before its parent.
         let pos: Vec<usize> = {
             let mut p = vec![0; 4];
-            for (i, &x) in tree.postorder.iter().enumerate() {
+            for (i, &x) in tree.postorder().iter().enumerate() {
                 p[x] = i;
             }
             p
         };
         for vtx in 1..4 {
-            if let Some(par) = tree.parent[vtx] {
+            if let Some(par) = tree.parent(vtx) {
                 assert!(pos[vtx] < pos[par], "vertex {vtx} after parent {par}");
             }
         }
@@ -300,13 +406,21 @@ mod tests {
         let vs = vec![v(0, 0), v(1, 0), v(2, 0), v(3, 0), v(4, 0)];
         let mst = kruskal(&vs);
         let tree = RootedTree::build(5, &mst, 2);
-        for (p, kids) in tree.children.iter().enumerate() {
-            for &k in kids {
-                assert_eq!(tree.parent[k], Some(p));
+        for p in 0..5 {
+            for &k in tree.children(p) {
+                assert_eq!(tree.parent(k), Some(p));
             }
         }
         assert!(tree.is_leaf(0));
-        assert!(!tree.is_leaf(2) || tree.children[2].is_empty());
+        assert!(!tree.is_leaf(2) || tree.children(2).is_empty());
+    }
+
+    #[test]
+    fn loc_distance_is_vertex_distance_without_the_pair() {
+        let a = MstVertex::multi(vec![NodeId::new(5, 4), NodeId::new(0, 1)]);
+        let b = MstVertex::multi(vec![NodeId::new(0, 0), NodeId::new(4, 4)]);
+        assert_eq!(loc_distance(&a.locs, &b.locs), vertex_distance(&a, &b).0);
+        assert_eq!(loc_distance(&a.locs, &b.locs), 1);
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! What stays placement-dependent — the windowed `variable2node` holders
 //! and the persistent hot holders — is looked up by the
 //! [`crate::split`] planner as it walks the resolution.
+//!
+//! Every operand and store line is interned to a dense id here, once per
+//! access, so the planner's L1 models ([`L1Model`]) index tables instead
+//! of hashing line addresses on every lookup.
 
 use crate::l1model::L1Model;
 use crate::layout::Layout;
@@ -25,6 +29,7 @@ use dmcp_ir::program::{DataStore, Program};
 use dmcp_ir::ArrayRef;
 use dmcp_mach::NodeId;
 use dmcp_mem::{Cache, LineAddr, MissPredictor};
+use std::collections::HashMap;
 
 /// How the planner predicts L2 hits when locating data (Section 4.1).
 #[derive(Clone, Debug)]
@@ -59,6 +64,8 @@ pub(crate) struct ResolvedLeaf {
     /// believed home bank on a predicted hit, the believed controller on a
     /// predicted miss, the assigned core for an unanalyzable reference.
     pub elem: ElemLoc,
+    /// Dense id of `elem.line` within the nest.
+    pub line: u32,
     /// Whether the compiler may place a subcomputation near the operand.
     pub analyzable: bool,
     /// The believed home bank when an analyzable operand is predicted to
@@ -77,6 +84,8 @@ pub(crate) struct ResolvedInstance {
     pub core: NodeId,
     /// The store target; `store.home` is the paper's store node.
     pub store: StoreTarget,
+    /// Dense id of `store.line` within the nest.
+    pub store_line: u32,
     /// Whether the compiler can analyse the store target.
     pub lhs_known: bool,
     /// Planned movement of default execution on `core`.
@@ -156,6 +165,11 @@ pub fn resolve_nest(
     // What the default execution's per-core L1s would hold, so the
     // split-vs-default comparison is honest.
     let mut l1_default = L1Model::new(machine.mesh, machine.l1_lines());
+    let mut line_ids: HashMap<LineAddr, u32> = HashMap::new();
+    let mut intern = |line: LineAddr| {
+        let next = u32::try_from(line_ids.len()).expect("fewer than 2^32 lines per nest");
+        *line_ids.entry(line).or_insert(next)
+    };
     let mut instances = Vec::new();
     let mut leaves = Vec::new();
     for (it, iter) in nest.iterations().enumerate() {
@@ -180,6 +194,7 @@ pub fn resolve_nest(
                 let belief = layout.believed(program, r.array, elem, core);
                 let analyzable = r.analyzable || opts.ideal_analysis;
                 let predicted_hit = predictor.predict(belief.line);
+                let line = intern(belief.line);
                 let primary = match (analyzable, predicted_hit) {
                     // Unplaceable: the compiler assumes the data must come
                     // to the requesting core, exactly as in default
@@ -190,10 +205,10 @@ pub fn resolve_nest(
                 };
                 // Default execution fetches the operand to the assigned
                 // core (its private L1 may already hold the line).
-                if !l1_default.holds(core, belief.line) {
+                if !l1_default.holds(core, line) {
                     default_movement += u64::from(primary.manhattan(core));
                 }
-                l1_default.touch(core, belief.line);
+                l1_default.touch(core, line);
                 leaves.push(ResolvedLeaf {
                     elem: ElemLoc {
                         array: r.array,
@@ -202,6 +217,7 @@ pub fn resolve_nest(
                         believed: primary,
                         hot: belief.hot,
                     },
+                    line,
                     analyzable,
                     miss_home: (analyzable && !predicted_hit).then_some(belief.home),
                 });
@@ -210,10 +226,12 @@ pub fn resolve_nest(
             // store node, and the store line is write-allocated into L2.
             default_movement += u64::from(core.manhattan(store.home));
             let _ = predictor.predict(store.line);
-            l1_default.touch(core, store.line);
+            let store_line = intern(store.line);
+            l1_default.touch(core, store_line);
             instances.push(ResolvedInstance {
                 core,
                 store,
+                store_line,
                 lhs_known: stmt.lhs.analyzable || opts.ideal_analysis,
                 default_movement,
                 first_leaf,
@@ -272,6 +290,25 @@ mod tests {
             PlanOptions { ideal_analysis: true, ..PlanOptions::default() },
         );
         assert!(ideal.instance(0).1.iter().all(|l| l.analyzable));
+    }
+
+    #[test]
+    fn lines_are_interned_densely_in_order_of_first_access() {
+        let r = resolve(&["A[i] = B[i] + C[i]", "X[i] = A[i] * 2"], 2, PlanOptions::default());
+        let mut ids = std::collections::HashMap::new();
+        let mut next = 0;
+        for i in 0..r.instance_count() {
+            let (inst, leaves, _) = r.instance(i);
+            let accesses = leaves.iter().map(|l| (l.elem.line, l.line));
+            for (addr, id) in accesses.chain([(inst.store.line, inst.store_line)]) {
+                let want = *ids.entry(addr).or_insert_with(|| {
+                    next += 1;
+                    next - 1
+                });
+                assert_eq!(id, want, "instance {i}: line {addr:?}");
+            }
+        }
+        assert!(next > 0);
     }
 
     #[test]

@@ -28,14 +28,13 @@
 use crate::balance::LoadTracker;
 use crate::l1model::L1Model;
 use crate::layout::Layout;
-use crate::mst::{kruskal, MstEdge, MstVertex, RootedTree};
+use crate::mst::{loc_distance, nearest, KruskalScratch, MstEdge, RootedTree};
 use crate::resolve::{ResolvedInstance, ResolvedLeaf};
 use crate::stats::{OpMix, StmtRecord};
-use crate::step::{ElemLoc, Operand, Step, StepInput, StmtTag, StoreTarget, SubId};
+use crate::step::{Operand, Step, StepInput, StmtTag, StoreTarget, SubId};
 use dmcp_ir::nested::{Element, Group, OpClass, Term};
 use dmcp_ir::BinOp;
 use dmcp_mach::NodeId;
-use dmcp_mem::LineAddr;
 
 /// Planner knobs.
 #[derive(Clone, Copy, Debug)]
@@ -68,6 +67,12 @@ impl Default for PlanOptions {
 
 /// Plans the statement instances of one nest placement into
 /// subcomputation steps, walking a [`crate::NestResolution`].
+///
+/// Apart from the steps it returns, planning an instance allocates
+/// nothing once the planner's buffers have grown: the nested-set plan
+/// ([`PlanArena`]), Kruskal's candidate edges and forest, one rooted tree
+/// and node assignment per nesting depth, and `dag_width`'s levels are
+/// all kept across instances.
 pub(crate) struct Planner<'a> {
     layout: &'a Layout,
     opts: PlanOptions,
@@ -82,69 +87,143 @@ pub(crate) struct Planner<'a> {
     /// do not forget at window boundaries, so movement accounting may
     /// credit hits the window-scoped `variable2node` map no longer records
     /// (placement decisions still use only the windowed map, as in the
-    /// paper).
+    /// paper). Only its hot holders are read.
     l1_persist: L1Model,
     /// Load tracker for the balance rule.
     loads: LoadTracker,
-    /// Side effects (L1 touches, load additions) buffered during one
-    /// statement's planning (applied when the statement commits).
-    pending_touches: Vec<(NodeId, LineAddr)>,
+    /// Side effects (L1 touches by dense line id, load additions) buffered
+    /// during one statement's planning (applied when the statement
+    /// commits).
+    pending_touches: Vec<(NodeId, u32)>,
     pending_loads: Vec<(NodeId, f64)>,
     /// `choose_node`'s scored candidates, reused across calls.
     scored: Vec<(u32, u32, NodeId)>,
     /// `choose_node`'s candidate list, reused across calls.
     shortlist: Vec<NodeId>,
+    /// The nested-set plan of the statement being planned.
+    arena: PlanArena,
+    /// Kruskal's buffers, shared by every nested set.
+    kruskal: KruskalScratch,
+    /// `emit_group`'s buffers, one set per nesting depth.
+    emit: Vec<EmitScratch>,
+    /// `dag_width`'s per-step levels and `(level, node)` pairs.
+    levels: Vec<u32>,
+    at_level: Vec<(u32, NodeId)>,
 }
 
-/// One operand location resolved by `GetNode`.
-#[derive(Clone)]
-struct LeafInfo {
-    /// The element; `elem.believed` is its primary (network) source.
-    elem: ElemLoc,
-    /// Candidate compute sites where the data is locally available:
-    /// the believed primary source plus any L1-copy holders.
-    candidates: Vec<NodeId>,
-    /// The subset of `candidates` that are L1 copies.
-    l1_candidates: Vec<NodeId>,
+/// What one MST vertex of a nested set stands for.
+#[derive(Clone, Copy)]
+enum VertexKind {
+    /// Operand `leaf` of the statement instance (an index into its
+    /// resolved operands).
+    Leaf { op: BinOp, leaf: usize },
+    /// The processed inner set `group` (an index into
+    /// [`PlanArena::groups`]), treated as one multi-located component.
+    Sub { op: BinOp, group: usize },
+    /// A constant. Constants are vertices only inside non-reorderable
+    /// (shift) groups, where operand order must be preserved.
+    Const { op: BinOp, value: f64 },
+    /// The outermost set's store node (paper Figure 9c): its MST root.
+    Store,
 }
 
-/// A node of the (recursive) group plan.
-enum PlanNode {
-    Leaf {
-        op: BinOp,
-        info: LeafInfo,
-    },
-    Sub {
-        op: BinOp,
-        plan: GroupPlan,
-    },
-    /// Constants appear as plan nodes only inside non-reorderable (shift)
-    /// groups, where operand order must be preserved.
-    Const {
-        op: BinOp,
-        value: f64,
-    },
+/// An MST vertex of a nested set.
+#[derive(Clone, Copy)]
+struct Vertex {
+    kind: VertexKind,
+    /// Candidate locations, `PlanArena::locs[locs.0..locs.1]`. A leaf lists
+    /// its believed primary source (plus the home bank of a predicted
+    /// miss) and then its L1-copy holders, which start at `l1_from`.
+    locs: (usize, usize),
+    l1_from: usize,
 }
 
-/// A planned nested set: its vertices, MST and constants.
-struct GroupPlan {
+/// A planned nested set.
+#[derive(Clone, Copy)]
+struct GroupSlot {
     class: OpClass,
-    nodes: Vec<PlanNode>,
-    /// Constants of reorderable groups (they have no location; they attach
-    /// to the group's root step).
+    /// Its vertices in element order, `PlanArena::vertices[vertices.0..
+    /// vertices.1]`; the outermost set's store vertex comes last.
+    vertices: (usize, usize),
+    /// Constants of a reorderable group, `PlanArena::consts[consts.0..
+    /// consts.1]`: they have no location and attach to the group's root
+    /// step.
+    consts: (usize, usize),
+    /// The MST over the vertices (indices relative to `vertices.0`),
+    /// `PlanArena::edges[edges.0..edges.1]`.
+    edges: (usize, usize),
+}
+
+/// One statement instance's nested-set plan as flat arenas, cleared (not
+/// freed) per instance.
+#[derive(Default)]
+struct PlanArena {
+    groups: Vec<GroupSlot>,
+    vertices: Vec<Vertex>,
+    locs: Vec<NodeId>,
     consts: Vec<(BinOp, f64)>,
-    /// MST vertices aligned with `nodes` (plus possibly an extra store
-    /// vertex appended by the outermost level).
-    vertices: Vec<MstVertex>,
     edges: Vec<MstEdge>,
 }
 
+impl PlanArena {
+    fn clear(&mut self) {
+        self.groups.clear();
+        self.vertices.clear();
+        self.locs.clear();
+        self.consts.clear();
+        self.edges.clear();
+    }
+
+    fn vertices(&self, g: &GroupSlot) -> &[Vertex] {
+        &self.vertices[g.vertices.0..g.vertices.1]
+    }
+
+    fn consts(&self, g: &GroupSlot) -> &[(BinOp, f64)] {
+        &self.consts[g.consts.0..g.consts.1]
+    }
+
+    fn edges(&self, g: &GroupSlot) -> &[MstEdge] {
+        &self.edges[g.edges.0..g.edges.1]
+    }
+
+    fn locs(&self, v: &Vertex) -> &[NodeId] {
+        &self.locs[v.locs.0..v.locs.1]
+    }
+
+    /// The L1-copy holders among a leaf's candidate locations.
+    fn l1_locs(&self, v: &Vertex) -> &[NodeId] {
+        &self.locs[v.l1_from..v.locs.1]
+    }
+}
+
+/// The statement instance being emitted: its plan and what every one of
+/// its groups shares.
+struct StmtCx<'p> {
+    arena: &'p PlanArena,
+    leaves: &'p [ResolvedLeaf],
+    store: StoreTarget,
+    tag: StmtTag,
+    force: Option<NodeId>,
+}
+
+/// `emit_group`'s buffers for one nesting depth.
+#[derive(Default)]
+struct EmitScratch {
+    tree: RootedTree,
+    node_of: Vec<NodeId>,
+    produced: Vec<Option<Emitted>>,
+}
+
 /// Outcome of emitting a group: where its value is and what it cost.
+#[derive(Clone, Copy)]
 struct Emitted {
     operand: Operand,
     node: NodeId,
     movement: u64,
     l1_hits: u32,
+    /// The operand (an index into the resolved operands) a pass-through
+    /// group hands on as its value.
+    passed: Option<usize>,
 }
 
 impl<'a> Planner<'a> {
@@ -171,6 +250,11 @@ impl<'a> Planner<'a> {
             pending_loads: Vec::new(),
             scored: Vec::new(),
             shortlist: Vec::new(),
+            arena: PlanArena::default(),
+            kruskal: KruskalScratch::default(),
+            emit: Vec::new(),
+            levels: Vec::new(),
+            at_level: Vec::new(),
         }
     }
 
@@ -217,17 +301,19 @@ impl<'a> Planner<'a> {
         let force: Option<NodeId> = if fallback { Some(inst.core) } else { None };
 
         // --- Build the nested-set plan (innermost MSTs first) ----------
-        let mut leaves = leaves.iter();
-        let mut plan = self.plan_group(group, &mut leaves);
-        debug_assert!(leaves.next().is_none(), "every resolved operand is planned");
-
-        // The outermost MST includes the store node as a vertex
-        // (paper Figure 9c) and is rooted there.
-        plan.vertices.push(MstVertex::single(store.home));
-        plan.edges = kruskal(&plan.vertices);
+        // The outermost MST includes the store node as a vertex (paper
+        // Figure 9c) and is rooted there.
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.clear();
+        let mut next_leaf = 0;
+        let outermost =
+            self.plan_group(&mut arena, group, leaves, &mut next_leaf, Some(store.home));
+        debug_assert_eq!(next_leaf, leaves.len(), "every resolved operand is planned");
 
         // --- Emit subcomputations ---------------------------------------
-        let emitted = self.emit_group(steps, &plan, store.home, Some(store), tag, force);
+        let cx = StmtCx { arena: &arena, leaves, store, tag, force };
+        let emitted = self.emit_group(steps, &cx, outermost, store.home, true, 0);
+        self.arena = arena;
         // Ship the result to the store node (zero unless forced elsewhere).
         // A fallback/forced statement IS default execution; its planned
         // movement is the default estimate by definition.
@@ -236,12 +322,12 @@ impl<'a> Planner<'a> {
         } else {
             emitted.movement + u64::from(emitted.node.manhattan(store.home))
         };
-        self.pending_touches.push((store.home, store.line));
+        self.pending_touches.push((store.home, inst.store_line));
         self.apply_pending();
 
         // --- Statistics --------------------------------------------------
         let stmt_steps = &steps[first_step as usize..];
-        let parallelism = dag_width(stmt_steps, first_step);
+        let parallelism = dag_width(stmt_steps, first_step, &mut self.levels, &mut self.at_level);
         let mut remapped = OpMix::default();
         for s in stmt_steps {
             if s.node != inst.core {
@@ -264,226 +350,286 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// `GetNode` (Algorithm 1, line 11), placement-dependent half: adds the
-    /// L1-copy holders to a resolved operand's candidate sites.
-    fn locate_leaf(&self, leaf: &ResolvedLeaf) -> LeafInfo {
-        let mut candidates = vec![leaf.elem.believed];
-        candidates.extend(leaf.miss_home);
-        let mut l1_candidates = Vec::new();
+    /// `GetNode` (Algorithm 1, line 11), placement-dependent half: appends
+    /// a resolved operand's candidate sites to `locs` — its believed
+    /// primary source (and the home bank of a predicted miss), then the
+    /// L1-copy holders — and returns where the holders start.
+    fn locate_leaf(&self, leaf: &ResolvedLeaf, locs: &mut Vec<NodeId>) -> usize {
+        let first = locs.len();
+        locs.push(leaf.elem.believed);
+        locs.extend(leaf.miss_home);
+        let l1_from = locs.len();
         if self.opts.reuse_aware && leaf.analyzable {
             // Window-scoped reuse knowledge (the paper's variable2node map)
             // plus the persistent residency estimator: short-reuse-distance
             // lines (loop-invariant operands) stay cached at their past
             // consumers across windows, like register-promoted scalars.
-            let line = leaf.elem.line;
-            let hot = self.l1_persist.hot_holders(line, 4);
-            for &h in self.l1.holders(line).iter().chain(hot) {
-                if !candidates.contains(&h) {
-                    candidates.push(h);
-                    l1_candidates.push(h);
+            let hot = self.l1_persist.hot_holders(leaf.line, 4);
+            for h in self.l1.holders(leaf.line).chain(hot) {
+                if !locs[first..].contains(&h) {
+                    locs.push(h);
                 }
             }
         }
-        LeafInfo { elem: leaf.elem, candidates, l1_candidates }
+        l1_from
     }
 
-    /// Recursively plans a group: locates leaves, recurses into sub-groups
-    /// (innermost sets are therefore processed first) and builds this
-    /// level's MST.
+    /// Recursively plans a group into `arena`: locates leaves, recurses
+    /// into sub-groups (innermost sets are therefore processed first) and
+    /// builds this level's MST, in the outermost set (`store` given) over
+    /// the store vertex too. Returns the group's index in `arena.groups`.
     fn plan_group(
         &mut self,
+        arena: &mut PlanArena,
         group: &Group,
-        leaves: &mut std::slice::Iter<'_, ResolvedLeaf>,
-    ) -> GroupPlan {
+        leaves: &[ResolvedLeaf],
+        next_leaf: &mut usize,
+        store: Option<NodeId>,
+    ) -> usize {
         let ordered = matches!(group.class, OpClass::Fixed(_));
-        let mut nodes = Vec::new();
-        let mut consts = Vec::new();
+        let consts_first = arena.consts.len();
+        if !ordered {
+            for Element { term, inverted } in &group.elems {
+                if let Term::Const(v) = term {
+                    arena.consts.push((group.class.op_for(*inverted), *v));
+                }
+            }
+        }
+        // This level's vertex slots are reserved before the sub-groups
+        // append theirs, so they stay contiguous.
+        let count =
+            group.elems.iter().filter(|e| ordered || !matches!(e.term, Term::Const(_))).count()
+                + usize::from(store.is_some());
+        let first = arena.vertices.len();
+        arena
+            .vertices
+            .resize(first + count, Vertex { kind: VertexKind::Store, locs: (0, 0), l1_from: 0 });
+        let gi = arena.groups.len();
+        arena.groups.push(GroupSlot {
+            class: group.class,
+            vertices: (first, first + count),
+            consts: (consts_first, arena.consts.len()),
+            edges: (0, 0),
+        });
+
+        let mut slot = first;
         for Element { term, inverted } in &group.elems {
             let op = group.class.op_for(*inverted);
-            match term {
-                Term::Const(v) => {
-                    if ordered {
-                        nodes.push(PlanNode::Const { op, value: *v });
-                    } else {
-                        consts.push((op, *v));
+            let vertex = match term {
+                Term::Const(_) if !ordered => continue,
+                Term::Const(value) => {
+                    let at = arena.locs.len();
+                    arena.locs.push(self.const_anchor);
+                    Vertex {
+                        kind: VertexKind::Const { op, value: *value },
+                        locs: (at, at + 1),
+                        l1_from: at + 1,
                     }
                 }
                 Term::Leaf(_) => {
-                    let leaf = leaves.next().expect("one resolved operand per leaf");
-                    nodes.push(PlanNode::Leaf { op, info: self.locate_leaf(leaf) });
+                    let leaf = *next_leaf;
+                    *next_leaf += 1;
+                    let at = arena.locs.len();
+                    let l1_from = self.locate_leaf(&leaves[leaf], &mut arena.locs);
+                    Vertex {
+                        kind: VertexKind::Leaf { op, leaf },
+                        locs: (at, arena.locs.len()),
+                        l1_from,
+                    }
                 }
                 Term::Group(g) => {
-                    let plan = self.plan_group(g, leaves);
-                    nodes.push(PlanNode::Sub { op, plan });
+                    let sub = self.plan_group(arena, g, leaves, next_leaf, None);
+                    // A processed set is located wherever any of its
+                    // vertices is.
+                    let at = arena.locs.len();
+                    let (from, to) = arena.groups[sub].vertices;
+                    for v in from..to {
+                        let (a, b) = arena.vertices[v].locs;
+                        arena.locs.extend_from_within(a..b);
+                    }
+                    arena.locs[at..].sort_unstable();
+                    dedup_from(&mut arena.locs, at);
+                    if arena.locs.len() == at {
+                        // A constants-only subgroup has no location; it can
+                        // be computed anywhere.
+                        arena.locs.push(self.const_anchor);
+                    }
+                    let end = arena.locs.len();
+                    Vertex {
+                        kind: VertexKind::Sub { op, group: sub },
+                        locs: (at, end),
+                        l1_from: end,
+                    }
                 }
-            }
+            };
+            arena.vertices[slot] = vertex;
+            slot += 1;
         }
-        let vertices: Vec<MstVertex> =
-            nodes.iter().map(|n| plan_vertex(n, self.const_anchor)).collect();
-        let edges = kruskal(&vertices);
-        GroupPlan { class: group.class, nodes, consts, vertices, edges }
+        if let Some(home) = store {
+            let at = arena.locs.len();
+            arena.locs.push(home);
+            arena.vertices[slot] =
+                Vertex { kind: VertexKind::Store, locs: (at, at + 1), l1_from: at + 1 };
+        }
+
+        let edges_first = arena.edges.len();
+        let PlanArena { vertices, locs, edges, .. } = arena;
+        let vs = &vertices[first..first + count];
+        self.kruskal.run(
+            count,
+            |a, b| {
+                loc_distance(&locs[vs[a].locs.0..vs[a].locs.1], &locs[vs[b].locs.0..vs[b].locs.1])
+            },
+            edges,
+        );
+        arena.groups[gi].edges = (edges_first, arena.edges.len());
+        gi
     }
 
-    /// Emits the steps of a planned group, directing its result towards
-    /// `target`. With `store` set this is the statement's outermost group:
-    /// the extra store vertex is the tree root and the final step writes the
-    /// result.
+    /// Emits the steps of planned group `gi`, directing its result towards
+    /// `target`. In the `outermost` group the store vertex is the tree root
+    /// and the final step writes the result. `depth` is the group's
+    /// nesting depth, which picks its `emit_group` buffers.
     fn emit_group(
         &mut self,
         steps: &mut Vec<Step>,
-        plan: &GroupPlan,
+        cx: &StmtCx<'_>,
+        gi: usize,
         target: NodeId,
-        store: Option<StoreTarget>,
-        tag: StmtTag,
-        force: Option<NodeId>,
+        outermost: bool,
+        depth: usize,
     ) -> Emitted {
+        let arena = cx.arena;
+        let g = arena.groups[gi];
+        let vertices = arena.vertices(&g);
         // Pass-through: a single non-inverted element with no constants
         // needs no step of its own (its consumer folds it directly).
-        if store.is_none() && plan.consts.is_empty() && plan.nodes.len() == 1 {
-            let base_op = plan.class.op_for(false);
-            match &plan.nodes[0] {
-                PlanNode::Leaf { op, info } if *op == base_op => {
-                    let node = info
-                        .candidates
-                        .iter()
-                        .copied()
-                        .min_by_key(|&c| (c.manhattan(target), c))
-                        .expect("candidates non-empty");
+        if !outermost && arena.consts(&g).is_empty() && vertices.len() == 1 {
+            let base_op = g.class.op_for(false);
+            match vertices[0].kind {
+                VertexKind::Leaf { op, leaf } if op == base_op => {
+                    let (node, _) = nearest(arena.locs(&vertices[0]), target);
                     return Emitted {
-                        operand: Operand::Elem(info.elem),
+                        operand: Operand::Elem(cx.leaves[leaf].elem),
                         node,
                         movement: 0,
                         l1_hits: 0,
+                        passed: Some(leaf),
                     };
                 }
-                PlanNode::Sub { op, plan: sub } if *op == base_op => {
-                    return self.emit_group(steps, sub, target, None, tag, force);
+                VertexKind::Sub { op, group } if op == base_op => {
+                    return self.emit_group(steps, cx, group, target, false, depth + 1);
                 }
                 _ => {}
             }
         }
 
-        if let OpClass::Fixed(_) = plan.class {
-            return self.emit_fixed(steps, plan, target, store, tag, force);
+        if let OpClass::Fixed(_) = g.class {
+            return self.emit_fixed(steps, cx, &g, target, outermost, depth);
         }
 
-        let n = plan.vertices.len();
+        let n = vertices.len();
         if n == 0 {
-            // Constants only. As a nested subgroup (e.g. the `(2 + 3)` in
-            // `A[i] = (2 + 3) & 63`) the group folds to a compile-time
+            // Constants only (the outermost set always has its store
+            // vertex, so this is a nested subgroup, e.g. the `(2 + 3)` in
+            // `A[i] = (2 + 3) & 63`): the group folds to a compile-time
             // value: no step, no movement — the consumer folds the
             // constant directly.
-            let Some(st) = store else {
-                let mut value = plan.class.identity();
-                for &(op, v) in &plan.consts {
-                    value = op.apply(value, v);
-                }
-                return Emitted {
-                    operand: Operand::Const(value),
-                    node: target,
-                    movement: 0,
-                    l1_hits: 0,
-                };
+            let mut value = g.class.identity();
+            for &(op, v) in arena.consts(&g) {
+                value = op.apply(value, v);
+            }
+            return Emitted {
+                operand: Operand::Const(value),
+                node: target,
+                movement: 0,
+                l1_hits: 0,
+                passed: None,
             };
-            // At statement level (e.g. `A[i] = 3`): a single store step.
-            let node = force.unwrap_or(st.home);
-            let id = SubId(steps.len() as u32);
-            let step = Step {
-                id,
-                node,
-                seed: Some(plan.class.identity()),
-                inputs: plan
-                    .consts
-                    .iter()
-                    .map(|&(op, v)| StepInput { op, operand: Operand::Const(v) })
-                    .collect(),
-                store: Some(st),
-                waits: Vec::new(),
-                tag,
-            };
-            self.pending_loads.push((node, step_load(&step, self.div_factor())));
-            steps.push(step);
-            return Emitted { operand: Operand::Temp(id), node, movement: 0, l1_hits: 0 };
         }
 
         // Root selection: the store vertex if present, else the vertex
         // nearest to the requested target.
-        let root = if store.is_some() {
+        let root = if outermost {
             n - 1 // the appended store vertex
         } else {
             (0..n)
                 .min_by_key(|&i| {
-                    let (node, d) = plan.vertices[i].nearest_to(target);
+                    let (node, d) = nearest(arena.locs(&vertices[i]), target);
                     (d, node, i)
                 })
                 .expect("non-empty vertex set")
         };
-        let tree = RootedTree::build(n, &plan.edges, root);
+        if self.emit.len() <= depth {
+            self.emit.resize_with(depth + 1, EmitScratch::default);
+        }
+        let mut s = std::mem::take(&mut self.emit[depth]);
+        s.tree.rebuild(n, arena.edges(&g), root);
 
         // Top-down concrete node assignment. Steps are emitted by internal
         // vertices and by the root; only those are forced/balanced.
-        let mut node_of = vec![NodeId::new(0, 0); n];
-        let preorder: Vec<usize> = tree.postorder.iter().rev().copied().collect();
-        for &v in &preorder {
-            let anchor = match tree.parent[v] {
+        s.node_of.clear();
+        s.node_of.resize(n, NodeId::default());
+        for &v in s.tree.postorder().iter().rev() {
+            let anchor = match s.tree.parent(v) {
                 None => target,
-                Some(p) => node_of[p],
+                Some(p) => s.node_of[p],
             };
-            let emits_step = !tree.is_leaf(v) || v == root;
-            node_of[v] = match force {
+            let emits_step = !s.tree.is_leaf(v) || v == root;
+            let locs = arena.locs(&vertices[v]);
+            s.node_of[v] = match cx.force {
                 Some(f) if emits_step => f,
-                _ => {
-                    if emits_step {
-                        self.choose_node(&plan.vertices[v], anchor, cost_estimate(plan, v))
-                    } else {
-                        plan.vertices[v].nearest_to(anchor).0
-                    }
-                }
+                _ if emits_step => self.choose_node(locs, anchor, cost_estimate(vertices[v].kind)),
+                _ => nearest(locs, anchor).0,
             };
         }
-        if store.is_some() && force.is_none() {
+        if outermost && cx.force.is_none() {
             // The final subcomputation always runs at the store node: the
             // result is never migrated (Section 4.5).
-            node_of[root] = plan.vertices[root].locs[0];
+            s.node_of[root] = cx.store.home;
         }
 
         // Bottom-up emission: one step per internal vertex (plus the root).
-        let mut produced: Vec<Option<Emitted>> = (0..n).map(|_| None).collect();
+        s.produced.clear();
+        s.produced.resize(n, None);
         let mut total_movement = 0u64;
         let mut total_l1 = 0u32;
-        for &v in &tree.postorder {
+        for &v in s.tree.postorder() {
             let is_root = v == root;
-            let is_store_root = is_root && store.is_some();
-            if tree.is_leaf(v) && !is_root {
+            let is_store_root = is_root && outermost;
+            if s.tree.is_leaf(v) && !is_root {
                 continue; // folded into the parent's step
             }
 
-            let exec = node_of[v];
-            let mut inputs = Vec::new();
+            let exec = s.node_of[v];
+            let children = s.tree.children(v);
+            let consts = if is_root { arena.consts(&g) } else { &[] };
+            let mut inputs =
+                Vec::with_capacity(usize::from(!is_store_root) + children.len() + consts.len());
             // Own element (absent for the synthetic store vertex).
             if !is_store_root {
                 let (op, operand, fetch, l1h) =
-                    self.vertex_operand(steps, plan, v, exec, tag, force);
+                    self.vertex_operand(steps, cx, &vertices[v], exec, depth);
                 total_movement += fetch;
                 total_l1 += l1h;
                 inputs.push(StepInput { op, operand });
             }
             // Children contributions.
-            for &c in &tree.children[v] {
-                match produced[c].take() {
+            for &c in children {
+                match s.produced[c].take() {
                     Some(e) => {
                         // A sub-result produced by an earlier step travels
                         // from its node to here. Its own inversion (if any)
                         // already happened inside that step, so the class's
                         // base operator folds it in.
                         total_movement += u64::from(e.node.manhattan(exec));
-                        inputs.push(StepInput { op: plan.class.op_for(false), operand: e.operand });
+                        inputs.push(StepInput { op: g.class.op_for(false), operand: e.operand });
                     }
                     None => {
                         // A tree-leaf child: fetch its element or emit its
                         // sub-group directed at us.
                         let (op, operand, fetch, l1h) =
-                            self.vertex_operand(steps, plan, c, exec, tag, force);
+                            self.vertex_operand(steps, cx, &vertices[c], exec, depth);
                         total_movement += fetch;
                         total_l1 += l1h;
                         inputs.push(StepInput { op, operand });
@@ -491,33 +637,37 @@ impl<'a> Planner<'a> {
                 }
             }
             // Constants attach to the root step of their group.
-            if is_root {
-                inputs.extend(
-                    plan.consts.iter().map(|&(op, c)| StepInput { op, operand: Operand::Const(c) }),
-                );
-            }
+            inputs
+                .extend(consts.iter().map(|&(op, c)| StepInput { op, operand: Operand::Const(c) }));
             let id = SubId(steps.len() as u32);
             let step = Step {
                 id,
                 node: exec,
-                seed: Some(plan.class.identity()),
+                seed: Some(g.class.identity()),
                 inputs,
-                store: if is_store_root { store } else { None },
+                store: is_store_root.then_some(cx.store),
                 waits: Vec::new(),
-                tag,
+                tag: cx.tag,
             };
             self.pending_loads.push((exec, step_load(&step, self.div_factor())));
             steps.push(step);
-            produced[v] =
-                Some(Emitted { operand: Operand::Temp(id), node: exec, movement: 0, l1_hits: 0 });
+            s.produced[v] = Some(Emitted {
+                operand: Operand::Temp(id),
+                node: exec,
+                movement: 0,
+                l1_hits: 0,
+                passed: None,
+            });
         }
 
-        let root_emit = produced[root].take().expect("root emitted a step");
+        let root_emit = s.produced[root].take().expect("root emitted a step");
+        self.emit[depth] = s;
         Emitted {
             operand: root_emit.operand,
             node: root_emit.node,
             movement: total_movement,
             l1_hits: total_l1,
+            passed: None,
         }
     }
 
@@ -525,35 +675,35 @@ impl<'a> Planner<'a> {
     fn emit_fixed(
         &mut self,
         steps: &mut Vec<Step>,
-        plan: &GroupPlan,
+        cx: &StmtCx<'_>,
+        g: &GroupSlot,
         target: NodeId,
-        store: Option<StoreTarget>,
-        tag: StmtTag,
-        force: Option<NodeId>,
+        outermost: bool,
+        depth: usize,
     ) -> Emitted {
-        debug_assert_eq!(plan.nodes.len(), 2, "fixed groups have exactly two elements");
-        let exec = match (force, &store) {
+        let arena = cx.arena;
+        let vertices = arena.vertices(g);
+        // The outermost set's store vertex is no operand.
+        let operands = &vertices[..vertices.len() - usize::from(outermost)];
+        debug_assert_eq!(operands.len(), 2, "fixed groups have exactly two elements");
+        let exec = match (cx.force, outermost) {
             (Some(f), _) => f,
-            (None, Some(st)) => st.home,
-            (None, None) => {
+            (None, true) => cx.store.home,
+            (None, false) => {
                 // Cheapest located node among the operands w.r.t. the target.
-                let mut cands: Vec<NodeId> = plan
-                    .nodes
+                operands
                     .iter()
-                    .zip(&plan.vertices)
-                    .filter(|(n, _)| !matches!(n, PlanNode::Const { .. }))
-                    .flat_map(|(_, v)| v.locs.iter().copied())
-                    .collect();
-                cands.sort();
-                cands.dedup();
-                cands.into_iter().min_by_key(|&c| (c.manhattan(target), c)).unwrap_or(target)
+                    .filter(|v| !matches!(v.kind, VertexKind::Const { .. }))
+                    .flat_map(|v| arena.locs(v).iter().copied())
+                    .min_by_key(|&c| (c.manhattan(target), c))
+                    .unwrap_or(target)
             }
         };
         let mut movement = 0u64;
         let mut l1_hits = 0u32;
-        let mut inputs = Vec::new();
-        for v in 0..plan.nodes.len() {
-            let (op, operand, fetch, l1h) = self.vertex_operand(steps, plan, v, exec, tag, force);
+        let mut inputs = Vec::with_capacity(operands.len());
+        for v in operands {
+            let (op, operand, fetch, l1h) = self.vertex_operand(steps, cx, v, exec, depth);
             movement += fetch;
             l1_hits += l1h;
             // The first operand seeds the accumulator (seed: None), its op
@@ -562,108 +712,151 @@ impl<'a> Planner<'a> {
             inputs.push(StepInput { op: applied, operand });
         }
         let id = SubId(steps.len() as u32);
-        let step = Step { id, node: exec, seed: None, inputs, store, waits: Vec::new(), tag };
+        let store = outermost.then_some(cx.store);
+        let step =
+            Step { id, node: exec, seed: None, inputs, store, waits: Vec::new(), tag: cx.tag };
         self.pending_loads.push((exec, step_load(&step, self.div_factor())));
         steps.push(step);
-        Emitted { operand: Operand::Temp(id), node: exec, movement, l1_hits }
+        Emitted { operand: Operand::Temp(id), node: exec, movement, l1_hits, passed: None }
     }
 
-    /// The operand contributed by plan vertex `v` to a step executing at
-    /// `exec`: `(fold op, operand, movement, planned L1 hits)`.
+    /// The operand contributed by `vertex` (of a group at nesting `depth`)
+    /// to a step executing at `exec`: `(fold op, operand, movement,
+    /// planned L1 hits)`.
     fn vertex_operand(
         &mut self,
         steps: &mut Vec<Step>,
-        plan: &GroupPlan,
-        v: usize,
+        cx: &StmtCx<'_>,
+        vertex: &Vertex,
         exec: NodeId,
-        tag: StmtTag,
-        force: Option<NodeId>,
+        depth: usize,
     ) -> (BinOp, Operand, u64, u32) {
-        match &plan.nodes[v] {
-            PlanNode::Leaf { op, info } => {
-                let (src, l1h) = self.fetch_source(info, exec);
-                self.pending_touches.push((exec, info.elem.line));
-                (*op, Operand::Elem(info.elem), u64::from(src.manhattan(exec)), l1h)
+        match vertex.kind {
+            VertexKind::Leaf { op, leaf } => {
+                let leaf = &cx.leaves[leaf];
+                let (src, l1h) = self.fetch_source(cx.arena.l1_locs(vertex), leaf, exec);
+                self.pending_touches.push((exec, leaf.line));
+                (op, Operand::Elem(leaf.elem), u64::from(src.manhattan(exec)), l1h)
             }
-            PlanNode::Sub { op, plan: sub } => {
-                let e = self.emit_group(steps, sub, exec, None, tag, force);
-                if let Operand::Elem(el) = e.operand {
+            VertexKind::Sub { op, group } => {
+                let e = self.emit_group(steps, cx, group, exec, false, depth + 1);
+                if let Some(leaf) = e.passed {
                     // Pass-through element: `e.node` is its replica nearest
                     // to us. A local replica (our own L1 copy, or we are the
                     // home/primary) costs nothing; otherwise the fetch comes
                     // over the network from the believed primary source.
+                    let leaf = &cx.leaves[leaf];
+                    let believed = leaf.elem.believed;
                     let (src, hit) = if e.node == exec {
-                        (exec, u32::from(el.believed != exec))
+                        (exec, u32::from(believed != exec))
                     } else {
-                        (el.believed, 0)
+                        (believed, 0)
                     };
-                    self.pending_touches.push((exec, el.line));
-                    (*op, e.operand, e.movement + u64::from(src.manhattan(exec)), e.l1_hits + hit)
+                    self.pending_touches.push((exec, leaf.line));
+                    (op, e.operand, e.movement + u64::from(src.manhattan(exec)), e.l1_hits + hit)
                 } else {
-                    (*op, e.operand, e.movement + u64::from(e.node.manhattan(exec)), e.l1_hits)
+                    (op, e.operand, e.movement + u64::from(e.node.manhattan(exec)), e.l1_hits)
                 }
             }
-            PlanNode::Const { op, value } => (*op, Operand::Const(*value), 0, 0),
+            VertexKind::Const { op, value } => (op, Operand::Const(value), 0, 0),
+            VertexKind::Store => unreachable!("the store vertex is the root and brings no operand"),
         }
     }
 
     /// Where a leaf's data actually comes from when consumed at `exec`.
-    /// L1 copies are private: they only help when `exec` itself holds the
-    /// line; otherwise the fetch goes over the network from the believed
-    /// primary source (or is free if `exec` *is* the primary).
-    fn fetch_source(&self, info: &LeafInfo, exec: NodeId) -> (NodeId, u32) {
-        if info.l1_candidates.contains(&exec)
-            || (self.opts.reuse_aware && self.l1_persist.holds(exec, info.elem.line))
+    /// L1 copies (`l1_candidates`) are private: they only help when `exec`
+    /// itself holds the line; otherwise the fetch goes over the network
+    /// from the believed primary source (or is free if `exec` *is* the
+    /// primary).
+    fn fetch_source(
+        &self,
+        l1_candidates: &[NodeId],
+        leaf: &ResolvedLeaf,
+        exec: NodeId,
+    ) -> (NodeId, u32) {
+        if l1_candidates.contains(&exec)
+            || (self.opts.reuse_aware && self.l1_persist.holds(exec, leaf.line))
         {
             (exec, 1)
         } else {
-            (info.elem.believed, 0)
+            (leaf.elem.believed, 0)
         }
     }
 
-    /// Chooses the concrete node for a step-emitting MST vertex: candidates
-    /// are tried in order of distance from `anchor`; an overloaded node is
-    /// skipped in favour of the next one (paper Section 4.5), falling back
-    /// to the least-loaded candidate when all would overload.
-    fn choose_node(&mut self, vertex: &MstVertex, anchor: NodeId, cost: f64) -> NodeId {
-        // Candidates: every mesh node, ordered by the true movement cost of
-        // executing the subcomputation there — fetching the vertex's datum
-        // from its nearest replica plus forwarding the result toward the
-        // anchor. Data-local sites come first; the balance rule walks down
-        // the list ("skips this node and moves to the next one",
-        // Section 4.5), trading bounded extra links for balance.
+    /// Chooses the concrete node for a step-emitting MST vertex located at
+    /// `locs`: candidates are tried in order of distance from `anchor`; an
+    /// overloaded node is skipped in favour of the next one (paper Section
+    /// 4.5), falling back to the least-loaded candidate when all would
+    /// overload.
+    ///
+    /// Candidates: every live mesh node, ordered by `(cost, fetch, node)`:
+    /// the true movement cost of executing the subcomputation there —
+    /// fetching the vertex's datum from its nearest replica plus
+    /// forwarding the result toward the anchor — with ties broken toward
+    /// the smaller *fetch* leg (every node on the data→anchor path has the
+    /// same total, but near-data processing wants the subcomputation at
+    /// the data). Data-local sites come first; the balance rule walks down
+    /// the list ("skips this node and moves to the next one", Section
+    /// 4.5), trading bounded extra links for balance.
+    fn choose_node(&mut self, locs: &[NodeId], anchor: NodeId, cost: f64) -> NodeId {
+        let chosen = match self.cheapest_site(locs, anchor) {
+            Some(n) if !self.loads.would_overload(n, cost) => n,
+            _ => self.first_balanced_site(locs, anchor, cost),
+        };
+        self.pending_loads.push((chosen, cost));
+        chosen
+    }
+
+    /// The head of `choose_node`'s candidate list, found without scoring
+    /// the mesh: no node costs less than the locations' own distance to
+    /// the anchor (its fetch leg plus its forward leg cover at least that,
+    /// by the triangle inequality), and a location reaches it with a zero
+    /// fetch leg. So the head is the smallest live location at the least
+    /// distance — `None` only when those locations are all dead.
+    fn cheapest_site(&self, locs: &[NodeId], anchor: NodeId) -> Option<NodeId> {
+        let least = locs.iter().map(|l| l.manhattan(anchor)).min()?;
+        locs.iter()
+            .copied()
+            .filter(|&l| l.manhattan(anchor) == least && self.layout.is_live(l))
+            .min()
+    }
+
+    /// `choose_node`'s full walk: scores every live node (dead nodes are
+    /// excluded outright — a step may never execute there), keeps detours
+    /// of up to 3 extra links and lets the balance rule pick.
+    fn first_balanced_site(&mut self, locs: &[NodeId], anchor: NodeId, cost: f64) -> NodeId {
         let mesh = self.layout.machine().mesh;
-        // Ties on total cost break toward the smaller *fetch* leg: every
-        // node on the data→anchor path has the same total, but near-data
-        // processing wants the subcomputation at the data.
-        // Under degraded mode dead nodes are excluded outright — a step may
-        // never execute there. On a healthy machine the filter passes every
-        // node, leaving the candidate order untouched.
         self.scored.clear();
-        let mut best = u32::MAX;
         for n in mesh.nodes().filter(|&n| self.layout.is_live(n)) {
-            let fetch =
-                vertex.locs.iter().map(|&l| l.manhattan(n)).min().expect("vertex has locations");
-            let total = fetch + n.manhattan(anchor);
-            best = best.min(total);
-            self.scored.push((total, fetch, n));
+            let fetch = locs.iter().map(|&l| l.manhattan(n)).min().expect("vertex has locations");
+            self.scored.push((fetch + n.manhattan(anchor), fetch, n));
         }
-        // Only consider detours of up to 3 extra links — beyond that the
-        // movement penalty outweighs balance. `(cost, fetch, node)` is a
-        // total order, so sorting only the kept subset gives the same list
-        // as sorting everything.
+        // Beyond 3 extra links the movement penalty outweighs balance.
+        // `(cost, fetch, node)` is a total order, so sorting only the kept
+        // subset gives the same list as sorting everything.
+        let best = self.scored.iter().map(|&(c, _, _)| c).min().unwrap_or(0);
         self.scored.retain(|&(c, _, _)| c <= best + 3);
         self.scored.sort_unstable();
         self.shortlist.clear();
         self.shortlist.extend(self.scored.iter().map(|&(_, _, n)| n));
-        let chosen = self.loads.select(&self.shortlist, cost);
-        self.pending_loads.push((chosen, cost));
-        chosen
+        self.loads.select(&self.shortlist, cost)
     }
 
     fn div_factor(&self) -> f64 {
         self.layout.machine().latency.div_factor
     }
+}
+
+/// Removes consecutive duplicates from `v[from..]` (a sorted tail).
+fn dedup_from(v: &mut Vec<NodeId>, from: usize) {
+    let mut kept = from;
+    for i in from..v.len() {
+        if kept == from || v[i] != v[kept - 1] {
+            v[kept] = v[i];
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
 }
 
 /// Load-units of one step: its ALU cost plus an estimated service time for
@@ -676,46 +869,31 @@ fn step_load(step: &Step, div_factor: f64) -> f64 {
 
 /// Rough op-cost estimate of the step a vertex will emit (for the balance
 /// rule, before the step is actually built).
-fn cost_estimate(plan: &GroupPlan, v: usize) -> f64 {
-    match &plan.nodes.get(v) {
-        Some(PlanNode::Leaf { op, .. })
-        | Some(PlanNode::Sub { op, .. })
-        | Some(PlanNode::Const { op, .. }) => op.cost(10.0) + 16.0,
-        None => 16.0, // the synthetic store vertex
-    }
-}
-
-/// `const_anchor` is the site location-free operands (constants,
-/// constants-only subgroups) are anchored at (see `Planner::const_anchor`):
-/// a dead anchor would leak dead nodes into the schedule.
-fn plan_vertex(node: &PlanNode, const_anchor: NodeId) -> MstVertex {
-    match node {
-        PlanNode::Leaf { info, .. } => MstVertex::multi(info.candidates.clone()),
-        PlanNode::Sub { plan, .. } => {
-            let mut locs: Vec<NodeId> =
-                plan.vertices.iter().flat_map(|v| v.locs.iter().copied()).collect();
-            locs.sort();
-            locs.dedup();
-            if locs.is_empty() {
-                // A constants-only subgroup has no location; it can be
-                // computed anywhere.
-                locs.push(const_anchor);
-            }
-            MstVertex::multi(locs)
+fn cost_estimate(kind: VertexKind) -> f64 {
+    match kind {
+        VertexKind::Leaf { op, .. } | VertexKind::Sub { op, .. } | VertexKind::Const { op, .. } => {
+            op.cost(10.0) + 16.0
         }
-        PlanNode::Const { .. } => MstVertex::single(const_anchor),
+        VertexKind::Store => 16.0,
     }
 }
 
 /// Degree of subcomputation parallelism of one statement (Figure 14): the
 /// widest antichain of its step DAG, counting *distinct nodes* per level —
 /// two subcomputations on the same node serialize and are not parallel.
-fn dag_width(stmt_steps: &[Step], first_id: u32) -> u32 {
+/// `level` and `at_level` are reused buffers.
+fn dag_width(
+    stmt_steps: &[Step],
+    first_id: u32,
+    level: &mut Vec<u32>,
+    at_level: &mut Vec<(u32, NodeId)>,
+) -> u32 {
     if stmt_steps.is_empty() {
         return 0;
     }
-    let mut level = vec![0u32; stmt_steps.len()];
-    let mut at_level: Vec<(u32, NodeId)> = Vec::with_capacity(stmt_steps.len());
+    level.clear();
+    level.resize(stmt_steps.len(), 0);
+    at_level.clear();
     for (k, s) in stmt_steps.iter().enumerate() {
         let mut lvl = 0;
         for input in &s.inputs {

@@ -11,7 +11,8 @@
 ///
 /// `preds[i]` lists predecessors of node `i`; every predecessor index must
 /// be `< i` (the schedule's step order is already topological). Returns the
-/// reduced predecessor lists and the number of arcs removed.
+/// reduced predecessor lists and the number of arcs removed. `sync_nest`
+/// runs the same reduction with its buffers kept across windows.
 ///
 /// # Examples
 ///
@@ -25,45 +26,72 @@
 /// assert_eq!(removed, 1);
 /// ```
 pub fn transitive_reduce(preds: &[Vec<usize>]) -> (Vec<Vec<usize>>, u64) {
-    let n = preds.len();
-    let words = n.div_ceil(64);
-    // ancestors[i] = bitset of all strict ancestors of i.
-    let mut ancestors: Vec<Vec<u64>> = vec![vec![0; words]; n];
-    let mut reduced = vec![Vec::new(); n];
-    let mut removed = 0u64;
+    let mut reducer = TransitiveReducer::default();
+    let (_, removed) = reducer.reduce(preds);
+    (reducer.reduced, removed)
+}
 
-    for i in 0..n {
-        // Sort predecessors descending so "later" (deeper) predecessors are
-        // considered first; a later predecessor can imply an earlier one but
-        // never vice versa (edges go forward in topological order).
-        let mut ps: Vec<usize> = preds[i].clone();
-        ps.sort_unstable_by(|a, b| b.cmp(a));
-        ps.dedup();
-        let mut kept: Vec<usize> = Vec::with_capacity(ps.len());
-        for &p in &ps {
-            debug_assert!(p < i, "predecessor {p} of {i} not topologically earlier");
-            // p is redundant if it is an ancestor of an already-kept pred.
-            let implied = kept.iter().any(|&k| ancestors[k][p / 64] & (1u64 << (p % 64)) != 0);
-            if implied {
-                removed += 1;
-            } else {
-                kept.push(p);
-            }
+/// The buffers of [`transitive_reduce`] — ancestor bitsets, the
+/// predecessor list being reduced and the reduced lists — kept across
+/// graphs, so reducing window after window allocates only while they grow.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TransitiveReducer {
+    /// Node `i`'s strict ancestors: bitset `ancestors[i * words..][..words]`.
+    ancestors: Vec<u64>,
+    /// One node's predecessors, deduplicated, latest first.
+    order: Vec<usize>,
+    reduced: Vec<Vec<usize>>,
+}
+
+impl TransitiveReducer {
+    /// Reduces `preds` exactly as [`transitive_reduce`] does; the reduced
+    /// lists returned are valid until the next call.
+    pub(crate) fn reduce(&mut self, preds: &[Vec<usize>]) -> (&[Vec<usize>], u64) {
+        let n = preds.len();
+        let words = n.div_ceil(64);
+        self.ancestors.clear();
+        self.ancestors.resize(n * words, 0);
+        if self.reduced.len() < n {
+            self.reduced.resize_with(n, Vec::new);
         }
-        // Build ancestor set of i from kept arcs (reduction preserves
-        // reachability, so kept arcs suffice).
-        let mut anc = vec![0u64; words];
-        for &p in &kept {
-            anc[p / 64] |= 1u64 << (p % 64);
-            for w in 0..words {
-                anc[w] |= ancestors[p][w];
+        let mut removed = 0u64;
+
+        for (i, kept) in self.reduced[..n].iter_mut().enumerate() {
+            // Sort predecessors descending so "later" (deeper) predecessors
+            // are considered first; a later predecessor can imply an earlier
+            // one but never vice versa (edges go forward in topological
+            // order).
+            self.order.clear();
+            self.order.extend_from_slice(&preds[i]);
+            self.order.sort_unstable_by(|a, b| b.cmp(a));
+            self.order.dedup();
+            kept.clear();
+            for &p in &self.order {
+                debug_assert!(p < i, "predecessor {p} of {i} not topologically earlier");
+                // p is redundant if it is an ancestor of an already-kept pred.
+                let implied = kept
+                    .iter()
+                    .any(|&k| self.ancestors[k * words + p / 64] & (1u64 << (p % 64)) != 0);
+                if implied {
+                    removed += 1;
+                } else {
+                    kept.push(p);
+                }
             }
+            // Build ancestor set of i from kept arcs (reduction preserves
+            // reachability, so kept arcs suffice).
+            let (earlier, row) = self.ancestors.split_at_mut(i * words);
+            let row = &mut row[..words];
+            for &p in kept.iter() {
+                row[p / 64] |= 1u64 << (p % 64);
+                for (w, a) in row.iter_mut().zip(&earlier[p * words..(p + 1) * words]) {
+                    *w |= a;
+                }
+            }
+            kept.sort_unstable();
         }
-        ancestors[i] = anc;
-        kept.sort_unstable();
-        reduced[i] = kept;
+        (&self.reduced[..n], removed)
     }
-    (reduced, removed)
 }
 
 /// `true` if node `a` can reach node `b` (a < b) through the arcs.
@@ -141,6 +169,22 @@ mod tests {
                     "reachability {a}->{b} changed"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_reused_reducer_matches_fresh_reductions() {
+        let graphs: Vec<Vec<Vec<usize>>> = vec![
+            vec![vec![], vec![0], vec![1], vec![0, 1, 2]],
+            vec![vec![], vec![0, 0]],
+            (0..70).map(|i| (0..i).collect()).collect(),
+            vec![vec![], vec![0], vec![0], vec![0, 1, 2]],
+        ];
+        let mut reducer = TransitiveReducer::default();
+        for preds in &graphs {
+            let (want, want_removed) = transitive_reduce(preds);
+            let (got, removed) = reducer.reduce(preds);
+            assert_eq!((got, removed), (want.as_slice(), want_removed));
         }
     }
 

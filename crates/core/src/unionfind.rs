@@ -14,7 +14,7 @@
 /// assert!(uf.connected(0, 1));
 /// assert!(!uf.connected(0, 2));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
@@ -24,7 +24,18 @@ pub struct UnionFind {
 impl UnionFind {
     /// Creates `len` singleton sets.
     pub fn new(len: usize) -> Self {
-        Self { parent: (0..len).collect(), rank: vec![0; len], components: len }
+        let mut uf = Self::default();
+        uf.reset(len);
+        uf
+    }
+
+    /// Makes this `len` singleton sets again, reusing the buffers.
+    pub(crate) fn reset(&mut self, len: usize) {
+        self.parent.clear();
+        self.parent.extend(0..len);
+        self.rank.clear();
+        self.rank.resize(len, 0);
+        self.components = len;
     }
 
     /// Number of elements.
@@ -122,6 +133,18 @@ mod tests {
         }
         assert_eq!(uf.components(), 1);
         assert!(uf.connected(0, 9));
+    }
+
+    #[test]
+    fn reset_forgets_every_union() {
+        let mut uf = UnionFind::new(4);
+        uf.union(0, 1);
+        uf.union(2, 3);
+        uf.reset(6);
+        assert_eq!(uf.len(), 6);
+        assert_eq!(uf.components(), 6);
+        assert!(!uf.connected(0, 1));
+        assert!(uf.union(4, 5));
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! data; the map is cleared at window boundaries (scheduling knowledge does
 //! not cross windows — Figure 12c).
 //!
-//! While planning, exact element-level dependences are tracked with
-//! last-writer / readers-since-write maps, producing the synchronization
-//! arcs that guarantee correctness; redundant arcs are removed per window by
-//! transitive reduction ([`crate::sync`]).
+//! After placement, exact element-level dependences are tracked per
+//! element (its last writer and its readers since that write), producing
+//! the synchronization arcs that guarantee correctness; redundant arcs are
+//! removed per window by transitive reduction ([`crate::sync`]).
 
 use crate::layout::Layout;
 use crate::resolve::NestResolution;
 use crate::split::{PlanOptions, Planner};
 use crate::stats::{OpMix, StmtRecord};
 use crate::step::{Operand, Schedule, Step, StmtTag, SubId};
-use crate::sync::transitive_reduce;
+use crate::sync::TransitiveReducer;
 use dmcp_ir::ArrayId;
 use std::collections::HashMap;
 
@@ -196,6 +196,7 @@ pub fn sync_nest(plan: &mut NestPlan) {
     let window = plan.stats.window_size.max(1);
     let steps = &mut plan.schedule.steps;
     let mut deps = DepTracker::default();
+    let mut scratch = ReduceScratch::default();
     let mut syncs_before = 0u64;
     let mut syncs_after = 0u64;
 
@@ -208,7 +209,7 @@ pub fn sync_nest(plan: &mut NestPlan) {
             // Reduce over the prefix that existed at this boundary during
             // placement: later windows' steps must stay out of scope.
             let end = rec.last_step as usize;
-            let (before, after) = reduce_window(&mut steps[..end], window_first_step);
+            let (before, after) = reduce_window(&mut steps[..end], window_first_step, &mut scratch);
             syncs_before += before;
             syncs_after += after;
             window_first_step = end;
@@ -216,7 +217,7 @@ pub fn sync_nest(plan: &mut NestPlan) {
         }
     }
     if in_window > 0 {
-        let (before, after) = reduce_window(steps, window_first_step);
+        let (before, after) = reduce_window(steps, window_first_step, &mut scratch);
         syncs_before += before;
         syncs_after += after;
     }
@@ -225,68 +226,95 @@ pub fn sync_nest(plan: &mut NestPlan) {
 }
 
 /// Element-level dependence tracking: inserts inter-statement wait arcs.
+///
+/// Each `(array, element)` is interned to a dense id on its first access
+/// (one hash probe per access); the last writer and the readers since
+/// that write live in vectors indexed by the id.
 #[derive(Default)]
 struct DepTracker {
-    last_write: HashMap<(ArrayId, u64), SubId>,
-    readers: HashMap<(ArrayId, u64), Vec<SubId>>,
+    ids: HashMap<(ArrayId, u64), u32>,
+    /// Last writer of each element.
+    last_write: Vec<Option<SubId>>,
+    /// Readers of each element since its last write.
+    readers: Vec<Vec<SubId>>,
+    /// The wait list of the step being wired.
+    waits: Vec<SubId>,
 }
 
 impl DepTracker {
+    /// Dense id of `(array, elem)`.
+    fn id(&mut self, array: ArrayId, elem: u64) -> usize {
+        let next = u32::try_from(self.ids.len()).expect("fewer than 2^32 elements per nest");
+        let id = *self.ids.entry((array, elem)).or_insert(next) as usize;
+        if id == self.last_write.len() {
+            self.last_write.push(None);
+            self.readers.push(Vec::new());
+        }
+        id
+    }
+
     /// Wires dependences for the freshly planned steps `[first, last)`.
-    #[allow(clippy::needless_range_loop)] // parallel reads+writes of `steps`
     fn wire(&mut self, steps: &mut [Step], first: usize, last: usize) {
-        for k in first..last {
-            let id = steps[k].id;
-            let mut waits: Vec<SubId> = Vec::new();
+        for step in &mut steps[first..last] {
+            let id = step.id;
+            self.waits.clear();
             // Flow: wait for the last writer of every element we read.
-            for input in &steps[k].inputs {
+            for input in &step.inputs {
                 if let Operand::Elem(e) = input.operand {
-                    let key = (e.array, e.elem);
-                    if let Some(&w) = self.last_write.get(&key) {
-                        if w != id {
-                            waits.push(w);
-                        }
+                    let x = self.id(e.array, e.elem);
+                    if let Some(w) = self.last_write[x].filter(|&w| w != id) {
+                        self.waits.push(w);
                     }
-                    self.readers.entry(key).or_default().push(id);
+                    self.readers[x].push(id);
                 }
             }
-            if let Some(st) = steps[k].store {
-                let key = (st.array, st.elem);
+            if let Some(st) = step.store {
+                let x = self.id(st.array, st.elem);
                 // Anti: all readers since the last write must be done.
-                if let Some(rs) = self.readers.remove(&key) {
-                    waits.extend(rs.into_iter().filter(|&r| r != id));
-                }
+                self.waits.extend(self.readers[x].drain(..).filter(|&r| r != id));
                 // Output: the previous writer must be done.
-                if let Some(&w) = self.last_write.get(&key) {
-                    if w != id {
-                        waits.push(w);
-                    }
+                if let Some(w) = self.last_write[x].filter(|&w| w != id) {
+                    self.waits.push(w);
                 }
-                self.last_write.insert(key, id);
+                self.last_write[x] = Some(id);
             }
-            waits.sort_unstable();
-            waits.dedup();
-            steps[k].waits = waits;
+            self.waits.sort_unstable();
+            self.waits.dedup();
+            step.waits.clear();
+            step.waits.extend_from_slice(&self.waits);
         }
     }
+}
+
+/// [`reduce_window`]'s buffers, reused across a nest's windows.
+#[derive(Default)]
+struct ReduceScratch {
+    /// Each window step's producers inside the window (window-local
+    /// indices): temp inputs plus waits.
+    preds: Vec<Vec<usize>>,
+    /// Each window step's producers before the window.
+    outside: Vec<Vec<SubId>>,
+    reducer: TransitiveReducer,
 }
 
 /// Transitive reduction of the window's sync arcs; returns the number of
 /// cross-node arcs (before, after). Arcs into steps before the window are
 /// preserved untouched.
-fn reduce_window(steps: &mut [Step], first: usize) -> (u64, u64) {
-    let window = &steps[first..];
-    let n = window.len();
+fn reduce_window(steps: &mut [Step], first: usize, scratch: &mut ReduceScratch) -> (u64, u64) {
+    let n = steps.len() - first;
     if n == 0 {
         return (0, 0);
     }
     let base = first;
-    // Predecessor lists over window-local indices: temp inputs + waits.
-    let mut preds: Vec<Vec<usize>> = Vec::with_capacity(n);
-    let mut outside: Vec<Vec<SubId>> = Vec::with_capacity(n);
-    for s in window {
-        let mut p = Vec::new();
-        let mut out = Vec::new();
+    if scratch.preds.len() < n {
+        scratch.preds.resize_with(n, Vec::new);
+        scratch.outside.resize_with(n, Vec::new);
+    }
+    let preds = &mut scratch.preds[..n];
+    let outside = &mut scratch.outside[..n];
+    for ((s, p), out) in steps[first..].iter().zip(preds.iter_mut()).zip(outside.iter_mut()) {
+        p.clear();
+        out.clear();
         for prod in s.producers() {
             if prod.index() >= base {
                 p.push(prod.index() - base);
@@ -294,31 +322,25 @@ fn reduce_window(steps: &mut [Step], first: usize) -> (u64, u64) {
                 out.push(prod);
             }
         }
-        preds.push(p);
-        outside.push(out);
     }
-    let before = count_cross_node(steps, first, &preds, &outside);
-    let (reduced, _) = transitive_reduce(&preds);
-    let after = count_cross_node(steps, first, &reduced, &outside);
+    let before = count_cross_node(steps, first, preds, outside);
+    let (reduced, _) = scratch.reducer.reduce(preds);
+    let after = count_cross_node(steps, first, reduced, outside);
 
     // Rewrite waits: reduced predecessors minus the temp-input arcs (those
     // are value dependences carried by the inputs themselves).
-    for (k, red) in reduced.iter().enumerate() {
-        let idx = first + k;
-        let temps: Vec<usize> = steps[idx]
-            .inputs
-            .iter()
-            .filter_map(|i| match i.operand {
-                Operand::Temp(t) if t.index() >= base => Some(t.index() - base),
-                _ => None,
-            })
-            .collect();
-        let mut waits: Vec<SubId> =
-            red.iter().filter(|p| !temps.contains(p)).map(|&p| SubId((base + p) as u32)).collect();
-        waits.extend(outside[k].iter().copied());
+    for ((step, red), out) in steps[first..].iter_mut().zip(reduced).zip(outside.iter()) {
+        let Step { inputs, waits, .. } = step;
+        let is_temp_input = |p: usize| {
+            inputs.iter().any(|i| matches!(i.operand, Operand::Temp(t) if t.index() == p))
+        };
+        waits.clear();
+        waits.extend(
+            red.iter().map(|&p| base + p).filter(|&p| !is_temp_input(p)).map(|p| SubId(p as u32)),
+        );
+        waits.extend(out.iter().copied());
         waits.sort_unstable();
         waits.dedup();
-        steps[idx].waits = waits;
     }
     (before, after)
 }

@@ -74,7 +74,8 @@ pub struct Engine<'a> {
     opts: SimOptions,
     network: Network,
     caches: CacheSystem,
-    node_time: HashMap<NodeId, f64>,
+    /// Each node's capacity frontier, indexed by [`dmcp_mach::Mesh::node_index`].
+    node_time: Vec<f64>,
     finish: Vec<f64>,
     finish_node: Vec<NodeId>,
     sync_count: u64,
@@ -104,7 +105,7 @@ impl<'a> Engine<'a> {
             opts,
             network,
             caches: CacheSystem::new(machine, opts.memory_mode),
-            node_time: HashMap::new(),
+            node_time: vec![0.0; machine.mesh.node_count() as usize],
             finish: Vec::new(),
             finish_node: Vec::new(),
             sync_count: 0,
@@ -144,7 +145,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Executes one nest's schedule. Nests are separated by a global
-    /// barrier (all node clocks advance to the global maximum).
+    /// barrier (every node's clock advances to the global maximum, whether
+    /// or not it ran anything yet).
     pub fn run(&mut self, schedule: &Schedule) {
         self.barrier();
         let base = self.finish.len();
@@ -161,10 +163,11 @@ impl<'a> Engine<'a> {
     }
 
     fn barrier(&mut self) {
-        let max = self.max_finish;
-        for v in self.node_time.values_mut() {
-            *v = max;
-        }
+        self.node_time.fill(self.max_finish);
+    }
+
+    fn node_index(&self, node: NodeId) -> usize {
+        self.layout.machine().mesh.node_index(node) as usize
     }
 
     /// Timing model: a node's *capacity* is consumed by service time only;
@@ -176,7 +179,8 @@ impl<'a> Engine<'a> {
         let machine = self.layout.machine();
         let lat = machine.latency;
         let node = step.node;
-        let capacity = self.node_time.get(&node).copied().unwrap_or(0.0);
+        let node_index = self.node_index(node);
+        let capacity = self.node_time[node_index];
         let mut start = capacity;
 
         // Temp inputs carry partial results: a cross-node producer implies
@@ -266,7 +270,7 @@ impl<'a> Engine<'a> {
         let elems =
             step.inputs.iter().filter(|i| matches!(i.operand, Operand::Elem(_))).count() as f64;
         let occupancy = compute + store_lat.min(4.0) + 2.0 * elems + 1.0;
-        self.node_time.insert(node, capacity + occupancy);
+        self.node_time[node_index] = capacity + occupancy;
         start + latency
     }
 
@@ -350,10 +354,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Per-node accumulated service time (capacity frontiers) — the node
-    /// utilization view of the run.
+    /// Per-node accumulated service time (capacity frontiers) of every
+    /// mesh node, in row-major order — the node utilization view of the
+    /// run.
     pub fn node_service(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.node_time.iter().map(|(&n, &t)| (n, t))
+        self.layout.machine().mesh.nodes().zip(self.node_time.iter().copied())
     }
 
     /// The network state (per-link loads, latency statistics).
@@ -364,7 +369,7 @@ impl<'a> Engine<'a> {
     /// Finalises the run and produces the report.
     pub fn report(&self) -> SimReport {
         let machine = self.layout.machine();
-        let busiest = self.node_time.values().copied().fold(0.0, f64::max);
+        let busiest = self.node_time.iter().copied().fold(0.0, f64::max);
         let exec_time = self.max_finish.max(busiest);
         let (mut l1h, mut l1m, l2h, l2m, fast, slow) = self.caches.counters();
         if let Some((fh, fm)) = self.forced_l1 {
@@ -566,6 +571,41 @@ mod tests {
         e2.run(&out.nests[1].schedule);
         let t2 = e2.report().exec_time;
         assert!(t2 > t1, "second nest must add time after the barrier");
+    }
+
+    /// Regression: the barrier used to advance only the nodes that had
+    /// already run a step, so a node idle in nest 0 started nest 1 at
+    /// cycle 0, before nest 0 had finished.
+    #[test]
+    fn the_barrier_holds_back_nodes_idle_in_the_previous_nest() {
+        let mut b = dmcp_ir::ProgramBuilder::new();
+        for n in ["A", "B"] {
+            b.array(n, &[128], 64);
+        }
+        b.nest(&[("i", 0, 64)], &["A[i] = B[i] + 1"]).unwrap();
+        b.nest(&[("i", 0, 64)], &["B[i] = A[i] * 2"]).unwrap();
+        let p = b.build();
+        let machine = MachineConfig::knl_like();
+        let data = p.initial_data();
+        // Nest 0 runs entirely on (0,0); nest 1 spreads over the mesh.
+        let pinned = PartitionConfig {
+            assignment: Some(vec![NodeId::new(0, 0)]),
+            ..PartitionConfig::default()
+        };
+        let nest0 = Partitioner::new(&machine, &p, pinned).baseline(&p, &data).nests[0].clone();
+        let part = Partitioner::new(&machine, &p, PartitionConfig::default());
+        let nest1 = part.baseline(&p, &data).nests[1].clone();
+        assert!(nest0.schedule.steps.iter().all(|s| s.node == NodeId::new(0, 0)));
+
+        let mut engine = Engine::new(&p, part.layout(), SimOptions::default());
+        engine.run(&nest0.schedule);
+        let barrier = engine.report().last_finish;
+        engine.run(&nest1.schedule);
+        let frontiers: Vec<(NodeId, f64)> = engine.node_service().collect();
+        assert_eq!(frontiers.len(), machine.mesh.node_count() as usize);
+        for (node, t) in frontiers {
+            assert!(t >= barrier, "{node} resumed at {t} before the nest-0 barrier {barrier}");
+        }
     }
 
     #[test]

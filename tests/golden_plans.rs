@@ -10,7 +10,9 @@
 //!
 //! FFT and Radix are also pinned under every non-default configuration
 //! (`GOLDEN_VARIANTS`), where each plan must in addition be reproduced by
-//! a replan that reuses its window sizes.
+//! a replan that reuses its window sizes. FFT, Radix and LU are pinned on
+//! a 100-node mesh (`GOLDEN_LARGE_MESH`), beyond one machine word of
+//! node indices.
 //!
 //! To regenerate after an intentional planner change:
 //!
@@ -19,8 +21,8 @@
 //! ```
 
 use dmcp::check::golden::{
-    degraded_digest, healthy_digest, key_digests, variant_run, GOLDEN_DEGRADED, GOLDEN_HEALTHY,
-    GOLDEN_KEYS, GOLDEN_VARIANTS,
+    degraded_digest, healthy_digest, key_digests, large_mesh_digest, variant_run, GOLDEN_DEGRADED,
+    GOLDEN_HEALTHY, GOLDEN_KEYS, GOLDEN_LARGE_MESH, GOLDEN_VARIANTS,
 };
 use dmcp::check::plan_digest;
 use dmcp::pool::Pool;
@@ -125,4 +127,18 @@ fn fft_matches_its_variant_goldens() {
 #[test]
 fn radix_matches_its_variant_goldens() {
     check_variants("Radix");
+}
+
+/// The 10×10-mesh pins hold at one and at eight threads, healthy and
+/// degraded.
+#[test]
+fn large_mesh_plans_match_their_goldens_at_one_and_eight_threads() {
+    for pool in [Pool::single(), Pool::new(8)] {
+        for &(name, healthy, degraded) in GOLDEN_LARGE_MESH {
+            let got = large_mesh_digest(name, false, &pool);
+            assert_eq!(got, healthy, "{name}: 10x10 healthy digest drifted ({got:#018x})");
+            let got = large_mesh_digest(name, true, &pool);
+            assert_eq!(got, degraded, "{name}: 10x10 degraded digest drifted ({got:#018x})");
+        }
+    }
 }

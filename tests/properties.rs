@@ -5,14 +5,16 @@
 //! in-tree [`Rng64`] — deterministic, reproducible, and with the failing
 //! seed printed in the assertion message.
 
-use dmcp::core::mst::{kruskal, vertex_distance, MstVertex};
+use dmcp::core::l1model::L1Model;
+use dmcp::core::mst::{kruskal, vertex_distance, KruskalScratch, MstEdge, MstVertex, RootedTree};
 use dmcp::core::sync::{reaches, transitive_reduce};
 use dmcp::core::unionfind::UnionFind;
 use dmcp::ir::nested::Group;
 use dmcp::ir::{BinOp, Expr};
 use dmcp::mach::rng::Rng64;
-use dmcp::mach::{routing, NodeId};
+use dmcp::mach::{routing, Mesh, NodeId};
 use dmcp::mem::{Cache, LineAddr};
+use std::collections::HashMap;
 
 fn random_node(rng: &mut Rng64) -> NodeId {
     NodeId::new(rng.gen_range(8) as u16, rng.gen_range(8) as u16)
@@ -93,6 +95,223 @@ fn replicas_never_hurt() {
         with[0] = MstVertex::multi(vec![nodes[0], extra]);
         let after: u32 = kruskal(&with).iter().map(|e| e.weight).sum();
         assert!(after <= before, "seed {seed}: {after} > {before}");
+    }
+}
+
+/// Kruskal as it was before its buffers were kept across runs: the
+/// reference [`KruskalScratch`] must reproduce edge for edge.
+fn reference_kruskal(vertices: &[MstVertex]) -> Vec<MstEdge> {
+    let n = vertices.len();
+    if n < 2 {
+        return Vec::new();
+    }
+    let mut edges = Vec::with_capacity(n * (n - 1) / 2);
+    for a in 0..n {
+        for b in (a + 1)..n {
+            let (w, _, _) = vertex_distance(&vertices[a], &vertices[b]);
+            edges.push(MstEdge { a, b, weight: w });
+        }
+    }
+    edges.sort_by_key(|e| (e.weight, e.a, e.b));
+    let mut uf = UnionFind::new(n);
+    let mut mst = Vec::with_capacity(n - 1);
+    for e in edges {
+        if uf.union(e.a, e.b) {
+            mst.push(e);
+            if mst.len() == n - 1 {
+                break;
+            }
+        }
+    }
+    mst
+}
+
+/// `(parent, children, postorder)` of the MST `edges` rooted at `root`, as
+/// `RootedTree::build` computed them before it rebuilt in place.
+type ReferenceTree = (Vec<Option<usize>>, Vec<Vec<usize>>, Vec<usize>);
+
+fn reference_tree(n: usize, edges: &[MstEdge], root: usize) -> ReferenceTree {
+    let mut adj = vec![Vec::new(); n];
+    for e in edges {
+        adj[e.a].push(e.b);
+        adj[e.b].push(e.a);
+    }
+    let mut parent = vec![None; n];
+    let mut children = vec![Vec::new(); n];
+    let mut postorder = Vec::with_capacity(n);
+    let mut visited = vec![false; n];
+    let mut stack = vec![(root, false)];
+    while let Some((v, processed)) = stack.pop() {
+        if processed {
+            postorder.push(v);
+            continue;
+        }
+        if visited[v] {
+            continue;
+        }
+        visited[v] = true;
+        stack.push((v, true));
+        for &u in &adj[v] {
+            if !visited[u] {
+                parent[u] = Some(v);
+                children[v].push(u);
+                stack.push((u, false));
+            }
+        }
+    }
+    (parent, children, postorder)
+}
+
+/// 0–12 vertices of 1–4 candidate locations each.
+fn random_vertex_set(rng: &mut Rng64) -> Vec<MstVertex> {
+    (0..rng.gen_range(13)).map(|_| MstVertex::multi(random_nodes(rng, 1, 5))).collect()
+}
+
+/// One Kruskal scratch and one rooted tree, reused across vertex sets of
+/// every size, give the allocating references' edges (same order) and
+/// trees.
+#[test]
+fn reused_kruskal_and_tree_match_the_allocating_references() {
+    let mut scratch = KruskalScratch::default();
+    let mut mst = Vec::new();
+    let mut tree = RootedTree::default();
+    for seed in 0..400 {
+        let mut rng = Rng64::new(seed);
+        let vs = random_vertex_set(&mut rng);
+        let want = reference_kruskal(&vs);
+        mst.clear();
+        scratch.run(vs.len(), |a, b| vertex_distance(&vs[a], &vs[b]).0, &mut mst);
+        assert_eq!(mst, want, "seed {seed}: reused scratch");
+        assert_eq!(kruskal(&vs), want, "seed {seed}: kruskal");
+        if vs.is_empty() {
+            continue;
+        }
+        let root = rng.gen_range(vs.len() as u64) as usize;
+        tree.rebuild(vs.len(), &mst, root);
+        let (parent, children, postorder) = reference_tree(vs.len(), &want, root);
+        for v in 0..vs.len() {
+            assert_eq!(tree.parent(v), parent[v], "seed {seed}: parent of {v}");
+            assert_eq!(tree.children(v), children[v], "seed {seed}: children of {v}");
+        }
+        assert_eq!(tree.postorder(), postorder, "seed {seed}: postorder");
+    }
+}
+
+/// The `variable2node` map as it was kept before dense line ids: per-node
+/// LRU lists, and hash maps from each line to its holders (in touch
+/// order) and its touch count.
+struct ReferenceL1 {
+    mesh: Mesh,
+    capacity: usize,
+    node_lru: Vec<Vec<u32>>,
+    holders: HashMap<u32, Vec<NodeId>>,
+    touches: HashMap<u32, u32>,
+}
+
+impl ReferenceL1 {
+    fn new(mesh: Mesh, capacity: u32) -> Self {
+        Self {
+            mesh,
+            capacity: capacity.max(1) as usize,
+            node_lru: vec![Vec::new(); mesh.node_count() as usize],
+            holders: HashMap::new(),
+            touches: HashMap::new(),
+        }
+    }
+
+    fn touch(&mut self, node: NodeId, line: u32) {
+        *self.touches.entry(line).or_insert(0) += 1;
+        let lru = &mut self.node_lru[self.mesh.node_index(node) as usize];
+        if let Some(pos) = lru.iter().position(|&l| l == line) {
+            lru.remove(pos);
+            lru.push(line);
+            return;
+        }
+        if lru.len() >= self.capacity {
+            let victim = lru.remove(0);
+            if let Some(hs) = self.holders.get_mut(&victim) {
+                hs.retain(|&n| n != node);
+                if hs.is_empty() {
+                    self.holders.remove(&victim);
+                }
+            }
+        }
+        lru.push(line);
+        self.holders.entry(line).or_default().push(node);
+    }
+
+    fn holders(&self, line: u32) -> &[NodeId] {
+        self.holders.get(&line).map_or(&[], Vec::as_slice)
+    }
+
+    fn hot_holders(&self, line: u32, min_touches: u32) -> &[NodeId] {
+        if self.touches.get(&line).copied().unwrap_or(0) >= min_touches {
+            self.holders(line)
+        } else {
+            &[]
+        }
+    }
+
+    fn reset(&mut self) {
+        for lru in &mut self.node_lru {
+            lru.clear();
+        }
+        self.holders.clear();
+    }
+}
+
+fn sorted(nodes: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
+    let mut v: Vec<NodeId> = nodes.into_iter().collect();
+    v.sort();
+    v
+}
+
+/// The dense-id `L1Model` and the map reference, driven by the same
+/// random touch/reset streams (capacity 1–4, a 3×3 and a 10×10 mesh),
+/// agree after every step on every line's holder set, `holds` and
+/// `hot_holders`. Holder order is not compared: no planner consumer can
+/// observe it.
+#[test]
+fn dense_l1_model_matches_the_map_reference() {
+    for (mesh, seeds) in [(Mesh::new(3, 3), 0..60), (Mesh::new(10, 10), 60..120)] {
+        let nodes: Vec<NodeId> = mesh.nodes().collect();
+        for seed in seeds {
+            let mut rng = Rng64::new(seed);
+            let capacity = 1 + rng.gen_range(4) as u32;
+            let lines = 1 + rng.gen_range(24) as u32;
+            let mut model = L1Model::new(mesh, capacity);
+            let mut reference = ReferenceL1::new(mesh, capacity);
+            for step in 0..200 {
+                if rng.gen_range(16) == 0 {
+                    model.reset();
+                    reference.reset();
+                } else {
+                    let node = nodes[rng.gen_range(nodes.len() as u64) as usize];
+                    let line = rng.gen_range(u64::from(lines)) as u32;
+                    model.touch(node, line);
+                    reference.touch(node, line);
+                }
+                for line in 0..lines {
+                    let want = sorted(reference.holders(line).iter().copied());
+                    assert_eq!(sorted(model.holders(line)), want, "seed {seed} step {step}");
+                    for min in [1, 2, 4] {
+                        assert_eq!(
+                            sorted(model.hot_holders(line, min)),
+                            sorted(reference.hot_holders(line, min).iter().copied()),
+                            "seed {seed} step {step}: hot holders of {line} (min {min})"
+                        );
+                    }
+                    let probe = nodes[rng.gen_range(nodes.len() as u64) as usize];
+                    for node in want.iter().copied().chain([probe]) {
+                        assert_eq!(
+                            model.holds(node, line),
+                            want.contains(&node),
+                            "seed {seed} step {step}: {node} holds {line}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
