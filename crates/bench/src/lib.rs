@@ -1,8 +1,6 @@
-//! Evaluation harness shared by the `figures` binary and the bench
-//! targets: runs the 12-application suite end to end and exposes per-app
-//! results for every table and figure of the paper.
-
-pub mod timing;
+//! Evaluation harness shared by the `figures`, `ablations` and
+//! `plan_bench` binaries: runs the 12-application suite end to end and
+//! exposes per-app results for every table and figure of the paper.
 
 use dmcp::baselines::{locality_assignment, preferred_mc_overrides};
 use dmcp::bound::{gap_report, GapReport};

@@ -3,7 +3,8 @@
 //! the KNL-like machine with the default configuration, plus
 //! [`GOLDEN_VARIANTS`]: FFT and Radix under every non-default planning
 //! configuration in [`VARIANTS`], and [`GOLDEN_LARGE_MESH`]: FFT, Radix
-//! and LU on a 10×10 mesh.
+//! and LU on a 10×10 mesh. [`GOLDEN_SIM`] pins what the simulator reports
+//! for those plans, field by field.
 //!
 //! These tables pin the planner's output bit-for-bit across refactors.
 //! Any change to splitting, placement, window choice, sync reduction or
@@ -19,10 +20,13 @@ use dmcp_baselines::preferred_mc_overrides;
 use dmcp_core::{
     nest_assignment, PartitionConfig, PartitionOutput, Partitioner, PlanOptions, PredictorSpec,
 };
+use dmcp_ir::StableHasher;
 use dmcp_mach::{ClusterMode, FaultPlan, FaultState, MachineConfig, Mesh, NodeId};
 use dmcp_mem::page::PagePolicy;
+use dmcp_mem::MemoryMode;
 use dmcp_pool::Pool;
 use dmcp_serve::PlanRequest;
+use dmcp_sim::{run_schedules, run_schedules_degraded, SimOptions, SimReport};
 use dmcp_workloads::{by_name, Scale, Workload};
 
 /// Expected healthy plan digest per workload (default configuration).
@@ -101,25 +105,10 @@ pub fn large_mesh_machine() -> MachineConfig {
 
 /// The plan digest of `name` on [`large_mesh_machine`] (default config),
 /// healthy or under [`canonical_faults`], compiled over `pool`.
-///
-/// # Panics
-///
-/// Panics if the canonical fault plan is rejected (it never is on the
-/// 10×10 mesh).
 #[must_use]
 pub fn large_mesh_digest(name: &str, degraded: bool, pool: &Pool) -> u64 {
-    let w = workload(name);
-    let machine = large_mesh_machine();
-    let config = PartitionConfig::default();
-    let part = if degraded {
-        let faults = FaultState::new(canonical_faults(), machine.mesh)
-            .expect("canonical faults fit the 10×10 mesh");
-        Partitioner::new_degraded(&machine, &w.program, config, &faults)
-            .expect("default config is valid")
-    } else {
-        Partitioner::new(&machine, &w.program, config)
-    };
-    plan_digest(&part.partition_with_data_pooled(&w.program, &w.data, pool))
+    let machine = if degraded { "large-degraded" } else { "large-healthy" };
+    plan_digest(&GoldenInput::plan(machine, name, pool).output)
 }
 
 /// The canonical degradation every degraded golden is pinned under: one
@@ -140,28 +129,14 @@ fn workload(name: &str) -> Workload {
 /// Compiles `name` on a healthy machine over `pool` (default config).
 #[must_use]
 pub fn healthy_output(name: &str, pool: &Pool) -> PartitionOutput {
-    let w = workload(name);
-    let machine = MachineConfig::knl_like();
-    let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-    part.partition_with_data_pooled(&w.program, &w.data, pool)
+    GoldenInput::plan("healthy", name, pool).output
 }
 
 /// Compiles `name` under [`canonical_faults`] over `pool` (default
 /// config).
-///
-/// # Panics
-///
-/// Panics if the canonical fault plan is rejected (it never is on the
-/// KNL-like mesh).
 #[must_use]
 pub fn degraded_output(name: &str, pool: &Pool) -> PartitionOutput {
-    let w = workload(name);
-    let machine = MachineConfig::knl_like();
-    let faults = FaultState::new(canonical_faults(), machine.mesh)
-        .expect("canonical faults fit the KNL-like mesh");
-    let part = Partitioner::new_degraded(&machine, &w.program, PartitionConfig::default(), &faults)
-        .expect("default config is valid");
-    part.partition_with_data_pooled(&w.program, &w.data, pool)
+    GoldenInput::plan("degraded", name, pool).output
 }
 
 /// The healthy plan digest of `name`, compiled over `pool`.
@@ -329,6 +304,293 @@ pub fn variant_run(variant: &str, name: &str, degraded: bool, pool: &Pool) -> Op
     Some(VariantRun { workload: w, partitioner: part, output })
 }
 
+/// A stable fingerprint of every [`SimReport`] field: each float by its
+/// bits, the energy breakdown, the per-instance movement sorted by key,
+/// and the retry, detour and drop counters. Two reports get the same
+/// digest iff they are field-for-field identical.
+#[must_use]
+pub fn sim_digest(report: &SimReport) -> u64 {
+    // Destructured so that a new field fails to compile here until it is
+    // hashed.
+    let SimReport {
+        exec_time,
+        movement,
+        messages,
+        net_avg_latency,
+        net_max_latency,
+        l1_hits,
+        l1_misses,
+        l2_hits,
+        l2_misses,
+        mem_fast,
+        mem_slow,
+        sync_count,
+        sync_wait,
+        ops,
+        predictor_accuracy,
+        energy,
+        per_instance_movement,
+        busiest_node,
+        last_finish,
+        net_retries,
+        net_detour_hops,
+        net_dropped_flits,
+    } = report;
+    let mut h = StableHasher::new();
+    for v in [
+        exec_time,
+        net_avg_latency,
+        net_max_latency,
+        sync_wait,
+        predictor_accuracy,
+        busiest_node,
+        last_finish,
+        &energy.link,
+        &energy.cache,
+        &energy.memory,
+        &energy.op,
+        &energy.background,
+    ] {
+        h.write_f64(*v);
+    }
+    for v in [
+        movement,
+        messages,
+        l1_hits,
+        l1_misses,
+        l2_hits,
+        l2_misses,
+        mem_fast,
+        mem_slow,
+        sync_count,
+        ops,
+        net_retries,
+        net_detour_hops,
+        net_dropped_flits,
+    ] {
+        h.write_u64(*v);
+    }
+    let mut per_instance: Vec<(&(u32, u64), &u64)> = per_instance_movement.iter().collect();
+    per_instance.sort_unstable();
+    h.write_len(per_instance.len());
+    for (&(nest, instance), &links) in per_instance {
+        h.write_u32(nest);
+        h.write_u64(instance);
+        h.write_u64(links);
+    }
+    h.finish()
+}
+
+/// The fault plan of the `lossy` simulator golden machine: a seeded
+/// random plan on the KNL-like mesh with dead nodes, dead links and lossy
+/// links, so its runs detour, drop flits and retry.
+fn lossy_faults() -> FaultPlan {
+    FaultPlan::random(MachineConfig::knl_like().mesh, 0.05, 0.05, 0.25, 0.3, 0x1055)
+}
+
+/// The simulator options pinned in [`GOLDEN_SIM`], by name: the default,
+/// both MCDRAM memory modes and every counterfactual knob of
+/// [`SimOptions`].
+pub const SIM_OPTIONS: [&str; 9] = [
+    "default",
+    "cache",
+    "hybrid",
+    "ideal-network",
+    "movement-scale",
+    "l1-override",
+    "compute-scale",
+    "extra-sync",
+    "track-instances",
+];
+
+/// The [`SimOptions`] of `name`.
+///
+/// # Panics
+///
+/// Panics on a name outside [`SIM_OPTIONS`].
+fn sim_options(name: &str) -> SimOptions {
+    let base = SimOptions::default();
+    match name {
+        "default" => base,
+        "cache" => SimOptions { memory_mode: MemoryMode::Cache, ..base },
+        "hybrid" => SimOptions { memory_mode: MemoryMode::Hybrid, ..base },
+        "ideal-network" => SimOptions { ideal_network: true, ..base },
+        "movement-scale" => SimOptions { movement_scale: Some(0.7), ..base },
+        "l1-override" => SimOptions { l1_rate_override: Some(0.6), ..base },
+        "compute-scale" => SimOptions { compute_scale: Some(0.5), ..base },
+        "extra-sync" => SimOptions { extra_sync_per_statement: 25.0, ..base },
+        "track-instances" => SimOptions { track_instances: true, ..base },
+        other => panic!("unknown simulator golden options {other}"),
+    }
+}
+
+/// One golden input, planned: the workload, the partitioner its plan
+/// came from, the plan, and the fault state it was planned and is
+/// simulated under (`None` on a healthy machine).
+pub struct GoldenInput {
+    /// The workload (program and data).
+    pub workload: Workload,
+    /// The partitioner the plan came from.
+    pub partitioner: Partitioner,
+    /// The plan.
+    pub output: PartitionOutput,
+    /// The faults the plan was made and is simulated under.
+    pub faults: Option<FaultState>,
+}
+
+impl GoldenInput {
+    /// Plans `name` (default config) on the golden machine `machine`:
+    /// `healthy`, `degraded` ([`canonical_faults`]), `lossy` (a seeded
+    /// random plan with dead nodes, dead links and lossy links), or
+    /// `large-healthy`/`large-degraded` (the first two on
+    /// [`large_mesh_machine`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on another machine name, or if a fault plan is rejected
+    /// (none is).
+    #[must_use]
+    pub fn plan(machine: &str, name: &str, pool: &Pool) -> Self {
+        let (config, plan) = match machine {
+            "healthy" => (MachineConfig::knl_like(), None),
+            "degraded" => (MachineConfig::knl_like(), Some(canonical_faults())),
+            "lossy" => (MachineConfig::knl_like(), Some(lossy_faults())),
+            "large-healthy" => (large_mesh_machine(), None),
+            "large-degraded" => (large_mesh_machine(), Some(canonical_faults())),
+            other => panic!("unknown simulator golden machine {other}"),
+        };
+        let workload = workload(name);
+        let faults = plan.map(|p| FaultState::new(p, config.mesh).expect("golden faults fit"));
+        let partitioner = match &faults {
+            Some(f) => {
+                Partitioner::new_degraded(&config, &workload.program, PartitionConfig::default(), f)
+                    .expect("default config is valid")
+            }
+            None => Partitioner::new(&config, &workload.program, PartitionConfig::default()),
+        };
+        let output =
+            partitioner.partition_with_data_pooled(&workload.program, &workload.data, pool);
+        Self { workload, partitioner, output, faults }
+    }
+
+    /// Simulates the plan under `opts`.
+    #[must_use]
+    pub fn simulate(&self, opts: SimOptions) -> SimReport {
+        let (program, layout) = (&self.workload.program, self.partitioner.layout());
+        match &self.faults {
+            Some(f) => run_schedules_degraded(program, layout, &self.output, opts, f.clone()),
+            None => run_schedules(program, layout, &self.output, opts),
+        }
+    }
+}
+
+/// Expected `(machine, options, workload, digest)` of [`sim_digest`] for
+/// every simulator golden run, in [`sim_golden_rows`] order: the 24 golden
+/// plans, the large-mesh plans healthy and degraded, and FFT and Radix
+/// under every [`SIM_OPTIONS`] entry, healthy and on the `lossy` machine
+/// (see [`GoldenInput::plan`]).
+///
+/// No workload marks an array hot, and the MCDRAM cache never hits on
+/// these runs, so the `cache` and `hybrid` rows repeat the default
+/// digest; the pins hold that too.
+///
+/// Generated from the simulator as it was while it kept link loads and
+/// caches in hash maps and routed every faulty transfer afresh, and never
+/// regenerated: the dense simulator must report exactly what that one did.
+pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
+    ("healthy", "default", "Barnes", 0x1ef493cf14bbed42),
+    ("healthy", "default", "Cholesky", 0x69888be33ea5643e),
+    ("healthy", "default", "FFT", 0x243f1aad6565b2d5),
+    ("healthy", "default", "FMM", 0x72c5f549615977c2),
+    ("healthy", "default", "LU", 0x669699f870b0ca2a),
+    ("healthy", "default", "Ocean", 0x8a71b79555133bb7),
+    ("healthy", "default", "Radiosity", 0xe82dc887361f0d76),
+    ("healthy", "default", "Radix", 0xb09f10085ecf02bf),
+    ("healthy", "default", "Raytrace", 0x45f2cd35b131a0a9),
+    ("healthy", "default", "Water", 0xb07d6e2558c98e6f),
+    ("healthy", "default", "MiniMD", 0xd61d9e5ee45147d3),
+    ("healthy", "default", "MiniXyce", 0xa7712fbf4600714a),
+    ("degraded", "default", "Barnes", 0x2a58ece53095375c),
+    ("degraded", "default", "Cholesky", 0xdc3349cb25aa13e0),
+    ("degraded", "default", "FFT", 0x760ea10d12e9df99),
+    ("degraded", "default", "FMM", 0xae1e3e947e41558b),
+    ("degraded", "default", "LU", 0x5ed0e1ef2b6d1123),
+    ("degraded", "default", "Ocean", 0xda81918fb12dbc7c),
+    ("degraded", "default", "Radiosity", 0x145c4cb33375efa6),
+    ("degraded", "default", "Radix", 0xd3a88e9cf64cc648),
+    ("degraded", "default", "Raytrace", 0xbc8a50d8969716b7),
+    ("degraded", "default", "Water", 0xfe242ae290d807a9),
+    ("degraded", "default", "MiniMD", 0xe21735436ac26f45),
+    ("degraded", "default", "MiniXyce", 0xdc289005f6a74514),
+    ("large-healthy", "default", "FFT", 0x54627425a4de193b),
+    ("large-healthy", "default", "Radix", 0xd0aa84f1cfa4306d),
+    ("large-healthy", "default", "LU", 0x92f4c00ece3b4cc4),
+    ("large-degraded", "default", "FFT", 0xab10a2cd0746de17),
+    ("large-degraded", "default", "Radix", 0x5473c3381f05bd18),
+    ("large-degraded", "default", "LU", 0x0d80f21b2a440fc2),
+    ("healthy", "cache", "FFT", 0x243f1aad6565b2d5),
+    ("healthy", "hybrid", "FFT", 0x243f1aad6565b2d5),
+    ("healthy", "ideal-network", "FFT", 0xf6e09cf1f9a012dd),
+    ("healthy", "movement-scale", "FFT", 0x512f036c39bed331),
+    ("healthy", "l1-override", "FFT", 0x80861e2bb65530c5),
+    ("healthy", "compute-scale", "FFT", 0x6456fae56a20bf48),
+    ("healthy", "extra-sync", "FFT", 0x3271663b49cf5006),
+    ("healthy", "track-instances", "FFT", 0xda27cd5584d16560),
+    ("healthy", "cache", "Radix", 0xb09f10085ecf02bf),
+    ("healthy", "hybrid", "Radix", 0xb09f10085ecf02bf),
+    ("healthy", "ideal-network", "Radix", 0xb4d3bc6701b52940),
+    ("healthy", "movement-scale", "Radix", 0x026625ccfc491293),
+    ("healthy", "l1-override", "Radix", 0xff518c891bf9f415),
+    ("healthy", "compute-scale", "Radix", 0xa332af54764f2438),
+    ("healthy", "extra-sync", "Radix", 0x9673fedee85d1560),
+    ("healthy", "track-instances", "Radix", 0xaac8fd04b8c799c3),
+    ("lossy", "default", "FFT", 0x732f05ce3833ed5f),
+    ("lossy", "cache", "FFT", 0x732f05ce3833ed5f),
+    ("lossy", "hybrid", "FFT", 0x732f05ce3833ed5f),
+    ("lossy", "ideal-network", "FFT", 0x4ff9ad38a8e3afaf),
+    ("lossy", "movement-scale", "FFT", 0x2aab016cf5677c4f),
+    ("lossy", "l1-override", "FFT", 0x3a24c184cfc55184),
+    ("lossy", "compute-scale", "FFT", 0x0b54b9e06cda5db4),
+    ("lossy", "extra-sync", "FFT", 0x323267b0a923519f),
+    ("lossy", "track-instances", "FFT", 0x2487cf8196145f7d),
+    ("lossy", "default", "Radix", 0xa0b793cc0dfd3e17),
+    ("lossy", "cache", "Radix", 0xa0b793cc0dfd3e17),
+    ("lossy", "hybrid", "Radix", 0xa0b793cc0dfd3e17),
+    ("lossy", "ideal-network", "Radix", 0xeaece0925b3ef68f),
+    ("lossy", "movement-scale", "Radix", 0x074d0ae359331de3),
+    ("lossy", "l1-override", "Radix", 0x8709e67a3578a249),
+    ("lossy", "compute-scale", "Radix", 0x35e6523fa23ec321),
+    ("lossy", "extra-sync", "Radix", 0xfc6a8ef005d28da6),
+    ("lossy", "track-instances", "Radix", 0xa552f38500cbc6f2),
+];
+
+/// Plans and simulates every [`GOLDEN_SIM`] row, in table order, over
+/// `pool`; each plan is made once and simulated under all its options.
+#[must_use]
+pub fn sim_golden_rows(pool: &Pool) -> Vec<(&'static str, &'static str, &'static str, u64)> {
+    let suite: Vec<&'static str> = GOLDEN_HEALTHY.iter().map(|&(name, _)| name).collect();
+    let large: Vec<&'static str> = GOLDEN_LARGE_MESH.iter().map(|&(name, _, _)| name).collect();
+    let matrix: [(&'static str, &[&'static str], &[&'static str]); 6] = [
+        ("healthy", &suite, &SIM_OPTIONS[..1]),
+        ("degraded", &suite, &SIM_OPTIONS[..1]),
+        ("large-healthy", &large, &SIM_OPTIONS[..1]),
+        ("large-degraded", &large, &SIM_OPTIONS[..1]),
+        ("healthy", &VARIANT_WORKLOADS, &SIM_OPTIONS[1..]),
+        ("lossy", &VARIANT_WORKLOADS, &SIM_OPTIONS),
+    ];
+    let mut rows = Vec::new();
+    for (machine, workloads, options) in matrix {
+        for &name in workloads {
+            let input = GoldenInput::plan(machine, name, pool);
+            for &option in options {
+                let digest = sim_digest(&input.simulate(sim_options(option)));
+                rows.push((machine, option, name, digest));
+            }
+        }
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,6 +674,11 @@ mod tests {
             let (h, d) =
                 (large_mesh_digest(name, false, &pool), large_mesh_digest(name, true, &pool));
             println!("    (\"{name}\", {h:#018x}, {d:#018x}),");
+        }
+        println!("];");
+        println!("pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[");
+        for (machine, options, name, digest) in sim_golden_rows(&pool) {
+            println!("    (\"{machine}\", \"{options}\", \"{name}\", {digest:#018x}),");
         }
         println!("];");
     }

@@ -3,9 +3,10 @@
 //! Real manycore parts ship with disabled tiles and links; a scheduler that
 //! only works on a perfect mesh is a toy. This module describes a degraded
 //! machine ([`FaultPlan`] → validated [`FaultState`]) and provides the
-//! fault-aware router [`route_avoiding`] that the partitioner and the
-//! simulator share, so both plan and time against the *same* degraded
-//! fabric.
+//! fault-aware routes ([`FaultState::routes_from`], one breadth-first
+//! search per source, and [`route_avoiding`] for one pair) that the
+//! simulator and the checks share, so everything routes over the *same*
+//! degraded fabric.
 //!
 //! Three fault classes:
 //!
@@ -27,7 +28,7 @@
 use crate::mesh::Mesh;
 use crate::node::NodeId;
 use crate::rng::{mix, Rng64};
-use crate::routing::{self, Link, RoutePath};
+use crate::routing::{self, xy_next, Link, RoutePath};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
@@ -226,6 +227,10 @@ pub struct FaultState {
     live: Vec<NodeId>,
     /// Indexed by `mesh.node_index`: usable (live *and* connected)?
     usable: Vec<bool>,
+    /// Indexed by `mesh.node_index`: declared dead?
+    dead: Vec<bool>,
+    /// Indexed by [`Mesh::link_id`], both directions: declared dead?
+    link_dead: Vec<bool>,
     /// Per-link traversal counters driving the drop schedule.
     traversals: HashMap<(NodeId, NodeId), u64>,
 }
@@ -292,7 +297,17 @@ impl FaultState {
         let usable: Vec<bool> = (0..n).map(|i| component[i] == best).collect();
         let live: Vec<NodeId> =
             mesh.nodes().filter(|&nd| usable[mesh.node_index(nd) as usize]).collect();
-        Ok(Self { plan, mesh, live, usable, traversals: HashMap::new() })
+        let mut dead = vec![false; n];
+        for &node in &plan.dead_nodes {
+            dead[mesh.node_index(node) as usize] = true;
+        }
+        let mut link_dead = vec![false; mesh.link_slots()];
+        for &(a, b) in &plan.dead_links {
+            for link in [Link::new(a, b), Link::new(b, a)] {
+                link_dead[mesh.link_id(link) as usize] = true;
+            }
+        }
+        Ok(Self { plan, mesh, live, usable, dead, link_dead, traversals: HashMap::new() })
     }
 
     /// The plan this state was built from.
@@ -313,7 +328,7 @@ impl FaultState {
 
     /// `true` if `node` is declared dead in the plan.
     pub fn is_dead(&self, node: NodeId) -> bool {
-        self.plan.dead_nodes.contains(&node)
+        self.mesh.contains(node) && self.dead[self.mesh.node_index(node) as usize]
     }
 
     /// `true` if `node` is usable: alive *and* in the main connected
@@ -353,6 +368,73 @@ impl FaultState {
             .expect("live set is never empty")
     }
 
+    /// Resolves every route out of `src` at once (see [`SourceRoutes`]):
+    /// one breadth-first search over live nodes and healthy links, plus a
+    /// check of each destination's XY route.
+    ///
+    /// # Errors
+    ///
+    /// [`RouteError::DeadEndpoint`] when `src` is dead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not on the mesh.
+    pub fn routes_from(&self, src: NodeId) -> Result<SourceRoutes, RouteError> {
+        if self.is_dead(src) {
+            return Err(RouteError::DeadEndpoint(src));
+        }
+        let mesh = self.mesh;
+        let n = mesh.node_count() as usize;
+        let mut hops = vec![CUT_OFF; n];
+        let mut via = vec![NO_LINK; n];
+        hops[mesh.node_index(src) as usize] = 0;
+        // Expansion order (+x, −x, +y, −y, from `Mesh::neighbors`) makes
+        // the chosen detours deterministic.
+        let mut queue = Vec::with_capacity(n);
+        queue.push(src);
+        let mut head = 0;
+        while let Some(&cur) = queue.get(head) {
+            head += 1;
+            let next_hops = hops[mesh.node_index(cur) as usize] + 1;
+            for nb in mesh.neighbors(cur) {
+                let ni = mesh.node_index(nb) as usize;
+                let link = mesh.link_id(Link::new(cur, nb));
+                if hops[ni] != CUT_OFF || self.dead[ni] || self.link_dead[link as usize] {
+                    continue;
+                }
+                hops[ni] = next_hops;
+                via[ni] = link;
+                queue.push(nb);
+            }
+        }
+        for (h, &dead) in hops.iter_mut().zip(&self.dead) {
+            if dead {
+                *h = DEAD;
+            }
+        }
+        let xy = mesh
+            .nodes()
+            .zip(&hops)
+            .map(|(dst, &h)| h < CUT_OFF && self.xy_survives(src, dst))
+            .collect();
+        Ok(SourceRoutes { src, mesh, hops, xy, via })
+    }
+
+    /// `true` when no fault touches the XY route from `src` to `dst`: each
+    /// of its links delivers and each node it enters before `dst` lives.
+    fn xy_survives(&self, src: NodeId, dst: NodeId) -> bool {
+        let mut cur = src;
+        while cur != dst {
+            let next = xy_next(cur, dst);
+            let link = self.mesh.link_id(Link::new(cur, next)) as usize;
+            if self.link_dead[link] || (next != dst && self.is_dead(next)) {
+                return false;
+            }
+            cur = next;
+        }
+        true
+    }
+
     /// Decides whether the next traversal of `link` drops its flit —
     /// deterministic in `(seed, link, traversal index)`, independent of
     /// everything else the simulation does.
@@ -370,9 +452,87 @@ impl FaultState {
     }
 }
 
-/// Fault-aware routing: XY when the XY route is healthy, otherwise the
-/// shortest detour (BFS over live nodes and healthy links, deterministic
-/// expansion order).
+/// [`SourceRoutes::hops`] of a destination that is a dead node.
+const DEAD: u32 = u32::MAX;
+/// [`SourceRoutes::hops`] of a live destination the faults cut off.
+const CUT_OFF: u32 = u32::MAX - 1;
+/// [`SourceRoutes::via`] of the source and of nodes never reached.
+const NO_LINK: u32 = u32::MAX;
+
+/// Every fault-aware route out of one live source, resolved at once by
+/// [`FaultState::routes_from`].
+///
+/// A destination's route is its XY route when no fault touches it, and
+/// otherwise its branch of one breadth-first tree grown from the source
+/// over live nodes and healthy links. A search that stopped at the
+/// destination would set the same predecessors (a node's predecessor is
+/// fixed when it is first reached), so one tree answers for every
+/// destination. [`route_avoiding`] and the simulator's network both read
+/// their routes off it, so the detour search exists once.
+#[derive(Clone, Debug)]
+pub struct SourceRoutes {
+    src: NodeId,
+    mesh: Mesh,
+    /// Per node index: links of the route there, or [`DEAD`]/[`CUT_OFF`].
+    hops: Vec<u32>,
+    /// Per node index: the route there is the XY route.
+    xy: Vec<bool>,
+    /// Per node index: dense id of the tree link that first reached it,
+    /// [`NO_LINK`] for the source and for nodes never reached.
+    via: Vec<u32>,
+}
+
+impl SourceRoutes {
+    /// Number of links on the route to `dst` (0 to the source itself).
+    ///
+    /// # Errors
+    ///
+    /// [`RouteError::DeadEndpoint`] when `dst` is dead,
+    /// [`RouteError::Unreachable`] when the faults sever every path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not on the mesh.
+    pub fn hops(&self, dst: NodeId) -> Result<u32, RouteError> {
+        match self.hops[self.mesh.node_index(dst) as usize] {
+            DEAD => Err(RouteError::DeadEndpoint(dst)),
+            CUT_OFF => Err(RouteError::Unreachable { src: self.src, dst }),
+            hops => Ok(hops),
+        }
+    }
+
+    /// Replaces `out` with the dense ids ([`Mesh::link_id`]) of the route's
+    /// links to `dst`, in traversal order.
+    ///
+    /// # Errors
+    ///
+    /// As [`SourceRoutes::hops`]; `out` is left as it was.
+    pub fn links_into(&self, dst: NodeId, out: &mut Vec<u32>) -> Result<(), RouteError> {
+        self.hops(dst)?;
+        out.clear();
+        let mut at = self.mesh.node_index(dst) as usize;
+        if self.xy[at] {
+            let mut cur = self.src;
+            while cur != dst {
+                let next = xy_next(cur, dst);
+                out.push(self.mesh.link_id(Link::new(cur, next)));
+                cur = next;
+            }
+        } else {
+            // Back up the tree to the source, then turn the links around.
+            while self.via[at] != NO_LINK {
+                out.push(self.via[at]);
+                at = (self.via[at] / 4) as usize;
+            }
+            out.reverse();
+        }
+        Ok(())
+    }
+}
+
+/// Fault-aware routing for one pair: the route [`FaultState::routes_from`]
+/// resolves — XY when the XY route is healthy, otherwise the shortest
+/// detour over live nodes and healthy links.
 ///
 /// With a trivial (empty) fault state this *is* [`routing::route`] — same
 /// path, same code, so healthy runs stay bit-identical.
@@ -393,60 +553,9 @@ pub fn route_avoiding(
     if state.is_trivial() {
         return Ok(routing::route(src, dst));
     }
-    if state.is_dead(src) {
-        return Err(RouteError::DeadEndpoint(src));
-    }
-    if state.is_dead(dst) {
-        return Err(RouteError::DeadEndpoint(dst));
-    }
-    if src == dst {
-        return Ok(RoutePath::default());
-    }
-
-    // Fast path: keep the XY route whenever the faults don't touch it.
-    let xy = routing::route(src, dst);
-    let healthy = xy
-        .links()
-        .iter()
-        .all(|l| state.link_ok(l.src(), l.dst()) && (l.dst() == dst || !state.is_dead(l.dst())));
-    if healthy {
-        return Ok(xy);
-    }
-
-    // BFS for a minimal detour. Expansion order (+x, −x, +y, −y) makes the
-    // chosen path deterministic.
-    let mesh = state.mesh();
-    let n = mesh.node_count() as usize;
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[mesh.node_index(src) as usize] = true;
-    let mut queue = VecDeque::from([src]);
-    while let Some(cur) = queue.pop_front() {
-        if cur == dst {
-            let mut nodes = vec![dst];
-            let mut walk = dst;
-            while walk != src {
-                walk = prev[mesh.node_index(walk) as usize].expect("BFS predecessor");
-                nodes.push(walk);
-            }
-            nodes.reverse();
-            let links = nodes
-                .windows(2)
-                .map(|w| Link::try_new(w[0], w[1]).expect("BFS hops are adjacent"))
-                .collect();
-            return Ok(RoutePath::from_links(links));
-        }
-        for nb in mesh.neighbors(cur) {
-            let ni = mesh.node_index(nb) as usize;
-            if seen[ni] || state.is_dead(nb) || !state.link_ok(cur, nb) {
-                continue;
-            }
-            seen[ni] = true;
-            prev[ni] = Some(cur);
-            queue.push_back(nb);
-        }
-    }
-    Err(RouteError::Unreachable { src, dst })
+    let mut ids = Vec::new();
+    state.routes_from(src)?.links_into(dst, &mut ids)?;
+    Ok(RoutePath::from_links(ids.into_iter().map(|id| state.mesh.link_at(id)).collect()))
 }
 
 #[cfg(test)]

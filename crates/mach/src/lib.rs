@@ -52,7 +52,7 @@ pub mod symmetry;
 
 pub use cluster::ClusterMode;
 pub use config::{EnergyModel, LatencyModel, MachineConfig};
-pub use fault::{route_avoiding, FaultError, FaultPlan, FaultState, RouteError};
+pub use fault::{route_avoiding, FaultError, FaultPlan, FaultState, RouteError, SourceRoutes};
 pub use fingerprint::Fingerprint;
 pub use mesh::{Mesh, Quadrant};
 pub use node::NodeId;

@@ -1,7 +1,18 @@
 //! The `M × N` mesh topology: enumeration, bank indexing, MCs, quadrants.
 
 use crate::node::NodeId;
+use crate::routing::Link;
 use std::fmt;
+
+/// The direction toward +x, as numbered in dense link ids
+/// ([`Mesh::link_id`]).
+pub const PLUS_X: u32 = 0;
+/// The direction toward −x (see [`PLUS_X`]).
+pub const MINUS_X: u32 = 1;
+/// The direction toward +y (see [`PLUS_X`]).
+pub const PLUS_Y: u32 = 2;
+/// The direction toward −y (see [`PLUS_X`]).
+pub const MINUS_Y: u32 = 3;
 
 /// One of the four sections of the mesh used by the quadrant/SNC-4 cluster
 /// modes (Section 6.1 of the paper).
@@ -167,6 +178,55 @@ impl Mesh {
         u32::from(self.cols - 1) + u32::from(self.rows - 1)
     }
 
+    /// Number of dense link ids: four per node, one per direction a link
+    /// can leave it in (edge nodes leave some unused).
+    pub const fn link_slots(self) -> usize {
+        self.node_count() as usize * 4
+    }
+
+    /// Dense id of a directed link: `node_index(src) × 4 + d`, where `d`
+    /// is the direction the link leaves `src` in ([`PLUS_X`], [`MINUS_X`],
+    /// [`PLUS_Y`] or [`MINUS_Y`]). Ids are below [`Mesh::link_slots`], so
+    /// per-link state can live in a plain vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link's source is not on the mesh.
+    pub fn link_id(self, link: Link) -> u32 {
+        let (src, dst) = (link.src(), link.dst());
+        let dir = if dst.x() > src.x() {
+            PLUS_X
+        } else if dst.x() < src.x() {
+            MINUS_X
+        } else if dst.y() > src.y() {
+            PLUS_Y
+        } else {
+            MINUS_Y
+        };
+        self.node_index(src) * 4 + dir
+    }
+
+    /// The directed link with dense id `id` (the inverse of
+    /// [`Mesh::link_id`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` names no link of this mesh.
+    pub fn link_at(self, id: u32) -> Link {
+        let node = id / 4;
+        let cols = u32::from(self.cols);
+        let src = NodeId::new((node % cols) as u16, (node / cols) as u16);
+        let (x, y) = (src.x(), src.y());
+        let dst = match id % 4 {
+            PLUS_X => NodeId::new(x + 1, y),
+            MINUS_X => NodeId::new(x.wrapping_sub(1), y),
+            PLUS_Y => NodeId::new(x, y + 1),
+            _ => NodeId::new(x, y.wrapping_sub(1)),
+        };
+        assert!(self.contains(src) && self.contains(dst), "link id {id} outside {self:?}");
+        Link::new(src, dst)
+    }
+
     /// The mesh neighbours of `node`, in the fixed order +x, −x, +y, −y
     /// (edge nodes have fewer). The deterministic order matters: the
     /// detour router's BFS tie-breaks by expansion order.
@@ -185,6 +245,23 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn link_ids_are_dense_and_invert() {
+        let mesh = Mesh::new(4, 3);
+        let mut seen = vec![false; mesh.link_slots()];
+        for a in mesh.nodes() {
+            for b in mesh.neighbors(a) {
+                let link = Link::new(a, b);
+                let id = mesh.link_id(link);
+                assert!(!std::mem::replace(&mut seen[id as usize], true), "{link:?} shares an id");
+                assert_eq!(mesh.link_at(id), link);
+            }
+        }
+        // Every slot but the edge nodes' missing directions is used.
+        let edge_slots = 2 * (4 + 3);
+        assert_eq!(seen.iter().filter(|&&s| s).count(), mesh.link_slots() - edge_slots);
+    }
 
     #[test]
     fn node_enumeration_is_row_major_and_complete() {

@@ -194,19 +194,24 @@ pub fn route_with(src: NodeId, dst: NodeId, order: RouteOrder) -> RoutePath {
 pub fn route(src: NodeId, dst: NodeId) -> RoutePath {
     let mut links = Vec::with_capacity(src.manhattan(dst) as usize);
     let mut cur = src;
-    while cur.x() != dst.x() {
-        let nx = if dst.x() > cur.x() { cur.x() + 1 } else { cur.x() - 1 };
-        let next = NodeId::new(nx, cur.y());
-        links.push(Link::new(cur, next));
-        cur = next;
-    }
-    while cur.y() != dst.y() {
-        let ny = if dst.y() > cur.y() { cur.y() + 1 } else { cur.y() - 1 };
-        let next = NodeId::new(cur.x(), ny);
+    while cur != dst {
+        let next = xy_next(cur, dst);
         links.push(Link::new(cur, next));
         cur = next;
     }
     RoutePath { links }
+}
+
+/// The node after `cur` on the XY route to `dst` (`cur ≠ dst`): one step
+/// along x until the columns match, then along y.
+pub(crate) fn xy_next(cur: NodeId, dst: NodeId) -> NodeId {
+    if cur.x() != dst.x() {
+        let nx = if dst.x() > cur.x() { cur.x() + 1 } else { cur.x() - 1 };
+        NodeId::new(nx, cur.y())
+    } else {
+        let ny = if dst.y() > cur.y() { cur.y() + 1 } else { cur.y() - 1 };
+        NodeId::new(cur.x(), ny)
+    }
 }
 
 #[cfg(test)]

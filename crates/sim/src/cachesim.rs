@@ -1,9 +1,8 @@
 //! The simulated cache/memory hierarchy: private L1s, SNUCA L2 banks and
 //! the memory system (MCDRAM/DDR according to the memory mode).
 
-use dmcp_mach::{MachineConfig, NodeId};
+use dmcp_mach::{MachineConfig, Mesh, NodeId};
 use dmcp_mem::{Cache, LineAddr, MemTier, MemoryMode, MemorySystem};
-use std::collections::HashMap;
 
 /// Where an access was served from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,12 +18,16 @@ pub enum ServedBy {
 /// The full cache hierarchy state.
 #[derive(Clone, Debug)]
 pub struct CacheSystem {
+    mesh: Mesh,
     l1_sets: u32,
     l1_ways: u32,
     l2_sets: u32,
     l2_ways: u32,
-    l1: HashMap<NodeId, Cache>,
-    l2: HashMap<NodeId, Cache>,
+    /// Each node's L1, indexed by [`Mesh::node_index`], created on first
+    /// touch.
+    l1: Vec<Option<Cache>>,
+    /// Each node's L2 bank, indexed and created like [`CacheSystem::l1`].
+    l2: Vec<Option<Cache>>,
     memory: MemorySystem,
     l1_hits: u64,
     l1_misses: u64,
@@ -41,13 +44,15 @@ impl CacheSystem {
     pub fn new(machine: &MachineConfig, mode: MemoryMode) -> Self {
         let total_l2_lines =
             (machine.l2_bank_bytes / machine.cache_line) * machine.mesh.node_count();
+        let nodes = machine.mesh.node_count() as usize;
         Self {
+            mesh: machine.mesh,
             l1_sets: machine.l1_sets(),
             l1_ways: machine.l1_ways,
             l2_sets: machine.l2_sets(),
             l2_ways: machine.l2_ways,
-            l1: HashMap::new(),
-            l2: HashMap::new(),
+            l1: vec![None; nodes],
+            l2: vec![None; nodes],
             memory: MemorySystem::new(mode, total_l2_lines * 8),
             l1_hits: 0,
             l1_misses: 0,
@@ -62,14 +67,12 @@ impl CacheSystem {
     /// `home`; `hot` marks flat-placement in fast memory. Fills caches on
     /// the way back. Returns where the data came from.
     pub fn read(&mut self, node: NodeId, line: LineAddr, home: NodeId, hot: bool) -> ServedBy {
-        let l1 = self.l1.entry(node).or_insert_with(|| Cache::new(self.l1_sets, self.l1_ways));
-        if !l1.access(line).is_miss() {
+        if !self.l1(node).access(line).is_miss() {
             self.l1_hits += 1;
             return ServedBy::L1;
         }
         self.l1_misses += 1;
-        let l2 = self.l2.entry(home).or_insert_with(|| Cache::new(self.l2_sets, self.l2_ways));
-        if !l2.access(line).is_miss() {
+        if !self.l2(home).access(line).is_miss() {
             self.l2_hits += 1;
             return ServedBy::L2;
         }
@@ -85,14 +88,29 @@ impl CacheSystem {
     /// Performs a write of `line` by `node` into its home bank
     /// (write-allocate in both the writer's L1 and the home L2).
     pub fn write(&mut self, node: NodeId, line: LineAddr, home: NodeId) {
-        self.l1.entry(node).or_insert_with(|| Cache::new(self.l1_sets, self.l1_ways)).access(line);
-        self.l2.entry(home).or_insert_with(|| Cache::new(self.l2_sets, self.l2_ways)).access(line);
+        self.l1(node).access(line);
+        self.l2(home).access(line);
+    }
+
+    /// `node`'s L1, created on first touch.
+    fn l1(&mut self, node: NodeId) -> &mut Cache {
+        let (sets, ways) = (self.l1_sets, self.l1_ways);
+        self.l1[self.mesh.node_index(node) as usize].get_or_insert_with(|| Cache::new(sets, ways))
+    }
+
+    /// `home`'s L2 bank, created on first touch.
+    fn l2(&mut self, home: NodeId) -> &mut Cache {
+        let (sets, ways) = (self.l2_sets, self.l2_ways);
+        self.l2[self.mesh.node_index(home) as usize].get_or_insert_with(|| Cache::new(sets, ways))
     }
 
     /// `true` if `line` currently sits in `home`'s L2 bank (used to measure
     /// the compile-time predictor's accuracy).
     pub fn l2_contains(&self, home: NodeId, line: LineAddr) -> bool {
-        self.l2.get(&home).is_some_and(|c| c.contains(line))
+        self.mesh.contains(home)
+            && self.l2[self.mesh.node_index(home) as usize]
+                .as_ref()
+                .is_some_and(|c| c.contains(line))
     }
 
     /// L1 hit rate so far.

@@ -94,7 +94,18 @@ impl<'a> Engine<'a> {
     /// Creates an engine with cold caches and an idle network.
     pub fn new(program: &'a Program, layout: &'a Layout, opts: SimOptions) -> Self {
         let machine = layout.machine();
-        let mut network = Network::new(machine.latency);
+        Self::with_network(program, layout, opts, Network::new(machine.latency, machine.mesh))
+    }
+
+    /// [`Engine::new`] with a given idle network, set to the options'
+    /// network knobs.
+    fn with_network(
+        program: &'a Program,
+        layout: &'a Layout,
+        opts: SimOptions,
+        mut network: Network,
+    ) -> Self {
+        let machine = layout.machine();
         network.zero_latency = opts.ideal_network;
         if let Some(s) = opts.movement_scale {
             network.distance_scale = s;
@@ -135,13 +146,8 @@ impl<'a> Engine<'a> {
         opts: SimOptions,
         faults: FaultState,
     ) -> Self {
-        let mut this = Self::new(program, layout, opts);
-        this.network = Network::with_faults(layout.machine().latency, faults);
-        this.network.zero_latency = opts.ideal_network;
-        if let Some(s) = opts.movement_scale {
-            this.network.distance_scale = s;
-        }
-        this
+        let network = Network::with_faults(layout.machine().latency, faults);
+        Self::with_network(program, layout, opts, network)
     }
 
     /// Executes one nest's schedule. Nests are separated by a global
@@ -382,9 +388,7 @@ impl<'a> Engine<'a> {
             cache: e.l1 * (l1h + l1m) as f64 + e.l2 * (l2h + l2m) as f64,
             memory: e.fast_mem * fast as f64 + e.slow_mem * slow as f64,
             op: e.op * self.ops as f64,
-            background: e.static_per_cycle
-                * exec_time
-                * f64::from(machine.mesh.node_count() as u16),
+            background: e.static_per_cycle * exec_time * f64::from(machine.mesh.node_count()),
         };
         SimReport {
             busiest_node: busiest,
@@ -624,6 +628,45 @@ mod tests {
             charged.exec_time > plain.exec_time,
             "S4's transplanted sync cost must slow the default run"
         );
+    }
+
+    /// Regression: background energy converted the node count through
+    /// `u16`, so on a mesh of 65,536 or more nodes it wrapped (to 0 on
+    /// 256×256). One step with a corner-to-corner store stays cheap there
+    /// because caches are created on first touch.
+    #[test]
+    fn background_energy_counts_every_node_of_a_huge_mesh() {
+        let mut b = ProgramBuilder::new();
+        for n in ["A", "B"] {
+            b.array(n, &[8], 64);
+        }
+        b.nest(&[("i", 0, 8)], &["A[i] = B[i] + 1"]).unwrap();
+        let program = b.build();
+        let machine = MachineConfig::knl_like().with_mesh(dmcp_mach::Mesh::new(256, 256));
+        let layout = Layout::new(&machine, &program, dmcp_mem::page::PagePolicy::default());
+        let (array, elem) = (dmcp_ir::ArrayId::from_index(0), 0);
+        let info = layout.locate(&program, array, elem, NodeId::new(255, 255));
+        let step = Step {
+            id: dmcp_core::SubId(0),
+            node: NodeId::new(255, 255),
+            seed: Some(1.0),
+            inputs: Vec::new(),
+            store: Some(dmcp_core::StoreTarget {
+                array,
+                elem,
+                line: info.line,
+                home: info.home,
+                hot: false,
+            }),
+            waits: Vec::new(),
+            tag: dmcp_core::StmtTag::default(),
+        };
+        let mut engine = Engine::new(&program, &layout, SimOptions::default());
+        engine.run(&Schedule { steps: vec![step] });
+        let r = engine.report();
+        assert!(r.exec_time > 0.0);
+        let want = machine.energy.static_per_cycle * r.exec_time * 65_536.0;
+        assert_eq!(r.energy.background, want, "background energy must count all 65,536 nodes");
     }
 
     #[test]

@@ -5,10 +5,17 @@
 //! decayed traversal count — a queueing-style approximation that makes hot
 //! links slower, which is what the paper's Figure 19 (average/maximum
 //! network latency) measures.
+//!
+//! Link loads live in a vector indexed by dense link id
+//! ([`Mesh::link_id`]), and a healthy transfer walks its XY route inline.
+//! On a faulty mesh each source's routes are resolved once per run
+//! ([`FaultState::routes_from`]), on the source's first transfer or
+//! length query, and every later one reads them from that table.
 
 use crate::error::SimError;
-use dmcp_mach::{fault, routing, FaultState, LatencyModel, Link, NodeId};
-use std::collections::HashMap;
+use dmcp_mach::mesh::{MINUS_X, MINUS_Y, PLUS_X, PLUS_Y};
+use dmcp_mach::{FaultState, LatencyModel, Link, Mesh, NodeId, RouteError, SourceRoutes};
+use std::cell::OnceCell;
 
 /// Decay applied to a link's load on each traversal (the effective window
 /// is ~1/(1-decay) recent traversals).
@@ -23,14 +30,16 @@ const MAX_RETRIES: u32 = 6;
 #[derive(Clone, Debug)]
 pub struct Network {
     latency: LatencyModel,
-    load: HashMap<Link, f64>,
+    mesh: Mesh,
+    /// Decayed load per dense link id; 0 on links never traversed.
+    load: Vec<f64>,
     messages: u64,
     latency_sum: f64,
     latency_max: f64,
     links_traversed: u64,
-    /// Fault state driving detours, drops and retries; `None` on a healthy
-    /// mesh, where [`Network::transfer`] runs the original XY fast path.
-    faults: Option<FaultState>,
+    /// Routing state driving detours, drops and retries; `None` on a
+    /// healthy mesh, where [`Network::transfer`] walks XY routes.
+    faults: Option<Box<FaultRouting>>,
     retries: u64,
     detour_hops: u64,
     dropped_flits: u64,
@@ -42,12 +51,54 @@ pub struct Network {
     pub distance_scale: f64,
 }
 
+/// What a faulty mesh adds to the network.
+#[derive(Clone, Debug)]
+struct FaultRouting {
+    /// The faults, which also keep the drop schedule.
+    state: FaultState,
+    /// Per dense link id: a lossy link (positive drop probability).
+    lossy: Vec<bool>,
+    /// Per source node index: its routes, resolved on first use.
+    routes: Vec<OnceCell<Result<SourceRoutes, RouteError>>>,
+    /// Link ids of the route in flight.
+    path: Vec<u32>,
+}
+
+impl FaultRouting {
+    fn new(state: FaultState) -> Self {
+        let mesh = state.mesh();
+        let mut lossy = vec![false; mesh.link_slots()];
+        for (a, b, p) in state.plan().lossy_links() {
+            if p > 0.0 {
+                for link in [Link::new(a, b), Link::new(b, a)] {
+                    lossy[mesh.link_id(link) as usize] = true;
+                }
+            }
+        }
+        let routes = (0..mesh.node_count()).map(|_| OnceCell::new()).collect();
+        Self { state, lossy, routes, path: Vec::new() }
+    }
+}
+
+/// The routes out of `src` in a [`FaultRouting`]'s table, resolved on the
+/// source's first use. It takes the fields it reads, so a caller can keep
+/// the others borrowed.
+fn routes_out_of<'a>(
+    routes: &'a [OnceCell<Result<SourceRoutes, RouteError>>],
+    state: &FaultState,
+    src: NodeId,
+) -> Result<&'a SourceRoutes, RouteError> {
+    let cell = &routes[state.mesh().node_index(src) as usize];
+    cell.get_or_init(|| state.routes_from(src)).as_ref().map_err(Clone::clone)
+}
+
 impl Network {
-    /// Creates an idle network with the given timing constants.
-    pub fn new(latency: LatencyModel) -> Self {
+    /// Creates an idle network on `mesh` with the given timing constants.
+    pub fn new(latency: LatencyModel, mesh: Mesh) -> Self {
         Self {
             latency,
-            load: HashMap::new(),
+            mesh,
+            load: vec![0.0; mesh.link_slots()],
             messages: 0,
             latency_sum: 0.0,
             latency_max: 0.0,
@@ -61,14 +112,14 @@ impl Network {
         }
     }
 
-    /// Creates an idle network threaded with a fault state. A trivial
-    /// (empty) state is discarded, leaving the healthy fast path — healthy
-    /// runs stay bit-identical whether or not they went through this
-    /// constructor.
+    /// Creates an idle network on the fault state's mesh, threaded with
+    /// the faults. A trivial (empty) state is discarded, leaving the
+    /// healthy fast path — healthy runs stay bit-identical whether or not
+    /// they went through this constructor.
     pub fn with_faults(latency: LatencyModel, faults: FaultState) -> Self {
-        let mut net = Self::new(latency);
+        let mut net = Self::new(latency, faults.mesh());
         if !faults.is_trivial() {
-            net.faults = Some(faults);
+            net.faults = Some(Box::new(FaultRouting::new(faults)));
         }
         net
     }
@@ -104,37 +155,71 @@ impl Network {
         if src == dst {
             return Ok(0.0);
         }
-        // Healthy fast path: exactly the original code.
         let Some(mut faults) = self.faults.take() else {
-            let path = routing::route(src, dst);
-            let mut lat = 0.0;
-            for link in &path {
-                let load = self.load.entry(*link).or_insert(0.0);
-                lat += self.latency.hop + self.latency.contention * *load;
-                *load = *load * LOAD_DECAY + 1.0;
-                self.links_traversed += 1;
-            }
+            let lat = self.walk_xy(src, dst);
             return Ok(self.finish_message(lat));
         };
-        let result = fault::route_avoiding(src, dst, &faults);
-        let path = match result {
-            Ok(p) => p,
-            Err(e) => {
-                self.faults = Some(faults);
-                return Err(e.into());
-            }
-        };
-        self.detour_hops += u64::from(path.len() - src.manhattan(dst));
+        let result = self.walk_faulty(&mut faults, src, dst);
+        self.faults = Some(faults);
+        Ok(self.finish_message(result?))
+    }
+
+    /// Charges one traversal of link `id` and returns its latency: the
+    /// hop plus contention at the link's load before this traversal.
+    fn traverse(&mut self, id: usize) -> f64 {
+        let load = &mut self.load[id];
+        let lat = self.latency.hop + self.latency.contention * *load;
+        *load = *load * LOAD_DECAY + 1.0;
+        self.links_traversed += 1;
+        lat
+    }
+
+    /// Walks the XY route from `src` to `dst` link by link (x first, then
+    /// y) and returns the summed latency.
+    fn walk_xy(&mut self, src: NodeId, dst: NodeId) -> f64 {
+        let row = 4 * usize::from(self.mesh.cols());
+        let mut base = 4 * self.mesh.node_index(src) as usize;
+        let mut lat = 0.0;
+        for _ in src.x()..dst.x() {
+            lat += self.traverse(base + PLUS_X as usize);
+            base += 4;
+        }
+        for _ in dst.x()..src.x() {
+            lat += self.traverse(base + MINUS_X as usize);
+            base -= 4;
+        }
+        for _ in src.y()..dst.y() {
+            lat += self.traverse(base + PLUS_Y as usize);
+            base += row;
+        }
+        for _ in dst.y()..src.y() {
+            lat += self.traverse(base + MINUS_Y as usize);
+            base -= row;
+        }
+        lat
+    }
+
+    /// Sends one message along its fault-aware route, resending it after
+    /// each drop, and returns the summed latency.
+    fn walk_faulty(
+        &mut self,
+        faults: &mut FaultRouting,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<f64, SimError> {
+        let FaultRouting { state, lossy, routes, path } = faults;
+        routes_out_of(routes, state, src)?.links_into(dst, path)?;
+        self.detour_hops += path.len() as u64 - u64::from(src.manhattan(dst));
         let mut lat = 0.0;
         let mut attempt = 0u32;
         loop {
             let mut delivered = true;
-            for link in &path {
-                let load = self.load.entry(*link).or_insert(0.0);
-                lat += self.latency.hop + self.latency.contention * *load;
-                *load = *load * LOAD_DECAY + 1.0;
-                self.links_traversed += 1;
-                if attempt < MAX_RETRIES && faults.should_drop(*link) {
+            for &id in path.iter() {
+                lat += self.traverse(id as usize);
+                if attempt < MAX_RETRIES
+                    && lossy[id as usize]
+                    && state.should_drop(self.mesh.link_at(id))
+                {
                     // The flit died here: the partial traversal was already
                     // paid for; add the retransmission backoff and resend.
                     self.dropped_flits += 1;
@@ -144,13 +229,11 @@ impl Network {
                 }
             }
             if delivered {
-                break;
+                return Ok(lat);
             }
             attempt += 1;
             self.retries += 1;
         }
-        self.faults = Some(faults);
-        Ok(self.finish_message(lat))
     }
 
     /// Applies scaling/zero-latency and records message statistics.
@@ -174,10 +257,9 @@ impl Network {
     pub fn path_len(&self, src: NodeId, dst: NodeId) -> u32 {
         match &self.faults {
             None => src.manhattan(dst),
-            Some(f) => match fault::route_avoiding(src, dst, f) {
-                Ok(p) => p.len(),
-                Err(_) => src.manhattan(dst),
-            },
+            Some(f) => routes_out_of(&f.routes, &f.state, src)
+                .and_then(|r| r.hops(dst))
+                .unwrap_or_else(|_| src.manhattan(dst)),
         }
     }
 
@@ -220,9 +302,13 @@ impl Network {
         self.latency_max
     }
 
-    /// Current per-link decayed loads (a congestion heatmap snapshot).
+    /// Current decayed loads of every link traversed so far, in dense
+    /// link-id order (a congestion heatmap snapshot).
     pub fn link_loads(&self) -> impl Iterator<Item = (Link, f64)> + '_ {
-        self.load.iter().map(|(&l, &v)| (l, v))
+        (0u32..)
+            .zip(&self.load)
+            .filter(|&(_, &load)| load > 0.0)
+            .map(|(id, &load)| (self.mesh.link_at(id), load))
     }
 }
 
@@ -231,7 +317,7 @@ mod tests {
     use super::*;
 
     fn net() -> Network {
-        Network::new(LatencyModel::default())
+        Network::new(LatencyModel::default(), Mesh::new(6, 6))
     }
 
     #[test]
@@ -293,7 +379,7 @@ mod tests {
         assert!((half - full / 2.0).abs() < 1e-9);
     }
 
-    use dmcp_mach::{FaultPlan, FaultState, Mesh};
+    use dmcp_mach::FaultPlan;
 
     fn faulty(plan: FaultPlan) -> Network {
         let faults = FaultState::new(plan, Mesh::new(6, 6)).unwrap();

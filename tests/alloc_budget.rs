@@ -1,4 +1,4 @@
-//! Per-pass allocation counts of the planner.
+//! Per-pass allocation counts of the planner, and the simulator's.
 //!
 //! The number of heap allocations a pass makes repeats from run to run
 //! where its time does not, so it can be gated like a digest. This binary
@@ -6,7 +6,9 @@
 //! beside each other in this binary do not add to each other's counts —
 //! plans the 24 golden inputs (the 12 Tiny workloads, healthy and under
 //! the canonical faults) on `Pool::single()` through `PlanCtx` and
-//! `passes()`, and checks every pass against [`PINNED`].
+//! `passes()`, and checks every pass against [`PINNED`]. It then
+//! simulates the 24 golden plans and checks the simulator's total
+//! against [`PINNED_SIM`].
 //!
 //! Every pass repeats its count exactly, whatever keys the std hash maps
 //! draw: the maps left on the planning path (the predictor's last-access
@@ -24,10 +26,11 @@
 //! no change to this code. CI's `test` job installs that toolchain; a
 //! toolchain bump re-pins here in the same change.
 
-use dmcp::check::golden::canonical_faults;
+use dmcp::check::golden::{canonical_faults, GoldenInput, GOLDEN_HEALTHY};
 use dmcp::core::{passes, PartitionConfig, Partitioner, PlanCtx};
 use dmcp::mach::{FaultState, MachineConfig};
 use dmcp::pool::Pool;
+use dmcp::sim::SimOptions;
 use dmcp::workloads::{all, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,6 +99,10 @@ const PINNED: [(&str, u64); 5] = [
     ("sync", 140_445),
 ];
 
+/// Allocations of simulating the 24 golden plans with default options
+/// (each degraded run's copy of the fault state included).
+const PINNED_SIM: u64 = 41_099;
+
 /// Plans the 24 golden inputs and returns each pass's allocations, in
 /// pipeline order.
 fn pass_allocations() -> Vec<(&'static str, u64)> {
@@ -134,10 +141,37 @@ fn every_pass_stays_within_its_allocation_budget() {
     }
 }
 
+/// Simulates the 24 golden plans (planned outside the count) and returns
+/// the simulator's allocations.
+fn sim_allocations() -> u64 {
+    let pool = Pool::single();
+    let mut total = 0;
+    for (name, _) in GOLDEN_HEALTHY {
+        for machine in ["healthy", "degraded"] {
+            let input = GoldenInput::plan(machine, name, &pool);
+            let before = allocations();
+            let _report = input.simulate(SimOptions::default());
+            total += allocations() - before;
+        }
+    }
+    total
+}
+
+#[test]
+fn the_simulator_stays_within_its_allocation_budget() {
+    let got = sim_allocations();
+    assert_eq!(
+        got, PINNED_SIM,
+        "simulator: {got} allocations, pinned at {PINNED_SIM} with rustc {PINNED_WITH}; re-pin \
+         from `cargo test -p dmcp --test alloc_budget -- --ignored --nocapture`"
+    );
+}
+
 #[test]
 #[ignore]
 fn print_pass_allocations() {
     for (name, count) in pass_allocations() {
         println!("{name:>14} {count:>10}");
     }
+    println!("{:>14} {:>10}", "simulator", sim_allocations());
 }

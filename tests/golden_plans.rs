@@ -14,6 +14,10 @@
 //! a 100-node mesh (`GOLDEN_LARGE_MESH`), beyond one machine word of
 //! node indices.
 //!
+//! `GOLDEN_SIM` pins every field of the simulator's report for those
+//! plans, and for runs the benchmark never makes: lossy links, the 10×10
+//! mesh, both MCDRAM memory modes and every counterfactual option.
+//!
 //! To regenerate after an intentional planner change:
 //!
 //! ```text
@@ -21,11 +25,13 @@
 //! ```
 
 use dmcp::check::golden::{
-    degraded_digest, healthy_digest, key_digests, large_mesh_digest, variant_run, GOLDEN_DEGRADED,
-    GOLDEN_HEALTHY, GOLDEN_KEYS, GOLDEN_LARGE_MESH, GOLDEN_VARIANTS,
+    degraded_digest, healthy_digest, key_digests, large_mesh_digest, sim_golden_rows, variant_run,
+    GoldenInput, GOLDEN_DEGRADED, GOLDEN_HEALTHY, GOLDEN_KEYS, GOLDEN_LARGE_MESH, GOLDEN_SIM,
+    GOLDEN_VARIANTS,
 };
 use dmcp::check::plan_digest;
 use dmcp::pool::Pool;
+use dmcp::sim::SimOptions;
 use dmcp::workloads::{all, Scale};
 
 #[test]
@@ -140,5 +146,34 @@ fn large_mesh_plans_match_their_goldens_at_one_and_eight_threads() {
             let got = large_mesh_digest(name, true, &pool);
             assert_eq!(got, degraded, "{name}: 10x10 degraded digest drifted ({got:#018x})");
         }
+    }
+}
+
+/// Every simulator golden run reports, field for field, what the
+/// simulator reported when the table was pinned.
+#[test]
+fn every_sim_report_matches_its_golden() {
+    let got = sim_golden_rows(&Pool::single());
+    assert_eq!(got.len(), GOLDEN_SIM.len(), "one pin per simulator golden run");
+    for (got, want) in got.iter().zip(GOLDEN_SIM) {
+        let (machine, options, name, digest) = *got;
+        assert_eq!((machine, options, name), (want.0, want.1, want.2), "row order changed");
+        assert_eq!(
+            digest, want.3,
+            "{name} on {machine} with {options} options: simulator report drifted ({digest:#018x})"
+        );
+    }
+}
+
+/// The `lossy` machine reaches the fault paths the canonical faults do
+/// not: its runs detour, drop flits and retry.
+#[test]
+fn the_lossy_sim_goldens_detour_drop_and_retry() {
+    for name in ["FFT", "Radix"] {
+        let report =
+            GoldenInput::plan("lossy", name, &Pool::single()).simulate(SimOptions::default());
+        assert!(report.net_detour_hops > 0, "{name}: no detour");
+        assert!(report.net_dropped_flits > 0, "{name}: no drop");
+        assert!(report.net_retries > 0, "{name}: no retry");
     }
 }

@@ -12,9 +12,13 @@ use dmcp::core::unionfind::UnionFind;
 use dmcp::ir::nested::Group;
 use dmcp::ir::{BinOp, Expr};
 use dmcp::mach::rng::Rng64;
-use dmcp::mach::{routing, Mesh, NodeId};
+use dmcp::mach::{
+    route_avoiding, routing, FaultPlan, FaultState, LatencyModel, Link, Mesh, NodeId, RouteError,
+    RoutePath,
+};
 use dmcp::mem::{Cache, LineAddr};
-use std::collections::HashMap;
+use dmcp::sim::{Network, SimError};
+use std::collections::{HashMap, VecDeque};
 
 fn random_node(rng: &mut Rng64) -> NodeId {
     NodeId::new(rng.gen_range(8) as u16, rng.gen_range(8) as u16)
@@ -313,6 +317,312 @@ fn dense_l1_model_matches_the_map_reference() {
             }
         }
     }
+}
+
+/// The fault-aware router as it was before routes were resolved per
+/// source: the XY route when no fault touches it, else a breadth-first
+/// search that stops at `dst`.
+fn reference_route(src: NodeId, dst: NodeId, state: &FaultState) -> Result<RoutePath, RouteError> {
+    if state.is_trivial() {
+        return Ok(routing::route(src, dst));
+    }
+    if state.is_dead(src) {
+        return Err(RouteError::DeadEndpoint(src));
+    }
+    if state.is_dead(dst) {
+        return Err(RouteError::DeadEndpoint(dst));
+    }
+    if src == dst {
+        return Ok(RoutePath::default());
+    }
+    let xy = routing::route(src, dst);
+    let healthy = xy
+        .links()
+        .iter()
+        .all(|l| state.link_ok(l.src(), l.dst()) && (l.dst() == dst || !state.is_dead(l.dst())));
+    if healthy {
+        return Ok(xy);
+    }
+    let mesh = state.mesh();
+    let n = mesh.node_count() as usize;
+    let mut prev: Vec<Option<NodeId>> = vec![None; n];
+    let mut seen = vec![false; n];
+    seen[mesh.node_index(src) as usize] = true;
+    let mut queue = VecDeque::from([src]);
+    while let Some(cur) = queue.pop_front() {
+        if cur == dst {
+            let mut nodes = vec![dst];
+            let mut walk = dst;
+            while walk != src {
+                walk = prev[mesh.node_index(walk) as usize].expect("BFS predecessor");
+                nodes.push(walk);
+            }
+            nodes.reverse();
+            let links = nodes.windows(2).map(|w| Link::new(w[0], w[1])).collect();
+            return Ok(RoutePath::from_links(links));
+        }
+        for nb in mesh.neighbors(cur) {
+            let ni = mesh.node_index(nb) as usize;
+            if seen[ni] || state.is_dead(nb) || !state.link_ok(cur, nb) {
+                continue;
+            }
+            seen[ni] = true;
+            prev[ni] = Some(cur);
+            queue.push_back(nb);
+        }
+    }
+    Err(RouteError::Unreachable { src, dst })
+}
+
+/// The simulator's network as it was before dense link ids: link loads in
+/// a hash map keyed by link, and every faulty transfer and path length
+/// routed afresh by [`reference_route`].
+struct ReferenceNetwork {
+    latency: LatencyModel,
+    load: HashMap<Link, f64>,
+    messages: u64,
+    latency_sum: f64,
+    latency_max: f64,
+    links_traversed: u64,
+    faults: Option<FaultState>,
+    retries: u64,
+    detour_hops: u64,
+    dropped_flits: u64,
+    zero_latency: bool,
+    distance_scale: f64,
+}
+
+impl ReferenceNetwork {
+    fn with_faults(latency: LatencyModel, faults: FaultState) -> Self {
+        Self {
+            latency,
+            load: HashMap::new(),
+            messages: 0,
+            latency_sum: 0.0,
+            latency_max: 0.0,
+            links_traversed: 0,
+            faults: (!faults.is_trivial()).then_some(faults),
+            retries: 0,
+            detour_hops: 0,
+            dropped_flits: 0,
+            zero_latency: false,
+            distance_scale: 1.0,
+        }
+    }
+
+    fn try_transfer(&mut self, src: NodeId, dst: NodeId) -> Result<f64, SimError> {
+        const LOAD_DECAY: f64 = 0.98;
+        const MAX_RETRIES: u32 = 6;
+        if src == dst {
+            return Ok(0.0);
+        }
+        let Some(mut faults) = self.faults.take() else {
+            let mut lat = 0.0;
+            for link in &routing::route(src, dst) {
+                let load = self.load.entry(*link).or_insert(0.0);
+                lat += self.latency.hop + self.latency.contention * *load;
+                *load = *load * LOAD_DECAY + 1.0;
+                self.links_traversed += 1;
+            }
+            return Ok(self.finish_message(lat));
+        };
+        let path = match reference_route(src, dst, &faults) {
+            Ok(p) => p,
+            Err(e) => {
+                self.faults = Some(faults);
+                return Err(e.into());
+            }
+        };
+        self.detour_hops += u64::from(path.len() - src.manhattan(dst));
+        let mut lat = 0.0;
+        let mut attempt = 0u32;
+        loop {
+            let mut delivered = true;
+            for link in &path {
+                let load = self.load.entry(*link).or_insert(0.0);
+                lat += self.latency.hop + self.latency.contention * *load;
+                *load = *load * LOAD_DECAY + 1.0;
+                self.links_traversed += 1;
+                if attempt < MAX_RETRIES && faults.should_drop(*link) {
+                    self.dropped_flits += 1;
+                    lat += self.latency.hop * f64::from(1u32 << attempt);
+                    delivered = false;
+                    break;
+                }
+            }
+            if delivered {
+                break;
+            }
+            attempt += 1;
+            self.retries += 1;
+        }
+        self.faults = Some(faults);
+        Ok(self.finish_message(lat))
+    }
+
+    fn finish_message(&mut self, mut lat: f64) -> f64 {
+        lat *= self.distance_scale;
+        if self.zero_latency {
+            lat = 0.0;
+        }
+        self.messages += 1;
+        self.latency_sum += lat;
+        if lat > self.latency_max {
+            self.latency_max = lat;
+        }
+        lat
+    }
+
+    fn path_len(&self, src: NodeId, dst: NodeId) -> u32 {
+        match &self.faults {
+            None => src.manhattan(dst),
+            Some(f) => reference_route(src, dst, f).map_or(src.manhattan(dst), |p| p.len()),
+        }
+    }
+}
+
+/// Every counter both networks keep, floats by their bits, and the link
+/// loads as a set.
+fn network_state(net: &Network) -> (Vec<u64>, Vec<(Link, u64)>) {
+    let counters = vec![
+        net.messages(),
+        net.links_traversed(),
+        net.retries(),
+        net.dropped_flits(),
+        net.detour_hops(),
+        net.avg_latency().to_bits(),
+        net.max_latency().to_bits(),
+    ];
+    let mut loads: Vec<(Link, u64)> = net.link_loads().map(|(l, v)| (l, v.to_bits())).collect();
+    loads.sort_unstable();
+    (counters, loads)
+}
+
+fn reference_state(net: &ReferenceNetwork) -> (Vec<u64>, Vec<(Link, u64)>) {
+    let avg = if net.messages == 0 { 0.0 } else { net.latency_sum / net.messages as f64 };
+    let counters = vec![
+        net.messages,
+        net.links_traversed,
+        net.retries,
+        net.dropped_flits,
+        net.detour_hops,
+        avg.to_bits(),
+        net.latency_max.to_bits(),
+    ];
+    let mut loads: Vec<(Link, u64)> = net.load.iter().map(|(&l, &v)| (l, v.to_bits())).collect();
+    loads.sort_unstable();
+    (counters, loads)
+}
+
+/// A random fault plan on `mesh`: dead nodes, dead links and lossy links
+/// at rates drawn from `rng` (all zero now and then: the healthy mesh).
+fn random_faults(rng: &mut Rng64, mesh: Mesh) -> Option<FaultState> {
+    let dead = [0.0, 0.05, 0.1, 0.2][rng.gen_range(4) as usize];
+    let link_fail = [0.0, 0.05, 0.15][rng.gen_range(3) as usize];
+    let lossy = [0.0, 0.2, 0.5][rng.gen_range(3) as usize];
+    let drop = [0.1, 0.4, 0.9][rng.gen_range(3) as usize];
+    let plan = FaultPlan::random(mesh, dead, link_fail, lossy, drop, rng.next_u64());
+    FaultState::new(plan, mesh).ok()
+}
+
+/// The meshes of `gencase` plus a 10×10 one.
+const NETWORK_MESHES: [(u16, u16); 8] =
+    [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (4, 4), (6, 6), (10, 10)];
+
+/// The dense-link `Network` with per-source route tables and the map
+/// reference, driven by the same random `try_transfer`/`path_len` streams
+/// under random fault plans (dead nodes, dead links, lossy links; latency
+/// scaling and the ideal network switched at random), agree after every
+/// step on each latency's bits, every counter and the link-load set. A
+/// transfer from or to a dead or cut-off node fails with a route error
+/// and moves no counter.
+#[test]
+fn dense_network_matches_the_map_reference() {
+    // Totals over every case, so a generator that stops reaching detours,
+    // drops or failed transfers fails here.
+    let (mut detours, mut drops, mut failures) = (0, 0, 0);
+    for (i, &(cols, rows)) in NETWORK_MESHES.iter().enumerate() {
+        let mesh = Mesh::new(cols, rows);
+        let all: Vec<NodeId> = mesh.nodes().collect();
+        for seed in 0..24 {
+            let mut rng = Rng64::new(1000 * i as u64 + seed);
+            let Some(state) = random_faults(&mut rng, mesh) else { continue };
+            let live = state.live_nodes().to_vec();
+            let latency = LatencyModel::default();
+            let mut net = Network::with_faults(latency, state.clone());
+            let mut reference = ReferenceNetwork::with_faults(latency, state.clone());
+            if rng.gen_bool(0.2) {
+                net.zero_latency = true;
+                reference.zero_latency = true;
+            }
+            if rng.gen_bool(0.2) {
+                net.distance_scale = 0.5;
+                reference.distance_scale = 0.5;
+            }
+            let pick = |rng: &mut Rng64| {
+                let pool = if rng.gen_bool(0.25) { &all } else { &live };
+                pool[rng.gen_range(pool.len() as u64) as usize]
+            };
+            for step in 0..150 {
+                let (src, dst) = (pick(&mut rng), pick(&mut rng));
+                let case = format!("mesh {cols}x{rows} seed {seed} step {step}: {src}->{dst}");
+                if rng.gen_bool(0.3) {
+                    assert_eq!(net.path_len(src, dst), reference.path_len(src, dst), "{case}");
+                    continue;
+                }
+                let before = network_state(&net);
+                let got = net.try_transfer(src, dst);
+                let want = reference.try_transfer(src, dst);
+                match (&got, &want) {
+                    (Ok(g), Ok(w)) => assert_eq!(g.to_bits(), w.to_bits(), "{case}: latency"),
+                    (Err(g), Err(w)) => {
+                        failures += 1;
+                        assert_eq!(g, w, "{case}: error");
+                        assert!(matches!(g, SimError::Route(_)), "{case}: {g}");
+                        assert_eq!(network_state(&net), before, "{case}: a failed transfer moved");
+                    }
+                    _ => panic!("{case}: {got:?} vs reference {want:?}"),
+                }
+                assert_eq!(network_state(&net), reference_state(&reference), "{case}: state");
+            }
+            detours += net.detour_hops();
+            drops += net.dropped_flits();
+            // Every usable pair's table route is the reference router's,
+            // link for link (after seed 8, only from up to 12 sources spread
+            // over the live set); `route_avoiding` reads the same table
+            // (checked on one destination per source).
+            let mut ids = Vec::new();
+            let stride = if seed < 8 { 1 } else { live.len().div_ceil(12) };
+            for &a in live.iter().step_by(stride) {
+                let routes = state.routes_from(a).expect("usable source");
+                for &b in &live {
+                    routes.links_into(b, &mut ids).expect("usable pair routes");
+                    let table: Vec<Link> = ids.iter().map(|&id| mesh.link_at(id)).collect();
+                    let want = reference_route(a, b, &state).expect("usable pair routes");
+                    assert_eq!(table, want.links(), "mesh {cols}x{rows} seed {seed}: {a}->{b}");
+                    assert_eq!(routes.hops(b), Ok(want.len()));
+                }
+                let b = live[rng.gen_range(live.len() as u64) as usize];
+                let want = reference_route(a, b, &state);
+                assert_eq!(route_avoiding(a, b, &state), want, "mesh {cols}x{rows} seed {seed}");
+            }
+            // Dead and cut-off nodes never transfer to or from the live set.
+            for &lost in all.iter().filter(|&&n| !state.is_usable(n)) {
+                let other = live[rng.gen_range(live.len() as u64) as usize];
+                for (src, dst) in [(lost, other), (other, lost)] {
+                    let before = network_state(&net);
+                    let err = net.try_transfer(src, dst).expect_err("unusable endpoint");
+                    assert!(matches!(err, SimError::Route(_)), "{src}->{dst}: {err}");
+                    assert_eq!(
+                        network_state(&net),
+                        before,
+                        "{src}->{dst}: a failed transfer moved"
+                    );
+                }
+            }
+        }
+    }
+    assert!(detours > 0 && drops > 0 && failures > 0, "{detours} {drops} {failures}");
 }
 
 /// XY routes are always minimal and contiguous.
