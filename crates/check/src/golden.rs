@@ -4,7 +4,8 @@
 //! [`GOLDEN_VARIANTS`]: FFT and Radix under every non-default planning
 //! configuration in [`VARIANTS`], and [`GOLDEN_LARGE_MESH`]: FFT, Radix
 //! and LU on a 10×10 mesh. [`GOLDEN_SIM`] pins what the simulator reports
-//! for those plans, field by field.
+//! for those plans, field by field, and [`GOLDEN_PLAN_BYTES`] the bytes
+//! the plan server sends for them.
 //!
 //! These tables pin the planner's output bit-for-bit across refactors.
 //! Any change to splitting, placement, window choice, sync reduction or
@@ -25,6 +26,7 @@ use dmcp_mach::{ClusterMode, FaultPlan, FaultState, MachineConfig, Mesh, NodeId}
 use dmcp_mem::page::PagePolicy;
 use dmcp_mem::MemoryMode;
 use dmcp_pool::Pool;
+use dmcp_serve::codec::encode_plan;
 use dmcp_serve::PlanRequest;
 use dmcp_sim::{run_schedules, run_schedules_degraded, SimOptions, SimReport};
 use dmcp_workloads::{by_name, Scale, Workload};
@@ -81,6 +83,38 @@ pub const GOLDEN_KEYS: &[(&str, u64, u64)] = &[
     ("MiniMD", 0xce20d781cbc013eb, 0x26b902730ace6184),
     ("MiniXyce", 0xa0cb8418498dd25a, 0xeda354f8ba6f77e5),
 ];
+
+/// Expected `(workload, healthy length, healthy checksum, degraded length,
+/// degraded checksum)` of [`encode_plan`] for the golden plans: the bytes
+/// a cache hit sends and the disk tier stores, measured by
+/// [`plan_bytes_pin`].
+///
+/// The plan digests pin what the planner builds; these pin how the codec
+/// writes it, so a layout change cannot pass as long as it round-trips.
+/// Taken once from the compact plan layout (plan version byte 6) and never
+/// regenerated: a new layout needs a new version byte and a new table.
+pub const GOLDEN_PLAN_BYTES: &[(&str, usize, u64, usize, u64)] = &[
+    ("Barnes", 313141, 0xe7bcdd8a118b83fd, 312833, 0xfb459a803cdc1efe),
+    ("Cholesky", 348215, 0x905d50008f62c112, 348148, 0x85cc88741f0a7300),
+    ("FFT", 114555, 0x06f46881ae406ebd, 114672, 0x040d1a76f6c35cd5),
+    ("FMM", 135745, 0x2232e54316c5eeb0, 141216, 0xe786e3c8bc5d77ca),
+    ("LU", 467519, 0x510969fd937a86ac, 466931, 0xb777e0779e63333c),
+    ("Ocean", 412135, 0x5dceeb7bb6010c6c, 412081, 0x2423dfab53d71244),
+    ("Radiosity", 151792, 0x78d6cc6870591bbc, 152138, 0x7028a7d4f130395b),
+    ("Radix", 135598, 0xb31f403541eca4f8, 135611, 0xb2ee820047b0db7c),
+    ("Raytrace", 159797, 0xe99976e2b9a184cf, 159804, 0x23f5472e28dc974a),
+    ("Water", 285985, 0x7509dc7037b5d6db, 284073, 0x24a0d8d9c7bce59a),
+    ("MiniMD", 289018, 0x89855f9d0b5c4bb5, 288654, 0xaf7df22902d2ce93),
+    ("MiniXyce", 129183, 0xa45d25cd2da55a96, 129086, 0xcb6dc830fec38e74),
+];
+
+/// The length and [`dmcp_hash::checksum64`] of `output`'s encoding, as
+/// [`GOLDEN_PLAN_BYTES`] pins them.
+#[must_use]
+pub fn plan_bytes_pin(output: &PartitionOutput) -> (usize, u64) {
+    let bytes = encode_plan(output);
+    (bytes.len(), dmcp_hash::checksum64(&bytes))
+}
 
 /// Expected `(workload, healthy digest, degraded digest)` on
 /// [`large_mesh_machine`] with the default configuration, the degraded
@@ -604,6 +638,7 @@ mod tests {
             assert!(GOLDEN_HEALTHY.iter().any(|(n, _)| n == name), "{name} missing (healthy)");
             assert!(GOLDEN_DEGRADED.iter().any(|(n, _)| n == name), "{name} missing (degraded)");
             assert!(GOLDEN_KEYS.iter().any(|(n, _, _)| n == name), "{name} missing (keys)");
+            assert!(GOLDEN_PLAN_BYTES.iter().any(|r| r.0 == *name), "{name} missing (bytes)");
         }
     }
 
@@ -667,6 +702,13 @@ mod tests {
                 };
                 println!("    (\"{variant}\", \"{name}\", {h:#018x}, {d}),");
             }
+        }
+        println!("];");
+        println!("pub const GOLDEN_PLAN_BYTES: &[(&str, usize, u64, usize, u64)] = &[");
+        for w in all(Scale::Tiny) {
+            let (hl, hs) = plan_bytes_pin(&healthy_output(w.name, &pool));
+            let (dl, ds) = plan_bytes_pin(&degraded_output(w.name, &pool));
+            println!("    (\"{}\", {hl}, {hs:#018x}, {dl}, {ds:#018x}),", w.name);
         }
         println!("];");
         println!("pub const GOLDEN_LARGE_MESH: &[(&str, u64, u64)] = &[");

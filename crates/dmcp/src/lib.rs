@@ -23,7 +23,7 @@
 //! | [`pool`] | `dmcp-pool` | deterministic fork-join thread pool shared by planner, serve, check |
 //! | [`serve`] | `dmcp-serve` | plan compilation service: content-addressed cache, worker pool |
 //! | [`check`] | `dmcp-check` | property-testing harness: generators, oracles, shrinking, goldens |
-//! | [`hash`] | `dmcp-hash` | shared stable-hash primitives: FNV-1a, splitmix64 finalizer |
+//! | [`hash`] | `dmcp-hash` | shared stable-hash primitives: FNV-1a, frame checksum, splitmix64 finalizer |
 //! | [`bound`] | `dmcp-bound` | data-movement lower bounds and the optimality-gap dashboard |
 //!
 //! # How close to optimal?

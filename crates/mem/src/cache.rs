@@ -40,7 +40,14 @@ impl AccessOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<(LineAddr, u64)>>,
+    /// `sets × ways` slots, set `s` at `s * ways ..`; only the first
+    /// `fill[s]` slots of a set are occupied, in insertion order with
+    /// [`Cache::invalidate`]'s swaps. One allocation for the whole cache
+    /// (one `Vec` per set would allocate per set, and regrow, on first
+    /// use).
+    slots: Vec<(LineAddr, u64)>,
+    /// Occupied ways per set.
+    fill: Vec<u32>,
     ways: u32,
     clock: u64,
     hits: u64,
@@ -56,7 +63,8 @@ impl Cache {
     pub fn new(sets: u32, ways: u32) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be nonzero");
         Self {
-            sets: vec![Vec::with_capacity(ways as usize); sets as usize],
+            slots: vec![(LineAddr::new(0), 0); sets as usize * ways as usize],
+            fill: vec![0; sets as usize],
             ways,
             clock: 0,
             hits: 0,
@@ -71,7 +79,7 @@ impl Cache {
 
     /// Number of sets.
     pub fn set_count(&self) -> u32 {
-        self.sets.len() as u32
+        self.fill.len() as u32
     }
 
     /// Associativity.
@@ -105,24 +113,32 @@ impl Cache {
     }
 
     fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() % self.sets.len() as u64) as usize
+        (line.raw() % self.fill.len() as u64) as usize
+    }
+
+    /// The occupied slots of `line`'s set, and the set's index.
+    fn set_of(&mut self, line: LineAddr) -> (&mut [(LineAddr, u64)], usize) {
+        let idx = self.set_index(line);
+        let start = idx * self.ways as usize;
+        (&mut self.slots[start..start + self.fill[idx] as usize], idx)
     }
 
     /// Accesses `line`, inserting it on a miss (LRU victim on conflict).
     pub fn access(&mut self, line: LineAddr) -> AccessOutcome {
         self.clock += 1;
         let clock = self.clock;
-        let ways = self.ways as usize;
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
+        let ways = self.ways;
+        let (set, idx) = self.set_of(line);
         if let Some(entry) = set.iter_mut().find(|(l, _)| *l == line) {
             entry.1 = clock;
             self.hits += 1;
             return AccessOutcome::Hit;
         }
-        self.misses += 1;
-        if set.len() < ways {
-            set.push((line, clock));
+        if set.len() < ways as usize {
+            let free = idx * ways as usize + set.len();
+            self.slots[free] = (line, clock);
+            self.fill[idx] += 1;
+            self.misses += 1;
             return AccessOutcome::Miss;
         }
         let lru = set
@@ -133,20 +149,26 @@ impl Cache {
             .expect("non-empty set");
         let victim = set[lru].0;
         set[lru] = (line, clock);
+        self.misses += 1;
         AccessOutcome::MissEvict { victim }
     }
 
     /// `true` if the line is currently resident (does not update LRU state).
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.sets[self.set_index(line)].iter().any(|(l, _)| *l == line)
+        let idx = self.set_index(line);
+        let start = idx * self.ways as usize;
+        self.slots[start..start + self.fill[idx] as usize].iter().any(|(l, _)| *l == line)
     }
 
-    /// Removes a line if present; returns whether it was resident.
+    /// Removes a line if present; returns whether it was resident. The
+    /// set's last occupied slot moves into the hole, as `Vec::swap_remove`
+    /// would.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
+        let (set, idx) = self.set_of(line);
         if let Some(pos) = set.iter().position(|(l, _)| *l == line) {
-            set.swap_remove(pos);
+            let last = set.len() - 1;
+            set.swap(pos, last);
+            self.fill[idx] -= 1;
             true
         } else {
             false
@@ -155,9 +177,7 @@ impl Cache {
 
     /// Empties the cache and resets statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.fill.fill(0);
         self.clock = 0;
         self.hits = 0;
         self.misses = 0;
@@ -238,6 +258,19 @@ mod tests {
         c.reset();
         assert_eq!(c.hits() + c.misses(), 0);
         assert!(!c.contains(line(1)));
+    }
+
+    #[test]
+    fn invalidate_keeps_the_rest_of_the_set_and_its_lru_order() {
+        let mut c = Cache::new(1, 3);
+        for n in 0..3 {
+            c.access(line(n));
+        }
+        assert!(c.invalidate(line(0)));
+        assert!(c.contains(line(1)) && c.contains(line(2)) && !c.contains(line(0)));
+        // The freed way is filled first; then 1, the least recent, goes.
+        assert_eq!(c.access(line(3)), AccessOutcome::Miss);
+        assert_eq!(c.access(line(4)), AccessOutcome::MissEvict { victim: line(1) });
     }
 
     #[test]

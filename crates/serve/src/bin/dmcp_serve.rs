@@ -1,31 +1,16 @@
-//! The plan server / bench binary.
+//! The plan server: listens on TCP and serves plan requests over the frame
+//! protocol, optionally backed by the durable cache directory.
 //!
-//! Two modes:
+//! ```text
+//! dmcp-serve --listen 127.0.0.1:7117 [--cache-dir DIR] [--workers N]
+//!            [--queue-depth N] [--io-timeout-ms N]
+//! ```
 //!
-//! * **Bench (default)** — replays a synthetic client mix against the plan
-//!   service, cached and uncached, and reports throughput / latency /
-//!   cache behaviour:
-//!
-//!   ```text
-//!   dmcp-serve [--requests N] [--clients N] [--workers N] [--seed S] [--out PATH]
-//!   ```
-//!
-//!   Writes a machine-readable summary (including the cached-over-uncached
-//!   speedup) to `--out` (default `BENCH_serve.json`).
-//!
-//! * **Server** — listens on TCP, serving plan requests over the frame
-//!   protocol, optionally backed by the durable cache directory:
-//!
-//!   ```text
-//!   dmcp-serve --listen 127.0.0.1:7117 [--cache-dir DIR] [--workers N]
-//!              [--queue-depth N] [--io-timeout-ms N]
-//!   ```
-//!
-//!   SIGINT/SIGTERM trigger a graceful drain: stop accepting, finish
-//!   in-flight work, flush the durable tier, then exit.
+//! SIGINT/SIGTERM trigger a graceful drain: stop accepting, finish
+//! in-flight work, flush the durable tier, then exit. To put load on a
+//! server, use `dmcp-loadgen`.
 
-use dmcp_serve::mix::{render_json, render_table, run_comparison};
-use dmcp_serve::{MixConfig, NetConfig, PlanServer, PlanService, ServeConfig};
+use dmcp_serve::{NetConfig, PlanServer, PlanService, ServeConfig};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -68,63 +53,46 @@ mod sig {
     pub fn install() {}
 }
 
+const USAGE: &str = "usage: dmcp-serve --listen ADDR [--cache-dir DIR] [--workers N] \
+                     [--queue-depth N] [--io-timeout-ms N]";
+
 struct Args {
-    mix: MixConfig,
     serve: ServeConfig,
-    out: String,
-    listen: Option<String>,
+    listen: String,
     io_timeout: Duration,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        mix: MixConfig::default(),
-        serve: ServeConfig::default(),
-        out: "BENCH_serve.json".to_string(),
-        listen: None,
-        io_timeout: Duration::from_secs(10),
-    };
+    let mut serve = ServeConfig::default();
+    let mut listen = None;
+    let mut io_timeout = Duration::from_secs(10);
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
-            "--requests" => {
-                args.mix.requests = value("--requests")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--clients" => {
-                args.mix.clients = value("--clients")?.parse().map_err(|e| format!("{e}"))?;
-            }
             "--workers" => {
-                args.serve.workers = value("--workers")?.parse().map_err(|e| format!("{e}"))?;
+                serve.workers = value("--workers")?.parse().map_err(|e| format!("{e}"))?;
             }
             "--queue-depth" => {
-                args.serve.queue_depth =
-                    value("--queue-depth")?.parse().map_err(|e| format!("{e}"))?;
+                serve.queue_depth = value("--queue-depth")?.parse().map_err(|e| format!("{e}"))?;
             }
-            "--seed" => {
-                args.mix.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--out" => args.out = value("--out")?,
-            "--listen" => args.listen = Some(value("--listen")?),
-            "--cache-dir" => args.serve.disk_dir = Some(value("--cache-dir")?.into()),
+            "--listen" => listen = Some(value("--listen")?),
+            "--cache-dir" => serve.disk_dir = Some(value("--cache-dir")?.into()),
             "--io-timeout-ms" => {
-                args.io_timeout = Duration::from_millis(
+                io_timeout = Duration::from_millis(
                     value("--io-timeout-ms")?.parse().map_err(|e| format!("{e}"))?,
                 );
             }
-            "--help" | "-h" => {
-                return Err("usage: dmcp-serve [--requests N] [--clients N] [--workers N] \
-                     [--seed S] [--out PATH]\n       dmcp-serve --listen ADDR [--cache-dir DIR] \
-                     [--workers N] [--queue-depth N] [--io-timeout-ms N]"
-                    .to_string())
-            }
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
-    Ok(args)
+    let listen = listen.ok_or_else(|| format!("--listen is required\n{USAGE}"))?;
+    Ok(Args { serve, listen, io_timeout })
 }
 
-fn serve_forever(args: &Args, addr: &str) -> ExitCode {
+fn serve_forever(args: &Args) -> ExitCode {
+    let addr = args.listen.as_str();
     let service = match PlanService::try_new(args.serve.clone()) {
         Ok(s) => Arc::new(s),
         Err(e) => {
@@ -181,42 +149,12 @@ fn serve_forever(args: &Args, addr: &str) -> ExitCode {
     }
 }
 
-fn run_bench(args: &Args) -> ExitCode {
-    println!(
-        "dmcp-serve: {} requests, {} clients, {} workers, 12 workloads (tiny)",
-        args.mix.requests, args.mix.clients, args.serve.workers
-    );
-    // The mix expects every request to be admitted: size the queue for the
-    // whole burst.
-    let mut serve = args.serve.clone();
-    serve.queue_depth = args.mix.requests.max(1);
-    let (cached, uncached) = run_comparison(&args.mix, &serve);
-    let speedup =
-        if uncached.throughput > 0.0 { cached.throughput / uncached.throughput } else { 0.0 };
-
-    let reports = [cached, uncached];
-    print!("{}", render_table(&reports));
-    println!("speedup (cached over no-cache): {speedup:.2}x");
-
-    let json = render_json(&reports, speedup);
-    if let Err(e) = std::fs::write(&args.out, json) {
-        eprintln!("failed to write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", args.out);
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args() {
+        Ok(args) => serve_forever(&args),
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    match &args.listen {
-        Some(addr) => serve_forever(&args, &addr.clone()),
-        None => run_bench(&args),
     }
 }

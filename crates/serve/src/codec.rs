@@ -2,13 +2,58 @@
 //! statistics — the byte layer shared by the wire protocol ([`crate::wire`])
 //! and the durable disk tier ([`crate::disk`]).
 //!
-//! The codec is hand-rolled (the workspace takes no external dependencies)
-//! and deliberately boring: little-endian fixed-width integers, `f64` as
-//! raw IEEE bits (bit-exact round trips, including non-finite values),
-//! length-prefixed vectors. Every decoder is *total*: malformed, truncated
-//! or oversized input yields a typed [`CodecError`], never a panic, hang or
-//! unbounded allocation (length prefixes are validated against the bytes
-//! actually remaining before anything is reserved).
+//! The codec is hand-rolled (the workspace takes no external dependencies).
+//! Requests and stats are deliberately boring: little-endian fixed-width
+//! integers, `f64` as raw IEEE bits (bit-exact round trips, including
+//! non-finite values), length-prefixed vectors. Every decoder is *total*:
+//! malformed, truncated or oversized input yields a typed [`CodecError`],
+//! never a panic, hang or unbounded allocation (length prefixes are
+//! validated against the bytes actually remaining before anything is
+//! reserved).
+//!
+//! # Plan layout
+//!
+//! Plans are what a cache hit sends, so their layout is compact (plan
+//! version byte 6, [`PLAN_CODEC_V2`]). Integers are LEB128 varints, which
+//! must be minimally encoded; `f64`s stay raw 8-byte bits.
+//!
+//! ```text
+//! plan    version u8 · nest count · nest*
+//! nest    nest index · step count · step* · stats
+//! step    flags u8 · node x · node y · [seed f64] · input count · input*
+//!         · [store] · [wait count · wait distance*] · [tag]
+//! input   op+kind u8 · Const: f64 | Elem: array · Δelem · Δline · node x
+//!         · node y | Temp: distance
+//! store   array · Δelem · Δline · home x · home y
+//! tag     nest · statement · instance
+//! stats   window · movement opt · movement default · record count
+//!         · record* · syncs before · syncs after · op mix (3) · L1 hits
+//!         · fallbacks · instances
+//! record  tag · movement opt · movement default · parallelism
+//!         · step count · L1 hits · op mix (3) · fallback u8 · first step
+//!         · last step
+//! ```
+//!
+//! * Step ids are not written: [`Schedule::validate`] requires id ==
+//!   position, and the decoder assigns exactly that.
+//! * `Temp` operands and waits are backward distances from the current
+//!   step, at least 1 and at most the step's position.
+//! * Element and line addresses are zigzag varints of their (wrapping)
+//!   distance from the previous address written in the same nest, by an
+//!   operand or a store.
+//! * The flags byte says whether a seed, a store (and whether its array is
+//!   hot), waits, or a tag follow; a step whose tag equals the previous
+//!   step's writes none. An input's byte packs its operator (bits 0–3),
+//!   its kind (bits 4–5) and, for elements, the hot bit (bit 6).
+//!
+//! Every accepted plan encoding re-encodes to the same bytes, so a plan
+//! has exactly one encoding: unknown flag bits, non-minimal varints,
+//! booleans other than 0 or 1, empty wait lists and explicitly repeated
+//! tags are refused. The first, fixed-width plan layout (version byte 2,
+//! about 110 bytes per step against about 28 now) is refused with
+//! [`CodecError::BadVersion`]; it has no decoder.
+//!
+//! # Requests
 //!
 //! Programs cross the boundary as structure, not spelling: arrays and loop
 //! variables are rendered under canonical names (`a0, a1, …` / `v0, v1, …`)
@@ -38,11 +83,12 @@ use crate::key::PlanRequest;
 
 /// Codec version byte leading every encoded request. The first request
 /// layout (byte 1) carried one more configuration byte; it is refused
-/// with [`CodecError::BadVersion`]. Bytes 2–4 lead plans and stats, so
-/// no two layouts share a leading byte.
+/// with [`CodecError::BadVersion`]. Bytes 2–4 and 6 lead plans and stats,
+/// retired or current, so no two layouts share a leading byte.
 pub const REQUEST_CODEC_V2: u8 = 5;
-/// Codec version byte leading every encoded plan.
-pub const PLAN_CODEC_V1: u8 = 2;
+/// Codec version byte leading every encoded plan: the compact layout of
+/// the module docs. The fixed-width first layout used byte 2.
+pub const PLAN_CODEC_V2: u8 = 6;
 /// Codec version byte leading every encoded stats snapshot: the service
 /// counters plus the chaos-era ones (worker panics, disk errors,
 /// quarantined segments, pending records, degraded flag). The first
@@ -66,6 +112,12 @@ pub enum CodecError {
     Invalid(String),
     /// A transported statement failed to re-parse (corrupt text).
     Parse(String),
+    /// A varint was over-long (not minimally encoded), overflowed 64 bits,
+    /// or exceeded its field's range.
+    Varint(&'static str),
+    /// A backward step distance was 0 or reached before the nest's first
+    /// step.
+    Distance(&'static str, u64),
 }
 
 impl fmt::Display for CodecError {
@@ -77,17 +129,13 @@ impl fmt::Display for CodecError {
             CodecError::Oversized(what) => write!(f, "{what} length exceeds remaining input"),
             CodecError::Invalid(msg) => write!(f, "invalid value: {msg}"),
             CodecError::Parse(msg) => write!(f, "statement reparse failed: {msg}"),
+            CodecError::Varint(what) => write!(f, "{what} varint is over-long or out of range"),
+            CodecError::Distance(what, d) => write!(f, "{what} distance {d} out of range"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
-
-/// FNV-1a over a byte slice — the checksum used by wire frames and disk
-/// records. Not cryptographic; it detects truncation and corruption, which
-/// is all the crash-safety story needs. The fold itself is the shared
-/// `dmcp-hash` primitive; this re-export keeps the historical path.
-pub use dmcp_hash::fnv1a64;
 
 /// Little-endian byte writer.
 #[derive(Default)]
@@ -102,10 +150,26 @@ impl Enc {
         Self::default()
     }
 
+    /// An empty encoder with room for `bytes` bytes.
+    #[must_use]
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self { buf: Vec::with_capacity(bytes) }
+    }
+
     /// The encoded bytes.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// LEB128 varint: seven bits per byte, low bits first, the high bit
+    /// set on every byte but the last.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     pub fn u8(&mut self, v: u8) {
@@ -191,11 +255,74 @@ impl<'a> Dec<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Reads a vector length prefix and validates it against the bytes
-    /// remaining: each promised element needs at least `min_elem_bytes`, so
-    /// a garbage length cannot trigger a huge allocation.
-    pub fn len(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, CodecError> {
-        let n = self.u64()?;
+    /// A `0`/`1` byte; anything else is refused, so a flag has one
+    /// encoding.
+    pub fn bool(&mut self, what: &'static str) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CodecError::BadTag(what, other)),
+        }
+    }
+
+    /// A minimally encoded LEB128 varint: a trailing zero byte (an
+    /// over-long encoding) or bits past the 64th are refused.
+    #[inline]
+    pub fn varint(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        // Most plan fields fit one byte.
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.long_varint(what),
+        }
+    }
+
+    fn long_varint(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        let mut value = 0u64;
+        let mut shift = 0;
+        loop {
+            let byte = self.u8()?;
+            if shift == 63 && byte > 1 {
+                return Err(CodecError::Varint(what));
+            }
+            value |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(CodecError::Varint(what));
+                }
+                return Ok(value);
+            }
+            shift += 7;
+        }
+    }
+
+    /// A varint that must be below `limit`.
+    pub fn varint_below(&mut self, what: &'static str, limit: u64) -> Result<u64, CodecError> {
+        match self.varint(what)? {
+            v if v < limit => Ok(v),
+            _ => Err(CodecError::Varint(what)),
+        }
+    }
+
+    /// A varint that must fit a `u32`.
+    pub fn varint_u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
+        Ok(self.varint_below(what, 1 << 32)? as u32)
+    }
+
+    /// Reads a varint element count and validates it against the bytes
+    /// remaining, as [`Dec::len`] does for fixed-width prefixes.
+    pub fn count(
+        &mut self,
+        what: &'static str,
+        min_elem_bytes: usize,
+    ) -> Result<usize, CodecError> {
+        let n = self.varint(what)?;
+        self.fits(what, n, min_elem_bytes)
+    }
+
+    fn fits(&self, what: &'static str, n: u64, min_elem_bytes: usize) -> Result<usize, CodecError> {
         let fits = usize::try_from(n)
             .ok()
             .and_then(|n| n.checked_mul(min_elem_bytes.max(1)))
@@ -204,6 +331,14 @@ impl<'a> Dec<'a> {
             return Err(CodecError::Oversized(what));
         }
         Ok(n as usize)
+    }
+
+    /// Reads a vector length prefix and validates it against the bytes
+    /// remaining: each promised element needs at least `min_elem_bytes`, so
+    /// a garbage length cannot trigger a huge allocation.
+    pub fn len(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, CodecError> {
+        let n = self.u64()?;
+        self.fits(what, n, min_elem_bytes)
     }
 
     /// Length-prefixed UTF-8 string.
@@ -731,210 +866,377 @@ pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
 // Plans
 // ---------------------------------------------------------------------------
 
-fn enc_opmix(e: &mut Enc, m: &OpMix) {
-    e.u64(m.add_sub);
-    e.u64(m.mul_div);
-    e.u64(m.other);
+/// Step flag: an accumulator seed (raw `f64` bits) follows the node.
+const STEP_SEED: u8 = 1;
+/// Step flag: the step stores its result; the target follows the inputs.
+const STEP_STORE: u8 = 1 << 1;
+/// Step flag: the store's array is in fast memory (only with `STEP_STORE`).
+const STEP_STORE_HOT: u8 = 1 << 2;
+/// Step flag: a list of waits follows the store.
+const STEP_WAITS: u8 = 1 << 3;
+/// Step flag: the step's tag equals the previous step's, so none follows.
+const STEP_SAME_TAG: u8 = 1 << 4;
+const STEP_FLAGS: u8 = STEP_SEED | STEP_STORE | STEP_STORE_HOT | STEP_WAITS | STEP_SAME_TAG;
+
+/// Operand kinds in bits 4–6 of an input byte; bits 0–3 hold the operator.
+const OPERAND_CONST: u8 = 0;
+const OPERAND_ELEM: u8 = 1 << 4;
+const OPERAND_TEMP: u8 = 2 << 4;
+/// Input-byte bit: the element's array is in fast memory (elements only).
+const OPERAND_HOT: u8 = 1 << 6;
+
+/// Least bytes one encoded step, input, record and nest can take; a count
+/// promising more than the remaining bytes hold is refused before anything
+/// is reserved.
+const MIN_STEP_BYTES: usize = 4;
+const MIN_INPUT_BYTES: usize = 2;
+const MIN_RECORD_BYTES: usize = 14;
+const MIN_NEST_BYTES: usize = 14;
+
+/// What a nest's steps are delta-coded against: the last element and line
+/// address written (operands and stores alike) and the last step's tag.
+/// Encoder and decoder start every nest from the default and update it in
+/// the same order.
+#[derive(Default)]
+struct Deltas {
+    elem: u64,
+    line: u64,
+    tag: StmtTag,
 }
 
-fn dec_opmix(d: &mut Dec<'_>) -> Result<OpMix, CodecError> {
-    Ok(OpMix { add_sub: d.u64()?, mul_div: d.u64()?, other: d.u64()? })
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// Writes `value` as a zigzag varint of its wrapping distance from `*prev`
+/// — a bijection on `u64`, so every address has exactly one encoding.
+fn enc_addr(e: &mut Enc, prev: &mut u64, value: u64) {
+    e.varint(zigzag(value.wrapping_sub(*prev) as i64));
+    *prev = value;
+}
+
+fn dec_addr(d: &mut Dec<'_>, prev: &mut u64) -> Result<u64, CodecError> {
+    let value = prev.wrapping_add(unzigzag(d.varint("address delta")?) as u64);
+    *prev = value;
+    Ok(value)
+}
+
+fn enc_node_varint(e: &mut Enc, n: NodeId) {
+    e.varint(n.x().into());
+    e.varint(n.y().into());
+}
+
+fn dec_node_varint(d: &mut Dec<'_>) -> Result<NodeId, CodecError> {
+    let x = d.varint_below("node x", 1 << 16)? as u16;
+    let y = d.varint_below("node y", 1 << 16)? as u16;
+    Ok(NodeId::new(x, y))
+}
+
+fn dec_array(d: &mut Dec<'_>) -> Result<dmcp_ir::ArrayId, CodecError> {
+    Ok(dmcp_ir::ArrayId::from_index(d.varint_u32("array")? as usize))
 }
 
 fn enc_tag(e: &mut Enc, t: StmtTag) {
-    e.u32(t.nest);
-    e.u32(t.stmt);
-    e.u64(t.instance);
+    e.varint(t.nest.into());
+    e.varint(t.stmt.into());
+    e.varint(t.instance);
 }
 
 fn dec_tag(d: &mut Dec<'_>) -> Result<StmtTag, CodecError> {
-    Ok(StmtTag { nest: d.u32()?, stmt: d.u32()?, instance: d.u64()? })
+    Ok(StmtTag {
+        nest: d.varint_u32("tag nest")?,
+        stmt: d.varint_u32("tag statement")?,
+        instance: d.varint("tag instance")?,
+    })
+}
+
+fn enc_opmix(e: &mut Enc, m: &OpMix) {
+    e.varint(m.add_sub);
+    e.varint(m.mul_div);
+    e.varint(m.other);
+}
+
+fn dec_opmix(d: &mut Dec<'_>) -> Result<OpMix, CodecError> {
+    Ok(OpMix {
+        add_sub: d.varint("op mix")?,
+        mul_div: d.varint("op mix")?,
+        other: d.varint("op mix")?,
+    })
+}
+
+/// The backward distance from step `k` to its producer `p`, which a valid
+/// schedule places strictly earlier.
+fn back(k: usize, p: SubId) -> u64 {
+    assert!(p.index() < k, "encode_plan: step {k} depends on later step {p:?}");
+    (k - p.index()) as u64
+}
+
+/// Reads a backward distance from step `k`: at least 1 and at most `k`.
+fn dec_back(d: &mut Dec<'_>, k: usize, what: &'static str) -> Result<SubId, CodecError> {
+    let distance = d.varint(what)?;
+    if distance == 0 || distance > k as u64 {
+        return Err(CodecError::Distance(what, distance));
+    }
+    Ok(SubId((k as u64 - distance) as u32))
 }
 
 /// Encodes a compiled plan — these are the "plan bytes" the wire protocol
-/// serves and the disk tier persists.
+/// serves and the disk tier persists. The layout is described in the
+/// module docs.
+///
+/// # Panics
+///
+/// Panics on a schedule that [`Schedule::validate`] refuses for its ids or
+/// producers (a step whose id is not its position, or a `Temp` input or
+/// wait that does not point backwards): the layout has no way to write
+/// one, and the planner never builds one.
 #[must_use]
 pub fn encode_plan(plan: &PartitionOutput) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(PLAN_CODEC_V1);
-    e.u64(plan.nests.len() as u64);
+    let steps: usize = plan.nests.iter().map(|n| n.schedule.steps.len()).sum();
+    let records: usize = plan.nests.iter().map(|n| n.stats.records.len()).sum();
+    let mut e = Enc::with_capacity(16 + 32 * steps + 24 * records);
+    e.u8(PLAN_CODEC_V2);
+    e.varint(plan.nests.len() as u64);
     for nest in &plan.nests {
-        e.u64(nest.nest as u64);
-        e.u64(nest.schedule.steps.len() as u64);
-        for step in &nest.schedule.steps {
-            e.u32(step.id.0);
-            enc_node(&mut e, step.node);
-            match step.seed {
-                None => e.u8(0),
-                Some(s) => {
-                    e.u8(1);
-                    e.f64(s);
-                }
-            }
-            e.u64(step.inputs.len() as u64);
-            for input in &step.inputs {
-                e.u8(binop_to_u8(input.op));
-                match input.operand {
-                    Operand::Const(v) => {
-                        e.u8(0);
-                        e.f64(v);
-                    }
-                    Operand::Elem(loc) => {
-                        e.u8(1);
-                        e.u32(loc.array.index() as u32);
-                        e.u64(loc.elem);
-                        e.u64(loc.line.raw());
-                        enc_node(&mut e, loc.believed);
-                        e.u8(u8::from(loc.hot));
-                    }
-                    Operand::Temp(id) => {
-                        e.u8(2);
-                        e.u32(id.0);
-                    }
-                }
-            }
-            match &step.store {
-                None => e.u8(0),
-                Some(s) => {
-                    e.u8(1);
-                    e.u32(s.array.index() as u32);
-                    e.u64(s.elem);
-                    e.u64(s.line.raw());
-                    enc_node(&mut e, s.home);
-                    e.u8(u8::from(s.hot));
-                }
-            }
-            e.u64(step.waits.len() as u64);
-            for w in &step.waits {
-                e.u32(w.0);
-            }
-            enc_tag(&mut e, step.tag);
-        }
-        let s = &nest.stats;
-        e.u64(s.window_size as u64);
-        e.u64(s.movement_opt);
-        e.u64(s.movement_default);
-        e.u64(s.records.len() as u64);
-        for r in &s.records {
-            enc_tag(&mut e, r.tag);
-            e.u64(r.movement_opt);
-            e.u64(r.movement_default);
-            e.u32(r.parallelism);
-            e.u32(r.step_count);
-            e.u32(r.planned_l1_hits);
-            enc_opmix(&mut e, &r.remapped);
-            e.u8(u8::from(r.fallback));
-            e.u32(r.first_step);
-            e.u32(r.last_step);
-        }
-        e.u64(s.syncs_before);
-        e.u64(s.syncs_after);
-        enc_opmix(&mut e, &s.remapped);
-        e.u64(s.planned_l1_hits);
-        e.u64(s.fallback_count);
-        e.u64(s.instances);
+        e.varint(nest.nest as u64);
+        enc_steps(&mut e, &nest.schedule.steps);
+        enc_nest_stats(&mut e, &nest.stats);
     }
     e.finish()
 }
 
+fn enc_steps(e: &mut Enc, steps: &[Step]) {
+    e.varint(steps.len() as u64);
+    let mut prev = Deltas::default();
+    for (k, step) in steps.iter().enumerate() {
+        assert_eq!(step.id.index(), k, "encode_plan: step {k} has id {:?}", step.id);
+        let mut flags = 0;
+        if step.seed.is_some() {
+            flags |= STEP_SEED;
+        }
+        if let Some(s) = &step.store {
+            flags |= if s.hot { STEP_STORE | STEP_STORE_HOT } else { STEP_STORE };
+        }
+        if !step.waits.is_empty() {
+            flags |= STEP_WAITS;
+        }
+        if step.tag == prev.tag {
+            flags |= STEP_SAME_TAG;
+        }
+        e.u8(flags);
+        enc_node_varint(e, step.node);
+        if let Some(seed) = step.seed {
+            e.f64(seed);
+        }
+        e.varint(step.inputs.len() as u64);
+        for input in &step.inputs {
+            let op = binop_to_u8(input.op);
+            match input.operand {
+                Operand::Const(v) => {
+                    e.u8(op | OPERAND_CONST);
+                    e.f64(v);
+                }
+                Operand::Elem(loc) => {
+                    e.u8(op | OPERAND_ELEM | if loc.hot { OPERAND_HOT } else { 0 });
+                    e.varint(loc.array.index() as u64);
+                    enc_addr(e, &mut prev.elem, loc.elem);
+                    enc_addr(e, &mut prev.line, loc.line.raw());
+                    enc_node_varint(e, loc.believed);
+                }
+                Operand::Temp(id) => {
+                    e.u8(op | OPERAND_TEMP);
+                    e.varint(back(k, id));
+                }
+            }
+        }
+        if let Some(s) = &step.store {
+            e.varint(s.array.index() as u64);
+            enc_addr(e, &mut prev.elem, s.elem);
+            enc_addr(e, &mut prev.line, s.line.raw());
+            enc_node_varint(e, s.home);
+        }
+        if !step.waits.is_empty() {
+            e.varint(step.waits.len() as u64);
+            for &w in &step.waits {
+                e.varint(back(k, w));
+            }
+        }
+        if step.tag != prev.tag {
+            enc_tag(e, step.tag);
+            prev.tag = step.tag;
+        }
+    }
+}
+
+fn enc_nest_stats(e: &mut Enc, s: &NestStats) {
+    e.varint(s.window_size as u64);
+    e.varint(s.movement_opt);
+    e.varint(s.movement_default);
+    e.varint(s.records.len() as u64);
+    for r in &s.records {
+        enc_tag(e, r.tag);
+        e.varint(r.movement_opt);
+        e.varint(r.movement_default);
+        e.varint(r.parallelism.into());
+        e.varint(r.step_count.into());
+        e.varint(r.planned_l1_hits.into());
+        enc_opmix(e, &r.remapped);
+        e.u8(u8::from(r.fallback));
+        e.varint(r.first_step.into());
+        e.varint(r.last_step.into());
+    }
+    e.varint(s.syncs_before);
+    e.varint(s.syncs_after);
+    enc_opmix(e, &s.remapped);
+    e.varint(s.planned_l1_hits);
+    e.varint(s.fallback_count);
+    e.varint(s.instances);
+}
+
 /// Decodes plan bytes back into a [`PartitionOutput`], bit-identical to
-/// what [`encode_plan`] saw.
+/// what [`encode_plan`] saw. Every input that decodes re-encodes to the
+/// same bytes: varints must be minimal, flag and tag bytes exact, and a tag
+/// equal to the previous step's must use the flag.
 ///
 /// # Errors
 ///
-/// [`CodecError`] on truncated, oversized or structurally invalid input.
+/// [`CodecError`] on truncated, oversized, non-canonical or structurally
+/// invalid input, and [`CodecError::BadVersion`] on the retired
+/// fixed-width layout (leading byte 2).
 pub fn decode_plan(bytes: &[u8]) -> Result<PartitionOutput, CodecError> {
     let mut d = Dec::new(bytes);
     let version = d.u8()?;
-    if version != PLAN_CODEC_V1 {
+    if version != PLAN_CODEC_V2 {
         return Err(CodecError::BadVersion("plan", version));
     }
-    let nnests = d.len("plan nests", 16)?;
+    let nnests = d.count("plan nests", MIN_NEST_BYTES)?;
     let mut nests = Vec::with_capacity(nnests);
     for _ in 0..nnests {
-        let nest = d.u64()? as usize;
-        let nsteps = d.len("steps", 27)?;
-        let mut steps = Vec::with_capacity(nsteps);
-        for _ in 0..nsteps {
-            let id = SubId(d.u32()?);
-            let node = dec_node(&mut d)?;
-            let seed = match d.u8()? {
-                0 => None,
-                1 => Some(d.f64()?),
-                other => return Err(CodecError::BadTag("seed", other)),
-            };
-            let ninputs = d.len("inputs", 2)?;
-            let mut inputs = Vec::with_capacity(ninputs);
-            for _ in 0..ninputs {
-                let op = binop_from_u8(d.u8()?)?;
-                let operand = match d.u8()? {
-                    0 => Operand::Const(d.f64()?),
-                    1 => Operand::Elem(ElemLoc {
-                        array: dmcp_ir::ArrayId::from_index(d.u32()? as usize),
-                        elem: d.u64()?,
-                        line: LineAddr::new(d.u64()?),
-                        believed: dec_node(&mut d)?,
-                        hot: d.u8()? != 0,
-                    }),
-                    2 => Operand::Temp(SubId(d.u32()?)),
-                    other => return Err(CodecError::BadTag("operand", other)),
-                };
-                inputs.push(StepInput { op, operand });
-            }
-            let store = match d.u8()? {
-                0 => None,
-                1 => Some(StoreTarget {
-                    array: dmcp_ir::ArrayId::from_index(d.u32()? as usize),
-                    elem: d.u64()?,
-                    line: LineAddr::new(d.u64()?),
-                    home: dec_node(&mut d)?,
-                    hot: d.u8()? != 0,
-                }),
-                other => return Err(CodecError::BadTag("store", other)),
-            };
-            let nwaits = d.len("waits", 4)?;
-            let mut waits = Vec::with_capacity(nwaits);
-            for _ in 0..nwaits {
-                waits.push(SubId(d.u32()?));
-            }
-            let tag = dec_tag(&mut d)?;
-            steps.push(Step { id, node, seed, inputs, store, waits, tag });
-        }
-        let window_size = d.u64()? as usize;
-        let movement_opt = d.u64()?;
-        let movement_default = d.u64()?;
-        let nrecords = d.len("records", 77)?;
-        let mut records = Vec::with_capacity(nrecords);
-        for _ in 0..nrecords {
-            records.push(StmtRecord {
-                tag: dec_tag(&mut d)?,
-                movement_opt: d.u64()?,
-                movement_default: d.u64()?,
-                parallelism: d.u32()?,
-                step_count: d.u32()?,
-                planned_l1_hits: d.u32()?,
-                remapped: dec_opmix(&mut d)?,
-                fallback: d.u8()? != 0,
-                first_step: d.u32()?,
-                last_step: d.u32()?,
-            });
-        }
-        let stats = NestStats {
-            window_size,
-            movement_opt,
-            movement_default,
-            records,
-            syncs_before: d.u64()?,
-            syncs_after: d.u64()?,
-            remapped: dec_opmix(&mut d)?,
-            planned_l1_hits: d.u64()?,
-            fallback_count: d.u64()?,
-            instances: d.u64()?,
-        };
+        let nest = usize::try_from(d.varint("nest index")?)
+            .map_err(|_| CodecError::Varint("nest index"))?;
+        let steps = dec_steps(&mut d)?;
+        let stats = dec_nest_stats(&mut d)?;
         nests.push(NestPartition { nest, schedule: Schedule { steps }, stats });
     }
     d.finish("plan")?;
     Ok(PartitionOutput::new(nests))
+}
+
+fn dec_steps(d: &mut Dec<'_>) -> Result<Vec<Step>, CodecError> {
+    let nsteps = d.count("steps", MIN_STEP_BYTES)?;
+    let mut steps = Vec::with_capacity(nsteps);
+    let mut prev = Deltas::default();
+    for k in 0..nsteps {
+        let flags = d.u8()?;
+        if flags & !STEP_FLAGS != 0 || flags & (STEP_STORE | STEP_STORE_HOT) == STEP_STORE_HOT {
+            return Err(CodecError::BadTag("step flags", flags));
+        }
+        let node = dec_node_varint(d)?;
+        let seed = if flags & STEP_SEED != 0 { Some(d.f64()?) } else { None };
+        let ninputs = d.count("inputs", MIN_INPUT_BYTES)?;
+        let mut inputs = Vec::with_capacity(ninputs);
+        for _ in 0..ninputs {
+            let byte = d.u8()?;
+            let op = binop_from_u8(byte & 0x0F)?;
+            let operand = match byte & 0xF0 {
+                OPERAND_CONST => Operand::Const(d.f64()?),
+                OPERAND_TEMP => Operand::Temp(dec_back(d, k, "temp")?),
+                kind if kind & !OPERAND_HOT == OPERAND_ELEM => {
+                    let array = dec_array(d)?;
+                    let elem = dec_addr(d, &mut prev.elem)?;
+                    let line = LineAddr::new(dec_addr(d, &mut prev.line)?);
+                    let believed = dec_node_varint(d)?;
+                    Operand::Elem(ElemLoc {
+                        array,
+                        elem,
+                        line,
+                        believed,
+                        hot: kind != OPERAND_ELEM,
+                    })
+                }
+                _ => return Err(CodecError::BadTag("operand", byte)),
+            };
+            inputs.push(StepInput { op, operand });
+        }
+        let store = if flags & STEP_STORE != 0 {
+            let array = dec_array(d)?;
+            let elem = dec_addr(d, &mut prev.elem)?;
+            let line = LineAddr::new(dec_addr(d, &mut prev.line)?);
+            let home = dec_node_varint(d)?;
+            Some(StoreTarget { array, elem, line, home, hot: flags & STEP_STORE_HOT != 0 })
+        } else {
+            None
+        };
+        let mut waits = Vec::new();
+        if flags & STEP_WAITS != 0 {
+            let n = d.count("waits", 1)?;
+            if n == 0 {
+                return Err(CodecError::Invalid(format!("step {k} flags waits but lists none")));
+            }
+            waits.reserve_exact(n);
+            for _ in 0..n {
+                waits.push(dec_back(d, k, "wait")?);
+            }
+        }
+        if flags & STEP_SAME_TAG == 0 {
+            let tag = dec_tag(d)?;
+            if tag == prev.tag {
+                return Err(CodecError::Invalid(format!("step {k} spells out the previous tag")));
+            }
+            prev.tag = tag;
+        }
+        steps.push(Step { id: SubId(k as u32), node, seed, inputs, store, waits, tag: prev.tag });
+    }
+    Ok(steps)
+}
+
+fn dec_nest_stats(d: &mut Dec<'_>) -> Result<NestStats, CodecError> {
+    let window_size =
+        usize::try_from(d.varint("window size")?).map_err(|_| CodecError::Varint("window size"))?;
+    let movement_opt = d.varint("movement")?;
+    let movement_default = d.varint("movement")?;
+    let nrecords = d.count("records", MIN_RECORD_BYTES)?;
+    let mut records = Vec::with_capacity(nrecords);
+    for _ in 0..nrecords {
+        let tag = dec_tag(d)?;
+        let movement_opt = d.varint("record movement")?;
+        let movement_default = d.varint("record movement")?;
+        let parallelism = d.varint_u32("parallelism")?;
+        let step_count = d.varint_u32("step count")?;
+        let planned_l1_hits = d.varint_u32("planned L1 hits")?;
+        let remapped = dec_opmix(d)?;
+        let fallback = d.bool("fallback")?;
+        let first_step = d.varint_u32("first step")?;
+        let last_step = d.varint_u32("last step")?;
+        records.push(StmtRecord {
+            tag,
+            movement_opt,
+            movement_default,
+            parallelism,
+            step_count,
+            planned_l1_hits,
+            remapped,
+            fallback,
+            first_step,
+            last_step,
+        });
+    }
+    Ok(NestStats {
+        window_size,
+        movement_opt,
+        movement_default,
+        records,
+        syncs_before: d.varint("syncs")?,
+        syncs_after: d.varint("syncs")?,
+        remapped: dec_opmix(d)?,
+        planned_l1_hits: d.varint("planned L1 hits")?,
+        fallback_count: d.varint("fallback count")?,
+        instances: d.varint("instances")?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1118,6 +1420,13 @@ mod tests {
             let _ = decode_plan(&bytes);
             let _ = decode_stats(&bytes);
             let _ = round;
+            // Behind a valid plan version byte the soup reaches the step
+            // decoder; whatever decodes must re-encode to the same bytes.
+            let mut plan_soup = vec![PLAN_CODEC_V2];
+            plan_soup.extend_from_slice(&bytes);
+            if let Ok(plan) = decode_plan(&plan_soup) {
+                assert_eq!(encode_plan(&plan), plan_soup);
+            }
         }
     }
 
@@ -1147,13 +1456,349 @@ mod tests {
         let mut bytes = encode_request(&suite_requests().remove(2));
         bytes[0] = 1;
         assert_eq!(decode_request(&bytes).unwrap_err(), CodecError::BadVersion("request", 1));
-        let kinds = [REQUEST_CODEC_V2, PLAN_CODEC_V1, STATS_CODEC_V2];
-        assert!(!kinds.contains(&1), "the retired request byte must stay unused");
+        let kinds = [REQUEST_CODEC_V2, PLAN_CODEC_V2, STATS_CODEC_V2];
+        assert!(!kinds.iter().any(|k| [1, 2, 3].contains(k)), "retired bytes must stay unused");
         assert_eq!(
             kinds.iter().collect::<std::collections::HashSet<_>>().len(),
             kinds.len(),
             "requests, plans and stats need distinct leading bytes"
         );
+    }
+
+    #[test]
+    fn fixed_width_plans_are_refused_by_version() {
+        // The fixed-width first layout led with byte 2; a disk record or
+        // reply carrying one must never be read as the compact layout.
+        let mut bytes = encode_plan(&feature_plan());
+        bytes[0] = 2;
+        assert_eq!(decode_plan(&bytes).unwrap_err(), CodecError::BadVersion("plan", 2));
+    }
+
+    /// A small plan that sets every flag and operand kind of the layout:
+    /// seeds and none, hot and cold elements and stores, temps, waits,
+    /// repeated and fresh tags, addresses that jump backwards and across
+    /// the whole `u64` range, raw NaN bits, a fallback record and an empty
+    /// nest.
+    fn feature_plan() -> PartitionOutput {
+        use dmcp_ir::ArrayId;
+        let elem = |array, elem, line, hot| {
+            Operand::Elem(ElemLoc {
+                array: ArrayId::from_index(array),
+                elem,
+                line: LineAddr::new(line),
+                believed: NodeId::new(3, 5),
+                hot,
+            })
+        };
+        let store = |elem, line, hot| StoreTarget {
+            array: ArrayId::from_index(0),
+            elem,
+            line: LineAddr::new(line),
+            home: NodeId::new(1, 1),
+            hot,
+        };
+        let input = |op, operand| StepInput { op, operand };
+        let tag = |instance| StmtTag { nest: 1, stmt: (instance % 2) as u32, instance };
+        let step = |k: u32, node, seed, inputs, store, waits: Vec<u32>, tag| Step {
+            id: SubId(k),
+            node,
+            seed,
+            inputs,
+            store,
+            waits: waits.into_iter().map(SubId).collect(),
+            tag,
+        };
+        let steps = vec![
+            step(
+                0,
+                NodeId::new(0, 0),
+                Some(0.0),
+                vec![
+                    input(BinOp::Add, elem(0, 10, 100, false)),
+                    input(BinOp::Mul, elem(1, u64::MAX, 3, true)),
+                ],
+                None,
+                vec![],
+                tag(0),
+            ),
+            step(
+                1,
+                NodeId::new(300, 2),
+                None,
+                vec![
+                    input(BinOp::Add, Operand::Temp(SubId(0))),
+                    input(BinOp::Shl, Operand::Const(-2.5)),
+                ],
+                Some(store(5, 0, true)),
+                vec![],
+                tag(0),
+            ),
+            step(
+                2,
+                NodeId::new(u16::MAX, 0),
+                Some(1.5),
+                vec![
+                    input(BinOp::Sub, Operand::Temp(SubId(1))),
+                    input(BinOp::Div, elem(2, 7, 1 << 40, false)),
+                ],
+                Some(store(0, 1 << 63, false)),
+                vec![0, 1],
+                tag(1),
+            ),
+            step(
+                3,
+                NodeId::new(2, 4),
+                None,
+                vec![input(BinOp::Or, Operand::Const(f64::from_bits(0x7FF8_0000_DEAD_BEEF)))],
+                None,
+                vec![2],
+                tag(1),
+            ),
+        ];
+        let record = |instance, fallback| StmtRecord {
+            tag: tag(instance),
+            movement_opt: 4,
+            movement_default: 300,
+            parallelism: 2,
+            step_count: 2,
+            planned_l1_hits: 1,
+            remapped: OpMix { add_sub: 1, mul_div: 0, other: u64::MAX },
+            fallback,
+            first_step: 2 * instance as u32,
+            last_step: 2 * instance as u32 + 2,
+        };
+        let stats = NestStats {
+            window_size: 3,
+            movement_opt: 12,
+            movement_default: 600,
+            records: vec![record(0, false), record(1, true)],
+            syncs_before: 5,
+            syncs_after: 2,
+            remapped: OpMix { add_sub: 1, mul_div: 2, other: 3 },
+            planned_l1_hits: 7,
+            fallback_count: 1,
+            instances: 2,
+        };
+        PartitionOutput::new(vec![
+            NestPartition { nest: 1, schedule: Schedule { steps }, stats },
+            NestPartition { nest: 4, schedule: Schedule::default(), stats: NestStats::default() },
+        ])
+    }
+
+    #[test]
+    fn feature_plan_roundtrips_and_every_prefix_is_refused() {
+        let plan = feature_plan();
+        plan.nests.iter().for_each(|n| n.schedule.validate().expect("valid schedule"));
+        let bytes = encode_plan(&plan);
+        let decoded = decode_plan(&bytes).expect("decodes");
+        // NaN is not equal to itself: compare the printed plans, the bytes
+        // and the NaN's raw bits.
+        assert_eq!(format!("{decoded:?}"), format!("{plan:?}"));
+        assert_eq!(encode_plan(&decoded), bytes);
+        let Operand::Const(nan) = decoded.nests[0].schedule.steps[3].inputs[0].operand else {
+            panic!("step 3 reads a constant");
+        };
+        assert_eq!(nan.to_bits(), 0x7FF8_0000_DEAD_BEEF, "raw NaN bits survive");
+        for cut in 0..bytes.len() {
+            assert!(decode_plan(&bytes[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        }
+    }
+
+    #[test]
+    fn truncated_suite_plans_are_refused() {
+        let service = crate::PlanService::new(crate::ServeConfig::default());
+        let plan = service.plan(suite_requests().remove(0)).expect("compiles");
+        service.shutdown();
+        let bytes = encode_plan(&plan);
+        let cuts = (0..bytes.len()).filter(|&c| c < 4096 || c % 997 == 0 || c + 64 > bytes.len());
+        for cut in cuts {
+            assert!(decode_plan(&bytes[..cut]).is_err(), "prefix of {cut} bytes decoded");
+        }
+    }
+
+    /// Version, one nest (index 0), the steps `steps` writes, then empty
+    /// stats.
+    fn one_nest(steps: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u8(PLAN_CODEC_V2);
+        e.varint(1);
+        e.varint(0);
+        steps(&mut e);
+        for _ in 0..12 {
+            e.varint(0); // window, movements, no records, totals
+        }
+        e.finish()
+    }
+
+    /// A step at node (0, 0) with the given flags and one `Const` input.
+    fn const_step(e: &mut Enc, flags: u8) {
+        e.u8(flags);
+        e.varint(0);
+        e.varint(0);
+        e.varint(1);
+        e.u8(binop_to_u8(BinOp::Add) | OPERAND_CONST);
+        e.f64(1.0);
+    }
+
+    #[test]
+    fn varints_must_be_minimal_and_fit() {
+        let read = |bytes: &[u8]| Dec::new(bytes).varint("v");
+        assert_eq!(read(&[0x00]), Ok(0));
+        assert_eq!(read(&[0x7F]), Ok(0x7F));
+        assert_eq!(read(&[0x80, 0x01]), Ok(0x80));
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(read(&max), Ok(u64::MAX));
+        // Over-long: a zero final byte after a continuation.
+        assert_eq!(read(&[0x80, 0x00]), Err(CodecError::Varint("v")));
+        assert_eq!(read(&[0xFF, 0x80, 0x00]), Err(CodecError::Varint("v")));
+        // Overflowing: bits beyond the 64th, or an 11th byte.
+        let mut over = max;
+        over[9] = 0x02;
+        assert_eq!(read(&over), Err(CodecError::Varint("v")));
+        let mut eleven = [0xFF; 11];
+        eleven[10] = 0x01;
+        assert_eq!(read(&eleven), Err(CodecError::Varint("v")));
+        assert_eq!(read(&[0x80]), Err(CodecError::Truncated));
+        assert_eq!(read(&[]), Err(CodecError::Truncated));
+        // Out of a field's range.
+        assert_eq!(
+            Dec::new(&[0x80, 0x80, 0x04]).varint_below("x", 1 << 16),
+            Err(CodecError::Varint("x"))
+        );
+        let mut e = Enc::new();
+        for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+            e.varint(v);
+        }
+        let bytes = e.finish();
+        let mut d = Dec::new(&bytes);
+        for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(d.varint("v"), Ok(v));
+        }
+        d.finish("varints").expect("all consumed");
+
+        // In a plan: an over-long nest count, and a node past u16.
+        let mut bytes = one_nest(|e| e.varint(0));
+        bytes.splice(1..2, [0x81, 0x00]);
+        assert_eq!(decode_plan(&bytes), Err(CodecError::Varint("plan nests")));
+        let bytes = one_nest(|e| {
+            e.varint(1);
+            e.u8(0);
+            e.varint(1 << 16);
+        });
+        assert_eq!(decode_plan(&bytes), Err(CodecError::Varint("node x")));
+    }
+
+    #[test]
+    fn backward_distances_must_point_into_the_nest() {
+        let temp_at_step_1 = |distance: u64| {
+            one_nest(|e| {
+                e.varint(2);
+                const_step(e, STEP_SAME_TAG);
+                e.u8(STEP_SAME_TAG);
+                e.varint(0);
+                e.varint(0);
+                e.varint(1);
+                e.u8(binop_to_u8(BinOp::Add) | OPERAND_TEMP);
+                e.varint(distance);
+            })
+        };
+        let plan = decode_plan(&temp_at_step_1(1)).expect("distance 1 is the previous step");
+        assert_eq!(plan.nests[0].schedule.steps[1].inputs[0].operand, Operand::Temp(SubId(0)));
+        assert_eq!(decode_plan(&temp_at_step_1(0)), Err(CodecError::Distance("temp", 0)));
+        assert_eq!(decode_plan(&temp_at_step_1(2)), Err(CodecError::Distance("temp", 2)));
+
+        let wait_at_step_0 = |distance: u64| {
+            one_nest(|e| {
+                e.varint(1);
+                const_step(e, STEP_SAME_TAG | STEP_WAITS);
+                e.varint(1);
+                e.varint(distance);
+            })
+        };
+        assert_eq!(decode_plan(&wait_at_step_0(0)), Err(CodecError::Distance("wait", 0)));
+        assert_eq!(decode_plan(&wait_at_step_0(1)), Err(CodecError::Distance("wait", 1)));
+    }
+
+    #[test]
+    fn non_canonical_spellings_are_refused() {
+        let step = |flags: u8, tail: &dyn Fn(&mut Enc)| {
+            one_nest(|e| {
+                e.varint(1);
+                const_step(e, flags);
+                tail(e);
+            })
+        };
+        let none = |_: &mut Enc| {};
+        assert!(decode_plan(&step(STEP_SAME_TAG, &none)).is_ok());
+        // Unknown flag bits, and a hot store without a store.
+        assert!(matches!(
+            decode_plan(&step(STEP_SAME_TAG | 0x80, &none)),
+            Err(CodecError::BadTag(..))
+        ));
+        assert!(matches!(
+            decode_plan(&step(STEP_SAME_TAG | STEP_STORE_HOT, &none)),
+            Err(CodecError::BadTag(..))
+        ));
+        // A waits flag with an empty list.
+        let empty = |e: &mut Enc| e.varint(0);
+        assert!(matches!(
+            decode_plan(&step(STEP_SAME_TAG | STEP_WAITS, &empty)),
+            Err(CodecError::Invalid(_))
+        ));
+        // The default tag spelled out instead of flagged as repeated.
+        let default_tag = |e: &mut Enc| enc_tag(e, StmtTag::default());
+        assert!(matches!(decode_plan(&step(0, &default_tag)), Err(CodecError::Invalid(_))));
+        // An operand byte with the hot bit on a constant, or an unknown kind.
+        for byte in [OPERAND_CONST | OPERAND_HOT, 3 << 4, 0x80, 9] {
+            let bytes = one_nest(|e| {
+                e.varint(1);
+                e.u8(STEP_SAME_TAG);
+                e.varint(0);
+                e.varint(0);
+                e.varint(1);
+                e.u8(byte);
+                e.f64(1.0);
+            });
+            assert!(matches!(decode_plan(&bytes), Err(CodecError::BadTag(..))), "{byte:#x}");
+        }
+        // A fallback byte other than 0 or 1: find it as the one byte that
+        // differs when the first record's flag flips.
+        let plan = feature_plan();
+        let mut flipped = plan.clone();
+        flipped.nests[0].stats.records[0].fallback = true;
+        let mut bytes = encode_plan(&plan);
+        let flipped = encode_plan(&flipped);
+        let at = (0..bytes.len()).find(|&i| bytes[i] != flipped[i]).expect("flag is written");
+        assert_eq!((bytes[at], flipped[at]), (0, 1));
+        bytes[at] = 2;
+        assert!(matches!(decode_plan(&bytes), Err(CodecError::BadTag("fallback", 2))));
+    }
+
+    #[test]
+    fn every_plan_that_decodes_has_exactly_one_encoding() {
+        // Mutants of valid encodings reach deep into the layout; whichever
+        // decode must re-encode to exactly the mutated bytes.
+        let mut rng = Rng64::new(0x0DEC_0DE5);
+        let service = crate::PlanService::new(crate::ServeConfig::default());
+        let suite = service.plan(suite_requests().remove(5)).expect("compiles");
+        service.shutdown();
+        let mut decoded = 0;
+        for (seed_bytes, rounds) in
+            [(encode_plan(&feature_plan()), 4096), (encode_plan(&suite), 64)]
+        {
+            for _ in 0..rounds {
+                let mut bytes = seed_bytes.clone();
+                for _ in 0..1 + rng.gen_range(3) {
+                    let at = rng.gen_range(bytes.len() as u64) as usize;
+                    bytes[at] ^= 1 << rng.gen_range(8);
+                }
+                if let Ok(plan) = decode_plan(&bytes) {
+                    decoded += 1;
+                    assert_eq!(encode_plan(&plan), bytes, "a second encoding decoded");
+                }
+            }
+        }
+        assert!(decoded > 100, "only {decoded} mutants decoded; the property is vacuous");
     }
 
     #[test]
@@ -1177,11 +1822,11 @@ mod tests {
     }
 
     #[test]
-    fn fnv_checksum_spreads_and_detects_flips() {
-        let a = fnv1a64(b"hello");
+    fn frame_checksum_spreads_and_detects_flips() {
+        let a = dmcp_hash::checksum64(b"hello");
         let mut flipped = b"hello".to_vec();
         flipped[2] ^= 1;
-        assert_ne!(a, fnv1a64(&flipped));
-        assert_eq!(a, fnv1a64(b"hello"));
+        assert_ne!(a, dmcp_hash::checksum64(&flipped));
+        assert_eq!(a, dmcp_hash::checksum64(b"hello"));
     }
 }

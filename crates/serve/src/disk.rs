@@ -8,12 +8,20 @@
 //! is
 //!
 //! ```text
-//! magic     u32   0x444D_4352 ("DMCR")
+//! magic     u32   0x444D_4332 ("DMC2")
 //! key       4×u64 the full PlanKey (program, machine, config, faults)
 //! len       u32   payload length in bytes
-//! checksum  u64   FNV-1a over the payload
+//! checksum  u64   dmcp_hash::checksum64 over the payload
 //! payload   len bytes (an encoded plan, crate::codec::encode_plan)
 //! ```
+//!
+//! The first record layout had the same fields under magic `0x444D_4352`
+//! ("DMCR") with an FNV-1a checksum, and carried plans in the fixed-width
+//! plan layout. A segment of such records verifies nothing under the
+//! current magic, so the opening scan quarantines it (see below) and every
+//! key it held is compiled again on its next request and written in the
+//! current layout. A cache directory from an older version therefore
+//! costs one recompile per key, never a wrong or undecodable plan.
 //!
 //! # Crash safety, by construction
 //!
@@ -46,9 +54,9 @@
 //! with a `.quarantine` suffix and counted, never silently re-scanned
 //! forever.
 
-use crate::codec::fnv1a64;
 use crate::key::PlanKey;
 use crate::storage::{RealIo, StorageFile, StorageIo};
+use dmcp_hash::checksum64;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -56,8 +64,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Per-record magic ("DMCR").
-pub const RECORD_MAGIC: u32 = 0x444D_4352;
+/// Per-record magic ("DMC2"): records checksummed with [`checksum64`].
+/// The retired first layout used `0x444D_4352` ("DMCR") with FNV-1a.
+pub const RECORD_MAGIC: u32 = 0x444D_4332;
 /// Fixed bytes before a record's payload: magic + key + len + checksum.
 pub const RECORD_HEADER_BYTES: u64 = 4 + 32 + 4 + 8;
 /// Hard ceiling on one record's payload — anything larger is corruption.
@@ -219,7 +228,7 @@ fn scan_segment(bytes: &[u8], segment: u64) -> ScanOutcome {
         }
         let payload_at = at + RECORD_HEADER_BYTES as usize;
         let payload = &bytes[payload_at..payload_at + len as usize];
-        if fnv1a64(payload) != checksum {
+        if checksum64(payload) != checksum {
             break; // torn payload
         }
         records
@@ -363,7 +372,7 @@ impl DiskTier {
             return None;
         };
         match self.read_payload(loc) {
-            Some(payload) if fnv1a64(&payload) == loc.checksum => {
+            Some(payload) if checksum64(&payload) == loc.checksum => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(payload)
             }
@@ -447,7 +456,7 @@ impl DiskTier {
         if state.active.len > 0 && state.active.len + record_len > self.segment_bytes {
             self.rotate_locked(state)?;
         }
-        let checksum = fnv1a64(payload);
+        let checksum = checksum64(payload);
         let mut header = Vec::with_capacity(RECORD_HEADER_BYTES as usize);
         header.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
         for w in [key.program, key.machine, key.config, key.faults] {
@@ -753,6 +762,41 @@ mod tests {
         let again = DiskTier::open(&dir).expect("reopen");
         assert_eq!(again.stats().quarantined_segments, 0);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn first_layout_segment_is_quarantined_on_open() {
+        // A record as the first layout wrote it: magic "DMCR" and FNV-1a.
+        let payload = b"a plan in the retired layout";
+        let mut record = Vec::new();
+        record.extend_from_slice(&0x444D_4352u32.to_le_bytes());
+        for w in [7u64, 8, 9, 10] {
+            record.extend_from_slice(&w.to_le_bytes());
+        }
+        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        record.extend_from_slice(&dmcp_hash::fnv1a64(payload).to_le_bytes());
+        record.extend_from_slice(payload);
+        let mem = MemIo::new();
+        mem.create_dir_all(Path::new("/old")).expect("mkdir");
+        let mut file = mem.open_append(Path::new("/old/seg-000000.log")).expect("create");
+        file.write_all(&record).expect("write");
+        drop(file);
+
+        let open = || {
+            DiskTier::open_with_io("/old", 1 << 20, Duration::ZERO, Arc::new(Arc::clone(&mem)))
+                .expect("open")
+        };
+        let tier = open();
+        assert_eq!(tier.stats().quarantined_segments, 1);
+        assert_eq!(tier.stats().recovered_records, 0);
+        assert!(tier.get(PlanKey { program: 7, machine: 8, config: 9, faults: 10 }).is_none());
+        assert!(mem.bytes(Path::new("/old/seg-000000.log.quarantine")).is_some());
+        // The fresh segment takes current-layout records and reopens clean.
+        tier.put(key(3), b"current layout").expect("put");
+        drop(tier);
+        let again = open();
+        assert_eq!(again.stats().quarantined_segments, 0);
+        assert_eq!(again.get(key(3)).as_deref(), Some(&b"current layout"[..]));
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //!   the request/plan byte codec it carries;
 //! * [`PlanServer`] / [`PlanClient`] — the TCP front end (typed error
 //!   frames, per-connection deadlines, bounded handler pool) and a client
-//!   with connect/request timeouts and jittered-backoff retry;
-//! * [`mix`] — a synthetic client mix over the 12 paper workloads, used
-//!   by the `dmcp-serve` binary and the bench harness to measure the
-//!   cached-over-uncached speedup (the open-loop network variant lives in
-//!   the `dmcp-loadgen` binary).
+//!   with connect/request timeouts and jittered-backoff retry.
+//!
+//! Two binaries ship with the crate: `dmcp-serve`, the server, and
+//! `dmcp-loadgen`, the one load driver (an open-loop zipf mix over TCP,
+//! with restart and chaos drills).
 //!
 //! # Quick start
 //!
@@ -53,7 +53,6 @@ pub mod client;
 pub mod codec;
 pub mod disk;
 pub mod key;
-pub mod mix;
 pub mod net;
 pub mod service;
 pub mod storage;
@@ -65,7 +64,6 @@ pub use client::{ClientConfig, ClientCounters, ClientError, PlanClient};
 pub use codec::CodecError;
 pub use disk::{DiskStats, DiskTier};
 pub use key::{PlanKey, PlanRequest};
-pub use mix::{run_client_mix, run_comparison, MixConfig, MixReport};
 pub use net::{NetConfig, PlanServer};
 pub use service::{PlanResult, PlanService, PlanTicket, ServeConfig, ServeError, ServeStats};
 pub use storage::{ChaosState, FaultyIo, MemIo, RealIo, StorageFile, StorageIo};

@@ -16,18 +16,27 @@
 //!   saturated the accept loop answers `QueueFull` inline and drops the
 //!   connection — load is shed with a typed error, never by hanging;
 //! * shutdown stops accepting, finishes in-flight connections, then
-//!   returns.
+//!   returns. The accept loop blocks in `accept` (no polling, so a new
+//!   connection is taken the moment it arrives); stopping sets a flag and
+//!   then connects to the listener itself to wake it, and the loop drops
+//!   whatever it accepts once the flag is set.
 
 use crate::codec::{decode_request, encode_plan, encode_stats};
 use crate::service::PlanService;
 use crate::wire::{encode_error, read_frame, write_frame, ErrorCode, FrameKind, WireError};
 use dmcp_pool::{SubmitError, WorkerPool};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Back-off after a failed `accept` (say, out of file descriptors), so an
+/// error that persists cannot spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
+/// Deadline of one wake-up connection made by [`PlanServer::stop`].
+const WAKE_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// Server knobs.
 #[derive(Clone, Debug)]
@@ -69,9 +78,6 @@ impl PlanServer {
         config: NetConfig,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        // Non-blocking accept: the loop polls the stop flag between
-        // accepts, so shutdown never waits on a listener with no clients.
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_for_loop = Arc::clone(&stop);
@@ -91,20 +97,42 @@ impl PlanServer {
     /// Graceful stop: no new connections are accepted, in-flight
     /// connections finish, then this returns.
     pub fn stop(mut self) {
+        self.halt();
+    }
+
+    /// Sets the stop flag, wakes the blocking accept by connecting to the
+    /// listener until one connection gets through (or the accept thread
+    /// has ended), then joins it. The loop checks the flag after every
+    /// accept, so one connection is enough.
+    fn halt(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        let Some(accept) = self.accept.take() else { return };
+        let wake = wake_addr(self.local_addr);
+        while !accept.is_finished() {
+            if TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok() {
+                break;
+            }
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
         }
+        let _ = accept.join();
     }
 }
 
 impl Drop for PlanServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.halt();
     }
+}
+
+/// Where to connect to reach a listener bound to `local`: the address
+/// itself, or loopback when it is bound to the unspecified address.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 fn accept_loop(
@@ -116,6 +144,9 @@ fn accept_loop(
     let pool = WorkerPool::new("dmcp-serve-conn", config.conn_workers, config.conn_queue);
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The connection that woke a stopping server, or one that
+            // raced it: dropped unanswered.
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 let _ = stream.set_read_timeout(Some(config.io_timeout));
                 let _ = stream.set_write_timeout(Some(config.io_timeout));
@@ -140,10 +171,7 @@ fn accept_loop(
                     );
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
     // Dropping the pool drains connections already admitted.

@@ -101,7 +101,7 @@ const PINNED: [(&str, u64); 5] = [
 
 /// Allocations of simulating the 24 golden plans with default options
 /// (each degraded run's copy of the fault state included).
-const PINNED_SIM: u64 = 41_099;
+const PINNED_SIM: u64 = 6_608;
 
 /// Plans the 24 golden inputs and returns each pass's allocations, in
 /// pipeline order.

@@ -17,6 +17,8 @@
 //! `GOLDEN_SIM` pins every field of the simulator's report for those
 //! plans, and for runs the benchmark never makes: lossy links, the 10×10
 //! mesh, both MCDRAM memory modes and every counterfactual option.
+//! `GOLDEN_PLAN_BYTES` pins the length and checksum of every golden
+//! plan's encoding, and each must decode back to the identical plan.
 //!
 //! To regenerate after an intentional planner change:
 //!
@@ -25,12 +27,13 @@
 //! ```
 
 use dmcp::check::golden::{
-    degraded_digest, healthy_digest, key_digests, large_mesh_digest, sim_golden_rows, variant_run,
-    GoldenInput, GOLDEN_DEGRADED, GOLDEN_HEALTHY, GOLDEN_KEYS, GOLDEN_LARGE_MESH, GOLDEN_SIM,
-    GOLDEN_VARIANTS,
+    degraded_digest, degraded_output, healthy_digest, healthy_output, key_digests,
+    large_mesh_digest, plan_bytes_pin, sim_golden_rows, variant_run, GoldenInput, GOLDEN_DEGRADED,
+    GOLDEN_HEALTHY, GOLDEN_KEYS, GOLDEN_LARGE_MESH, GOLDEN_PLAN_BYTES, GOLDEN_SIM, GOLDEN_VARIANTS,
 };
 use dmcp::check::plan_digest;
 use dmcp::pool::Pool;
+use dmcp::serve::codec::{decode_plan, encode_plan};
 use dmcp::sim::SimOptions;
 use dmcp::workloads::{all, Scale};
 
@@ -45,6 +48,28 @@ fn golden_tables_cover_the_whole_suite() {
         }
     }
     assert_eq!(GOLDEN_KEYS.len(), suite.len());
+    assert_eq!(GOLDEN_PLAN_BYTES.len(), suite.len());
+    for name in &suite {
+        assert!(GOLDEN_PLAN_BYTES.iter().any(|r| r.0 == *name), "{name} missing plan bytes");
+    }
+}
+
+#[test]
+fn every_golden_plan_encodes_to_its_pinned_bytes_and_back() {
+    let pool = Pool::single();
+    for &(name, healthy_len, healthy_sum, degraded_len, degraded_sum) in GOLDEN_PLAN_BYTES {
+        let runs = [
+            ("healthy", healthy_output(name, &pool), (healthy_len, healthy_sum)),
+            ("degraded", degraded_output(name, &pool), (degraded_len, degraded_sum)),
+        ];
+        for (machine, plan, want) in runs {
+            let got = plan_bytes_pin(&plan);
+            assert_eq!(got, want, "{name} ({machine}): plan bytes drifted ({} bytes)", got.0);
+            let bytes = encode_plan(&plan);
+            let decoded = decode_plan(&bytes).expect("golden plan decodes");
+            assert_eq!(decoded, plan, "{name} ({machine}): round trip changed the plan");
+        }
+    }
 }
 
 #[test]

@@ -508,3 +508,110 @@ fn compile_panic_answers_internal_frame_and_keeps_the_connection_open() {
     assert_eq!(stats.panics, 2, "every contained panic is counted");
     halt(server, service);
 }
+
+/// A frame in wire version 1 (FNV-1a checksum) is answered with a
+/// `Malformed` error frame naming the version, and nothing compiles.
+#[test]
+fn version_one_frame_gets_a_malformed_frame() {
+    let dir = tmpdir("wire-v1");
+    let (server, service, addr) = boot(&dir, NetConfig::default());
+
+    let payload = encode_request(&request("fft"));
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+    frame.extend_from_slice(&[1, 1, 0, 0]); // version 1, PlanRequest
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(&dmcp::hash::fnv1a64(&payload).to_le_bytes());
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
+    stream.write_all(&frame).expect("write version-1 frame");
+    match read_reply(&mut stream) {
+        Ok((FrameKind::Error, payload)) => {
+            let (code, message) = decode_error(&payload);
+            assert_eq!(code, ErrorCode::Malformed, "{message}");
+            assert!(message.contains("version 1"), "unexpected message {message:?}");
+        }
+        other => panic!("expected a Malformed error frame, got {other:?}"),
+    }
+    assert_eq!(service.stats().compiles, 0, "a refused frame must never compile");
+
+    halt(server, service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache directory written by the first record layout (magic "DMCR",
+/// FNV-1a) is quarantined on open; its key compiles again, is written in
+/// the current layout, and is served from disk after the next restart.
+#[test]
+fn first_layout_cache_directory_is_quarantined_and_its_key_recompiles() {
+    let dir = tmpdir("first-layout");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let req = request("fft");
+    let key = req.key();
+    let payload = b"a plan in the retired fixed-width layout".as_slice();
+    let mut record = Vec::new();
+    record.extend_from_slice(&0x444D_4352u32.to_le_bytes());
+    for w in [key.program, key.machine, key.config, key.faults] {
+        record.extend_from_slice(&w.to_le_bytes());
+    }
+    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    record.extend_from_slice(&dmcp::hash::fnv1a64(payload).to_le_bytes());
+    record.extend_from_slice(payload);
+    std::fs::write(dir.join("seg-000000.log"), &record).expect("write old segment");
+
+    let (server, service, addr) = boot(&dir, NetConfig::default());
+    let mut client = PlanClient::connect(addr, ClientConfig::default()).expect("connect");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.disk.quarantined_segments, 1, "the old segment is renamed aside");
+    assert_eq!(stats.disk.recovered_records, 0);
+    let plan = client.plan(&req).expect("the key compiles again");
+    let direct = service.plan_uncached(&req).expect("direct compile");
+    assert_eq!(plan, *direct, "the recompiled plan is the planner's");
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.compiles, stats.disk.writes), (1, 1), "one compile, written through");
+    halt(server, service);
+
+    let (server, service, addr) = boot(&dir, NetConfig::default());
+    let mut client = PlanClient::connect(addr, ClientConfig::default()).expect("reconnect");
+    assert_eq!(client.plan(&req).expect("warm plan"), *direct);
+    let stats = client.stats().expect("warm stats");
+    assert_eq!((stats.compiles, stats.disk.hits), (0, 1), "served from the current layout");
+    assert_eq!(stats.disk.quarantined_segments, 0, "the quarantined file stays out of the scan");
+    halt(server, service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Accept blocks without polling, so stopping must wake it: an idle
+/// server, one bound to the unspecified address (woken over loopback) and
+/// one dropped without `stop()` each stop within a second.
+#[test]
+fn idle_servers_stop_promptly() {
+    let service = Arc::new(PlanService::try_new(ServeConfig::default()).expect("service"));
+    let start = |addr: &str| {
+        PlanServer::start(Arc::clone(&service), addr, NetConfig::default()).expect("bind")
+    };
+    let within_a_second = |label: &str, stop: &dyn Fn()| {
+        let begun = Instant::now();
+        stop();
+        let took = begun.elapsed();
+        assert!(took < Duration::from_secs(1), "{label} took {took:?} to stop");
+    };
+
+    let idle = std::cell::Cell::new(Some(start("127.0.0.1:0")));
+    within_a_second("idle", &|| idle.take().expect("server").stop());
+
+    let unspecified = start("0.0.0.0:0");
+    assert!(unspecified.local_addr().ip().is_unspecified());
+    let port = unspecified.local_addr().port();
+    let mut client =
+        PlanClient::connect(("127.0.0.1", port), ClientConfig::default()).expect("client");
+    client.stats().expect("the unspecified bind serves loopback");
+    let unspecified = std::cell::Cell::new(Some(unspecified));
+    within_a_second("unspecified", &|| unspecified.take().expect("server").stop());
+
+    let dropped = std::cell::Cell::new(Some(start("127.0.0.1:0")));
+    within_a_second("dropped", &|| drop(dropped.take()));
+
+    let service = Arc::try_unwrap(service).ok().expect("every server released the service");
+    service.shutdown();
+}

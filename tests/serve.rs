@@ -2,10 +2,11 @@
 //! address, LRU eviction, single-flight deduplication under real
 //! concurrency, and degraded-mode caching.
 
-use dmcp::check::gencase::gen_mask_case;
+use dmcp::check::gencase::{gen_mask_case, gen_wild_spec};
 use dmcp::core::PartitionConfig;
 use dmcp::mach::rng::Rng64;
 use dmcp::mach::{FaultPlan, MachineConfig, NodeId};
+use dmcp::serve::codec::{decode_plan, encode_plan};
 use dmcp::serve::{approx_plan_bytes, PlanRequest, PlanService, ServeConfig, ShardedPlanCache};
 use dmcp::workloads::{all, by_name, Scale};
 use std::collections::HashSet;
@@ -254,5 +255,31 @@ fn batched_suite_is_all_hits_second_time() {
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.as_ref().expect("plan"), b.as_ref().expect("hit"));
     }
+    service.shutdown();
+}
+
+/// The plan codec round-trips generated plans bit for bit — mask-family
+/// programs and wild shapes with extreme bounds, under their generated
+/// fault plans — and the decoded plan re-encodes to the same bytes.
+#[test]
+fn generated_plans_roundtrip_through_the_plan_codec() {
+    let service = PlanService::new(ServeConfig::default());
+    let mut planned = 0;
+    for seed in 0..32u64 {
+        let mut rng = Rng64::new(0xC0DE_C000 + seed);
+        let spec =
+            if seed % 2 == 0 { gen_mask_case(&mut rng, 192) } else { gen_wild_spec(&mut rng) };
+        let Ok(built) = spec.build() else { continue };
+        let mut req =
+            PlanRequest::new(built.program, built.machine, built.config).with_data(built.data);
+        req.faults = built.faults;
+        let Ok(plan) = service.plan(req) else { continue };
+        let bytes = encode_plan(&plan);
+        let decoded = decode_plan(&bytes).expect("generated plan decodes");
+        assert_eq!(decoded, *plan, "seed {seed}: round trip changed the plan");
+        assert_eq!(encode_plan(&decoded), bytes, "seed {seed}: second encoding differs");
+        planned += 1;
+    }
+    assert!(planned >= 24, "only {planned} of 32 generated cases planned");
     service.shutdown();
 }
