@@ -22,10 +22,10 @@ use dmcp::core::{PartitionConfig, Partitioner, PlanOptions};
 use dmcp::mach::MachineConfig;
 use dmcp::mem::page::PagePolicy;
 use dmcp::pool::Pool;
+use dmcp::sim::scenarios::partition_guided;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{all, Scale, Workload};
 use dmcp_bench::gap_reports_pooled;
-use std::time::Instant;
 
 fn main() {
     let scale =
@@ -39,21 +39,16 @@ fn main() {
     sync_reduction_stats(scale, &pool);
 }
 
-/// `partition_guided` under `cfg`, staged so the planner is timed and
-/// runs sequentially (the suite-level pool provides the parallelism).
-/// Returns `(exec_time, movement, plan_seconds)` of the guarded winner.
-fn run(w: &Workload, cfg: PartitionConfig) -> (f64, u64, f64) {
+/// `partition_guided` under `cfg`, planning sequentially (the
+/// suite-level pool provides the parallelism). Returns
+/// `(exec_time, movement)` of the guarded winner.
+fn run(w: &Workload, cfg: PartitionConfig) -> (f64, u64) {
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &w.program, cfg);
     let sim = SimOptions::default();
-    let t0 = Instant::now();
-    let planned = part.partition_with_data_pooled(&w.program, &w.data, &Pool::single());
-    let plan_seconds = t0.elapsed().as_secs_f64();
-    let base = part.baseline(&w.program, &w.data);
-    let r_planned = run_schedules(&w.program, part.layout(), &planned, sim);
-    let r_base = run_schedules(&w.program, part.layout(), &base, sim);
-    let r = if r_planned.exec_time <= r_base.exec_time { r_planned } else { r_base };
-    (r.exec_time, r.movement, plan_seconds)
+    let out = partition_guided(&part, &w.program, &w.data, &Pool::single(), sim);
+    let r = run_schedules(&w.program, part.layout(), &out, sim);
+    (r.exec_time, r.movement)
 }
 
 /// Reuse-aware vs reuse-agnostic planning (Figure 20's companion text).
@@ -159,34 +154,21 @@ fn page_policy_ablation(scale: Scale, pool: &Pool) {
 }
 
 /// Synchronization arcs before/after transitive reduction (Figure 15's
-/// companion: how much the Midkiff–Padua-style pass removes), plus the
-/// planner wall-time each workload cost.
+/// companion: how much the Midkiff–Padua-style pass removes).
 fn sync_reduction_stats(scale: Scale, pool: &Pool) {
     println!("\n== Ablation: synchronization transitive reduction ==");
-    println!(
-        "{:<10} {:>10} {:>10} {:>9} {:>9}",
-        "app", "arcs-before", "arcs-after", "removed", "plan-ms"
-    );
+    println!("{:<10} {:>10} {:>10} {:>9}", "app", "arcs-before", "arcs-after", "removed");
     let machine = MachineConfig::knl_like();
     let rows = pool.map(&all(scale), |_, w| {
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-        let t0 = Instant::now();
-        let out = part.partition_with_data_pooled(&w.program, &w.data, &Pool::single());
-        let plan_seconds = t0.elapsed().as_secs_f64();
+        let out = part.plan(&w.program, &w.data, &Pool::single(), false).expect("default plans");
         let before: u64 = out.nests.iter().map(|n| n.stats.syncs_before).sum();
         let after: u64 = out.nests.iter().map(|n| n.stats.syncs_after).sum();
-        (w.name, before, after, plan_seconds)
+        (w.name, before, after)
     });
-    for (name, before, after, plan_seconds) in rows {
+    for (name, before, after) in rows {
         let removed =
             if before == 0 { 0.0 } else { 100.0 * (before - after) as f64 / before as f64 };
-        println!(
-            "{:<10} {:>10} {:>10} {:>8.1}% {:>9.2}",
-            name,
-            before,
-            after,
-            removed,
-            1e3 * plan_seconds
-        );
+        println!("{name:<10} {before:>10} {after:>10} {removed:>8.1}%");
     }
 }

@@ -13,7 +13,6 @@
 
 use dmcp::mach::ClusterMode;
 use dmcp::mem::MemoryMode;
-use dmcp::pool::Pool;
 use dmcp::sim::Scenario;
 use dmcp::workloads::{all, meta, Scale};
 use dmcp_bench::{
@@ -38,9 +37,6 @@ fn main() {
         "all" | "table1" | "table2" | "table3" | "fig13" | "fig14" | "fig15" | "fig16" | "fig19"
     );
     let suite: Vec<AppEval> = if needs_suite { evaluate_suite(scale) } else { Vec::new() };
-    if !suite.is_empty() {
-        plan_times(&suite);
-    }
 
     match what {
         "all" => {
@@ -126,19 +122,6 @@ fn setup(suite: &[AppEval], scale: Scale) {
 
 fn header(title: &str) {
     println!("\n== {title} ==");
-}
-
-/// Planner wall-time per workload (the suite itself is evaluated in
-/// parallel on `dmcp-pool`, one task per application, in suite order).
-fn plan_times(suite: &[AppEval]) {
-    header("Planner wall-time per workload");
-    println!("(pool: {} thread(s); plans are thread-count-invariant)", Pool::default().threads());
-    println!("{:<10} {:>10}", "app", "plan-ms");
-    for e in suite {
-        println!("{:<10} {:>10.2}", e.name, 1e3 * e.plan_seconds);
-    }
-    let total: f64 = suite.iter().map(|e| e.plan_seconds).sum();
-    println!("total planner time: {:.2} ms", 1e3 * total);
 }
 
 fn table1(suite: &[AppEval]) {

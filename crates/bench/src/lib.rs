@@ -1,6 +1,7 @@
-//! Evaluation harness shared by the `figures`, `ablations` and
-//! `plan_bench` binaries: runs the 12-application suite end to end and
-//! exposes per-app results for every table and figure of the paper.
+//! Evaluation harness shared by the `figures` and `ablations` binaries:
+//! runs the 12-application suite end to end and exposes per-app results
+//! for every table and figure of the paper. "Our approach" is
+//! `partition_guided` everywhere; timing the planner is perfbench's job.
 
 use dmcp::baselines::{locality_assignment, preferred_mc_overrides};
 use dmcp::bound::{gap_report, GapReport};
@@ -11,7 +12,6 @@ use dmcp::pool::Pool;
 use dmcp::sim::scenarios::partition_guided;
 use dmcp::sim::{run_program, run_schedules, Scenario, SimOptions, SimReport};
 use dmcp::workloads::{all, PaperRow, Scale, Workload};
-use std::time::Instant;
 
 /// Everything measured for one application under the standard configuration
 /// (quadrant cluster mode, flat memory, profiled default placement).
@@ -31,9 +31,6 @@ pub struct AppEval {
     pub r_base: SimReport,
     /// Simulated optimized run (instance tracking on).
     pub r_opt: SimReport,
-    /// Wall-time of the planner itself (the staged partitioning
-    /// pipeline), excluding simulation.
-    pub plan_seconds: f64,
 }
 
 impl AppEval {
@@ -63,16 +60,8 @@ pub fn evaluate_pooled(w: &Workload, machine: &MachineConfig, pool: &Pool) -> Ap
     let partitioner = Partitioner::new(machine, &w.program, cfg.clone());
     let sim = SimOptions { track_instances: true, ..SimOptions::default() };
 
-    // `partition_guided`, staged so the planner itself can be timed in
-    // isolation from the guard simulations.
-    let t0 = Instant::now();
-    let planned = partitioner.partition_with_data_pooled(&w.program, &w.data, pool);
-    let plan_seconds = t0.elapsed().as_secs_f64();
-    let base = partitioner.baseline(&w.program, &w.data);
-    let quiet = SimOptions { track_instances: false, ..sim };
-    let keep = run_schedules(&w.program, partitioner.layout(), &planned, quiet).exec_time
-        <= run_schedules(&w.program, partitioner.layout(), &base, quiet).exec_time;
-    let opt = if keep { planned } else { partitioner.baseline(&w.program, &w.data) };
+    let opt = partition_guided(&partitioner, &w.program, &w.data, pool, sim);
+    let base = partitioner.plan(&w.program, &w.data, pool, true).expect("baseline plans");
     let r_opt = run_schedules(&w.program, partitioner.layout(), &opt, sim);
     let r_base = run_schedules(&w.program, partitioner.layout(), &base, sim);
 
@@ -84,7 +73,8 @@ pub fn evaluate_pooled(w: &Workload, machine: &MachineConfig, pool: &Pool) -> Ap
         ..cfg
     };
     let forced = Partitioner::new(machine, &w.program, force_cfg);
-    let remapped = forced.partition_with_data_pooled(&w.program, &w.data, pool).remapped();
+    let remapped =
+        forced.plan(&w.program, &w.data, pool, false).expect("forced split plans").remapped();
 
     AppEval {
         name: w.name,
@@ -94,7 +84,6 @@ pub fn evaluate_pooled(w: &Workload, machine: &MachineConfig, pool: &Pool) -> Ap
         remapped,
         r_base,
         r_opt,
-        plan_seconds,
     }
 }
 
@@ -121,7 +110,7 @@ pub fn evaluate_suite(scale: Scale) -> Vec<AppEval> {
 /// the `dmcp-bound` lower bound.
 pub fn gap_eval(w: &Workload, machine: &MachineConfig, cfg: PartitionConfig) -> GapReport {
     let part = Partitioner::new(machine, &w.program, cfg);
-    let out = part.partition_with_data(&w.program, &w.data);
+    let out = part.plan(&w.program, &w.data, Pool::global(), false).expect("gap config plans");
     gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out)
 }
 
@@ -153,9 +142,9 @@ pub fn config_exec_time(
     let partitioner = Partitioner::new(&machine, &w.program, PartitionConfig::default());
     let opts = SimOptions { memory_mode: memory, ..SimOptions::default() };
     let out = if optimized {
-        partition_guided(&partitioner, &w.program, &w.data, opts)
+        partition_guided(&partitioner, &w.program, &w.data, Pool::global(), opts)
     } else {
-        partitioner.baseline(&w.program, &w.data)
+        partitioner.plan(&w.program, &w.data, Pool::global(), true).expect("baseline plans")
     };
     run_schedules(&w.program, partitioner.layout(), &out, opts).exec_time
 }
@@ -178,7 +167,8 @@ pub fn window_run(w: &Workload, window: Option<usize>, reuse_aware: bool) -> (f6
         ..base_cfg
     };
     let partitioner = Partitioner::new(&machine, &w.program, cfg);
-    let out = partition_guided(&partitioner, &w.program, &w.data, SimOptions::default());
+    let out =
+        partition_guided(&partitioner, &w.program, &w.data, Pool::global(), SimOptions::default());
     let r = run_schedules(&w.program, partitioner.layout(), &out, SimOptions::default());
     (r.exec_time, r.l1_hit_rate())
 }
@@ -191,8 +181,8 @@ pub fn data_mapping_comparison(w: &Workload) -> (f64, f64, f64) {
 
     // Default and ours share a layout.
     let part = Partitioner::new(&machine, &w.program, cfg.clone());
-    let base = part.baseline(&w.program, &w.data);
-    let ours = partition_guided(&part, &w.program, &w.data, SimOptions::default());
+    let base = part.plan(&w.program, &w.data, Pool::global(), true).expect("baseline plans");
+    let ours = partition_guided(&part, &w.program, &w.data, Pool::global(), SimOptions::default());
     let r_base = run_schedules(&w.program, part.layout(), &base, SimOptions::default());
     let r_ours = run_schedules(&w.program, part.layout(), &ours, SimOptions::default());
 
@@ -203,11 +193,12 @@ pub fn data_mapping_comparison(w: &Workload) -> (f64, f64, f64) {
     for &(page, mc) in &overrides {
         mapped.layout_mut().override_page_controller(page, mc);
     }
-    let dm_base = mapped.baseline(&w.program, &w.data);
+    let dm_base = mapped.plan(&w.program, &w.data, Pool::global(), true).expect("baseline plans");
     let r_dm = run_schedules(&w.program, mapped.layout(), &dm_base, SimOptions::default());
 
     // Combined: overrides + our partitioning.
-    let dm_ours = partition_guided(&mapped, &w.program, &w.data, SimOptions::default());
+    let dm_ours =
+        partition_guided(&mapped, &w.program, &w.data, Pool::global(), SimOptions::default());
     let r_comb = run_schedules(&w.program, mapped.layout(), &dm_ours, SimOptions::default());
 
     (

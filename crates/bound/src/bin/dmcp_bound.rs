@@ -20,6 +20,7 @@
 use dmcp_bound::{gap_report, GapReport};
 use dmcp_core::{PartitionConfig, Partitioner};
 use dmcp_mach::MachineConfig;
+use dmcp_pool::Pool;
 use dmcp_workloads::{all, Scale};
 use std::process::ExitCode;
 
@@ -115,7 +116,7 @@ fn main() -> ExitCode {
     let mut reports: Vec<GapReport> = Vec::new();
     for w in &suite {
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-        let out = part.partition_with_data(&w.program, &w.data);
+        let out = part.plan(&w.program, &w.data, Pool::global(), false).expect("valid config");
         reports.push(gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out));
     }
 

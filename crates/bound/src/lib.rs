@@ -368,6 +368,7 @@ mod tests {
     use super::*;
     use dmcp_core::Partitioner;
     use dmcp_mach::{MachineConfig, Mesh};
+    use dmcp_pool::Pool;
     use dmcp_workloads::{all, Scale};
 
     fn tiny_machine(mesh: Mesh) -> MachineConfig {
@@ -383,7 +384,7 @@ mod tests {
             let machine = tiny_machine(mesh);
             for w in all(Scale::Tiny).iter().take(4) {
                 let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-                let out = part.partition_with_data(&w.program, &w.data);
+                let out = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
                 let report =
                     gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out);
                 assert!(
@@ -405,7 +406,7 @@ mod tests {
         let machine = MachineConfig::knl_like();
         for w in &all(Scale::Tiny) {
             let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-            let out = part.partition_with_data(&w.program, &w.data);
+            let out = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
             let report =
                 gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out);
             assert!(report.nests.iter().all(|(nb, _)| nb.dag.is_none()));
@@ -426,7 +427,7 @@ mod tests {
         let machine = tiny_machine(Mesh::new(3, 3));
         for w in all(Scale::Tiny).iter().take(4) {
             let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-            let base = part.baseline(&w.program, &w.data);
+            let base = part.plan(&w.program, &w.data, Pool::global(), true).unwrap();
             let report =
                 gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &base);
             assert!(

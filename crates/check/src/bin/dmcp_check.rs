@@ -14,16 +14,21 @@ use dmcp_pool::Pool;
 use std::process::ExitCode;
 use std::time::Instant;
 
+const USAGE: &str = "usage: dmcp-check [--seeds N] [--seed0 S] [--budget N] [--orders N] \
+                     [--serve-every N] [--threads N] [--out PATH] [--only SUBSTR]";
+
 struct Args {
     cfg: CheckConfig,
     threads: Option<usize>,
     out: String,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line (without the program name); `Ok(None)` when
+/// it asks for `--help`.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args =
         Args { cfg: CheckConfig::default(), threads: None, out: "BENCH_check.json".to_string() };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
@@ -48,16 +53,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => args.out = value("--out")?,
             "--only" => args.cfg.only = Some(value("--only")?),
-            "--help" | "-h" => {
-                return Err("usage: dmcp-check [--seeds N] [--seed0 S] [--budget N] \
-                     [--orders N] [--serve-every N] [--threads N] [--out PATH] \
-                     [--only SUBSTR]"
-                    .to_string())
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn render_json(report: &CheckReport, elapsed_s: f64) -> String {
@@ -74,8 +74,12 @@ fn render_json(report: &CheckReport, elapsed_s: f64) -> String {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
@@ -122,5 +126,38 @@ fn main() -> ExitCode {
     } else {
         eprintln!("{} counterexample(s) found", report.counterexamples.len());
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn help_is_a_request_not_an_error() {
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+        assert!(matches!(parse(&["--seeds", "4", "-h"]), Ok(None)));
+    }
+
+    #[test]
+    fn unknown_or_malformed_flags_are_errors() {
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--seeds", "many"]).is_err());
+        assert!(parse(&["--out"]).is_err());
+    }
+
+    #[test]
+    fn flags_fill_the_settings() {
+        let args = parse(&["--seeds", "5", "--threads", "2", "--only", "crash"])
+            .expect("parses")
+            .expect("not a help request");
+        assert_eq!(args.cfg.seeds, 5);
+        assert_eq!(args.threads, Some(2));
+        assert_eq!(args.cfg.only.as_deref(), Some("crash"));
+        assert_eq!(args.out, "BENCH_check.json");
     }
 }

@@ -22,6 +22,7 @@ use dmcp_ir::exec::run_sequential;
 use dmcp_ir::program::DataStore;
 use dmcp_mach::rng::Rng64;
 use dmcp_mach::FaultState;
+use dmcp_pool::Pool;
 
 fn compare(label: &str, got: &DataStore, want: &DataStore, rel_tol: f64) -> Result<(), String> {
     if !got.same_shape(want) {
@@ -95,7 +96,11 @@ pub fn check_healthy(
     rel_tol: f64,
 ) -> Result<(), String> {
     let part = Partitioner::new(&built.machine, &built.program, built.config.clone());
-    let out = part.partition_with_data(&built.program, &built.data);
+    let plan = |force_default| {
+        part.plan(&built.program, &built.data, Pool::global(), force_default)
+            .map_err(|e| format!("planning failed: {e}"))
+    };
+    let out = plan(false)?;
 
     let mut want = built.data.clone();
     run_sequential(&built.program, &mut want);
@@ -103,7 +108,7 @@ pub fn check_healthy(
     let got = run_plan(&out.nests, &built.data);
     compare("optimized plan", &got, &want, rel_tol)?;
 
-    let base = part.baseline(&built.program, &built.data);
+    let base = plan(true)?;
     let got_base = run_plan(&base.nests, &built.data);
     compare("baseline plan", &got_base, &want, rel_tol)?;
 
@@ -130,7 +135,9 @@ pub fn check_degraded(built: &BuiltCase, rel_tol: f64) -> Result<(), String> {
     let part =
         Partitioner::new_degraded(&built.machine, &built.program, built.config.clone(), &state)
             .map_err(|e| format!("degraded partitioner construction failed: {e:?}"))?;
-    let out = part.partition_with_data(&built.program, &built.data);
+    let out = part
+        .plan(&built.program, &built.data, Pool::global(), false)
+        .map_err(|e| format!("degraded planning failed: {e}"))?;
 
     if !state.is_trivial() {
         for nest in &out.nests {
@@ -200,7 +207,7 @@ mod tests {
         let spec = gen_mask_case(&mut rng, 128);
         let built = spec.build().expect("builds");
         let part = Partitioner::new(&built.machine, &built.program, built.config.clone());
-        let out = part.partition_with_data(&built.program, &built.data);
+        let out = part.plan(&built.program, &built.data, Pool::global(), false).unwrap();
         for nest in &out.nests {
             let order = random_topo_order(&nest.schedule, &mut rng);
             assert_eq!(order.len(), nest.schedule.steps.len());

@@ -13,8 +13,9 @@
 //! regenerate with the `print_golden_tables` test in this module (or
 //! `cargo test --test golden_plans -- --ignored --nocapture`).
 //!
-//! Both the workspace-level `golden_plans` test and the `plan-bench` CI
-//! gate consume these tables, so a digest drift fails both.
+//! Both the workspace-level `golden_plans` test and perfbench's
+//! `plan_suite` and `serve_*` checks consume these tables, so a digest
+//! drift fails both.
 
 use crate::digest::plan_digest;
 use dmcp_baselines::preferred_mc_overrides;
@@ -330,11 +331,8 @@ pub fn variant_run(variant: &str, name: &str, degraded: bool, pool: &Pool) -> Op
             part.layout_mut().override_page_controller(page, mc);
         }
     }
-    let output = if variant == "baseline" {
-        part.baseline(&w.program, &w.data)
-    } else {
-        part.partition_with_data_pooled(&w.program, &w.data, pool)
-    };
+    let output =
+        part.plan(&w.program, &w.data, pool, variant == "baseline").expect("variant plans");
     Some(VariantRun { workload: w, partitioner: part, output })
 }
 
@@ -502,8 +500,9 @@ impl GoldenInput {
             }
             None => Partitioner::new(&config, &workload.program, PartitionConfig::default()),
         };
-        let output =
-            partitioner.partition_with_data_pooled(&workload.program, &workload.data, pool);
+        let output = partitioner
+            .plan(&workload.program, &workload.data, pool, false)
+            .expect("default config is valid");
         Self { workload, partitioner, output, faults }
     }
 

@@ -25,6 +25,7 @@ use dmcp_ir::ProgramBuilder;
 use dmcp_mach::rng::Rng64;
 use dmcp_mach::symmetry::translate;
 use dmcp_mach::{route_avoiding, FaultPlan, FaultState, Mesh, MeshTransform, NodeId};
+use dmcp_pool::Pool;
 use dmcp_serve::PlanRequest;
 
 /// Rebuilds `spec` under fresh names and demands identical partitioner
@@ -40,9 +41,11 @@ pub fn check_rename(spec: &CaseSpec) -> Result<(), String> {
         .map_err(|e| format!("renamed build: {e}"))?;
 
     let out_a = Partitioner::new(&built.machine, &built.program, built.config.clone())
-        .partition_with_data(&built.program, &built.data);
+        .plan(&built.program, &built.data, Pool::global(), false)
+        .map_err(|e| format!("base planning failed: {e}"))?;
     let out_b = Partitioner::new(&renamed.machine, &renamed.program, renamed.config.clone())
-        .partition_with_data(&renamed.program, &renamed.data);
+        .plan(&renamed.program, &renamed.data, Pool::global(), false)
+        .map_err(|e| format!("renamed planning failed: {e}"))?;
     if out_a != out_b {
         return Err("renaming changed the partitioner output".into());
     }

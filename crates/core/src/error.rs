@@ -1,12 +1,9 @@
 //! Typed errors for the partitioning pipeline.
 //!
-//! The happy-path API ([`crate::Partitioner::partition`]) keeps its
-//! infallible signature — on a healthy machine with a valid configuration
-//! there is nothing to report. Degraded-mode entry points
-//! ([`crate::Partitioner::new_degraded`],
-//! [`crate::Partitioner::try_partition`]) return these instead of
-//! asserting, so a caller sweeping fault scenarios can observe *why* a
-//! configuration is unschedulable rather than crash.
+//! [`crate::Partitioner::new_degraded`] and [`crate::Partitioner::plan`]
+//! return these instead of asserting, so a caller sweeping fault scenarios
+//! (or a server answering requests) can observe *why* a configuration is
+//! unschedulable rather than crash.
 
 use dmcp_mach::{FaultError, NodeId};
 use std::fmt;

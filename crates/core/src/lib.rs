@@ -19,12 +19,18 @@
 //! The output is a [`step::Schedule`] — a machine-independent list of
 //! subcomputations the `dmcp-sim` crate executes and times.
 //!
+//! [`Partitioner::plan`] is the one planning entry point. It validates the
+//! configuration, runs the passes of [`pipeline`] and checks that a
+//! degraded plan runs only on live nodes; with `force_default` it emits
+//! the iteration-granularity baseline instead.
+//!
 //! # Examples
 //!
 //! ```
 //! use dmcp_core::{PartitionConfig, Partitioner};
 //! use dmcp_ir::ProgramBuilder;
 //! use dmcp_mach::MachineConfig;
+//! use dmcp_pool::Pool;
 //!
 //! let mut b = ProgramBuilder::new();
 //! for n in ["A", "B", "C", "D", "E"] {
@@ -35,7 +41,8 @@
 //!
 //! let machine = MachineConfig::knl_like();
 //! let partitioner = Partitioner::new(&machine, &program, PartitionConfig::default());
-//! let out = partitioner.partition(&program);
+//! let data = program.initial_data();
+//! let out = partitioner.plan(&program, &data, Pool::global(), false).unwrap();
 //! assert_eq!(out.nests.len(), 1);
 //! assert!(out.nests[0].stats.movement_opt <= out.nests[0].stats.movement_default);
 //! ```

@@ -166,18 +166,13 @@ pub struct NestPartition {
 pub struct PartitionOutput {
     /// One partition per nest, in program order.
     pub nests: Vec<NestPartition>,
-    /// Chosen window size per nest, cached at construction so hot paths
-    /// (the serving layer's window memo, recompiles) borrow a slice
-    /// instead of re-collecting.
-    windows: Vec<usize>,
 }
 
 impl PartitionOutput {
-    /// Wraps per-nest partitions, caching the per-nest window sizes.
+    /// Wraps per-nest partitions.
     #[must_use]
     pub fn new(nests: Vec<NestPartition>) -> Self {
-        let windows = nests.iter().map(|n| n.stats.window_size).collect();
-        Self { nests, windows }
+        Self { nests }
     }
 
     /// Total planned movement of the optimized schedules.
@@ -259,10 +254,9 @@ impl PartitionOutput {
         mix
     }
 
-    /// Chosen window size per nest (cached at construction — no
-    /// allocation).
-    pub fn window_sizes(&self) -> &[usize] {
-        &self.windows
+    /// Chosen window size per nest.
+    pub fn window_sizes(&self) -> Vec<usize> {
+        self.nests.iter().map(|n| n.stats.window_size).collect()
     }
 }
 
@@ -336,118 +330,56 @@ impl Partitioner {
         &self.config
     }
 
-    /// Runs the staged planning pipeline ([`crate::pipeline`]) over the
-    /// program: analyze → window search → place → split decision → sync,
-    /// fanning the parallel dimensions out over `pool`. Output is
-    /// bit-identical for every thread count.
-    pub fn run_pipeline(
+    /// Plans every nest of `program`, resolving indirect references
+    /// through `data` (the inspector-collected information). Runs the
+    /// staged pipeline ([`crate::pipeline`]) — analyze → window search →
+    /// place → split decision → sync — fanning its parallel dimensions out
+    /// over `pool`; the output is bit-identical for every thread count.
+    /// Callers already fanning out at a coarser grain (per-workload
+    /// sweeps, service workers) pass [`Pool::single`].
+    ///
+    /// With `force_default` every nest gets the *default*
+    /// (iteration-granularity) schedule instead: one sequence of steps per
+    /// statement instance, all on the iteration's assigned core — the
+    /// baseline the evaluation compares against.
+    ///
+    /// # Errors
+    ///
+    /// [`PartitionError::InvalidConfig`] for a configuration the planner
+    /// would assert on, and [`PartitionError::DeadNodeInSchedule`] if a
+    /// degraded plan put a step on a node that is not live — the
+    /// invariant degraded-mode scheduling must uphold.
+    pub fn plan(
         &self,
         program: &Program,
         data: &DataStore,
         pool: &Pool,
         force_default: bool,
-        window_hints: &[usize],
-    ) -> PartitionOutput {
-        let mut ctx = PlanCtx::new(self, program, data, pool, force_default, window_hints);
+    ) -> Result<PartitionOutput, PartitionError> {
+        self.config.validate()?;
+        let mut ctx = PlanCtx::new(self, program, data, pool, force_default, &[]);
         for pass in passes() {
             pass.run(&mut ctx);
         }
-        ctx.into_output()
+        let out = ctx.into_output();
+        self.check_live(&out)?;
+        Ok(out)
     }
 
-    /// Partitions every nest of the program using its deterministic initial
-    /// data for indirection resolution.
-    pub fn partition(&self, program: &Program) -> PartitionOutput {
-        let data = program.initial_data();
-        self.partition_with_data(program, &data)
-    }
-
-    /// [`Partitioner::partition`] over an explicit pool.
-    pub fn partition_pooled(&self, program: &Program, pool: &Pool) -> PartitionOutput {
-        let data = program.initial_data();
-        self.partition_with_data_pooled(program, &data, pool)
-    }
-
-    /// Partitions every nest, resolving indirect references through `data`
-    /// (the inspector-collected information). Fans out over the process
-    /// global pool ([`Pool::global`]).
-    pub fn partition_with_data(&self, program: &Program, data: &DataStore) -> PartitionOutput {
-        self.partition_with_data_pooled(program, data, Pool::global())
-    }
-
-    /// [`Partitioner::partition_with_data`] over an explicit pool —
-    /// callers already fanning out at a coarser grain (per-workload
-    /// sweeps, service workers) pass [`Pool::single`] to keep the thread
-    /// budget where they spent it.
+    /// [`Partitioner::plan`] of the optimized schedules. The benchmark
+    /// harness in `perfbench/` plans through this; everything else calls
+    /// [`Partitioner::plan`].
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Partitioner::plan`] returns an error.
     pub fn partition_with_data_pooled(
         &self,
         program: &Program,
         data: &DataStore,
         pool: &Pool,
     ) -> PartitionOutput {
-        self.run_pipeline(program, data, pool, false, &[])
-    }
-
-    /// [`Partitioner::partition_with_data`] reusing previously chosen
-    /// per-nest window sizes instead of redoing the 1‥`max_window` search —
-    /// the pre-processing sweep dominates compile time, and its choice is a
-    /// pure function of the (program, machine, config) triple, so a caller
-    /// that cached [`PartitionOutput::window_sizes`] from an earlier run of
-    /// the *same* triple gets a bit-identical plan at a fraction of the
-    /// cost.
-    ///
-    /// `windows` holds one entry per nest (extra entries are ignored; a
-    /// missing entry falls back to the search). A configured
-    /// `fixed_window` still takes precedence, as it does in the searched
-    /// path.
-    pub fn partition_with_data_reusing(
-        &self,
-        program: &Program,
-        data: &DataStore,
-        windows: &[usize],
-    ) -> PartitionOutput {
-        self.run_pipeline(program, data, Pool::global(), false, windows)
-    }
-
-    /// Generates the *default* (iteration-granularity) schedule for every
-    /// nest: one sequence of steps per statement instance, all on the
-    /// iteration's assigned core.
-    pub fn baseline(&self, program: &Program, data: &DataStore) -> PartitionOutput {
-        self.run_pipeline(program, data, Pool::global(), true, &[])
-    }
-
-    /// [`Partitioner::partition`] with validation instead of trust: checks
-    /// the configuration up front and verifies afterwards that every
-    /// emitted step executes on a live node — the invariant degraded-mode
-    /// scheduling must uphold.
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::InvalidConfig`] or
-    /// [`PartitionError::DeadNodeInSchedule`].
-    pub fn try_partition(&self, program: &Program) -> Result<PartitionOutput, PartitionError> {
-        self.config.validate()?;
-        let out = self.partition(program);
-        self.check_live(&out)?;
-        Ok(out)
-    }
-
-    /// [`Partitioner::baseline`] with the same validation as
-    /// [`Partitioner::try_partition`].
-    ///
-    /// # Errors
-    ///
-    /// [`PartitionError::InvalidConfig`] or
-    /// [`PartitionError::DeadNodeInSchedule`].
-    pub fn try_baseline(
-        &self,
-        program: &Program,
-        data: &DataStore,
-    ) -> Result<PartitionOutput, PartitionError> {
-        self.config.validate()?;
-        let out = self.baseline(program, data);
-        self.check_live(&out)?;
-        Ok(out)
+        self.plan(program, data, pool, false).expect("partitioning failed")
     }
 
     /// Verifies the every-step-on-a-live-node invariant.
@@ -532,6 +464,11 @@ mod tests {
         b.build()
     }
 
+    /// Plans `p` over its initial data.
+    fn plan(part: &Partitioner, p: &Program, force_default: bool) -> PartitionOutput {
+        part.plan(p, &p.initial_data(), Pool::global(), force_default).unwrap()
+    }
+
     #[test]
     fn chunked_assignment_covers_all_iterations() {
         let mesh = Mesh::new(4, 4);
@@ -557,9 +494,8 @@ mod tests {
         let p = program(&["A[i] = B[i] + C[i] + D[i] + E[i]"], 128);
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let data = p.initial_data();
-        let opt = part.partition_with_data(&p, &data);
-        let base = part.baseline(&p, &data);
+        let opt = plan(&part, &p, false);
+        let base = plan(&part, &p, true);
         assert!(
             opt.movement_opt() < base.movement_opt(),
             "optimized {} vs baseline {}",
@@ -574,7 +510,7 @@ mod tests {
         let p = program(&["A[i] = B[i] + C[i] * (D[i] - E[i])", "X[i] = A[i] + C[i]"], 48);
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let out = part.partition(&p);
+        let out = plan(&part, &p, false);
         let mut got = p.initial_data();
         for n in &out.nests {
             n.schedule.validate().unwrap();
@@ -599,8 +535,8 @@ mod tests {
             &p,
             PartitionConfig { fixed_window: Some(1), ..PartitionConfig::default() },
         );
-        let a = adaptive.partition(&p);
-        let f = fixed.partition(&p);
+        let a = plan(&adaptive, &p, false);
+        let f = plan(&fixed, &p, false);
         assert!(
             a.movement_opt() <= f.movement_opt() * 101 / 100,
             "adaptive {} vs fixed-1 {}",
@@ -616,8 +552,7 @@ mod tests {
         let machine = MachineConfig::knl_like();
         let cfg = PartitionConfig { fixed_window: Some(5), ..PartitionConfig::default() };
         let part = Partitioner::new(&machine, &p, cfg);
-        let out = part.partition(&p);
-        assert_eq!(out.window_sizes(), vec![5]);
+        assert_eq!(plan(&part, &p, false).window_sizes(), vec![5]);
     }
 
     #[test]
@@ -625,8 +560,7 @@ mod tests {
         let p = program(&["A[i] = B[i] / (C[i] + 1) - D[i]"], 32);
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let data = p.initial_data();
-        let base = part.baseline(&p, &data);
+        let base = plan(&part, &p, true);
         let mut got = p.initial_data();
         for n in &base.nests {
             n.schedule.execute_values(&mut got);
@@ -654,32 +588,36 @@ mod tests {
         let faults = FaultState::new(dmcp_mach::FaultPlan::healthy(), machine.mesh).unwrap();
         let degraded =
             Partitioner::new_degraded(&machine, &p, PartitionConfig::default(), &faults).unwrap();
-        assert_eq!(healthy.partition(&p), degraded.try_partition(&p).unwrap());
+        assert_eq!(plan(&healthy, &p, false), plan(&degraded, &p, false));
+        assert_eq!(plan(&healthy, &p, true), plan(&degraded, &p, true));
     }
 
     #[test]
     fn degraded_partitioner_keeps_steps_on_live_nodes() {
         let p = program(&["A[i] = B[i] + C[i] * (D[i] - E[i])", "X[i] = A[i] + C[i]"], 48);
         let machine = MachineConfig::knl_like();
-        let plan = dmcp_mach::FaultPlan::random(machine.mesh, 0.10, 0.05, 0.0, 0.0, 17);
-        let faults = FaultState::new(plan, machine.mesh).unwrap();
+        let fault_plan = dmcp_mach::FaultPlan::random(machine.mesh, 0.10, 0.05, 0.0, 0.0, 17);
+        let faults = FaultState::new(fault_plan, machine.mesh).unwrap();
         let part =
             Partitioner::new_degraded(&machine, &p, PartitionConfig::default(), &faults).unwrap();
-        let out = part.try_partition(&p).unwrap();
-        for nest in &out.nests {
-            for step in &nest.schedule.steps {
-                assert!(faults.is_usable(step.node), "step on unusable node {}", step.node);
+        // The optimized schedule and the default one.
+        for force_default in [false, true] {
+            let out = plan(&part, &p, force_default);
+            for nest in &out.nests {
+                for step in &nest.schedule.steps {
+                    assert!(faults.is_usable(step.node), "step on unusable node {}", step.node);
+                }
             }
+            // The schedule still computes the right values.
+            let mut got = p.initial_data();
+            for n in &out.nests {
+                n.schedule.validate().unwrap();
+                n.schedule.execute_values(&mut got);
+            }
+            let mut want = p.initial_data();
+            run_sequential(&p, &mut want);
+            assert!(got.approx_eq(&want, 1e-12));
         }
-        // The schedule still computes the right values.
-        let mut got = p.initial_data();
-        for n in &out.nests {
-            n.schedule.validate().unwrap();
-            n.schedule.execute_values(&mut got);
-        }
-        let mut want = p.initial_data();
-        run_sequential(&p, &mut want);
-        assert!(got.approx_eq(&want, 1e-12));
     }
 
     #[test]
@@ -689,12 +627,12 @@ mod tests {
         // subcomputations used to be placed on the dead node.
         let p = program(&["A[i] = ((B[i] << 2) >> 2) + 1"], 24);
         let machine = MachineConfig::knl_like();
-        let mut plan = dmcp_mach::FaultPlan::healthy();
-        plan.kill_node(NodeId::new(0, 0));
-        let faults = FaultState::new(plan, machine.mesh).unwrap();
+        let mut fault_plan = dmcp_mach::FaultPlan::healthy();
+        fault_plan.kill_node(NodeId::new(0, 0));
+        let faults = FaultState::new(fault_plan, machine.mesh).unwrap();
         let part =
             Partitioner::new_degraded(&machine, &p, PartitionConfig::default(), &faults).unwrap();
-        let out = part.try_partition(&p).unwrap();
+        let out = plan(&part, &p, false);
         for nest in &out.nests {
             for step in &nest.schedule.steps {
                 assert!(faults.is_usable(step.node), "step on dead node {}", step.node);
@@ -714,45 +652,40 @@ mod tests {
         let p = program(&["A[i] = B[i] + 1"], 16);
         let machine = MachineConfig::knl_like();
         let victim = NodeId::new(2, 2);
-        let mut plan = dmcp_mach::FaultPlan::healthy();
-        plan.kill_node(victim);
-        let faults = FaultState::new(plan, machine.mesh).unwrap();
+        let mut fault_plan = dmcp_mach::FaultPlan::healthy();
+        fault_plan.kill_node(victim);
+        let faults = FaultState::new(fault_plan, machine.mesh).unwrap();
         let cfg = PartitionConfig { assignment: Some(vec![victim]), ..PartitionConfig::default() };
-        let err = Partitioner::new_degraded(&machine, &p, cfg, &faults).unwrap_err();
-        assert_eq!(err, crate::PartitionError::DeadAssignment(victim));
+        let err = Partitioner::new_degraded(&machine, &p, cfg.clone(), &faults).unwrap_err();
+        assert_eq!(err, PartitionError::DeadAssignment(victim));
+
+        // Should a dead assignment reach planning anyway, the live-node
+        // check refuses the default schedule, which runs every instance on
+        // its assigned core, instead of returning it.
+        let mut part =
+            Partitioner::new_degraded(&machine, &p, PartitionConfig::default(), &faults).unwrap();
+        part.config = cfg;
+        let err = part.plan(&p, &p.initial_data(), Pool::global(), true).unwrap_err();
+        assert!(matches!(err, PartitionError::DeadNodeInSchedule { node, .. } if node == victim));
     }
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let bad = PartitionConfig { max_window: 0, ..PartitionConfig::default() };
-        assert!(matches!(bad.validate(), Err(crate::PartitionError::InvalidConfig(_))));
-        let bad = PartitionConfig { fixed_window: Some(0), ..PartitionConfig::default() };
-        assert!(bad.validate().is_err());
-        let bad = PartitionConfig { assignment: Some(vec![]), ..PartitionConfig::default() };
-        assert!(bad.validate().is_err());
+        let p = program(&["A[i] = B[i] + 1"], 16);
+        let machine = MachineConfig::knl_like();
+        let data = p.initial_data();
+        for bad in [
+            PartitionConfig { max_window: 0, ..PartitionConfig::default() },
+            PartitionConfig { fixed_window: Some(0), ..PartitionConfig::default() },
+            PartitionConfig { assignment: Some(vec![]), ..PartitionConfig::default() },
+        ] {
+            let part = Partitioner::new(&machine, &p, bad);
+            for force_default in [false, true] {
+                let err = part.plan(&p, &data, Pool::global(), force_default).unwrap_err();
+                assert!(matches!(err, PartitionError::InvalidConfig(_)), "{err:?}");
+            }
+        }
         assert!(PartitionConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn reused_window_sizes_give_bit_identical_plans() {
-        let p = program(&["A[i] = B[i] + C[i] + D[i] + E[i]", "X[i] = Y[i] + C[i]"], 96);
-        let machine = MachineConfig::knl_like();
-        let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let data = p.initial_data();
-        let searched = part.partition_with_data(&p, &data);
-        let reused = part.partition_with_data_reusing(&p, &data, searched.window_sizes());
-        assert_eq!(searched, reused);
-    }
-
-    #[test]
-    fn window_hint_yields_to_fixed_window() {
-        let p = program(&["A[i] = B[i] + C[i]"], 32);
-        let machine = MachineConfig::knl_like();
-        let cfg = PartitionConfig { fixed_window: Some(5), ..PartitionConfig::default() };
-        let part = Partitioner::new(&machine, &p, cfg);
-        let data = p.initial_data();
-        let out = part.partition_with_data_reusing(&p, &data, &[3]);
-        assert_eq!(out.window_sizes(), vec![5]);
     }
 
     #[test]
@@ -804,7 +737,7 @@ mod tests {
         let p = b.build();
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let out = part.partition(&p);
+        let out = plan(&part, &p, false);
         assert_eq!(out.nests.len(), 2);
         assert_eq!(out.nests[1].nest, 1);
     }

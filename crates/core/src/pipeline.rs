@@ -10,7 +10,9 @@
 //!    stream every later placement walks ([`crate::resolve`]);
 //! 2. [`WindowSearchPass`] — the paper's pre-processing step: plan a
 //!    sample at every window size 1‥`max_window` for each undecided nest
-//!    and keep the size minimising warm movement (ties prefer smaller);
+//!    (capped at the sample's length, past which every window plans the
+//!    same records) and keep the size minimising warm movement (ties
+//!    prefer smaller);
 //! 3. [`PlacePass`] — full placement of every nest at its decided window
 //!    size ([`crate::window::place_nest`]);
 //! 4. [`SplitPass`] — the nest-level split-vs-default decision: nests
@@ -108,6 +110,18 @@ impl<'a> PlanCtx<'a> {
         place_nest(resolution, self.layout, self.config.opts, w, limit, force_default)
     }
 
+    /// The largest window the search tries for `nest` (by position):
+    /// `max_window`, capped by the instances a trial places. A trial
+    /// places at most `min(search_sample, instances)` instances, so every
+    /// larger window plans the same records, and ties keep the smaller
+    /// window anyway.
+    fn largest_window(&self, pos: usize) -> usize {
+        let resolution =
+            self.nests[pos].resolution.as_ref().expect("nest resolved before the search");
+        let sample = usize::try_from(self.config.search_sample).unwrap_or(usize::MAX);
+        self.config.max_window.min(sample).min(resolution.instance_count()).max(1)
+    }
+
     /// Consumes the context into the partitioner's output.
     ///
     /// # Panics
@@ -183,9 +197,11 @@ impl Pass for AnalyzePass {
 ///
 /// All `(nest, w)` sample trials fan out over the pool at once; the
 /// per-nest minimum is then taken on the caller in ascending window
-/// order (strict `<`, so ties keep the smaller window — identical to
-/// the old sequential loop). Trials skip sync wiring entirely: warm
-/// movement is a pure function of the placement records.
+/// order (strict `<`, so ties keep the smaller window). A nest tries `w`
+/// only up to the number of instances its sample places, so the trial
+/// count is bounded by the nest, whatever `max_window` a request names.
+/// Trials skip sync wiring entirely: warm movement is a pure function of
+/// the placement records.
 pub struct WindowSearchPass;
 
 impl Pass for WindowSearchPass {
@@ -194,29 +210,27 @@ impl Pass for WindowSearchPass {
     }
 
     fn run(&self, ctx: &mut PlanCtx) {
-        let max_window = ctx.config.max_window.max(1);
         let searched: Vec<usize> =
             (0..ctx.nests.len()).filter(|&pos| ctx.nests[pos].window.is_none()).collect();
         if searched.is_empty() {
             return;
         }
-        let trials: Vec<(usize, usize)> =
-            searched.iter().flat_map(|&pos| (1..=max_window).map(move |w| (pos, w))).collect();
-        let movements: Vec<u64> = {
-            let c: &PlanCtx = ctx;
-            c.pool.map(&trials, |_, &(pos, w)| {
-                c.place(pos, w, Some(c.config.search_sample), false).stats.warm_movement().0
-            })
-        };
-        for (si, &pos) in searched.iter().enumerate() {
-            let mut best = (u64::MAX, 1usize);
-            for w in 1..=max_window {
-                let movement = movements[si * max_window + (w - 1)];
-                if movement < best.0 {
-                    best = (movement, w);
-                }
+        let c: &PlanCtx = ctx;
+        let trials: Vec<(usize, usize)> = searched
+            .iter()
+            .flat_map(|&pos| (1..=c.largest_window(pos)).map(move |w| (pos, w)))
+            .collect();
+        let movements: Vec<u64> = c.pool.map(&trials, |_, &(pos, w)| {
+            c.place(pos, w, Some(c.config.search_sample), false).stats.warm_movement().0
+        });
+        // Trials come grouped by nest in ascending window order, each
+        // group starting at window 1.
+        let mut best = u64::MAX;
+        for (&(pos, w), &movement) in trials.iter().zip(&movements) {
+            if w == 1 || movement < best {
+                best = movement;
+                ctx.nests[pos].window = Some(w);
             }
-            ctx.nests[pos].window = Some(best.1);
         }
     }
 }
@@ -362,9 +376,41 @@ mod tests {
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
         let data = p.initial_data();
-        let seq = part.partition_with_data_pooled(&p, &data, &Pool::single());
-        let par = part.partition_with_data_pooled(&p, &data, &Pool::new(8));
+        let seq = part.plan(&p, &data, &Pool::single(), false).unwrap();
+        let par = part.plan(&p, &data, &Pool::new(8), false).unwrap();
         assert_eq!(seq, par, "pooled planning must be bit-identical across thread counts");
+    }
+
+    #[test]
+    fn window_search_stops_at_the_sample_length() {
+        // A 16-instance nest: a trial places min(search_sample, 16)
+        // instances, and any larger window plans the same records, so an
+        // unbounded `max_window` searches exactly what a bound of
+        // `search_sample` does (and does not try 2^64 windows).
+        let mut b = ProgramBuilder::new();
+        for n in ["A", "B", "C"] {
+            b.array(n, &[64], 8);
+        }
+        b.nest(&[("i", 0, 16)], &["A[i] = B[i] + C[i]"]).unwrap();
+        let p = b.build();
+        let machine = MachineConfig::knl_like();
+        let data = p.initial_data();
+        let pool = Pool::single();
+        let plan = |max_window: usize, search_sample: u64| {
+            let cfg = PartitionConfig { max_window, search_sample, ..PartitionConfig::default() };
+            let part = Partitioner::new(&machine, &p, cfg);
+            let mut ctx = PlanCtx::new(&part, &p, &data, &pool, false, &[]);
+            AnalyzePass.run(&mut ctx);
+            let cap = max_window.min(search_sample as usize).min(16);
+            assert_eq!(ctx.largest_window(0), cap);
+            part.plan(&p, &data, &pool, false).unwrap()
+        };
+        for search_sample in [8, 256] {
+            assert_eq!(
+                plan(usize::MAX, search_sample),
+                plan(search_sample as usize, search_sample)
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | [`mach`] | `dmcp-mach` | mesh topology, XY routing, cluster modes, machine config |
 //! | [`mem`] | `dmcp-mem` | address mapping, SNUCA, page colouring, caches, miss predictor |
 //! | [`ir`] | `dmcp-ir` | statement language, loop nests, dependences, inspector |
-//! | [`core`] | `dmcp-core` | **the paper's algorithm**: MST splitting, windows, scheduling |
+//! | [`core`] | `dmcp-core` | **the paper's algorithm**: MST splitting, windows, scheduling; one entry point, `Partitioner::plan` |
 //! | [`sim`] | `dmcp-sim` | timing/energy simulation, ideal & S1–S4 scenarios |
 //! | [`workloads`] | `dmcp-workloads` | the 12 kernels (Splash-2 + Mantevo shapes) |
 //! | [`baselines`] | `dmcp-baselines` | profiled default placement, data-to-MC mapping |
@@ -35,12 +35,13 @@
 //! use dmcp::bound::gap_report;
 //! use dmcp::core::{PartitionConfig, Partitioner};
 //! use dmcp::mach::MachineConfig;
+//! use dmcp::pool::Pool;
 //! use dmcp::workloads::{by_name, Scale};
 //!
 //! let w = by_name("fft", Scale::Tiny).expect("known workload");
 //! let machine = MachineConfig::knl_like();
 //! let partitioner = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-//! let optimized = partitioner.partition_with_data(&w.program, &w.data);
+//! let optimized = partitioner.plan(&w.program, &w.data, Pool::global(), false).unwrap();
 //!
 //! let gap = gap_report(
 //!     w.name, &w.program, partitioner.layout(), &w.data, partitioner.config(), &optimized,
@@ -54,6 +55,7 @@
 //! ```
 //! use dmcp::core::{PartitionConfig, Partitioner};
 //! use dmcp::mach::MachineConfig;
+//! use dmcp::pool::Pool;
 //! use dmcp::sim::{run_schedules, SimOptions};
 //! use dmcp::workloads::{by_name, Scale};
 //!
@@ -61,8 +63,10 @@
 //! let machine = MachineConfig::knl_like();
 //! let partitioner = Partitioner::new(&machine, &w.program, PartitionConfig::default());
 //!
-//! let optimized = partitioner.partition_with_data(&w.program, &w.data);
-//! let baseline = partitioner.baseline(&w.program, &w.data);
+//! // `plan(.., false)` is the optimized plan, `plan(.., true)` the
+//! // iteration-granularity baseline.
+//! let optimized = partitioner.plan(&w.program, &w.data, Pool::global(), false).unwrap();
+//! let baseline = partitioner.plan(&w.program, &w.data, Pool::global(), true).unwrap();
 //!
 //! let r_opt = run_schedules(&w.program, partitioner.layout(), &optimized, SimOptions::default());
 //! let r_base = run_schedules(&w.program, partitioner.layout(), &baseline, SimOptions::default());

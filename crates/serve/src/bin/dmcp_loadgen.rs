@@ -79,9 +79,15 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: dmcp-loadgen [--requests N] [--rate RPS] [--clients N] [--zipf S] \
+                     [--seed S] [--workers N] [--cache-dir DIR] [--out PATH] \
+                     [--addr HOST:PORT] [--restart] [--chaos]";
+
+/// Parses the command line (without the program name); `Ok(None)` when
+/// it asks for `--help`.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         let parse = |s: String| -> Result<usize, String> { s.parse().map_err(|e| format!("{e}")) };
@@ -102,12 +108,7 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = Some(value("--addr")?),
             "--restart" => args.restart = true,
             "--chaos" => args.chaos = true,
-            "--help" | "-h" => {
-                return Err("usage: dmcp-loadgen [--requests N] [--rate RPS] [--clients N] \
-                     [--zipf S] [--seed S] [--workers N] [--cache-dir DIR] [--out PATH] \
-                     [--addr HOST:PORT] [--restart] [--chaos]"
-                    .to_string())
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
@@ -123,7 +124,7 @@ fn parse_args() -> Result<Args, String> {
     if args.chaos && args.restart {
         return Err("--chaos and --restart are separate drills; pick one".to_string());
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// Zipf(s) over `n` ranks: weight of rank `k` (0-based) is `1/(k+1)^s`.
@@ -591,8 +592,12 @@ fn chaos_main(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
@@ -678,4 +683,38 @@ fn run_in_process(
     let warm_recompiles = warm.stats.compiles;
     teardown(server, service)?;
     Ok((vec![cold, warm], Some(warm_recompiles)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn help_is_a_request_not_an_error() {
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+        assert!(matches!(parse(&["--requests", "4", "-h"]), Ok(None)));
+    }
+
+    #[test]
+    fn unknown_or_malformed_flags_are_errors() {
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--requests", "many"]).is_err());
+        assert!(parse(&["--rate", "0"]).is_err());
+        assert!(parse(&["--restart"]).is_err(), "--restart needs --cache-dir");
+    }
+
+    #[test]
+    fn flags_fill_the_settings() {
+        let args = parse(&["--requests", "7", "--clients", "0", "--restart", "--cache-dir", "d"])
+            .expect("parses")
+            .expect("not a help request");
+        assert_eq!(args.requests, 7);
+        assert_eq!(args.clients, 1, "at least one client");
+        assert!(args.restart);
+        assert_eq!(args.cache_dir.as_deref(), Some("d"));
+    }
 }

@@ -62,11 +62,13 @@ struct Args {
     io_timeout: Duration,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line (without the program name); `Ok(None)` when
+/// it asks for `--help`.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
     let mut serve = ServeConfig::default();
     let mut listen = None;
     let mut io_timeout = Duration::from_secs(10);
-    let mut it = std::env::args().skip(1);
+    let mut it = args.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
@@ -83,12 +85,12 @@ fn parse_args() -> Result<Args, String> {
                     value("--io-timeout-ms")?.parse().map_err(|e| format!("{e}"))?,
                 );
             }
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
     let listen = listen.ok_or_else(|| format!("--listen is required\n{USAGE}"))?;
-    Ok(Args { serve, listen, io_timeout })
+    Ok(Some(Args { serve, listen, io_timeout }))
 }
 
 fn serve_forever(args: &Args) -> ExitCode {
@@ -150,11 +152,48 @@ fn serve_forever(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    match parse_args() {
-        Ok(args) => serve_forever(&args),
+    match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => serve_forever(&args),
+        Ok(None) => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
+        }
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn help_is_a_request_not_an_error() {
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+        assert!(matches!(parse(&["--listen", "127.0.0.1:0", "-h"]), Ok(None)));
+    }
+
+    #[test]
+    fn unknown_or_malformed_flags_are_errors() {
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--listen", "127.0.0.1:0", "--workers", "many"]).is_err());
+        assert!(parse(&["--listen"]).is_err());
+        assert!(parse(&[]).is_err(), "--listen is required");
+    }
+
+    #[test]
+    fn flags_fill_the_settings() {
+        let args = parse(&["--listen", "127.0.0.1:0", "--workers", "3", "--io-timeout-ms", "250"])
+            .expect("parses")
+            .expect("not a help request");
+        assert_eq!(args.listen, "127.0.0.1:0");
+        assert_eq!(args.serve.workers, 3);
+        assert_eq!(args.io_timeout, Duration::from_millis(250));
     }
 }

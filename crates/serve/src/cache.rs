@@ -94,7 +94,7 @@ impl Shard {
 }
 
 /// The sharded LRU plan cache. Capacity 0 disables caching entirely (every
-/// lookup misses, nothing is stored) — the no-cache baseline configuration.
+/// lookup misses, nothing is stored).
 pub struct ShardedPlanCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard byte budget (total capacity / shard count).

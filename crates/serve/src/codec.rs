@@ -1394,6 +1394,24 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_max_window_from_the_wire_compiles_like_search_sample() {
+        // A request may name any window bound. The search stops at the
+        // instances a trial places, so u64::MAX costs what `search_sample`
+        // does instead of exhausting memory, and plans the same.
+        let service = crate::PlanService::new(crate::ServeConfig::default());
+        let mut req = suite_requests().remove(3);
+        req.config.search_sample = 64;
+        req.config.max_window = 64;
+        let bounded = service.plan_uncached(&req).expect("bounded compiles");
+        req.config.max_window = usize::MAX;
+        let decoded = decode_request(&encode_request(&req)).expect("decodes");
+        assert_eq!(decoded.config.max_window as u64, u64::MAX);
+        let unbounded = service.plan_uncached(&decoded).expect("unbounded compiles");
+        assert_eq!(bounded, unbounded);
+        service.shutdown();
+    }
+
+    #[test]
     fn stats_roundtrip() {
         let mut s = ServeStats { compiles: 7, panics: 1, ..ServeStats::default() };
         s.cache.hits = 11;

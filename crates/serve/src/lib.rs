@@ -13,10 +13,11 @@
 //! * [`ShardedPlanCache`] — an N-shard LRU over approximate plan bytes
 //!   with hit/miss/insert/eviction counters;
 //! * [`PlanService`] — a bounded-queue worker pool with single-flight
-//!   deduplication (concurrent requests for one key compile once),
-//!   per-key window-size memoization, typed admission control
-//!   ([`ServeError::QueueFull`], [`ServeError::Timeout`]) and graceful
-//!   draining shutdown ([`PlanService::shutdown_within`]);
+//!   deduplication (concurrent requests for one key compile once), typed
+//!   admission control ([`ServeError::QueueFull`], [`ServeError::Timeout`])
+//!   and graceful draining shutdown ([`PlanService::shutdown_within`]).
+//!   Every compile is one call of `Partitioner::plan`, the planner's only
+//!   entry point, so a served plan is the planner's plan;
 //! * [`DiskTier`] — a durable, append-only, checksummed on-disk plan
 //!   store behind the memory LRU; crash recovery truncates at most the
 //!   record being written when the process died;

@@ -11,9 +11,8 @@
 //! 3. otherwise a job enters the bounded queue. A full queue is a typed
 //!    admission error ([`ServeError::QueueFull`]) so callers can shed load
 //!    instead of blocking unboundedly;
-//! 4. a worker thread dequeues the job, compiles it (reusing memoized
-//!    per-nest window sizes when the same key was compiled before), stores
-//!    the plan in the cache and wakes every ticket of the flight.
+//! 4. a worker thread dequeues the job, compiles it, stores the plan in
+//!    the cache and wakes every ticket of the flight.
 //!
 //! Shutdown is graceful: [`PlanService::shutdown`] closes the queue,
 //! workers drain what was admitted, and every outstanding ticket resolves.
@@ -44,10 +43,6 @@ pub struct ServeConfig {
     pub cache_bytes: usize,
     /// Cache shard count.
     pub cache_shards: usize,
-    /// Share one compile among concurrent requests for the same key.
-    /// Disabled only by the no-cache baseline, which wants every request
-    /// to cost a full compile.
-    pub single_flight: bool,
     /// Directory for the durable plan tier ([`DiskTier`]); `None` runs
     /// memory-only. Memory-cache misses fall through to disk before
     /// compiling; compiles write through.
@@ -79,7 +74,6 @@ impl fmt::Debug for ServeConfig {
             .field("queue_depth", &self.queue_depth)
             .field("cache_bytes", &self.cache_bytes)
             .field("cache_shards", &self.cache_shards)
-            .field("single_flight", &self.single_flight)
             .field("disk_dir", &self.disk_dir)
             .field("disk_segment_bytes", &self.disk_segment_bytes)
             .field("disk_reprobe", &self.disk_reprobe)
@@ -97,7 +91,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             cache_bytes: 64 << 20,
             cache_shards: 8,
-            single_flight: true,
             disk_dir: None,
             disk_segment_bytes: DEFAULT_SEGMENT_BYTES,
             disk_reprobe: DEFAULT_REPROBE,
@@ -274,11 +267,6 @@ struct Inner {
     /// through on compiles, flushed on shutdown.
     disk: Option<DiskTier>,
     inflight: Mutex<HashMap<PlanKey, Arc<Flight>>>,
-    /// Memoized per-nest window sizes by key: survives cache eviction (it
-    /// is tiny), so a recompile of a known key skips the 1‥8 search sweep
-    /// and still produces a bit-identical plan. Shared slices: the compile
-    /// path borrows them without cloning the vector.
-    windows: Mutex<HashMap<PlanKey, Arc<[usize]>>>,
     compiles: AtomicU64,
     shared: AtomicU64,
     submitted: AtomicU64,
@@ -289,61 +277,39 @@ struct Inner {
     /// Cleared by shutdown before the drain: new submissions are refused
     /// while admitted work finishes.
     admitting: AtomicBool,
-    single_flight: bool,
     /// Chaos knob mirrored from [`ServeConfig::chaos_compile_panic`].
     chaos_compile_panic: bool,
 }
 
-/// Compiles one request from scratch, optionally reusing per-nest window
-/// sizes from a previous compile of the same key. Pure: touches no cache,
-/// memo or counter. Both the worker-pool path and the conformance path
+/// Compiles one request from scratch. Pure: touches no cache or counter.
+/// Both the worker-pool path and the conformance path
 /// ([`PlanService::plan_uncached`]) funnel through here, so "cached" and
 /// "recompiled" plans are produced by the same code.
-fn compile_output(
-    request: &PlanRequest,
-    windows: Option<&[usize]>,
-) -> Result<PartitionOutput, ServeError> {
-    let data = match &request.data {
-        Some(d) => d.clone(),
-        None => request.program.initial_data(),
-    };
-    // Concurrency lives at the request grain here (the service's worker
-    // pool), so each compile runs its pipeline single-threaded — plans are
-    // bit-identical either way.
-    let pool = Pool::single();
-    let hints = windows.unwrap_or(&[]);
-    match &request.faults {
-        None => {
-            request.config.validate()?;
-            let partitioner =
-                Partitioner::new(&request.machine, &request.program, request.config.clone());
-            Ok(partitioner.run_pipeline(&request.program, &data, &pool, false, hints))
-        }
+fn compile_output(request: &PlanRequest) -> Result<PartitionOutput, PartitionError> {
+    let partitioner = match &request.faults {
+        None => Partitioner::new(&request.machine, &request.program, request.config.clone()),
         Some(plan) => {
-            let faults = FaultState::new(plan.clone(), request.machine.mesh)
-                .map_err(PartitionError::from)?;
-            let partitioner = Partitioner::new_degraded(
+            let faults = FaultState::new(plan.clone(), request.machine.mesh)?;
+            Partitioner::new_degraded(
                 &request.machine,
                 &request.program,
                 request.config.clone(),
                 &faults,
-            )?;
-            let out = partitioner.run_pipeline(&request.program, &data, &pool, false, hints);
-            // Degraded plans must uphold the live-node invariant; check
-            // exactly as `try_partition` would.
-            for nest in &out.nests {
-                for step in &nest.schedule.steps {
-                    if !partitioner.layout().is_live(step.node) {
-                        return Err(ServeError::Compile(PartitionError::DeadNodeInSchedule {
-                            nest: nest.nest,
-                            node: step.node,
-                        }));
-                    }
-                }
-            }
-            Ok(out)
+            )?
         }
-    }
+    };
+    let initial;
+    let data = match &request.data {
+        Some(d) => d,
+        None => {
+            initial = request.program.initial_data();
+            &initial
+        }
+    };
+    // Concurrency lives at the request grain here (the service's worker
+    // pool), so each compile runs its pipeline single-threaded — plans are
+    // bit-identical either way.
+    partitioner.plan(&request.program, data, &Pool::single(), false)
 }
 
 impl Inner {
@@ -365,19 +331,11 @@ impl Inner {
         }
     }
 
-    /// Compiles one request, reusing memoized window sizes when available.
+    /// Compiles one request and stores the plan in both tiers.
     fn compile(&self, key: PlanKey, request: &PlanRequest) -> PlanResult {
         assert!(!self.chaos_compile_panic, "chaos: injected compile panic");
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let windows = self.windows.lock().expect("window memo poisoned").get(&key).cloned();
-        let out = compile_output(request, windows.as_deref())?;
-        if windows.is_none() {
-            self.windows
-                .lock()
-                .expect("window memo poisoned")
-                .insert(key, Arc::from(out.window_sizes()));
-        }
-        let plan = Arc::new(out);
+        let plan = Arc::new(compile_output(request)?);
         self.cache.insert(key, Arc::clone(&plan));
         if let Some(disk) = &self.disk {
             // Write-through. An append failure only costs durability of
@@ -490,7 +448,6 @@ impl PlanService {
             cache: ShardedPlanCache::new(config.cache_shards, config.cache_bytes),
             disk,
             inflight: Mutex::new(HashMap::new()),
-            windows: Mutex::new(HashMap::new()),
             compiles: AtomicU64::new(0),
             shared: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
@@ -498,7 +455,6 @@ impl PlanService {
             timeouts: Arc::new(AtomicU64::new(0)),
             panics: AtomicU64::new(0),
             admitting: AtomicBool::new(true),
-            single_flight: config.single_flight,
             chaos_compile_panic: config.chaos_compile_panic,
         });
         let pool = WorkerPool::new("dmcp-serve", config.workers, config.queue_depth);
@@ -522,16 +478,12 @@ impl PlanService {
             return Ok(self.ticket(TicketInner::Ready(plan)));
         }
         let mut inflight = self.inner.inflight.lock().expect("inflight poisoned");
-        if self.inner.single_flight {
-            if let Some(flight) = inflight.get(&key) {
-                self.inner.shared.fetch_add(1, Ordering::Relaxed);
-                return Ok(self.ticket(TicketInner::Flight(Arc::clone(flight))));
-            }
+        if let Some(flight) = inflight.get(&key) {
+            self.inner.shared.fetch_add(1, Ordering::Relaxed);
+            return Ok(self.ticket(TicketInner::Flight(Arc::clone(flight))));
         }
         let flight = Flight::new();
-        if self.inner.single_flight {
-            inflight.insert(key, Arc::clone(&flight));
-        }
+        inflight.insert(key, Arc::clone(&flight));
         // Hold the in-flight lock across the enqueue so a worker cannot
         // finish the job (and remove the flight) before it is registered.
         let job = Job { key, request, flight: Arc::clone(&flight) };
@@ -541,9 +493,7 @@ impl PlanService {
             SubmitError::Closed => ServeError::ShuttingDown,
         });
         if let Err(e) = admit {
-            if self.inner.single_flight {
-                inflight.remove(&key);
-            }
+            inflight.remove(&key);
             if e == ServeError::QueueFull {
                 self.inner.rejected.fetch_add(1, Ordering::Relaxed);
             }
@@ -570,9 +520,8 @@ impl PlanService {
     }
 
     /// Compiles `request` synchronously on the calling thread, bypassing
-    /// the cache, the queue, single-flight *and* the window-size memo —
-    /// nothing is read from or written to any service state, and the
-    /// window search runs from scratch.
+    /// the cache, the queue and single-flight — nothing is read from or
+    /// written to any service state.
     ///
     /// This is the conformance harness's reference path: the serving
     /// invariant is that a plan answered from the cache is bit-identical
@@ -582,7 +531,7 @@ impl PlanService {
     ///
     /// Compile errors only ([`ServeError::Compile`]).
     pub fn plan_uncached(&self, request: &PlanRequest) -> PlanResult {
-        compile_output(request, None).map(Arc::new)
+        Ok(Arc::new(compile_output(request)?))
     }
 
     /// Compiles a batch: submits every request (applying backpressure by

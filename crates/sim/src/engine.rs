@@ -423,6 +423,7 @@ mod tests {
     use dmcp_core::{PartitionConfig, Partitioner};
     use dmcp_ir::ProgramBuilder;
     use dmcp_mach::MachineConfig;
+    use dmcp_pool::Pool;
 
     fn setup() -> (Program, MachineConfig, Partitioner) {
         let mut b = ProgramBuilder::new();
@@ -453,8 +454,8 @@ mod tests {
     fn optimized_beats_baseline_in_time_and_movement() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.partition_with_data(&program, &data);
-        let base = part.baseline(&program, &data);
+        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
+        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
         let r_opt = simulate(&program, &part, &opt, SimOptions::default());
         let r_base = simulate(&program, &part, &base, SimOptions::default());
         assert!(
@@ -475,7 +476,7 @@ mod tests {
     fn ideal_network_is_faster_still() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.partition_with_data(&program, &data);
+        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
         let r = simulate(&program, &part, &opt, SimOptions::default());
         let r_ideal = simulate(
             &program,
@@ -493,7 +494,7 @@ mod tests {
     fn l1_override_enforces_rate() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let base = part.baseline(&program, &data);
+        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
         let r = simulate(
             &program,
             &part,
@@ -507,7 +508,7 @@ mod tests {
     fn movement_scale_speeds_up_network_time() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let base = part.baseline(&program, &data);
+        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
         let r1 = simulate(&program, &part, &base, SimOptions::default());
         let r2 = simulate(
             &program,
@@ -522,7 +523,7 @@ mod tests {
     fn sync_counted_for_split_schedules() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.partition_with_data(&program, &data);
+        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
         let r = simulate(&program, &part, &opt, SimOptions::default());
         assert!(r.sync_count > 0, "split schedules should synchronize");
     }
@@ -531,7 +532,7 @@ mod tests {
     fn instance_tracking_records_movement() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let base = part.baseline(&program, &data);
+        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
         let r = simulate(
             &program,
             &part,
@@ -547,7 +548,7 @@ mod tests {
     fn predictor_accuracy_is_measured() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.partition_with_data(&program, &data);
+        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
         let r = simulate(&program, &part, &opt, SimOptions::default());
         assert!(r.predictor_accuracy > 0.0 && r.predictor_accuracy <= 1.0);
     }
@@ -565,7 +566,7 @@ mod tests {
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
         let data = p.initial_data();
-        let out = part.baseline(&p, &data);
+        let out = part.plan(&p, &data, Pool::global(), true).unwrap();
         // Run nest 1 alone vs both: total time must be at least nest 1's.
         let mut e1 = Engine::new(&p, part.layout(), SimOptions::default());
         e1.run(&out.nests[0].schedule);
@@ -596,9 +597,13 @@ mod tests {
             assignment: Some(vec![NodeId::new(0, 0)]),
             ..PartitionConfig::default()
         };
-        let nest0 = Partitioner::new(&machine, &p, pinned).baseline(&p, &data).nests[0].clone();
+        let nest0 = Partitioner::new(&machine, &p, pinned)
+            .plan(&p, &data, Pool::global(), true)
+            .unwrap()
+            .nests[0]
+            .clone();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let nest1 = part.baseline(&p, &data).nests[1].clone();
+        let nest1 = part.plan(&p, &data, Pool::global(), true).unwrap().nests[1].clone();
         assert!(nest0.schedule.steps.iter().all(|s| s.node == NodeId::new(0, 0)));
 
         let mut engine = Engine::new(&p, part.layout(), SimOptions::default());
@@ -616,7 +621,7 @@ mod tests {
     fn extra_sync_charge_slows_the_run() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let base = part.baseline(&program, &data);
+        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
         let plain = simulate(&program, &part, &base, SimOptions::default());
         let charged = simulate(
             &program,
@@ -673,7 +678,7 @@ mod tests {
     fn energy_components_are_positive() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.partition_with_data(&program, &data);
+        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
         let r = simulate(&program, &part, &opt, SimOptions::default());
         assert!(r.energy.link > 0.0);
         assert!(r.energy.cache > 0.0);

@@ -5,9 +5,11 @@ use crate::error::SimError;
 use crate::report::SimReport;
 use dmcp_core::partitioner::PredictorSpec;
 use dmcp_core::{Layout, PartitionConfig, PartitionOutput, Partitioner, PlanOptions};
+use dmcp_ir::program::DataStore;
 use dmcp_ir::Program;
 use dmcp_mach::{FaultPlan, FaultState, MachineConfig};
 use dmcp_mem::MemoryMode;
+use dmcp_pool::Pool;
 
 /// Which run to perform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,7 +55,11 @@ impl Scenario {
 /// schedules, simulates both on the profiling data, and keeps the faster
 /// one — the same profile-driven methodology the paper's baseline and
 /// data-to-MC mapping already use. This is the entry point the evaluation
-/// uses for "our approach".
+/// uses for "our approach". Both plans fan out over `pool`.
+///
+/// # Panics
+///
+/// Panics where [`Partitioner::plan`] returns an error.
 ///
 /// # Examples
 ///
@@ -61,6 +67,7 @@ impl Scenario {
 /// use dmcp_core::{PartitionConfig, Partitioner};
 /// use dmcp_ir::ProgramBuilder;
 /// use dmcp_mach::MachineConfig;
+/// use dmcp_pool::Pool;
 /// use dmcp_sim::scenarios::partition_guided;
 /// use dmcp_sim::{run_schedules, SimOptions};
 ///
@@ -74,8 +81,8 @@ impl Scenario {
 /// let part = Partitioner::new(&machine, &p, PartitionConfig::default());
 /// let data = p.initial_data();
 ///
-/// let chosen = partition_guided(&part, &p, &data, SimOptions::default());
-/// let baseline = part.baseline(&p, &data);
+/// let chosen = partition_guided(&part, &p, &data, Pool::global(), SimOptions::default());
+/// let baseline = part.plan(&p, &data, Pool::global(), true).unwrap();
 /// let r_c = run_schedules(&p, part.layout(), &chosen, SimOptions::default());
 /// let r_b = run_schedules(&p, part.layout(), &baseline, SimOptions::default());
 /// assert!(r_c.exec_time <= r_b.exec_time);
@@ -83,11 +90,15 @@ impl Scenario {
 pub fn partition_guided(
     partitioner: &Partitioner,
     program: &Program,
-    data: &dmcp_ir::program::DataStore,
+    data: &DataStore,
+    pool: &Pool,
     sim: SimOptions,
 ) -> PartitionOutput {
-    let opt = partitioner.partition_with_data(program, data);
-    let base = partitioner.baseline(program, data);
+    let plan = |force_default| {
+        partitioner.plan(program, data, pool, force_default).expect("guided partitioning failed")
+    };
+    let opt = plan(false);
+    let base = plan(true);
     let quiet = SimOptions { track_instances: false, ..sim };
     let r_opt = run_schedules(program, partitioner.layout(), &opt, quiet);
     let r_base = run_schedules(program, partitioner.layout(), &base, quiet);
@@ -200,6 +211,7 @@ pub fn fault_sweep(
     sweep: &FaultSweepConfig,
 ) -> Result<Vec<DegradationRow>, SimError> {
     let sim = SimOptions::default();
+    let data = program.initial_data();
     let mut rows: Vec<DegradationRow> = Vec::with_capacity(sweep.dead_fracs.len());
     for (i, &frac) in sweep.dead_fracs.iter().enumerate() {
         let plan = if frac == 0.0 {
@@ -217,7 +229,7 @@ pub fn fault_sweep(
         let faults = FaultState::new(plan, machine.mesh)?;
         let live = faults.live_nodes().len() as u32;
         let partitioner = Partitioner::new_degraded(machine, program, config.clone(), &faults)?;
-        let out = partitioner.try_partition(program)?;
+        let out = partitioner.plan(program, &data, Pool::global(), false)?;
         let report = run_schedules_degraded(program, partitioner.layout(), &out, sim, faults);
         let ratio = |x: f64, h: f64| if h == 0.0 { 1.0 } else { x / h };
         let (movement_ratio, avg_latency_ratio, max_latency_ratio, exec_time_ratio) =
@@ -275,18 +287,18 @@ pub fn degradation_table(rows: &[DegradationRow]) -> String {
 /// following the methodology of paper Section 6.2.
 pub fn run_program(
     program: &Program,
-    data: &dmcp_ir::program::DataStore,
+    data: &DataStore,
     machine: &MachineConfig,
     config: &PartitionConfig,
     memory_mode: MemoryMode,
     scenario: Scenario,
 ) -> SimReport {
     let partitioner = Partitioner::new(machine, program, config.clone());
-    let data = data.clone();
     let sim = SimOptions { memory_mode, ..SimOptions::default() };
 
-    let baseline = || partitioner.baseline(program, &data);
-    let optimized = || partition_guided(&partitioner, program, &data, sim);
+    let baseline =
+        || partitioner.plan(program, data, Pool::global(), true).expect("baseline planning failed");
+    let optimized = || partition_guided(&partitioner, program, data, Pool::global(), sim);
 
     match scenario {
         Scenario::Optimized => run_schedules(program, partitioner.layout(), &optimized(), sim),
@@ -302,7 +314,7 @@ pub fn run_program(
                 ..config.clone()
             };
             let ideal = Partitioner::new(machine, program, ideal_cfg);
-            let out = partition_guided(&ideal, program, &data, sim);
+            let out = partition_guided(&ideal, program, data, Pool::global(), sim);
             run_schedules(program, ideal.layout(), &out, sim)
         }
         Scenario::S1L1Pattern => {
@@ -455,7 +467,7 @@ mod tests {
         assert_eq!(rows.len(), 4);
         // Reference run through the original fault-free code paths.
         let part = Partitioner::new(&machine, &p, cfg);
-        let out = part.partition(&p);
+        let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
         let healthy = run_schedules(&p, part.layout(), &out, SimOptions::default());
         assert_eq!(rows[0].report, healthy, "0% row must be bit-identical to healthy");
         assert_eq!(rows[0].movement_ratio, 1.0);

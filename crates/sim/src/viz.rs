@@ -79,6 +79,7 @@ mod tests {
     use dmcp_core::{PartitionConfig, Partitioner};
     use dmcp_ir::ProgramBuilder;
     use dmcp_mach::MachineConfig;
+    use dmcp_pool::Pool;
 
     #[test]
     fn heatmaps_render_for_a_real_run() {
@@ -90,7 +91,7 @@ mod tests {
         let p = b.build();
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let out = part.partition(&p);
+        let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
         let mut engine =
             crate::engine::Engine::new(&p, part.layout(), crate::engine::SimOptions::default());
         for nest in &out.nests {

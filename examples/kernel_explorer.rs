@@ -8,6 +8,7 @@
 use dmcp::baselines::locality_assignment;
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::MachineConfig;
+use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{by_name, Scale};
 
@@ -31,8 +32,8 @@ fn main() {
     let cfg = PartitionConfig { assignment: Some(assignment), ..PartitionConfig::default() };
     let partitioner = Partitioner::new(&machine, &w.program, cfg);
 
-    let optimized = partitioner.partition_with_data(&w.program, &w.data);
-    let baseline = partitioner.baseline(&w.program, &w.data);
+    let optimized = partitioner.plan(&w.program, &w.data, Pool::global(), false).expect("plans");
+    let baseline = partitioner.plan(&w.program, &w.data, Pool::global(), true).expect("plans");
     println!(
         "chosen window sizes per nest: {:?}; subcomputation parallelism avg {:.2} / max {}",
         optimized.window_sizes(),

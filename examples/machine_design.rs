@@ -8,6 +8,7 @@
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::{ClusterMode, MachineConfig, Mesh};
 use dmcp::mem::MemoryMode;
+use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{by_name, Scale};
 
@@ -19,9 +20,9 @@ fn run(
 ) -> f64 {
     let part = Partitioner::new(machine, &w.program, PartitionConfig::default());
     let out = if optimized {
-        part.partition_with_data(&w.program, &w.data)
+        part.plan(&w.program, &w.data, Pool::global(), false).expect("plans")
     } else {
-        part.baseline(&w.program, &w.data)
+        part.plan(&w.program, &w.data, Pool::global(), true).expect("plans")
     };
     let opts = SimOptions { memory_mode: mode, ..SimOptions::default() };
     run_schedules(&w.program, part.layout(), &out, opts).exec_time

@@ -6,6 +6,7 @@
 
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::MachineConfig;
+use dmcp::pool::Pool;
 use dmcp::sim::viz::{link_heatmap, node_heatmap};
 use dmcp::sim::{Engine, SimOptions};
 use dmcp::workloads::{by_name, Scale};
@@ -20,8 +21,8 @@ fn main() {
     let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
 
     for (label, out) in [
-        ("default placement", part.baseline(&w.program, &w.data)),
-        ("partitioned", part.partition_with_data(&w.program, &w.data)),
+        ("default placement", part.plan(&w.program, &w.data, Pool::global(), true).expect("plans")),
+        ("partitioned", part.plan(&w.program, &w.data, Pool::global(), false).expect("plans")),
     ] {
         let mut engine = Engine::new(&w.program, part.layout(), SimOptions::default());
         for nest in &out.nests {

@@ -10,6 +10,7 @@ use dmcp::bound::gap_report;
 use dmcp::core::explain::{explain_instance, schedule_to_dot};
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::MachineConfig;
+use dmcp::pool::Pool;
 use dmcp::workloads::{by_name, Scale};
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     };
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-    let out = part.partition_with_data(&w.program, &w.data);
+    let out = part.plan(&w.program, &w.data, Pool::global(), false).expect("plans");
     let schedule = &out.nests[0].schedule;
 
     println!("== {} ==", w.name);

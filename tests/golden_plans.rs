@@ -1,7 +1,7 @@
 //! Golden-plan pins for the full 12-workload suite.
 //!
-//! The expected values live in [`dmcp::check::golden`] so the CI
-//! `plan-bench` gate and these tests fail together on any drift. Each
+//! The expected values live in [`dmcp::check::golden`] so perfbench's
+//! digest checks and these tests fail together on any drift. Each
 //! workload is pinned three ways: the healthy plan digest, the plan
 //! digest under the canonical fault plan, and the `PlanKey` digests for
 //! both — so changes to splitting, placement, window choice, sync
@@ -32,6 +32,7 @@ use dmcp::check::golden::{
     GOLDEN_HEALTHY, GOLDEN_KEYS, GOLDEN_LARGE_MESH, GOLDEN_PLAN_BYTES, GOLDEN_SIM, GOLDEN_VARIANTS,
 };
 use dmcp::check::plan_digest;
+use dmcp::core::{passes, PlanCtx};
 use dmcp::pool::Pool;
 use dmcp::serve::codec::{decode_plan, encode_plan};
 use dmcp::sim::SimOptions;
@@ -125,8 +126,9 @@ fn digests_are_stable_across_repeated_compiles() {
 
 /// Plans `name` under every pinned variant, healthy and degraded, checks
 /// each digest, and checks that replanning with the chosen window sizes
-/// (`partition_with_data_reusing`) reproduces it. The default schedule
-/// (`baseline`) has no window search to reuse.
+/// as hints (`PlanCtx::new`'s `window_hints`, which skip the search)
+/// reproduces it. The default schedule (`baseline`) has no window search
+/// to reuse.
 fn check_variants(name: &str) {
     let pool = Pool::single();
     for &(variant, _, healthy, degraded) in GOLDEN_VARIANTS.iter().filter(|row| row.1 == name) {
@@ -136,11 +138,12 @@ fn check_variants(name: &str) {
             assert_eq!(got, want, "{name} {variant} (degraded: {faulty}): plan digest drifted");
             let Some(run) = run.filter(|_| variant != "baseline") else { continue };
             let w = &run.workload;
-            let replan = run.partitioner.partition_with_data_reusing(
-                &w.program,
-                &w.data,
-                run.output.window_sizes(),
-            );
+            let hints = run.output.window_sizes();
+            let mut ctx = PlanCtx::new(&run.partitioner, &w.program, &w.data, &pool, false, &hints);
+            for pass in passes() {
+                pass.run(&mut ctx);
+            }
+            let replan = ctx.into_output();
             assert_eq!(
                 Some(plan_digest(&replan)),
                 want,

@@ -21,7 +21,7 @@ fn request(name: &str) -> PlanRequest {
 
 /// Same `PlanKey` ⇒ bit-identical `PartitionOutput`, whether the plan
 /// comes from a fresh compile, the cache, or a recompile after the cache
-/// was cleared (which exercises the memoized window-size path).
+/// was cleared.
 #[test]
 fn equal_keys_give_bit_identical_plans() {
     let service = PlanService::new(ServeConfig::default());
@@ -37,7 +37,7 @@ fn equal_keys_give_bit_identical_plans() {
 
         service.cache().clear();
         let recompiled = service.plan(req).expect("recompile");
-        assert_eq!(compiled, recompiled, "{}: window-memo recompile must be bit-identical", w.name);
+        assert_eq!(compiled, recompiled, "{}: recompile must be bit-identical", w.name);
     }
     service.shutdown();
 }
