@@ -2,9 +2,13 @@
 //!
 //! ```text
 //! cargo run --release -p dmcp-bench --bin figures -- all
-//! cargo run --release -p dmcp-bench --bin figures -- fig17 --scale small
+//! cargo run --release -p dmcp-bench --bin figures -- fig17 --scale-tiny
 //! cargo run --release -p dmcp-bench --bin figures -- fig20 --reuse-agnostic
 //! ```
+//!
+//! The target is the first argument that is not a flag (`all` when there
+//! is none); the scale is Small unless `--scale-tiny` or `--scale-full`
+//! says otherwise.
 //!
 //! Absolute numbers come from the bundled simulator, so they will not match
 //! the paper's KNL measurements; the *shape* (who wins, by roughly what
@@ -20,17 +24,67 @@ use dmcp_bench::{
     scenario_report, window_run, AppEval,
 };
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args.first().map(String::as_str).unwrap_or("all");
-    let scale = if args.iter().any(|a| a == "--scale-full") {
+const USAGE: &str = "usage: figures [TARGET] [--scale-tiny | --scale-full] [--reuse-agnostic]
+targets: all (the default), setup, gap, table1-table3, fig13-fig24";
+
+/// Every target `main` knows.
+const TARGETS: &[&str] = &[
+    "all", "setup", "gap", "table1", "table2", "table3", "fig13", "fig14", "fig15", "fig16",
+    "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24",
+];
+
+#[derive(Debug, PartialEq)]
+struct Args {
+    target: String,
+    scale: Scale,
+    reuse_aware: bool,
+}
+
+/// Parses the command line (without the program name); `Ok(None)` when
+/// it asks for `--help`. `--scale-full` wins over `--scale-tiny`.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
+    let (mut target, mut full, mut tiny, mut reuse_aware) = (None, false, false, true);
+    for arg in argv {
+        match arg.as_str() {
+            "--scale-full" => full = true,
+            "--scale-tiny" => tiny = true,
+            "--reuse-agnostic" => reuse_aware = false,
+            "--help" | "-h" => return Ok(None),
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown flag {flag} (try --help)"));
+            }
+            name if target.is_none() => {
+                if !TARGETS.contains(&name) {
+                    return Err(format!("unknown target `{name}` (try --help)"));
+                }
+                target = Some(arg);
+            }
+            extra => return Err(format!("unexpected argument `{extra}` (try --help)")),
+        }
+    }
+    let scale = if full {
         Scale::Full
-    } else if args.iter().any(|a| a == "--scale-tiny") {
+    } else if tiny {
         Scale::Tiny
     } else {
         Scale::Small
     };
-    let reuse_aware = !args.iter().any(|a| a == "--reuse-agnostic");
+    Ok(Some(Args { target: target.unwrap_or_else(|| "all".to_string()), scale, reuse_aware }))
+}
+
+fn main() {
+    let Args { target, scale, reuse_aware } = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(1);
+        }
+    };
+    let what = target.as_str();
 
     let needs_suite = matches!(
         what,
@@ -73,13 +127,7 @@ fn main() {
         "fig22" => fig22(scale),
         "fig23" => fig23(scale),
         "fig24" => fig24(scale),
-        other => {
-            eprintln!(
-                "unknown target `{other}`; use all, table1-3, fig13-fig24, gap \
-                 (options: --scale-tiny/--scale-full, --reuse-agnostic)"
-            );
-            std::process::exit(1);
-        }
+        other => unreachable!("parse_args accepts only known targets, not `{other}`"),
     }
 }
 
@@ -413,4 +461,44 @@ fn fig24(scale: Scale) {
         100.0 * geomean_reduction(ours_all.into_iter()),
         100.0 * meta::means::ENERGY_REDUCTION
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    fn args(target: &str, scale: Scale) -> Args {
+        Args { target: target.to_string(), scale, reuse_aware: true }
+    }
+
+    #[test]
+    fn a_flag_first_runs_all() {
+        assert_eq!(parse(&["--scale-tiny"]), Ok(Some(args("all", Scale::Tiny))));
+        assert_eq!(parse(&[]), Ok(Some(args("all", Scale::Small))));
+    }
+
+    #[test]
+    fn a_target_first_is_the_target() {
+        assert_eq!(parse(&["all", "--scale-tiny"]), Ok(Some(args("all", Scale::Tiny))));
+        assert_eq!(
+            parse(&["fig20", "--scale-full", "--reuse-agnostic", "--scale-tiny"]),
+            Ok(Some(Args { reuse_aware: false, ..args("fig20", Scale::Full) }))
+        );
+        assert_eq!(parse(&["--scale-tiny", "gap"]), Ok(Some(args("gap", Scale::Tiny))));
+    }
+
+    #[test]
+    fn unknown_targets_flags_and_extra_arguments_are_errors() {
+        assert!(parse(&["fig99"]).is_err());
+        assert!(parse(&["--scale-tiny", "bogus"]).is_err());
+        assert!(parse(&["--scale", "small"]).is_err());
+        assert!(parse(&["fig17", "fig18"]).is_err());
+        assert_eq!(parse(&["fig99", "--help"]), Err("unknown target `fig99` (try --help)".into()));
+        assert_eq!(parse(&["--help"]), Ok(None));
+        assert_eq!(parse(&["fig17", "-h"]), Ok(None));
+    }
 }

@@ -24,6 +24,8 @@ use dmcp_pool::Pool;
 use dmcp_workloads::{all, Scale};
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: dmcp-bound [--scale tiny|small|full] [--out PATH] [--pins]";
+
 const EXPECTED_WORKLOADS: usize = 12;
 
 /// Maximum allowed gap ratio per workload at Tiny scale, as the
@@ -74,42 +76,51 @@ fn render_json(reports: &[GapReport], sound: bool) -> String {
     out
 }
 
-fn main() -> ExitCode {
-    let mut scale = Scale::Tiny;
-    let mut out_path = "BENCH_bound.json".to_string();
-    let mut pins = false;
-    let mut it = std::env::args().skip(1);
+struct Args {
+    scale: Scale,
+    out: String,
+    pins: bool,
+}
+
+/// Parses the command line (without the program name); `Ok(None)` when
+/// it asks for `--help`.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
+    let mut args = Args { scale: Scale::Tiny, out: "BENCH_bound.json".to_string(), pins: false };
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--scale" => match it.next().as_deref() {
-                Some("tiny") => scale = Scale::Tiny,
-                Some("small") => scale = Scale::Small,
-                Some("full") => scale = Scale::Full,
-                _ => {
-                    eprintln!("--scale needs tiny|small|full");
-                    return ExitCode::FAILURE;
+            "--scale" => {
+                args.scale = match it.next().as_deref() {
+                    Some("tiny") => Scale::Tiny,
+                    Some("small") => Scale::Small,
+                    Some("full") => Scale::Full,
+                    _ => return Err("--scale needs tiny|small|full".to_string()),
                 }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--pins" => pins = true,
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: dmcp-bound [--scale S] [--out PATH] [--pins]"
-                );
-                return ExitCode::FAILURE;
             }
+            "--out" => args.out = it.next().ok_or("--out needs a path")?,
+            "--pins" => args.pins = true,
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
-    if pins && !matches!(scale, Scale::Tiny) {
-        eprintln!("--pins is only meaningful at --scale tiny (the pinned table's scale)");
-        return ExitCode::FAILURE;
+    if args.pins && args.scale != Scale::Tiny {
+        return Err("--pins is only meaningful at --scale tiny (the pinned table's scale)".into());
     }
+    Ok(Some(args))
+}
+
+fn main() -> ExitCode {
+    let Args { scale, out: out_path, pins } = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let machine = MachineConfig::knl_like();
     let suite = all(scale);
@@ -182,5 +193,43 @@ fn main() -> ExitCode {
             eprintln!("BOUND VIOLATION: {f}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn help_is_a_request_not_an_error() {
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+        assert!(matches!(parse(&["--pins", "-h"]), Ok(None)));
+    }
+
+    #[test]
+    fn unknown_or_malformed_flags_are_errors() {
+        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--scale", "huge"]).is_err());
+        assert!(parse(&["--out"]).is_err());
+        assert!(parse(&["--scale", "small", "--pins"]).is_err(), "pins are Tiny-scale only");
+    }
+
+    #[test]
+    fn flags_fill_the_settings() {
+        let args = parse(&[]).expect("parses").expect("not a help request");
+        assert_eq!(
+            (args.scale, args.out.as_str(), args.pins),
+            (Scale::Tiny, "BENCH_bound.json", false)
+        );
+        let args = parse(&["--scale", "small", "--out", "b.json"])
+            .expect("parses")
+            .expect("not a help request");
+        assert_eq!((args.scale, args.out.as_str(), args.pins), (Scale::Small, "b.json", false));
+        let args = parse(&["--pins"]).expect("parses").expect("not a help request");
+        assert!(args.pins);
     }
 }

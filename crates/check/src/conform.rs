@@ -44,7 +44,7 @@ pub fn random_topo_order(schedule: &Schedule, rng: &mut Rng64) -> Vec<usize> {
     let mut indegree = vec![0usize; n];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (k, step) in schedule.steps.iter().enumerate() {
-        for p in step.producers() {
+        for p in schedule.producers(step) {
             succs[p.index()].push(k);
             indegree[k] += 1;
         }

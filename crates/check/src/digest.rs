@@ -21,7 +21,7 @@ fn hash_node(h: &mut StableHasher, n: NodeId) {
     h.write_u32(u32::from(n.y()));
 }
 
-fn hash_step(h: &mut StableHasher, step: &Step) {
+fn hash_step(h: &mut StableHasher, schedule: &Schedule, step: &Step) {
     hash_node(h, step.node);
     match step.seed {
         Some(v) => {
@@ -30,8 +30,9 @@ fn hash_step(h: &mut StableHasher, step: &Step) {
         }
         None => h.write_u8(0),
     }
-    h.write_len(step.inputs.len());
-    for input in &step.inputs {
+    let inputs = schedule.inputs_of(step);
+    h.write_len(inputs.len());
+    for input in inputs {
         h.write_u8(input.op as u8);
         match input.operand {
             Operand::Const(v) => {
@@ -61,8 +62,9 @@ fn hash_step(h: &mut StableHasher, step: &Step) {
         }
         None => h.write_u8(0),
     }
-    h.write_len(step.waits.len());
-    for w in &step.waits {
+    let waits = schedule.waits_of(step);
+    h.write_len(waits.len());
+    for w in waits {
         h.write_u64(w.index() as u64);
     }
     h.write_u32(step.tag.nest);
@@ -73,7 +75,7 @@ fn hash_step(h: &mut StableHasher, step: &Step) {
 fn hash_schedule(h: &mut StableHasher, s: &Schedule) {
     h.write_len(s.steps.len());
     for step in &s.steps {
-        hash_step(h, step);
+        hash_step(h, s, step);
     }
 }
 

@@ -29,8 +29,8 @@ pub fn explain_instance(
     let tag = steps[0].tag;
     let _ = writeln!(out, "statement {} of nest {}, instance {}:", tag.stmt, nest, instance);
     for s in &steps {
-        let inputs: Vec<String> = s
-            .inputs
+        let inputs: Vec<String> = schedule
+            .inputs_of(s)
             .iter()
             .map(|i| {
                 let src = match i.operand {
@@ -49,10 +49,11 @@ pub fn explain_instance(
             }
             None => format!(" => t{}", s.id.0),
         };
-        let waits = if s.waits.is_empty() {
+        let waits = schedule.waits_of(s);
+        let waits = if waits.is_empty() {
             String::new()
         } else {
-            format!("  (waits: {:?})", s.waits.iter().map(|w| w.0).collect::<Vec<_>>())
+            format!("  (waits: {:?})", waits.iter().map(|w| w.0).collect::<Vec<_>>())
         };
         let _ = writeln!(out, "  @{}: fold[{}]{}{}", s.node, inputs.join(", "), store, waits);
     }
@@ -75,12 +76,12 @@ pub fn schedule_to_dot(schedule: &Schedule, max_instances: u64) -> String {
             "  s{} [label=\"#{} @{}\\nstmt {} inst {}\"{}];",
             s.id.0, s.id.0, s.node, s.tag.stmt, s.tag.instance, kind
         );
-        for input in &s.inputs {
+        for input in schedule.inputs_of(s) {
             if let Operand::Temp(t) = input.operand {
                 let _ = writeln!(out, "  s{} -> s{};", t.0, s.id.0);
             }
         }
-        for w in &s.waits {
+        for w in schedule.waits_of(s) {
             let _ = writeln!(out, "  s{} -> s{} [style=dashed];", w.0, s.id.0);
         }
     }

@@ -14,6 +14,11 @@
 
 use dmcp_mach::{Mesh, NodeId};
 
+/// Slots a node's LRU list reserves on its first touch (at most the
+/// capacity): one allocation instead of regrowing from empty, while an
+/// untouched node still costs nothing.
+const FIRST_LRU_SLOTS: usize = 32;
+
 /// Compile-time per-node L1 occupancy plus the line→holders reverse map.
 #[derive(Clone, Debug)]
 pub struct L1Model {
@@ -48,6 +53,19 @@ impl L1Model {
         }
     }
 
+    /// Sizes the line tables for every dense id below `lines` at once, so
+    /// touching those lines never regrows them. Reads are unaffected: an
+    /// id past the tables reads as untouched, as does a zeroed entry.
+    pub(crate) fn reserve_lines(&mut self, lines: u32) {
+        let lines = lines as usize;
+        if self.touches.len() < lines {
+            self.touches.resize(lines, 0);
+        }
+        if self.holders.len() < lines * self.words {
+            self.holders.resize(lines * self.words, 0);
+        }
+    }
+
     fn bits(&self, line: u32) -> &[u64] {
         let first = line as usize * self.words;
         self.holders.get(first..first + self.words).unwrap_or(&[])
@@ -76,6 +94,8 @@ impl L1Model {
         if lru.len() >= self.capacity {
             let victim = lru.remove(0) as usize;
             self.holders[victim * self.words + word] &= !bit;
+        } else if lru.capacity() == 0 {
+            lru.reserve_exact(self.capacity.min(FIRST_LRU_SLOTS));
         }
         lru.push(line);
         self.holders[l * self.words + word] |= bit;

@@ -73,5 +73,5 @@ pub use pipeline::{passes, NestCtx, Pass, PlanCtx};
 pub use resolve::{resolve_nest, HitPredictor, NestResolution};
 pub use split::PlanOptions;
 pub use stats::{OpMix, StmtRecord};
-pub use step::{ElemLoc, Operand, Schedule, Step, StepInput, StmtTag, StoreTarget, SubId};
-pub use window::{place_nest, sync_nest, NestPlan, NestStats};
+pub use step::{ElemLoc, Operand, Schedule, Span, Step, StepInput, StmtTag, StoreTarget, SubId};
+pub use window::{place_nest, sync_nest, NestPlan, NestStats, Placement};

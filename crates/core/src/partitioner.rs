@@ -175,6 +175,15 @@ impl PartitionOutput {
         Self { nests }
     }
 
+    /// Drops every schedule's unused buffer capacity (a plan about to be
+    /// kept, e.g. in a cache, then holds exactly what it uses).
+    pub fn shrink_to_fit(&mut self) {
+        for nest in &mut self.nests {
+            nest.schedule.shrink_to_fit();
+            nest.stats.records.shrink_to_fit();
+        }
+    }
+
     /// Total planned movement of the optimized schedules.
     pub fn movement_opt(&self) -> u64 {
         self.nests.iter().map(|n| n.stats.movement_opt).sum()

@@ -12,9 +12,11 @@
 //!    sample at every window size 1‥`max_window` for each undecided nest
 //!    (capped at the sample's length, past which every window plans the
 //!    same records) and keep the size minimising warm movement (ties
-//!    prefer smaller);
+//!    prefer smaller), together with that trial's placement;
 //! 3. [`PlacePass`] — full placement of every nest at its decided window
-//!    size ([`crate::window::place_nest`]);
+//!    size: a searched nest continues its winning trial from the end of
+//!    the sample ([`crate::window::Placement`]), any other is placed from
+//!    scratch;
 //! 4. [`SplitPass`] — the nest-level split-vs-default decision: nests
 //!    whose warm planned movement does not clearly beat default
 //!    execution are re-placed at iteration granularity; the resolutions
@@ -33,14 +35,15 @@ use crate::partitioner::{
     nest_assignment, NestPartition, PartitionConfig, PartitionOutput, Partitioner,
 };
 use crate::resolve::{resolve_nest, NestResolution};
-use crate::window::{place_nest, sync_nest, NestPlan};
+use crate::window::{place_nest, sync_nest, NestPlan, Placement};
 use dmcp_ir::program::{DataStore, Program};
 use dmcp_mach::{MachineConfig, NodeId};
 use dmcp_pool::Pool;
+use std::sync::Mutex;
 
 /// Per-nest planning state threaded through the passes.
-#[derive(Clone, Debug)]
-pub struct NestCtx {
+#[derive(Debug)]
+pub struct NestCtx<'a> {
     /// Index of the nest within the program.
     pub nest: usize,
     /// Iteration→core assignment (one entry per iteration, cycled).
@@ -50,6 +53,10 @@ pub struct NestCtx {
     /// The resolved statement-instance stream every placement of the nest
     /// walks; set by the analyze pass and dropped by the split pass.
     pub resolution: Option<NestResolution>,
+    /// The window search's winning trial: the placement of the sample at
+    /// the chosen window, which the place pass continues. Set only for
+    /// searched nests.
+    pub trial: Option<Placement<'a>>,
     /// The placed (and eventually synced) plan.
     pub plan: Option<NestPlan>,
 }
@@ -74,7 +81,7 @@ pub struct PlanCtx<'a> {
     /// Caller-provided per-nest window hints (missing entries → search).
     pub window_hints: &'a [usize],
     /// Per-nest state, in program order (filled by [`AnalyzePass`]).
-    pub nests: Vec<NestCtx>,
+    pub nests: Vec<NestCtx<'a>>,
 }
 
 impl<'a> PlanCtx<'a> {
@@ -101,13 +108,10 @@ impl<'a> PlanCtx<'a> {
         }
     }
 
-    /// Places `nest` (by position in [`PlanCtx::nests`]) at window `w`
-    /// from its resolution — the shared planning kernel of the search,
-    /// place and split passes.
-    fn place(&self, pos: usize, w: usize, limit: Option<u64>, force_default: bool) -> NestPlan {
-        let resolution =
-            self.nests[pos].resolution.as_ref().expect("nest resolved before placement");
-        place_nest(resolution, self.layout, self.config.opts, w, limit, force_default)
+    /// The resolution of `nest` (by position in [`PlanCtx::nests`]), which
+    /// every placement of it walks.
+    fn resolution(&self, pos: usize) -> &NestResolution {
+        self.nests[pos].resolution.as_ref().expect("nest resolved before placement")
     }
 
     /// The largest window the search tries for `nest` (by position):
@@ -116,10 +120,13 @@ impl<'a> PlanCtx<'a> {
     /// larger window plans the same records, and ties keep the smaller
     /// window anyway.
     fn largest_window(&self, pos: usize) -> usize {
-        let resolution =
-            self.nests[pos].resolution.as_ref().expect("nest resolved before the search");
-        let sample = usize::try_from(self.config.search_sample).unwrap_or(usize::MAX);
-        self.config.max_window.min(sample).min(resolution.instance_count()).max(1)
+        let sample = self.search_sample();
+        self.config.max_window.min(sample).min(self.resolution(pos).instance_count()).max(1)
+    }
+
+    /// The instances a search trial places (before capping at the nest).
+    fn search_sample(&self) -> usize {
+        usize::try_from(self.config.search_sample).unwrap_or(usize::MAX)
     }
 
     /// Consumes the context into the partitioner's output.
@@ -187,7 +194,14 @@ impl Pass for AnalyzePass {
                 c.config.opts,
                 &assignment,
             );
-            NestCtx { nest: n, assignment, window, resolution: Some(resolution), plan: None }
+            NestCtx {
+                nest: n,
+                assignment,
+                window,
+                resolution: Some(resolution),
+                trial: None,
+                plan: None,
+            }
         });
         ctx.nests = nests;
     }
@@ -195,13 +209,15 @@ impl Pass for AnalyzePass {
 
 /// Pass 2: the window-size search (paper Section 4.4 pre-processing).
 ///
-/// All `(nest, w)` sample trials fan out over the pool at once; the
-/// per-nest minimum is then taken on the caller in ascending window
-/// order (strict `<`, so ties keep the smaller window). A nest tries `w`
-/// only up to the number of instances its sample places, so the trial
-/// count is bounded by the nest, whatever `max_window` a request names.
-/// Trials skip sync wiring entirely: warm movement is a pure function of
-/// the placement records.
+/// All `(nest, w)` sample trials fan out over the pool at once. Each
+/// nest keeps only its best trial so far, by `(warm movement, w)`, so
+/// ties keep the smaller window and the winner does not depend on the
+/// order trials finish in; a losing trial is dropped as soon as it
+/// loses. The winner's placement stays in [`NestCtx::trial`] for the
+/// place pass to continue. A nest tries `w` only up to the number of
+/// instances its sample places, so the trial count is bounded by the
+/// nest, whatever `max_window` a request names. Trials skip sync wiring
+/// entirely: warm movement is a pure function of the placement records.
 pub struct WindowSearchPass;
 
 impl Pass for WindowSearchPass {
@@ -216,26 +232,37 @@ impl Pass for WindowSearchPass {
             return;
         }
         let c: &PlanCtx = ctx;
-        let trials: Vec<(usize, usize)> = searched
-            .iter()
-            .flat_map(|&pos| (1..=c.largest_window(pos)).map(move |w| (pos, w)))
+        let trials: Vec<(usize, usize)> = (0..searched.len())
+            .flat_map(|slot| (1..=c.largest_window(searched[slot])).map(move |w| (slot, w)))
             .collect();
-        let movements: Vec<u64> = c.pool.map(&trials, |_, &(pos, w)| {
-            c.place(pos, w, Some(c.config.search_sample), false).stats.warm_movement().0
-        });
-        // Trials come grouped by nest in ascending window order, each
-        // group starting at window 1.
-        let mut best = u64::MAX;
-        for (&(pos, w), &movement) in trials.iter().zip(&movements) {
-            if w == 1 || movement < best {
-                best = movement;
-                ctx.nests[pos].window = Some(w);
+        let best: Vec<Mutex<Option<(u64, Placement)>>> =
+            searched.iter().map(|_| Mutex::new(None)).collect();
+        c.pool.map(&trials, |_, &(slot, w)| {
+            let mut trial = Placement::new(c.layout, c.config.opts, w, false);
+            trial.advance(c.resolution(searched[slot]), c.search_sample());
+            let movement = trial.warm_movement().0;
+            let mut best = best[slot].lock().expect("window-search slot poisoned");
+            let wins = best.as_ref().is_none_or(|(m, b)| (movement, w) < (*m, b.window()));
+            if wins {
+                // The loser, if any, is dropped here.
+                *best = Some((movement, trial));
             }
+        });
+        for (&pos, slot) in searched.iter().zip(best) {
+            let (_, trial) = slot
+                .into_inner()
+                .expect("window-search slot poisoned")
+                .expect("every searched nest tries window 1");
+            let nc = &mut ctx.nests[pos];
+            nc.window = Some(trial.window());
+            nc.trial = Some(trial);
         }
     }
 }
 
-/// Pass 3: full placement of every nest at its decided window size.
+/// Pass 3: full placement of every nest at its decided window size. A
+/// searched nest continues the window search's winning trial, which has
+/// already placed the sample; every other nest is placed from scratch.
 pub struct PlacePass;
 
 impl Pass for PlacePass {
@@ -244,11 +271,17 @@ impl Pass for PlacePass {
     }
 
     fn run(&self, ctx: &mut PlanCtx) {
+        let trials: Vec<Option<Placement>> =
+            ctx.nests.iter_mut().map(|nc| nc.trial.take()).collect();
         let plans: Vec<NestPlan> = {
             let c: &PlanCtx = ctx;
-            c.pool.run(c.nests.len(), |pos| {
-                let w = c.nests[pos].window.expect("window decided before placement");
-                c.place(pos, w, None, c.force_default)
+            c.pool.map_vec(trials, |pos, trial| {
+                let mut placement = trial.unwrap_or_else(|| {
+                    let w = c.nests[pos].window.expect("window decided before placement");
+                    Placement::new(c.layout, c.config.opts, w, c.force_default)
+                });
+                placement.advance(c.resolution(pos), usize::MAX);
+                placement.finish()
             })
         };
         for (nc, plan) in ctx.nests.iter_mut().zip(plans) {
@@ -297,7 +330,7 @@ fn replan_flagged(ctx: &mut PlanCtx) {
         let c: &PlanCtx = ctx;
         c.pool.map(&flagged, |_, &pos| {
             let w = c.nests[pos].window.expect("window decided");
-            c.place(pos, w, None, true)
+            place_nest(c.resolution(pos), c.layout, c.config.opts, w, None, true)
         })
     };
     for (&pos, plan) in flagged.iter().zip(replans) {

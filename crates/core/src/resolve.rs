@@ -22,7 +22,7 @@
 
 use crate::l1model::L1Model;
 use crate::layout::Layout;
-use crate::split::PlanOptions;
+use crate::split::{emission_bound, PlanOptions};
 use crate::step::{ElemLoc, StoreTarget};
 use dmcp_ir::nested::Group;
 use dmcp_ir::program::{DataStore, Program};
@@ -118,6 +118,30 @@ impl NestResolution {
     /// Number of statement instances resolved (the whole nest).
     pub(crate) fn instance_count(&self) -> usize {
         self.instances.len()
+    }
+
+    /// One more than the largest dense line id instances `first..end`
+    /// touch (0 if they touch none).
+    pub(crate) fn lines_touched(&self, first: usize, end: usize) -> u32 {
+        let leaf = |i: usize| self.instances.get(i).map_or(self.leaves.len(), |n| n.first_leaf);
+        let stores = self.instances[first..end].iter().map(|i| i.store_line);
+        let operands = self.leaves[leaf(first)..leaf(end)].iter().map(|l| l.line);
+        stores.chain(operands).max().map_or(0, |m| m + 1)
+    }
+
+    /// An upper bound on the `(steps, inputs)` placing instances
+    /// `first..end` emits ([`crate::split::emission_bound`] per instance).
+    pub(crate) fn emission_bound(&self, first: usize, end: usize) -> (usize, usize) {
+        let body = self.groups.len();
+        let (mut steps, mut inputs) = (0, 0);
+        for (stmt, group) in self.groups.iter().enumerate() {
+            // Instances `i ≡ stmt (mod body)` below `x`.
+            let below = |x: usize| (x + body - 1 - stmt) / body;
+            let count = below(end) - below(first);
+            let (s, i) = emission_bound(group, true);
+            (steps, inputs) = (steps + count * s, inputs + count * i);
+        }
+        (steps, inputs)
     }
 
     /// Index within the nest body of instance `i`'s statement.

@@ -31,7 +31,7 @@ use crate::layout::Layout;
 use crate::mst::{loc_distance, nearest, KruskalScratch, MstEdge, RootedTree};
 use crate::resolve::{ResolvedInstance, ResolvedLeaf};
 use crate::stats::{OpMix, StmtRecord};
-use crate::step::{Operand, Step, StepInput, StmtTag, StoreTarget, SubId};
+use crate::step::{Operand, Schedule, StepInput, StmtTag, StoreTarget, SubId};
 use dmcp_ir::nested::{Element, Group, OpClass, Term};
 use dmcp_ir::BinOp;
 use dmcp_mach::NodeId;
@@ -68,11 +68,12 @@ impl Default for PlanOptions {
 /// Plans the statement instances of one nest placement into
 /// subcomputation steps, walking a [`crate::NestResolution`].
 ///
-/// Apart from the steps it returns, planning an instance allocates
-/// nothing once the planner's buffers have grown: the nested-set plan
-/// ([`PlanArena`]), Kruskal's candidate edges and forest, one rooted tree
-/// and node assignment per nesting depth, and `dag_width`'s levels are
-/// all kept across instances.
+/// Planning an instance allocates nothing once the planner's buffers and
+/// the schedule's have grown: the nested-set plan ([`PlanArena`]),
+/// Kruskal's candidate edges and forest, one rooted tree, node assignment
+/// and staged step inputs per nesting depth, and `dag_width`'s levels are
+/// all kept across instances, and steps append to the schedule's flat
+/// buffers.
 pub(crate) struct Planner<'a> {
     layout: &'a Layout,
     opts: PlanOptions,
@@ -104,7 +105,8 @@ pub(crate) struct Planner<'a> {
     arena: PlanArena,
     /// Kruskal's buffers, shared by every nested set.
     kruskal: KruskalScratch,
-    /// `emit_group`'s buffers, one set per nesting depth.
+    /// `emit_group`'s and `emit_fixed`'s buffers, one set per nesting
+    /// depth.
     emit: Vec<EmitScratch>,
     /// `dag_width`'s per-step levels and `(level, node)` pairs.
     levels: Vec<u32>,
@@ -206,12 +208,16 @@ struct StmtCx<'p> {
     force: Option<NodeId>,
 }
 
-/// `emit_group`'s buffers for one nesting depth.
+/// The emission buffers of one nesting depth.
 #[derive(Default)]
 struct EmitScratch {
     tree: RootedTree,
     node_of: Vec<NodeId>,
     produced: Vec<Option<Emitted>>,
+    /// The inputs of the step being gathered. They are staged here, not
+    /// appended to the schedule, because gathering an input may emit a
+    /// nested group's steps first.
+    inputs: Vec<StepInput>,
 }
 
 /// Outcome of emitting a group: where its value is and what it cost.
@@ -258,6 +264,13 @@ impl<'a> Planner<'a> {
         }
     }
 
+    /// Sizes the L1 models' line tables for every dense line id below
+    /// `lines`.
+    pub fn reserve_lines(&mut self, lines: u32) {
+        self.l1.reserve_lines(lines);
+        self.l1_persist.reserve_lines(lines);
+    }
+
     fn apply_pending(&mut self) {
         for (node, line) in self.pending_touches.drain(..) {
             self.l1.touch(node, line);
@@ -270,7 +283,7 @@ impl<'a> Planner<'a> {
 
     /// Plans one resolved statement instance (`inst`, its operands
     /// `leaves` and its statement's nested sets `group`), appending its
-    /// steps to `steps`.
+    /// steps to `sched`.
     ///
     /// `inst.core` is the node the default (iteration-granularity)
     /// placement gives this iteration; it anchors unanalyzable references
@@ -286,14 +299,14 @@ impl<'a> Planner<'a> {
     /// per nest.
     pub fn plan_statement(
         &mut self,
-        steps: &mut Vec<Step>,
+        sched: &mut Schedule,
         tag: StmtTag,
         inst: &ResolvedInstance,
         leaves: &[ResolvedLeaf],
         group: &Group,
         force_default: bool,
     ) -> StmtRecord {
-        let first_step = steps.len() as u32;
+        let first_step = sched.steps.len() as u32;
         let store = inst.store;
         let fallback = force_default || !inst.lhs_known;
         // When the store target is unknown the compiler cannot do better
@@ -311,9 +324,15 @@ impl<'a> Planner<'a> {
         debug_assert_eq!(next_leaf, leaves.len(), "every resolved operand is planned");
 
         // --- Emit subcomputations ---------------------------------------
+        // A nesting depth never exceeds the number of sets.
+        let mut emit = std::mem::take(&mut self.emit);
+        if emit.len() < arena.groups.len() {
+            emit.resize_with(arena.groups.len(), EmitScratch::default);
+        }
         let cx = StmtCx { arena: &arena, leaves, store, tag, force };
-        let emitted = self.emit_group(steps, &cx, outermost, store.home, true, 0);
+        let emitted = self.emit_group(sched, &cx, outermost, store.home, true, &mut emit);
         self.arena = arena;
+        self.emit = emit;
         // Ship the result to the store node (zero unless forced elsewhere).
         // A fallback/forced statement IS default execution; its planned
         // movement is the default estimate by definition.
@@ -326,12 +345,12 @@ impl<'a> Planner<'a> {
         self.apply_pending();
 
         // --- Statistics --------------------------------------------------
-        let stmt_steps = &steps[first_step as usize..];
-        let parallelism = dag_width(stmt_steps, first_step, &mut self.levels, &mut self.at_level);
+        let parallelism = dag_width(sched, first_step, &mut self.levels, &mut self.at_level);
+        let stmt_steps = &sched.steps[first_step as usize..];
         let mut remapped = OpMix::default();
         for s in stmt_steps {
             if s.node != inst.core {
-                for i in &s.inputs {
+                for i in sched.inputs_of(s) {
                     remapped.record(i.op.category());
                 }
             }
@@ -346,7 +365,7 @@ impl<'a> Planner<'a> {
             remapped,
             fallback,
             first_step,
-            last_step: steps.len() as u32,
+            last_step: sched.steps.len() as u32,
         }
     }
 
@@ -488,16 +507,16 @@ impl<'a> Planner<'a> {
 
     /// Emits the steps of planned group `gi`, directing its result towards
     /// `target`. In the `outermost` group the store vertex is the tree root
-    /// and the final step writes the result. `depth` is the group's
-    /// nesting depth, which picks its `emit_group` buffers.
+    /// and the final step writes the result. `emit` holds the emission
+    /// buffers from the group's nesting depth down: `emit[0]` is its own.
     fn emit_group(
         &mut self,
-        steps: &mut Vec<Step>,
+        sched: &mut Schedule,
         cx: &StmtCx<'_>,
         gi: usize,
         target: NodeId,
         outermost: bool,
-        depth: usize,
+        emit: &mut [EmitScratch],
     ) -> Emitted {
         let arena = cx.arena;
         let g = arena.groups[gi];
@@ -518,14 +537,14 @@ impl<'a> Planner<'a> {
                     };
                 }
                 VertexKind::Sub { op, group } if op == base_op => {
-                    return self.emit_group(steps, cx, group, target, false, depth + 1);
+                    return self.emit_group(sched, cx, group, target, false, &mut emit[1..]);
                 }
                 _ => {}
             }
         }
 
         if let OpClass::Fixed(_) = g.class {
-            return self.emit_fixed(steps, cx, &g, target, outermost, depth);
+            return self.emit_fixed(sched, cx, &g, target, outermost, emit);
         }
 
         let n = vertices.len();
@@ -560,10 +579,7 @@ impl<'a> Planner<'a> {
                 })
                 .expect("non-empty vertex set")
         };
-        if self.emit.len() <= depth {
-            self.emit.resize_with(depth + 1, EmitScratch::default);
-        }
-        let mut s = std::mem::take(&mut self.emit[depth]);
+        let (s, deeper) = emit.split_first_mut().expect("one emission scratch per nesting depth");
         s.tree.rebuild(n, arena.edges(&g), root);
 
         // Top-down concrete node assignment. Steps are emitted by internal
@@ -604,15 +620,14 @@ impl<'a> Planner<'a> {
             let exec = s.node_of[v];
             let children = s.tree.children(v);
             let consts = if is_root { arena.consts(&g) } else { &[] };
-            let mut inputs =
-                Vec::with_capacity(usize::from(!is_store_root) + children.len() + consts.len());
+            s.inputs.clear();
             // Own element (absent for the synthetic store vertex).
             if !is_store_root {
                 let (op, operand, fetch, l1h) =
-                    self.vertex_operand(steps, cx, &vertices[v], exec, depth);
+                    self.vertex_operand(sched, cx, &vertices[v], exec, deeper);
                 total_movement += fetch;
                 total_l1 += l1h;
-                inputs.push(StepInput { op, operand });
+                s.inputs.push(StepInput { op, operand });
             }
             // Children contributions.
             for &c in children {
@@ -623,34 +638,24 @@ impl<'a> Planner<'a> {
                         // already happened inside that step, so the class's
                         // base operator folds it in.
                         total_movement += u64::from(e.node.manhattan(exec));
-                        inputs.push(StepInput { op: g.class.op_for(false), operand: e.operand });
+                        s.inputs.push(StepInput { op: g.class.op_for(false), operand: e.operand });
                     }
                     None => {
                         // A tree-leaf child: fetch its element or emit its
                         // sub-group directed at us.
                         let (op, operand, fetch, l1h) =
-                            self.vertex_operand(steps, cx, &vertices[c], exec, depth);
+                            self.vertex_operand(sched, cx, &vertices[c], exec, deeper);
                         total_movement += fetch;
                         total_l1 += l1h;
-                        inputs.push(StepInput { op, operand });
+                        s.inputs.push(StepInput { op, operand });
                     }
                 }
             }
             // Constants attach to the root step of their group.
-            inputs
+            s.inputs
                 .extend(consts.iter().map(|&(op, c)| StepInput { op, operand: Operand::Const(c) }));
-            let id = SubId(steps.len() as u32);
-            let step = Step {
-                id,
-                node: exec,
-                seed: Some(g.class.identity()),
-                inputs,
-                store: is_store_root.then_some(cx.store),
-                waits: Vec::new(),
-                tag: cx.tag,
-            };
-            self.pending_loads.push((exec, step_load(&step, self.div_factor())));
-            steps.push(step);
+            let store = is_store_root.then_some(cx.store);
+            let id = self.push_step(sched, exec, Some(g.class.identity()), &s.inputs, store, cx);
             s.produced[v] = Some(Emitted {
                 operand: Operand::Temp(id),
                 node: exec,
@@ -661,7 +666,6 @@ impl<'a> Planner<'a> {
         }
 
         let root_emit = s.produced[root].take().expect("root emitted a step");
-        self.emit[depth] = s;
         Emitted {
             operand: root_emit.operand,
             node: root_emit.node,
@@ -674,12 +678,12 @@ impl<'a> Planner<'a> {
     /// Emits a non-reorderable (shift) group as a single ordered step.
     fn emit_fixed(
         &mut self,
-        steps: &mut Vec<Step>,
+        sched: &mut Schedule,
         cx: &StmtCx<'_>,
         g: &GroupSlot,
         target: NodeId,
         outermost: bool,
-        depth: usize,
+        emit: &mut [EmitScratch],
     ) -> Emitted {
         let arena = cx.arena;
         let vertices = arena.vertices(g);
@@ -701,9 +705,11 @@ impl<'a> Planner<'a> {
         };
         let mut movement = 0u64;
         let mut l1_hits = 0u32;
-        let mut inputs = Vec::with_capacity(operands.len());
+        let (s, deeper) = emit.split_first_mut().expect("one emission scratch per nesting depth");
+        let inputs = &mut s.inputs;
+        inputs.clear();
         for v in operands {
-            let (op, operand, fetch, l1h) = self.vertex_operand(steps, cx, v, exec, depth);
+            let (op, operand, fetch, l1h) = self.vertex_operand(sched, cx, v, exec, deeper);
             movement += fetch;
             l1_hits += l1h;
             // The first operand seeds the accumulator (seed: None), its op
@@ -711,25 +717,37 @@ impl<'a> Planner<'a> {
             let applied = if inputs.is_empty() { BinOp::Add } else { op };
             inputs.push(StepInput { op: applied, operand });
         }
-        let id = SubId(steps.len() as u32);
         let store = outermost.then_some(cx.store);
-        let step =
-            Step { id, node: exec, seed: None, inputs, store, waits: Vec::new(), tag: cx.tag };
-        self.pending_loads.push((exec, step_load(&step, self.div_factor())));
-        steps.push(step);
+        let id = self.push_step(sched, exec, None, inputs, store, cx);
         Emitted { operand: Operand::Temp(id), node: exec, movement, l1_hits, passed: None }
     }
 
-    /// The operand contributed by `vertex` (of a group at nesting `depth`)
-    /// to a step executing at `exec`: `(fold op, operand, movement,
-    /// planned L1 hits)`.
+    /// Appends a step of the statement `cx` on `exec` folding `inputs`
+    /// (staged by the caller) and buffers its load.
+    fn push_step(
+        &mut self,
+        sched: &mut Schedule,
+        exec: NodeId,
+        seed: Option<f64>,
+        inputs: &[StepInput],
+        store: Option<StoreTarget>,
+        cx: &StmtCx<'_>,
+    ) -> SubId {
+        self.pending_loads.push((exec, step_load(inputs, self.div_factor())));
+        sched.inputs.extend_from_slice(inputs);
+        sched.push_step(exec, seed, store, cx.tag)
+    }
+
+    /// The operand contributed by `vertex` to a step executing at `exec`:
+    /// `(fold op, operand, movement, planned L1 hits)`. `deeper` holds the
+    /// emission buffers of the nesting depths below the vertex's group.
     fn vertex_operand(
         &mut self,
-        steps: &mut Vec<Step>,
+        sched: &mut Schedule,
         cx: &StmtCx<'_>,
         vertex: &Vertex,
         exec: NodeId,
-        depth: usize,
+        deeper: &mut [EmitScratch],
     ) -> (BinOp, Operand, u64, u32) {
         match vertex.kind {
             VertexKind::Leaf { op, leaf } => {
@@ -739,7 +757,7 @@ impl<'a> Planner<'a> {
                 (op, Operand::Elem(leaf.elem), u64::from(src.manhattan(exec)), l1h)
             }
             VertexKind::Sub { op, group } => {
-                let e = self.emit_group(steps, cx, group, exec, false, depth + 1);
+                let e = self.emit_group(sched, cx, group, exec, false, deeper);
                 if let Some(leaf) = e.passed {
                     // Pass-through element: `e.node` is its replica nearest
                     // to us. A local replica (our own L1 copy, or we are the
@@ -847,6 +865,33 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// An upper bound on the `(steps, inputs)` that
+/// [`Planner::plan_statement`] emits for one instance of a statement whose
+/// right-hand side has the nested sets `group` (`outermost` adds the store
+/// vertex). A set of `n ≥ 1` MST vertices emits at most `max(1, n − 1)`
+/// steps — one per vertex with children, or the lone root — which fold
+/// one input per non-root vertex, one own element each and the set's
+/// constants; a fixed set's single step is within that too.
+pub(crate) fn emission_bound(group: &Group, outermost: bool) -> (usize, usize) {
+    let ordered = matches!(group.class, OpClass::Fixed(_));
+    let (mut vertices, mut steps, mut inputs) = (usize::from(outermost), 0, 0);
+    for Element { term, .. } in &group.elems {
+        match term {
+            Term::Const(_) if !ordered => inputs += 1,
+            Term::Group(sub) => {
+                let (s, i) = emission_bound(sub, false);
+                (steps, inputs, vertices) = (steps + s, inputs + i, vertices + 1);
+            }
+            _ => vertices += 1,
+        }
+    }
+    if vertices > 0 {
+        let own = (vertices - 1).max(1);
+        (steps, inputs) = (steps + own, inputs + vertices - 1 + own);
+    }
+    (steps, inputs)
+}
+
 /// Removes consecutive duplicates from `v[from..]` (a sorted tail).
 fn dedup_from(v: &mut Vec<NodeId>, from: usize) {
     let mut kept = from;
@@ -859,12 +904,12 @@ fn dedup_from(v: &mut Vec<NodeId>, from: usize) {
     v.truncate(kept);
 }
 
-/// Load-units of one step: its ALU cost plus an estimated service time for
-/// its operand fetches (the balance rule must see fetch-dominated reality,
-/// not just op counts).
-fn step_load(step: &Step, div_factor: f64) -> f64 {
-    let elems = step.inputs.iter().filter(|i| matches!(i.operand, Operand::Elem(_))).count() as f64;
-    step.op_cost(div_factor) + 12.0 * elems + 4.0
+/// Load-units of a step folding `inputs`: its ALU cost plus an estimated
+/// service time for its operand fetches (the balance rule must see
+/// fetch-dominated reality, not just op counts).
+fn step_load(inputs: &[StepInput], div_factor: f64) -> f64 {
+    let elems = inputs.iter().filter(|i| matches!(i.operand, Operand::Elem(_))).count() as f64;
+    inputs.iter().map(|i| i.op.cost(div_factor)).sum::<f64>() + 12.0 * elems + 4.0
 }
 
 /// Rough op-cost estimate of the step a vertex will emit (for the balance
@@ -878,16 +923,18 @@ fn cost_estimate(kind: VertexKind) -> f64 {
     }
 }
 
-/// Degree of subcomputation parallelism of one statement (Figure 14): the
-/// widest antichain of its step DAG, counting *distinct nodes* per level —
-/// two subcomputations on the same node serialize and are not parallel.
-/// `level` and `at_level` are reused buffers.
+/// Degree of subcomputation parallelism of one statement, the steps of
+/// `sched` from `first_id` on (Figure 14): the widest antichain of its
+/// step DAG, counting *distinct nodes* per level — two subcomputations on
+/// the same node serialize and are not parallel. `level` and `at_level`
+/// are reused buffers.
 fn dag_width(
-    stmt_steps: &[Step],
+    sched: &Schedule,
     first_id: u32,
     level: &mut Vec<u32>,
     at_level: &mut Vec<(u32, NodeId)>,
 ) -> u32 {
+    let stmt_steps = &sched.steps[first_id as usize..];
     if stmt_steps.is_empty() {
         return 0;
     }
@@ -896,7 +943,7 @@ fn dag_width(
     at_level.clear();
     for (k, s) in stmt_steps.iter().enumerate() {
         let mut lvl = 0;
-        for input in &s.inputs {
+        for input in sched.inputs_of(s) {
             if let Operand::Temp(t) = input.operand {
                 if t.0 >= first_id {
                     lvl = lvl.max(level[(t.0 - first_id) as usize] + 1);

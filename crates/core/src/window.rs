@@ -16,10 +16,11 @@ use crate::layout::Layout;
 use crate::resolve::NestResolution;
 use crate::split::{PlanOptions, Planner};
 use crate::stats::{OpMix, StmtRecord};
-use crate::step::{Operand, Schedule, Step, StmtTag, SubId};
+use crate::step::{Operand, Schedule, Span, Step, StmtTag, SubId};
 use crate::sync::TransitiveReducer;
 use dmcp_ir::ArrayId;
 use std::collections::HashMap;
+use std::fmt;
 
 /// Aggregated planning statistics for one nest.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -53,10 +54,7 @@ impl NestStats {
     /// predicted misses, is unrepresentative of steady state). Exposed so
     /// external checkers can reproduce the partitioner's decisions.
     pub fn warm_movement(&self) -> (u64, u64) {
-        let skip = self.records.len() / 2;
-        let opt = self.records[skip..].iter().map(|r| r.movement_opt).sum();
-        let def = self.records[skip..].iter().map(|r| r.movement_default).sum();
-        (opt, def)
+        warm_movement(&self.records)
     }
 
     /// Mean per-instance movement reduction (instances with zero default
@@ -111,6 +109,13 @@ impl NestStats {
     }
 }
 
+/// `(optimised, default)` movement summed over the warm half of `records`
+/// (see [`NestStats::warm_movement`]).
+fn warm_movement(records: &[StmtRecord]) -> (u64, u64) {
+    let warm = &records[records.len() / 2..];
+    (warm.iter().map(|r| r.movement_opt).sum(), warm.iter().map(|r| r.movement_default).sum())
+}
+
 /// The planned schedule plus its statistics for one nest.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NestPlan {
@@ -124,14 +129,14 @@ pub struct NestPlan {
 /// statement instances in execution order, plans each one's
 /// subcomputations (MST placement, L1 reuse within the window, load
 /// balancing), and resets the `variable2node` map at window boundaries.
-/// No synchronization arcs are wired — every step's `waits` list comes
-/// back empty and the sync counters are zero until [`sync_nest`] runs.
+/// No synchronization arcs are wired — every step's wait span comes back
+/// empty and the sync counters are zero until [`sync_nest`] runs.
 ///
 /// `limit_instances` truncates planning to a prefix of the stream (used
 /// by the window-size search); `force_default` generates the baseline
 /// schedule instead. Every placement of a nest reads the same
 /// [`NestResolution`], which does not depend on the window size, the
-/// prefix or `force_default`.
+/// prefix or `force_default`. This is one [`Placement`] advanced once.
 ///
 /// Placement never reads wait arcs, so the two phases run separately:
 /// placement fans out across a pool, and the window-size search skips
@@ -145,40 +150,143 @@ pub fn place_nest(
     limit_instances: Option<u64>,
     force_default: bool,
 ) -> NestPlan {
-    assert!(window > 0, "window size must be at least 1");
-    let mut planner = Planner::new(layout, opts);
     let count = limit_instances.map_or(usize::MAX, |l| usize::try_from(l).unwrap_or(usize::MAX));
-    let count = count.min(resolution.instance_count());
+    let mut placement = Placement::new(layout, opts, window, force_default);
+    placement.advance(resolution, count);
+    placement.finish()
+}
 
-    let mut steps: Vec<Step> = Vec::new();
-    let mut records: Vec<StmtRecord> = Vec::with_capacity(count);
-    let mut in_window = 0usize;
-    for i in 0..count {
-        let (inst, leaves, group) = resolution.instance(i);
-        let tag = StmtTag {
-            nest: resolution.nest() as u32,
-            stmt: resolution.statement_of(i) as u32,
-            instance: i as u64,
-        };
-        records.push(planner.plan_statement(&mut steps, tag, inst, leaves, group, force_default));
-        in_window += 1;
-        if in_window == window {
-            planner.l1.reset();
-            in_window = 0;
+/// A nest placement in progress: the planner's state after the first
+/// [`Placement::placed`] statement instances of a nest at one window size,
+/// with the steps and records they emitted.
+///
+/// Placing instance `i` reads only the resolution and the state the first
+/// `i` instances left (the L1 models, the load tracker and the position in
+/// the current window), so advancing to `k` and then to `n` builds exactly
+/// what one advance to `n` does. The window search keeps its winning
+/// trial as a `Placement`, and the place pass continues it from the
+/// sample's end instead of placing the prefix again.
+pub struct Placement<'a> {
+    planner: Planner<'a>,
+    window: usize,
+    force_default: bool,
+    schedule: Schedule,
+    records: Vec<StmtRecord>,
+    /// Instances placed since the `variable2node` map was last reset.
+    in_window: usize,
+}
+
+impl fmt::Debug for Placement<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Placement")
+            .field("window", &self.window)
+            .field("force_default", &self.force_default)
+            .field("placed", &self.placed())
+            .field("steps", &self.schedule.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> Placement<'a> {
+    /// An empty placement of a nest at `window` (see [`place_nest`] for
+    /// `force_default`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is 0.
+    pub fn new(layout: &'a Layout, opts: PlanOptions, window: usize, force_default: bool) -> Self {
+        assert!(window > 0, "window size must be at least 1");
+        Self {
+            planner: Planner::new(layout, opts),
+            window,
+            force_default,
+            schedule: Schedule::default(),
+            records: Vec::new(),
+            in_window: 0,
         }
     }
 
-    let mut stats =
-        NestStats { window_size: window, instances: records.len() as u64, ..NestStats::default() };
-    for r in &records {
-        stats.movement_opt += r.movement_opt;
-        stats.movement_default += r.movement_default;
-        stats.planned_l1_hits += u64::from(r.planned_l1_hits);
-        stats.fallback_count += u64::from(r.fallback);
-        stats.remapped.merge(r.remapped);
+    /// Statement instances placed so far.
+    pub fn placed(&self) -> usize {
+        self.records.len()
     }
-    stats.records = records;
-    NestPlan { schedule: Schedule { steps }, stats }
+
+    /// The window size.
+    pub fn window(&self) -> usize {
+        self.window
+    }
+
+    /// `(optimised, default)` warm movement of the records so far (see
+    /// [`NestStats::warm_movement`]).
+    pub fn warm_movement(&self) -> (u64, u64) {
+        warm_movement(&self.records)
+    }
+
+    /// Places the next statement instances of `resolution` until `to` are
+    /// placed or the nest ends. Every call on one placement must pass the
+    /// same resolution.
+    pub fn advance(&mut self, resolution: &NestResolution, to: usize) {
+        let (from, to) = (self.records.len(), to.min(resolution.instance_count()));
+        if from >= to {
+            return;
+        }
+        self.records.reserve_exact(to - from);
+        // Reserved once, so the buffers never regrow (and copy) while the
+        // range is placed; what the bound overestimates stays reserved.
+        let (steps, inputs) = resolution.emission_bound(from, to);
+        let bound = (self.schedule.steps.len() + steps, self.schedule.inputs.len() + inputs);
+        self.schedule.steps.reserve_exact(steps);
+        self.schedule.inputs.reserve_exact(inputs);
+        self.planner.reserve_lines(resolution.lines_touched(from, to));
+        for i in from..to {
+            let (inst, leaves, group) = resolution.instance(i);
+            let tag = StmtTag {
+                nest: resolution.nest() as u32,
+                stmt: resolution.statement_of(i) as u32,
+                instance: i as u64,
+            };
+            let record = self.planner.plan_statement(
+                &mut self.schedule,
+                tag,
+                inst,
+                leaves,
+                group,
+                self.force_default,
+            );
+            self.records.push(record);
+            self.in_window += 1;
+            if self.in_window == self.window {
+                self.planner.l1.reset();
+                self.in_window = 0;
+            }
+        }
+        debug_assert!(
+            self.schedule.steps.len() <= bound.0 && self.schedule.inputs.len() <= bound.1,
+            "the emission bound is an upper bound"
+        );
+    }
+
+    /// The plan of the instances placed so far. Its buffers never regrew:
+    /// each [`Placement::advance`] reserved its range's steps and inputs
+    /// once, from an upper bound, and what the bound overestimated stays
+    /// reserved (see [`Schedule::shrink_to_fit`] to drop it).
+    pub fn finish(self) -> NestPlan {
+        let Placement { window, schedule, records, .. } = self;
+        let mut stats = NestStats {
+            window_size: window,
+            instances: records.len() as u64,
+            ..NestStats::default()
+        };
+        for r in &records {
+            stats.movement_opt += r.movement_opt;
+            stats.movement_default += r.movement_default;
+            stats.planned_l1_hits += u64::from(r.planned_l1_hits);
+            stats.fallback_count += u64::from(r.fallback);
+            stats.remapped.merge(r.remapped);
+        }
+        stats.records = records;
+        NestPlan { schedule, stats }
+    }
 }
 
 /// The *synchronization* half of nest planning: replays the placement
@@ -188,13 +296,14 @@ pub fn place_nest(
 ///
 /// Each window is reduced over the step prefix that existed when
 /// placement reached that boundary (`steps[..last_step_of_the_window]`),
-/// so arcs and counters are the same as wiring during placement. Updates
-/// `stats.syncs_before` / `stats.syncs_after` in place. Idempotent-safe
-/// only on freshly placed plans (wait arcs are rewritten from scratch per
-/// record range, but windows already reduced would re-reduce).
+/// so arcs and counters are the same as wiring during placement. A
+/// window's reduced arcs are appended to the schedule's wait buffer, which
+/// is rebuilt from scratch, in step order. Updates `stats.syncs_before` /
+/// `stats.syncs_after` in place.
 pub fn sync_nest(plan: &mut NestPlan) {
     let window = plan.stats.window_size.max(1);
-    let steps = &mut plan.schedule.steps;
+    let sched = &mut plan.schedule;
+    sched.waits.clear();
     let mut deps = DepTracker::default();
     let mut scratch = ReduceScratch::default();
     let mut syncs_before = 0u64;
@@ -203,13 +312,13 @@ pub fn sync_nest(plan: &mut NestPlan) {
     let mut window_first_step = 0usize;
     let mut in_window = 0usize;
     for rec in &plan.stats.records {
-        deps.wire(steps, rec.first_step as usize, rec.last_step as usize);
+        deps.wire(sched, rec.first_step as usize, rec.last_step as usize, &mut scratch.wired);
         in_window += 1;
         if in_window == window {
             // Reduce over the prefix that existed at this boundary during
             // placement: later windows' steps must stay out of scope.
             let end = rec.last_step as usize;
-            let (before, after) = reduce_window(&mut steps[..end], window_first_step, &mut scratch);
+            let (before, after) = reduce_window(sched, window_first_step, end, &mut scratch);
             syncs_before += before;
             syncs_after += after;
             window_first_step = end;
@@ -217,10 +326,12 @@ pub fn sync_nest(plan: &mut NestPlan) {
         }
     }
     if in_window > 0 {
-        let (before, after) = reduce_window(steps, window_first_step, &mut scratch);
+        let end = sched.steps.len();
+        let (before, after) = reduce_window(sched, window_first_step, end, &mut scratch);
         syncs_before += before;
         syncs_after += after;
     }
+    sched.waits.shrink_to_fit();
     plan.stats.syncs_before = syncs_before;
     plan.stats.syncs_after = syncs_after;
 }
@@ -228,18 +339,29 @@ pub fn sync_nest(plan: &mut NestPlan) {
 /// Element-level dependence tracking: inserts inter-statement wait arcs.
 ///
 /// Each `(array, element)` is interned to a dense id on its first access
-/// (one hash probe per access); the last writer and the readers since
-/// that write live in vectors indexed by the id.
+/// (one hash probe per access); the last writer and the newest read since
+/// that write live in vectors indexed by the id. The reads since an
+/// element's last write form a list through one shared buffer, so no
+/// element owns an allocation.
 #[derive(Default)]
 struct DepTracker {
     ids: HashMap<(ArrayId, u64), u32>,
     /// Last writer of each element.
     last_write: Vec<Option<SubId>>,
-    /// Readers of each element since its last write.
-    readers: Vec<Vec<SubId>>,
+    /// Each element's newest read since its last write: an index into
+    /// `reads`, or [`NO_READ`].
+    last_read: Vec<u32>,
+    /// Every read of the nest: the reader and the index of the same
+    /// element's previous read since its last write (or [`NO_READ`]). A
+    /// write unlinks its element's list; the entries stay until the nest
+    /// is done.
+    reads: Vec<(SubId, u32)>,
     /// The wait list of the step being wired.
     waits: Vec<SubId>,
 }
+
+/// Ends a read list in [`DepTracker`].
+const NO_READ: u32 = u32::MAX;
 
 impl DepTracker {
     /// Dense id of `(array, elem)`.
@@ -248,30 +370,40 @@ impl DepTracker {
         let id = *self.ids.entry((array, elem)).or_insert(next) as usize;
         if id == self.last_write.len() {
             self.last_write.push(None);
-            self.readers.push(Vec::new());
+            self.last_read.push(NO_READ);
         }
         id
     }
 
-    /// Wires dependences for the freshly planned steps `[first, last)`.
-    fn wire(&mut self, steps: &mut [Step], first: usize, last: usize) {
-        for step in &mut steps[first..last] {
+    /// Wires dependences for the freshly planned steps `[first, last)`,
+    /// appending each step's arcs to `wired`.
+    fn wire(&mut self, sched: &Schedule, first: usize, last: usize, wired: &mut WiredArcs) {
+        for step in &sched.steps[first..last] {
             let id = step.id;
             self.waits.clear();
             // Flow: wait for the last writer of every element we read.
-            for input in &step.inputs {
+            for input in sched.inputs_of(step) {
                 if let Operand::Elem(e) = input.operand {
                     let x = self.id(e.array, e.elem);
                     if let Some(w) = self.last_write[x].filter(|&w| w != id) {
                         self.waits.push(w);
                     }
-                    self.readers[x].push(id);
+                    let read = u32::try_from(self.reads.len()).expect("fewer than 2^32 reads");
+                    self.reads.push((id, self.last_read[x]));
+                    self.last_read[x] = read;
                 }
             }
             if let Some(st) = step.store {
                 let x = self.id(st.array, st.elem);
                 // Anti: all readers since the last write must be done.
-                self.waits.extend(self.readers[x].drain(..).filter(|&r| r != id));
+                let mut read = std::mem::replace(&mut self.last_read[x], NO_READ);
+                while read != NO_READ {
+                    let (reader, previous) = self.reads[read as usize];
+                    if reader != id {
+                        self.waits.push(reader);
+                    }
+                    read = previous;
+                }
                 // Output: the previous writer must be done.
                 if let Some(w) = self.last_write[x].filter(|&w| w != id) {
                     self.waits.push(w);
@@ -280,29 +412,61 @@ impl DepTracker {
             }
             self.waits.sort_unstable();
             self.waits.dedup();
-            step.waits.clear();
-            step.waits.extend_from_slice(&self.waits);
+            wired.arcs.extend_from_slice(&self.waits);
+            wired.ends.push(wired.arcs.len());
         }
+    }
+}
+
+/// The unreduced wait arcs of the current window's steps, step after
+/// step: step `i` of the window owns `arcs[ends[i - 1]..ends[i]]`.
+#[derive(Default)]
+struct WiredArcs {
+    arcs: Vec<SubId>,
+    ends: Vec<usize>,
+}
+
+impl WiredArcs {
+    fn of(&self, i: usize) -> &[SubId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.arcs[start..self.ends[i]]
+    }
+
+    fn clear(&mut self) {
+        self.arcs.clear();
+        self.ends.clear();
     }
 }
 
 /// [`reduce_window`]'s buffers, reused across a nest's windows.
 #[derive(Default)]
 struct ReduceScratch {
+    /// The window's wired arcs, awaiting reduction.
+    wired: WiredArcs,
     /// Each window step's producers inside the window (window-local
     /// indices): temp inputs plus waits.
     preds: Vec<Vec<usize>>,
     /// Each window step's producers before the window.
     outside: Vec<Vec<SubId>>,
     reducer: TransitiveReducer,
+    /// One step's reduced waits, sorted before they are appended.
+    row: Vec<SubId>,
 }
 
-/// Transitive reduction of the window's sync arcs; returns the number of
-/// cross-node arcs (before, after). Arcs into steps before the window are
-/// preserved untouched.
-fn reduce_window(steps: &mut [Step], first: usize, scratch: &mut ReduceScratch) -> (u64, u64) {
-    let n = steps.len() - first;
+/// Transitive reduction of the sync arcs of the window `steps[first..end]`,
+/// whose wired arcs are `scratch.wired`; appends each step's reduced waits
+/// to the schedule's wait buffer and returns the number of cross-node arcs
+/// (before, after). Arcs into steps before the window are preserved
+/// untouched.
+fn reduce_window(
+    sched: &mut Schedule,
+    first: usize,
+    end: usize,
+    scratch: &mut ReduceScratch,
+) -> (u64, u64) {
+    let n = end - first;
     if n == 0 {
+        scratch.wired.clear();
         return (0, 0);
     }
     let base = first;
@@ -310,12 +474,19 @@ fn reduce_window(steps: &mut [Step], first: usize, scratch: &mut ReduceScratch) 
         scratch.preds.resize_with(n, Vec::new);
         scratch.outside.resize_with(n, Vec::new);
     }
-    let preds = &mut scratch.preds[..n];
-    let outside = &mut scratch.outside[..n];
-    for ((s, p), out) in steps[first..].iter().zip(preds.iter_mut()).zip(outside.iter_mut()) {
+    let ReduceScratch { wired, preds, outside, reducer, row } = scratch;
+    let (preds, outside) = (&mut preds[..n], &mut outside[..n]);
+    let Schedule { steps, inputs, waits } = sched;
+    let temps = |k: usize| {
+        inputs[steps[k].inputs.range()].iter().filter_map(|i| match i.operand {
+            Operand::Temp(t) => Some(t),
+            _ => None,
+        })
+    };
+    for (i, (p, out)) in preds.iter_mut().zip(outside.iter_mut()).enumerate() {
         p.clear();
         out.clear();
-        for prod in s.producers() {
+        for prod in temps(first + i).chain(wired.of(i).iter().copied()) {
             if prod.index() >= base {
                 p.push(prod.index() - base);
             } else {
@@ -324,24 +495,26 @@ fn reduce_window(steps: &mut [Step], first: usize, scratch: &mut ReduceScratch) 
         }
     }
     let before = count_cross_node(steps, first, preds, outside);
-    let (reduced, _) = scratch.reducer.reduce(preds);
+    let (reduced, _) = reducer.reduce(preds);
     let after = count_cross_node(steps, first, reduced, outside);
 
-    // Rewrite waits: reduced predecessors minus the temp-input arcs (those
-    // are value dependences carried by the inputs themselves).
-    for ((step, red), out) in steps[first..].iter_mut().zip(reduced).zip(outside.iter()) {
-        let Step { inputs, waits, .. } = step;
-        let is_temp_input = |p: usize| {
-            inputs.iter().any(|i| matches!(i.operand, Operand::Temp(t) if t.index() == p))
-        };
-        waits.clear();
-        waits.extend(
-            red.iter().map(|&p| base + p).filter(|&p| !is_temp_input(p)).map(|p| SubId(p as u32)),
-        );
-        waits.extend(out.iter().copied());
-        waits.sort_unstable();
-        waits.dedup();
+    // The waits: reduced predecessors minus the temp-input arcs (those are
+    // value dependences carried by the inputs themselves).
+    for (i, (red, out)) in reduced.iter().zip(outside.iter()).enumerate() {
+        let k = first + i;
+        let own = &inputs[steps[k].inputs.range()];
+        let is_temp_input = |p: SubId| own.iter().any(|i| i.operand == Operand::Temp(p));
+        row.clear();
+        row.extend(red.iter().map(|&p| SubId((base + p) as u32)).filter(|&p| !is_temp_input(p)));
+        row.extend_from_slice(out);
+        row.sort_unstable();
+        row.dedup();
+        let at = |len: usize| u32::try_from(len).expect("fewer than 2^32 waits per nest");
+        let start = at(waits.len());
+        waits.extend_from_slice(row);
+        steps[k].waits = Span { start, end: at(waits.len()) };
     }
+    wired.clear();
     (before, after)
 }
 

@@ -11,7 +11,7 @@
 
 use crate::key::PlanKey;
 use dmcp_core::{NestPartition, PartitionOutput, StmtRecord};
-use dmcp_core::{Step, StepInput};
+use dmcp_core::{Step, StepInput, SubId};
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,22 +19,23 @@ use std::sync::{Arc, Mutex};
 
 /// Approximate heap footprint of a compiled plan, in bytes.
 ///
-/// Counts the containers that scale with program size — steps, their
-/// inputs and waits, and the per-instance statistics records — plus the
-/// fixed part of each nest. Allocator slack and small fixed fields are
-/// ignored; the accounting only needs to be *proportional* so the byte
-/// capacity ranks plans sensibly.
+/// Counts the buffers that scale with program size — each schedule's
+/// steps, inputs and waits, and the per-instance statistics records — by
+/// their lengths, plus the fixed part of each nest. The plans the service
+/// caches carry no spare capacity (its compile path shrinks each one, and
+/// decoded plans are exact), so for them the lengths are the buffers'
+/// sizes; allocator overhead (one allocation per buffer) and small fixed
+/// fields are ignored.
 #[must_use]
 pub fn approx_plan_bytes(plan: &PartitionOutput) -> usize {
     let mut bytes = size_of::<PartitionOutput>();
     for nest in &plan.nests {
+        let schedule = &nest.schedule;
         bytes += size_of::<NestPartition>();
         bytes += nest.stats.records.len() * size_of::<StmtRecord>();
-        bytes += nest.schedule.steps.len() * size_of::<Step>();
-        for step in &nest.schedule.steps {
-            bytes += step.inputs.len() * size_of::<StepInput>();
-            bytes += step.waits.len() * size_of::<u32>();
-        }
+        bytes += schedule.steps.len() * size_of::<Step>();
+        bytes += schedule.inputs.len() * size_of::<StepInput>();
+        bytes += schedule.waits.len() * size_of::<SubId>();
     }
     bytes
 }
@@ -200,23 +201,16 @@ mod tests {
         PlanKey { program: n, machine: 0, config: 0, faults: 0 }
     }
 
-    /// A plan with `steps` empty steps — a few hundred bytes per step.
+    /// A plan with `steps` empty steps.
     fn plan(steps: usize) -> Arc<PartitionOutput> {
-        use dmcp_core::{NestStats, Schedule, StmtTag, SubId};
-        let steps = (0..steps)
-            .map(|k| Step {
-                id: SubId(k as u32),
-                node: dmcp_mach::NodeId::new(0, 0),
-                seed: None,
-                inputs: Vec::new(),
-                store: None,
-                waits: Vec::new(),
-                tag: StmtTag::default(),
-            })
-            .collect();
+        use dmcp_core::{NestStats, Schedule, StmtTag};
+        let mut schedule = Schedule::default();
+        for _ in 0..steps {
+            schedule.push_step(dmcp_mach::NodeId::new(0, 0), None, None, StmtTag::default());
+        }
         Arc::new(PartitionOutput::new(vec![NestPartition {
             nest: 0,
-            schedule: Schedule { steps },
+            schedule,
             stats: NestStats::default(),
         }]))
     }

@@ -67,7 +67,7 @@
 use crate::service::ServeStats;
 use dmcp_core::partitioner::PredictorSpec;
 use dmcp_core::{
-    ElemLoc, NestPartition, Operand, PartitionConfig, PartitionOutput, Schedule, Step, StepInput,
+    ElemLoc, NestPartition, Operand, PartitionConfig, PartitionOutput, Schedule, StepInput,
     StmtTag, StoreTarget, SubId,
 };
 use dmcp_core::{NestStats, OpMix, StmtRecord};
@@ -990,10 +990,11 @@ fn dec_back(d: &mut Dec<'_>, k: usize, what: &'static str) -> Result<SubId, Code
 ///
 /// # Panics
 ///
-/// Panics on a schedule that [`Schedule::validate`] refuses for its ids or
-/// producers (a step whose id is not its position, or a `Temp` input or
-/// wait that does not point backwards): the layout has no way to write
-/// one, and the planner never builds one.
+/// Panics on a schedule that [`Schedule::validate`] refuses for its ids,
+/// spans or producers (a step whose id is not its position, an input or
+/// wait span outside its buffer, or a `Temp` input or wait that does not
+/// point backwards): the layout has no way to write one, and the planner
+/// never builds one.
 #[must_use]
 pub fn encode_plan(plan: &PartitionOutput) -> Vec<u8> {
     let steps: usize = plan.nests.iter().map(|n| n.schedule.steps.len()).sum();
@@ -1003,17 +1004,18 @@ pub fn encode_plan(plan: &PartitionOutput) -> Vec<u8> {
     e.varint(plan.nests.len() as u64);
     for nest in &plan.nests {
         e.varint(nest.nest as u64);
-        enc_steps(&mut e, &nest.schedule.steps);
+        enc_schedule(&mut e, &nest.schedule);
         enc_nest_stats(&mut e, &nest.stats);
     }
     e.finish()
 }
 
-fn enc_steps(e: &mut Enc, steps: &[Step]) {
-    e.varint(steps.len() as u64);
+fn enc_schedule(e: &mut Enc, schedule: &Schedule) {
+    e.varint(schedule.steps.len() as u64);
     let mut prev = Deltas::default();
-    for (k, step) in steps.iter().enumerate() {
+    for (k, step) in schedule.steps.iter().enumerate() {
         assert_eq!(step.id.index(), k, "encode_plan: step {k} has id {:?}", step.id);
+        let (inputs, waits) = (schedule.inputs_of(step), schedule.waits_of(step));
         let mut flags = 0;
         if step.seed.is_some() {
             flags |= STEP_SEED;
@@ -1021,7 +1023,7 @@ fn enc_steps(e: &mut Enc, steps: &[Step]) {
         if let Some(s) = &step.store {
             flags |= if s.hot { STEP_STORE | STEP_STORE_HOT } else { STEP_STORE };
         }
-        if !step.waits.is_empty() {
+        if !waits.is_empty() {
             flags |= STEP_WAITS;
         }
         if step.tag == prev.tag {
@@ -1032,8 +1034,8 @@ fn enc_steps(e: &mut Enc, steps: &[Step]) {
         if let Some(seed) = step.seed {
             e.f64(seed);
         }
-        e.varint(step.inputs.len() as u64);
-        for input in &step.inputs {
+        e.varint(inputs.len() as u64);
+        for input in inputs {
             let op = binop_to_u8(input.op);
             match input.operand {
                 Operand::Const(v) => {
@@ -1059,9 +1061,9 @@ fn enc_steps(e: &mut Enc, steps: &[Step]) {
             enc_addr(e, &mut prev.line, s.line.raw());
             enc_node_varint(e, s.home);
         }
-        if !step.waits.is_empty() {
-            e.varint(step.waits.len() as u64);
-            for &w in &step.waits {
+        if !waits.is_empty() {
+            e.varint(waits.len() as u64);
+            for &w in waits {
                 e.varint(back(k, w));
             }
         }
@@ -1118,17 +1120,19 @@ pub fn decode_plan(bytes: &[u8]) -> Result<PartitionOutput, CodecError> {
     for _ in 0..nnests {
         let nest = usize::try_from(d.varint("nest index")?)
             .map_err(|_| CodecError::Varint("nest index"))?;
-        let steps = dec_steps(&mut d)?;
+        let schedule = dec_schedule(&mut d)?;
         let stats = dec_nest_stats(&mut d)?;
-        nests.push(NestPartition { nest, schedule: Schedule { steps }, stats });
+        nests.push(NestPartition { nest, schedule, stats });
     }
     d.finish("plan")?;
     Ok(PartitionOutput::new(nests))
 }
 
-fn dec_steps(d: &mut Dec<'_>) -> Result<Vec<Step>, CodecError> {
+/// Decodes a schedule straight into its three buffers, which come back
+/// without growth slack.
+fn dec_schedule(d: &mut Dec<'_>) -> Result<Schedule, CodecError> {
     let nsteps = d.count("steps", MIN_STEP_BYTES)?;
-    let mut steps = Vec::with_capacity(nsteps);
+    let mut schedule = Schedule { steps: Vec::with_capacity(nsteps), ..Schedule::default() };
     let mut prev = Deltas::default();
     for k in 0..nsteps {
         let flags = d.u8()?;
@@ -1138,7 +1142,6 @@ fn dec_steps(d: &mut Dec<'_>) -> Result<Vec<Step>, CodecError> {
         let node = dec_node_varint(d)?;
         let seed = if flags & STEP_SEED != 0 { Some(d.f64()?) } else { None };
         let ninputs = d.count("inputs", MIN_INPUT_BYTES)?;
-        let mut inputs = Vec::with_capacity(ninputs);
         for _ in 0..ninputs {
             let byte = d.u8()?;
             let op = binop_from_u8(byte & 0x0F)?;
@@ -1160,7 +1163,7 @@ fn dec_steps(d: &mut Dec<'_>) -> Result<Vec<Step>, CodecError> {
                 }
                 _ => return Err(CodecError::BadTag("operand", byte)),
             };
-            inputs.push(StepInput { op, operand });
+            schedule.push_input(StepInput { op, operand });
         }
         let store = if flags & STEP_STORE != 0 {
             let array = dec_array(d)?;
@@ -1171,15 +1174,13 @@ fn dec_steps(d: &mut Dec<'_>) -> Result<Vec<Step>, CodecError> {
         } else {
             None
         };
-        let mut waits = Vec::new();
         if flags & STEP_WAITS != 0 {
             let n = d.count("waits", 1)?;
             if n == 0 {
                 return Err(CodecError::Invalid(format!("step {k} flags waits but lists none")));
             }
-            waits.reserve_exact(n);
             for _ in 0..n {
-                waits.push(dec_back(d, k, "wait")?);
+                schedule.push_wait(dec_back(d, k, "wait")?);
             }
         }
         if flags & STEP_SAME_TAG == 0 {
@@ -1189,9 +1190,10 @@ fn dec_steps(d: &mut Dec<'_>) -> Result<Vec<Step>, CodecError> {
             }
             prev.tag = tag;
         }
-        steps.push(Step { id: SubId(k as u32), node, seed, inputs, store, waits, tag: prev.tag });
+        schedule.push_step(node, seed, store, prev.tag);
     }
-    Ok(steps)
+    schedule.shrink_to_fit();
+    Ok(schedule)
 }
 
 fn dec_nest_stats(d: &mut Dec<'_>) -> Result<NestStats, CodecError> {
@@ -1517,62 +1519,53 @@ mod tests {
         };
         let input = |op, operand| StepInput { op, operand };
         let tag = |instance| StmtTag { nest: 1, stmt: (instance % 2) as u32, instance };
-        let step = |k: u32, node, seed, inputs, store, waits: Vec<u32>, tag| Step {
-            id: SubId(k),
-            node,
-            seed,
-            inputs,
-            store,
-            waits: waits.into_iter().map(SubId).collect(),
-            tag,
+        let mut schedule = Schedule::default();
+        let mut step = |node, seed, inputs: Vec<StepInput>, store, waits: Vec<u32>, tag| {
+            inputs.into_iter().for_each(|i| schedule.push_input(i));
+            waits.into_iter().for_each(|w| schedule.push_wait(SubId(w)));
+            schedule.push_step(node, seed, store, tag);
         };
-        let steps = vec![
-            step(
-                0,
-                NodeId::new(0, 0),
-                Some(0.0),
-                vec![
-                    input(BinOp::Add, elem(0, 10, 100, false)),
-                    input(BinOp::Mul, elem(1, u64::MAX, 3, true)),
-                ],
-                None,
-                vec![],
-                tag(0),
-            ),
-            step(
-                1,
-                NodeId::new(300, 2),
-                None,
-                vec![
-                    input(BinOp::Add, Operand::Temp(SubId(0))),
-                    input(BinOp::Shl, Operand::Const(-2.5)),
-                ],
-                Some(store(5, 0, true)),
-                vec![],
-                tag(0),
-            ),
-            step(
-                2,
-                NodeId::new(u16::MAX, 0),
-                Some(1.5),
-                vec![
-                    input(BinOp::Sub, Operand::Temp(SubId(1))),
-                    input(BinOp::Div, elem(2, 7, 1 << 40, false)),
-                ],
-                Some(store(0, 1 << 63, false)),
-                vec![0, 1],
-                tag(1),
-            ),
-            step(
-                3,
-                NodeId::new(2, 4),
-                None,
-                vec![input(BinOp::Or, Operand::Const(f64::from_bits(0x7FF8_0000_DEAD_BEEF)))],
-                None,
-                vec![2],
-                tag(1),
-            ),
-        ];
+        step(
+            NodeId::new(0, 0),
+            Some(0.0),
+            vec![
+                input(BinOp::Add, elem(0, 10, 100, false)),
+                input(BinOp::Mul, elem(1, u64::MAX, 3, true)),
+            ],
+            None,
+            vec![],
+            tag(0),
+        );
+        step(
+            NodeId::new(300, 2),
+            None,
+            vec![
+                input(BinOp::Add, Operand::Temp(SubId(0))),
+                input(BinOp::Shl, Operand::Const(-2.5)),
+            ],
+            Some(store(5, 0, true)),
+            vec![],
+            tag(0),
+        );
+        step(
+            NodeId::new(u16::MAX, 0),
+            Some(1.5),
+            vec![
+                input(BinOp::Sub, Operand::Temp(SubId(1))),
+                input(BinOp::Div, elem(2, 7, 1 << 40, false)),
+            ],
+            Some(store(0, 1 << 63, false)),
+            vec![0, 1],
+            tag(1),
+        );
+        step(
+            NodeId::new(2, 4),
+            None,
+            vec![input(BinOp::Or, Operand::Const(f64::from_bits(0x7FF8_0000_DEAD_BEEF)))],
+            None,
+            vec![2],
+            tag(1),
+        );
         let record = |instance, fallback| StmtRecord {
             tag: tag(instance),
             movement_opt: 4,
@@ -1598,7 +1591,7 @@ mod tests {
             instances: 2,
         };
         PartitionOutput::new(vec![
-            NestPartition { nest: 1, schedule: Schedule { steps }, stats },
+            NestPartition { nest: 1, schedule, stats },
             NestPartition { nest: 4, schedule: Schedule::default(), stats: NestStats::default() },
         ])
     }
@@ -1613,7 +1606,8 @@ mod tests {
         // and the NaN's raw bits.
         assert_eq!(format!("{decoded:?}"), format!("{plan:?}"));
         assert_eq!(encode_plan(&decoded), bytes);
-        let Operand::Const(nan) = decoded.nests[0].schedule.steps[3].inputs[0].operand else {
+        let schedule = &decoded.nests[0].schedule;
+        let Operand::Const(nan) = schedule.inputs_of(&schedule.steps[3])[0].operand else {
             panic!("step 3 reads a constant");
         };
         assert_eq!(nan.to_bits(), 0x7FF8_0000_DEAD_BEEF, "raw NaN bits survive");
@@ -1721,7 +1715,8 @@ mod tests {
             })
         };
         let plan = decode_plan(&temp_at_step_1(1)).expect("distance 1 is the previous step");
-        assert_eq!(plan.nests[0].schedule.steps[1].inputs[0].operand, Operand::Temp(SubId(0)));
+        let schedule = &plan.nests[0].schedule;
+        assert_eq!(schedule.inputs_of(&schedule.steps[1])[0].operand, Operand::Temp(SubId(0)));
         assert_eq!(decode_plan(&temp_at_step_1(0)), Err(CodecError::Distance("temp", 0)));
         assert_eq!(decode_plan(&temp_at_step_1(2)), Err(CodecError::Distance("temp", 2)));
 
@@ -1813,6 +1808,75 @@ mod tests {
                 if let Ok(plan) = decode_plan(&bytes) {
                     decoded += 1;
                     assert_eq!(encode_plan(&plan), bytes, "a second encoding decoded");
+                }
+            }
+        }
+        assert!(decoded > 100, "only {decoded} mutants decoded; the property is vacuous");
+    }
+
+    /// Checks that every schedule of `plan` has the flat layout
+    /// [`Schedule::validate_layout`] demands and no buffer growth slack.
+    fn assert_flat_and_exact(plan: &PartitionOutput, what: &str) {
+        for nest in &plan.nests {
+            let s = &nest.schedule;
+            if let Err(e) = s.validate_layout() {
+                panic!("{what}: nest {} has a broken layout: {e}", nest.nest);
+            }
+            let lens = (s.steps.len(), s.inputs.len(), s.waits.len(), nest.stats.records.len());
+            let caps = (
+                s.steps.capacity(),
+                s.inputs.capacity(),
+                s.waits.capacity(),
+                nest.stats.records.capacity(),
+            );
+            assert_eq!(caps, lens, "{what}: nest {} carries growth slack", nest.nest);
+        }
+    }
+
+    /// Whatever `decode_plan` accepts of the inputs the tests above feed it
+    /// — the byte soup, the feature plan's prefixes and the 4,160 bit-flip
+    /// mutants, drawn from the same seeds — has the flat layout and no
+    /// growth slack, and so does every suite plan, as the planner returns
+    /// it and as it decodes.
+    #[test]
+    fn decoded_and_planned_schedules_are_flat_and_exact() {
+        let mut rng = Rng64::new(0x50_0050);
+        for _ in 0..256 {
+            let len = rng.gen_range(512) as usize;
+            let mut bytes = vec![PLAN_CODEC_V2];
+            bytes.extend((0..len).map(|_| rng.next_u64() as u8));
+            for soup in [&bytes[1..], &bytes[..]] {
+                if let Ok(plan) = decode_plan(soup) {
+                    assert_flat_and_exact(&plan, "byte soup");
+                }
+            }
+        }
+        let feature = encode_plan(&feature_plan());
+        for cut in 0..=feature.len() {
+            if let Ok(plan) = decode_plan(&feature[..cut]) {
+                assert_flat_and_exact(&plan, "feature plan prefix");
+            }
+        }
+        let service = crate::PlanService::new(crate::ServeConfig::default());
+        let plans: Vec<_> =
+            suite_requests().into_iter().map(|r| service.plan(r).expect("compiles")).collect();
+        service.shutdown();
+        for plan in &plans {
+            assert_flat_and_exact(plan, "planned suite plan");
+            assert_flat_and_exact(&decode_plan(&encode_plan(plan)).unwrap(), "decoded suite plan");
+        }
+        let mut rng = Rng64::new(0x0DEC_0DE5);
+        let mut decoded = 0;
+        for (seed_bytes, rounds) in [(feature, 4096), (encode_plan(&plans[5]), 64)] {
+            for _ in 0..rounds {
+                let mut bytes = seed_bytes.clone();
+                for _ in 0..1 + rng.gen_range(3) {
+                    let at = rng.gen_range(bytes.len() as u64) as usize;
+                    bytes[at] ^= 1 << rng.gen_range(8);
+                }
+                if let Ok(plan) = decode_plan(&bytes) {
+                    decoded += 1;
+                    assert_flat_and_exact(&plan, "bit-flip mutant");
                 }
             }
         }

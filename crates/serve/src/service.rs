@@ -309,7 +309,11 @@ fn compile_output(request: &PlanRequest) -> Result<PartitionOutput, PartitionErr
     // Concurrency lives at the request grain here (the service's worker
     // pool), so each compile runs its pipeline single-threaded — plans are
     // bit-identical either way.
-    partitioner.plan(&request.program, data, &Pool::single(), false)
+    let mut out = partitioner.plan(&request.program, data, &Pool::single(), false)?;
+    // The plan is kept (cached, persisted, served), so it drops the
+    // placement's reserve and `approx_plan_bytes` is its buffers' size.
+    out.shrink_to_fit();
+    Ok(out)
 }
 
 impl Inner {

@@ -3,7 +3,7 @@
 use crate::cachesim::{CacheSystem, ServedBy};
 use crate::network::Network;
 use crate::report::{EnergyBreakdown, SimReport};
-use dmcp_core::{Layout, Operand, Schedule, Step};
+use dmcp_core::{Layout, Operand, Schedule, Step, StepInput, SubId};
 use dmcp_ir::Program;
 use dmcp_mach::{FaultState, NodeId};
 use dmcp_mem::predictor::PredictorAccuracy;
@@ -159,7 +159,7 @@ impl<'a> Engine<'a> {
         self.finish.resize(base + schedule.steps.len(), 0.0);
         self.finish_node.resize(base + schedule.steps.len(), NodeId::new(0, 0));
         for step in &schedule.steps {
-            let t = self.run_step(step, base);
+            let t = self.run_step(step, schedule.inputs_of(step), schedule.waits_of(step), base);
             self.finish[base + step.id.index()] = t;
             self.finish_node[base + step.id.index()] = step.node;
             if t > self.max_finish {
@@ -181,7 +181,8 @@ impl<'a> Engine<'a> {
     /// generated code interleaves each node's own assigned iterations with
     /// pending subcomputations (paper Section 4.5, code generation). A step
     /// therefore starts at `max(node capacity frontier, producer arrivals)`.
-    fn run_step(&mut self, step: &Step, base: usize) -> f64 {
+    /// `inputs` and `waits` are the step's spans of its schedule.
+    fn run_step(&mut self, step: &Step, inputs: &[StepInput], waits: &[SubId], base: usize) -> f64 {
         let machine = self.layout.machine();
         let lat = machine.latency;
         let node = step.node;
@@ -191,7 +192,7 @@ impl<'a> Engine<'a> {
 
         // Temp inputs carry partial results: a cross-node producer implies
         // a data transfer plus a synchronization.
-        for input in &step.inputs {
+        for input in inputs {
             if let Operand::Temp(p) = input.operand {
                 let pf = self.finish[base + p.index()];
                 let pn = self.finish_node[base + p.index()];
@@ -213,7 +214,7 @@ impl<'a> Engine<'a> {
         // Wait arcs are ordering-only (anti/output deps, or flow deps whose
         // data arrives through the cache hierarchy): a cross-node arc costs
         // a synchronization flag, not a data transfer.
-        for &p in &step.waits {
+        for &p in waits {
             let pf = self.finish[base + p.index()];
             let pn = self.finish_node[base + p.index()];
             if pn == node {
@@ -234,7 +235,7 @@ impl<'a> Engine<'a> {
         const MLP: f64 = 4.0;
         let mut fetch_max = 0.0f64;
         let mut fetch_sum = 0.0f64;
-        for input in &step.inputs {
+        for input in inputs {
             if let Operand::Elem(e) = input.operand {
                 let f = self.fetch(step, node, e);
                 fetch_max = fetch_max.max(f);
@@ -244,8 +245,8 @@ impl<'a> Engine<'a> {
         let fetch = fetch_max.max(fetch_sum / MLP);
 
         // Compute.
-        let op_units: f64 = step.inputs.iter().map(|i| i.op.cost(lat.div_factor)).sum();
-        self.ops += step.inputs.len() as u64;
+        let op_units: f64 = inputs.iter().map(|i| i.op.cost(lat.div_factor)).sum();
+        self.ops += inputs.len() as u64;
         let mut compute = op_units * lat.op;
         if let Some(s) = self.opts.compute_scale {
             compute *= s;
@@ -273,8 +274,7 @@ impl<'a> Engine<'a> {
         // thanks to non-blocking caches, so only issue slots occupy the
         // core; the step itself still finishes after its slowest fetch.
         let latency = fetch + compute + store_lat + extra_sync;
-        let elems =
-            step.inputs.iter().filter(|i| matches!(i.operand, Operand::Elem(_))).count() as f64;
+        let elems = inputs.iter().filter(|i| matches!(i.operand, Operand::Elem(_))).count() as f64;
         let occupancy = compute + store_lat.min(4.0) + 2.0 * elems + 1.0;
         self.node_time[node_index] = capacity + occupancy;
         start + latency
@@ -651,23 +651,12 @@ mod tests {
         let layout = Layout::new(&machine, &program, dmcp_mem::page::PagePolicy::default());
         let (array, elem) = (dmcp_ir::ArrayId::from_index(0), 0);
         let info = layout.locate(&program, array, elem, NodeId::new(255, 255));
-        let step = Step {
-            id: dmcp_core::SubId(0),
-            node: NodeId::new(255, 255),
-            seed: Some(1.0),
-            inputs: Vec::new(),
-            store: Some(dmcp_core::StoreTarget {
-                array,
-                elem,
-                line: info.line,
-                home: info.home,
-                hot: false,
-            }),
-            waits: Vec::new(),
-            tag: dmcp_core::StmtTag::default(),
-        };
+        let mut schedule = Schedule::default();
+        let store =
+            dmcp_core::StoreTarget { array, elem, line: info.line, home: info.home, hot: false };
+        schedule.push_step(NodeId::new(255, 255), Some(1.0), Some(store), Default::default());
         let mut engine = Engine::new(&program, &layout, SimOptions::default());
-        engine.run(&Schedule { steps: vec![step] });
+        engine.run(&schedule);
         let r = engine.report();
         assert!(r.exec_time > 0.0);
         let want = machine.energy.static_per_cycle * r.exec_time * 65_536.0;

@@ -8,7 +8,8 @@
 //! the canonical faults) on `Pool::single()` through `PlanCtx` and
 //! `passes()`, and checks every pass against [`PINNED`]. It then
 //! simulates the 24 golden plans and checks the simulator's total
-//! against [`PINNED_SIM`].
+//! against [`PINNED_SIM`]. Separately it checks that placing (the place
+//! and split passes) allocates less than once per 100 steps it emits.
 //!
 //! Every pass repeats its count exactly, whatever keys the std hash maps
 //! draw: the maps left on the planning path (the predictor's last-access
@@ -92,11 +93,11 @@ const PINNED_WITH: &str = "1.95.0";
 
 /// Allocations per pass over the 24 golden inputs, in pipeline order.
 const PINNED: [(&str, u64); 5] = [
-    ("analyze", 24_698),
-    ("window-search", 271_166),
-    ("place", 208_129),
-    ("split", 123_858),
-    ("sync", 140_445),
+    ("analyze", 22_207),
+    ("window-search", 27_552),
+    ("place", 234),
+    ("split", 1_953),
+    ("sync", 3_219),
 ];
 
 /// Allocations of simulating the 24 golden plans with default options
@@ -167,6 +168,56 @@ fn the_simulator_stays_within_its_allocation_budget() {
     );
 }
 
+/// Plans the 24 golden inputs and returns the allocations of the place
+/// and split passes together, and the steps they emit: every placed nest's
+/// steps, plus the steps of each nest the split pass re-places (the nests
+/// whose warm movement fails the split rule after placement).
+fn place_and_split_allocations() -> (u64, usize) {
+    let machine = MachineConfig::knl_like();
+    let faults = FaultState::new(canonical_faults(), machine.mesh).expect("canonical faults fit");
+    let pool = Pool::single();
+    let (mut allocs, mut steps) = (0, 0);
+    let steps_of = |ctx: &PlanCtx, pos: usize| ctx.nests[pos].plan.as_ref().unwrap().schedule.len();
+    for w in all(Scale::Tiny) {
+        let config = PartitionConfig::default();
+        let threshold = config.opts.split_threshold;
+        let healthy = Partitioner::new(&machine, &w.program, config.clone());
+        let degraded = Partitioner::new_degraded(&machine, &w.program, config, &faults)
+            .expect("default config is valid");
+        for partitioner in [&healthy, &degraded] {
+            let mut ctx = PlanCtx::new(partitioner, &w.program, &w.data, &pool, false, &[]);
+            let [analyze, search, place, split, sync] = passes();
+            analyze.run(&mut ctx);
+            search.run(&mut ctx);
+            let before = allocations();
+            place.run(&mut ctx);
+            allocs += allocations() - before;
+            let replanned: Vec<usize> = (0..ctx.nests.len())
+                .filter(|&pos| {
+                    let (opt, def) = ctx.nests[pos].plan.as_ref().unwrap().stats.warm_movement();
+                    opt as f64 > threshold * def as f64
+                })
+                .collect();
+            steps += (0..ctx.nests.len()).map(|pos| steps_of(&ctx, pos)).sum::<usize>();
+            let before = allocations();
+            split.run(&mut ctx);
+            allocs += allocations() - before;
+            steps += replanned.iter().map(|&pos| steps_of(&ctx, pos)).sum::<usize>();
+            sync.run(&mut ctx);
+        }
+    }
+    (allocs, steps)
+}
+
+#[test]
+fn place_and_split_allocate_less_than_once_per_hundred_steps() {
+    let (allocs, steps) = place_and_split_allocations();
+    assert!(
+        allocs * 100 < steps as u64,
+        "place and split made {allocs} allocations for {steps} emitted steps"
+    );
+}
+
 #[test]
 #[ignore]
 fn print_pass_allocations() {
@@ -174,4 +225,6 @@ fn print_pass_allocations() {
         println!("{name:>14} {count:>10}");
     }
     println!("{:>14} {:>10}", "simulator", sim_allocations());
+    let (allocs, steps) = place_and_split_allocations();
+    println!("place + split: {allocs} allocations for {steps} emitted steps");
 }

@@ -5,10 +5,15 @@
 //! in-tree [`Rng64`] — deterministic, reproducible, and with the failing
 //! seed printed in the assertion message.
 
+use dmcp::check::gencase::{gen_mask_case, BuiltCase};
 use dmcp::core::l1model::L1Model;
 use dmcp::core::mst::{kruskal, vertex_distance, KruskalScratch, MstEdge, MstVertex, RootedTree};
 use dmcp::core::sync::{reaches, transitive_reduce};
 use dmcp::core::unionfind::UnionFind;
+use dmcp::core::{
+    nest_assignment, passes, place_nest, resolve_nest, sync_nest, NestPlan, NestResolution,
+    PartitionConfig, Partitioner, Placement, PlanCtx,
+};
 use dmcp::ir::nested::Group;
 use dmcp::ir::{BinOp, Expr};
 use dmcp::mach::rng::Rng64;
@@ -17,6 +22,7 @@ use dmcp::mach::{
     RoutePath,
 };
 use dmcp::mem::{Cache, LineAddr};
+use dmcp::pool::Pool;
 use dmcp::sim::{Network, SimError};
 use std::collections::{HashMap, VecDeque};
 
@@ -791,4 +797,121 @@ fn nested_sets_preserve_semantics() {
         );
     }
     assert!(checked > 400, "only {checked} stable cases — generator broken?");
+}
+
+/// The partitioners of a generated case under `config`: healthy, and
+/// degraded when the case has faults that leave a live node.
+fn case_partitioners(built: &BuiltCase, config: &PartitionConfig) -> Vec<Partitioner> {
+    let mut parts = vec![Partitioner::new(&built.machine, &built.program, config.clone())];
+    let state = built.faults.clone().and_then(|f| FaultState::new(f, built.machine.mesh).ok());
+    if let Some(state) = state {
+        parts.push(
+            Partitioner::new_degraded(&built.machine, &built.program, config.clone(), &state)
+                .expect("generated configs are valid"),
+        );
+    }
+    parts
+}
+
+/// Resolves nest `nest` of a generated case as the analyze pass does.
+fn case_resolution(built: &BuiltCase, part: &Partitioner, nest: usize) -> NestResolution {
+    let config = part.config();
+    let iters = built.program.nests()[nest].iteration_count();
+    let assignment = nest_assignment(config, part.layout(), built.machine.mesh, iters);
+    let predictor = config.predictor.build(&built.machine);
+    resolve_nest(
+        &built.program,
+        nest,
+        part.layout(),
+        &built.data,
+        predictor,
+        config.opts,
+        &assignment,
+    )
+}
+
+/// A placement advanced to `k` and then to the end is the placement
+/// advanced once: the same steps, inputs, records and statistics, for
+/// every window 1..=8, split points 0, 1, the window, the search samples
+/// the pipeline test below uses, n − 1 and n, healthy and degraded, split
+/// and default-style.
+#[test]
+fn resumed_placements_equal_uninterrupted_ones() {
+    for seed in 0..40 {
+        let built = gen_mask_case(&mut Rng64::new(seed), 192).build().expect("case builds");
+        for part in case_partitioners(&built, &built.config) {
+            let (layout, opts) = (part.layout(), part.config().opts);
+            for nest in 0..built.program.nests().len() {
+                let resolution = case_resolution(&built, &part, nest);
+                let n = built.program.nests()[nest].iteration_count() as usize
+                    * built.program.nests()[nest].body.len();
+                for (w, force_default) in (1..=8).flat_map(|w| [(w, false), (w, true)]) {
+                    let whole = place_nest(&resolution, layout, opts, w, None, force_default);
+                    assert_eq!(whole.stats.instances as usize, n, "seed {seed}");
+                    for k in [0, 1, w, 17, 64, n.saturating_sub(1), n] {
+                        let mut resumed = Placement::new(layout, opts, w, force_default);
+                        resumed.advance(&resolution, k);
+                        assert_eq!(resumed.placed(), k.min(n), "seed {seed}");
+                        resumed.advance(&resolution, n);
+                        let resumed = resumed.finish();
+                        assert_eq!(
+                            resumed, whole,
+                            "seed {seed} nest {nest} window {w} force_default {force_default}: \
+                             resuming at {k} of {n} changed the placement"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The pipeline, whose place pass continues the window search's winning
+/// trial, places exactly what placing every nest from scratch at its
+/// chosen window does, and after the split rule and sync plans exactly
+/// what those do to the from-scratch placements. A sample of 17 leaves
+/// every window above 1 mid-window when the place pass resumes; over
+/// these 256 cases, resetting the L1 model or the window position on
+/// resume changes some placement.
+#[test]
+fn the_pipeline_equals_placing_every_nest_from_scratch() {
+    let pool = Pool::single();
+    for seed in 0..256 {
+        let built = gen_mask_case(&mut Rng64::new(seed), 192).build().expect("case builds");
+        for search_sample in [17, 64] {
+            let config = PartitionConfig { max_window: 8, search_sample, ..built.config.clone() };
+            for part in case_partitioners(&built, &config) {
+                let (layout, opts) = (part.layout(), config.opts);
+                let mut ctx = PlanCtx::new(&part, &built.program, &built.data, &pool, false, &[]);
+                let [analyze, search, place, split, sync] = passes();
+                for pass in [analyze, search, place] {
+                    pass.run(&mut ctx);
+                }
+                let mut want: Vec<NestPlan> = Vec::new();
+                for nc in &ctx.nests {
+                    let resolution = case_resolution(&built, &part, nc.nest);
+                    let w = nc.window.expect("window decided");
+                    let mut plan = place_nest(&resolution, layout, opts, w, None, false);
+                    let label = format!("seed {seed} sample {search_sample} nest {}", nc.nest);
+                    assert_eq!(nc.plan.as_ref(), Some(&plan), "{label}: placement differs");
+                    let (warm_opt, warm_def) = plan.stats.warm_movement();
+                    if warm_opt as f64 > opts.split_threshold * warm_def as f64 {
+                        plan = place_nest(&resolution, layout, opts, w, None, true);
+                    }
+                    sync_nest(&mut plan);
+                    want.push(plan);
+                }
+                split.run(&mut ctx);
+                sync.run(&mut ctx);
+                for (got, want) in ctx.into_output().nests.iter().zip(&want) {
+                    assert_eq!(
+                        (&got.schedule, &got.stats),
+                        (&want.schedule, &want.stats),
+                        "seed {seed} sample {search_sample} nest {}",
+                        got.nest
+                    );
+                }
+            }
+        }
+    }
 }
