@@ -22,10 +22,10 @@ use dmcp::core::{PartitionConfig, Partitioner, PlanOptions};
 use dmcp::mach::MachineConfig;
 use dmcp::mem::page::PagePolicy;
 use dmcp::pool::Pool;
-use dmcp::sim::scenarios::partition_guided;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{all, Scale, Workload};
-use dmcp_bench::gap_reports_pooled;
+use dmcp_bench::gap_reports;
+use dmcp_bench::scenarios::partition_guided;
 
 fn main() {
     let scale =
@@ -82,12 +82,9 @@ fn reuse_ablation(scale: Scale, pool: &Pool) {
 fn gap_ablation(scale: Scale, pool: &Pool) {
     println!("\n== Ablation: optimality gap (movement / lower bound) ==");
     println!("{:<10} {:>12} {:>12} {:>12}", "app", "bound", "aware-gap", "agnostic-gap");
-    let aware = gap_reports_pooled(scale, pool, PlanOptions::default());
-    let agnostic = gap_reports_pooled(
-        scale,
-        pool,
-        PlanOptions { reuse_aware: false, ..PlanOptions::default() },
-    );
+    let aware = gap_reports(scale, pool, PlanOptions::default());
+    let agnostic =
+        gap_reports(scale, pool, PlanOptions { reuse_aware: false, ..PlanOptions::default() });
     for (a, g) in aware.iter().zip(&agnostic) {
         assert!(a.sound() && g.sound(), "{}: movement fell below its lower bound", a.name);
         println!(

@@ -15,13 +15,16 @@
 //! factor) is the reproduction target. `EXPERIMENTS.md` records a captured
 //! run against the paper's values.
 
-use dmcp::mach::ClusterMode;
+use dmcp::core::PlanOptions;
+use dmcp::mach::{ClusterMode, MachineConfig};
 use dmcp::mem::MemoryMode;
-use dmcp::sim::Scenario;
-use dmcp::workloads::{all, meta, Scale};
+use dmcp::pool::Pool;
+use dmcp::sim::SimReport;
+use dmcp::workloads::{all, meta, Scale, Workload};
+use dmcp_bench::scenarios::{run_program, Scenario};
 use dmcp_bench::{
     config_exec_time, data_mapping_comparison, evaluate_suite, gap_reports, geomean_reduction,
-    scenario_report, window_run, AppEval,
+    standard_config, window_run, AppEval,
 };
 
 const USAGE: &str = "usage: figures [TARGET] [--scale-tiny | --scale-full] [--reuse-agnostic]
@@ -90,7 +93,8 @@ fn main() {
         what,
         "all" | "table1" | "table2" | "table3" | "fig13" | "fig14" | "fig15" | "fig16" | "fig19"
     );
-    let suite: Vec<AppEval> = if needs_suite { evaluate_suite(scale) } else { Vec::new() };
+    let suite: Vec<AppEval> =
+        if needs_suite { evaluate_suite(scale, Pool::global()) } else { Vec::new() };
 
     match what {
         "all" => {
@@ -111,7 +115,7 @@ fn main() {
             fig24(scale);
             gap(scale);
         }
-        "setup" => setup(&evaluate_suite(scale), scale),
+        "setup" => setup(&evaluate_suite(scale, Pool::global()), scale),
         "gap" => gap(scale),
         "table1" => table1(&suite),
         "table2" => table2(&suite),
@@ -137,7 +141,7 @@ fn main() {
 fn gap(scale: Scale) {
     header("Optimality gap: planner movement vs data-movement lower bound");
     println!("{:<10} {:>12} {:>12} {:>10} {:>8}", "app", "movement", "bound", "gap", "sound");
-    for g in gap_reports(scale) {
+    for g in gap_reports(scale, Pool::global(), PlanOptions::default()) {
         println!(
             "{:<10} {:>12} {:>12} {:>9.2}x {:>8}",
             g.name,
@@ -284,6 +288,14 @@ fn fig16(suite: &[AppEval]) {
     }
 }
 
+/// `w`'s scenario runs on the KNL-like machine under the standard
+/// configuration (computed once per workload).
+fn standard_runs(w: &Workload) -> impl Fn(Scenario) -> SimReport + '_ {
+    let machine = MachineConfig::knl_like();
+    let config = standard_config(w, &machine);
+    move |scenario| run_program(&w.program, &w.data, &machine, &config, scenario)
+}
+
 fn fig17(scale: Scale) {
     header("Figure 17: execution-time reduction (ours / ideal network / ideal analysis)");
     println!(
@@ -294,10 +306,11 @@ fn fig17(scale: Scale) {
     let mut net_all = Vec::new();
     let mut ana_all = Vec::new();
     for w in all(scale) {
-        let base = scenario_report(&w, Scenario::Baseline);
-        let ours = scenario_report(&w, Scenario::Optimized).time_reduction_vs(&base);
-        let net = scenario_report(&w, Scenario::IdealNetwork).time_reduction_vs(&base);
-        let ana = scenario_report(&w, Scenario::IdealAnalysis).time_reduction_vs(&base);
+        let run = standard_runs(&w);
+        let base = run(Scenario::Baseline);
+        let ours = run(Scenario::Optimized).time_reduction_vs(&base);
+        let net = run(Scenario::IdealNetwork).time_reduction_vs(&base);
+        let ana = run(Scenario::IdealAnalysis).time_reduction_vs(&base);
         println!(
             "{:<10} {:>7.1}% {:>9.1}% {:>11.1}% {:>9.0}%",
             w.name,
@@ -328,8 +341,9 @@ fn fig18(scale: Scale) {
         "app", "S1:L1", "S2:move", "S3:par", "S4:sync", "full"
     );
     for w in all(scale) {
-        let base = scenario_report(&w, Scenario::Baseline);
-        let s = |sc| 100.0 * scenario_report(&w, sc).time_reduction_vs(&base);
+        let run = standard_runs(&w);
+        let base = run(Scenario::Baseline);
+        let s = |sc| 100.0 * run(sc).time_reduction_vs(&base);
         println!(
             "{:<10} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}%",
             w.name,
@@ -373,7 +387,7 @@ fn fig20_21(scale: Scale, reuse_aware: bool) {
     }
     println!(" {:>11}", "adaptive");
     for w in all(scale) {
-        let base = scenario_report(&w, Scenario::Baseline);
+        let base = standard_runs(&w)(Scenario::Baseline);
         print!("{:<10}", w.name);
         for win in (1..=8).map(Some).chain([None]) {
             let (t, l1) = window_run(&w, win, reuse_aware);
@@ -443,10 +457,11 @@ fn fig24(scale: Scale) {
     println!("{:<10} {:>8} {:>10} {:>14}", "app", "ours", "ideal-net", "ideal-analysis");
     let mut ours_all = Vec::new();
     for w in all(scale) {
-        let base = scenario_report(&w, Scenario::Baseline);
-        let ours = scenario_report(&w, Scenario::Optimized).energy_reduction_vs(&base);
-        let net = scenario_report(&w, Scenario::IdealNetwork).energy_reduction_vs(&base);
-        let ana = scenario_report(&w, Scenario::IdealAnalysis).energy_reduction_vs(&base);
+        let run = standard_runs(&w);
+        let base = run(Scenario::Baseline);
+        let ours = run(Scenario::Optimized).energy_reduction_vs(&base);
+        let net = run(Scenario::IdealNetwork).energy_reduction_vs(&base);
+        let ana = run(Scenario::IdealAnalysis).energy_reduction_vs(&base);
         println!(
             "{:<10} {:>7.1}% {:>9.1}% {:>13.1}%",
             w.name,

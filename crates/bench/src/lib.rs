@@ -1,7 +1,10 @@
 //! Evaluation harness shared by the `figures` and `ablations` binaries:
 //! runs the 12-application suite end to end and exposes per-app results
 //! for every table and figure of the paper. "Our approach" is
-//! `partition_guided` everywhere; timing the planner is perfbench's job.
+//! [`scenarios::partition_guided`] everywhere; [`scenarios`] also holds the
+//! paper's counterfactual runs. Timing the planner is perfbench's job.
+
+pub mod scenarios;
 
 use dmcp::baselines::{locality_assignment, preferred_mc_overrides};
 use dmcp::bound::{gap_report, GapReport};
@@ -9,9 +12,9 @@ use dmcp::core::{OpMix, PartitionConfig, PartitionOutput, Partitioner, PlanOptio
 use dmcp::mach::{ClusterMode, MachineConfig};
 use dmcp::mem::MemoryMode;
 use dmcp::pool::Pool;
-use dmcp::sim::scenarios::partition_guided;
-use dmcp::sim::{run_program, run_schedules, Scenario, SimOptions, SimReport};
+use dmcp::sim::{run_schedules, SimOptions, SimReport};
 use dmcp::workloads::{all, PaperRow, Scale, Workload};
+use scenarios::partition_guided;
 
 /// Everything measured for one application under the standard configuration
 /// (quadrant cluster mode, flat memory, profiled default placement).
@@ -55,7 +58,7 @@ pub fn standard_config(w: &Workload, machine: &MachineConfig) -> PartitionConfig
 
 /// Evaluates one workload under the standard configuration, planning
 /// over `pool`.
-pub fn evaluate_pooled(w: &Workload, machine: &MachineConfig, pool: &Pool) -> AppEval {
+pub fn evaluate(w: &Workload, machine: &MachineConfig, pool: &Pool) -> AppEval {
     let cfg = standard_config(w, machine);
     let partitioner = Partitioner::new(machine, &w.program, cfg.clone());
     let sim = SimOptions { track_instances: true, ..SimOptions::default() };
@@ -87,23 +90,13 @@ pub fn evaluate_pooled(w: &Workload, machine: &MachineConfig, pool: &Pool) -> Ap
     }
 }
 
-/// Evaluates one workload under the standard configuration.
-pub fn evaluate(w: &Workload, machine: &MachineConfig) -> AppEval {
-    evaluate_pooled(w, machine, Pool::global())
-}
-
 /// Evaluates the full suite over `pool` at *workload* grain — one task
 /// per application, results in suite order (each task plans its own
 /// workload sequentially, so thread count never changes any output).
-pub fn evaluate_suite_pooled(scale: Scale, pool: &Pool) -> Vec<AppEval> {
+pub fn evaluate_suite(scale: Scale, pool: &Pool) -> Vec<AppEval> {
     let machine = MachineConfig::knl_like();
     let suite = all(scale);
-    pool.map(&suite, |_, w| evaluate_pooled(w, &machine, &Pool::single()))
-}
-
-/// Evaluates the full suite on the process-wide pool.
-pub fn evaluate_suite(scale: Scale) -> Vec<AppEval> {
-    evaluate_suite_pooled(scale, Pool::global())
+    pool.map(&suite, |_, w| evaluate(w, &machine, &Pool::single()))
 }
 
 /// Plans one workload under `cfg` and pairs its per-nest movement with
@@ -117,17 +110,12 @@ pub fn gap_eval(w: &Workload, machine: &MachineConfig, cfg: PartitionConfig) -> 
 /// The optimality-gap dashboard over the full suite under the standard
 /// profile-guided configuration with `opts` planner knobs — one task per
 /// workload over `pool`, rows in suite order.
-pub fn gap_reports_pooled(scale: Scale, pool: &Pool, opts: PlanOptions) -> Vec<GapReport> {
+pub fn gap_reports(scale: Scale, pool: &Pool, opts: PlanOptions) -> Vec<GapReport> {
     let machine = MachineConfig::knl_like();
     pool.map(&all(scale), |_, w| {
         let cfg = PartitionConfig { opts, ..standard_config(w, &machine) };
         gap_eval(w, &machine, cfg)
     })
-}
-
-/// The optimality-gap dashboard on the process-wide pool.
-pub fn gap_reports(scale: Scale) -> Vec<GapReport> {
-    gap_reports_pooled(scale, Pool::global(), PlanOptions::default())
 }
 
 /// Execution time of one (cluster, memory, optimized?) configuration,
@@ -147,13 +135,6 @@ pub fn config_exec_time(
         partitioner.plan(&w.program, &w.data, Pool::global(), true).expect("baseline plans")
     };
     run_schedules(&w.program, partitioner.layout(), &out, opts).exec_time
-}
-
-/// Figure 17/24's scenario runs for one workload under the standard config.
-pub fn scenario_report(w: &Workload, scenario: Scenario) -> SimReport {
-    let machine = MachineConfig::knl_like();
-    let cfg = standard_config(w, &machine);
-    run_program(&w.program, &w.data, &machine, &cfg, MemoryMode::Flat, scenario)
 }
 
 /// Figure 20/21: execution time and L1 rate for a fixed window size
@@ -231,7 +212,7 @@ mod tests {
     fn evaluate_one_app_end_to_end() {
         let machine = MachineConfig::knl_like();
         let w = dmcp::workloads::by_name("lu", Scale::Tiny).unwrap();
-        let eval = evaluate(&w, &machine);
+        let eval = evaluate(&w, &machine, Pool::global());
         assert!(eval.exec_reduction() > 0.0, "LU should improve");
         let (avg, max) = eval.movement_reduction();
         assert!(avg > 0.0 && max >= avg);

@@ -1,6 +1,7 @@
 //! Golden pins for the 12-workload suite: plan digests (healthy and
-//! canonically degraded) and [`PlanKey`] digests, all at Tiny scale on
-//! the KNL-like machine with the default configuration, plus
+//! canonically degraded) and [`PlanKey`](dmcp_serve::PlanKey) digests,
+//! all at Tiny scale on the KNL-like machine with the default
+//! configuration, plus
 //! [`GOLDEN_VARIANTS`]: FFT and Radix under every non-default planning
 //! configuration in [`VARIANTS`], and [`GOLDEN_LARGE_MESH`]: FFT, Radix
 //! and LU on a 10×10 mesh. [`GOLDEN_SIM`] pins what the simulator reports
@@ -19,6 +20,7 @@
 
 use crate::digest::plan_digest;
 use dmcp_baselines::preferred_mc_overrides;
+use dmcp_core::sim::{run_schedules, run_schedules_degraded, SimOptions, SimReport};
 use dmcp_core::{
     nest_assignment, PartitionConfig, PartitionOutput, Partitioner, PlanOptions, PredictorSpec,
 };
@@ -29,7 +31,6 @@ use dmcp_mem::MemoryMode;
 use dmcp_pool::Pool;
 use dmcp_serve::codec::encode_plan;
 use dmcp_serve::PlanRequest;
-use dmcp_sim::{run_schedules, run_schedules_degraded, SimOptions, SimReport};
 use dmcp_workloads::{by_name, Scale, Workload};
 
 /// Expected healthy plan digest per workload (default configuration).
@@ -204,8 +205,7 @@ pub fn key_digests(name: &str) -> (u64, u64) {
 /// switches (page policy, cluster mode, explicit assignment), plus the
 /// default schedule (`baseline`) and the Figure-23 data-to-controller
 /// overrides (`mc-override`).
-pub const VARIANTS: [&str; 11] = [
-    "l2-model",
+pub const VARIANTS: [&str; 10] = [
     "always-hit",
     "ideal-analysis",
     "reuse-agnostic",
@@ -228,12 +228,9 @@ pub const VARIANT_WORKLOADS: [&str; 2] = ["FFT", "Radix"];
 /// reversed assignment names the canonically dead node).
 ///
 /// Some rows repeat a default digest, and the pins hold that too: the
-/// L2-model predictor plans both workloads exactly as the default reuse
-/// predictor does, and the planner reads controllers off the VA-based
-/// belief, which the Figure-23 overrides leave alone.
+/// planner reads controllers off the VA-based belief, which the Figure-23
+/// overrides leave alone.
 pub const GOLDEN_VARIANTS: &[(&str, &str, u64, Option<u64>)] = &[
-    ("l2-model", "FFT", 0x7ee4c14e0346b142, Some(0xb291f80b72c5ef84)),
-    ("l2-model", "Radix", 0xd33cf59f2860809c, Some(0x1bf4cca79b496c01)),
     ("always-hit", "FFT", 0xbdcb741a567463b0, Some(0xe4fa81d9aead2c4d)),
     ("always-hit", "Radix", 0x021ece51bc7dba3e, Some(0x02c5c677839f82b9)),
     ("ideal-analysis", "FFT", 0x5378fe2446a1fe25, Some(0x70031156c7ea1b65)),
@@ -265,13 +262,10 @@ fn variant_config(variant: &str) -> (MachineConfig, PartitionConfig) {
     let machine = MachineConfig::knl_like();
     let base = PartitionConfig::default();
     let config = match variant {
-        "l2-model" => PartitionConfig { predictor: PredictorSpec::L2Model, ..base },
         "always-hit" => PartitionConfig { predictor: PredictorSpec::AlwaysHit, ..base },
-        "ideal-analysis" => PartitionConfig {
-            predictor: PredictorSpec::L2Model,
-            opts: PlanOptions { ideal_analysis: true, ..base.opts },
-            ..base
-        },
+        "ideal-analysis" => {
+            PartitionConfig { opts: PlanOptions { ideal_analysis: true, ..base.opts }, ..base }
+        }
         "reuse-agnostic" => {
             PartitionConfig { opts: PlanOptions { reuse_aware: false, ..base.opts }, ..base }
         }

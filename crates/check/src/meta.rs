@@ -3,8 +3,9 @@
 //!
 //! * **Renaming** — array and loop-variable names are surface syntax.
 //!   Rebuilding the same [`CaseSpec`] under fresh names must produce a
-//!   bit-identical [`PartitionOutput`], the same plan digest, and the
-//!   same content-addressed [`PlanKey`].
+//!   bit-identical [`PartitionOutput`](dmcp_core::PartitionOutput), the
+//!   same plan digest, and the same content-addressed
+//!   [`PlanKey`](dmcp_serve::PlanKey).
 //! * **Mesh isometries** — the eight dihedral transforms (four on proper
 //!   rectangles) and in-bounds translations preserve Manhattan distance,
 //!   so the oracle's MST weight and exact Steiner minimum are invariant.

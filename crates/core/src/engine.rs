@@ -3,7 +3,7 @@
 use crate::cachesim::{CacheSystem, ServedBy};
 use crate::network::Network;
 use crate::report::{EnergyBreakdown, SimReport};
-use dmcp_core::{Layout, Operand, Schedule, Step, StepInput, SubId};
+use crate::{ElemLoc, Layout, Operand, Schedule, Step, StepInput, SubId};
 use dmcp_ir::Program;
 use dmcp_mach::{FaultState, NodeId};
 use dmcp_mem::predictor::PredictorAccuracy;
@@ -281,7 +281,7 @@ impl<'a> Engine<'a> {
     }
 
     /// One operand fetch: walks the hierarchy and returns its latency.
-    fn fetch(&mut self, step: &Step, node: NodeId, e: dmcp_core::ElemLoc) -> f64 {
+    fn fetch(&mut self, step: &Step, node: NodeId, e: ElemLoc) -> f64 {
         let machine = self.layout.machine();
         let lat = machine.latency;
         let info = self.layout.locate(self.program, e.array, e.elem, node);
@@ -420,7 +420,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmcp_core::{PartitionConfig, Partitioner};
+    use crate::{PartitionConfig, Partitioner};
     use dmcp_ir::ProgramBuilder;
     use dmcp_mach::MachineConfig;
     use dmcp_pool::Pool;
@@ -440,7 +440,7 @@ mod tests {
     fn simulate(
         program: &Program,
         part: &Partitioner,
-        out: &dmcp_core::PartitionOutput,
+        out: &crate::PartitionOutput,
         opts: SimOptions,
     ) -> SimReport {
         let mut engine = Engine::new(program, part.layout(), opts);
@@ -653,7 +653,7 @@ mod tests {
         let info = layout.locate(&program, array, elem, NodeId::new(255, 255));
         let mut schedule = Schedule::default();
         let store =
-            dmcp_core::StoreTarget { array, elem, line: info.line, home: info.home, hot: false };
+            crate::StoreTarget { array, elem, line: info.line, home: info.home, hot: false };
         schedule.push_step(NodeId::new(255, 255), Some(1.0), Some(store), Default::default());
         let mut engine = Engine::new(&program, &layout, SimOptions::default());
         engine.run(&schedule);

@@ -17,7 +17,8 @@
 //!   the synchronization graph is transitively reduced ([`sync`]).
 //!
 //! The output is a [`step::Schedule`] — a machine-independent list of
-//! subcomputations the `dmcp-sim` crate executes and times.
+//! subcomputations that [`sim`], the trace-driven simulator, executes and
+//! times on the machine model.
 //!
 //! [`Partitioner::plan`] is the one planning entry point. It validates the
 //! configuration, runs the passes of [`pipeline`] and checks that a
@@ -56,12 +57,19 @@ pub mod mst;
 pub mod partitioner;
 pub mod pipeline;
 pub mod resolve;
+pub mod sim;
 pub mod split;
 pub mod stats;
 pub mod step;
 pub mod sync;
 pub mod unionfind;
 pub mod window;
+
+// The simulator's parts; `sim` re-exports their public items.
+mod cachesim;
+mod engine;
+mod network;
+mod report;
 
 pub use error::PartitionError;
 pub use layout::{ElemInfo, Layout};

@@ -12,7 +12,6 @@
 //! ([`FaultState::routes_from`]), on the source's first transfer or
 //! length query, and every later one reads them from that table.
 
-use crate::error::SimError;
 use dmcp_mach::mesh::{MINUS_X, MINUS_Y, PLUS_X, PLUS_Y};
 use dmcp_mach::{FaultState, LatencyModel, Link, Mesh, NodeId, RouteError, SourceRoutes};
 use std::cell::OnceCell;
@@ -146,12 +145,12 @@ impl Network {
     /// nodes/links; each traversal of a lossy link may drop the flit on
     /// its deterministic drop schedule, in which case the partial path is
     /// paid for, an exponential-backoff penalty accrues and the whole path
-    /// is retransmitted (forced through after [`MAX_RETRIES`] drops).
+    /// is retransmitted (forced through after `MAX_RETRIES` drops).
     ///
     /// # Errors
     ///
-    /// [`SimError::Route`] when faults disconnect `src` from `dst`.
-    pub fn try_transfer(&mut self, src: NodeId, dst: NodeId) -> Result<f64, SimError> {
+    /// [`RouteError`] when faults disconnect `src` from `dst`.
+    pub fn try_transfer(&mut self, src: NodeId, dst: NodeId) -> Result<f64, RouteError> {
         if src == dst {
             return Ok(0.0);
         }
@@ -206,7 +205,7 @@ impl Network {
         faults: &mut FaultRouting,
         src: NodeId,
         dst: NodeId,
-    ) -> Result<f64, SimError> {
+    ) -> Result<f64, RouteError> {
         let FaultRouting { state, lossy, routes, path } = faults;
         routes_out_of(routes, state, src)?.links_into(dst, path)?;
         self.detour_hops += path.len() as u64 - u64::from(src.manhattan(dst));
@@ -438,8 +437,9 @@ mod tests {
         plan.kill_link(NodeId::new(0, 0), NodeId::new(1, 0));
         plan.kill_link(NodeId::new(0, 0), NodeId::new(0, 1));
         let mut n = faulty(plan);
-        let err = n.try_transfer(NodeId::new(0, 0), NodeId::new(5, 5)).unwrap_err();
-        assert!(matches!(err, SimError::Route(_)));
+        let (src, dst) = (NodeId::new(0, 0), NodeId::new(5, 5));
+        let err = n.try_transfer(src, dst).unwrap_err();
+        assert_eq!(err, RouteError::Unreachable { src, dst });
         assert_eq!(n.messages(), 0, "failed transfers are not messages");
     }
 }

@@ -16,7 +16,7 @@ use crate::window::NestStats;
 use dmcp_ir::program::{DataStore, Program};
 use dmcp_mach::{FaultState, MachineConfig, Mesh, NodeId};
 use dmcp_mem::page::PagePolicy;
-use dmcp_mem::{Cache, MissPredictor};
+use dmcp_mem::MissPredictor;
 use dmcp_pool::Pool;
 
 /// How to construct the L2 hit predictor for each planning run.
@@ -25,9 +25,6 @@ pub enum PredictorSpec {
     /// Reuse-distance predictor sized to the machine's aggregate L2
     /// (the realistic configuration; paper Table 2).
     Reuse,
-    /// Plan-time model of the actual L2 contents (near-perfect; used by the
-    /// ideal-data-analysis scenario).
-    L2Model,
     /// Always predict on-chip hits (tests/ablations).
     AlwaysHit,
 }
@@ -40,10 +37,6 @@ impl PredictorSpec {
                 let lines = u64::from(machine.l2_bank_bytes / machine.cache_line)
                     * u64::from(machine.mesh.node_count());
                 HitPredictor::Reuse(MissPredictor::new(lines))
-            }
-            PredictorSpec::L2Model => {
-                let sets = machine.l2_sets() * machine.mesh.node_count();
-                HitPredictor::L2Model(Cache::new(sets, machine.l2_ways))
             }
             PredictorSpec::AlwaysHit => HitPredictor::AlwaysHit,
         }
@@ -100,9 +93,10 @@ impl PartitionConfig {
         h.write_u8(u8::from(self.opts.ideal_analysis));
         h.write_f64(self.opts.balance_threshold);
         h.write_f64(self.opts.split_threshold);
+        // Byte 1 was a removed predictor; the others keep their bytes so
+        // existing fingerprints (and plan keys) stay put.
         h.write_u8(match self.predictor {
             PredictorSpec::Reuse => 0,
-            PredictorSpec::L2Model => 1,
             PredictorSpec::AlwaysHit => 2,
         });
         h.write_u64(self.max_window as u64);
@@ -583,7 +577,7 @@ mod tests {
     #[test]
     fn predictor_specs_build() {
         let machine = MachineConfig::knl_like();
-        for spec in [PredictorSpec::Reuse, PredictorSpec::L2Model, PredictorSpec::AlwaysHit] {
+        for spec in [PredictorSpec::Reuse, PredictorSpec::AlwaysHit] {
             let mut p = spec.build(&machine);
             let _ = p.predict(dmcp_mem::LineAddr::new(1));
         }

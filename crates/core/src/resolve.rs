@@ -28,7 +28,7 @@ use dmcp_ir::nested::Group;
 use dmcp_ir::program::{DataStore, Program};
 use dmcp_ir::ArrayRef;
 use dmcp_mach::NodeId;
-use dmcp_mem::{Cache, LineAddr, MissPredictor};
+use dmcp_mem::{LineAddr, MissPredictor};
 use std::collections::HashMap;
 
 /// How the planner predicts L2 hits when locating data (Section 4.1).
@@ -37,9 +37,6 @@ pub enum HitPredictor {
     /// The realistic reuse-distance predictor of [`dmcp_mem::predictor`]
     /// (imperfect; its accuracy is the paper's Table 2).
     Reuse(MissPredictor),
-    /// An idealised predictor that models the actual L2 contents (used by
-    /// the "ideal data analysis" scenario of Figure 17).
-    L2Model(Cache),
     /// Pretends everything hits on-chip (for tests and ablations).
     AlwaysHit,
 }
@@ -50,7 +47,6 @@ impl HitPredictor {
     pub fn predict(&mut self, line: LineAddr) -> bool {
         match self {
             HitPredictor::Reuse(p) => p.predict_hit(line),
-            HitPredictor::L2Model(c) => !c.access(line).is_miss(),
             HitPredictor::AlwaysHit => true,
         }
     }

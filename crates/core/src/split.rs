@@ -43,7 +43,7 @@ pub struct PlanOptions {
     /// this off gives the paper's "reuse-agnostic" ablation.
     pub reuse_aware: bool,
     /// Treat every reference as analyzable (the "ideal data analysis"
-    /// scenario). Pair with [`crate::HitPredictor::L2Model`].
+    /// scenario).
     pub ideal_analysis: bool,
     /// Load-balance skip threshold (paper default 10 %).
     pub balance_threshold: f64,

@@ -17,7 +17,7 @@
 //! | [`mem`] | `dmcp-mem` | address mapping, SNUCA, page colouring, caches, miss predictor |
 //! | [`ir`] | `dmcp-ir` | statement language, loop nests, dependences, inspector |
 //! | [`core`] | `dmcp-core` | **the paper's algorithm**: MST splitting, windows, scheduling; one entry point, `Partitioner::plan` |
-//! | [`sim`] | `dmcp-sim` | timing/energy simulation, ideal & S1–S4 scenarios |
+//! | [`sim`] | `dmcp-core` (`dmcp_core::sim`) | trace-driven timing/energy simulation of plans, fault sweeps |
 //! | [`workloads`] | `dmcp-workloads` | the 12 kernels (Splash-2 + Mantevo shapes) |
 //! | [`baselines`] | `dmcp-baselines` | profiled default placement, data-to-MC mapping |
 //! | [`pool`] | `dmcp-pool` | deterministic fork-join thread pool shared by planner, serve, check |
@@ -77,11 +77,11 @@ pub use dmcp_baselines as baselines;
 pub use dmcp_bound as bound;
 pub use dmcp_check as check;
 pub use dmcp_core as core;
+pub use dmcp_core::sim;
 pub use dmcp_hash as hash;
 pub use dmcp_ir as ir;
 pub use dmcp_mach as mach;
 pub use dmcp_mem as mem;
 pub use dmcp_pool as pool;
 pub use dmcp_serve as serve;
-pub use dmcp_sim as sim;
 pub use dmcp_workloads as workloads;

@@ -52,7 +52,6 @@ pub mod op;
 pub mod parser;
 pub mod program;
 pub mod symbol;
-pub mod transform;
 
 pub use access::{ArrayId, ArrayRef, IndexExpr};
 pub use deps::{DepKind, Dependence};

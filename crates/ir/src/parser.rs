@@ -164,20 +164,6 @@ pub fn parse_statement(src: &str, ctx: &ParseCtx) -> Result<ParsedStatement, Par
     Ok(ParsedStatement { lhs, rhs })
 }
 
-/// Convenience wrapper around [`parse_statement`] for statically-known
-/// statements (tests, examples, generators).
-///
-/// # Panics
-///
-/// Panics with the parse error's message on malformed input. Use
-/// [`parse_statement`] to handle errors.
-pub fn parse_str(src: &str, ctx: &ParseCtx) -> ParsedStatement {
-    match parse_statement(src, ctx) {
-        Ok(s) => s,
-        Err(e) => panic!("parse error in `{src}`: {e}"),
-    }
-}
-
 /// Parses a bare expression (used in tests and tools).
 ///
 /// # Errors

@@ -274,11 +274,6 @@ impl Program {
         linear % decl.len().max(1)
     }
 
-    /// Virtual address of a reference at a concrete iteration.
-    pub fn va_of_ref(&self, r: &ArrayRef, iter: &[i64], data: &DataStore) -> u64 {
-        self.array(r.array).va_of(self.element_of(r, iter, data))
-    }
-
     /// Static fraction of references (across all nests) whose location is
     /// compile-time analyzable — the paper's Table 1, weighted statically.
     pub fn static_analyzability(&self) -> f64 {
@@ -616,19 +611,6 @@ impl ProgramBuilder {
     /// Finishes the program.
     pub fn build(self) -> Program {
         Program { arrays: self.arrays, nests: self.nests, symbols: self.symbols }
-    }
-
-    /// Parse context over the arrays declared so far plus the given loop
-    /// variables — for callers that build statements manually.
-    pub fn parse_ctx(&self, vars: &[&str]) -> ParseCtx {
-        let mut ctx = ParseCtx::new();
-        for (i, a) in self.arrays.iter().enumerate() {
-            ctx.add_array(self.symbols.name_or_unknown(a.name), ArrayId::from_index(i));
-        }
-        for (d, name) in vars.iter().enumerate() {
-            ctx.add_var(*name, VarId::from_depth(d));
-        }
-        ctx
     }
 }
 

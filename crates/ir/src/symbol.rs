@@ -19,8 +19,7 @@ use std::collections::HashMap;
 /// A dense interned name: an index into a [`SymbolTable`].
 ///
 /// `Symbol::default()` is a placeholder that resolves to nothing — used
-/// by tests and transforms that build nests whose names never reach a
-/// display path.
+/// by tests that build nests whose names never reach a display path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 

@@ -543,9 +543,9 @@ pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
     e.u8(u8::from(c.opts.ideal_analysis));
     e.f64(c.opts.balance_threshold);
     e.f64(c.opts.split_threshold);
+    // Byte 1 was a removed predictor; decoding refuses it.
     e.u8(match c.predictor {
         PredictorSpec::Reuse => 0,
-        PredictorSpec::L2Model => 1,
         PredictorSpec::AlwaysHit => 2,
     });
     e.u64(c.max_window as u64);
@@ -788,7 +788,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
     config.opts.split_threshold = d.f64()?;
     config.predictor = match d.u8()? {
         0 => PredictorSpec::Reuse,
-        1 => PredictorSpec::L2Model,
         2 => PredictorSpec::AlwaysHit,
         other => return Err(CodecError::BadTag("predictor", other)),
     };
@@ -1370,6 +1369,20 @@ mod tests {
         assert_eq!(f.dead_nodes().count(), 1);
         assert_eq!(f.dead_links().count(), 1);
         assert_eq!(f.lossy_links().count(), 1);
+    }
+
+    #[test]
+    fn removed_predictor_byte_is_refused() {
+        let mut req = suite_requests().remove(0);
+        let reuse = encode_request(&req);
+        req.config.predictor = PredictorSpec::AlwaysHit;
+        let always_hit = encode_request(&req);
+        // The two encodings differ only in the predictor byte (0 vs 2).
+        let at: Vec<usize> = (0..reuse.len()).filter(|&i| reuse[i] != always_hit[i]).collect();
+        assert_eq!((reuse.len(), at.len()), (always_hit.len(), 1));
+        let mut bytes = reuse;
+        bytes[at[0]] = 1;
+        assert!(matches!(decode_request(&bytes), Err(CodecError::BadTag("predictor", 1))));
     }
 
     #[test]

@@ -221,25 +221,10 @@ impl PlanTicket {
     /// [`ServeError::Timeout`] when the deadline elapses first; otherwise
     /// whatever the compile resolved to.
     pub fn wait(self) -> PlanResult {
-        let timeout = self.wait_timeout;
-        self.wait_up_to(timeout)
-    }
-
-    /// [`PlanTicket::wait`] with an explicit deadline, overriding the
-    /// service default.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PlanTicket::wait`].
-    pub fn wait_within(self, timeout: Duration) -> PlanResult {
-        self.wait_up_to(Some(timeout))
-    }
-
-    fn wait_up_to(self, timeout: Option<Duration>) -> PlanResult {
         match self.inner {
             TicketInner::Ready(plan) => Ok(plan),
             TicketInner::Flight(f) => {
-                let result = f.wait_deadline(timeout);
+                let result = f.wait_deadline(self.wait_timeout);
                 if matches!(result, Err(ServeError::Timeout)) {
                     self.timeouts.fetch_add(1, Ordering::Relaxed);
                 }

@@ -6,9 +6,9 @@ use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::{ClusterMode, MachineConfig};
 use dmcp::mem::MemoryMode;
 use dmcp::pool::Pool;
-use dmcp::sim::scenarios::partition_guided;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{all, Scale};
+use dmcp_bench::scenarios::partition_guided;
 
 #[test]
 fn guided_partitioning_never_loses_to_the_baseline() {

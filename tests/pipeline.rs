@@ -6,8 +6,9 @@ use dmcp::ir::ProgramBuilder;
 use dmcp::mach::{ClusterMode, MachineConfig};
 use dmcp::mem::MemoryMode;
 use dmcp::pool::Pool;
-use dmcp::sim::{run_program, run_schedules, Scenario, SimOptions};
+use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{by_name, Scale};
+use dmcp_bench::scenarios::{run_program, Scenario};
 
 /// An LU-style update nest — the kind of kernel whose operand spread makes
 /// subcomputation splitting clearly profitable.
@@ -82,12 +83,9 @@ fn scenarios_order_sensibly_on_a_real_workload() {
     let w = by_name("lu", Scale::Tiny).unwrap();
     let machine = MachineConfig::knl_like();
     let cfg = PartitionConfig::default();
-    let base =
-        run_program(&w.program, &w.data, &machine, &cfg, MemoryMode::Flat, Scenario::Baseline);
-    let opt =
-        run_program(&w.program, &w.data, &machine, &cfg, MemoryMode::Flat, Scenario::Optimized);
-    let ideal =
-        run_program(&w.program, &w.data, &machine, &cfg, MemoryMode::Flat, Scenario::IdealNetwork);
+    let base = run_program(&w.program, &w.data, &machine, &cfg, Scenario::Baseline);
+    let opt = run_program(&w.program, &w.data, &machine, &cfg, Scenario::Optimized);
+    let ideal = run_program(&w.program, &w.data, &machine, &cfg, Scenario::IdealNetwork);
     assert!(opt.exec_time < base.exec_time, "opt {} vs base {}", opt.exec_time, base.exec_time);
     assert!(ideal.exec_time < opt.exec_time);
     assert!(opt.movement < base.movement);

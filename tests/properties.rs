@@ -23,7 +23,7 @@ use dmcp::mach::{
 };
 use dmcp::mem::{Cache, LineAddr};
 use dmcp::pool::Pool;
-use dmcp::sim::{Network, SimError};
+use dmcp::sim::Network;
 use std::collections::{HashMap, VecDeque};
 
 fn random_node(rng: &mut Rng64) -> NodeId {
@@ -416,7 +416,7 @@ impl ReferenceNetwork {
         }
     }
 
-    fn try_transfer(&mut self, src: NodeId, dst: NodeId) -> Result<f64, SimError> {
+    fn try_transfer(&mut self, src: NodeId, dst: NodeId) -> Result<f64, RouteError> {
         const LOAD_DECAY: f64 = 0.98;
         const MAX_RETRIES: u32 = 6;
         if src == dst {
@@ -436,7 +436,7 @@ impl ReferenceNetwork {
             Ok(p) => p,
             Err(e) => {
                 self.faults = Some(faults);
-                return Err(e.into());
+                return Err(e);
             }
         };
         self.detour_hops += u64::from(path.len() - src.manhattan(dst));
@@ -584,7 +584,13 @@ fn dense_network_matches_the_map_reference() {
                     (Err(g), Err(w)) => {
                         failures += 1;
                         assert_eq!(g, w, "{case}: error");
-                        assert!(matches!(g, SimError::Route(_)), "{case}: {g}");
+                        assert!(
+                            matches!(
+                                g,
+                                RouteError::DeadEndpoint(_) | RouteError::Unreachable { .. }
+                            ),
+                            "{case}: {g}"
+                        );
                         assert_eq!(network_state(&net), before, "{case}: a failed transfer moved");
                     }
                     _ => panic!("{case}: {got:?} vs reference {want:?}"),
@@ -618,7 +624,10 @@ fn dense_network_matches_the_map_reference() {
                 for (src, dst) in [(lost, other), (other, lost)] {
                     let before = network_state(&net);
                     let err = net.try_transfer(src, dst).expect_err("unusable endpoint");
-                    assert!(matches!(err, SimError::Route(_)), "{src}->{dst}: {err}");
+                    assert!(
+                        matches!(err, RouteError::DeadEndpoint(_) | RouteError::Unreachable { .. }),
+                        "{src}->{dst}: {err}"
+                    );
                     assert_eq!(
                         network_state(&net),
                         before,
