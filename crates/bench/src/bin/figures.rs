@@ -10,6 +10,10 @@
 //! is none); the scale is Small unless `--scale-tiny` or `--scale-full`
 //! says otherwise.
 //!
+//! `figures --pins [--scale-tiny]` runs the `record` target (Figures 17, 13
+//! and 24 per workload, for the served and the evaluated planner set-up)
+//! and exits 1 when any value drifts from [`PINS_SMALL`] or [`PINS_TINY`].
+//!
 //! Absolute numbers come from the bundled simulator, so they will not match
 //! the paper's KNL measurements; the *shape* (who wins, by roughly what
 //! factor) is the reproduction target. `EXPERIMENTS.md` records a captured
@@ -24,34 +28,79 @@ use dmcp::workloads::{all, meta, Scale, Workload};
 use dmcp_bench::scenarios::{run_program, Scenario};
 use dmcp_bench::{
     config_exec_time, data_mapping_comparison, evaluate_suite, gap_reports, geomean_reduction,
-    standard_config, window_run, AppEval,
+    setup_reductions, standard_config, window_run, AppEval, Setup,
 };
 
 const USAGE: &str = "usage: figures [TARGET] [--scale-tiny | --scale-full] [--reuse-agnostic]
-targets: all (the default), setup, gap, table1-table3, fig13-fig24";
+       figures --pins [--scale-tiny]
+targets: all (the default), setup, gap, record, table1-table3, fig13-fig24";
 
 /// Every target `main` knows.
 const TARGETS: &[&str] = &[
-    "all", "setup", "gap", "table1", "table2", "table3", "fig13", "fig14", "fig15", "fig16",
-    "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24",
+    "all", "setup", "gap", "record", "table1", "table2", "table3", "fig13", "fig14", "fig15",
+    "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24",
 ];
+
+/// The record at Small scale, per workload in percent to two decimals:
+/// the served set-up's time (Figure 17), per-instance movement (Figure
+/// 13) and energy (Figure 24) reductions against its baseline, then the
+/// evaluated set-up's. `figures record` prints these rows and `figures
+/// --pins` fails when one drifts; a change that moves a plan re-pins them
+/// and says so in CHANGES.md.
+const PINS_SMALL: &[(&str, [f64; 6])] = &[
+    ("Barnes", [-0.05, 0.00, 0.00, 0.29, 0.00, 0.02]),
+    ("Cholesky", [5.31, 1.99, 21.83, 0.03, 2.89, 22.71]),
+    ("FFT", [0.11, 0.00, 0.00, 0.06, 0.00, 0.00]),
+    ("FMM", [2.29, 0.00, 0.08, 2.38, 0.00, 0.08]),
+    ("LU", [53.44, 58.04, 48.23, 52.62, 61.19, 50.40]),
+    ("Ocean", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
+    ("Radiosity", [1.74, -105.47, -3.54, 13.30, -103.31, -1.47]),
+    ("Radix", [26.10, 20.91, 16.28, 22.05, 20.54, 14.38]),
+    ("Raytrace", [7.62, 28.94, 7.50, 3.93, 32.18, 8.81]),
+    ("Water", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
+    ("MiniMD", [0.00, 0.00, 0.00, 0.30, 0.00, 0.00]),
+    ("MiniXyce", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
+];
+
+/// [`PINS_SMALL`] at Tiny scale (`figures --pins --scale-tiny`).
+const PINS_TINY: &[(&str, [f64; 6])] = &[
+    ("Barnes", [0.12, 0.00, 0.00, 0.06, 0.00, 0.00]),
+    ("Cholesky", [26.04, -0.84, 17.95, 24.16, -0.13, 18.34]),
+    ("FFT", [-0.11, 0.00, 0.00, 0.00, 0.00, 0.00]),
+    ("FMM", [1.54, 0.00, 0.09, 2.88, 0.00, 0.10]),
+    ("LU", [70.33, 67.71, 52.94, 68.75, 69.67, 53.63]),
+    ("Ocean", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
+    ("Radiosity", [8.40, -108.84, -1.60, 3.73, -107.32, -1.10]),
+    ("Radix", [22.09, 17.46, 12.47, 16.59, 22.25, 11.63]),
+    ("Raytrace", [30.49, 32.84, 7.23, 23.57, 31.87, 7.16]),
+    ("Water", [9.04, 0.00, 0.08, 6.00, 0.00, 0.06]),
+    ("MiniMD", [-0.26, 0.00, 0.00, 0.26, 0.00, 0.00]),
+    ("MiniXyce", [-0.74, 0.00, 0.00, 0.15, 0.00, 0.00]),
+];
+
+/// Slack for the two-decimal rendering of the pinned percentages.
+const PIN_TOLERANCE: f64 = 0.005 + 1e-9;
 
 #[derive(Debug, PartialEq)]
 struct Args {
     target: String,
     scale: Scale,
     reuse_aware: bool,
+    pins: bool,
 }
 
 /// Parses the command line (without the program name); `Ok(None)` when
-/// it asks for `--help`. `--scale-full` wins over `--scale-tiny`.
+/// it asks for `--help`. `--scale-full` wins over `--scale-tiny`;
+/// `--pins` runs the `record` target, at Tiny or Small scale only.
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
     let (mut target, mut full, mut tiny, mut reuse_aware) = (None, false, false, true);
+    let mut pins = false;
     for arg in argv {
         match arg.as_str() {
             "--scale-full" => full = true,
             "--scale-tiny" => tiny = true,
             "--reuse-agnostic" => reuse_aware = false,
+            "--pins" => pins = true,
             "--help" | "-h" => return Ok(None),
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown flag {flag} (try --help)"));
@@ -72,11 +121,20 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, St
     } else {
         Scale::Small
     };
-    Ok(Some(Args { target: target.unwrap_or_else(|| "all".to_string()), scale, reuse_aware }))
+    if pins {
+        if target.as_ref().is_some_and(|t| t != "record") {
+            return Err("--pins runs the record target only (try --help)".into());
+        }
+        if scale == Scale::Full {
+            return Err("--pins has tables for Tiny and Small scale only".into());
+        }
+        target = Some("record".to_string());
+    }
+    Ok(Some(Args { target: target.unwrap_or_else(|| "all".to_string()), scale, reuse_aware, pins }))
 }
 
 fn main() {
-    let Args { target, scale, reuse_aware } = match parse_args(std::env::args().skip(1)) {
+    let Args { target, scale, reuse_aware, pins } = match parse_args(std::env::args().skip(1)) {
         Ok(Some(args)) => args,
         Ok(None) => {
             println!("{USAGE}");
@@ -114,9 +172,19 @@ fn main() {
             fig23(scale);
             fig24(scale);
             gap(scale);
+            record(scale, false);
         }
         "setup" => setup(&evaluate_suite(scale, Pool::global()), scale),
         "gap" => gap(scale),
+        "record" => {
+            let drifts = record(scale, pins);
+            if !drifts.is_empty() {
+                for d in &drifts {
+                    eprintln!("RECORD DRIFT: {d}");
+                }
+                std::process::exit(1);
+            }
+        }
         "table1" => table1(&suite),
         "table2" => table2(&suite),
         "table3" => table3(&suite),
@@ -174,6 +242,76 @@ fn setup(suite: &[AppEval], scale: Scale) {
 
 fn header(title: &str) {
     println!("\n== {title} ==");
+}
+
+/// The geomean of `reductions` clamped at 0 per workload, as the figures
+/// plot them, with the unclamped geomean beside it.
+fn geomeans(reductions: &[f64]) -> String {
+    let clamped = geomean_reduction(reductions.iter().map(|r| r.max(0.0)));
+    let raw = geomean_reduction(reductions.iter().copied());
+    format!("{:.1}% (unclamped {:.1}%)", 100.0 * clamped, 100.0 * raw)
+}
+
+/// The measured record: per workload, the simulated time, per-instance
+/// movement and energy reductions against the baseline, for the served
+/// and then the evaluated set-up ([`Setup`]), with each column's clamped
+/// and unclamped geomean. With `pins`, returns every value that drifts
+/// from the scale's pinned table (and every missing or extra row).
+fn record(scale: Scale, pins: bool) -> Vec<String> {
+    header("Record: reductions vs the baseline, served | evaluated (time / movement / energy)");
+    let rows = Pool::global().map(&all(scale), |_, w| {
+        let single = Pool::single();
+        let [s, e] = [Setup::Served, Setup::Evaluated].map(|set| setup_reductions(w, set, &single));
+        (w.name, [s.time, s.movement, s.energy, e.time, e.movement, e.energy].map(|x| 100.0 * x))
+    });
+    println!(
+        "{:<10} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}",
+        "app", "time", "move", "energy", "time", "move", "energy"
+    );
+    let row = |label: &str, v: &[f64; 6]| {
+        println!(
+            "{:<10} {:>7.2}% {:>7.2}% {:>7.2}% | {:>7.2}% {:>7.2}% {:>7.2}%",
+            label, v[0], v[1], v[2], v[3], v[4], v[5]
+        );
+    };
+    for (name, got) in &rows {
+        row(name, got);
+    }
+    for (label, clamp) in [("geomean", true), ("unclamped", false)] {
+        let gm: [f64; 6] = std::array::from_fn(|k| {
+            let col = rows.iter().map(|(_, v)| v[k] / 100.0);
+            100.0 * geomean_reduction(col.map(|r| if clamp { r.max(0.0) } else { r }))
+        });
+        row(label, &gm);
+    }
+    if !pins {
+        return Vec::new();
+    }
+    const COLUMNS: [&str; 6] = [
+        "served time",
+        "served movement",
+        "served energy",
+        "evaluated time",
+        "evaluated movement",
+        "evaluated energy",
+    ];
+    let table = if scale == Scale::Tiny { PINS_TINY } else { PINS_SMALL };
+    let mut drifts = Vec::new();
+    for (name, got) in &rows {
+        let Some((_, pinned)) = table.iter().find(|(n, _)| n == name) else {
+            drifts.push(format!("{name}: no pinned row"));
+            continue;
+        };
+        for ((column, g), p) in COLUMNS.iter().zip(got).zip(pinned) {
+            if (g - p).abs() > PIN_TOLERANCE {
+                drifts.push(format!("{name}: {column} {g:.2}% drifted from its pin {p:.2}%"));
+            }
+        }
+    }
+    for (name, _) in table.iter().filter(|(n, _)| !rows.iter().any(|(r, _)| r == n)) {
+        drifts.push(format!("{name}: pinned row has no workload"));
+    }
+    drifts
 }
 
 fn table1(suite: &[AppEval]) {
@@ -235,10 +373,10 @@ fn fig13(suite: &[AppEval]) {
             100.0 * e.paper.fig13_avg_movement_reduction
         );
     }
-    let gm = geomean_reduction(suite.iter().map(|e| e.movement_reduction().0.max(0.0)));
+    let averages: Vec<f64> = suite.iter().map(|e| e.movement_reduction().0).collect();
     println!(
-        "geomean of averages: {:.1}% (paper: {:.1}%)",
-        100.0 * gm,
+        "geomean of averages: {} (paper: {:.1}%)",
+        geomeans(&averages),
         100.0 * meta::means::MOVEMENT_REDUCTION
     );
 }
@@ -319,17 +457,17 @@ fn fig17(scale: Scale) {
             100.0 * ana,
             100.0 * w.paper.fig17_exec_reduction
         );
-        ours_all.push(ours.max(0.0));
-        net_all.push(net.max(0.0));
-        ana_all.push(ana.max(0.0));
+        ours_all.push(ours);
+        net_all.push(net);
+        ana_all.push(ana);
     }
     println!(
-        "geomeans: ours {:.1}% (paper {:.1}%), ideal-net {:.1}% (paper {:.1}%), ideal-analysis {:.1}% (paper {:.1}%)",
-        100.0 * geomean_reduction(ours_all.into_iter()),
+        "geomeans: ours {} (paper {:.1}%), ideal-net {} (paper {:.1}%), ideal-analysis {} (paper {:.1}%)",
+        geomeans(&ours_all),
         100.0 * meta::means::EXEC_REDUCTION,
-        100.0 * geomean_reduction(net_all.into_iter()),
+        geomeans(&net_all),
         100.0 * meta::means::IDEAL_NETWORK_REDUCTION,
-        100.0 * geomean_reduction(ana_all.into_iter()),
+        geomeans(&ana_all),
         100.0 * meta::means::IDEAL_ANALYSIS_REDUCTION,
     );
 }
@@ -386,11 +524,13 @@ fn fig20_21(scale: Scale, reuse_aware: bool) {
         print!(" {:>11}", format!("w{w}"));
     }
     println!(" {:>11}", "adaptive");
+    let machine = MachineConfig::knl_like();
     for w in all(scale) {
-        let base = standard_runs(&w)(Scenario::Baseline);
+        let config = standard_config(&w, &machine);
+        let base = run_program(&w.program, &w.data, &machine, &config, Scenario::Baseline);
         print!("{:<10}", w.name);
         for win in (1..=8).map(Some).chain([None]) {
-            let (t, l1) = window_run(&w, win, reuse_aware);
+            let (t, l1) = window_run(&w, &config, win, reuse_aware);
             let red = 100.0 * (1.0 - t / base.exec_time);
             print!(" {:>5.1}%|{:>3.0}%", red, 100.0 * l1);
         }
@@ -437,17 +577,17 @@ fn fig23(scale: Scale) {
             100.0 * dm,
             100.0 * comb
         );
-        o_all.push(ours.max(0.0));
-        d_all.push(dm.max(0.0));
-        c_all.push(comb.max(0.0));
+        o_all.push(ours);
+        d_all.push(dm);
+        c_all.push(comb);
     }
     println!(
-        "geomeans: ours {:.1}% (paper {:.1}%), data-map {:.1}% (paper {:.1}%), combined {:.1}% (paper {:.1}%)",
-        100.0 * geomean_reduction(o_all.into_iter()),
+        "geomeans: ours {} (paper {:.1}%), data-map {} (paper {:.1}%), combined {} (paper {:.1}%)",
+        geomeans(&o_all),
         100.0 * meta::means::EXEC_REDUCTION,
-        100.0 * geomean_reduction(d_all.into_iter()),
+        geomeans(&d_all),
         100.0 * meta::means::DATA_MAPPING_REDUCTION,
-        100.0 * geomean_reduction(c_all.into_iter()),
+        geomeans(&c_all),
         100.0 * meta::means::COMBINED_REDUCTION,
     );
 }
@@ -469,11 +609,11 @@ fn fig24(scale: Scale) {
             100.0 * net,
             100.0 * ana
         );
-        ours_all.push(ours.max(0.0));
+        ours_all.push(ours);
     }
     println!(
-        "geomean: ours {:.1}% (paper {:.1}%)",
-        100.0 * geomean_reduction(ours_all.into_iter()),
+        "geomean: ours {} (paper {:.1}%)",
+        geomeans(&ours_all),
         100.0 * meta::means::ENERGY_REDUCTION
     );
 }
@@ -487,7 +627,7 @@ mod tests {
     }
 
     fn args(target: &str, scale: Scale) -> Args {
-        Args { target: target.to_string(), scale, reuse_aware: true }
+        Args { target: target.to_string(), scale, reuse_aware: true, pins: false }
     }
 
     #[test]
@@ -515,5 +655,25 @@ mod tests {
         assert_eq!(parse(&["fig99", "--help"]), Err("unknown target `fig99` (try --help)".into()));
         assert_eq!(parse(&["--help"]), Ok(None));
         assert_eq!(parse(&["fig17", "-h"]), Ok(None));
+    }
+
+    #[test]
+    fn pins_run_the_record_at_tiny_or_small_scale() {
+        let pinned = |scale| Ok(Some(Args { pins: true, ..args("record", scale) }));
+        assert_eq!(parse(&["--pins"]), pinned(Scale::Small));
+        assert_eq!(parse(&["--pins", "--scale-tiny"]), pinned(Scale::Tiny));
+        assert_eq!(parse(&["record", "--pins"]), pinned(Scale::Small));
+        assert_eq!(parse(&["record"]), Ok(Some(args("record", Scale::Small))));
+        assert!(parse(&["fig17", "--pins"]).is_err());
+        assert!(parse(&["--pins", "--scale-full"]).is_err());
+    }
+
+    #[test]
+    fn pinned_tables_cover_the_suite_once() {
+        for table in [PINS_SMALL, PINS_TINY] {
+            let names: Vec<&str> = table.iter().map(|(n, _)| *n).collect();
+            let suite: Vec<&str> = all(Scale::Tiny).iter().map(|w| w.name).collect();
+            assert_eq!(names, suite);
+        }
     }
 }

@@ -138,14 +138,20 @@ pub fn config_exec_time(
 }
 
 /// Figure 20/21: execution time and L1 rate for a fixed window size
-/// (`None` = the adaptive per-nest search). Returns `(exec_time, l1_rate)`.
-pub fn window_run(w: &Workload, window: Option<usize>, reuse_aware: bool) -> (f64, f64) {
+/// (`None` = the adaptive per-nest search) under `base_cfg`, the
+/// workload's [`standard_config`] (built once by the caller for all nine
+/// windows). Returns `(exec_time, l1_rate)`.
+pub fn window_run(
+    w: &Workload,
+    base_cfg: &PartitionConfig,
+    window: Option<usize>,
+    reuse_aware: bool,
+) -> (f64, f64) {
     let machine = MachineConfig::knl_like();
-    let base_cfg = standard_config(w, &machine);
     let cfg = PartitionConfig {
         fixed_window: window,
         opts: PlanOptions { reuse_aware, ..base_cfg.opts },
-        ..base_cfg
+        ..base_cfg.clone()
     };
     let partitioner = Partitioner::new(&machine, &w.program, cfg);
     let out =
@@ -189,6 +195,53 @@ pub fn data_mapping_comparison(w: &Workload) -> (f64, f64, f64) {
     )
 }
 
+/// The two planner set-ups the measured record covers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Setup {
+    /// `PartitionConfig::default()` through [`Partitioner::plan`]: what
+    /// `dmcp-serve` and perfbench plan.
+    Served,
+    /// [`standard_config`] through [`partition_guided`]: what the figures
+    /// and ablations plan.
+    Evaluated,
+}
+
+/// One plan's simulated reductions against its baseline (`plan(.., true)`
+/// under the same configuration), as fractions.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Reductions {
+    /// Execution time (Figure 17).
+    pub time: f64,
+    /// Mean per-instance data movement (Figure 13).
+    pub movement: f64,
+    /// Energy (Figure 24).
+    pub energy: f64,
+}
+
+/// Plans `w` under `setup` and its baseline over `pool`, simulates both
+/// and returns the plan's [`Reductions`].
+pub fn setup_reductions(w: &Workload, setup: Setup, pool: &Pool) -> Reductions {
+    let machine = MachineConfig::knl_like();
+    let sim = SimOptions { track_instances: true, ..SimOptions::default() };
+    let cfg = match setup {
+        Setup::Served => PartitionConfig::default(),
+        Setup::Evaluated => standard_config(w, &machine),
+    };
+    let part = Partitioner::new(&machine, &w.program, cfg);
+    let opt = match setup {
+        Setup::Served => part.plan(&w.program, &w.data, pool, false).expect("served plans"),
+        Setup::Evaluated => partition_guided(&part, &w.program, &w.data, pool, sim),
+    };
+    let base = part.plan(&w.program, &w.data, pool, true).expect("baseline plans");
+    let r_opt = run_schedules(&w.program, part.layout(), &opt, sim);
+    let r_base = run_schedules(&w.program, part.layout(), &base, sim);
+    Reductions {
+        time: r_opt.time_reduction_vs(&r_base),
+        movement: r_opt.per_instance_reduction_vs(&r_base).0,
+        energy: r_opt.energy_reduction_vs(&r_base),
+    }
+}
+
 /// Geometric mean of `1 - x` complements expressed as a reduction — the
 /// paper reports geometric means of improvements.
 pub fn geomean_reduction(reductions: impl Iterator<Item = f64>) -> f64 {
@@ -229,7 +282,8 @@ mod tests {
     #[test]
     fn window_run_produces_times() {
         let w = dmcp::workloads::by_name("radix", Scale::Tiny).unwrap();
-        let (t, l1) = window_run(&w, Some(2), true);
+        let cfg = standard_config(&w, &MachineConfig::knl_like());
+        let (t, l1) = window_run(&w, &cfg, Some(2), true);
         assert!(t > 0.0);
         assert!((0.0..=1.0).contains(&l1));
     }
