@@ -48,34 +48,34 @@ const TARGETS: &[&str] = &[
 /// --pins` fails when one drifts; a change that moves a plan re-pins them
 /// and says so in CHANGES.md.
 const PINS_SMALL: &[(&str, [f64; 6])] = &[
-    ("Barnes", [-0.05, 0.00, 0.00, 0.29, 0.00, 0.02]),
-    ("Cholesky", [5.31, 1.99, 21.83, 0.03, 2.89, 22.71]),
+    ("Barnes", [0.09, 0.00, 0.01, 0.29, 0.00, 0.02]),
+    ("Cholesky", [7.18, 2.35, 22.27, 2.01, 3.09, 23.15]),
     ("FFT", [0.11, 0.00, 0.00, 0.06, 0.00, 0.00]),
-    ("FMM", [2.29, 0.00, 0.08, 2.38, 0.00, 0.08]),
-    ("LU", [53.44, 58.04, 48.23, 52.62, 61.19, 50.40]),
+    ("FMM", [26.79, -7.73, 1.83, 18.35, 0.50, 3.34]),
+    ("LU", [67.01, 61.48, 52.32, 66.57, 63.73, 52.76]),
     ("Ocean", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
-    ("Radiosity", [1.74, -105.47, -3.54, 13.30, -103.31, -1.47]),
-    ("Radix", [26.10, 20.91, 16.28, 22.05, 20.54, 14.38]),
-    ("Raytrace", [7.62, 28.94, 7.50, 3.93, 32.18, 8.81]),
+    ("Radiosity", [1.74, -105.47, -3.53, 13.30, -103.32, -1.48]),
+    ("Radix", [26.11, 20.84, 16.26, 22.06, 20.51, 14.33]),
+    ("Raytrace", [12.39, 44.75, 12.92, 6.26, 47.27, 14.64]),
     ("Water", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
-    ("MiniMD", [0.00, 0.00, 0.00, 0.30, 0.00, 0.00]),
+    ("MiniMD", [-0.27, 0.00, 0.00, 0.30, 0.00, 0.00]),
     ("MiniXyce", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
 ];
 
 /// [`PINS_SMALL`] at Tiny scale (`figures --pins --scale-tiny`).
 const PINS_TINY: &[(&str, [f64; 6])] = &[
-    ("Barnes", [0.12, 0.00, 0.00, 0.06, 0.00, 0.00]),
-    ("Cholesky", [26.04, -0.84, 17.95, 24.16, -0.13, 18.34]),
+    ("Barnes", [0.18, 0.00, 0.00, 0.30, 0.00, 0.01]),
+    ("Cholesky", [25.92, 1.56, 19.99, 24.03, 1.95, 20.37]),
     ("FFT", [-0.11, 0.00, 0.00, 0.00, 0.00, 0.00]),
-    ("FMM", [1.54, 0.00, 0.09, 2.88, 0.00, 0.10]),
-    ("LU", [70.33, 67.71, 52.94, 68.75, 69.67, 53.63]),
-    ("Ocean", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
-    ("Radiosity", [8.40, -108.84, -1.60, 3.73, -107.32, -1.10]),
-    ("Radix", [22.09, 17.46, 12.47, 16.59, 22.25, 11.63]),
-    ("Raytrace", [30.49, 32.84, 7.23, 23.57, 31.87, 7.16]),
-    ("Water", [9.04, 0.00, 0.08, 6.00, 0.00, 0.06]),
-    ("MiniMD", [-0.26, 0.00, 0.00, 0.26, 0.00, 0.00]),
-    ("MiniXyce", [-0.74, 0.00, 0.00, 0.15, 0.00, 0.00]),
+    ("FMM", [33.52, -15.20, 1.25, 34.45, -10.79, 1.10]),
+    ("LU", [75.95, 60.41, 49.02, 75.28, 61.85, 49.19]),
+    ("Ocean", [0.00, 0.00, 0.00, 0.06, 0.00, 0.00]),
+    ("Radiosity", [8.39, -108.72, -1.54, 3.73, -107.33, -1.10]),
+    ("Radix", [22.09, 17.23, 12.37, 16.59, 21.95, 11.55]),
+    ("Raytrace", [32.54, 43.63, 10.67, 34.10, 44.51, 11.42]),
+    ("Water", [9.26, 0.00, 0.09, 4.35, 0.00, 0.05]),
+    ("MiniMD", [-0.26, 0.00, 0.00, 0.26, 0.00, 0.01]),
+    ("MiniXyce", [-0.45, 0.00, 0.00, 0.15, 0.00, 0.00]),
 ];
 
 /// Slack for the two-decimal rendering of the pinned percentages.

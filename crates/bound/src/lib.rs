@@ -198,10 +198,18 @@ pub fn bound_nest(
 
             // Option groups this instance's paid legs must span. The store
             // home is always required: split accounting roots its MST
-            // there, default accounting ships the result there.
+            // there, default accounting ships the result there. A fallback
+            // statement (`!lhs_known`) always runs on the core, so the core
+            // is required too: its default star ships the result from the
+            // core to the store home. A split statement sources its
+            // unanalyzable operands at the store home, and the default star
+            // it may be rolled back to prices them at d(core, core) = 0, so
+            // they require nothing the store home does not already cover.
             let mut groups: Vec<Vec<NodeId>> = vec![vec![lhs_info.home]];
+            if !lhs_known {
+                groups.push(vec![core]);
+            }
             let mut stmt_lines: HashSet<LineAddr> = HashSet::new();
-            let mut anchor_core = !lhs_known;
 
             leaves.clear();
             rhs_leaves(&stmt.rhs, &mut leaves);
@@ -220,18 +228,6 @@ pub fn bound_nest(
                     // exactly for lines new to this core's default L1.
                     !touched_core.contains(&(core, info.line))
                 };
-                if !analyzable && fresh {
-                    // Unplaceable operands are fetched via the assigned
-                    // core. Only a *fresh* line guarantees the leg is paid:
-                    // in split accounting the persistent-residency
-                    // estimator can serve a previously-shipped line at the
-                    // consuming step for free, and the default star prices
-                    // the fetch at d(core, core) = 0 — there the anchor
-                    // rides the unconditional result leg to the store home
-                    // instead, which also covers stale lines for fallback
-                    // statements (`!lhs_known` above).
-                    anchor_core = true;
-                }
                 // A same-line repeat within one statement rides the first
                 // fetch (the default-L1 mirror is touched immediately).
                 if analyzable && fresh && stmt_lines.insert(info.line) {
@@ -250,9 +246,6 @@ pub fn bound_nest(
                 // Mirror the planner's immediate default-L1 touch.
                 touched.insert(info.line);
                 touched_core.insert((core, info.line));
-            }
-            if anchor_core {
-                groups.push(vec![core]);
             }
             touched.insert(lhs_info.line);
             touched_core.insert((core, lhs_info.line));
@@ -418,6 +411,33 @@ mod tests {
                 report.planner_movement
             );
         }
+    }
+
+    /// Shrunken `dmcp-check` counterexample (`bound-sound`, seed 34): the
+    /// split statement sources its unanalyzable operand `a1[a2[i0]]` at the
+    /// store home and plans no movement, so the bound must not charge the
+    /// core leg only a fallback statement pays (it charged 5).
+    #[test]
+    fn split_statements_pay_no_core_leg_for_unanalyzable_operands() {
+        let mut b = dmcp_ir::ProgramBuilder::new();
+        for name in ["a0", "a1", "a2"] {
+            b.array(name, &[4], 8);
+        }
+        b.nest(&[("i0", 1, 2)], &["a1[i0 + 2] = a1[a2[i0]] & 63"]).unwrap();
+        let program = b.build();
+        let machine = MachineConfig::knl_like();
+        let config =
+            PartitionConfig { max_window: 4, search_sample: 64, ..PartitionConfig::default() };
+        let data = program.initial_data();
+        let part = Partitioner::new(&machine, &program, config);
+        let out = part.plan(&program, &data, Pool::global(), false).unwrap();
+        let report = gap_report("seed-34", &program, part.layout(), &data, part.config(), &out);
+        assert!(
+            report.sound(),
+            "bound {} above planner movement {}",
+            report.bound,
+            report.planner_movement
+        );
     }
 
     /// The baseline (all-default) accounting is an accounting the planner

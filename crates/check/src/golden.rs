@@ -35,35 +35,35 @@ use dmcp_workloads::{by_name, Scale, Workload};
 
 /// Expected healthy plan digest per workload (default configuration).
 pub const GOLDEN_HEALTHY: &[(&str, u64)] = &[
-    ("Barnes", 0xfcc3d21b971148af),
-    ("Cholesky", 0xec3103d3d6ef6ce8),
+    ("Barnes", 0xcff580132cff3c52),
+    ("Cholesky", 0xbb458f539c113a80),
     ("FFT", 0x7ee4c14e0346b142),
-    ("FMM", 0x362451db685f9acb),
-    ("LU", 0x8c969337a80f8708),
-    ("Ocean", 0x99c6b56d39b91391),
-    ("Radiosity", 0x78453244ace62a0d),
-    ("Radix", 0xd33cf59f2860809c),
-    ("Raytrace", 0xbd205ffa11453f34),
-    ("Water", 0x20347db488c4f63d),
-    ("MiniMD", 0xbac0d0dc0eba9c86),
-    ("MiniXyce", 0x6d172a91265be22b),
+    ("FMM", 0x215c4e1939ea9e45),
+    ("LU", 0x265aa9f094539511),
+    ("Ocean", 0x15591bb3f14899ec),
+    ("Radiosity", 0x2927579e46bd1fe8),
+    ("Radix", 0x9a20894bfd47109e),
+    ("Raytrace", 0x6fefb23448203435),
+    ("Water", 0x23e5cae29bf6085e),
+    ("MiniMD", 0x85615ea78a97ca85),
+    ("MiniXyce", 0x8991792f57883ff8),
 ];
 
 /// Expected plan digest per workload under [`canonical_faults`]
 /// (default configuration).
 pub const GOLDEN_DEGRADED: &[(&str, u64)] = &[
-    ("Barnes", 0x072fd0f743e89848),
-    ("Cholesky", 0x0101bc93e6ec1b7c),
+    ("Barnes", 0xffe08a3d484e361e),
+    ("Cholesky", 0x892a115690ea9715),
     ("FFT", 0xb291f80b72c5ef84),
-    ("FMM", 0x07b2bbf63353b60a),
-    ("LU", 0x630a5d361abc0812),
-    ("Ocean", 0xbc3250cd7188f521),
-    ("Radiosity", 0xb7f2b6d2554344c3),
-    ("Radix", 0x1bf4cca79b496c01),
-    ("Raytrace", 0xba09a3830ee0609a),
-    ("Water", 0x2e03da78b70547ee),
-    ("MiniMD", 0x134b5952b3ddfef7),
-    ("MiniXyce", 0x6bb6b16657896878),
+    ("FMM", 0xd6cceccd2ef07377),
+    ("LU", 0x61e1061df55b9fa6),
+    ("Ocean", 0xf5bc9e0a1901b789),
+    ("Radiosity", 0x93a0c22a47e351fd),
+    ("Radix", 0x46ce9a2455afe319),
+    ("Raytrace", 0xa7d47d0a7438bcf9),
+    ("Water", 0xaf40c8e37574c8b2),
+    ("MiniMD", 0xed858db1c4498dbe),
+    ("MiniXyce", 0x01db2e34f81b9468),
 ];
 
 /// Expected `(healthy, degraded)` [`PlanKey`] digests per workload —
@@ -72,18 +72,18 @@ pub const GOLDEN_DEGRADED: &[(&str, u64)] = &[
 ///
 /// [`PlanKey`]: dmcp_serve::PlanKey
 pub const GOLDEN_KEYS: &[(&str, u64, u64)] = &[
-    ("Barnes", 0x2b284ccd847a83af, 0x92c3b0c339d98265),
-    ("Cholesky", 0x8116946ee5c3848a, 0x85a40576b075a245),
-    ("FFT", 0x8cb258078c94d2ef, 0x5c078f122e2cef2b),
-    ("FMM", 0xf5baaebc69fb6a20, 0x11225063e25f13a4),
-    ("LU", 0x8edad6e52aad7745, 0xb1b37ab169ee9ea0),
-    ("Ocean", 0xf44be029bda2089b, 0xe5f796eaf76032b7),
-    ("Radiosity", 0x50e7a33edfbd4f30, 0x2b858ad801dc5df0),
-    ("Radix", 0x6df40a527a0d6fb2, 0x6fd475bd816e101e),
-    ("Raytrace", 0x97cb65d36e11bbe3, 0xd01c53005632e1e6),
-    ("Water", 0x2418b2785eef2cbd, 0x84e6c175ce1602af),
-    ("MiniMD", 0xce20d781cbc013eb, 0x26b902730ace6184),
-    ("MiniXyce", 0xa0cb8418498dd25a, 0xeda354f8ba6f77e5),
+    ("Barnes", 0x6e18d429985ed199, 0xadebc77685ed05d5),
+    ("Cholesky", 0xc804c8f4a31ddfdc, 0xa202dd586ace3289),
+    ("FFT", 0x0730e74636c57bfd, 0x98ca401f30a98129),
+    ("FMM", 0xaf0830b5cec43712, 0x79619a370e29de3f),
+    ("LU", 0xae76ab5e0c6064d7, 0x99157d3a9701b120),
+    ("Ocean", 0x7733671937cf8be9, 0x741f41af97e350dd),
+    ("Radiosity", 0xc8546b570ee18db3, 0x2eb2646308eddc7c),
+    ("Radix", 0xb8664f25cc244552, 0x73c34296683c82e6),
+    ("Raytrace", 0x6922f66944b4fbc8, 0x2d0d52b2b04b2008),
+    ("Water", 0x7fa410030c8d2a6c, 0x975bc7c038398153),
+    ("MiniMD", 0x7d641529aa0787fa, 0x873f8c82f9208996),
+    ("MiniXyce", 0xe01003086223df54, 0xdd7d7a26e46dfeaa),
 ];
 
 /// Expected `(workload, healthy length, healthy checksum, degraded length,
@@ -96,18 +96,18 @@ pub const GOLDEN_KEYS: &[(&str, u64, u64)] = &[
 /// Taken once from the compact plan layout (plan version byte 6) and never
 /// regenerated: a new layout needs a new version byte and a new table.
 pub const GOLDEN_PLAN_BYTES: &[(&str, usize, u64, usize, u64)] = &[
-    ("Barnes", 313141, 0xe7bcdd8a118b83fd, 312833, 0xfb459a803cdc1efe),
-    ("Cholesky", 348215, 0x905d50008f62c112, 348148, 0x85cc88741f0a7300),
-    ("FFT", 114555, 0x06f46881ae406ebd, 114672, 0x040d1a76f6c35cd5),
-    ("FMM", 135745, 0x2232e54316c5eeb0, 141216, 0xe786e3c8bc5d77ca),
-    ("LU", 467519, 0x510969fd937a86ac, 466931, 0xb777e0779e63333c),
-    ("Ocean", 412135, 0x5dceeb7bb6010c6c, 412081, 0x2423dfab53d71244),
-    ("Radiosity", 151792, 0x78d6cc6870591bbc, 152138, 0x7028a7d4f130395b),
-    ("Radix", 135598, 0xb31f403541eca4f8, 135611, 0xb2ee820047b0db7c),
-    ("Raytrace", 159797, 0xe99976e2b9a184cf, 159804, 0x23f5472e28dc974a),
-    ("Water", 285985, 0x7509dc7037b5d6db, 284073, 0x24a0d8d9c7bce59a),
-    ("MiniMD", 289018, 0x89855f9d0b5c4bb5, 288654, 0xaf7df22902d2ce93),
-    ("MiniXyce", 129183, 0xa45d25cd2da55a96, 129086, 0xcb6dc830fec38e74),
+    ("Barnes", 313408, 0xfb3fbc7dd6a4988d, 313220, 0x02f9e63d2aa6f258),
+    ("Cholesky", 348231, 0xf09d77f991760818, 348184, 0xf4b4a4655ce1ab0c),
+    ("FFT", 114555, 0x06f46881ae406ebd, 114672, 0xcdf04513f380a5af),
+    ("FMM", 138937, 0xb32dd17b2839aea8, 141359, 0xb81d94165729454b),
+    ("LU", 462219, 0xce60516ea2e0d084, 461883, 0x894f19a29b835a39),
+    ("Ocean", 412262, 0xa3b8687b1d835589, 410310, 0x5d4a728aaec9a786),
+    ("Radiosity", 151876, 0xe1dc594362bb3193, 152154, 0x9523d4e26aa6285d),
+    ("Radix", 135482, 0xe08c64923d7f6980, 135510, 0x6366d747cd298667),
+    ("Raytrace", 161184, 0xd5b33b7af59bbb54, 161158, 0xcf35aa825b7ad73c),
+    ("Water", 284359, 0x61e4611ac47ecb6b, 284352, 0xb2618a799b69571e),
+    ("MiniMD", 289018, 0x9c023ed8a6ecc090, 288654, 0x7311e65579e3e13f),
+    ("MiniXyce", 129255, 0x29da6575a3c13ac4, 129150, 0x11f9f70d3962c8dd),
 ];
 
 /// The length and [`dmcp_hash::checksum64`] of `output`'s encoding, as
@@ -128,9 +128,9 @@ pub fn plan_bytes_pin(output: &PartitionOutput) -> (usize, u64) {
 /// kernel moved to dense line ids and reusable scratch, and never
 /// regenerated.
 pub const GOLDEN_LARGE_MESH: &[(&str, u64, u64)] = &[
-    ("FFT", 0xec43f2053210d9db, 0x09b10122a13740d9),
+    ("FFT", 0xff911dc003bedb05, 0xba785568152f9d64),
     ("Radix", 0x37e875214f299883, 0x66eb83454da25d69),
-    ("LU", 0x5307dc96f2ff9061, 0x55ac12f53ad04680),
+    ("LU", 0xff84f112fdf7166e, 0x3e55fe80fb2d280f),
 ];
 
 /// The KNL-like machine on a 10×10 mesh (100 nodes).
@@ -232,25 +232,25 @@ pub const VARIANT_WORKLOADS: [&str; 2] = ["FFT", "Radix"];
 /// overrides leave alone.
 pub const GOLDEN_VARIANTS: &[(&str, &str, u64, Option<u64>)] = &[
     ("always-hit", "FFT", 0xbdcb741a567463b0, Some(0xe4fa81d9aead2c4d)),
-    ("always-hit", "Radix", 0x021ece51bc7dba3e, Some(0x02c5c677839f82b9)),
+    ("always-hit", "Radix", 0x25d99b44af200711, Some(0x998998ebb36defb1)),
     ("ideal-analysis", "FFT", 0x5378fe2446a1fe25, Some(0x70031156c7ea1b65)),
     ("ideal-analysis", "Radix", 0x0f7c29e1d971a3a1, Some(0xb36fb401d8aa4c6a)),
     ("reuse-agnostic", "FFT", 0xa3160e4bf5060bd4, Some(0x012c972d7853781d)),
     ("reuse-agnostic", "Radix", 0xc31cbf1425bd0230, Some(0xbd0f016df1aa441c)),
-    ("scramble", "FFT", 0xda1e9209178eda4e, Some(0x9e4b19e24a4a3cf6)),
-    ("scramble", "Radix", 0x548ec22bdfee3ce4, Some(0x6214c718bfef808b)),
+    ("scramble", "FFT", 0x1cde3db2203da66b, Some(0xd74336830290bf1c)),
+    ("scramble", "Radix", 0xcd6f2125db646808, Some(0x664776f86c16d0e2)),
     ("fixed-window-4", "FFT", 0x85468992a82ba57f, Some(0x85993da1c417795c)),
-    ("fixed-window-4", "Radix", 0xbf7c779816d647da, Some(0x1bf4cca79b496c01)),
-    ("short-search", "FFT", 0x7eb35f01c900e671, Some(0x736fa92f0c7b0a02)),
-    ("short-search", "Radix", 0x652636faf00697b8, Some(0xb55c3c9e339918ef)),
-    ("snc4", "FFT", 0x61583f03db564bfc, Some(0xab189100c4fd3f57)),
-    ("snc4", "Radix", 0xfd1cffec51dde401, Some(0x5cc9ddaee9944f51)),
+    ("fixed-window-4", "Radix", 0x2a40eb9609d9ec48, Some(0x46ce9a2455afe319)),
+    ("short-search", "FFT", 0xfe8af9c986a64b49, Some(0x736fa92f0c7b0a02)),
+    ("short-search", "Radix", 0x5d6438a49e7328b2, Some(0xfa220e85fe5bede3)),
+    ("snc4", "FFT", 0x03a9e93b0d94d13a, Some(0xc8122ff3239253b1)),
+    ("snc4", "Radix", 0xf8b12b8f5d652d7c, Some(0xc27322a74b3c47f0)),
     ("reversed-assignment", "FFT", 0x08a3ca6d84792e6d, None),
-    ("reversed-assignment", "Radix", 0x8eded88ca5ea1f50, None),
+    ("reversed-assignment", "Radix", 0xf65a3213526f8bce, None),
     ("baseline", "FFT", 0xa3160e4bf5060bd4, Some(0x012c972d7853781d)),
-    ("baseline", "Radix", 0xbd1ce226270a7b97, Some(0xcd6b6607e69926a3)),
+    ("baseline", "Radix", 0x1d7a06f825350a01, Some(0xa1647c9b0e456c77)),
     ("mc-override", "FFT", 0x7ee4c14e0346b142, Some(0xb291f80b72c5ef84)),
-    ("mc-override", "Radix", 0xd33cf59f2860809c, Some(0x1bf4cca79b496c01)),
+    ("mc-override", "Radix", 0x9a20894bfd47109e, Some(0x46ce9a2455afe319)),
 ];
 
 /// The machine and configuration of `variant`.
@@ -525,36 +525,36 @@ impl GoldenInput {
 /// caches in hash maps and routed every faulty transfer afresh, and never
 /// regenerated: the dense simulator must report exactly what that one did.
 pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
-    ("healthy", "default", "Barnes", 0x1ef493cf14bbed42),
-    ("healthy", "default", "Cholesky", 0x69888be33ea5643e),
+    ("healthy", "default", "Barnes", 0x96514d4c4dcde13f),
+    ("healthy", "default", "Cholesky", 0xcae375971f1b34c9),
     ("healthy", "default", "FFT", 0x243f1aad6565b2d5),
-    ("healthy", "default", "FMM", 0x72c5f549615977c2),
-    ("healthy", "default", "LU", 0x669699f870b0ca2a),
-    ("healthy", "default", "Ocean", 0x8a71b79555133bb7),
-    ("healthy", "default", "Radiosity", 0xe82dc887361f0d76),
-    ("healthy", "default", "Radix", 0xb09f10085ecf02bf),
-    ("healthy", "default", "Raytrace", 0x45f2cd35b131a0a9),
-    ("healthy", "default", "Water", 0xb07d6e2558c98e6f),
-    ("healthy", "default", "MiniMD", 0xd61d9e5ee45147d3),
-    ("healthy", "default", "MiniXyce", 0xa7712fbf4600714a),
-    ("degraded", "default", "Barnes", 0x2a58ece53095375c),
-    ("degraded", "default", "Cholesky", 0xdc3349cb25aa13e0),
+    ("healthy", "default", "FMM", 0x0ed988d9320fac04),
+    ("healthy", "default", "LU", 0xe45324056e42d9c9),
+    ("healthy", "default", "Ocean", 0xdd782f52394116db),
+    ("healthy", "default", "Radiosity", 0x08dfe14cb39b8ced),
+    ("healthy", "default", "Radix", 0xcbcb13db98069283),
+    ("healthy", "default", "Raytrace", 0xe3cdd515c8980932),
+    ("healthy", "default", "Water", 0x72f5f94e929b3f63),
+    ("healthy", "default", "MiniMD", 0xf423d898ffecc237),
+    ("healthy", "default", "MiniXyce", 0x96eada05e7724a6a),
+    ("degraded", "default", "Barnes", 0xc5cc785d0332d19a),
+    ("degraded", "default", "Cholesky", 0x8e930471391926f1),
     ("degraded", "default", "FFT", 0x760ea10d12e9df99),
-    ("degraded", "default", "FMM", 0xae1e3e947e41558b),
-    ("degraded", "default", "LU", 0x5ed0e1ef2b6d1123),
-    ("degraded", "default", "Ocean", 0xda81918fb12dbc7c),
-    ("degraded", "default", "Radiosity", 0x145c4cb33375efa6),
-    ("degraded", "default", "Radix", 0xd3a88e9cf64cc648),
-    ("degraded", "default", "Raytrace", 0xbc8a50d8969716b7),
-    ("degraded", "default", "Water", 0xfe242ae290d807a9),
-    ("degraded", "default", "MiniMD", 0xe21735436ac26f45),
-    ("degraded", "default", "MiniXyce", 0xdc289005f6a74514),
-    ("large-healthy", "default", "FFT", 0x54627425a4de193b),
+    ("degraded", "default", "FMM", 0x8ed70397047542a5),
+    ("degraded", "default", "LU", 0x7e0ca2404c6cc34d),
+    ("degraded", "default", "Ocean", 0x8b4432f0b0c54004),
+    ("degraded", "default", "Radiosity", 0xde6007e78f77fe7c),
+    ("degraded", "default", "Radix", 0xc9ec7eb6e037874b),
+    ("degraded", "default", "Raytrace", 0x6c0d756d6d0f36ec),
+    ("degraded", "default", "Water", 0xd3664fbe7f5a4933),
+    ("degraded", "default", "MiniMD", 0xea21bb44cf021f82),
+    ("degraded", "default", "MiniXyce", 0x4cff1a148d5bdd95),
+    ("large-healthy", "default", "FFT", 0x8d5c57617b0bce5d),
     ("large-healthy", "default", "Radix", 0xd0aa84f1cfa4306d),
-    ("large-healthy", "default", "LU", 0x92f4c00ece3b4cc4),
-    ("large-degraded", "default", "FFT", 0xab10a2cd0746de17),
+    ("large-healthy", "default", "LU", 0xf788f950c6fcda60),
+    ("large-degraded", "default", "FFT", 0xb34a442bc1c00b19),
     ("large-degraded", "default", "Radix", 0x5473c3381f05bd18),
-    ("large-degraded", "default", "LU", 0x0d80f21b2a440fc2),
+    ("large-degraded", "default", "LU", 0x399715ae45b1acc6),
     ("healthy", "cache", "FFT", 0x243f1aad6565b2d5),
     ("healthy", "hybrid", "FFT", 0x243f1aad6565b2d5),
     ("healthy", "ideal-network", "FFT", 0xf6e09cf1f9a012dd),
@@ -563,14 +563,14 @@ pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
     ("healthy", "compute-scale", "FFT", 0x6456fae56a20bf48),
     ("healthy", "extra-sync", "FFT", 0x3271663b49cf5006),
     ("healthy", "track-instances", "FFT", 0xda27cd5584d16560),
-    ("healthy", "cache", "Radix", 0xb09f10085ecf02bf),
-    ("healthy", "hybrid", "Radix", 0xb09f10085ecf02bf),
-    ("healthy", "ideal-network", "Radix", 0xb4d3bc6701b52940),
-    ("healthy", "movement-scale", "Radix", 0x026625ccfc491293),
-    ("healthy", "l1-override", "Radix", 0xff518c891bf9f415),
-    ("healthy", "compute-scale", "Radix", 0xa332af54764f2438),
-    ("healthy", "extra-sync", "Radix", 0x9673fedee85d1560),
-    ("healthy", "track-instances", "Radix", 0xaac8fd04b8c799c3),
+    ("healthy", "cache", "Radix", 0xcbcb13db98069283),
+    ("healthy", "hybrid", "Radix", 0xcbcb13db98069283),
+    ("healthy", "ideal-network", "Radix", 0x6d575335bedbcc2d),
+    ("healthy", "movement-scale", "Radix", 0xa4c0e9f0e1d1b86c),
+    ("healthy", "l1-override", "Radix", 0x3705dd9403b2ab26),
+    ("healthy", "compute-scale", "Radix", 0xe6a26b8712cab1f6),
+    ("healthy", "extra-sync", "Radix", 0x97eb1ac89d0f67c8),
+    ("healthy", "track-instances", "Radix", 0xe2f07888034968c6),
     ("lossy", "default", "FFT", 0x732f05ce3833ed5f),
     ("lossy", "cache", "FFT", 0x732f05ce3833ed5f),
     ("lossy", "hybrid", "FFT", 0x732f05ce3833ed5f),
@@ -580,15 +580,15 @@ pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
     ("lossy", "compute-scale", "FFT", 0x0b54b9e06cda5db4),
     ("lossy", "extra-sync", "FFT", 0x323267b0a923519f),
     ("lossy", "track-instances", "FFT", 0x2487cf8196145f7d),
-    ("lossy", "default", "Radix", 0xa0b793cc0dfd3e17),
-    ("lossy", "cache", "Radix", 0xa0b793cc0dfd3e17),
-    ("lossy", "hybrid", "Radix", 0xa0b793cc0dfd3e17),
-    ("lossy", "ideal-network", "Radix", 0xeaece0925b3ef68f),
-    ("lossy", "movement-scale", "Radix", 0x074d0ae359331de3),
-    ("lossy", "l1-override", "Radix", 0x8709e67a3578a249),
-    ("lossy", "compute-scale", "Radix", 0x35e6523fa23ec321),
-    ("lossy", "extra-sync", "Radix", 0xfc6a8ef005d28da6),
-    ("lossy", "track-instances", "Radix", 0xa552f38500cbc6f2),
+    ("lossy", "default", "Radix", 0x5fd1fa516f434820),
+    ("lossy", "cache", "Radix", 0x5fd1fa516f434820),
+    ("lossy", "hybrid", "Radix", 0x5fd1fa516f434820),
+    ("lossy", "ideal-network", "Radix", 0xcd49089d3d911999),
+    ("lossy", "movement-scale", "Radix", 0x61e37fd5517f9868),
+    ("lossy", "l1-override", "Radix", 0x919043aa442fcd43),
+    ("lossy", "compute-scale", "Radix", 0xd2f8805a67d0b13d),
+    ("lossy", "extra-sync", "Radix", 0xda9914f0ce0e9102),
+    ("lossy", "track-instances", "Radix", 0x1aa573cb5d5ff50a),
 ];
 
 /// Plans and simulates every [`GOLDEN_SIM`] row, in table order, over

@@ -75,7 +75,7 @@ pub use error::PartitionError;
 pub use layout::{ElemInfo, Layout};
 pub use partitioner::{
     chunked_assignment, chunked_assignment_over, nest_assignment, NestPartition, PartitionConfig,
-    PartitionOutput, Partitioner, PredictorSpec,
+    PartitionOutput, Partitioner, PredictorSpec, PLANNER_REVISION,
 };
 pub use pipeline::{passes, NestCtx, Pass, PlanCtx};
 pub use resolve::{resolve_nest, HitPredictor, NestResolution};

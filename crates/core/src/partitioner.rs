@@ -43,6 +43,15 @@ impl PredictorSpec {
     }
 }
 
+/// The planner's revision. [`PartitionConfig::fingerprint`] folds it in,
+/// so it reaches every plan key: a change that can alter any plan for an
+/// unchanged program, machine and configuration bumps it, and a plan
+/// cache written by an older planner (a `dmcp-serve` disk tier) then
+/// misses instead of serving that planner's plans. Revision 1 sources a
+/// split statement's unanalyzable operands at its store home and gives
+/// the planner's L1 models the machine's set mapping.
+pub const PLANNER_REVISION: u32 = 1;
+
 /// Partitioner configuration.
 #[derive(Clone, Debug)]
 pub struct PartitionConfig {
@@ -80,8 +89,9 @@ impl Default for PartitionConfig {
 
 impl PartitionConfig {
     /// Stable fingerprint of the configuration — every knob that can change
-    /// the planner's output participates, so two configs fingerprint equal
-    /// iff they compile identical plans for the same program and machine.
+    /// the planner's output participates, and so does [`PLANNER_REVISION`],
+    /// so two configs fingerprint equal iff the same planner compiles
+    /// identical plans under them for the same program and machine.
     pub fn fingerprint(&self) -> u64 {
         use dmcp_ir::fingerprint::StableHasher;
         let mut h = StableHasher::new();
@@ -118,6 +128,7 @@ impl PartitionConfig {
                 }
             }
         }
+        h.write_u32(PLANNER_REVISION);
         h.finish()
     }
 

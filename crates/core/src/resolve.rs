@@ -18,7 +18,8 @@
 //!
 //! Every operand and store line is interned to a dense id here, once per
 //! access, so the planner's L1 models ([`L1Model`]) index tables instead
-//! of hashing line addresses on every lookup.
+//! of hashing line addresses on every lookup; each id's L1 set is computed
+//! once, when the id is made.
 
 use crate::l1model::L1Model;
 use crate::layout::Layout;
@@ -56,9 +57,10 @@ impl HitPredictor {
 /// line 11) resolves it before any placement.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ResolvedLeaf {
-    /// The element; `elem.believed` is its primary (network) source: the
-    /// believed home bank on a predicted hit, the believed controller on a
-    /// predicted miss, the assigned core for an unanalyzable reference.
+    /// The element; `elem.believed` is its primary (network) source under
+    /// default execution: the believed home bank on a predicted hit, the
+    /// believed controller on a predicted miss, the assigned core for an
+    /// unanalyzable reference (see [`ResolvedLeaf::source`]).
     pub elem: ElemLoc,
     /// Dense id of `elem.line` within the nest.
     pub line: u32,
@@ -70,6 +72,22 @@ pub(crate) struct ResolvedLeaf {
     /// the balance rule room to spread load away from the (few)
     /// controller tiles.
     pub miss_home: Option<NodeId>,
+}
+
+impl ResolvedLeaf {
+    /// Where a placement fetches the operand from when its statement
+    /// sources unanalyzable operands at `anchor`: the believed primary of
+    /// an analyzable operand, else `anchor`. Nothing at compile time places
+    /// an unanalyzable operand nearer one consumer than another, so a split
+    /// statement anchors it at its store home, where the statement's tree
+    /// is rooted anyway, and a fallback or forced statement at its core.
+    pub fn source(&self, anchor: NodeId) -> NodeId {
+        if self.analyzable {
+            self.elem.believed
+        } else {
+            anchor
+        }
+    }
 }
 
 /// One statement instance.
@@ -103,6 +121,8 @@ pub struct NestResolution {
     instances: Vec<ResolvedInstance>,
     /// Every instance's operands, instance after instance.
     leaves: Vec<ResolvedLeaf>,
+    /// Dense line id → the L1 set its line maps to on the machine.
+    line_sets: Vec<u32>,
 }
 
 impl NestResolution {
@@ -140,6 +160,11 @@ impl NestResolution {
         (steps, inputs)
     }
 
+    /// Dense line id → L1 set, for every line the nest touches.
+    pub(crate) fn line_sets(&self) -> &[u32] {
+        &self.line_sets
+    }
+
     /// Index within the nest body of instance `i`'s statement.
     pub(crate) fn statement_of(&self, i: usize) -> usize {
         i % self.groups.len()
@@ -157,8 +182,9 @@ impl NestResolution {
 /// Resolves every statement instance of nest `nest_index`, in execution
 /// order: the assigned core (`assignment[it % assignment.len()]` for
 /// iteration `it`), the store target, each operand's location and
-/// predicted-hit source (one `predictor` for the whole nest), and the
-/// default-execution movement against a per-core L1 mirror. Indirect
+/// predicted-hit source (one `predictor` for the whole nest), each line's
+/// L1 set, and the default-execution movement against a per-core L1
+/// mirror of the machine's geometry. Indirect
 /// references are resolved through `data`; `opts.ideal_analysis` treats
 /// every reference as analyzable.
 ///
@@ -184,11 +210,19 @@ pub fn resolve_nest(
     let machine = layout.machine();
     // What the default execution's per-core L1s would hold, so the
     // split-vs-default comparison is honest.
-    let mut l1_default = L1Model::new(machine.mesh, machine.l1_lines());
+    let sets = machine.l1_sets();
+    let mut l1_default = L1Model::new(machine.mesh, sets, machine.l1_ways);
     let mut line_ids: HashMap<LineAddr, u32> = HashMap::new();
+    let mut line_sets = Vec::new();
+    // A line's dense id and its L1 set (the simulated cache's mapping,
+    // `line mod sets`), computed when the id is made.
     let mut intern = |line: LineAddr| {
         let next = u32::try_from(line_ids.len()).expect("fewer than 2^32 lines per nest");
-        *line_ids.entry(line).or_insert(next)
+        let id = *line_ids.entry(line).or_insert(next);
+        if id == next {
+            line_sets.push((line.raw() % u64::from(sets)) as u32);
+        }
+        (id, line_sets[id as usize])
     };
     let mut instances = Vec::new();
     let mut leaves = Vec::new();
@@ -214,7 +248,7 @@ pub fn resolve_nest(
                 let belief = layout.believed(program, r.array, elem, core);
                 let analyzable = r.analyzable || opts.ideal_analysis;
                 let predicted_hit = predictor.predict(belief.line);
-                let line = intern(belief.line);
+                let (line, set) = intern(belief.line);
                 let primary = match (analyzable, predicted_hit) {
                     // Unplaceable: the compiler assumes the data must come
                     // to the requesting core, exactly as in default
@@ -228,7 +262,7 @@ pub fn resolve_nest(
                 if !l1_default.holds(core, line) {
                     default_movement += u64::from(primary.manhattan(core));
                 }
-                l1_default.touch(core, line);
+                l1_default.touch(core, line, set);
                 leaves.push(ResolvedLeaf {
                     elem: ElemLoc {
                         array: r.array,
@@ -246,8 +280,8 @@ pub fn resolve_nest(
             // store node, and the store line is write-allocated into L2.
             default_movement += u64::from(core.manhattan(store.home));
             let _ = predictor.predict(store.line);
-            let store_line = intern(store.line);
-            l1_default.touch(core, store_line);
+            let (store_line, store_set) = intern(store.line);
+            l1_default.touch(core, store_line, store_set);
             instances.push(ResolvedInstance {
                 core,
                 store,
@@ -258,7 +292,7 @@ pub fn resolve_nest(
             });
         }
     }
-    NestResolution { nest: nest_index, groups, instances, leaves }
+    NestResolution { nest: nest_index, groups, instances, leaves, line_sets }
 }
 
 #[cfg(test)]
@@ -315,6 +349,7 @@ mod tests {
     #[test]
     fn lines_are_interned_densely_in_order_of_first_access() {
         let r = resolve(&["A[i] = B[i] + C[i]", "X[i] = A[i] * 2"], 2, PlanOptions::default());
+        let sets = u64::from(MachineConfig::knl_like().l1_sets());
         let mut ids = std::collections::HashMap::new();
         let mut next = 0;
         for i in 0..r.instance_count() {
@@ -326,9 +361,12 @@ mod tests {
                     next - 1
                 });
                 assert_eq!(id, want, "instance {i}: line {addr:?}");
+                // Each id maps to its line's set in the simulated L1.
+                assert_eq!(u64::from(r.line_sets()[id as usize]), addr.raw() % sets);
             }
         }
         assert!(next > 0);
+        assert_eq!(r.line_sets().len(), next as usize);
     }
 
     #[test]

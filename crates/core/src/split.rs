@@ -6,7 +6,9 @@
 //! 1. locates every operand (`GetNode`): home L2 bank, or the memory
 //!    controller on a predicted L2 miss (both resolved once per nest by
 //!    [`crate::resolve`]), or L1 copies recorded in the `variable2node`
-//!    map ([`crate::l1model::L1Model`]);
+//!    map ([`crate::l1model::L1Model`]); an operand the compiler cannot
+//!    analyse has no known home and is sourced at the statement's store
+//!    node;
 //! 2. classifies the operands into nested sets by priority/parentheses and
 //!    builds an MST per set, innermost first, treating processed sets as
 //!    single multi-located components ([`crate::mst`]);
@@ -29,7 +31,7 @@ use crate::balance::LoadTracker;
 use crate::l1model::L1Model;
 use crate::layout::Layout;
 use crate::mst::{loc_distance, nearest, KruskalScratch, MstEdge, RootedTree};
-use crate::resolve::{ResolvedInstance, ResolvedLeaf};
+use crate::resolve::{NestResolution, ResolvedLeaf};
 use crate::stats::{OpMix, StmtRecord};
 use crate::step::{Operand, Schedule, StepInput, StmtTag, StoreTarget, SubId};
 use dmcp_ir::nested::{Element, Group, OpClass, Term};
@@ -203,6 +205,8 @@ impl PlanArena {
 struct StmtCx<'p> {
     arena: &'p PlanArena,
     leaves: &'p [ResolvedLeaf],
+    /// Where the statement sources its unanalyzable operands.
+    anchor: NodeId,
     store: StoreTarget,
     tag: StmtTag,
     force: Option<NodeId>,
@@ -249,8 +253,8 @@ impl<'a> Planner<'a> {
             layout,
             opts,
             const_anchor,
-            l1: L1Model::new(machine.mesh, machine.l1_lines()),
-            l1_persist: L1Model::new(machine.mesh, machine.l1_lines()),
+            l1: L1Model::new(machine.mesh, machine.l1_sets(), machine.l1_ways),
+            l1_persist: L1Model::new(machine.mesh, machine.l1_sets(), machine.l1_ways),
             loads: LoadTracker::new(machine.mesh, opts.balance_threshold),
             pending_touches: Vec::new(),
             pending_loads: Vec::new(),
@@ -271,25 +275,29 @@ impl<'a> Planner<'a> {
         self.l1_persist.reserve_lines(lines);
     }
 
-    fn apply_pending(&mut self) {
+    /// Applies the buffered side effects; `line_sets` maps each dense
+    /// line id to its L1 set.
+    fn apply_pending(&mut self, line_sets: &[u32]) {
         for (node, line) in self.pending_touches.drain(..) {
-            self.l1.touch(node, line);
-            self.l1_persist.touch(node, line);
+            let set = line_sets[line as usize];
+            self.l1.touch(node, line, set);
+            self.l1_persist.touch(node, line, set);
         }
         for (node, cost) in self.pending_loads.drain(..) {
             self.loads.add(node, cost);
         }
     }
 
-    /// Plans one resolved statement instance (`inst`, its operands
-    /// `leaves` and its statement's nested sets `group`), appending its
-    /// steps to `sched`.
+    /// Plans statement instance `i` of `resolution`, appending its steps
+    /// to `sched`.
     ///
-    /// `inst.core` is the node the default (iteration-granularity)
-    /// placement gives this iteration; it anchors unanalyzable references
-    /// and fallback execution. With `force_default = true` the whole
-    /// statement executes default-style on the assigned core (this is how
-    /// baseline schedules and rolled-back nests are generated).
+    /// The instance's core is the node the default (iteration-granularity)
+    /// placement gives its iteration; fallback execution runs there. With
+    /// `force_default = true` the whole statement executes default-style
+    /// on the assigned core (this is how baseline schedules and
+    /// rolled-back nests are generated). Unanalyzable operands are sourced
+    /// at the store node in a split statement and at the core in a
+    /// fallback or forced one ([`ResolvedLeaf::source`]).
     ///
     /// The split-vs-default decision is made per *nest* by the pipeline's
     /// split pass: it compares the nest's planned warm-phase movement
@@ -300,18 +308,23 @@ impl<'a> Planner<'a> {
     pub fn plan_statement(
         &mut self,
         sched: &mut Schedule,
-        tag: StmtTag,
-        inst: &ResolvedInstance,
-        leaves: &[ResolvedLeaf],
-        group: &Group,
+        resolution: &NestResolution,
+        i: usize,
         force_default: bool,
     ) -> StmtRecord {
+        let (inst, leaves, group) = resolution.instance(i);
+        let tag = StmtTag {
+            nest: resolution.nest() as u32,
+            stmt: resolution.statement_of(i) as u32,
+            instance: i as u64,
+        };
         let first_step = sched.steps.len() as u32;
         let store = inst.store;
         let fallback = force_default || !inst.lhs_known;
         // When the store target is unknown the compiler cannot do better
         // than default placement on the assigned core.
         let force: Option<NodeId> = if fallback { Some(inst.core) } else { None };
+        let anchor = force.unwrap_or(store.home);
 
         // --- Build the nested-set plan (innermost MSTs first) ----------
         // The outermost MST includes the store node as a vertex (paper
@@ -320,7 +333,7 @@ impl<'a> Planner<'a> {
         arena.clear();
         let mut next_leaf = 0;
         let outermost =
-            self.plan_group(&mut arena, group, leaves, &mut next_leaf, Some(store.home));
+            self.plan_group(&mut arena, group, leaves, anchor, &mut next_leaf, Some(store.home));
         debug_assert_eq!(next_leaf, leaves.len(), "every resolved operand is planned");
 
         // --- Emit subcomputations ---------------------------------------
@@ -329,7 +342,7 @@ impl<'a> Planner<'a> {
         if emit.len() < arena.groups.len() {
             emit.resize_with(arena.groups.len(), EmitScratch::default);
         }
-        let cx = StmtCx { arena: &arena, leaves, store, tag, force };
+        let cx = StmtCx { arena: &arena, leaves, anchor, store, tag, force };
         let emitted = self.emit_group(sched, &cx, outermost, store.home, true, &mut emit);
         self.arena = arena;
         self.emit = emit;
@@ -342,7 +355,7 @@ impl<'a> Planner<'a> {
             emitted.movement + u64::from(emitted.node.manhattan(store.home))
         };
         self.pending_touches.push((store.home, inst.store_line));
-        self.apply_pending();
+        self.apply_pending(resolution.line_sets());
 
         // --- Statistics --------------------------------------------------
         let parallelism = dag_width(sched, first_step, &mut self.levels, &mut self.at_level);
@@ -370,12 +383,13 @@ impl<'a> Planner<'a> {
     }
 
     /// `GetNode` (Algorithm 1, line 11), placement-dependent half: appends
-    /// a resolved operand's candidate sites to `locs` — its believed
-    /// primary source (and the home bank of a predicted miss), then the
-    /// L1-copy holders — and returns where the holders start.
-    fn locate_leaf(&self, leaf: &ResolvedLeaf, locs: &mut Vec<NodeId>) -> usize {
+    /// a resolved operand's candidate sites to `locs` — its source under
+    /// `anchor` ([`ResolvedLeaf::source`], plus the home bank of a
+    /// predicted miss), then the L1-copy holders — and returns where the
+    /// holders start.
+    fn locate_leaf(&self, leaf: &ResolvedLeaf, anchor: NodeId, locs: &mut Vec<NodeId>) -> usize {
         let first = locs.len();
-        locs.push(leaf.elem.believed);
+        locs.push(leaf.source(anchor));
         locs.extend(leaf.miss_home);
         let l1_from = locs.len();
         if self.opts.reuse_aware && leaf.analyzable {
@@ -393,15 +407,17 @@ impl<'a> Planner<'a> {
         l1_from
     }
 
-    /// Recursively plans a group into `arena`: locates leaves, recurses
-    /// into sub-groups (innermost sets are therefore processed first) and
-    /// builds this level's MST, in the outermost set (`store` given) over
-    /// the store vertex too. Returns the group's index in `arena.groups`.
+    /// Recursively plans a group into `arena`: locates leaves (sourcing
+    /// unanalyzable ones at `anchor`), recurses into sub-groups (innermost
+    /// sets are therefore processed first) and builds this level's MST, in
+    /// the outermost set (`store` given) over the store vertex too. Returns
+    /// the group's index in `arena.groups`.
     fn plan_group(
         &mut self,
         arena: &mut PlanArena,
         group: &Group,
         leaves: &[ResolvedLeaf],
+        anchor: NodeId,
         next_leaf: &mut usize,
         store: Option<NodeId>,
     ) -> usize {
@@ -449,7 +465,7 @@ impl<'a> Planner<'a> {
                     let leaf = *next_leaf;
                     *next_leaf += 1;
                     let at = arena.locs.len();
-                    let l1_from = self.locate_leaf(&leaves[leaf], &mut arena.locs);
+                    let l1_from = self.locate_leaf(&leaves[leaf], anchor, &mut arena.locs);
                     Vertex {
                         kind: VertexKind::Leaf { op, leaf },
                         locs: (at, arena.locs.len()),
@@ -457,7 +473,7 @@ impl<'a> Planner<'a> {
                     }
                 }
                 Term::Group(g) => {
-                    let sub = self.plan_group(arena, g, leaves, next_leaf, None);
+                    let sub = self.plan_group(arena, g, leaves, anchor, next_leaf, None);
                     // A processed set is located wherever any of its
                     // vertices is.
                     let at = arena.locs.len();
@@ -752,7 +768,8 @@ impl<'a> Planner<'a> {
         match vertex.kind {
             VertexKind::Leaf { op, leaf } => {
                 let leaf = &cx.leaves[leaf];
-                let (src, l1h) = self.fetch_source(cx.arena.l1_locs(vertex), leaf, exec);
+                let source = leaf.source(cx.anchor);
+                let (src, l1h) = self.fetch_source(cx.arena.l1_locs(vertex), leaf, source, exec);
                 self.pending_touches.push((exec, leaf.line));
                 (op, Operand::Elem(leaf.elem), u64::from(src.manhattan(exec)), l1h)
             }
@@ -762,13 +779,13 @@ impl<'a> Planner<'a> {
                     // Pass-through element: `e.node` is its replica nearest
                     // to us. A local replica (our own L1 copy, or we are the
                     // home/primary) costs nothing; otherwise the fetch comes
-                    // over the network from the believed primary source.
+                    // over the network from the operand's source.
                     let leaf = &cx.leaves[leaf];
-                    let believed = leaf.elem.believed;
+                    let source = leaf.source(cx.anchor);
                     let (src, hit) = if e.node == exec {
-                        (exec, u32::from(believed != exec))
+                        (exec, u32::from(source != exec))
                     } else {
-                        (believed, 0)
+                        (source, 0)
                     };
                     self.pending_touches.push((exec, leaf.line));
                     (op, e.operand, e.movement + u64::from(src.manhattan(exec)), e.l1_hits + hit)
@@ -784,12 +801,12 @@ impl<'a> Planner<'a> {
     /// Where a leaf's data actually comes from when consumed at `exec`.
     /// L1 copies (`l1_candidates`) are private: they only help when `exec`
     /// itself holds the line; otherwise the fetch goes over the network
-    /// from the believed primary source (or is free if `exec` *is* the
-    /// primary).
+    /// from the leaf's `source` (or is free if `exec` *is* the source).
     fn fetch_source(
         &self,
         l1_candidates: &[NodeId],
         leaf: &ResolvedLeaf,
+        source: NodeId,
         exec: NodeId,
     ) -> (NodeId, u32) {
         if l1_candidates.contains(&exec)
@@ -797,7 +814,7 @@ impl<'a> Planner<'a> {
         {
             (exec, 1)
         } else {
-            (leaf.elem.believed, 0)
+            (source, 0)
         }
     }
 
@@ -1119,6 +1136,74 @@ mod tests {
         let steps = &plan.schedule.steps;
         assert!(steps.iter().all(|s| s.node == core), "fallback steps must stay on the core");
         assert_eq!(rec.movement_opt, rec.movement_default);
+    }
+
+    /// Plans instance 0 of `stmt` (on a one-node assignment, (5, 5)) and
+    /// returns where its unanalyzable operand is sourced — its leaf
+    /// vertex's first candidate location — with the instance's store home,
+    /// core, the operand's resolved `believed` and the planned movement.
+    fn unanalyzable_source(stmt: &str, force_default: bool) -> [NodeId; 4] {
+        let mut b = ProgramBuilder::new();
+        for n in ["A", "B", "X"] {
+            b.array(n, &[64], 8);
+        }
+        b.nest(&[("i", 0, 4)], &[stmt]).unwrap();
+        let program = b.build();
+        let machine = MachineConfig::knl_like();
+        let layout = Layout::new(&machine, &program, PagePolicy::ColorPreserving);
+        let data = program.initial_data();
+        let opts = PlanOptions::default();
+        let core = [NodeId::new(5, 5)];
+        let resolution =
+            resolve_nest(&program, 0, &layout, &data, HitPredictor::AlwaysHit, opts, &core);
+        let mut planner = Planner::new(&layout, opts);
+        let mut sched = Schedule::default();
+        planner.plan_statement(&mut sched, &resolution, 0, force_default);
+        let (inst, leaves, _) = resolution.instance(0);
+        let leaf = leaves.iter().position(|l| !l.analyzable).expect("B[X[i]] is indirect");
+        let arena = &planner.arena;
+        let vertex = arena
+            .vertices
+            .iter()
+            .find(|v| matches!(v.kind, VertexKind::Leaf { leaf: l, .. } if l == leaf))
+            .expect("the operand is a vertex");
+        [arena.locs(vertex)[0], inst.store.home, inst.core, leaves[leaf].elem.believed]
+    }
+
+    #[test]
+    fn unanalyzable_operands_anchor_at_the_store_home_only_in_split_statements() {
+        // Split: sourced at the store home, where the final step runs, so
+        // the operand costs no planned movement; the resolution's belief
+        // (what default execution and the simulator's predictor read)
+        // stays the core.
+        let [source, home, core, believed] = unanalyzable_source("A[i] = B[X[i]] + 1", false);
+        assert_ne!(home, core, "the test needs a core away from the store home");
+        assert_eq!((source, believed), (home, core));
+        // Forced default (baselines, rolled-back nests): the core.
+        let [source, _, core, _] = unanalyzable_source("A[i] = B[X[i]] + 1", true);
+        assert_eq!(source, core);
+        // Fallback (the store target is unanalyzable): the core.
+        let [source, _, core, _] = unanalyzable_source("A[X[i]] = B[X[i]] + 1", false);
+        assert_eq!(source, core);
+    }
+
+    #[test]
+    fn a_split_statement_fetches_its_unanalyzable_operand_from_the_store_home() {
+        // `A[i] = B[X[i]]`: one leaf and the store vertex, so the split
+        // plan computes at the store home and plans no movement at all;
+        // default execution ships the result from the core.
+        let mut b = ProgramBuilder::new();
+        for n in ["A", "B", "X"] {
+            b.array(n, &[64], 8);
+        }
+        b.nest(&[("i", 0, 4)], &["A[i] = B[X[i]] * 3"]).unwrap();
+        let program = b.build();
+        let plan = place(&program, PlanOptions::default(), &[NodeId::new(5, 5)], None, false);
+        for rec in &plan.stats.records {
+            assert!(!rec.fallback);
+            assert_eq!(rec.movement_opt, 0, "{rec:?}");
+        }
+        check_correct(&program, &plan.schedule);
     }
 
     #[test]

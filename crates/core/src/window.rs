@@ -16,7 +16,7 @@ use crate::layout::Layout;
 use crate::resolve::NestResolution;
 use crate::split::{PlanOptions, Planner};
 use crate::stats::{OpMix, StmtRecord};
-use crate::step::{Operand, Schedule, Span, Step, StmtTag, SubId};
+use crate::step::{Operand, Schedule, Span, Step, SubId};
 use crate::sync::TransitiveReducer;
 use dmcp_ir::ArrayId;
 use std::collections::HashMap;
@@ -239,20 +239,8 @@ impl<'a> Placement<'a> {
         self.schedule.inputs.reserve_exact(inputs);
         self.planner.reserve_lines(resolution.lines_touched(from, to));
         for i in from..to {
-            let (inst, leaves, group) = resolution.instance(i);
-            let tag = StmtTag {
-                nest: resolution.nest() as u32,
-                stmt: resolution.statement_of(i) as u32,
-                instance: i as u64,
-            };
-            let record = self.planner.plan_statement(
-                &mut self.schedule,
-                tag,
-                inst,
-                leaves,
-                group,
-                self.force_default,
-            );
+            let record =
+                self.planner.plan_statement(&mut self.schedule, resolution, i, self.force_default);
             self.records.push(record);
             self.in_window += 1;
             if self.in_window == self.window {

@@ -276,8 +276,9 @@ fn sorted(nodes: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
     v
 }
 
-/// The dense-id `L1Model` and the map reference, driven by the same
-/// random touch/reset streams (capacity 1–4, a 3×3 and a 10×10 mesh),
+/// The dense-id `L1Model` with one fully associative set and the map
+/// reference, driven by the same random touch/reset streams (capacity
+/// 1–4, a 3×3 and a 10×10 mesh),
 /// agree after every step on every line's holder set, `holds` and
 /// `hot_holders`. Holder order is not compared: no planner consumer can
 /// observe it.
@@ -289,7 +290,7 @@ fn dense_l1_model_matches_the_map_reference() {
             let mut rng = Rng64::new(seed);
             let capacity = 1 + rng.gen_range(4) as u32;
             let lines = 1 + rng.gen_range(24) as u32;
-            let mut model = L1Model::new(mesh, capacity);
+            let mut model = L1Model::new(mesh, 1, capacity);
             let mut reference = ReferenceL1::new(mesh, capacity);
             for step in 0..200 {
                 if rng.gen_range(16) == 0 {
@@ -298,7 +299,7 @@ fn dense_l1_model_matches_the_map_reference() {
                 } else {
                     let node = nodes[rng.gen_range(nodes.len() as u64) as usize];
                     let line = rng.gen_range(u64::from(lines)) as u32;
-                    model.touch(node, line);
+                    model.touch(node, line, 0);
                     reference.touch(node, line);
                 }
                 for line in 0..lines {

@@ -3,11 +3,13 @@
 //! concurrency, and degraded-mode caching.
 
 use dmcp::check::gencase::{gen_mask_case, gen_wild_spec};
-use dmcp::core::PartitionConfig;
+use dmcp::core::{PartitionConfig, PartitionOutput};
 use dmcp::mach::rng::Rng64;
 use dmcp::mach::{FaultPlan, MachineConfig, NodeId};
 use dmcp::serve::codec::{decode_plan, encode_plan};
-use dmcp::serve::{approx_plan_bytes, PlanRequest, PlanService, ServeConfig, ShardedPlanCache};
+use dmcp::serve::{
+    approx_plan_bytes, DiskTier, PlanKey, PlanRequest, PlanService, ServeConfig, ShardedPlanCache,
+};
 use dmcp::workloads::{all, by_name, Scale};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -282,4 +284,34 @@ fn generated_plans_roundtrip_through_the_plan_codec() {
     }
     assert!(planned >= 24, "only {planned} of 32 generated cases planned");
     service.shutdown();
+}
+
+/// `PartitionConfig::default().fingerprint()` under planner revision 0,
+/// before the revision joined the fingerprint.
+const REVISION_0_DEFAULT_CONFIG: u64 = 0x745d_880f_96f3_9711;
+
+/// A durable tier written by an older planner must not serve that
+/// planner's plans: a record stored under the key revision 0 derived for
+/// a golden input (same program, data, machine and configuration) is a
+/// miss after the upgrade, and the request compiles.
+#[test]
+fn a_disk_record_of_an_older_planner_is_not_served() {
+    let dir = std::env::temp_dir().join(format!("dmcp-serve-revision-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let req = request("fft");
+    let old_key = PlanKey { config: REVISION_0_DEFAULT_CONFIG, ..req.key() };
+    let stale = encode_plan(&PartitionOutput::default());
+    {
+        let disk = DiskTier::open(&dir).expect("open durable tier");
+        disk.put(old_key, &stale).expect("store the old planner's record");
+        disk.sync().expect("sync");
+    }
+    let config = ServeConfig { disk_dir: Some(dir.clone()), ..ServeConfig::default() };
+    let service = PlanService::try_new(config).expect("reopen durable tier");
+    let plan = service.plan(req).expect("compiles");
+    assert!(!plan.nests.is_empty(), "the old planner's record was served");
+    let stats = service.stats();
+    assert_eq!((stats.compiles, stats.disk.hits), (1, 0), "the request must compile");
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
