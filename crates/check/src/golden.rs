@@ -93,8 +93,9 @@ pub const GOLDEN_KEYS: &[(&str, u64, u64)] = &[
 ///
 /// The plan digests pin what the planner builds; these pin how the codec
 /// writes it, so a layout change cannot pass as long as it round-trips.
-/// Taken once from the compact plan layout (plan version byte 6) and never
-/// regenerated: a new layout needs a new version byte and a new table.
+/// Taken from the compact plan layout (plan version byte 6) and
+/// regenerated only with the plans, when [`dmcp_core::PLANNER_REVISION`]
+/// moves: a new layout needs a new version byte and a new table.
 pub const GOLDEN_PLAN_BYTES: &[(&str, usize, u64, usize, u64)] = &[
     ("Barnes", 313408, 0xfb3fbc7dd6a4988d, 313220, 0x02f9e63d2aa6f258),
     ("Cholesky", 348231, 0xf09d77f991760818, 348184, 0xf4b4a4655ce1ab0c),
@@ -125,8 +126,8 @@ pub fn plan_bytes_pin(output: &PartitionOutput) -> (usize, u64) {
 /// Every other golden runs on the 36-node KNL-like mesh, so these are the
 /// only pins on per-node and per-line state beyond 64 nodes (node indices
 /// that no longer fit one machine word). Generated before the placement
-/// kernel moved to dense line ids and reusable scratch, and never
-/// regenerated.
+/// kernel moved to dense line ids and reusable scratch, and regenerated
+/// only with the plans, when [`dmcp_core::PLANNER_REVISION`] moves.
 pub const GOLDEN_LARGE_MESH: &[(&str, u64, u64)] = &[
     ("FFT", 0xff911dc003bedb05, 0xba785568152f9d64),
     ("Radix", 0x37e875214f299883, 0x66eb83454da25d69),
@@ -522,8 +523,10 @@ impl GoldenInput {
 /// digest; the pins hold that too.
 ///
 /// Generated from the simulator as it was while it kept link loads and
-/// caches in hash maps and routed every faulty transfer afresh, and never
-/// regenerated: the dense simulator must report exactly what that one did.
+/// caches in hash maps and routed every faulty transfer afresh, and
+/// regenerated only with the plans it simulates, when
+/// [`dmcp_core::PLANNER_REVISION`] moves: the dense simulator must report
+/// exactly what that one did.
 pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
     ("healthy", "default", "Barnes", 0x96514d4c4dcde13f),
     ("healthy", "default", "Cholesky", 0xcae375971f1b34c9),

@@ -79,9 +79,10 @@ impl L1Model {
     }
 
     /// Records that `node` fetched (or re-used) `line`, which maps to L1
-    /// set `set` (taken modulo the set count), into its L1, evicting the
-    /// set's LRU line if the set is full.
+    /// set `set` (below the set count), into its L1, evicting the set's
+    /// LRU line if the set is full.
     pub fn touch(&mut self, node: NodeId, line: u32, set: u32) {
+        debug_assert!((set as usize) < self.sets, "set {set} of {} sets", self.sets);
         let l = line as usize;
         if l >= self.touches.len() {
             self.touches.resize(l + 1, 0);
@@ -92,7 +93,7 @@ impl L1Model {
         }
         let n = self.mesh.node_index(node) as usize;
         let (word, bit) = (n / 64, 1u64 << (n % 64));
-        let at = n * self.sets + set as usize % self.sets;
+        let at = n * self.sets + set as usize;
         let fill = self.fill[at] as usize;
         let lru = &mut self.slots[at * self.ways..][..self.ways];
         if self.holders[l * self.words + word] & bit != 0 {
@@ -291,9 +292,9 @@ mod tests {
         m.touch(n(0, 0), 2, 0);
         assert!(!m.holds(n(0, 0), 1));
         assert!(m.holds(n(0, 0), 2) && m.holds(n(0, 0), 3));
-        // Sets are taken modulo the set count.
-        m.touch(n(0, 0), 4, 3);
-        assert!(!m.holds(n(0, 0), 3) && m.holds(n(0, 0), 4));
+        // Another node's set 0 is its own.
+        m.touch(n(1, 0), 1, 0);
+        assert!(m.holds(n(1, 0), 1) && m.holds(n(0, 0), 2));
     }
 
     #[test]
