@@ -13,7 +13,7 @@
 //! which also computes each id's set once, so every lookup is an index: a
 //! holder set is a bitset over [`Mesh::node_index`] (as many words as the
 //! mesh needs), every node's sets share one flat slot array, and a window
-//! reset clears only the lines some node still holds.
+//! reset visits only the sets that hold a line.
 
 use dmcp_mach::{Mesh, NodeId};
 
@@ -31,6 +31,10 @@ pub struct L1Model {
     /// occupied.
     slots: Vec<u32>,
     fill: Vec<u32>,
+    /// The sets (indices into `fill`) holding a line, each listed once, so
+    /// a window reset visits only those: a window-1 trial resets after
+    /// every instance, which touches a handful of a mesh's sets.
+    occupied: Vec<u32>,
     /// `u64` words per line in `holders`.
     words: usize,
     /// line id → bitset of the nodes believed to hold it in L1 (the
@@ -54,6 +58,7 @@ impl L1Model {
             ways,
             slots: vec![0; node_sets * ways],
             fill: vec![0; node_sets],
+            occupied: Vec::with_capacity(node_sets),
             words: (mesh.node_count() as usize).div_ceil(64),
             holders: Vec::new(),
             touches: Vec::new(),
@@ -107,6 +112,9 @@ impl L1Model {
             lru.rotate_left(1);
             lru[fill - 1] = line;
         } else {
+            if fill == 0 {
+                self.occupied.push(at as u32);
+            }
             lru[fill] = line;
             self.fill[at] += 1;
         }
@@ -138,12 +146,13 @@ impl L1Model {
     /// Touch counts survive (they describe the program, not the window).
     /// Only lines some node still holds are cleared.
     pub fn reset(&mut self) {
-        for (at, fill) in self.fill.iter_mut().enumerate() {
-            for &line in &self.slots[at * self.ways..][..*fill as usize] {
+        for at in self.occupied.drain(..) {
+            let at = at as usize;
+            for &line in &self.slots[at * self.ways..][..self.fill[at] as usize] {
                 let first = line as usize * self.words;
                 self.holders[first..first + self.words].fill(0);
             }
-            *fill = 0;
+            self.fill[at] = 0;
         }
     }
 }

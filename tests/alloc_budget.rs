@@ -93,10 +93,10 @@ const PINNED_WITH: &str = "1.95.0";
 
 /// Allocations per pass over the 24 golden inputs, in pipeline order.
 const PINNED: [(&str, u64); 5] = [
-    ("analyze", 21_628),
-    ("window-search", 14_290),
+    ("analyze", 21_652),
+    ("window-search", 14_674),
     ("place", 233),
-    ("split", 921),
+    ("split", 947),
     ("sync", 3_132),
 ];
 
