@@ -95,6 +95,15 @@ pub const PLAN_CODEC_V2: u8 = 6;
 /// stats layout used byte 3.
 pub const STATS_CODEC_V2: u8 = 4;
 
+/// The most lines (`l1_sets() * l1_ways`) one node's L1 may hold in a
+/// decoded request: the planner lays out every node's L1 sets up front,
+/// so the request's cache geometry sizes memory as its mesh does.
+pub const MAX_L1_LINES: u64 = 4096;
+/// The most L1 lines a decoded request's whole mesh may hold (16 MiB of
+/// line slots per planner L1 model; the default L1 of 32 lines fits a
+/// 256 x 256 mesh).
+pub const MAX_MESH_L1_LINES: u64 = 1 << 22;
+
 /// A typed decode failure. Encoders are infallible.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
@@ -755,6 +764,12 @@ pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
     machine.l2_ways = d.u32()?;
     if machine.cache_line == 0 || machine.l1_ways == 0 || machine.l2_ways == 0 {
         return Err(CodecError::Invalid("zero cache geometry".into()));
+    }
+    let l1_lines = u64::from(machine.l1_sets()) * u64::from(machine.l1_ways);
+    if l1_lines > MAX_L1_LINES || l1_lines * u64::from(mesh.node_count()) > MAX_MESH_L1_LINES {
+        return Err(CodecError::Invalid(format!(
+            "L1 of {l1_lines} lines on a {cols}x{rows} mesh out of range"
+        )));
     }
     machine.latency.hop = d.f64()?;
     machine.latency.l1_hit = d.f64()?;
@@ -1424,6 +1439,30 @@ mod tests {
         let unbounded = service.plan_uncached(&decoded).expect("unbounded compiles");
         assert_eq!(bounded, unbounded);
         service.shutdown();
+    }
+
+    #[test]
+    fn oversized_l1_geometry_is_refused() {
+        // The planner sizes its L1 models by the request's geometry before
+        // it touches a line, so an absurd geometry must not reach it.
+        let req = suite_requests().remove(0);
+        let decode_with = |edit: fn(&mut MachineConfig)| {
+            let mut req = req.clone();
+            edit(&mut req.machine);
+            decode_request(&encode_request(&req))
+        };
+        let refused: [fn(&mut MachineConfig); 3] = [
+            |m| m.l1_ways = u32::MAX,
+            |m| (m.cache_line, m.l1_bytes) = (1, u32::MAX),
+            |m| (m.mesh, m.l1_bytes) = (Mesh::new(256, 256), 8 * 1024),
+        ];
+        for edit in refused {
+            assert!(matches!(decode_with(edit), Err(CodecError::Invalid(_))));
+        }
+        // Real KNL's L1 (32 KiB, 8 ways: 512 lines) on the default mesh,
+        // and the default L1 on the largest mesh, stay accepted.
+        assert!(decode_with(|m| m.l1_bytes = 32 * 1024).is_ok());
+        assert!(decode_with(|m| m.mesh = Mesh::new(256, 256)).is_ok());
     }
 
     #[test]
