@@ -28,7 +28,7 @@ use dmcp::workloads::{all, meta, Scale, Workload};
 use dmcp_bench::scenarios::{run_program, Scenario};
 use dmcp_bench::{
     config_exec_time, data_mapping_comparison, evaluate_suite, gap_reports, geomean_reduction,
-    setup_reductions, standard_config, window_run, AppEval, Setup,
+    served_reductions, standard_config, window_run, AppEval,
 };
 
 const USAGE: &str = "usage: figures [TARGET] [--scale-tiny | --scale-full] [--reuse-agnostic]
@@ -149,7 +149,16 @@ fn main() {
 
     let needs_suite = matches!(
         what,
-        "all" | "table1" | "table2" | "table3" | "fig13" | "fig14" | "fig15" | "fig16" | "fig19"
+        "all"
+            | "record"
+            | "table1"
+            | "table2"
+            | "table3"
+            | "fig13"
+            | "fig14"
+            | "fig15"
+            | "fig16"
+            | "fig19"
     );
     let suite: Vec<AppEval> =
         if needs_suite { evaluate_suite(scale, Pool::global()) } else { Vec::new() };
@@ -172,12 +181,12 @@ fn main() {
             fig23(scale);
             fig24(scale);
             gap(scale);
-            record(scale, false);
+            record(&suite, scale, false);
         }
         "setup" => setup(&evaluate_suite(scale, Pool::global()), scale),
         "gap" => gap(scale),
         "record" => {
-            let drifts = record(scale, pins);
+            let drifts = record(&suite, scale, pins);
             if !drifts.is_empty() {
                 for d in &drifts {
                     eprintln!("RECORD DRIFT: {d}");
@@ -245,25 +254,36 @@ fn header(title: &str) {
 }
 
 /// The geomean of `reductions` clamped at 0 per workload, as the figures
-/// plot them, with the unclamped geomean beside it.
-fn geomeans(reductions: &[f64]) -> String {
+/// plot them, and the unclamped geomean.
+fn geomean_pair(reductions: &[f64]) -> (f64, f64) {
     let clamped = geomean_reduction(reductions.iter().map(|r| r.max(0.0)));
-    let raw = geomean_reduction(reductions.iter().copied());
+    (clamped, geomean_reduction(reductions.iter().copied()))
+}
+
+/// [`geomean_pair`] as the figures print it.
+fn geomeans(reductions: &[f64]) -> String {
+    let (clamped, raw) = geomean_pair(reductions);
     format!("{:.1}% (unclamped {:.1}%)", 100.0 * clamped, 100.0 * raw)
 }
 
 /// The measured record: per workload, the simulated time, per-instance
 /// movement and energy reductions against the baseline, for the served
-/// and then the evaluated set-up ([`Setup`]), with each column's clamped
-/// and unclamped geomean. With `pins`, returns every value that drifts
-/// from the scale's pinned table (and every missing or extra row).
-fn record(scale: Scale, pins: bool) -> Vec<String> {
+/// set-up ([`served_reductions`]) and then the evaluated one (`suite`),
+/// with each column's clamped and unclamped geomean. With `pins`, returns
+/// every value that drifts from the scale's pinned table (and every
+/// missing or extra row).
+fn record(suite: &[AppEval], scale: Scale, pins: bool) -> Vec<String> {
     header("Record: reductions vs the baseline, served | evaluated (time / movement / energy)");
-    let rows = Pool::global().map(&all(scale), |_, w| {
-        let single = Pool::single();
-        let [s, e] = [Setup::Served, Setup::Evaluated].map(|set| setup_reductions(w, set, &single));
-        (w.name, [s.time, s.movement, s.energy, e.time, e.movement, e.energy].map(|x| 100.0 * x))
-    });
+    let served = Pool::global().map(&all(scale), |_, w| served_reductions(w, &Pool::single()));
+    let rows: Vec<(&str, [f64; 6])> = suite
+        .iter()
+        .zip(served)
+        .map(|(e, s)| {
+            let evaluated = [e.exec_reduction(), e.movement_reduction().0, e.energy_reduction()];
+            let v = [s[0], s[1], s[2], evaluated[0], evaluated[1], evaluated[2]];
+            (e.name, v.map(|x| 100.0 * x))
+        })
+        .collect();
     println!(
         "{:<10} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}",
         "app", "time", "move", "energy", "time", "move", "energy"
@@ -277,13 +297,11 @@ fn record(scale: Scale, pins: bool) -> Vec<String> {
     for (name, got) in &rows {
         row(name, got);
     }
-    for (label, clamp) in [("geomean", true), ("unclamped", false)] {
-        let gm: [f64; 6] = std::array::from_fn(|k| {
-            let col = rows.iter().map(|(_, v)| v[k] / 100.0);
-            100.0 * geomean_reduction(col.map(|r| if clamp { r.max(0.0) } else { r }))
-        });
-        row(label, &gm);
-    }
+    let gm: [(f64, f64); 6] = std::array::from_fn(|k| {
+        geomean_pair(&rows.iter().map(|(_, v)| v[k] / 100.0).collect::<Vec<_>>())
+    });
+    row("geomean", &gm.map(|(clamped, _)| 100.0 * clamped));
+    row("unclamped", &gm.map(|(_, raw)| 100.0 * raw));
     if !pins {
         return Vec::new();
     }

@@ -46,6 +46,11 @@ impl AppEval {
     pub fn exec_reduction(&self) -> f64 {
         self.r_opt.time_reduction_vs(&self.r_base)
     }
+
+    /// Energy reduction of the full approach (Figure 24, bar 1).
+    pub fn energy_reduction(&self) -> f64 {
+        self.r_opt.energy_reduction_vs(&self.r_base)
+    }
 }
 
 /// The standard partitioner configuration with the profile-guided default
@@ -195,51 +200,25 @@ pub fn data_mapping_comparison(w: &Workload) -> (f64, f64, f64) {
     )
 }
 
-/// The two planner set-ups the measured record covers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Setup {
-    /// `PartitionConfig::default()` through [`Partitioner::plan`]: what
-    /// `dmcp-serve` and perfbench plan.
-    Served,
-    /// [`standard_config`] through [`partition_guided`]: what the figures
-    /// and ablations plan.
-    Evaluated,
-}
-
-/// One plan's simulated reductions against its baseline (`plan(.., true)`
-/// under the same configuration), as fractions.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Reductions {
-    /// Execution time (Figure 17).
-    pub time: f64,
-    /// Mean per-instance data movement (Figure 13).
-    pub movement: f64,
-    /// Energy (Figure 24).
-    pub energy: f64,
-}
-
-/// Plans `w` under `setup` and its baseline over `pool`, simulates both
-/// and returns the plan's [`Reductions`].
-pub fn setup_reductions(w: &Workload, setup: Setup, pool: &Pool) -> Reductions {
+/// Plans `w` as `dmcp-serve` and perfbench do (`PartitionConfig::default()`
+/// through [`Partitioner::plan`]) and its baseline over `pool`, simulates
+/// both with instance tracking on, and returns the plan's time (Figure
+/// 17), mean per-instance movement (Figure 13) and energy (Figure 24)
+/// reductions, as fractions. [`AppEval`] has the same for the evaluated
+/// set-up.
+pub fn served_reductions(w: &Workload, pool: &Pool) -> [f64; 3] {
     let machine = MachineConfig::knl_like();
     let sim = SimOptions { track_instances: true, ..SimOptions::default() };
-    let cfg = match setup {
-        Setup::Served => PartitionConfig::default(),
-        Setup::Evaluated => standard_config(w, &machine),
-    };
-    let part = Partitioner::new(&machine, &w.program, cfg);
-    let opt = match setup {
-        Setup::Served => part.plan(&w.program, &w.data, pool, false).expect("served plans"),
-        Setup::Evaluated => partition_guided(&part, &w.program, &w.data, pool, sim),
-    };
+    let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
+    let opt = part.plan(&w.program, &w.data, pool, false).expect("served plans");
     let base = part.plan(&w.program, &w.data, pool, true).expect("baseline plans");
     let r_opt = run_schedules(&w.program, part.layout(), &opt, sim);
     let r_base = run_schedules(&w.program, part.layout(), &base, sim);
-    Reductions {
-        time: r_opt.time_reduction_vs(&r_base),
-        movement: r_opt.per_instance_reduction_vs(&r_base).0,
-        energy: r_opt.energy_reduction_vs(&r_base),
-    }
+    [
+        r_opt.time_reduction_vs(&r_base),
+        r_opt.per_instance_reduction_vs(&r_base).0,
+        r_opt.energy_reduction_vs(&r_base),
+    ]
 }
 
 /// Geometric mean of `1 - x` complements expressed as a reduction — the

@@ -522,11 +522,15 @@ impl GoldenInput {
 /// these runs, so the `cache` and `hybrid` rows repeat the default
 /// digest; the pins hold that too.
 ///
-/// Generated from the simulator as it was while it kept link loads and
-/// caches in hash maps and routed every faulty transfer afresh, and
-/// regenerated only with the plans it simulates, when
-/// [`dmcp_core::PLANNER_REVISION`] moves: the dense simulator must report
-/// exactly what that one did.
+/// The 21 rows whose plans planner revision 1 left alone (every FFT row
+/// and the two large-mesh Radix rows) still hold what the simulator
+/// reported while it kept link loads and caches in hash maps and routed
+/// every faulty transfer afresh: the dense simulator must report exactly
+/// what that one did. The other 43 were taken from the dense simulator
+/// at planner revision 1, with the plans they simulate, so they pin it
+/// against itself (`dense_network` in the root `properties` tests
+/// compares its network with a copy of the hash-map one). Rows move only
+/// with their plans, when [`dmcp_core::PLANNER_REVISION`] moves.
 pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
     ("healthy", "default", "Barnes", 0x96514d4c4dcde13f),
     ("healthy", "default", "Cholesky", 0xcae375971f1b34c9),

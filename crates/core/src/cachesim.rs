@@ -190,7 +190,7 @@ mod tests {
     fn l1_capacity_evicts() {
         let mut s = sys();
         let machine = MachineConfig::knl_like();
-        let cap = machine.l1_lines();
+        let cap = machine.l1_sets() * machine.l1_ways;
         // Touch 2× the L1 capacity of distinct lines from one node.
         for i in 0..u64::from(cap) * 2 {
             s.read(n(0, 0), LineAddr::new(i), n(1, 1), false);

@@ -163,12 +163,6 @@ impl MachineConfig {
     pub fn l2_sets(&self) -> u32 {
         (self.l2_bank_bytes / self.cache_line / self.l2_ways).max(1)
     }
-
-    /// L1 capacity in cache lines (used by the window pre-processing pass to
-    /// model L1 pollution).
-    pub fn l1_lines(&self) -> u32 {
-        self.l1_bytes / self.cache_line
-    }
 }
 
 impl Default for MachineConfig {
@@ -186,7 +180,7 @@ mod tests {
         let m = MachineConfig::knl_like();
         assert_eq!(m.mesh.cols(), 6);
         assert_eq!(m.l1_sets() * m.l1_ways * m.cache_line, m.l1_bytes);
-        assert_eq!(m.l1_lines(), 32);
+        assert_eq!(m.l1_sets() * m.l1_ways, 32);
     }
 
     #[test]
