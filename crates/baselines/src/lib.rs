@@ -50,7 +50,7 @@ pub fn locality_assignment(
                 let elem = program.element_of(r, &iter, data);
                 // Requester choice barely matters outside SNC-4; profile
                 // from the geometric "centre" of the candidate core.
-                let home = layout.locate(program, r.array, elem, nodes[0]).home;
+                let home = layout.locate(r.array, elem, nodes[0]).home;
                 for (k, &node) in nodes.iter().enumerate() {
                     cost[chunk][k] += u64::from(node.manhattan(home));
                 }
@@ -103,7 +103,7 @@ pub fn preferred_mc_overrides(
         for stmt in &nest.body {
             for r in stmt.all_refs() {
                 let elem = program.element_of(r, &iter, data);
-                let page = layout.page_of(program, r.array, elem);
+                let page = layout.page_of(r.array, elem);
                 let entry = page_cost.entry(page).or_insert([0; 4]);
                 for (c, corner) in corners.iter().enumerate() {
                     entry[c] += u64::from(core.manhattan(*corner));

@@ -68,7 +68,10 @@ pub fn evaluate(w: &Workload, machine: &MachineConfig, pool: &Pool) -> AppEval {
     let partitioner = Partitioner::new(machine, &w.program, cfg.clone());
     let sim = SimOptions { track_instances: true, ..SimOptions::default() };
 
-    let opt = partition_guided(&partitioner, &w.program, &w.data, pool, sim);
+    let mut opt = partition_guided(&partitioner, &w.program, &w.data, pool, sim);
+    // The record keeps the plan: drop the placement's emission reserve, as
+    // the serve compile path does before caching one.
+    opt.shrink_to_fit();
     let base = partitioner.plan(&w.program, &w.data, pool, true).expect("baseline plans");
     let r_opt = run_schedules(&w.program, partitioner.layout(), &opt, sim);
     let r_base = run_schedules(&w.program, partitioner.layout(), &base, sim);

@@ -193,7 +193,7 @@ pub fn bound_nest(
             instances += 1;
 
             let lhs_elem = program.element_of(&stmt.lhs, &iter, data);
-            let lhs_info = layout.locate(program, stmt.lhs.array, lhs_elem, core);
+            let lhs_info = layout.locate(stmt.lhs.array, lhs_elem, core);
             let lhs_known = stmt.lhs.analyzable || config.opts.ideal_analysis;
 
             // Option groups this instance's paid legs must span. The store
@@ -215,7 +215,7 @@ pub fn bound_nest(
             rhs_leaves(&stmt.rhs, &mut leaves);
             for r in &leaves {
                 let elem = program.element_of(r, &iter, data);
-                let (info, belief) = layout.locate_and_believe(program, r.array, elem, core);
+                let (info, belief) = layout.locate_and_believe(r.array, elem, core);
                 let analyzable = r.analyzable || config.opts.ideal_analysis;
                 let fresh = if lhs_known && config.opts.reuse_aware {
                     // Split accounting may source a previously-seen line

@@ -99,8 +99,8 @@ pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
     // Terminals: believed operand primaries (AlwaysHit ⇒ the home bank)
     // plus the real store home.
     let mut terminals: Vec<NodeId> =
-        (0..k).map(|i| layout.believed(&program, src[i], subs[i], core).home).collect();
-    terminals.push(layout.locate(&program, dst, dsub, core).home);
+        (0..k).map(|i| layout.believed(src[i], subs[i], core).home).collect();
+    terminals.push(layout.locate(dst, dsub, core).home);
 
     let outcome = OracleOutcome {
         k,

@@ -4,7 +4,6 @@ use crate::cachesim::{CacheSystem, ServedBy};
 use crate::network::Network;
 use crate::report::{EnergyBreakdown, SimReport};
 use crate::{ElemLoc, Layout, Operand, Schedule, Step, StepInput, SubId};
-use dmcp_ir::Program;
 use dmcp_mach::{FaultState, NodeId};
 use dmcp_mem::predictor::PredictorAccuracy;
 use dmcp_mem::MemoryMode;
@@ -69,7 +68,6 @@ impl RateEnforcer {
 
 /// The simulator state across one or more schedules.
 pub struct Engine<'a> {
-    program: &'a Program,
     layout: &'a Layout,
     opts: SimOptions,
     network: Network,
@@ -92,26 +90,20 @@ pub struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// Creates an engine with cold caches and an idle network.
-    pub fn new(program: &'a Program, layout: &'a Layout, opts: SimOptions) -> Self {
+    pub fn new(layout: &'a Layout, opts: SimOptions) -> Self {
         let machine = layout.machine();
-        Self::with_network(program, layout, opts, Network::new(machine.latency, machine.mesh))
+        Self::with_network(layout, opts, Network::new(machine.latency, machine.mesh))
     }
 
     /// [`Engine::new`] with a given idle network, set to the options'
     /// network knobs.
-    fn with_network(
-        program: &'a Program,
-        layout: &'a Layout,
-        opts: SimOptions,
-        mut network: Network,
-    ) -> Self {
+    fn with_network(layout: &'a Layout, opts: SimOptions, mut network: Network) -> Self {
         let machine = layout.machine();
         network.zero_latency = opts.ideal_network;
         if let Some(s) = opts.movement_scale {
             network.distance_scale = s;
         }
         Self {
-            program,
             layout,
             opts,
             network,
@@ -140,14 +132,9 @@ impl<'a> Engine<'a> {
     ///
     /// A trivial fault state leaves the engine bit-identical to
     /// [`Engine::new`].
-    pub fn with_faults(
-        program: &'a Program,
-        layout: &'a Layout,
-        opts: SimOptions,
-        faults: FaultState,
-    ) -> Self {
+    pub fn with_faults(layout: &'a Layout, opts: SimOptions, faults: FaultState) -> Self {
         let network = Network::with_faults(layout.machine().latency, faults);
-        Self::with_network(program, layout, opts, network)
+        Self::with_network(layout, opts, network)
     }
 
     /// Executes one nest's schedule. Nests are separated by a global
@@ -284,7 +271,7 @@ impl<'a> Engine<'a> {
     fn fetch(&mut self, step: &Step, node: NodeId, e: ElemLoc) -> f64 {
         let machine = self.layout.machine();
         let lat = machine.latency;
-        let info = self.layout.locate(self.program, e.array, e.elem, node);
+        let info = self.layout.locate(e.array, e.elem, node);
         let home = info.home;
 
         // Predictor-accuracy bookkeeping: the compiler predicted on-chip iff
@@ -421,7 +408,7 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use crate::{PartitionConfig, Partitioner};
-    use dmcp_ir::ProgramBuilder;
+    use dmcp_ir::{Program, ProgramBuilder};
     use dmcp_mach::MachineConfig;
     use dmcp_pool::Pool;
 
@@ -437,13 +424,8 @@ mod tests {
         (program, machine, part)
     }
 
-    fn simulate(
-        program: &Program,
-        part: &Partitioner,
-        out: &crate::PartitionOutput,
-        opts: SimOptions,
-    ) -> SimReport {
-        let mut engine = Engine::new(program, part.layout(), opts);
+    fn simulate(part: &Partitioner, out: &crate::PartitionOutput, opts: SimOptions) -> SimReport {
+        let mut engine = Engine::new(part.layout(), opts);
         for nest in &out.nests {
             engine.run(&nest.schedule);
         }
@@ -456,8 +438,8 @@ mod tests {
         let data = program.initial_data();
         let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
         let base = part.plan(&program, &data, Pool::global(), true).unwrap();
-        let r_opt = simulate(&program, &part, &opt, SimOptions::default());
-        let r_base = simulate(&program, &part, &base, SimOptions::default());
+        let r_opt = simulate(&part, &opt, SimOptions::default());
+        let r_base = simulate(&part, &base, SimOptions::default());
         assert!(
             r_opt.movement < r_base.movement,
             "movement {} !< {}",
@@ -477,13 +459,9 @@ mod tests {
         let (program, _, part) = setup();
         let data = program.initial_data();
         let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
-        let r = simulate(&program, &part, &opt, SimOptions::default());
-        let r_ideal = simulate(
-            &program,
-            &part,
-            &opt,
-            SimOptions { ideal_network: true, ..SimOptions::default() },
-        );
+        let r = simulate(&part, &opt, SimOptions::default());
+        let r_ideal =
+            simulate(&part, &opt, SimOptions { ideal_network: true, ..SimOptions::default() });
         assert!(r_ideal.exec_time < r.exec_time);
         assert_eq!(r_ideal.net_avg_latency, 0.0);
         // Movement (links) is a property of the schedule, not the timing.
@@ -496,7 +474,6 @@ mod tests {
         let data = program.initial_data();
         let base = part.plan(&program, &data, Pool::global(), true).unwrap();
         let r = simulate(
-            &program,
             &part,
             &base,
             SimOptions { l1_rate_override: Some(0.8), ..SimOptions::default() },
@@ -509,9 +486,8 @@ mod tests {
         let (program, _, part) = setup();
         let data = program.initial_data();
         let base = part.plan(&program, &data, Pool::global(), true).unwrap();
-        let r1 = simulate(&program, &part, &base, SimOptions::default());
+        let r1 = simulate(&part, &base, SimOptions::default());
         let r2 = simulate(
-            &program,
             &part,
             &base,
             SimOptions { movement_scale: Some(0.5), ..SimOptions::default() },
@@ -524,7 +500,7 @@ mod tests {
         let (program, _, part) = setup();
         let data = program.initial_data();
         let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
-        let r = simulate(&program, &part, &opt, SimOptions::default());
+        let r = simulate(&part, &opt, SimOptions::default());
         assert!(r.sync_count > 0, "split schedules should synchronize");
     }
 
@@ -533,12 +509,8 @@ mod tests {
         let (program, _, part) = setup();
         let data = program.initial_data();
         let base = part.plan(&program, &data, Pool::global(), true).unwrap();
-        let r = simulate(
-            &program,
-            &part,
-            &base,
-            SimOptions { track_instances: true, ..SimOptions::default() },
-        );
+        let r =
+            simulate(&part, &base, SimOptions { track_instances: true, ..SimOptions::default() });
         assert!(!r.per_instance_movement.is_empty());
         let sum: u64 = r.per_instance_movement.values().sum();
         assert_eq!(sum, r.movement);
@@ -549,7 +521,7 @@ mod tests {
         let (program, _, part) = setup();
         let data = program.initial_data();
         let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
-        let r = simulate(&program, &part, &opt, SimOptions::default());
+        let r = simulate(&part, &opt, SimOptions::default());
         assert!(r.predictor_accuracy > 0.0 && r.predictor_accuracy <= 1.0);
     }
 
@@ -568,10 +540,10 @@ mod tests {
         let data = p.initial_data();
         let out = part.plan(&p, &data, Pool::global(), true).unwrap();
         // Run nest 1 alone vs both: total time must be at least nest 1's.
-        let mut e1 = Engine::new(&p, part.layout(), SimOptions::default());
+        let mut e1 = Engine::new(part.layout(), SimOptions::default());
         e1.run(&out.nests[0].schedule);
         let t1 = e1.report().exec_time;
-        let mut e2 = Engine::new(&p, part.layout(), SimOptions::default());
+        let mut e2 = Engine::new(part.layout(), SimOptions::default());
         e2.run(&out.nests[0].schedule);
         e2.run(&out.nests[1].schedule);
         let t2 = e2.report().exec_time;
@@ -606,7 +578,7 @@ mod tests {
         let nest1 = part.plan(&p, &data, Pool::global(), true).unwrap().nests[1].clone();
         assert!(nest0.schedule.steps.iter().all(|s| s.node == NodeId::new(0, 0)));
 
-        let mut engine = Engine::new(&p, part.layout(), SimOptions::default());
+        let mut engine = Engine::new(part.layout(), SimOptions::default());
         engine.run(&nest0.schedule);
         let barrier = engine.report().last_finish;
         engine.run(&nest1.schedule);
@@ -622,9 +594,8 @@ mod tests {
         let (program, _, part) = setup();
         let data = program.initial_data();
         let base = part.plan(&program, &data, Pool::global(), true).unwrap();
-        let plain = simulate(&program, &part, &base, SimOptions::default());
+        let plain = simulate(&part, &base, SimOptions::default());
         let charged = simulate(
-            &program,
             &part,
             &base,
             SimOptions { extra_sync_per_statement: 50.0, ..SimOptions::default() },
@@ -650,12 +621,12 @@ mod tests {
         let machine = MachineConfig::knl_like().with_mesh(dmcp_mach::Mesh::new(256, 256));
         let layout = Layout::new(&machine, &program, dmcp_mem::page::PagePolicy::default());
         let (array, elem) = (dmcp_ir::ArrayId::from_index(0), 0);
-        let info = layout.locate(&program, array, elem, NodeId::new(255, 255));
+        let info = layout.locate(array, elem, NodeId::new(255, 255));
         let mut schedule = Schedule::default();
         let store =
             crate::StoreTarget { array, elem, line: info.line, home: info.home, hot: false };
         schedule.push_step(NodeId::new(255, 255), Some(1.0), Some(store), Default::default());
-        let mut engine = Engine::new(&program, &layout, SimOptions::default());
+        let mut engine = Engine::new(&layout, SimOptions::default());
         engine.run(&schedule);
         let r = engine.report();
         assert!(r.exec_time > 0.0);
@@ -668,7 +639,7 @@ mod tests {
         let (program, _, part) = setup();
         let data = program.initial_data();
         let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
-        let r = simulate(&program, &part, &opt, SimOptions::default());
+        let r = simulate(&part, &opt, SimOptions::default());
         assert!(r.energy.link > 0.0);
         assert!(r.energy.cache > 0.0);
         assert!(r.energy.memory > 0.0);

@@ -141,6 +141,22 @@ impl L1Model {
         Holders::new(self.mesh, if hot { self.bits(line) } else { &[] })
     }
 
+    /// The union of this model's [`L1Model::holders`] of `line` and
+    /// `hot`'s [`L1Model::hot_holders`] of it, each node once, in
+    /// [`Mesh::node_index`] order: one OR of the two bitsets. `hot` must
+    /// model the same mesh.
+    pub fn holders_or_hot<'a>(
+        &'a self,
+        hot: &'a L1Model,
+        line: u32,
+        min_touches: u32,
+    ) -> Holders<'a> {
+        debug_assert_eq!(self.mesh, hot.mesh, "both models cover one mesh");
+        let mut holders = self.holders(line);
+        holders.or = hot.hot_holders(line, min_touches).words;
+        holders
+    }
+
     /// Forgets everything (called at window boundaries: scheduling knowledge
     /// does not cross windows, per the paper's Figure 12c discussion).
     /// Touch counts survive (they describe the program, not the window).
@@ -158,12 +174,15 @@ impl L1Model {
 }
 
 /// The holders of one line, in [`Mesh::node_index`] order (see
-/// [`L1Model::holders`]).
+/// [`L1Model::holders`] and [`L1Model::holders_or_hot`]).
 #[derive(Clone, Debug)]
 pub struct Holders<'a> {
     mesh: Mesh,
     /// The line's bitset words.
     words: &'a [u64],
+    /// Bitset words OR-ed into `words`: empty, or as many as the mesh
+    /// needs.
+    or: &'a [u64],
     /// Index of the next word of `words` to load.
     word: usize,
     /// Bits of the current word not yet yielded; the word's base index is
@@ -173,7 +192,7 @@ pub struct Holders<'a> {
 
 impl<'a> Holders<'a> {
     fn new(mesh: Mesh, words: &'a [u64]) -> Self {
-        Self { mesh, words, word: 0, pending: 0 }
+        Self { mesh, words, or: &[], word: 0, pending: 0 }
     }
 }
 
@@ -182,7 +201,11 @@ impl Iterator for Holders<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         while self.pending == 0 {
-            self.pending = *self.words.get(self.word)?;
+            let (a, b) = (self.words.get(self.word), self.or.get(self.word));
+            if a.is_none() && b.is_none() {
+                return None;
+            }
+            self.pending = a.copied().unwrap_or(0) | b.copied().unwrap_or(0);
             self.word += 1;
         }
         let n = 64 * (self.word - 1) as u32 + self.pending.trailing_zeros();

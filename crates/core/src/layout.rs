@@ -1,19 +1,21 @@
 //! Data-location detection (paper Section 4.1).
 //!
-//! Combines the page table (with the paper's colour-preserving OS support),
-//! the SNUCA bank mapping and the machine description into one oracle that
-//! answers: *for array element `e`, which node is its home L2 bank, and which
-//! memory controller services a miss?*
+//! Combines the page translation (with the paper's colour-preserving OS
+//! support), the SNUCA bank mapping and the machine description into one
+//! oracle that answers: *for array element `e`, which node is its home L2
+//! bank, and which memory controller services a miss?*
 //!
 //! Pages are allocated **eagerly** in array-declaration order, so the layout
 //! is identical no matter in which order the compiler, the window-size
 //! search and the simulator ask questions — everything stays reproducible.
+//! Every array's pages sit in one dense table, in the order a demand-paging
+//! [`dmcp_mem::PageTable`] would allocate them, so translating an element
+//! is an index, not a hash probe.
 
 use dmcp_ir::{ArrayId, Program};
 use dmcp_mach::{FaultState, MachineConfig, NodeId};
-use dmcp_mem::page::{PagePolicy, PageTable};
+use dmcp_mem::page::{FrameAllocator, PagePolicy};
 use dmcp_mem::{AddressMap, LineAddr, PhysAddr, Snuca, VirtAddr};
-use std::collections::HashMap;
 
 /// Location of one array element in the memory system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,45 +43,92 @@ struct DegradedView {
     rehome: Vec<NodeId>,
 }
 
+/// One declared array: what [`dmcp_ir::ArrayDecl::va_of`] needs, its hot
+/// flag, and where its pages start in [`Layout`]'s page table.
+#[derive(Clone, Copy, Debug)]
+struct ArrayPages {
+    base_va: u64,
+    /// Elements; an empty array keeps 1, as `va_of` wraps onto its base.
+    len: u64,
+    elem_size: u64,
+    hot: bool,
+    /// Virtual page numbers of the first and the last byte.
+    first_vpn: u64,
+    last_vpn: u64,
+    /// Index in the page table of the entry for `first_vpn`.
+    first_entry: usize,
+}
+
+/// One virtual page of an array.
+#[derive(Clone, Copy, Debug)]
+struct PageEntry {
+    /// Physical page number.
+    ppn: u64,
+    /// The controller installed for the physical page by the profile-based
+    /// data-to-MC mapping (paper Section 6.5 / Figure 23), if any.
+    mc: Option<NodeId>,
+}
+
 /// The machine-wide memory layout: VA→PA→(home bank, controller).
 #[derive(Clone, Debug)]
 pub struct Layout {
     machine: MachineConfig,
     map: AddressMap,
-    pages: PageTable,
     snuca: Snuca,
-    /// Page→controller overrides installed by the profile-based data-to-MC
-    /// mapping scheme (paper Section 6.5 / Figure 23).
-    mc_override: HashMap<u64, NodeId>,
+    arrays: Vec<ArrayPages>,
+    /// Every array's pages, array after array: array `a`'s virtual page
+    /// `vpn` is `pages[a.first_entry + (vpn - a.first_vpn)]`. A page two
+    /// arrays share appears under both, with one frame.
+    pages: Vec<PageEntry>,
+    /// Physical pages with a controller override.
+    overrides: usize,
     /// Fault-induced re-homing; `None` on a healthy machine.
     degraded: Option<DegradedView>,
 }
 
 impl Layout {
     /// Builds the layout for `machine`, eagerly allocating every page of
-    /// every array in `program` under the given allocation policy.
+    /// every array in `program` under the given allocation policy: array
+    /// after array in declaration order, each array's pages in address
+    /// order, a page an earlier array already holds keeping its frame.
     pub fn new(machine: &MachineConfig, program: &Program, policy: PagePolicy) -> Self {
         let map = AddressMap::for_machine(machine);
-        let mut pages = PageTable::new(map, policy);
+        let mut frames = FrameAllocator::new(map, policy);
+        let mut arrays: Vec<ArrayPages> = Vec::with_capacity(program.arrays().len());
+        let mut pages = Vec::new();
+        // The highest virtual page an earlier array holds: only a page at
+        // or below it can already have a frame.
+        let mut allocated_to = None;
         for decl in program.arrays() {
             let bytes = decl.len() * u64::from(decl.elem_size);
-            let mut va = decl.base_va;
-            while va < decl.base_va + bytes {
-                pages.translate(VirtAddr::new(va));
-                va += u64::from(machine.page_size);
+            let first_vpn = map.virt_page(VirtAddr::new(decl.base_va));
+            let last_vpn = map.virt_page(VirtAddr::new(decl.base_va + bytes.saturating_sub(1)));
+            let first_entry = pages.len();
+            for vpn in first_vpn..=last_vpn {
+                let earlier = if allocated_to.is_some_and(|top| vpn <= top) {
+                    arrays.iter().rev().find(|a| (a.first_vpn..=a.last_vpn).contains(&vpn))
+                } else {
+                    None
+                };
+                let page = match earlier {
+                    Some(a) => pages[a.first_entry + (vpn - a.first_vpn) as usize],
+                    None => PageEntry { ppn: frames.allocate(vpn), mc: None },
+                };
+                pages.push(page);
             }
-            // The last element may share the final page; make sure.
-            pages.translate(VirtAddr::new(decl.base_va + bytes.saturating_sub(1)));
+            allocated_to = allocated_to.max(Some(last_vpn));
+            arrays.push(ArrayPages {
+                base_va: decl.base_va,
+                len: decl.len().max(1),
+                elem_size: u64::from(decl.elem_size),
+                hot: decl.hot,
+                first_vpn,
+                last_vpn,
+                first_entry,
+            });
         }
         let snuca = Snuca::new(machine.mesh, machine.cluster, map);
-        Self {
-            machine: machine.clone(),
-            map,
-            pages,
-            snuca,
-            mc_override: HashMap::new(),
-            degraded: None,
-        }
+        Self { machine: machine.clone(), map, snuca, arrays, pages, overrides: 0, degraded: None }
     }
 
     /// Installs a degraded-mode view: every page homed on a node the faults
@@ -138,34 +187,51 @@ impl Layout {
         self.map
     }
 
+    /// An element's virtual address (as [`dmcp_ir::ArrayDecl::va_of`]
+    /// gives it), physical address and page entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `array` is not an array of the layout's program.
+    fn translate(&self, array: ArrayId, elem: u64) -> (VirtAddr, PhysAddr, &PageEntry, bool) {
+        let a = &self.arrays[array.index()];
+        let elem = if elem < a.len { elem } else { elem % a.len };
+        let va = a.base_va + elem * a.elem_size;
+        let vpn = self.map.virt_page(VirtAddr::new(va));
+        let page = &self.pages[a.first_entry + (vpn - a.first_vpn) as usize];
+        let pa = self.map.compose(page.ppn, self.map.page_offset(va));
+        (VirtAddr::new(va), pa, page, a.hot)
+    }
+
     /// Translates an element of an array to its physical address.
     ///
     /// # Panics
     ///
-    /// Panics if the page was not pre-allocated (cannot happen for addresses
-    /// inside declared arrays).
-    pub fn phys_of(&self, program: &Program, array: ArrayId, elem: u64) -> PhysAddr {
-        let va = program.array(array).va_of(elem);
-        self.pages.lookup(VirtAddr::new(va)).expect("page pre-allocated for declared arrays")
+    /// Panics if `array` is not an array of the layout's program.
+    pub fn phys_of(&self, array: ArrayId, elem: u64) -> PhysAddr {
+        self.translate(array, elem).1
+    }
+
+    /// The home bank and controller of `pa` as `requester` sees them
+    /// (requester only matters under SNC-4), re-homed under faults; `mc`
+    /// overrides the controller. The home is computed once and the
+    /// controller derived from it.
+    fn home_and_mc(&self, pa: PhysAddr, requester: NodeId, mc: Option<NodeId>) -> (NodeId, NodeId) {
+        let home = self.snuca.home_node(pa, requester);
+        let mc = mc.unwrap_or_else(|| self.snuca.controller_for_home(pa, requester, home));
+        (self.rehomed(home), self.rehomed(mc))
     }
 
     /// Full location info of one array element, as seen by `requester`
     /// (requester only matters under SNC-4).
-    pub fn locate(
-        &self,
-        program: &Program,
-        array: ArrayId,
-        elem: u64,
-        requester: NodeId,
-    ) -> ElemInfo {
-        let pa = self.phys_of(program, array, elem);
-        let line = self.map.line_of(pa);
-        let home = self.rehomed(self.snuca.home_node(pa, requester));
-        let mc = self.rehomed(match self.mc_override.get(&self.map.phys_page(pa)) {
-            Some(&n) => n,
-            None => self.snuca.controller_node(pa, requester),
-        });
-        ElemInfo { line, home, mc, hot: program.array(array).hot }
+    ///
+    /// # Panics
+    ///
+    /// Panics if `array` is not an array of the layout's program.
+    pub fn locate(&self, array: ArrayId, elem: u64, requester: NodeId) -> ElemInfo {
+        let (_, pa, page, hot) = self.translate(array, elem);
+        let (home, mc) = self.home_and_mc(pa, requester, page.mc);
+        ElemInfo { line: self.map.line_of(pa), home, mc, hot }
     }
 
     /// The compiler's *belief* about an element's location, inferred from
@@ -174,51 +240,66 @@ impl Layout {
     /// colour-preserving policy the belief matches reality; under a stock
     /// (scrambled) allocator the bank-hash and channel bits differ and the
     /// compiler plans against wrong locations — exactly the failure mode
-    /// the paper's modified OS API exists to prevent.
-    pub fn believed(
-        &self,
-        program: &Program,
-        array: ArrayId,
-        elem: u64,
-        requester: NodeId,
-    ) -> ElemInfo {
-        self.locate_and_believe(program, array, elem, requester).1
+    /// the paper's modified OS API exists to prevent. The line is always
+    /// the real one, and no controller override is visible in a VA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `array` is not an array of the layout's program.
+    pub fn believed(&self, array: ArrayId, elem: u64, requester: NodeId) -> ElemInfo {
+        let (va, pa, _, hot) = self.translate(array, elem);
+        self.believe(va, pa, requester, hot)
+    }
+
+    /// [`Layout::believed`] of the element at `va`, which translates to
+    /// `pa`.
+    fn believe(&self, va: VirtAddr, pa: PhysAddr, requester: NodeId, hot: bool) -> ElemInfo {
+        // Interpret the VA as if translation were the identity.
+        let (home, mc) = self.home_and_mc(PhysAddr::new(va.raw()), requester, None);
+        ElemInfo { line: self.map.line_of(pa), home, mc, hot }
     }
 
     /// [`Layout::locate`] and [`Layout::believed`] together, from one
-    /// page-table lookup: `(real, believed)`.
+    /// translation: `(real, believed)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `array` is not an array of the layout's program.
     pub fn locate_and_believe(
         &self,
-        program: &Program,
         array: ArrayId,
         elem: u64,
         requester: NodeId,
     ) -> (ElemInfo, ElemInfo) {
-        let real = self.locate(program, array, elem, requester);
-        // Interpret the VA as if translation were the identity.
-        let pa_guess = PhysAddr::new(program.array(array).va_of(elem));
-        let believed = ElemInfo {
-            home: self.rehomed(self.snuca.home_node(pa_guess, requester)),
-            mc: self.rehomed(self.snuca.controller_node(pa_guess, requester)),
-            ..real // the *identity* of the line is always real
-        };
-        (real, believed)
+        let (va, pa, page, hot) = self.translate(array, elem);
+        let (home, mc) = self.home_and_mc(pa, requester, page.mc);
+        let real = ElemInfo { line: self.map.line_of(pa), home, mc, hot };
+        (real, self.believe(va, pa, requester, hot))
     }
 
     /// Installs a page→controller override (profile-guided data-to-MC
-    /// mapping). `ppn` is the physical page number.
+    /// mapping) on every virtual page the layout maps to physical page
+    /// `ppn`; a page the layout does not map is ignored.
     pub fn override_page_controller(&mut self, ppn: u64, mc: NodeId) {
-        self.mc_override.insert(ppn, mc);
+        let mut fresh = false;
+        for page in self.pages.iter_mut().filter(|p| p.ppn == ppn) {
+            fresh = page.mc.replace(mc).is_none();
+        }
+        self.overrides += usize::from(fresh);
     }
 
-    /// Number of page→controller overrides installed.
+    /// Number of physical pages with a controller override installed.
     pub fn override_count(&self) -> usize {
-        self.mc_override.len()
+        self.overrides
     }
 
     /// Physical page number of an element (for building overrides).
-    pub fn page_of(&self, program: &Program, array: ArrayId, elem: u64) -> u64 {
-        self.map.phys_page(self.phys_of(program, array, elem))
+    ///
+    /// # Panics
+    ///
+    /// Panics if `array` is not an array of the layout's program.
+    pub fn page_of(&self, array: ArrayId, elem: u64) -> u64 {
+        self.translate(array, elem).2.ppn
     }
 }
 
@@ -241,8 +322,8 @@ mod tests {
         let layout = Layout::new(&m, &p, PagePolicy::ColorPreserving);
         let a = dmcp_ir::ArrayId::from_index(0);
         let req = NodeId::new(0, 0);
-        let first = layout.locate(&p, a, 17, req);
-        let second = layout.locate(&p, a, 17, req);
+        let first = layout.locate(a, 17, req);
+        let second = layout.locate(a, 17, req);
         assert_eq!(first, second);
     }
 
@@ -253,9 +334,9 @@ mod tests {
         let a = dmcp_ir::ArrayId::from_index(0);
         let req = NodeId::new(0, 0);
         // 8-byte elements, 64-byte lines: elements 0..8 share a line.
-        let l0 = layout.locate(&p, a, 0, req);
-        let l7 = layout.locate(&p, a, 7, req);
-        let l8 = layout.locate(&p, a, 8, req);
+        let l0 = layout.locate(a, 0, req);
+        let l7 = layout.locate(a, 7, req);
+        let l8 = layout.locate(a, 8, req);
         assert_eq!(l0.line, l7.line);
         assert_ne!(l0.line, l8.line);
         assert_ne!(l0.home, l8.home, "adjacent lines should home differently");
@@ -266,8 +347,8 @@ mod tests {
         let (m, p) = setup();
         let layout = Layout::new(&m, &p, PagePolicy::ColorPreserving);
         let req = NodeId::new(0, 0);
-        assert!(!layout.locate(&p, dmcp_ir::ArrayId::from_index(0), 0, req).hot);
-        assert!(layout.locate(&p, dmcp_ir::ArrayId::from_index(1), 0, req).hot);
+        assert!(!layout.locate(dmcp_ir::ArrayId::from_index(0), 0, req).hot);
+        assert!(layout.locate(dmcp_ir::ArrayId::from_index(1), 0, req).hot);
     }
 
     #[test]
@@ -277,7 +358,7 @@ mod tests {
         let a = dmcp_ir::ArrayId::from_index(0);
         let req = NodeId::new(0, 0);
         let homes: std::collections::HashSet<_> =
-            (0..512).map(|e| layout.locate(&p, a, e, req).home).collect();
+            (0..512).map(|e| layout.locate(a, e, req).home).collect();
         assert!(homes.len() >= 30, "only {} distinct home banks", homes.len());
     }
 
@@ -287,10 +368,10 @@ mod tests {
         let mut layout = Layout::new(&m, &p, PagePolicy::ColorPreserving);
         let a = dmcp_ir::ArrayId::from_index(0);
         let req = NodeId::new(3, 3);
-        let before = layout.locate(&p, a, 0, req);
+        let before = layout.locate(a, 0, req);
         let target = NodeId::new(5, 5);
-        layout.override_page_controller(layout.page_of(&p, a, 0), target);
-        let after = layout.locate(&p, a, 0, req);
+        layout.override_page_controller(layout.page_of(a, 0), target);
+        let after = layout.locate(a, 0, req);
         assert_eq!(after.mc, target);
         assert_eq!(after.home, before.home, "override must not move the home bank");
         assert_eq!(layout.override_count(), 1);
@@ -305,7 +386,7 @@ mod tests {
         // preservation.
         for e in [0u64, 100, 300, 511] {
             let va = p.array(a).va_of(e);
-            let pa = layout.phys_of(&p, a, e);
+            let pa = layout.phys_of(a, e);
             assert_eq!(
                 layout.map().channel_of_phys(pa),
                 layout.map().channel_of_virt(VirtAddr::new(va))
@@ -319,12 +400,12 @@ mod tests {
         let mut layout = Layout::new(&m, &p, PagePolicy::ColorPreserving);
         let a = dmcp_ir::ArrayId::from_index(0);
         let req = NodeId::new(2, 1);
-        let before: Vec<_> = (0..64).map(|e| layout.locate(&p, a, e, req)).collect();
+        let before: Vec<_> = (0..64).map(|e| layout.locate(a, e, req)).collect();
         let faults = dmcp_mach::FaultState::new(dmcp_mach::FaultPlan::healthy(), m.mesh).unwrap();
         layout.apply_faults(&faults);
         assert!(!layout.is_degraded());
         assert!(layout.live_nodes().is_none());
-        let after: Vec<_> = (0..64).map(|e| layout.locate(&p, a, e, req)).collect();
+        let after: Vec<_> = (0..64).map(|e| layout.locate(a, e, req)).collect();
         assert_eq!(before, after, "healthy fault state must be a strict no-op");
     }
 
@@ -345,10 +426,10 @@ mod tests {
         assert!(!layout.is_live(victim));
         assert_eq!(layout.live_nodes().unwrap().len(), 35);
         for e in 0..512 {
-            let info = layout.locate(&p, a, e, req);
+            let info = layout.locate(a, e, req);
             assert!(layout.is_live(info.home), "element {e} homed on dead node");
             assert!(layout.is_live(info.mc), "element {e} serviced by dead MC");
-            let believed = layout.believed(&p, a, e, req);
+            let believed = layout.believed(a, e, req);
             assert!(layout.is_live(believed.home));
             assert!(layout.is_live(believed.mc));
         }
@@ -363,13 +444,13 @@ mod tests {
         // Find an element homed on the victim before faults.
         let victim = NodeId::new(3, 3);
         let elem = (0..512)
-            .find(|&e| layout.locate(&p, a, e, req).home == victim)
+            .find(|&e| layout.locate(a, e, req).home == victim)
             .expect("some element homes on (3,3)");
         let mut plan = dmcp_mach::FaultPlan::healthy();
         plan.kill_node(victim);
         let faults = dmcp_mach::FaultState::new(plan, m.mesh).unwrap();
         layout.apply_faults(&faults);
-        let new_home = layout.locate(&p, a, elem, req).home;
+        let new_home = layout.locate(a, elem, req).home;
         assert_eq!(victim.manhattan(new_home), 1, "re-home must be the nearest live node");
     }
 }

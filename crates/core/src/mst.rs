@@ -46,12 +46,24 @@ impl MstVertex {
     }
 }
 
-/// [`MstVertex::nearest_to`] over a location slice.
+/// [`MstVertex::nearest_to`] over a location slice: the least
+/// `(distance, node)`, so the answer depends on the set of locations, not
+/// their order.
+///
+/// # Panics
+///
+/// Panics if `locs` is empty.
+#[inline]
 pub(crate) fn nearest(locs: &[NodeId], target: NodeId) -> (NodeId, u32) {
-    locs.iter()
-        .map(|&n| (n, n.manhattan(target)))
-        .min_by_key(|&(n, d)| (d, n))
-        .expect("non-empty candidate set")
+    let (&first, rest) = locs.split_first().expect("non-empty candidate set");
+    let mut best = (first, first.manhattan(target));
+    for &n in rest {
+        let d = n.manhattan(target);
+        if (d, n) < (best.1, best.0) {
+            best = (n, d);
+        }
+    }
+    best
 }
 
 /// Minimum distance between two vertices' candidate sets, with the
@@ -125,12 +137,29 @@ pub fn kruskal(vertices: &[MstVertex]) -> Vec<MstEdge> {
     mst
 }
 
+/// Most vertices one nested set may have: [`KruskalScratch::run`] packs
+/// each vertex index into 24 bits of its edge keys. Every set a request
+/// can carry fits: `dmcp-serve` caps a request frame at 64 MiB, and each
+/// operand of a set takes at least 4 of its bytes (`+a0`, a scalar
+/// reference, and its analyzability flag), so a set has fewer than 2^24
+/// vertices, its store vertex included.
+pub const MAX_SET_VERTICES: usize = 1 << 24;
+
+/// Heaviest edge [`KruskalScratch::run`] takes: weights fill the top 16
+/// bits of its edge keys. Weights are Manhattan distances, so every mesh
+/// whose diameter is at most this fits, and a request's mesh (at most
+/// 256 × 256 nodes, diameter 510) always does.
+pub const MAX_EDGE_WEIGHT: u32 = (1 << 16) - 1;
+
 /// The buffers of [`kruskal`] — the candidate edges and the union–find
 /// forest — kept across runs, so a planner that builds an MST per nested
 /// set allocates nothing once they have grown to its largest set.
 #[derive(Clone, Debug, Default)]
 pub struct KruskalScratch {
-    candidates: Vec<MstEdge>,
+    /// Candidate edges as packed `(weight, a, b)` keys: `weight << 48 |
+    /// a << 24 | b`, so sorting the integers sorts the edges by
+    /// `(weight, a, b)`.
+    candidates: Vec<u64>,
     forest: UnionFind,
 }
 
@@ -139,6 +168,11 @@ impl KruskalScratch {
     /// whose edge `a < b` weighs `distance(a, b)`: `n.saturating_sub(1)`
     /// edges in the order Kruskal accepts them, candidates sorted by
     /// `(weight, a, b)` as in [`kruskal`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_SET_VERTICES`] or a weight exceeds
+    /// [`MAX_EDGE_WEIGHT`].
     pub fn run(
         &mut self,
         n: usize,
@@ -148,20 +182,25 @@ impl KruskalScratch {
         if n < 2 {
             return;
         }
+        assert!(n <= MAX_SET_VERTICES, "a nested set of {n} vertices");
+        const FIELD: u64 = (1 << 24) - 1;
         self.candidates.clear();
         for a in 0..n {
             for b in (a + 1)..n {
-                self.candidates.push(MstEdge { a, b, weight: distance(a, b) });
+                let weight = distance(a, b);
+                assert!(weight <= MAX_EDGE_WEIGHT, "an MST edge of weight {weight}");
+                self.candidates.push((u64::from(weight) << 48) | ((a as u64) << 24) | b as u64);
             }
         }
-        // `(weight, a, b)` is unique per edge, so the unstable sort gives
-        // the stable sort's order.
-        self.candidates.sort_unstable_by_key(|e| (e.weight, e.a, e.b));
+        // Keys are unique per edge, so the unstable sort gives the stable
+        // sort's order.
+        self.candidates.sort_unstable();
         self.forest.reset(n);
         let mut accepted = 0;
-        for &e in &self.candidates {
-            if self.forest.union(e.a, e.b) {
-                mst.push(e);
+        for &key in &self.candidates {
+            let (a, b) = (((key >> 24) & FIELD) as usize, (key & FIELD) as usize);
+            if self.forest.union(a, b) {
+                mst.push(MstEdge { a, b, weight: (key >> 48) as u32 });
                 accepted += 1;
                 if accepted == n - 1 {
                     break;
@@ -173,7 +212,8 @@ impl KruskalScratch {
 
 /// The MST rooted at a chosen vertex, ready for the leaf-to-root scheduling
 /// walk. [`RootedTree::rebuild`] re-roots another tree in place, reusing
-/// every buffer.
+/// every buffer; most nested sets have one or two vertices, which it roots
+/// without the depth-first walk.
 #[derive(Clone, Debug, Default)]
 pub struct RootedTree {
     /// Parent of each vertex (`None` for the root).
@@ -213,6 +253,9 @@ impl RootedTree {
     /// Panics if the edges do not form a spanning tree of `0..n`.
     pub fn rebuild(&mut self, n: usize, edges: &[MstEdge], root: usize) {
         assert!(root < n, "root {root} out of range");
+        if n <= 2 {
+            return self.rebuild_small(n, edges, root);
+        }
         self.adj_start.clear();
         self.adj_start.resize(n + 1, 0);
         for e in edges {
@@ -265,6 +308,32 @@ impl RootedTree {
             self.child_span[v] = (first, self.children.len());
         }
         assert!(self.visited.iter().all(|&v| v), "MST edges do not span all vertices");
+    }
+
+    /// [`RootedTree::rebuild`] of a one- or two-vertex tree, without the
+    /// walk: the root is last in post-order and the other vertex, if any,
+    /// is its one child.
+    fn rebuild_small(&mut self, n: usize, edges: &[MstEdge], root: usize) {
+        let spans = match edges {
+            [] => n == 1,
+            [e] => n == 2 && e.a.max(e.b) == 1 && e.a != e.b,
+            _ => false,
+        };
+        assert!(spans, "MST edges do not span all vertices");
+        self.parent.clear();
+        self.parent.resize(n, None);
+        self.children.clear();
+        self.child_span.clear();
+        self.child_span.resize(n, (0, 0));
+        self.postorder.clear();
+        if n == 2 {
+            let child = 1 - root;
+            self.parent[child] = Some(root);
+            self.children.push(child);
+            self.child_span[root] = (0, 1);
+            self.postorder.push(child);
+        }
+        self.postorder.push(root);
     }
 
     /// Parent of `v` (`None` for the root).
@@ -431,6 +500,51 @@ mod tests {
         let (n, d) = vtx.nearest_to(NodeId::new(1, 1));
         assert_eq!(d, 2);
         assert_eq!(n, NodeId::new(0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "a nested set of 16777217 vertices")]
+    fn sets_past_the_key_layout_are_refused() {
+        KruskalScratch::default().run(MAX_SET_VERTICES + 1, |_, _| 0, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "an MST edge of weight 65536")]
+    fn weights_past_the_key_layout_are_refused() {
+        KruskalScratch::default().run(2, |_, _| MAX_EDGE_WEIGHT + 1, &mut Vec::new());
+    }
+
+    #[test]
+    fn the_heaviest_edges_keep_their_order() {
+        // Weights at the top of the key and indices below it: the heaviest
+        // edges come last, ties broken by `(a, b)`.
+        let w = |a: usize, b: usize| if a == 0 { MAX_EDGE_WEIGHT } else { (b - a) as u32 };
+        let mut mst = Vec::new();
+        KruskalScratch::default().run(4, w, &mut mst);
+        let edges: Vec<_> = mst.iter().map(|e| (e.a, e.b, e.weight)).collect();
+        assert_eq!(edges, [(1, 2, 1), (2, 3, 1), (0, 1, MAX_EDGE_WEIGHT)]);
+    }
+
+    #[test]
+    fn small_trees_root_like_the_walk() {
+        let mut tree = RootedTree::default();
+        tree.rebuild(1, &[], 0);
+        assert_eq!(tree.postorder(), [0]);
+        assert_eq!(tree.parent(0), None);
+        assert!(tree.is_leaf(0));
+        for root in [0, 1] {
+            tree.rebuild(2, &[MstEdge { a: 0, b: 1, weight: 3 }], root);
+            assert_eq!(tree.postorder(), [1 - root, root]);
+            assert_eq!(tree.parent(1 - root), Some(root));
+            assert_eq!(tree.children(root), [1 - root]);
+            assert!(tree.is_leaf(1 - root) && !tree.is_leaf(root));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "span")]
+    fn two_vertices_need_their_edge() {
+        RootedTree::default().rebuild(2, &[], 0);
     }
 
     #[test]

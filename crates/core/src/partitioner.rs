@@ -590,7 +590,7 @@ mod tests {
         let machine = MachineConfig::knl_like();
         for spec in [PredictorSpec::Reuse, PredictorSpec::AlwaysHit] {
             let mut p = spec.build(&machine);
-            let _ = p.predict(dmcp_mem::LineAddr::new(1));
+            let _ = p.predict(1);
         }
     }
 

@@ -17,14 +17,17 @@
 //! [`crate::split`] planner as it walks the resolution.
 //!
 //! Every operand and store line is interned to a dense id here, once per
-//! access, so the planner's L1 models ([`L1Model`]) index tables instead
-//! of hashing line addresses on every lookup; each id's L1 set is computed
-//! once, when the id is made.
+//! access, so the planner's L1 models ([`L1Model`]) and the L2 predictor
+//! index tables instead of hashing line addresses on every lookup; each
+//! id's L1 set is computed once, when the id is made. The intern is the
+//! access's one hash probe, with the per-process [`KeyedState`]: in the
+//! server, indirection arrays in the request choose the lines.
 
 use crate::l1model::L1Model;
 use crate::layout::Layout;
 use crate::split::{emission_bound, PlanOptions};
 use crate::step::{ElemLoc, StoreTarget};
+use dmcp_hash::KeyedState;
 use dmcp_ir::nested::Group;
 use dmcp_ir::program::{DataStore, Program};
 use dmcp_ir::ArrayRef;
@@ -43,9 +46,9 @@ pub enum HitPredictor {
 }
 
 impl HitPredictor {
-    /// Predicts whether an access to `line` is served on-chip, updating the
-    /// predictor's internal model.
-    pub fn predict(&mut self, line: LineAddr) -> bool {
+    /// Predicts whether an access to the line with dense id `line` is
+    /// served on-chip, updating the predictor's internal model.
+    pub fn predict(&mut self, line: u32) -> bool {
         match self {
             HitPredictor::Reuse(p) => p.predict_hit(line),
             HitPredictor::AlwaysHit => true,
@@ -212,17 +215,18 @@ pub fn resolve_nest(
     // split-vs-default comparison is honest.
     let sets = machine.l1_sets();
     let mut l1_default = L1Model::new(machine.mesh, sets, machine.l1_ways);
-    let mut line_ids: HashMap<LineAddr, u32> = HashMap::new();
+    let mut line_ids: HashMap<LineAddr, u32, KeyedState> = HashMap::default();
     let mut line_sets = Vec::new();
     // A line's dense id and its L1 set (the simulated cache's mapping,
-    // `line mod sets`), computed when the id is made.
-    let mut intern = |line: LineAddr| {
+    // `line mod sets`), computed when the id is made, and the predictor's
+    // verdict on the access: the access's one hash probe.
+    let mut access = |line: LineAddr| {
         let next = u32::try_from(line_ids.len()).expect("fewer than 2^32 lines per nest");
         let id = *line_ids.entry(line).or_insert(next);
         if id == next {
             line_sets.push((line.raw() % u64::from(sets)) as u32);
         }
-        (id, line_sets[id as usize])
+        (id, line_sets[id as usize], predictor.predict(id))
     };
     let mut instances = Vec::new();
     let mut leaves = Vec::new();
@@ -230,7 +234,7 @@ pub fn resolve_nest(
         let core = assignment[it % assignment.len()];
         for (stmt, refs) in nest.body.iter().zip(&operands) {
             let lhs_elem = program.element_of(&stmt.lhs, &iter, data);
-            let lhs = layout.locate(program, stmt.lhs.array, lhs_elem, core);
+            let lhs = layout.locate(stmt.lhs.array, lhs_elem, core);
             let store = StoreTarget {
                 array: stmt.lhs.array,
                 elem: lhs_elem,
@@ -245,10 +249,9 @@ pub fn resolve_nest(
                 // The compiler reads locations off the virtual address; with
                 // the paper's colour-preserving OS support the belief equals
                 // reality. The belief carries the real line.
-                let belief = layout.believed(program, r.array, elem, core);
+                let belief = layout.believed(r.array, elem, core);
                 let analyzable = r.analyzable || opts.ideal_analysis;
-                let predicted_hit = predictor.predict(belief.line);
-                let (line, set) = intern(belief.line);
+                let (line, set, predicted_hit) = access(belief.line);
                 let primary = match (analyzable, predicted_hit) {
                     // Unplaceable: the compiler assumes the data must come
                     // to the requesting core, exactly as in default
@@ -279,8 +282,7 @@ pub fn resolve_nest(
             // Default execution also ships the result from the core to the
             // store node, and the store line is write-allocated into L2.
             default_movement += u64::from(core.manhattan(store.home));
-            let _ = predictor.predict(store.line);
-            let (store_line, store_set) = intern(store.line);
+            let (store_line, store_set, _) = access(store.line);
             l1_default.touch(core, store_line, store_set);
             instances.push(ResolvedInstance {
                 core,

@@ -28,14 +28,16 @@ pub use crate::engine::{Engine, SimOptions};
 pub use crate::network::Network;
 pub use crate::report::{EnergyBreakdown, SimReport};
 
-/// Runs a set of partitioned nests through the engine.
+/// Runs a set of partitioned nests through the engine. The engine reads
+/// every location from `layout`, which holds its program's arrays; the
+/// program parameter is kept for existing callers.
 pub fn run_schedules(
-    program: &Program,
+    _program: &Program,
     layout: &Layout,
     parts: &PartitionOutput,
     opts: SimOptions,
 ) -> SimReport {
-    let mut engine = Engine::new(program, layout, opts);
+    let mut engine = Engine::new(layout, opts);
     for nest in &parts.nests {
         engine.run(&nest.schedule);
     }
@@ -44,15 +46,16 @@ pub fn run_schedules(
 
 /// [`run_schedules`] on a degraded machine: transfers detour around the
 /// faults and pay for drops/retries. With a trivial fault state this is
-/// bit-identical to [`run_schedules`].
+/// bit-identical to [`run_schedules`]. The program parameter is unused,
+/// as in [`run_schedules`].
 pub fn run_schedules_degraded(
-    program: &Program,
+    _program: &Program,
     layout: &Layout,
     parts: &PartitionOutput,
     opts: SimOptions,
     faults: FaultState,
 ) -> SimReport {
-    let mut engine = Engine::with_faults(program, layout, opts, faults);
+    let mut engine = Engine::with_faults(layout, opts, faults);
     for nest in &parts.nests {
         engine.run(&nest.schedule);
     }

@@ -385,11 +385,17 @@ impl<'a> Planner<'a> {
     /// `GetNode` (Algorithm 1, line 11), placement-dependent half: appends
     /// a resolved operand's candidate sites to `locs` — its source under
     /// `anchor` ([`ResolvedLeaf::source`], plus the home bank of a
-    /// predicted miss), then the L1-copy holders — and returns where the
-    /// holders start.
+    /// predicted miss), then the L1-copy holders that are not among those
+    /// — and returns where the holders start.
+    ///
+    /// The holders come in node order. Their order must stay unobservable:
+    /// every reader of a vertex's sites (`loc_distance`, `nearest`,
+    /// `cheapest_site`, `first_balanced_site`, `emit_fixed`,
+    /// `fetch_source` and a sub-group's sorted union) depends on the set
+    /// alone, breaking ties by node, not by position.
     fn locate_leaf(&self, leaf: &ResolvedLeaf, anchor: NodeId, locs: &mut Vec<NodeId>) -> usize {
-        let first = locs.len();
-        locs.push(leaf.source(anchor));
+        let source = leaf.source(anchor);
+        locs.push(source);
         locs.extend(leaf.miss_home);
         let l1_from = locs.len();
         if self.opts.reuse_aware && leaf.analyzable {
@@ -397,12 +403,8 @@ impl<'a> Planner<'a> {
             // plus the persistent residency estimator: short-reuse-distance
             // lines (loop-invariant operands) stay cached at their past
             // consumers across windows, like register-promoted scalars.
-            let hot = self.l1_persist.hot_holders(leaf.line, 4);
-            for h in self.l1.holders(leaf.line).chain(hot) {
-                if !locs[first..].contains(&h) {
-                    locs.push(h);
-                }
-            }
+            let holders = self.l1.holders_or_hot(&self.l1_persist, leaf.line, 4);
+            locs.extend(holders.filter(|&h| h != source && Some(h) != leaf.miss_home));
         }
         l1_from
     }

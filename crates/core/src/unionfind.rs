@@ -1,7 +1,8 @@
 //! Disjoint-set forest (union–find) used by Kruskal's algorithm.
 
-/// A union–find structure over `0..len` with path compression and union by
-/// rank.
+/// A union–find structure over `0..len` with path halving: `u32` parent
+/// links and no rank, since Kruskal's sets are a handful of vertices and
+/// the smaller root always becomes the parent.
 ///
 /// # Examples
 ///
@@ -16,25 +17,27 @@
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct UnionFind {
-    parent: Vec<usize>,
-    rank: Vec<u8>,
+    parent: Vec<u32>,
     components: usize,
 }
 
 impl UnionFind {
     /// Creates `len` singleton sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds `u32::MAX`.
     pub fn new(len: usize) -> Self {
         let mut uf = Self::default();
         uf.reset(len);
         uf
     }
 
-    /// Makes this `len` singleton sets again, reusing the buffers.
+    /// Makes this `len` singleton sets again, reusing the buffer.
     pub(crate) fn reset(&mut self, len: usize) {
+        let len32 = u32::try_from(len).expect("a union-find over at most u32::MAX elements");
         self.parent.clear();
-        self.parent.extend(0..len);
-        self.rank.clear();
-        self.rank.resize(len, 0);
+        self.parent.extend(0..len32);
         self.components = len;
     }
 
@@ -55,18 +58,17 @@ impl UnionFind {
 
     /// Representative of `x`'s set.
     pub fn find(&mut self, x: usize) -> usize {
-        let mut root = x;
-        while self.parent[root] != root {
-            root = self.parent[root];
+        let mut x = x as u32;
+        loop {
+            let parent = self.parent[x as usize];
+            if parent == x {
+                return x as usize;
+            }
+            // Path halving: point `x` at its grandparent and move there.
+            let grandparent = self.parent[parent as usize];
+            self.parent[x as usize] = grandparent;
+            x = grandparent;
         }
-        // Path compression.
-        let mut cur = x;
-        while self.parent[cur] != root {
-            let next = self.parent[cur];
-            self.parent[cur] = root;
-            cur = next;
-        }
-        root
     }
 
     /// Joins the sets of `a` and `b`; returns `false` if already joined.
@@ -76,14 +78,8 @@ impl UnionFind {
             return false;
         }
         self.components -= 1;
-        match self.rank[ra].cmp(&self.rank[rb]) {
-            std::cmp::Ordering::Less => self.parent[ra] = rb,
-            std::cmp::Ordering::Greater => self.parent[rb] = ra,
-            std::cmp::Ordering::Equal => {
-                self.parent[rb] = ra;
-                self.rank[ra] += 1;
-            }
-        }
+        let (root, child) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        self.parent[child] = root as u32;
         true
     }
 

@@ -18,6 +18,7 @@ use crate::split::{PlanOptions, Planner};
 use crate::stats::{OpMix, StmtRecord};
 use crate::step::{Operand, Schedule, Span, Step, SubId};
 use crate::sync::TransitiveReducer;
+use dmcp_hash::KeyedState;
 use dmcp_ir::ArrayId;
 use std::collections::HashMap;
 use std::fmt;
@@ -327,13 +328,14 @@ pub fn sync_nest(plan: &mut NestPlan) {
 /// Element-level dependence tracking: inserts inter-statement wait arcs.
 ///
 /// Each `(array, element)` is interned to a dense id on its first access
-/// (one hash probe per access); the last writer and the newest read since
-/// that write live in vectors indexed by the id. The reads since an
-/// element's last write form a list through one shared buffer, so no
-/// element owns an allocation.
+/// (one probe per access, hashed with the per-process [`KeyedState`]:
+/// indirection arrays in the request choose the elements); the last
+/// writer and the newest read since that write live in vectors indexed by
+/// the id. The reads since an element's last write form a list through
+/// one shared buffer, so no element owns an allocation.
 #[derive(Default)]
 struct DepTracker {
-    ids: HashMap<(ArrayId, u64), u32>,
+    ids: HashMap<(ArrayId, u64), u32, KeyedState>,
     /// Last writer of each element.
     last_write: Vec<Option<SubId>>,
     /// Each element's newest read since its last write: an index into

@@ -1,6 +1,6 @@
-//! Shared stable-hash primitives.
+//! Shared hash primitives.
 //!
-//! Three kernels live here, each with one job:
+//! Four kernels live here, each with one job:
 //!
 //! * **FNV-1a 64** — the byte fold behind `dmcp-ir`'s structural
 //!   fingerprints, and through them every `PlanKey` and golden digest;
@@ -9,14 +9,22 @@
 //!   a 900 KB plan is verified in tens of microseconds rather than the
 //!   milliseconds FNV-1a's byte-serial chain takes;
 //! * **splitmix64** — the avalanche finalizer behind `dmcp-mach`'s RNG and
-//!   fingerprint accumulator and `dmcp-pool`'s per-task seed streams.
+//!   fingerprint accumulator and `dmcp-pool`'s per-task seed streams;
+//! * **[`KeyedState`]** — the hasher of the planner's interning maps: one
+//!   keyed splitmix64 round per word, with a key drawn once per process.
 //!
 //! The crate sits at the very bottom of the dependency graph (no
 //! dependencies, no consumers it couldn't have), and every former private
 //! copy of a kernel re-exports from here, so the outputs are bit-identical
 //! to the historical ones — the golden plan digests and `PlanKey` digests
 //! in `dmcp-check::golden` pin FNV-1a and splitmix64, and this crate's
-//! tests pin [`checksum64`].
+//! tests pin [`checksum64`]. [`KeyedState`] is the one kernel whose
+//! outputs are *meant* to differ between processes; nothing that is
+//! pinned or persisted may depend on them.
+
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 /// 64-bit FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -176,11 +184,113 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 /// key must look random and be independent of call order: fault-model
 /// drop schedules, fingerprint accumulators, per-task seed derivation.
 #[must_use]
+#[inline]
 pub fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The process's [`KeyedState`] key: drawn from std's [`RandomState`]
+/// (itself seeded from the operating system) on first use.
+fn process_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().hash_one(GOLDEN_GAMMA))
+}
+
+/// A [`BuildHasher`] for maps keyed by integers that requests choose — the
+/// planner interns cache lines and array elements whose addresses come
+/// from the request's indirection arrays, so a fixed hash function would
+/// let a request pick colliding keys. Every hasher starts from one key
+/// drawn per process, never fixed, and folds each word with one
+/// [`mix`] round (two multiplies), where std's SipHash-1-3 runs five
+/// SipRounds for the same `u64`.
+///
+/// The key differs between processes, so iteration order of a map built
+/// with it does too: use it only for maps that are probed, never iterated
+/// into an output.
+///
+/// # Examples
+///
+/// ```
+/// use dmcp_hash::KeyedState;
+/// use std::collections::HashMap;
+///
+/// let mut ids: HashMap<u64, u32, KeyedState> = HashMap::default();
+/// ids.insert(0x7f_c0, 0);
+/// assert_eq!(ids.get(&0x7f_c0), Some(&0));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct KeyedState {
+    key: u64,
+}
+
+impl Default for KeyedState {
+    fn default() -> Self {
+        Self { key: process_key() }
+    }
+}
+
+impl BuildHasher for KeyedState {
+    type Hasher = KeyedHasher;
+
+    fn build_hasher(&self) -> KeyedHasher {
+        KeyedHasher { state: self.key }
+    }
+}
+
+/// The [`Hasher`] of [`KeyedState`].
+#[derive(Clone, Copy, Debug)]
+pub struct KeyedHasher {
+    state: u64,
+}
+
+impl Hasher for KeyedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(le_word(word));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            // The length byte keeps `[1]` and `[1, 0]` apart.
+            last[7] ^= tail.len() as u8;
+            self.write_u64(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.state = mix(self.state ^ x);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
 }
 
 #[cfg(test)]
@@ -248,6 +358,21 @@ mod tests {
                 assert_ne!(checksum64(&dropped), zero_ended, "len {len}: dropped zero undetected");
             }
         }
+    }
+
+    #[test]
+    fn keyed_state_shares_one_key_per_process() {
+        let (a, b) = (KeyedState::default(), KeyedState::default());
+        assert_eq!(a.hash_one(42u64), b.hash_one(42u64));
+        assert_ne!(a.hash_one(42u64), a.hash_one(43u64));
+        // Tuples fold each field: the order of the fields matters.
+        assert_ne!(a.hash_one((1u32, 2u64)), a.hash_one((2u32, 1u64)));
+        // Byte strings fold their length into the last word.
+        let mut short = a.build_hasher();
+        short.write(&[1]);
+        let mut padded = a.build_hasher();
+        padded.write(&[1, 0]);
+        assert_ne!(short.finish(), padded.finish());
     }
 
     #[test]

@@ -70,11 +70,7 @@ impl ClusterMode {
     pub fn home_bank(self, mesh: Mesh, requester: NodeId, global_bank: u32) -> NodeId {
         match self {
             ClusterMode::AllToAll | ClusterMode::Quadrant => mesh.bank_node(global_bank),
-            ClusterMode::Snc4 => {
-                let q = mesh.quadrant_of(requester);
-                let nodes = mesh.nodes_in_quadrant(q);
-                nodes[(global_bank as usize) % nodes.len()]
-            }
+            ClusterMode::Snc4 => mesh.quadrant_node(mesh.quadrant_of(requester), global_bank),
         }
     }
 }

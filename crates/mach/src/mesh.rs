@@ -172,6 +172,28 @@ impl Mesh {
         self.nodes().filter(|&n| self.quadrant_of(n) == q).collect()
     }
 
+    /// `nodes_in_quadrant(q)[k % len]`, computed without listing the
+    /// quadrant: it is the rectangle [`Mesh::quadrant_of`] carves out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the quadrant is empty (a mesh one node wide has no east
+    /// quadrants, one node tall no south ones).
+    pub fn quadrant_node(self, q: Quadrant, k: u32) -> NodeId {
+        let (half_x, half_y) = (self.cols.div_ceil(2), self.rows.div_ceil(2));
+        let (x0, x1) = match q {
+            Quadrant::NorthWest | Quadrant::SouthWest => (0, half_x),
+            Quadrant::NorthEast | Quadrant::SouthEast => (half_x, self.cols),
+        };
+        let (y0, y1) = match q {
+            Quadrant::NorthWest | Quadrant::NorthEast => (0, half_y),
+            Quadrant::SouthWest | Quadrant::SouthEast => (half_y, self.rows),
+        };
+        let width = u32::from(x1 - x0);
+        let k = k % (width * u32::from(y1 - y0));
+        NodeId::new(x0 + (k % width) as u16, y0 + (k / width) as u16)
+    }
+
     /// The largest possible Manhattan distance on this mesh (corner to
     /// opposite corner).
     pub fn diameter(self) -> u32 {
@@ -342,6 +364,23 @@ mod tests {
     #[should_panic(expected = "at least 4 nodes")]
     fn too_small_mesh_panics() {
         let _ = Mesh::new(1, 2);
+    }
+
+    #[test]
+    fn quadrant_node_indexes_the_quadrant_list() {
+        for (cols, rows) in [(2, 2), (3, 5), (6, 6), (7, 4), (1, 4), (4, 1), (10, 10)] {
+            let mesh = Mesh::new(cols, rows);
+            for q in Quadrant::ALL {
+                let nodes = mesh.nodes_in_quadrant(q);
+                if nodes.is_empty() {
+                    continue;
+                }
+                for k in 0..3 * nodes.len() as u32 {
+                    let want = nodes[k as usize % nodes.len()];
+                    assert_eq!(mesh.quadrant_node(q, k), want, "{cols}x{rows} {q:?} #{k}");
+                }
+            }
+        }
     }
 
     #[test]

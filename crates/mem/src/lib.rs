@@ -9,16 +9,17 @@
 //! - [`addr`] — physical/virtual addresses and the two mapping granularities
 //!   of the paper's Figure 2: cache-line-granularity mapping onto L2 banks
 //!   and page-granularity mapping onto memory channels;
-//! - [`page`] — a page table with the colour-preserving allocation policy the
-//!   paper obtains from its modified OS API (bank/channel bits survive the
-//!   VA→PA translation), plus a randomising policy for ablation;
+//! - [`page`] — the frame allocator with the colour-preserving allocation
+//!   policy the paper obtains from its modified OS API (bank/channel bits
+//!   survive the VA→PA translation), plus a randomising policy for
+//!   ablation, and a demand-paging page table over it;
 //! - [`snuca`] — the static-NUCA home-bank and memory-controller lookup;
 //! - [`cache`] — a set-associative LRU cache model used for both L1s and L2
 //!   banks;
 //! - [`memmode`] — KNL-style memory modes (flat / cache / hybrid MCDRAM);
 //! - [`predictor`] — the reuse-distance-based L2 hit/miss predictor the
-//!   compiler consults when locating data (paper Table 2 measures its
-//!   accuracy).
+//!   compiler consults when locating data, over dense line ids (paper
+//!   Table 2 measures its accuracy).
 //!
 //! # Examples
 //!
@@ -49,6 +50,6 @@ pub mod snuca;
 pub use addr::{AddressMap, LineAddr, PhysAddr, VirtAddr};
 pub use cache::{AccessOutcome, Cache};
 pub use memmode::{MemTier, MemoryMode, MemorySystem};
-pub use page::{PagePolicy, PageTable};
+pub use page::{FrameAllocator, PagePolicy, PageTable};
 pub use predictor::MissPredictor;
 pub use snuca::Snuca;

@@ -25,6 +25,55 @@ pub enum PagePolicy {
     Scramble,
 }
 
+/// The physical-frame allocator behind every page table: hands out one
+/// physical page number per call, in a deterministic order, under a
+/// [`PagePolicy`]. [`PageTable`] calls it on each first touch; a layout
+/// that allocates every page eagerly calls it in the same order and keeps
+/// the frames in a dense table instead.
+#[derive(Clone, Debug)]
+pub struct FrameAllocator {
+    map: AddressMap,
+    policy: PagePolicy,
+    /// Next free physical page per colour (colour-preserving) — entry `c`
+    /// hands out pages whose channel bits equal `c`.
+    next_by_color: Vec<u64>,
+    /// Next free physical page (scramble policy).
+    next_any: u64,
+}
+
+impl FrameAllocator {
+    /// An allocator with every frame free.
+    pub fn new(map: AddressMap, policy: PagePolicy) -> Self {
+        Self { map, policy, next_by_color: vec![0; 1 << map.color_bits()], next_any: 0 }
+    }
+
+    /// The allocation policy in effect.
+    pub fn policy(&self) -> PagePolicy {
+        self.policy
+    }
+
+    /// Allocates the physical page for virtual page `vpn`.
+    pub fn allocate(&mut self, vpn: u64) -> u64 {
+        let color_bits = u64::from(self.map.color_bits());
+        match self.policy {
+            PagePolicy::ColorPreserving => {
+                let color = self.map.color_of_page(vpn);
+                let seq = self.next_by_color[color as usize];
+                self.next_by_color[color as usize] = seq + 1;
+                // Physical page = sequence number in the high bits, colour
+                // (channel + bank-hash bits) preserved from the VA.
+                (seq << color_bits) | color
+            }
+            PagePolicy::Scramble => {
+                let seq = self.next_any;
+                self.next_any += 1;
+                // A fixed odd multiplier scrambles the colour deterministically.
+                seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16
+            }
+        }
+    }
+}
+
 /// A demand-paging page table.
 ///
 /// Pages are allocated on first touch. The table is deterministic: the same
@@ -45,30 +94,19 @@ pub enum PagePolicy {
 #[derive(Clone, Debug)]
 pub struct PageTable {
     map: AddressMap,
-    policy: PagePolicy,
+    frames: FrameAllocator,
     entries: HashMap<u64, u64>,
-    /// Next free physical page per colour (colour-preserving) — entry `c`
-    /// hands out pages whose channel bits equal `c`.
-    next_by_color: Vec<u64>,
-    /// Next free physical page (scramble policy).
-    next_any: u64,
 }
 
 impl PageTable {
     /// Creates an empty page table.
     pub fn new(map: AddressMap, policy: PagePolicy) -> Self {
-        Self {
-            map,
-            policy,
-            entries: HashMap::new(),
-            next_by_color: vec![0; 1 << map.color_bits()],
-            next_any: 0,
-        }
+        Self { map, frames: FrameAllocator::new(map, policy), entries: HashMap::new() }
     }
 
     /// The allocation policy in effect.
     pub fn policy(&self) -> PagePolicy {
-        self.policy
+        self.frames.policy()
     }
 
     /// Number of pages mapped so far.
@@ -79,42 +117,14 @@ impl PageTable {
     /// Translates a virtual address, allocating the page on first touch.
     pub fn translate(&mut self, va: VirtAddr) -> PhysAddr {
         let vpn = self.map.virt_page(va);
-        let map = self.map;
-        let ppn = match self.entries.get(&vpn) {
-            Some(&p) => p,
-            None => {
-                let p = self.allocate(vpn);
-                self.entries.insert(vpn, p);
-                p
-            }
-        };
-        map.compose(ppn, map.page_offset(va.raw()))
+        let ppn = *self.entries.entry(vpn).or_insert_with(|| self.frames.allocate(vpn));
+        self.map.compose(ppn, self.map.page_offset(va.raw()))
     }
 
     /// Translates without allocating; `None` if the page was never touched.
     pub fn lookup(&self, va: VirtAddr) -> Option<PhysAddr> {
         let vpn = self.map.virt_page(va);
         self.entries.get(&vpn).map(|&ppn| self.map.compose(ppn, self.map.page_offset(va.raw())))
-    }
-
-    fn allocate(&mut self, vpn: u64) -> u64 {
-        let color_bits = u64::from(self.map.color_bits());
-        match self.policy {
-            PagePolicy::ColorPreserving => {
-                let color = self.map.color_of_page(vpn);
-                let seq = self.next_by_color[color as usize];
-                self.next_by_color[color as usize] = seq + 1;
-                // Physical page = sequence number in the high bits, colour
-                // (channel + bank-hash bits) preserved from the VA.
-                (seq << color_bits) | color
-            }
-            PagePolicy::Scramble => {
-                let seq = self.next_any;
-                self.next_any += 1;
-                // A fixed odd multiplier scrambles the colour deterministically.
-                seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16
-            }
-        }
     }
 }
 

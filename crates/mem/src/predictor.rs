@@ -12,65 +12,68 @@
 //! bank-conflict and cross-thread interference — which is exactly what
 //! produces the per-application accuracies the paper reports in Table 2. Its
 //! accuracy is *measured* against the real cache model by the simulator.
+//!
+//! Lines are named by dense ids the caller assigns (the planner interns
+//! each line of a nest once), so the last-access table is a vector and a
+//! prediction is one index, not a hash probe.
 
-use crate::addr::LineAddr;
-use std::collections::HashMap;
-
-/// Reuse-distance-based L2 hit/miss predictor.
+/// Reuse-distance-based L2 hit/miss predictor over dense line ids.
 ///
 /// # Examples
 ///
 /// ```
-/// use dmcp_mem::{LineAddr, MissPredictor};
+/// use dmcp_mem::MissPredictor;
 ///
 /// let mut p = MissPredictor::new(2);
-/// assert!(!p.predict_hit(LineAddr::new(1))); // cold: predicted miss
-/// assert!(p.predict_hit(LineAddr::new(1)));  // immediate reuse: hit
+/// assert!(!p.predict_hit(1)); // cold: predicted miss
+/// assert!(p.predict_hit(1));  // immediate reuse: hit
 /// ```
 #[derive(Clone, Debug)]
 pub struct MissPredictor {
-    /// Estimated L2 capacity in lines; reuse distances beyond this predict a
-    /// miss.
-    capacity_lines: u64,
-    /// Logical access clock.
+    /// Reuse distances (in accesses) beyond this predict a miss: the
+    /// estimated L2 capacity in lines times the reuse factor.
+    ///
+    /// The distinct-line count since a line's previous access is
+    /// approximated by the elapsed accesses divided by a reuse factor of 2
+    /// (the classic footprint approximation: with a roughly uniform mix,
+    /// elapsed accesses ≈ distinct lines × reuse factor).
+    horizon: f64,
+    /// Logical access clock; the first access happens at time 1.
     clock: u64,
-    /// Last-access time per line.
-    last_access: HashMap<LineAddr, u64>,
-    /// Approximate distinct-line counter: number of distinct lines seen in
-    /// the window `[clock - capacity_window, clock]`, approximated by the
-    /// time difference (the classic footprint approximation: with a roughly
-    /// uniform mix, elapsed accesses ≈ distinct lines × reuse factor).
-    reuse_factor: f64,
+    /// Last-access time per line id; 0 for a line not accessed yet.
+    last_access: Vec<u64>,
 }
 
 impl MissPredictor {
+    /// The reuse factor of the footprint approximation.
+    const REUSE_FACTOR: f64 = 2.0;
+
     /// Creates a predictor that believes the on-chip L2 holds
     /// `capacity_lines` lines.
     pub fn new(capacity_lines: u64) -> Self {
+        let capacity_lines = capacity_lines.max(1);
         Self {
-            capacity_lines: capacity_lines.max(1),
+            horizon: capacity_lines as f64 * Self::REUSE_FACTOR,
             clock: 0,
-            last_access: HashMap::new(),
-            reuse_factor: 2.0,
+            last_access: Vec::new(),
         }
     }
 
-    /// Predicts whether an access to `line` hits on-chip (L2), and records
-    /// the access in the predictor's compile-time model.
+    /// Predicts whether an access to the line with dense id `line` hits
+    /// on-chip (L2), and records the access in the predictor's
+    /// compile-time model.
     ///
     /// A cold line predicts a miss; a line re-referenced within the capacity
-    /// window predicts a hit.
-    pub fn predict_hit(&mut self, line: LineAddr) -> bool {
+    /// window predicts a hit. Ids index a table that grows to the largest
+    /// id seen, so they should be dense.
+    pub fn predict_hit(&mut self, line: u32) -> bool {
         self.clock += 1;
-        let hit = match self.last_access.get(&line) {
-            None => false,
-            Some(&t) => {
-                let elapsed = (self.clock - t) as f64;
-                elapsed <= self.capacity_lines as f64 * self.reuse_factor
-            }
-        };
-        self.last_access.insert(line, self.clock);
-        hit
+        let l = line as usize;
+        if l >= self.last_access.len() {
+            self.last_access.resize(l + 1, 0);
+        }
+        let last = std::mem::replace(&mut self.last_access[l], self.clock);
+        last != 0 && (self.clock - last) as f64 <= self.horizon
     }
 
     /// Forgets all history (e.g. between loop nests).
@@ -117,33 +120,33 @@ mod tests {
     fn cold_lines_predict_miss() {
         let mut p = MissPredictor::new(64);
         for i in 0..10 {
-            assert!(!p.predict_hit(LineAddr::new(i)), "line {i}");
+            assert!(!p.predict_hit(i), "line {i}");
         }
     }
 
     #[test]
     fn tight_reuse_predicts_hit() {
         let mut p = MissPredictor::new(64);
-        p.predict_hit(LineAddr::new(1));
-        assert!(p.predict_hit(LineAddr::new(1)));
+        p.predict_hit(1);
+        assert!(p.predict_hit(1));
     }
 
     #[test]
     fn distant_reuse_predicts_miss() {
         let mut p = MissPredictor::new(4);
-        p.predict_hit(LineAddr::new(0));
+        p.predict_hit(0);
         for i in 1..100 {
-            p.predict_hit(LineAddr::new(i));
+            p.predict_hit(i);
         }
-        assert!(!p.predict_hit(LineAddr::new(0)));
+        assert!(!p.predict_hit(0));
     }
 
     #[test]
     fn reset_forgets_history() {
         let mut p = MissPredictor::new(64);
-        p.predict_hit(LineAddr::new(1));
+        p.predict_hit(1);
         p.reset();
-        assert!(!p.predict_hit(LineAddr::new(1)));
+        assert!(!p.predict_hit(1));
     }
 
     #[test]

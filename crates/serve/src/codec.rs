@@ -1356,6 +1356,30 @@ mod tests {
             .collect()
     }
 
+    /// The planner's MST packs a nested set's vertex indices into 24 bits
+    /// and its edge weights into 16 (`dmcp_core::mst::MAX_SET_VERTICES`
+    /// and `MAX_EDGE_WEIGHT`). Every decodable request fits: its mesh is
+    /// at most 256 × 256, and each operand of a set costs the frame at
+    /// least 4 bytes — `+a0`, the shortest reference after an operator
+    /// (arrays are named `a0`, `a1`, …), and the reference's
+    /// analyzability flag — so a set has fewer than 2^24 vertices, the
+    /// frame's other fields paying for its store vertex.
+    #[test]
+    fn decodable_requests_fit_the_mst_key_layout() {
+        use dmcp_core::mst::{MAX_EDGE_WEIGHT, MAX_SET_VERTICES};
+        assert!(u64::from(crate::wire::MAX_FRAME_BYTES) / 4 <= MAX_SET_VERTICES as u64);
+        assert!(Mesh::new(256, 256).diameter() <= MAX_EDGE_WEIGHT);
+        // A scalar reference is the shortest operand, and one flat sum
+        // makes every operand a vertex of one set.
+        let mut b = ProgramBuilder::new();
+        b.array(array_name(0), &[1], 8);
+        b.nest(&[(var_name(0).as_str(), 0, 1)], &["a0=a0+a0+a0"]).expect("scalar operands parse");
+        let program = b.build();
+        let group = dmcp_ir::nested::Group::of_expr(&program.nests()[0].body[0].rhs);
+        assert_eq!(group.all_leaves().len(), 3);
+        assert_eq!(group.elems.len(), 3, "one set of three vertices");
+    }
+
     #[test]
     fn request_roundtrip_preserves_plan_key_for_the_suite() {
         for req in suite_requests() {

@@ -26,7 +26,7 @@ fn main() {
         ("default placement", part.plan(&w.program, &w.data, Pool::global(), true).expect("plans")),
         ("partitioned", part.plan(&w.program, &w.data, Pool::global(), false).expect("plans")),
     ] {
-        let mut engine = Engine::new(&w.program, part.layout(), SimOptions::default());
+        let mut engine = Engine::new(part.layout(), SimOptions::default());
         for nest in &out.nests {
             engine.run(&nest.schedule);
         }
@@ -115,7 +115,7 @@ mod tests {
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
         let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
-        let mut engine = Engine::new(&p, part.layout(), SimOptions::default());
+        let mut engine = Engine::new(part.layout(), SimOptions::default());
         for nest in &out.nests {
             engine.run(&nest.schedule);
         }

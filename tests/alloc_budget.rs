@@ -11,11 +11,13 @@
 //! against [`PINNED_SIM`]. Separately it checks that placing (the place
 //! and split passes) allocates less than once per 100 steps it emits.
 //!
-//! Every pass repeats its count exactly, whatever keys the std hash maps
-//! draw: the maps left on the planning path (the predictor's last-access
-//! table, line interning in analyze, element interning in sync) only
-//! insert, so when they grow does not depend on where keys hash. Any
-//! change to a count, up or down, fails here and is re-pinned from:
+//! Every pass repeats its count exactly, whatever key the process draws
+//! for its hash maps: the two maps left on the planning path — line
+//! interning in analyze, whose dense ids then index the predictor's
+//! last-access table, and element interning in sync, both hashed with
+//! `dmcp_hash::KeyedState` — only insert, so when they grow does not
+//! depend on where keys hash. Any change to a count, up or down, fails
+//! here and is re-pinned from:
 //!
 //! ```text
 //! cargo test -p dmcp --test alloc_budget -- --ignored --nocapture
@@ -93,10 +95,10 @@ const PINNED_WITH: &str = "1.95.0";
 
 /// Allocations per pass over the 24 golden inputs, in pipeline order.
 const PINNED: [(&str, u64); 5] = [
-    ("analyze", 21_652),
-    ("window-search", 14_674),
+    ("analyze", 21_640),
+    ("window-search", 13_522),
     ("place", 233),
-    ("split", 947),
+    ("split", 856),
     ("sync", 3_132),
 ];
 

@@ -11,19 +11,21 @@ use dmcp::core::mst::{kruskal, vertex_distance, KruskalScratch, MstEdge, MstVert
 use dmcp::core::sync::{reaches, transitive_reduce};
 use dmcp::core::unionfind::UnionFind;
 use dmcp::core::{
-    nest_assignment, passes, place_nest, resolve_nest, sync_nest, NestPlan, NestResolution,
-    PartitionConfig, Partitioner, Placement, PlanCtx,
+    nest_assignment, passes, place_nest, resolve_nest, sync_nest, ElemInfo, Layout, NestPlan,
+    NestResolution, PartitionConfig, Partitioner, Placement, PlanCtx,
 };
 use dmcp::ir::nested::Group;
-use dmcp::ir::{BinOp, Expr};
+use dmcp::ir::{ArrayId, BinOp, Expr, Program};
 use dmcp::mach::rng::Rng64;
 use dmcp::mach::{
-    route_avoiding, routing, FaultPlan, FaultState, LatencyModel, Link, Mesh, NodeId, RouteError,
-    RoutePath,
+    route_avoiding, routing, ClusterMode, FaultPlan, FaultState, LatencyModel, Link, MachineConfig,
+    Mesh, NodeId, RouteError, RoutePath,
 };
-use dmcp::mem::{Cache, LineAddr};
+use dmcp::mem::page::PagePolicy;
+use dmcp::mem::{AddressMap, Cache, LineAddr, MissPredictor, PageTable, PhysAddr, Snuca, VirtAddr};
 use dmcp::pool::Pool;
 use dmcp::sim::Network;
+use dmcp::workloads::{all, Scale};
 use std::collections::{HashMap, VecDeque};
 
 fn random_node(rng: &mut Rng64) -> NodeId {
@@ -172,20 +174,34 @@ fn reference_tree(n: usize, edges: &[MstEdge], root: usize) -> ReferenceTree {
     (parent, children, postorder)
 }
 
-/// 0–12 vertices of 1–4 candidate locations each.
+/// 0–16 vertices of 1–4 candidate locations each, drawn from the 8×8
+/// corner of the mesh or, every other set, from its 3×3 corner, where
+/// most edges weigh 0–4 links and ties are the rule.
 fn random_vertex_set(rng: &mut Rng64) -> Vec<MstVertex> {
-    (0..rng.gen_range(13)).map(|_| MstVertex::multi(random_nodes(rng, 1, 5))).collect()
+    let span = if rng.gen_bool(0.5) { 3 } else { 8 };
+    (0..rng.gen_range(17))
+        .map(|_| {
+            let locs = 1 + rng.gen_range(4);
+            MstVertex::multi(
+                (0..locs)
+                    .map(|_| NodeId::new(rng.gen_range(span) as u16, rng.gen_range(span) as u16))
+                    .collect(),
+            )
+        })
+        .collect()
 }
 
 /// One Kruskal scratch and one rooted tree, reused across vertex sets of
 /// every size, give the allocating references' edges (same order) and
-/// trees.
+/// trees — with packed edge keys, equal weights broken by `(a, b)` as the
+/// reference sorts them, and one- and two-vertex trees rooted without the
+/// walk.
 #[test]
 fn reused_kruskal_and_tree_match_the_allocating_references() {
     let mut scratch = KruskalScratch::default();
     let mut mst = Vec::new();
     let mut tree = RootedTree::default();
-    for seed in 0..400 {
+    for seed in 0..800 {
         let mut rng = Rng64::new(seed);
         let vs = random_vertex_set(&mut rng);
         let want = reference_kruskal(&vs);
@@ -319,6 +335,293 @@ fn dense_l1_model_matches_the_map_reference() {
                             want.contains(&node),
                             "seed {seed} step {step}: {node} holds {line}"
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `L1Model::holders_or_hot` of the windowed and the persistent model,
+/// driven as the planner drives them (both touched alike, only the
+/// windowed one reset at window boundaries), equals as a set what the
+/// planner gathered before: `holders(line)` chained with
+/// `hot_holders(line, 4)`, each node kept once by a `contains` scan. It
+/// yields each node once, in node-index order.
+#[test]
+fn holder_union_matches_the_chained_holders() {
+    for (mesh, seeds) in [(Mesh::new(3, 3), 0..60), (Mesh::new(10, 10), 60..100)] {
+        let nodes: Vec<NodeId> = mesh.nodes().collect();
+        for seed in seeds {
+            let mut rng = Rng64::new(seed);
+            let (sets, ways) = (1 + rng.gen_range(2) as u32, 1 + rng.gen_range(4) as u32);
+            let lines = 1 + rng.gen_range(24) as u32;
+            let mut windowed = L1Model::new(mesh, sets, ways);
+            let mut persist = L1Model::new(mesh, sets, ways);
+            for step in 0..300 {
+                if rng.gen_range(12) == 0 {
+                    windowed.reset();
+                } else {
+                    // A few nodes, so lines gather several holders.
+                    let node = nodes[rng.gen_range(nodes.len().min(5) as u64) as usize];
+                    let line = rng.gen_range(u64::from(lines)) as u32;
+                    windowed.touch(node, line, line % sets);
+                    persist.touch(node, line, line % sets);
+                }
+                for line in 0..lines {
+                    let mut want: Vec<NodeId> = Vec::new();
+                    for h in windowed.holders(line).chain(persist.hot_holders(line, 4)) {
+                        if !want.contains(&h) {
+                            want.push(h);
+                        }
+                    }
+                    let got: Vec<NodeId> = windowed.holders_or_hot(&persist, line, 4).collect();
+                    let mut in_order = got.clone();
+                    in_order.sort_by_key(|&n| mesh.node_index(n));
+                    in_order.dedup();
+                    assert_eq!(got, in_order, "seed {seed} step {step}: order of {line}");
+                    assert_eq!(sorted(got), sorted(want), "seed {seed} step {step}: {line}");
+                }
+            }
+        }
+    }
+}
+
+/// `MissPredictor` as it was keyed before dense line ids: a last-access
+/// map by line address.
+struct ReferenceMissPredictor {
+    capacity_lines: u64,
+    clock: u64,
+    last_access: HashMap<LineAddr, u64>,
+    reuse_factor: f64,
+}
+
+impl ReferenceMissPredictor {
+    fn new(capacity_lines: u64) -> Self {
+        Self {
+            capacity_lines: capacity_lines.max(1),
+            clock: 0,
+            last_access: HashMap::new(),
+            reuse_factor: 2.0,
+        }
+    }
+
+    fn predict_hit(&mut self, line: LineAddr) -> bool {
+        self.clock += 1;
+        let hit = match self.last_access.get(&line) {
+            None => false,
+            Some(&t) => {
+                let elapsed = (self.clock - t) as f64;
+                elapsed <= self.capacity_lines as f64 * self.reuse_factor
+            }
+        };
+        self.last_access.insert(line, self.clock);
+        hit
+    }
+
+    fn reset(&mut self) {
+        self.clock = 0;
+        self.last_access.clear();
+    }
+}
+
+/// The id-keyed `MissPredictor` agrees with the line-keyed reference on
+/// random line streams (sparse addresses, skewed reuse, capacities around
+/// the reuse distances, occasional resets) when each line's id is its
+/// rank of first access, as the planner interns them.
+#[test]
+fn id_keyed_predictor_matches_the_line_keyed_reference() {
+    for seed in 0..200 {
+        let mut rng = Rng64::new(seed);
+        let capacity = rng.gen_range(40);
+        let addrs: Vec<LineAddr> =
+            (0..1 + rng.gen_range(96)).map(|_| LineAddr::new(rng.gen_range(1 << 40))).collect();
+        let mut model = MissPredictor::new(capacity);
+        let mut reference = ReferenceMissPredictor::new(capacity);
+        let mut ids: HashMap<LineAddr, u32> = HashMap::new();
+        for step in 0..2_000 {
+            if rng.gen_range(400) == 0 {
+                model.reset();
+                reference.reset();
+            }
+            let span = rng.gen_range(addrs.len() as u64) + 1;
+            let line = addrs[rng.gen_range(span) as usize];
+            let next = ids.len() as u32;
+            let id = *ids.entry(line).or_insert(next);
+            assert_eq!(
+                model.predict_hit(id),
+                reference.predict_hit(line),
+                "seed {seed} step {step}: line {line:?} (capacity {capacity})"
+            );
+        }
+    }
+}
+
+/// `Layout` as it translated before its dense page table: a demand-paging
+/// `PageTable` filled eagerly in declaration order, the element's virtual
+/// address from its program, SNUCA lookups per query and the controller
+/// overrides in a map.
+struct ReferenceLayout {
+    mesh: Mesh,
+    map: AddressMap,
+    pages: PageTable,
+    snuca: Snuca,
+    mc_override: HashMap<u64, NodeId>,
+    rehome: Option<Vec<NodeId>>,
+}
+
+impl ReferenceLayout {
+    fn new(
+        machine: &MachineConfig,
+        program: &Program,
+        policy: PagePolicy,
+        faults: Option<&FaultState>,
+    ) -> Self {
+        let map = AddressMap::for_machine(machine);
+        let mut pages = PageTable::new(map, policy);
+        for decl in program.arrays() {
+            let bytes = decl.len() * u64::from(decl.elem_size);
+            let mut va = decl.base_va;
+            while va < decl.base_va + bytes {
+                pages.translate(VirtAddr::new(va));
+                va += u64::from(machine.page_size);
+            }
+            pages.translate(VirtAddr::new(decl.base_va + bytes.saturating_sub(1)));
+        }
+        let rehome = faults.filter(|f| !f.is_trivial()).map(|f| {
+            machine
+                .mesh
+                .nodes()
+                .map(|n| if f.is_usable(n) { n } else { f.nearest_live(n) })
+                .collect()
+        });
+        Self {
+            mesh: machine.mesh,
+            map,
+            pages,
+            snuca: Snuca::new(machine.mesh, machine.cluster, map),
+            mc_override: HashMap::new(),
+            rehome,
+        }
+    }
+
+    fn rehomed(&self, node: NodeId) -> NodeId {
+        match &self.rehome {
+            None => node,
+            Some(r) => r[self.mesh.node_index(node) as usize],
+        }
+    }
+
+    fn phys_of(&self, program: &Program, array: ArrayId, elem: u64) -> PhysAddr {
+        let va = program.array(array).va_of(elem);
+        self.pages.lookup(VirtAddr::new(va)).expect("page pre-allocated for declared arrays")
+    }
+
+    fn locate(&self, program: &Program, array: ArrayId, elem: u64, requester: NodeId) -> ElemInfo {
+        let pa = self.phys_of(program, array, elem);
+        let home = self.rehomed(self.snuca.home_node(pa, requester));
+        let mc = self.rehomed(match self.mc_override.get(&self.map.phys_page(pa)) {
+            Some(&n) => n,
+            None => self.snuca.controller_node(pa, requester),
+        });
+        ElemInfo { line: self.map.line_of(pa), home, mc, hot: program.array(array).hot }
+    }
+
+    fn believed(
+        &self,
+        program: &Program,
+        array: ArrayId,
+        elem: u64,
+        requester: NodeId,
+    ) -> ElemInfo {
+        let real = self.locate(program, array, elem, requester);
+        let pa_guess = PhysAddr::new(program.array(array).va_of(elem));
+        ElemInfo {
+            home: self.rehomed(self.snuca.home_node(pa_guess, requester)),
+            mc: self.rehomed(self.snuca.controller_node(pa_guess, requester)),
+            ..real
+        }
+    }
+}
+
+/// A fault state with some dead nodes on `mesh` (and some dead and lossy
+/// links).
+fn degraded_state(rng: &mut Rng64, mesh: Mesh) -> FaultState {
+    loop {
+        let plan = FaultPlan::random(mesh, 0.2, 0.05, 0.1, 0.3, rng.next_u64());
+        if let Ok(state) = FaultState::new(plan, mesh) {
+            if !state.is_trivial() {
+                return state;
+            }
+        }
+    }
+}
+
+/// The dense-table `Layout` and the page-table reference agree field for
+/// field — `locate`, `believed`, `locate_and_believe`, `phys_of` and
+/// `page_of` — on every element (and a few past the end, which wrap) of
+/// every array of the 12 Tiny workloads and of generated programs, with
+/// requesters cycling over the mesh, under both page policies, every
+/// cluster mode (SNC-4 homes follow the requester), healthy and degraded,
+/// with random page→controller overrides, and at the machine's page size
+/// and at 64 KiB pages, where arrays share pages.
+#[test]
+fn dense_layout_matches_the_page_table_reference() {
+    let mut cases: Vec<(Program, MachineConfig)> =
+        all(Scale::Tiny).into_iter().map(|w| (w.program, MachineConfig::knl_like())).collect();
+    for seed in 0..16 {
+        let built = gen_mask_case(&mut Rng64::new(seed), 192).build().expect("case builds");
+        cases.push((built.program, built.machine));
+    }
+    let mut rng = Rng64::new(0x1a70);
+    for (k, (program, base)) in cases.iter().enumerate() {
+        let nodes: Vec<NodeId> = base.mesh.nodes().collect();
+        let mut combo = 0;
+        for cluster in [ClusterMode::AllToAll, ClusterMode::Quadrant, ClusterMode::Snc4] {
+            for policy in [PagePolicy::ColorPreserving, PagePolicy::Scramble] {
+                for degraded in [false, true] {
+                    combo += 1;
+                    let mut machine = base.clone().with_cluster(cluster);
+                    if combo % 2 == 0 {
+                        machine.page_size = 1 << 16;
+                    }
+                    let faults = degraded.then(|| degraded_state(&mut rng, machine.mesh));
+                    let mut layout = Layout::new(&machine, program, policy);
+                    if let Some(f) = &faults {
+                        layout.apply_faults(f);
+                    }
+                    let mut reference =
+                        ReferenceLayout::new(&machine, program, policy, faults.as_ref());
+                    let what = format!("case {k}, {cluster}, {policy:?}, degraded {degraded}");
+                    for _ in 0..rng.gen_range(12) {
+                        let array = ArrayId::from_index(
+                            rng.gen_range(program.arrays().len() as u64) as usize,
+                        );
+                        let elem = rng.gen_range(program.array(array).len().max(1));
+                        let page = reference.map.phys_page(reference.phys_of(program, array, elem));
+                        let mc = nodes[rng.gen_range(nodes.len() as u64) as usize];
+                        layout.override_page_controller(page, mc);
+                        reference.mc_override.insert(page, mc);
+                    }
+                    assert_eq!(layout.override_count(), reference.mc_override.len(), "{what}");
+                    for (a, decl) in program.arrays().iter().enumerate() {
+                        let array = ArrayId::from_index(a);
+                        for elem in 0..decl.len() + 3 {
+                            let req = nodes[(elem as usize * 7 + a + k) % nodes.len()];
+                            let real = reference.locate(program, array, elem, req);
+                            let belief = reference.believed(program, array, elem, req);
+                            let at = format!("{what}: array {a} element {elem} from {req}");
+                            assert_eq!(layout.locate(array, elem, req), real, "{at}");
+                            assert_eq!(layout.believed(array, elem, req), belief, "{at}");
+                            assert_eq!(
+                                layout.locate_and_believe(array, elem, req),
+                                (real, belief),
+                                "{at}"
+                            );
+                            let pa = reference.phys_of(program, array, elem);
+                            assert_eq!(layout.phys_of(array, elem), pa, "{at}");
+                            assert_eq!(layout.page_of(array, elem), reference.map.phys_page(pa));
+                        }
                     }
                 }
             }
