@@ -358,12 +358,15 @@ fn holder_union_matches_the_chained_holders() {
             let lines = 1 + rng.gen_range(24) as u32;
             let mut windowed = L1Model::new(mesh, sets, ways);
             let mut persist = L1Model::new(mesh, sets, ways);
+            // A few nodes anywhere on the mesh (past the first bitset word
+            // on the 10×10 one), so lines gather several holders.
+            let few: Vec<NodeId> =
+                (0..5).map(|_| nodes[rng.gen_range(nodes.len() as u64) as usize]).collect();
             for step in 0..300 {
                 if rng.gen_range(12) == 0 {
                     windowed.reset();
                 } else {
-                    // A few nodes, so lines gather several holders.
-                    let node = nodes[rng.gen_range(nodes.len().min(5) as u64) as usize];
+                    let node = few[rng.gen_range(few.len() as u64) as usize];
                     let line = rng.gen_range(u64::from(lines)) as u32;
                     windowed.touch(node, line, line % sets);
                     persist.touch(node, line, line % sets);
