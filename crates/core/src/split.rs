@@ -113,6 +113,9 @@ pub(crate) struct Planner<'a> {
     /// `dag_width`'s per-step levels and `(level, node)` pairs.
     levels: Vec<u32>,
     at_level: Vec<(u32, NodeId)>,
+    /// A bitset over the mesh's nodes, empty between uses: where
+    /// `union_sites` gathers a processed sub-group's sites.
+    sites: Vec<u64>,
 }
 
 /// What one MST vertex of a nested set stands for.
@@ -265,6 +268,7 @@ impl<'a> Planner<'a> {
             emit: Vec::new(),
             levels: Vec::new(),
             at_level: Vec::new(),
+            sites: vec![0; (machine.mesh.node_count() as usize).div_ceil(64)],
         }
     }
 
@@ -391,7 +395,7 @@ impl<'a> Planner<'a> {
     /// The holders come in node order. Their order must stay unobservable:
     /// every reader of a vertex's sites (`loc_distance`, `nearest`,
     /// `cheapest_site`, `first_balanced_site`, `emit_fixed`,
-    /// `fetch_source` and a sub-group's sorted union) depends on the set
+    /// `fetch_source` and a sub-group's union) depends on the set
     /// alone, breaking ties by node, not by position.
     fn locate_leaf(&self, leaf: &ResolvedLeaf, anchor: NodeId, locs: &mut Vec<NodeId>) -> usize {
         let source = leaf.source(anchor);
@@ -407,6 +411,26 @@ impl<'a> Planner<'a> {
             locs.extend(holders.filter(|&h| h != source && Some(h) != leaf.miss_home));
         }
         l1_from
+    }
+
+    /// Appends the union of `vertices`' sites to `locs`, each node once,
+    /// in [`dmcp_mach::Mesh::node_index`] order: the sites are OR-ed into
+    /// the planner's mesh bitset, which the walk leaves empty again.
+    fn union_sites(&mut self, vertices: &[Vertex], locs: &mut Vec<NodeId>) {
+        let mesh = self.layout.machine().mesh;
+        for v in vertices {
+            for &n in &locs[v.locs.0..v.locs.1] {
+                let i = mesh.node_index(n) as usize;
+                self.sites[i / 64] |= 1 << (i % 64);
+            }
+        }
+        for (w, word) in self.sites.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                locs.push(mesh.bank_node(64 * w as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Recursively plans a group into `arena`: locates leaves (sourcing
@@ -480,12 +504,8 @@ impl<'a> Planner<'a> {
                     // vertices is.
                     let at = arena.locs.len();
                     let (from, to) = arena.groups[sub].vertices;
-                    for v in from..to {
-                        let (a, b) = arena.vertices[v].locs;
-                        arena.locs.extend_from_within(a..b);
-                    }
-                    arena.locs[at..].sort_unstable();
-                    dedup_from(&mut arena.locs, at);
+                    let PlanArena { vertices, locs, .. } = arena;
+                    self.union_sites(&vertices[from..to], locs);
                     if arena.locs.len() == at {
                         // A constants-only subgroup has no location; it can
                         // be computed anywhere.
@@ -909,18 +929,6 @@ pub(crate) fn emission_bound(group: &Group, outermost: bool) -> (usize, usize) {
         (steps, inputs) = (steps + own, inputs + vertices - 1 + own);
     }
     (steps, inputs)
-}
-
-/// Removes consecutive duplicates from `v[from..]` (a sorted tail).
-fn dedup_from(v: &mut Vec<NodeId>, from: usize) {
-    let mut kept = from;
-    for i in from..v.len() {
-        if kept == from || v[i] != v[kept - 1] {
-            v[kept] = v[i];
-            kept += 1;
-        }
-    }
-    v.truncate(kept);
 }
 
 /// Load-units of a step folding `inputs`: its ALU cost plus an estimated

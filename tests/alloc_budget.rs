@@ -96,9 +96,9 @@ const PINNED_WITH: &str = "1.95.0";
 /// Allocations per pass over the 24 golden inputs, in pipeline order.
 const PINNED: [(&str, u64); 5] = [
     ("analyze", 21_640),
-    ("window-search", 13_522),
-    ("place", 233),
-    ("split", 856),
+    ("window-search", 13_713),
+    ("place", 232),
+    ("split", 869),
     ("sync", 3_132),
 ];
 
