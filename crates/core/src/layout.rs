@@ -13,9 +13,9 @@
 //! is an index, not a hash probe.
 
 use dmcp_ir::{ArrayId, Program};
-use dmcp_mach::{FaultState, MachineConfig, NodeId};
+use dmcp_mach::{ClusterMode, FaultState, MachineConfig, NodeId, Quadrant};
 use dmcp_mem::page::{FrameAllocator, PagePolicy};
-use dmcp_mem::{AddressMap, LineAddr, PhysAddr, Snuca, VirtAddr};
+use dmcp_mem::{AddressMap, LineAddr, PhysAddr, VirtAddr};
 
 /// Location of one array element in the memory system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,12 +69,62 @@ struct PageEntry {
     mc: Option<NodeId>,
 }
 
+/// Where a line homes and which controller serves its misses, re-homed
+/// under the installed faults, as tables over everything the answer
+/// depends on: the bank, the requester's quadrant under SNC-4, and the
+/// channel. Built by [`Layout::new`] and rebuilt by
+/// [`Layout::apply_faults`].
+#[derive(Clone, Debug)]
+struct HomeTables {
+    /// Banks per requester quadrant in `homes`.
+    banks: usize,
+    /// Re-homed home node by `q * banks + bank`, where `q` is the
+    /// requester's quadrant under SNC-4 and 0 otherwise, with the quadrant
+    /// of the home before re-homing (which picks the controller in
+    /// quadrant mode).
+    homes: Vec<(NodeId, u8)>,
+    /// Re-homed controller by quadrant: the home's in quadrant mode, the
+    /// requester's under SNC-4.
+    quadrant_mc: [NodeId; 4],
+    /// Re-homed controller by channel (all-to-all).
+    channel_mc: Vec<NodeId>,
+}
+
+impl HomeTables {
+    fn new(machine: &MachineConfig, map: AddressMap, rehome: impl Fn(NodeId) -> NodeId) -> Self {
+        let (mesh, cluster) = (machine.mesh, machine.cluster);
+        let banks = map.banks() as usize;
+        let quadrants: &[Quadrant] =
+            if cluster == ClusterMode::Snc4 { &Quadrant::ALL } else { &Quadrant::ALL[..1] };
+        let mut homes = Vec::with_capacity(quadrants.len() * banks);
+        for &q in quadrants {
+            // Every node of quadrant `q` sees the homes its first node
+            // does; a quadrant no node lies in has no requester to answer.
+            let requester = mesh.nodes().find(|&n| mesh.quadrant_of(n) == q);
+            for bank in 0..map.banks() {
+                let home = match requester {
+                    Some(r) => cluster.home_bank(mesh, r, bank),
+                    None => mesh.bank_node(bank),
+                };
+                homes.push((rehome(home), mesh.quadrant_of(home) as u8));
+            }
+        }
+        Self {
+            banks,
+            homes,
+            quadrant_mc: Quadrant::ALL.map(|q| rehome(mesh.controller_in_quadrant(q))),
+            channel_mc: (0..map.channels())
+                .map(|c| rehome(mesh.controller_for_channel(c)))
+                .collect(),
+        }
+    }
+}
+
 /// The machine-wide memory layout: VA→PA→(home bank, controller).
 #[derive(Clone, Debug)]
 pub struct Layout {
     machine: MachineConfig,
     map: AddressMap,
-    snuca: Snuca,
     arrays: Vec<ArrayPages>,
     /// Every array's pages, array after array: array `a`'s virtual page
     /// `vpn` is `pages[a.first_entry + (vpn - a.first_vpn)]`. A page two
@@ -84,6 +134,8 @@ pub struct Layout {
     overrides: usize,
     /// Fault-induced re-homing; `None` on a healthy machine.
     degraded: Option<DegradedView>,
+    /// Homes and controllers under `degraded`.
+    tables: HomeTables,
 }
 
 impl Layout {
@@ -127,8 +179,8 @@ impl Layout {
                 first_entry,
             });
         }
-        let snuca = Snuca::new(machine.mesh, machine.cluster, map);
-        Self { machine: machine.clone(), map, snuca, arrays, pages, overrides: 0, degraded: None }
+        let tables = HomeTables::new(machine, map, |n| n);
+        Self { machine: machine.clone(), map, arrays, pages, overrides: 0, degraded: None, tables }
     }
 
     /// Installs a degraded-mode view: every page homed on a node the faults
@@ -141,15 +193,16 @@ impl Layout {
     pub fn apply_faults(&mut self, faults: &FaultState) {
         if faults.is_trivial() {
             self.degraded = None;
-            return;
+        } else {
+            let rehome = self
+                .machine
+                .mesh
+                .nodes()
+                .map(|n| if faults.is_usable(n) { n } else { faults.nearest_live(n) })
+                .collect();
+            self.degraded = Some(DegradedView { live: faults.live_nodes().to_vec(), rehome });
         }
-        let rehome = self
-            .machine
-            .mesh
-            .nodes()
-            .map(|n| if faults.is_usable(n) { n } else { faults.nearest_live(n) })
-            .collect();
-        self.degraded = Some(DegradedView { live: faults.live_nodes().to_vec(), rehome });
+        self.tables = HomeTables::new(&self.machine, self.map, |n| self.rehomed(n));
     }
 
     /// `true` when a degraded-mode view is installed.
@@ -214,12 +267,26 @@ impl Layout {
 
     /// The home bank and controller of `pa` as `requester` sees them
     /// (requester only matters under SNC-4), re-homed under faults; `mc`
-    /// overrides the controller. The home is computed once and the
-    /// controller derived from it.
+    /// overrides the controller. Both are lookups in [`HomeTables`], which
+    /// hold what [`dmcp_mem::Snuca::home_node`] and
+    /// [`dmcp_mem::Snuca::controller_for_home`] answer.
     fn home_and_mc(&self, pa: PhysAddr, requester: NodeId, mc: Option<NodeId>) -> (NodeId, NodeId) {
-        let home = self.snuca.home_node(pa, requester);
-        let mc = mc.unwrap_or_else(|| self.snuca.controller_for_home(pa, requester, home));
-        (self.rehomed(home), self.rehomed(mc))
+        let t = &self.tables;
+        let cluster = self.machine.cluster;
+        let q = match cluster {
+            ClusterMode::Snc4 => self.machine.mesh.quadrant_of(requester) as usize,
+            ClusterMode::AllToAll | ClusterMode::Quadrant => 0,
+        };
+        let (home, home_quadrant) = t.homes[q * t.banks + self.map.bank_of(pa) as usize];
+        let mc = match mc {
+            Some(mc) => self.rehomed(mc),
+            None => match cluster {
+                ClusterMode::AllToAll => t.channel_mc[self.map.channel_of_phys(pa) as usize],
+                ClusterMode::Quadrant => t.quadrant_mc[usize::from(home_quadrant)],
+                ClusterMode::Snc4 => t.quadrant_mc[q],
+            },
+        };
+        (home, mc)
     }
 
     /// Full location info of one array element, as seen by `requester`
