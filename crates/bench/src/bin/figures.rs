@@ -19,8 +19,9 @@
 //! factor) is the reproduction target. `EXPERIMENTS.md` records a captured
 //! run against the paper's values.
 
-use dmcp::core::PlanOptions;
-use dmcp::mach::{ClusterMode, MachineConfig};
+use dmcp::check::golden::canonical_faults;
+use dmcp::core::{PartitionConfig, PlanOptions};
+use dmcp::mach::{ClusterMode, FaultState, MachineConfig};
 use dmcp::mem::MemoryMode;
 use dmcp::pool::Pool;
 use dmcp::sim::SimReport;
@@ -48,34 +49,34 @@ const TARGETS: &[&str] = &[
 /// --pins` fails when one drifts; a change that moves a plan re-pins them
 /// and says so in CHANGES.md.
 const PINS_SMALL: &[(&str, [f64; 6])] = &[
-    ("Barnes", [0.09, 0.00, 0.01, 0.29, 0.00, 0.02]),
-    ("Cholesky", [7.18, 2.35, 22.27, 2.01, 3.09, 23.15]),
-    ("FFT", [0.11, 0.00, 0.00, 0.06, 0.00, 0.00]),
-    ("FMM", [26.79, -7.73, 1.83, 18.35, 0.50, 3.34]),
-    ("LU", [67.01, 61.48, 52.32, 66.57, 63.73, 52.76]),
-    ("Ocean", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
-    ("Radiosity", [1.74, -105.47, -3.53, 13.30, -103.32, -1.48]),
-    ("Radix", [26.11, 20.84, 16.26, 22.06, 20.51, 14.33]),
+    ("Barnes", [0.22, 0.00, 0.01, 0.25, 0.00, 0.00]),
+    ("Cholesky", [10.03, 2.25, 22.36, 5.01, 3.24, 23.24]),
+    ("FFT", [0.06, 0.00, 0.00, 0.12, 0.00, 0.00]),
+    ("FMM", [27.36, -6.45, 2.30, 18.99, 1.28, 3.80]),
+    ("LU", [67.08, 61.49, 52.33, 66.65, 63.74, 52.77]),
+    ("Ocean", [0.49, 0.00, 0.01, 0.74, 0.00, 0.02]),
+    ("Radiosity", [1.46, -105.46, -3.53, 13.51, -103.34, -1.49]),
+    ("Radix", [26.11, 20.84, 16.26, 22.00, 20.54, 14.34]),
     ("Raytrace", [12.39, 44.75, 12.92, 6.26, 47.27, 14.64]),
-    ("Water", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
-    ("MiniMD", [-0.27, 0.00, 0.00, 0.30, 0.00, 0.00]),
+    ("Water", [1.65, 0.00, 0.03, 0.39, 0.00, 0.02]),
+    ("MiniMD", [-0.09, -0.01, 0.00, 0.18, 0.00, 0.00]),
     ("MiniXyce", [0.00, 0.00, 0.00, 0.00, 0.00, 0.00]),
 ];
 
 /// [`PINS_SMALL`] at Tiny scale (`figures --pins --scale-tiny`).
 const PINS_TINY: &[(&str, [f64; 6])] = &[
-    ("Barnes", [0.18, 0.00, 0.00, 0.30, 0.00, 0.01]),
+    ("Barnes", [0.12, 0.00, 0.00, 0.06, 0.00, 0.00]),
     ("Cholesky", [25.92, 1.56, 19.99, 24.03, 1.95, 20.37]),
     ("FFT", [-0.11, 0.00, 0.00, 0.00, 0.00, 0.00]),
-    ("FMM", [33.52, -15.20, 1.25, 34.45, -10.79, 1.10]),
-    ("LU", [75.95, 60.41, 49.02, 75.28, 61.85, 49.19]),
-    ("Ocean", [0.00, 0.00, 0.00, 0.06, 0.00, 0.00]),
-    ("Radiosity", [8.39, -108.72, -1.54, 3.73, -107.33, -1.10]),
-    ("Radix", [22.09, 17.23, 12.37, 16.59, 21.95, 11.55]),
-    ("Raytrace", [32.54, 43.63, 10.67, 34.10, 44.51, 11.42]),
+    ("FMM", [34.79, -15.11, 1.38, 35.70, -9.96, 1.22]),
+    ("LU", [75.82, 60.50, 49.08, 75.16, 61.91, 49.24]),
+    ("Ocean", [0.47, 0.00, 0.01, 0.24, 0.00, 0.01]),
+    ("Radiosity", [8.52, -108.85, -1.60, 3.72, -107.48, -1.18]),
+    ("Radix", [21.90, 17.26, 12.41, 16.57, 21.95, 11.55]),
+    ("Raytrace", [30.68, 43.72, 10.70, 32.28, 45.12, 11.45]),
     ("Water", [9.26, 0.00, 0.09, 4.35, 0.00, 0.05]),
-    ("MiniMD", [-0.26, 0.00, 0.00, 0.26, 0.00, 0.01]),
-    ("MiniXyce", [-0.45, 0.00, 0.00, 0.15, 0.00, 0.00]),
+    ("MiniMD", [-0.13, 0.00, 0.00, 0.26, 0.00, 0.01]),
+    ("MiniXyce", [-0.74, 0.00, -0.01, 0.30, 0.00, 0.00]),
 ];
 
 /// Slack for the two-decimal rendering of the pinned percentages.
@@ -274,7 +275,9 @@ fn geomeans(reductions: &[f64]) -> String {
 /// missing or extra row).
 fn record(suite: &[AppEval], scale: Scale, pins: bool) -> Vec<String> {
     header("Record: reductions vs the baseline, served | evaluated (time / movement / energy)");
-    let served = Pool::global().map(&all(scale), |_, w| served_reductions(w, &Pool::single()));
+    let config = PartitionConfig::default();
+    let served = Pool::global()
+        .map(&all(scale), |_, w| served_reductions(w, &config, None, &Pool::single()));
     let rows: Vec<(&str, [f64; 6])> = suite
         .iter()
         .zip(served)
@@ -531,28 +534,62 @@ fn fig19(suite: &[AppEval]) {
     }
 }
 
+/// Figures 20/21 at every window size, the default marked `*`: per
+/// workload the evaluated set-up's time reduction and L1 hit rate, then
+/// the unclamped geomean reductions of the evaluated set-up (time) and of
+/// the served one (time / movement / energy), healthy and under the
+/// canonical faults: the plans `dmcp-serve` and perfbench make.
 fn fig20_21(scale: Scale, reuse_aware: bool) {
     header(if reuse_aware {
-        "Figures 20/21: fixed window sizes 1..8 vs adaptive (exec reduction | L1 rate)"
+        "Figures 20/21: window sizes, * the default (exec reduction | L1 rate)"
     } else {
-        "Figures 20/21 (reuse-agnostic ablation): fixed windows vs adaptive"
+        "Figures 20/21 (reuse-agnostic ablation): window sizes, * the default"
     });
+    let windows: Vec<usize> = PartitionConfig::WINDOWS.collect();
+    let default = PartitionConfig::default().window;
     print!("{:<10}", "app");
-    for w in 1..=8 {
-        print!(" {:>11}", format!("w{w}"));
+    for &w in &windows {
+        print!(" {:>11}", format!("w{w}{}", if w == default { "*" } else { "" }));
     }
-    println!(" {:>11}", "adaptive");
+    println!();
     let machine = MachineConfig::knl_like();
-    for w in all(scale) {
-        let config = standard_config(&w, &machine);
+    let suite = all(scale);
+    let mut evaluated = vec![Vec::new(); windows.len()];
+    for w in &suite {
+        let config = standard_config(w, &machine);
         let base = run_program(&w.program, &w.data, &machine, &config, Scenario::Baseline);
         print!("{:<10}", w.name);
-        for win in (1..=8).map(Some).chain([None]) {
-            let (t, l1) = window_run(&w, &config, win, reuse_aware);
-            let red = 100.0 * (1.0 - t / base.exec_time);
-            print!(" {:>5.1}%|{:>3.0}%", red, 100.0 * l1);
+        for (k, &win) in windows.iter().enumerate() {
+            let (t, l1) = window_run(w, &config, win, reuse_aware);
+            let red = 1.0 - t / base.exec_time;
+            evaluated[k].push(red);
+            print!(" {:>5.1}%|{:>3.0}%", 100.0 * red, 100.0 * l1);
         }
         println!();
+    }
+    let row = |label: &str, cells: Vec<f64>| {
+        print!("{label:<10}");
+        for c in cells {
+            print!(" {:>10.2}%", 100.0 * c);
+        }
+        println!();
+    };
+    row("eval time", evaluated.iter().map(|r| geomean_reduction(r.iter().copied())).collect());
+    let faults = FaultState::new(canonical_faults(), machine.mesh).expect("canonical faults fit");
+    for (label, faults) in [("srv", None), ("deg", Some(&faults))] {
+        let per_window: Vec<Vec<[f64; 3]>> = windows
+            .iter()
+            .map(|&window| {
+                let opts = PlanOptions { reuse_aware, ..PlanOptions::default() };
+                let config = PartitionConfig { window, opts, ..PartitionConfig::default() };
+                Pool::global()
+                    .map(&suite, |_, w| served_reductions(w, &config, faults, &Pool::single()))
+            })
+            .collect();
+        for (k, axis) in ["time", "move", "energy"].into_iter().enumerate() {
+            let cells = per_window.iter().map(|r| geomean_reduction(r.iter().map(|x| x[k])));
+            row(&format!("{label} {axis}"), cells.collect());
+        }
     }
 }
 

@@ -9,10 +9,10 @@ pub mod scenarios;
 use dmcp::baselines::{locality_assignment, preferred_mc_overrides};
 use dmcp::bound::{gap_report, GapReport};
 use dmcp::core::{OpMix, PartitionConfig, PartitionOutput, Partitioner, PlanOptions};
-use dmcp::mach::{ClusterMode, MachineConfig};
+use dmcp::mach::{ClusterMode, FaultState, MachineConfig};
 use dmcp::mem::MemoryMode;
 use dmcp::pool::Pool;
-use dmcp::sim::{run_schedules, SimOptions, SimReport};
+use dmcp::sim::{run_schedules, run_schedules_degraded, SimOptions, SimReport};
 use dmcp::workloads::{all, PaperRow, Scale, Workload};
 use scenarios::partition_guided;
 
@@ -80,7 +80,7 @@ pub fn evaluate(w: &Workload, machine: &MachineConfig, pool: &Pool) -> AppEval {
     // are split*; force splitting for that measurement.
     let force_cfg = PartitionConfig {
         opts: PlanOptions { split_threshold: f64::INFINITY, ..cfg.opts },
-        fixed_window: Some(4),
+        window: 4,
         ..cfg
     };
     let forced = Partitioner::new(machine, &w.program, force_cfg);
@@ -145,19 +145,18 @@ pub fn config_exec_time(
     run_schedules(&w.program, partitioner.layout(), &out, opts).exec_time
 }
 
-/// Figure 20/21: execution time and L1 rate for a fixed window size
-/// (`None` = the adaptive per-nest search) under `base_cfg`, the
-/// workload's [`standard_config`] (built once by the caller for all nine
-/// windows). Returns `(exec_time, l1_rate)`.
+/// Figure 20/21: execution time and L1 rate at one window size under
+/// `base_cfg`, the workload's [`standard_config`] (built once by the
+/// caller for all eight windows). Returns `(exec_time, l1_rate)`.
 pub fn window_run(
     w: &Workload,
     base_cfg: &PartitionConfig,
-    window: Option<usize>,
+    window: usize,
     reuse_aware: bool,
 ) -> (f64, f64) {
     let machine = MachineConfig::knl_like();
     let cfg = PartitionConfig {
-        fixed_window: window,
+        window,
         opts: PlanOptions { reuse_aware, ..base_cfg.opts },
         ..base_cfg.clone()
     };
@@ -203,20 +202,37 @@ pub fn data_mapping_comparison(w: &Workload) -> (f64, f64, f64) {
     )
 }
 
-/// Plans `w` as `dmcp-serve` and perfbench do (`PartitionConfig::default()`
-/// through [`Partitioner::plan`]) and its baseline over `pool`, simulates
+/// Plans `w` as `dmcp-serve` and perfbench do ([`Partitioner::plan`],
+/// with `PartitionConfig::default()` as `config`) on the healthy machine,
+/// or on the one `faults` degrade, and its baseline over `pool`, simulates
 /// both with instance tracking on, and returns the plan's time (Figure
 /// 17), mean per-instance movement (Figure 13) and energy (Figure 24)
 /// reductions, as fractions. [`AppEval`] has the same for the evaluated
 /// set-up.
-pub fn served_reductions(w: &Workload, pool: &Pool) -> [f64; 3] {
+///
+/// # Panics
+///
+/// Panics if `config` is invalid or names a node `faults` kill.
+pub fn served_reductions(
+    w: &Workload,
+    config: &PartitionConfig,
+    faults: Option<&FaultState>,
+    pool: &Pool,
+) -> [f64; 3] {
     let machine = MachineConfig::knl_like();
     let sim = SimOptions { track_instances: true, ..SimOptions::default() };
-    let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
+    let part = match faults {
+        None => Partitioner::new(&machine, &w.program, config.clone()),
+        Some(f) => Partitioner::new_degraded(&machine, &w.program, config.clone(), f)
+            .expect("degraded partitioner"),
+    };
     let opt = part.plan(&w.program, &w.data, pool, false).expect("served plans");
     let base = part.plan(&w.program, &w.data, pool, true).expect("baseline plans");
-    let r_opt = run_schedules(&w.program, part.layout(), &opt, sim);
-    let r_base = run_schedules(&w.program, part.layout(), &base, sim);
+    let simulate = |out: &PartitionOutput| match faults {
+        None => run_schedules(&w.program, part.layout(), out, sim),
+        Some(f) => run_schedules_degraded(&w.program, part.layout(), out, sim, f.clone()),
+    };
+    let (r_opt, r_base) = (simulate(&opt), simulate(&base));
     [
         r_opt.time_reduction_vs(&r_base),
         r_opt.per_instance_reduction_vs(&r_base).0,
@@ -265,7 +281,7 @@ mod tests {
     fn window_run_produces_times() {
         let w = dmcp::workloads::by_name("radix", Scale::Tiny).unwrap();
         let cfg = standard_config(&w, &MachineConfig::knl_like());
-        let (t, l1) = window_run(&w, &cfg, Some(2), true);
+        let (t, l1) = window_run(&w, &cfg, 2, true);
         assert!(t > 0.0);
         assert!((0.0..=1.0).contains(&l1));
     }

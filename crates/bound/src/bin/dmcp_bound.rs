@@ -32,14 +32,14 @@ const EXPECTED_WORKLOADS: usize = 12;
 /// MST-only planner achieves it with the default configuration.
 const GAP_RATIO_PINS: &[(&str, f64)] = &[
     ("Barnes", 2.9116),
-    ("Cholesky", 167.3419),
+    ("Cholesky", 167.3333),
     ("FFT", 8.3439),
-    ("FMM", 6.6826),
-    ("LU", 61.3116),
+    ("FMM", 6.8032),
+    ("LU", 60.9783),
     ("Ocean", 4.9918),
-    ("Radiosity", 2.5924),
-    ("Radix", 2.8281),
-    ("Raytrace", 5.6208),
+    ("Radiosity", 2.5977),
+    ("Radix", 2.8267),
+    ("Raytrace", 5.6092),
     ("Water", 8.7240),
     ("MiniMD", 5.7497),
     ("MiniXyce", 7.5124),

@@ -426,8 +426,7 @@ mod tests {
         b.nest(&[("i0", 1, 2)], &["a1[i0 + 2] = a1[a2[i0]] & 63"]).unwrap();
         let program = b.build();
         let machine = MachineConfig::knl_like();
-        let config =
-            PartitionConfig { max_window: 4, search_sample: 64, ..PartitionConfig::default() };
+        let config = PartitionConfig { window: 4, ..PartitionConfig::default() };
         let data = program.initial_data();
         let part = Partitioner::new(&machine, &program, config);
         let out = part.plan(&program, &data, Pool::global(), false).unwrap();

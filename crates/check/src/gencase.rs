@@ -129,6 +129,8 @@ pub struct CaseSpec {
     pub faults: Option<FaultSpec>,
     /// Optional random initial data (deterministic program data otherwise).
     pub data: Option<DataSpec>,
+    /// The window size every nest is planned at (1–8).
+    pub window: usize,
 }
 
 /// A built case, ready for the partitioner.
@@ -139,7 +141,7 @@ pub struct BuiltCase {
     pub array_ids: Vec<ArrayId>,
     /// The machine.
     pub machine: MachineConfig,
-    /// Partitioner configuration (trimmed window search for throughput).
+    /// Partitioner configuration (the case's window).
     pub config: PartitionConfig,
     /// Materialised faults, if any.
     pub faults: Option<FaultPlan>,
@@ -250,8 +252,7 @@ impl CaseSpec {
         let machine = MachineConfig::knl_like().with_mesh(mesh);
         let config = PartitionConfig {
             predictor: PredictorSpec::Reuse,
-            max_window: 4,
-            search_sample: 64,
+            window: self.window,
             ..PartitionConfig::default()
         };
         let faults = self
@@ -290,7 +291,7 @@ impl CaseSpec {
 impl fmt::Display for CaseSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (arrays, vars) = self.default_names();
-        writeln!(f, "mesh {}x{}", self.mesh.0, self.mesh.1)?;
+        writeln!(f, "mesh {}x{} window {}", self.mesh.0, self.mesh.1, self.window)?;
         for (k, a) in self.arrays.iter().enumerate() {
             writeln!(
                 f,
@@ -455,7 +456,8 @@ pub fn gen_mask_case(rng: &mut Rng64, budget: u64) -> CaseSpec {
         seed: rng.next_u64(),
     });
     let data = rng.gen_bool(0.5).then(|| DataSpec { seed: rng.next_u64(), nonzero: false });
-    let mut spec = CaseSpec { mesh, arrays, nests, faults, data };
+    let window = gen_window(rng);
+    let mut spec = CaseSpec { mesh, arrays, nests, faults, data, window };
     // Enforce the instance budget by halving outer trips.
     while spec.instances() > budget {
         for nest in &mut spec.nests {
@@ -509,7 +511,14 @@ pub fn gen_div_case(rng: &mut Rng64) -> CaseSpec {
         nests: vec![NestSpec { loops: vec![(0, trip)], stmts }],
         faults: None,
         data: Some(DataSpec { seed: rng.next_u64(), nonzero: true }),
+        window: gen_window(rng),
     }
+}
+
+/// A window size from [`PartitionConfig::WINDOWS`], uniformly.
+fn gen_window(rng: &mut Rng64) -> usize {
+    let windows = PartitionConfig::WINDOWS;
+    windows.start() + rng.gen_range((windows.end() - windows.start() + 1) as u64) as usize
 }
 
 /// Generates a "wild" spec for the program-shape fuzz: extreme loop
@@ -556,6 +565,7 @@ pub fn gen_wild_spec(rng: &mut Rng64) -> CaseSpec {
         nests: vec![NestSpec { loops: vec![(lo, hi)], stmts: vec![stmt] }],
         faults: None,
         data: None,
+        window: PartitionConfig::default().window,
     }
 }
 
@@ -642,6 +652,9 @@ fn shrink_candidates(spec: &CaseSpec) -> Vec<CaseSpec> {
         let mut c = spec.clone();
         c.data = None;
         out.push(c);
+    }
+    if spec.window > 1 {
+        out.push(CaseSpec { window: 1, ..spec.clone() });
     }
     for (k, a) in spec.arrays.iter().enumerate() {
         if a.len > 4 {

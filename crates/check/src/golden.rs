@@ -35,35 +35,35 @@ use dmcp_workloads::{by_name, Scale, Workload};
 
 /// Expected healthy plan digest per workload (default configuration).
 pub const GOLDEN_HEALTHY: &[(&str, u64)] = &[
-    ("Barnes", 0xcff580132cff3c52),
-    ("Cholesky", 0xbb458f539c113a80),
-    ("FFT", 0x7ee4c14e0346b142),
-    ("FMM", 0x215c4e1939ea9e45),
-    ("LU", 0x265aa9f094539511),
-    ("Ocean", 0x15591bb3f14899ec),
-    ("Radiosity", 0x2927579e46bd1fe8),
-    ("Radix", 0x9a20894bfd47109e),
-    ("Raytrace", 0x6fefb23448203435),
+    ("Barnes", 0x784517add936eb9d),
+    ("Cholesky", 0x8d527f0da7e41147),
+    ("FFT", 0xe36baa04fcb2f04e),
+    ("FMM", 0xa0c4323360f67f88),
+    ("LU", 0xb9455608e9ee47b1),
+    ("Ocean", 0x0e655cd5e747b71d),
+    ("Radiosity", 0x47283c6c7ee8d8db),
+    ("Radix", 0x6839ce6d0e704518),
+    ("Raytrace", 0x1cc07e5704bf84f3),
     ("Water", 0x23e5cae29bf6085e),
-    ("MiniMD", 0x85615ea78a97ca85),
-    ("MiniXyce", 0x8991792f57883ff8),
+    ("MiniMD", 0xbb429fd423b49a89),
+    ("MiniXyce", 0x6925f26787c7736c),
 ];
 
 /// Expected plan digest per workload under [`canonical_faults`]
 /// (default configuration).
 pub const GOLDEN_DEGRADED: &[(&str, u64)] = &[
-    ("Barnes", 0xffe08a3d484e361e),
-    ("Cholesky", 0x892a115690ea9715),
-    ("FFT", 0xb291f80b72c5ef84),
-    ("FMM", 0xd6cceccd2ef07377),
-    ("LU", 0x61e1061df55b9fa6),
-    ("Ocean", 0xf5bc9e0a1901b789),
-    ("Radiosity", 0x93a0c22a47e351fd),
-    ("Radix", 0x46ce9a2455afe319),
-    ("Raytrace", 0xa7d47d0a7438bcf9),
+    ("Barnes", 0x2ab2fd40180d92c3),
+    ("Cholesky", 0x6f6e383dc960a7dd),
+    ("FFT", 0x654b4a4162096550),
+    ("FMM", 0xf0be6528688ff77f),
+    ("LU", 0x04a523a35b2759c3),
+    ("Ocean", 0xf15cdd5fcb180835),
+    ("Radiosity", 0x265c0e7a28fee239),
+    ("Radix", 0x11a031cbd8d5628a),
+    ("Raytrace", 0x8ede2dc7f422a910),
     ("Water", 0xaf40c8e37574c8b2),
-    ("MiniMD", 0xed858db1c4498dbe),
-    ("MiniXyce", 0x01db2e34f81b9468),
+    ("MiniMD", 0xa04c9921d695f18d),
+    ("MiniXyce", 0x3bbb0a7e7284c814),
 ];
 
 /// Expected `(healthy, degraded)` [`PlanKey`] digests per workload —
@@ -72,18 +72,18 @@ pub const GOLDEN_DEGRADED: &[(&str, u64)] = &[
 ///
 /// [`PlanKey`]: dmcp_serve::PlanKey
 pub const GOLDEN_KEYS: &[(&str, u64, u64)] = &[
-    ("Barnes", 0x6e18d429985ed199, 0xadebc77685ed05d5),
-    ("Cholesky", 0xc804c8f4a31ddfdc, 0xa202dd586ace3289),
-    ("FFT", 0x0730e74636c57bfd, 0x98ca401f30a98129),
-    ("FMM", 0xaf0830b5cec43712, 0x79619a370e29de3f),
-    ("LU", 0xae76ab5e0c6064d7, 0x99157d3a9701b120),
-    ("Ocean", 0x7733671937cf8be9, 0x741f41af97e350dd),
-    ("Radiosity", 0xc8546b570ee18db3, 0x2eb2646308eddc7c),
-    ("Radix", 0xb8664f25cc244552, 0x73c34296683c82e6),
-    ("Raytrace", 0x6922f66944b4fbc8, 0x2d0d52b2b04b2008),
-    ("Water", 0x7fa410030c8d2a6c, 0x975bc7c038398153),
-    ("MiniMD", 0x7d641529aa0787fa, 0x873f8c82f9208996),
-    ("MiniXyce", 0xe01003086223df54, 0xdd7d7a26e46dfeaa),
+    ("Barnes", 0x8f41f407dfac054c, 0xf23474ad8bb0278b),
+    ("Cholesky", 0xa4ab471ca0953cc6, 0x20fa4decf7e7fb7c),
+    ("FFT", 0x68314bb49990f450, 0xb367ab98b221447d),
+    ("FMM", 0xe681665cd6fe7245, 0x381a788925a86afe),
+    ("LU", 0x2548dedfde0d6c46, 0xc66869a5ab9307c9),
+    ("Ocean", 0x03faf0b742a29e20, 0xab02e619522574ba),
+    ("Radiosity", 0xd8b88bba339a7ab2, 0x9f622afc86cf247b),
+    ("Radix", 0xd9238bc453136496, 0x42be1c2e30f4d832),
+    ("Raytrace", 0x822f4c0ebf3ed963, 0xda9efed8fab4c13b),
+    ("Water", 0xa04014b1fe01db9a, 0xf82f743ef72b0f0f),
+    ("MiniMD", 0x9747f62c04cca75f, 0x05c74fa731f970ce),
+    ("MiniXyce", 0x3254c92ccc18c0fe, 0x68b289da2c23c946),
 ];
 
 /// Expected `(workload, healthy length, healthy checksum, degraded length,
@@ -97,18 +97,18 @@ pub const GOLDEN_KEYS: &[(&str, u64, u64)] = &[
 /// regenerated only with the plans, when [`dmcp_core::PLANNER_REVISION`]
 /// moves: a new layout needs a new version byte and a new table.
 pub const GOLDEN_PLAN_BYTES: &[(&str, usize, u64, usize, u64)] = &[
-    ("Barnes", 313408, 0xfb3fbc7dd6a4988d, 313220, 0x02f9e63d2aa6f258),
-    ("Cholesky", 348231, 0xf09d77f991760818, 348184, 0xf4b4a4655ce1ab0c),
-    ("FFT", 114555, 0x06f46881ae406ebd, 114672, 0xcdf04513f380a5af),
-    ("FMM", 138937, 0xb32dd17b2839aea8, 141359, 0xb81d94165729454b),
-    ("LU", 462219, 0xce60516ea2e0d084, 461883, 0x894f19a29b835a39),
-    ("Ocean", 412262, 0xa3b8687b1d835589, 410310, 0x5d4a728aaec9a786),
-    ("Radiosity", 151876, 0xe1dc594362bb3193, 152154, 0x9523d4e26aa6285d),
-    ("Radix", 135482, 0xe08c64923d7f6980, 135510, 0x6366d747cd298667),
-    ("Raytrace", 161184, 0xd5b33b7af59bbb54, 161158, 0xcf35aa825b7ad73c),
+    ("Barnes", 313081, 0x819e074efa97e238, 312798, 0x44bc8e2f89b69813),
+    ("Cholesky", 348166, 0x1ed5476f0d87db25, 348177, 0x34b054149ef6ef01),
+    ("FFT", 114043, 0x2645889a95cfedcb, 114160, 0xc2c14240b0b3494f),
+    ("FMM", 136277, 0xbb5c19cc063045e0, 137007, 0xc2c4cf40d991e1b6),
+    ("LU", 462227, 0x260a3afba9e067f5, 461923, 0xbe195ba371777aa7),
+    ("Ocean", 410072, 0xb56df6b559b16c98, 409814, 0xcfbf6cdda05e6eb7),
+    ("Radiosity", 151857, 0x42461a42a9e02a6e, 151878, 0xb7711a0dabd859f9),
+    ("Radix", 135504, 0x697ba322092cf208, 135541, 0x51025d1ef6b42fda),
+    ("Raytrace", 161165, 0x54deb9a00a74f13d, 161269, 0x431b9e9aac37a946),
     ("Water", 284359, 0x61e4611ac47ecb6b, 284352, 0xb2618a799b69571e),
-    ("MiniMD", 289018, 0x9c023ed8a6ecc090, 288654, 0x7311e65579e3e13f),
-    ("MiniXyce", 129255, 0x29da6575a3c13ac4, 129150, 0x11f9f70d3962c8dd),
+    ("MiniMD", 289295, 0xfebf8561cbffb34e, 289027, 0x9c2e7ebf37f819de),
+    ("MiniXyce", 129278, 0xb23ad00b9aeaadfb, 129090, 0x97abc0bb5ce0083c),
 ];
 
 /// The length and [`dmcp_hash::checksum64`] of `output`'s encoding, as
@@ -129,9 +129,9 @@ pub fn plan_bytes_pin(output: &PartitionOutput) -> (usize, u64) {
 /// kernel moved to dense line ids and reusable scratch, and regenerated
 /// only with the plans, when [`dmcp_core::PLANNER_REVISION`] moves.
 pub const GOLDEN_LARGE_MESH: &[(&str, u64, u64)] = &[
-    ("FFT", 0xff911dc003bedb05, 0xba785568152f9d64),
-    ("Radix", 0x37e875214f299883, 0x66eb83454da25d69),
-    ("LU", 0xff84f112fdf7166e, 0x3e55fe80fb2d280f),
+    ("FFT", 0x265c007cc6fc8500, 0xf6cd3a7a62511fc5),
+    ("Radix", 0x8784e13af08a4900, 0x1f08d6fa6356e3f8),
+    ("LU", 0xf230133d117417e6, 0x6d88ec8b383a6758),
 ];
 
 /// The KNL-like machine on a 10×10 mesh (100 nodes).
@@ -206,13 +206,12 @@ pub fn key_digests(name: &str) -> (u64, u64) {
 /// switches (page policy, cluster mode, explicit assignment), plus the
 /// default schedule (`baseline`) and the Figure-23 data-to-controller
 /// overrides (`mc-override`).
-pub const VARIANTS: [&str; 10] = [
+pub const VARIANTS: [&str; 9] = [
     "always-hit",
     "ideal-analysis",
     "reuse-agnostic",
     "scramble",
-    "fixed-window-4",
-    "short-search",
+    "window-4",
     "snc4",
     "reversed-assignment",
     "baseline",
@@ -232,26 +231,24 @@ pub const VARIANT_WORKLOADS: [&str; 2] = ["FFT", "Radix"];
 /// planner reads controllers off the VA-based belief, which the Figure-23
 /// overrides leave alone.
 pub const GOLDEN_VARIANTS: &[(&str, &str, u64, Option<u64>)] = &[
-    ("always-hit", "FFT", 0xbdcb741a567463b0, Some(0xe4fa81d9aead2c4d)),
-    ("always-hit", "Radix", 0x25d99b44af200711, Some(0x998998ebb36defb1)),
-    ("ideal-analysis", "FFT", 0x5378fe2446a1fe25, Some(0x70031156c7ea1b65)),
-    ("ideal-analysis", "Radix", 0x0f7c29e1d971a3a1, Some(0xb36fb401d8aa4c6a)),
-    ("reuse-agnostic", "FFT", 0xa3160e4bf5060bd4, Some(0x012c972d7853781d)),
-    ("reuse-agnostic", "Radix", 0xc31cbf1425bd0230, Some(0xbd0f016df1aa441c)),
-    ("scramble", "FFT", 0x1cde3db2203da66b, Some(0xd74336830290bf1c)),
-    ("scramble", "Radix", 0xcd6f2125db646808, Some(0x664776f86c16d0e2)),
-    ("fixed-window-4", "FFT", 0x85468992a82ba57f, Some(0x85993da1c417795c)),
-    ("fixed-window-4", "Radix", 0x2a40eb9609d9ec48, Some(0x46ce9a2455afe319)),
-    ("short-search", "FFT", 0xfe8af9c986a64b49, Some(0x736fa92f0c7b0a02)),
-    ("short-search", "Radix", 0x5d6438a49e7328b2, Some(0xfa220e85fe5bede3)),
-    ("snc4", "FFT", 0x03a9e93b0d94d13a, Some(0xc8122ff3239253b1)),
-    ("snc4", "Radix", 0xf8b12b8f5d652d7c, Some(0xc27322a74b3c47f0)),
-    ("reversed-assignment", "FFT", 0x08a3ca6d84792e6d, None),
-    ("reversed-assignment", "Radix", 0xf65a3213526f8bce, None),
+    ("always-hit", "FFT", 0xfa8d0235a0e9d67d, Some(0x7a905582bb192b7f)),
+    ("always-hit", "Radix", 0x89d88132c15dfdfa, Some(0x6103f3282f9e4150)),
+    ("ideal-analysis", "FFT", 0x62e32b675e1719b6, Some(0xbb2aa6bbaa0cd106)),
+    ("ideal-analysis", "Radix", 0x2eaa0035c4e91a25, Some(0x99fef6b98b331fbe)),
+    ("reuse-agnostic", "FFT", 0x45a56a308184a1ab, Some(0xb8ff39da71890fe0)),
+    ("reuse-agnostic", "Radix", 0x38d7c66186c608b5, Some(0xae84128a4bfa99b0)),
+    ("scramble", "FFT", 0x12dac790a07de18e, Some(0xe5d8d1d1f3b316e5)),
+    ("scramble", "Radix", 0x3c47bfd263cad3d4, Some(0x70755e2d58e5d2ff)),
+    ("window-4", "FFT", 0x85468992a82ba57f, Some(0x85993da1c417795c)),
+    ("window-4", "Radix", 0x2a40eb9609d9ec48, Some(0x46ce9a2455afe319)),
+    ("snc4", "FFT", 0xec998b0265851ac9, Some(0xe12abd03393221c5)),
+    ("snc4", "Radix", 0x1dfc6c9e9d58cf46, Some(0xe3076cef52a3978b)),
+    ("reversed-assignment", "FFT", 0x7e42ec506dcabd51, None),
+    ("reversed-assignment", "Radix", 0x65fb1f4baece62aa, None),
     ("baseline", "FFT", 0xa3160e4bf5060bd4, Some(0x012c972d7853781d)),
     ("baseline", "Radix", 0x1d7a06f825350a01, Some(0xa1647c9b0e456c77)),
-    ("mc-override", "FFT", 0x7ee4c14e0346b142, Some(0xb291f80b72c5ef84)),
-    ("mc-override", "Radix", 0x9a20894bfd47109e, Some(0x46ce9a2455afe319)),
+    ("mc-override", "FFT", 0xe36baa04fcb2f04e, Some(0x654b4a4162096550)),
+    ("mc-override", "Radix", 0x6839ce6d0e704518, Some(0x11a031cbd8d5628a)),
 ];
 
 /// The machine and configuration of `variant`.
@@ -271,8 +268,7 @@ fn variant_config(variant: &str) -> (MachineConfig, PartitionConfig) {
             PartitionConfig { opts: PlanOptions { reuse_aware: false, ..base.opts }, ..base }
         }
         "scramble" => PartitionConfig { page_policy: PagePolicy::Scramble, ..base },
-        "fixed-window-4" => PartitionConfig { fixed_window: Some(4), ..base },
-        "short-search" => PartitionConfig { search_sample: 64, max_window: 5, ..base },
+        "window-4" => PartitionConfig { window: 4, ..base },
         "snc4" => return (machine.with_cluster(ClusterMode::Snc4), base),
         "reversed-assignment" => {
             PartitionConfig { assignment: Some(reversed_nodes(&machine)), ..base }
@@ -522,46 +518,47 @@ impl GoldenInput {
 /// these runs, so the `cache` and `hybrid` rows repeat the default
 /// digest; the pins hold that too.
 ///
-/// The 21 rows whose plans planner revision 1 left alone (every FFT row
-/// and the two large-mesh Radix rows) still hold what the simulator
-/// reported while it kept link loads and caches in hash maps and routed
-/// every faulty transfer afresh: the dense simulator must report exactly
-/// what that one did. The other 43 were taken from the dense simulator
-/// at planner revision 1, with the plans they simulate, so they pin it
-/// against itself (`dense_network` in the root `properties` tests
-/// compares its network with a copy of the hash-map one). Rows move only
-/// with their plans, when [`dmcp_core::PLANNER_REVISION`] moves.
+/// The 19 FFT rows, whose schedules planner revisions 1 and 2 left
+/// alone, still hold what the simulator reported while it kept link loads
+/// and caches in hash maps and routed every faulty transfer afresh: the
+/// dense simulator must report exactly what that one did. The other 45
+/// were taken from the dense simulator, Water's two default rows at
+/// planner revision 1 and the rest at revision 2, with the plans they
+/// simulate, so they pin it against itself (`dense_network` in the root
+/// `properties` tests compares its network with a copy of the hash-map
+/// one). Rows move only with their plans, when
+/// [`dmcp_core::PLANNER_REVISION`] moves.
 pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
-    ("healthy", "default", "Barnes", 0x96514d4c4dcde13f),
-    ("healthy", "default", "Cholesky", 0xcae375971f1b34c9),
+    ("healthy", "default", "Barnes", 0xd0cc0f9fd3b2b6a4),
+    ("healthy", "default", "Cholesky", 0x6f4a33c781386c05),
     ("healthy", "default", "FFT", 0x243f1aad6565b2d5),
-    ("healthy", "default", "FMM", 0x0ed988d9320fac04),
-    ("healthy", "default", "LU", 0xe45324056e42d9c9),
-    ("healthy", "default", "Ocean", 0xdd782f52394116db),
-    ("healthy", "default", "Radiosity", 0x08dfe14cb39b8ced),
-    ("healthy", "default", "Radix", 0xcbcb13db98069283),
-    ("healthy", "default", "Raytrace", 0xe3cdd515c8980932),
+    ("healthy", "default", "FMM", 0xa9afdc64cea1b832),
+    ("healthy", "default", "LU", 0xa2fc8466ca588b96),
+    ("healthy", "default", "Ocean", 0x58a8fb5b2af3f943),
+    ("healthy", "default", "Radiosity", 0x8d151ebbfaf5df6b),
+    ("healthy", "default", "Radix", 0xaa6e086f13fcf377),
+    ("healthy", "default", "Raytrace", 0x2ac6653843b47343),
     ("healthy", "default", "Water", 0x72f5f94e929b3f63),
-    ("healthy", "default", "MiniMD", 0xf423d898ffecc237),
-    ("healthy", "default", "MiniXyce", 0x96eada05e7724a6a),
-    ("degraded", "default", "Barnes", 0xc5cc785d0332d19a),
-    ("degraded", "default", "Cholesky", 0x8e930471391926f1),
+    ("healthy", "default", "MiniMD", 0x97db86c51849d3f4),
+    ("healthy", "default", "MiniXyce", 0xfe905501067b818d),
+    ("degraded", "default", "Barnes", 0xd0b2ecdc8b497e27),
+    ("degraded", "default", "Cholesky", 0x2a3377015a851bdd),
     ("degraded", "default", "FFT", 0x760ea10d12e9df99),
-    ("degraded", "default", "FMM", 0x8ed70397047542a5),
-    ("degraded", "default", "LU", 0x7e0ca2404c6cc34d),
-    ("degraded", "default", "Ocean", 0x8b4432f0b0c54004),
-    ("degraded", "default", "Radiosity", 0xde6007e78f77fe7c),
-    ("degraded", "default", "Radix", 0xc9ec7eb6e037874b),
-    ("degraded", "default", "Raytrace", 0x6c0d756d6d0f36ec),
+    ("degraded", "default", "FMM", 0xbbffb88307dc4c87),
+    ("degraded", "default", "LU", 0x59da911e6e8e112e),
+    ("degraded", "default", "Ocean", 0x6919f60c12438849),
+    ("degraded", "default", "Radiosity", 0x6321f1223e7bb30a),
+    ("degraded", "default", "Radix", 0x0b6196e67ddf8989),
+    ("degraded", "default", "Raytrace", 0xdc994c0087242e4c),
     ("degraded", "default", "Water", 0xd3664fbe7f5a4933),
-    ("degraded", "default", "MiniMD", 0xea21bb44cf021f82),
-    ("degraded", "default", "MiniXyce", 0x4cff1a148d5bdd95),
-    ("large-healthy", "default", "FFT", 0x8d5c57617b0bce5d),
-    ("large-healthy", "default", "Radix", 0xd0aa84f1cfa4306d),
-    ("large-healthy", "default", "LU", 0xf788f950c6fcda60),
-    ("large-degraded", "default", "FFT", 0xb34a442bc1c00b19),
-    ("large-degraded", "default", "Radix", 0x5473c3381f05bd18),
-    ("large-degraded", "default", "LU", 0x399715ae45b1acc6),
+    ("degraded", "default", "MiniMD", 0xf9d68f3e641e3af0),
+    ("degraded", "default", "MiniXyce", 0xf0fc9f613a9e4eac),
+    ("large-healthy", "default", "FFT", 0xc1a5b7d31d2dea88),
+    ("large-healthy", "default", "Radix", 0x3e1015c405656167),
+    ("large-healthy", "default", "LU", 0xdfb855d6174e12d9),
+    ("large-degraded", "default", "FFT", 0x969b1070be36a98a),
+    ("large-degraded", "default", "Radix", 0x3f4a73ff04716f2c),
+    ("large-degraded", "default", "LU", 0x2eba0529e6e95726),
     ("healthy", "cache", "FFT", 0x243f1aad6565b2d5),
     ("healthy", "hybrid", "FFT", 0x243f1aad6565b2d5),
     ("healthy", "ideal-network", "FFT", 0xf6e09cf1f9a012dd),
@@ -570,14 +567,14 @@ pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
     ("healthy", "compute-scale", "FFT", 0x6456fae56a20bf48),
     ("healthy", "extra-sync", "FFT", 0x3271663b49cf5006),
     ("healthy", "track-instances", "FFT", 0xda27cd5584d16560),
-    ("healthy", "cache", "Radix", 0xcbcb13db98069283),
-    ("healthy", "hybrid", "Radix", 0xcbcb13db98069283),
-    ("healthy", "ideal-network", "Radix", 0x6d575335bedbcc2d),
-    ("healthy", "movement-scale", "Radix", 0xa4c0e9f0e1d1b86c),
-    ("healthy", "l1-override", "Radix", 0x3705dd9403b2ab26),
-    ("healthy", "compute-scale", "Radix", 0xe6a26b8712cab1f6),
-    ("healthy", "extra-sync", "Radix", 0x97eb1ac89d0f67c8),
-    ("healthy", "track-instances", "Radix", 0xe2f07888034968c6),
+    ("healthy", "cache", "Radix", 0xaa6e086f13fcf377),
+    ("healthy", "hybrid", "Radix", 0xaa6e086f13fcf377),
+    ("healthy", "ideal-network", "Radix", 0xa64f60310ad5f9ce),
+    ("healthy", "movement-scale", "Radix", 0x45b78542e7af5bb0),
+    ("healthy", "l1-override", "Radix", 0xdc0841f42d7ff16e),
+    ("healthy", "compute-scale", "Radix", 0x6118585829e7100e),
+    ("healthy", "extra-sync", "Radix", 0x916d970e7bfc1ade),
+    ("healthy", "track-instances", "Radix", 0xccfb943b76846107),
     ("lossy", "default", "FFT", 0x732f05ce3833ed5f),
     ("lossy", "cache", "FFT", 0x732f05ce3833ed5f),
     ("lossy", "hybrid", "FFT", 0x732f05ce3833ed5f),
@@ -587,15 +584,15 @@ pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
     ("lossy", "compute-scale", "FFT", 0x0b54b9e06cda5db4),
     ("lossy", "extra-sync", "FFT", 0x323267b0a923519f),
     ("lossy", "track-instances", "FFT", 0x2487cf8196145f7d),
-    ("lossy", "default", "Radix", 0x5fd1fa516f434820),
-    ("lossy", "cache", "Radix", 0x5fd1fa516f434820),
-    ("lossy", "hybrid", "Radix", 0x5fd1fa516f434820),
-    ("lossy", "ideal-network", "Radix", 0xcd49089d3d911999),
-    ("lossy", "movement-scale", "Radix", 0x61e37fd5517f9868),
-    ("lossy", "l1-override", "Radix", 0x919043aa442fcd43),
-    ("lossy", "compute-scale", "Radix", 0xd2f8805a67d0b13d),
-    ("lossy", "extra-sync", "Radix", 0xda9914f0ce0e9102),
-    ("lossy", "track-instances", "Radix", 0x1aa573cb5d5ff50a),
+    ("lossy", "default", "Radix", 0x81b254b88f1e4bbb),
+    ("lossy", "cache", "Radix", 0x81b254b88f1e4bbb),
+    ("lossy", "hybrid", "Radix", 0x81b254b88f1e4bbb),
+    ("lossy", "ideal-network", "Radix", 0x397f291790e7f38b),
+    ("lossy", "movement-scale", "Radix", 0x97ccd2326965e701),
+    ("lossy", "l1-override", "Radix", 0xdf32f8bef707f488),
+    ("lossy", "compute-scale", "Radix", 0x6a4e03cb43635271),
+    ("lossy", "extra-sync", "Radix", 0x9984c32bd2e0abc8),
+    ("lossy", "track-instances", "Radix", 0x805395e8329d489e),
 ];
 
 /// Plans and simulates every [`GOLDEN_SIM`] row, in table order, over

@@ -93,7 +93,7 @@ pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
     let opts = PlanOptions { reuse_aware: false, ..PlanOptions::default() };
     let resolution =
         resolve_nest(&program, 0, layout, &data, HitPredictor::AlwaysHit, opts, &[core]);
-    let plan = place_nest(&resolution, layout, opts, 1, None, false);
+    let plan = place_nest(&resolution, layout, opts, 1, false);
     let rec = &plan.stats.records[0];
 
     // Terminals: believed operand primaries (AlwaysHit ⇒ the home bank)

@@ -5,9 +5,9 @@
 //! exploit this (paper Section 4.3, "multiple statements"). Each node's L1
 //! has the machine's geometry — `sets` sets of `ways` lines, LRU per set,
 //! as the simulated cache ([`dmcp_mem::Cache`]) has — which is how the
-//! window-size search sees L1 *pollution*: in an oversized window, a reuse
-//! candidate may already have been evicted, by capacity or by a conflict
-//! in its set, by the time the consumer is scheduled (Section 4.4).
+//! planner sees L1 *pollution*: in an oversized window, a reuse candidate
+//! may already have been evicted, by capacity or by a conflict in its
+//! set, by the time the consumer is scheduled (Section 4.4).
 //!
 //! Lines are named by the dense ids [`crate::resolve`] interns per nest,
 //! which also computes each id's set once, so every lookup is an index: a
@@ -32,7 +32,7 @@ pub struct L1Model {
     slots: Vec<u32>,
     fill: Vec<u32>,
     /// The sets (indices into `fill`) holding a line, each listed once, so
-    /// a window reset visits only those: a window-1 trial resets after
+    /// a window reset visits only those: a window-1 placement resets after
     /// every instance, which touches a handful of a mesh's sets.
     occupied: Vec<u32>,
     /// `u64` words per line in `holders`.

@@ -6,8 +6,8 @@
 //! bank, and which memory controller services a miss?*
 //!
 //! Pages are allocated **eagerly** in array-declaration order, so the layout
-//! is identical no matter in which order the compiler, the window-size
-//! search and the simulator ask questions — everything stays reproducible.
+//! is identical no matter in which order the compiler and the simulator
+//! ask questions — everything stays reproducible.
 //! Every array's pages sit in one dense table, in the order a demand-paging
 //! [`dmcp_mem::PageTable`] would allocate them, so translating an element
 //! is an index, not a hash probe.

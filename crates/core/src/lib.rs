@@ -11,8 +11,9 @@
 //! - operator priority is honoured through *nested sets* processed
 //!   innermost-first ([`dmcp_ir::nested`], [`split`]);
 //! - consecutive statements are planned in *windows* so the
-//!   `variable2node` map can exploit L1 reuse, and a pre-processing pass
-//!   picks the best window size (1‥8) per nest ([`window`]);
+//!   `variable2node` map can exploit L1 reuse ([`window`]); every nest is
+//!   planned at one window size, 6 by default (the paper searches 1‥8 per
+//!   nest);
 //! - node assignment respects a load-balance skip rule ([`balance`]), and
 //!   the synchronization graph is transitively reduced ([`sync`]).
 //!
@@ -82,4 +83,4 @@ pub use resolve::{resolve_nest, HitPredictor, NestResolution};
 pub use split::PlanOptions;
 pub use stats::{OpMix, StmtRecord};
 pub use step::{ElemLoc, Operand, Schedule, Span, Step, StepInput, StmtTag, StoreTarget, SubId};
-pub use window::{place_nest, sync_nest, NestPlan, NestStats, Placement};
+pub use window::{place_nest, sync_nest, NestPlan, NestStats};

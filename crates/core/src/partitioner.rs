@@ -1,10 +1,13 @@
-//! The top-level partitioner: per-nest window-size search + full planning.
+//! The top-level partitioner: the configuration and the planning entry
+//! point.
 //!
-//! For every loop nest the partitioner runs the pre-processing step of paper
-//! Section 4.4: it plans a sample of the nest with every window size from 1
-//! to `max_window` (8), computes the resulting data movement, picks the
-//! best size, and then plans the entire nest with it. The result is one
-//! [`Schedule`] per nest plus all the statistics the evaluation needs.
+//! Every loop nest is planned at one window size,
+//! [`PartitionConfig::window`]. The paper's pre-processing step (Section
+//! 4.4) instead plans a sample of each nest at every window from 1 to 8
+//! and keeps the one with the least planned movement; in the simulator
+//! that search never beat a fixed window of 6, so the planner has no
+//! search (DESIGN.md §7.12). The result is one [`Schedule`] per nest plus all
+//! the statistics the evaluation needs.
 
 use crate::error::PartitionError;
 use crate::layout::Layout;
@@ -49,8 +52,9 @@ impl PredictorSpec {
 /// cache written by an older planner (a `dmcp-serve` disk tier) then
 /// misses instead of serving that planner's plans. Revision 1 sources a
 /// split statement's unanalyzable operands at its store home and gives
-/// the planner's L1 models the machine's set mapping.
-pub const PLANNER_REVISION: u32 = 1;
+/// the planner's L1 models the machine's set mapping; revision 2 plans
+/// every nest at one configured window instead of searching windows 1–8.
+pub const PLANNER_REVISION: u32 = 2;
 
 /// Partitioner configuration.
 #[derive(Clone, Debug)]
@@ -61,14 +65,9 @@ pub struct PartitionConfig {
     pub opts: PlanOptions,
     /// Which predictor to use.
     pub predictor: PredictorSpec,
-    /// Largest window size the pre-processing step tries (paper: 8).
-    pub max_window: usize,
-    /// Statement instances sampled per candidate window size during the
-    /// search.
-    pub search_sample: u64,
-    /// Bypass the search and use a fixed window size for every nest
-    /// (Figure 20's fixed-window bars).
-    pub fixed_window: Option<usize>,
+    /// The window size every nest is planned at, in
+    /// [`PartitionConfig::WINDOWS`] (default 6).
+    pub window: usize,
     /// Iteration→core assignment; `None` selects a chunked default.
     pub assignment: Option<Vec<NodeId>>,
 }
@@ -79,15 +78,18 @@ impl Default for PartitionConfig {
             page_policy: PagePolicy::ColorPreserving,
             opts: PlanOptions::default(),
             predictor: PredictorSpec::Reuse,
-            max_window: 8,
-            search_sample: 256,
-            fixed_window: None,
+            window: 6,
             assignment: None,
         }
     }
 }
 
 impl PartitionConfig {
+    /// The window sizes the planner accepts: the paper's range. The sync
+    /// pass's transitive reduction holds a bit per pair of a window's
+    /// steps, so the window bounds that memory.
+    pub const WINDOWS: std::ops::RangeInclusive<usize> = 1..=8;
+
     /// Stable fingerprint of the configuration — every knob that can change
     /// the planner's output participates, and so does [`PLANNER_REVISION`],
     /// so two configs fingerprint equal iff the same planner compiles
@@ -109,15 +111,7 @@ impl PartitionConfig {
             PredictorSpec::Reuse => 0,
             PredictorSpec::AlwaysHit => 2,
         });
-        h.write_u64(self.max_window as u64);
-        h.write_u64(self.search_sample);
-        match self.fixed_window {
-            None => h.write_u8(0),
-            Some(w) => {
-                h.write_u8(1);
-                h.write_u64(w as u64);
-            }
-        }
+        h.write_u64(self.window as u64);
         match &self.assignment {
             None => h.write_u8(0),
             Some(a) => {
@@ -137,14 +131,15 @@ impl PartitionConfig {
     ///
     /// # Errors
     ///
-    /// [`PartitionError::InvalidConfig`] for a zero window bound, a zero
-    /// fixed window, or an empty explicit assignment.
+    /// [`PartitionError::InvalidConfig`] for a window outside
+    /// [`PartitionConfig::WINDOWS`] or an empty explicit assignment.
     pub fn validate(&self) -> Result<(), PartitionError> {
-        if self.max_window == 0 {
-            return Err(PartitionError::InvalidConfig("max_window must be >= 1".into()));
-        }
-        if self.fixed_window == Some(0) {
-            return Err(PartitionError::InvalidConfig("fixed_window must be >= 1".into()));
+        if !Self::WINDOWS.contains(&self.window) {
+            return Err(PartitionError::InvalidConfig(format!(
+                "window {} outside {:?}",
+                self.window,
+                Self::WINDOWS
+            )));
         }
         if matches!(&self.assignment, Some(a) if a.is_empty()) {
             return Err(PartitionError::InvalidConfig(
@@ -346,8 +341,8 @@ impl Partitioner {
 
     /// Plans every nest of `program`, resolving indirect references
     /// through `data` (the inspector-collected information). Runs the
-    /// staged pipeline ([`crate::pipeline`]) — analyze → window search →
-    /// place → split decision → sync — fanning its parallel dimensions out
+    /// staged pipeline ([`crate::pipeline`]) — analyze → place → split
+    /// decision → sync — fanning its parallel dimensions out
     /// over `pool`; the output is bit-identical for every thread count.
     /// Callers already fanning out at a coarser grain (per-workload
     /// sweeps, service workers) pass [`Pool::single`].
@@ -537,36 +532,13 @@ mod tests {
     }
 
     #[test]
-    fn window_search_never_loses_to_the_smallest_window() {
-        // The adaptive pre-processing step may keep window 1 when the
-        // persistent-residency model already captures the reuse, but its
-        // choice must never plan more movement than the fixed window 1.
-        let p = program(&["A[i] = B[i] + C[i] + D[i] + E[i]", "X[i] = Y[i] + C[i]"], 128);
-        let machine = MachineConfig::knl_like();
-        let adaptive = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let fixed = Partitioner::new(
-            &machine,
-            &p,
-            PartitionConfig { fixed_window: Some(1), ..PartitionConfig::default() },
-        );
-        let a = plan(&adaptive, &p, false);
-        let f = plan(&fixed, &p, false);
-        assert!(
-            a.movement_opt() <= f.movement_opt() * 101 / 100,
-            "adaptive {} vs fixed-1 {}",
-            a.movement_opt(),
-            f.movement_opt()
-        );
-        assert!((1..=8).contains(&a.window_sizes()[0]));
-    }
-
-    #[test]
-    fn fixed_window_bypasses_search() {
+    fn every_nest_plans_at_the_configured_window() {
         let p = program(&["A[i] = B[i] + C[i]"], 32);
         let machine = MachineConfig::knl_like();
-        let cfg = PartitionConfig { fixed_window: Some(5), ..PartitionConfig::default() };
+        let cfg = PartitionConfig { window: 5, ..PartitionConfig::default() };
         let part = Partitioner::new(&machine, &p, cfg);
         assert_eq!(plan(&part, &p, false).window_sizes(), vec![5]);
+        assert_eq!(plan(&part, &p, true).window_sizes(), vec![1], "baselines plan at window 1");
     }
 
     #[test]
@@ -689,8 +661,9 @@ mod tests {
         let machine = MachineConfig::knl_like();
         let data = p.initial_data();
         for bad in [
-            PartitionConfig { max_window: 0, ..PartitionConfig::default() },
-            PartitionConfig { fixed_window: Some(0), ..PartitionConfig::default() },
+            PartitionConfig { window: 0, ..PartitionConfig::default() },
+            PartitionConfig { window: 9, ..PartitionConfig::default() },
+            PartitionConfig { window: usize::MAX, ..PartitionConfig::default() },
             PartitionConfig { assignment: Some(vec![]), ..PartitionConfig::default() },
         ] {
             let part = Partitioner::new(&machine, &p, bad);
@@ -699,7 +672,9 @@ mod tests {
                 assert!(matches!(err, PartitionError::InvalidConfig(_)), "{err:?}");
             }
         }
-        assert!(PartitionConfig::default().validate().is_ok());
+        for window in PartitionConfig::WINDOWS {
+            assert!(PartitionConfig { window, ..PartitionConfig::default() }.validate().is_ok());
+        }
     }
 
     #[test]
@@ -721,9 +696,7 @@ mod tests {
                 ..base.clone()
             },
             PartitionConfig { predictor: PredictorSpec::AlwaysHit, ..base.clone() },
-            PartitionConfig { max_window: 4, ..base.clone() },
-            PartitionConfig { search_sample: 128, ..base.clone() },
-            PartitionConfig { fixed_window: Some(3), ..base.clone() },
+            PartitionConfig { window: 3, ..base.clone() },
             PartitionConfig { assignment: Some(vec![NodeId::new(0, 0)]), ..base.clone() },
         ];
         let mut prints: Vec<u64> = variants.iter().map(PartitionConfig::fingerprint).collect();

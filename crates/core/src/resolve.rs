@@ -7,10 +7,9 @@
 //! target lives, where each operand lives (Section 4.1), whether the L2
 //! predictor expects a hit, and what default execution would move. The
 //! predictor and the default-execution L1 mirror see the same line stream
-//! at every window size and under `force_default`, and the window-size
-//! search places only a prefix of that stream, so one resolution serves
-//! every placement of the nest exactly — the search trials, the full
-//! placement and the split pass's default replan.
+//! at every window size and under `force_default`, so one resolution
+//! serves every placement of the nest exactly — the full placement and
+//! the split pass's default replan.
 //!
 //! What stays placement-dependent — the windowed `variable2node` holders
 //! and the persistent hot holders — is looked up by the
@@ -139,24 +138,22 @@ impl NestResolution {
         self.instances.len()
     }
 
-    /// One more than the largest dense line id instances `first..end`
-    /// touch (0 if they touch none).
-    pub(crate) fn lines_touched(&self, first: usize, end: usize) -> u32 {
-        let leaf = |i: usize| self.instances.get(i).map_or(self.leaves.len(), |n| n.first_leaf);
-        let stores = self.instances[first..end].iter().map(|i| i.store_line);
-        let operands = self.leaves[leaf(first)..leaf(end)].iter().map(|l| l.line);
+    /// One more than the largest dense line id the nest touches (0 if it
+    /// touches none).
+    pub(crate) fn lines_touched(&self) -> u32 {
+        let stores = self.instances.iter().map(|i| i.store_line);
+        let operands = self.leaves.iter().map(|l| l.line);
         stores.chain(operands).max().map_or(0, |m| m + 1)
     }
 
-    /// An upper bound on the `(steps, inputs)` placing instances
-    /// `first..end` emits ([`crate::split::emission_bound`] per instance).
-    pub(crate) fn emission_bound(&self, first: usize, end: usize) -> (usize, usize) {
-        let body = self.groups.len();
+    /// An upper bound on the `(steps, inputs)` placing the nest emits
+    /// ([`crate::split::emission_bound`] per instance).
+    pub(crate) fn emission_bound(&self) -> (usize, usize) {
+        let (body, end) = (self.groups.len(), self.instances.len());
         let (mut steps, mut inputs) = (0, 0);
         for (stmt, group) in self.groups.iter().enumerate() {
-            // Instances `i ≡ stmt (mod body)` below `x`.
-            let below = |x: usize| (x + body - 1 - stmt) / body;
-            let count = below(end) - below(first);
+            // Instances `i ≡ stmt (mod body)` below `end`.
+            let count = (end + body - 1 - stmt) / body;
             let (s, i) = emission_bound(group, true);
             (steps, inputs) = (steps + count * s, inputs + count * i);
         }

@@ -997,13 +997,12 @@ mod tests {
     use dmcp_mem::page::PagePolicy;
 
     /// Resolves nest 0 of `program` under the always-hit predictor and
-    /// places it (the first `limit` instances) in one window spanning the
-    /// whole nest, so the `variable2node` map is never reset.
+    /// places it in one window spanning the whole nest, so the
+    /// `variable2node` map is never reset.
     fn place(
         program: &Program,
         opts: PlanOptions,
         assignment: &[NodeId],
-        limit: Option<u64>,
         force_default: bool,
     ) -> NestPlan {
         let machine = MachineConfig::knl_like();
@@ -1011,7 +1010,7 @@ mod tests {
         let data = program.initial_data();
         let resolution =
             resolve_nest(program, 0, &layout, &data, HitPredictor::AlwaysHit, opts, assignment);
-        place_nest(&resolution, &layout, opts, usize::MAX, limit, force_default)
+        place_nest(&resolution, &layout, opts, usize::MAX, force_default)
     }
 
     fn plan_program(stmts: &[&str], opts: PlanOptions) -> (Program, Schedule, Vec<StmtRecord>) {
@@ -1023,7 +1022,7 @@ mod tests {
         let program = b.build();
         // Iteration `it` runs on node `it mod 36`, row-major.
         let assignment: Vec<NodeId> = MachineConfig::knl_like().mesh.nodes().collect();
-        let NestPlan { schedule, stats } = place(&program, opts, &assignment, None, false);
+        let NestPlan { schedule, stats } = place(&program, opts, &assignment, false);
         (program, schedule, stats.records)
     }
 
@@ -1140,7 +1139,7 @@ mod tests {
         b.nest(&[("i", 0, 4)], &["X[Y[i]] = Z[i] + 1"]).unwrap();
         let program = b.build();
         let core = NodeId::new(3, 2);
-        let plan = place(&program, PlanOptions::default(), &[core], Some(1), false);
+        let plan = place(&program, PlanOptions::default(), &[core], false);
         let rec = &plan.stats.records[0];
         assert!(rec.fallback);
         let steps = &plan.schedule.steps;
@@ -1208,7 +1207,7 @@ mod tests {
         }
         b.nest(&[("i", 0, 4)], &["A[i] = B[X[i]] * 3"]).unwrap();
         let program = b.build();
-        let plan = place(&program, PlanOptions::default(), &[NodeId::new(5, 5)], None, false);
+        let plan = place(&program, PlanOptions::default(), &[NodeId::new(5, 5)], false);
         for rec in &plan.stats.records {
             assert!(!rec.fallback);
             assert_eq!(rec.movement_opt, 0, "{rec:?}");
@@ -1225,7 +1224,7 @@ mod tests {
         b.nest(&[("i", 0, 4)], &["A[i] = B[i] + C[i]"]).unwrap();
         let program = b.build();
         let core = NodeId::new(4, 4);
-        let plan = place(&program, PlanOptions::default(), &[core], None, true);
+        let plan = place(&program, PlanOptions::default(), &[core], true);
         assert!(plan.schedule.steps.iter().all(|s| s.node == core));
         for rec in &plan.stats.records {
             assert!(rec.fallback);

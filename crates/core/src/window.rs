@@ -21,7 +21,6 @@ use crate::sync::TransitiveReducer;
 use dmcp_hash::KeyedState;
 use dmcp_ir::ArrayId;
 use std::collections::HashMap;
-use std::fmt;
 
 /// Aggregated planning statistics for one nest.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -50,12 +49,13 @@ pub struct NestStats {
 
 impl NestStats {
     /// `(optimised, default)` movement summed over the warm half of the
-    /// records — the quantity the nest-level split-vs-default decision and
-    /// the window search are judged on (the cold-start sweep, all
-    /// predicted misses, is unrepresentative of steady state). Exposed so
-    /// external checkers can reproduce the partitioner's decisions.
+    /// records — the quantity the nest-level split-vs-default decision is
+    /// judged on (the cold-start sweep, all predicted misses, is
+    /// unrepresentative of steady state). Exposed so external checkers can
+    /// reproduce the partitioner's decisions.
     pub fn warm_movement(&self) -> (u64, u64) {
-        warm_movement(&self.records)
+        let warm = &self.records[self.records.len() / 2..];
+        (warm.iter().map(|r| r.movement_opt).sum(), warm.iter().map(|r| r.movement_default).sum())
     }
 
     /// Mean per-instance movement reduction (instances with zero default
@@ -110,13 +110,6 @@ impl NestStats {
     }
 }
 
-/// `(optimised, default)` movement summed over the warm half of `records`
-/// (see [`NestStats::warm_movement`]).
-fn warm_movement(records: &[StmtRecord]) -> (u64, u64) {
-    let warm = &records[records.len() / 2..];
-    (warm.iter().map(|r| r.movement_opt).sum(), warm.iter().map(|r| r.movement_default).sum())
-}
-
 /// The planned schedule plus its statistics for one nest.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NestPlan {
@@ -133,149 +126,56 @@ pub struct NestPlan {
 /// No synchronization arcs are wired — every step's wait span comes back
 /// empty and the sync counters are zero until [`sync_nest`] runs.
 ///
-/// `limit_instances` truncates planning to a prefix of the stream (used
-/// by the window-size search); `force_default` generates the baseline
-/// schedule instead. Every placement of a nest reads the same
-/// [`NestResolution`], which does not depend on the window size, the
-/// prefix or `force_default`. This is one [`Placement`] advanced once.
+/// `force_default` generates the baseline schedule instead. Every
+/// placement of a nest reads the same [`NestResolution`], which does not
+/// depend on the window size or `force_default`. Placement never reads
+/// wait arcs, so placement and sync run as separate passes.
 ///
-/// Placement never reads wait arcs, so the two phases run separately:
-/// placement fans out across a pool, and the window-size search skips
-/// sync wiring entirely (its decision metric, warm movement, is a pure
-/// function of the placement records).
+/// The schedule's buffers are reserved once, from an upper bound, so they
+/// never regrow (and copy) while the nest is placed; what the bound
+/// overestimates stays reserved (see [`Schedule::shrink_to_fit`] to drop
+/// it).
+///
+/// # Panics
+///
+/// Panics if `window` is 0.
 pub fn place_nest(
     resolution: &NestResolution,
     layout: &Layout,
     opts: PlanOptions,
     window: usize,
-    limit_instances: Option<u64>,
     force_default: bool,
 ) -> NestPlan {
-    let count = limit_instances.map_or(usize::MAX, |l| usize::try_from(l).unwrap_or(usize::MAX));
-    let mut placement = Placement::new(layout, opts, window, force_default);
-    placement.advance(resolution, count);
-    placement.finish()
-}
-
-/// A nest placement in progress: the planner's state after the first
-/// [`Placement::placed`] statement instances of a nest at one window size,
-/// with the steps and records they emitted.
-///
-/// Placing instance `i` reads only the resolution and the state the first
-/// `i` instances left (the L1 models, the load tracker and the position in
-/// the current window), so advancing to `k` and then to `n` builds exactly
-/// what one advance to `n` does. The window search keeps its winning
-/// trial as a `Placement`, and the place pass continues it from the
-/// sample's end instead of placing the prefix again.
-pub struct Placement<'a> {
-    planner: Planner<'a>,
-    window: usize,
-    force_default: bool,
-    schedule: Schedule,
-    records: Vec<StmtRecord>,
-    /// Instances placed since the `variable2node` map was last reset.
-    in_window: usize,
-}
-
-impl fmt::Debug for Placement<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Placement")
-            .field("window", &self.window)
-            .field("force_default", &self.force_default)
-            .field("placed", &self.placed())
-            .field("steps", &self.schedule.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> Placement<'a> {
-    /// An empty placement of a nest at `window` (see [`place_nest`] for
-    /// `force_default`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is 0.
-    pub fn new(layout: &'a Layout, opts: PlanOptions, window: usize, force_default: bool) -> Self {
-        assert!(window > 0, "window size must be at least 1");
-        Self {
-            planner: Planner::new(layout, opts),
-            window,
-            force_default,
-            schedule: Schedule::default(),
-            records: Vec::new(),
-            in_window: 0,
+    assert!(window > 0, "window size must be at least 1");
+    let count = resolution.instance_count();
+    let mut planner = Planner::new(layout, opts);
+    let mut schedule = Schedule::default();
+    let (steps, inputs) = resolution.emission_bound();
+    schedule.steps.reserve_exact(steps);
+    schedule.inputs.reserve_exact(inputs);
+    planner.reserve_lines(resolution.lines_touched());
+    let mut records = Vec::with_capacity(count);
+    for i in 0..count {
+        records.push(planner.plan_statement(&mut schedule, resolution, i, force_default));
+        if (i + 1) % window == 0 {
+            planner.l1.reset();
         }
     }
-
-    /// Statement instances placed so far.
-    pub fn placed(&self) -> usize {
-        self.records.len()
+    debug_assert!(
+        schedule.steps.len() <= steps && schedule.inputs.len() <= inputs,
+        "the emission bound is an upper bound"
+    );
+    let mut stats =
+        NestStats { window_size: window, instances: count as u64, ..NestStats::default() };
+    for r in &records {
+        stats.movement_opt += r.movement_opt;
+        stats.movement_default += r.movement_default;
+        stats.planned_l1_hits += u64::from(r.planned_l1_hits);
+        stats.fallback_count += u64::from(r.fallback);
+        stats.remapped.merge(r.remapped);
     }
-
-    /// The window size.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// `(optimised, default)` warm movement of the records so far (see
-    /// [`NestStats::warm_movement`]).
-    pub fn warm_movement(&self) -> (u64, u64) {
-        warm_movement(&self.records)
-    }
-
-    /// Places the next statement instances of `resolution` until `to` are
-    /// placed or the nest ends. Every call on one placement must pass the
-    /// same resolution.
-    pub fn advance(&mut self, resolution: &NestResolution, to: usize) {
-        let (from, to) = (self.records.len(), to.min(resolution.instance_count()));
-        if from >= to {
-            return;
-        }
-        self.records.reserve_exact(to - from);
-        // Reserved once, so the buffers never regrow (and copy) while the
-        // range is placed; what the bound overestimates stays reserved.
-        let (steps, inputs) = resolution.emission_bound(from, to);
-        let bound = (self.schedule.steps.len() + steps, self.schedule.inputs.len() + inputs);
-        self.schedule.steps.reserve_exact(steps);
-        self.schedule.inputs.reserve_exact(inputs);
-        self.planner.reserve_lines(resolution.lines_touched(from, to));
-        for i in from..to {
-            let record =
-                self.planner.plan_statement(&mut self.schedule, resolution, i, self.force_default);
-            self.records.push(record);
-            self.in_window += 1;
-            if self.in_window == self.window {
-                self.planner.l1.reset();
-                self.in_window = 0;
-            }
-        }
-        debug_assert!(
-            self.schedule.steps.len() <= bound.0 && self.schedule.inputs.len() <= bound.1,
-            "the emission bound is an upper bound"
-        );
-    }
-
-    /// The plan of the instances placed so far. Its buffers never regrew:
-    /// each [`Placement::advance`] reserved its range's steps and inputs
-    /// once, from an upper bound, and what the bound overestimated stays
-    /// reserved (see [`Schedule::shrink_to_fit`] to drop it).
-    pub fn finish(self) -> NestPlan {
-        let Placement { window, schedule, records, .. } = self;
-        let mut stats = NestStats {
-            window_size: window,
-            instances: records.len() as u64,
-            ..NestStats::default()
-        };
-        for r in &records {
-            stats.movement_opt += r.movement_opt;
-            stats.movement_default += r.movement_default;
-            stats.planned_l1_hits += u64::from(r.planned_l1_hits);
-            stats.fallback_count += u64::from(r.fallback);
-            stats.remapped.merge(r.remapped);
-        }
-        stats.records = records;
-        NestPlan { schedule, stats }
-    }
+    stats.records = records;
+    NestPlan { schedule, stats }
 }
 
 /// The *synchronization* half of nest planning: replays the placement
@@ -577,11 +477,10 @@ mod tests {
         opts: PlanOptions,
         window: usize,
         assignment: &[NodeId],
-        limit: Option<u64>,
         force_default: bool,
     ) -> NestPlan {
         let resolution = resolve(program, layout, opts, assignment);
-        let mut plan = place_nest(&resolution, layout, opts, window, limit, force_default);
+        let mut plan = place_nest(&resolution, layout, opts, window, force_default);
         sync_nest(&mut plan);
         plan
     }
@@ -589,7 +488,7 @@ mod tests {
     fn plan(stmts: &[&str], iters: i64, window: usize, opts: PlanOptions) -> (Program, NestPlan) {
         let (program, machine, layout) = setup(stmts, iters);
         let asg = assignment(&machine, iters as usize);
-        let plan = place_and_sync(&program, &layout, opts, window, &asg, None, false);
+        let plan = place_and_sync(&program, &layout, opts, window, &asg, false);
         (program, plan)
     }
 
@@ -676,26 +575,10 @@ mod tests {
     }
 
     #[test]
-    fn limit_truncates_planning() {
-        let (_, machine, layout) = setup(&["A[i] = B[i] + C[i]"], 64);
-        let program = {
-            let mut b = ProgramBuilder::new();
-            for n in ["A", "B", "C", "D", "E", "X", "Y", "Z"] {
-                b.array(n, &[256], 8);
-            }
-            b.nest(&[("i", 0, 64)], &["A[i] = B[i] + C[i]"]).unwrap();
-            b.build()
-        };
-        let asg = assignment(&machine, 64);
-        let p = place_and_sync(&program, &layout, PlanOptions::default(), 4, &asg, Some(10), false);
-        assert_eq!(p.stats.instances, 10);
-    }
-
-    #[test]
     fn baseline_generation_keeps_iteration_granularity() {
         let (program, machine, layout) = setup(&["A[i] = B[i] + C[i] + D[i]"], 16);
         let asg = assignment(&machine, 16);
-        let p = place_and_sync(&program, &layout, PlanOptions::default(), 1, &asg, None, true);
+        let p = place_and_sync(&program, &layout, PlanOptions::default(), 1, &asg, true);
         // Every step of iteration `it` runs on the assigned core.
         for s in &p.schedule.steps {
             let it = s.tag.instance as usize;
@@ -711,7 +594,7 @@ mod tests {
         let asg = assignment(&machine, 24);
         let opts = PlanOptions::default();
         let resolution = resolve(&program, &layout, opts, &asg);
-        let mut staged = place_nest(&resolution, &layout, opts, 3, None, false);
+        let mut staged = place_nest(&resolution, &layout, opts, 3, false);
         assert!(staged.schedule.steps.iter().all(|s| s.waits.is_empty()));
         assert_eq!((staged.stats.syncs_before, staged.stats.syncs_after), (0, 0));
         sync_nest(&mut staged);

@@ -81,11 +81,13 @@ use crate::cache::CacheStats;
 use crate::disk::DiskStats;
 use crate::key::PlanRequest;
 
-/// Codec version byte leading every encoded request. The first request
-/// layout (byte 1) carried one more configuration byte; it is refused
-/// with [`CodecError::BadVersion`]. Bytes 2–4 and 6 lead plans and stats,
-/// retired or current, so no two layouts share a leading byte.
-pub const REQUEST_CODEC_V2: u8 = 5;
+/// Codec version byte leading every encoded request: the configuration
+/// carries one `window` varint. The first request layout (byte 1) carried
+/// one more configuration byte, and the second (byte 5) the window
+/// search's bound and sample and an optional fixed window; both are
+/// refused with [`CodecError::BadVersion`]. Bytes 2–4 and 6 lead plans and
+/// stats, retired or current, so no two layouts share a leading byte.
+pub const REQUEST_CODEC_V3: u8 = 7;
 /// Codec version byte leading every encoded plan: the compact layout of
 /// the module docs. The fixed-width first layout used byte 2.
 pub const PLAN_CODEC_V2: u8 = 6;
@@ -453,7 +455,7 @@ fn collect_flags(stmt: &dmcp_ir::Statement) -> Vec<bool> {
 #[must_use]
 pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
     let mut e = Enc::new();
-    e.u8(REQUEST_CODEC_V2);
+    e.u8(REQUEST_CODEC_V3);
 
     // Program, under canonical names.
     let canonical = canonicalize(&req.program);
@@ -557,15 +559,7 @@ pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
         PredictorSpec::Reuse => 0,
         PredictorSpec::AlwaysHit => 2,
     });
-    e.u64(c.max_window as u64);
-    e.u64(c.search_sample);
-    match c.fixed_window {
-        None => e.u8(0),
-        Some(w) => {
-            e.u8(1);
-            e.u64(w as u64);
-        }
-    }
+    e.varint(c.window as u64);
     match &c.assignment {
         None => e.u8(0),
         Some(nodes) => {
@@ -616,7 +610,7 @@ pub fn encode_request(req: &PlanRequest) -> Vec<u8> {
 pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
     let mut d = Dec::new(bytes);
     let version = d.u8()?;
-    if version != REQUEST_CODEC_V2 {
+    if version != REQUEST_CODEC_V3 {
         return Err(CodecError::BadVersion("request", version));
     }
 
@@ -806,13 +800,13 @@ pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
         2 => PredictorSpec::AlwaysHit,
         other => return Err(CodecError::BadTag("predictor", other)),
     };
-    config.max_window = d.u64()? as usize;
-    config.search_sample = d.u64()?;
-    config.fixed_window = match d.u8()? {
-        0 => None,
-        1 => Some(d.u64()? as usize),
-        other => return Err(CodecError::BadTag("fixed window", other)),
-    };
+    // The sync pass's reducer holds a bit per pair of a window's steps,
+    // so an unchecked window sizes memory by the nest.
+    let window = d.varint("window")?;
+    config.window = usize::try_from(window)
+        .ok()
+        .filter(|w| PartitionConfig::WINDOWS.contains(w))
+        .ok_or_else(|| CodecError::Invalid(format!("window {window}")))?;
     config.assignment = match d.u8()? {
         0 => None,
         1 => {
@@ -1397,11 +1391,11 @@ mod tests {
         faults.kill_link(NodeId::new(0, 0), NodeId::new(0, 1));
         faults.lossy_link(NodeId::new(3, 3), NodeId::new(3, 4), 0.25);
         req.faults = Some(faults);
-        req.config.fixed_window = Some(4);
+        req.config.window = 4;
         req.config.opts.reuse_aware = false;
         let decoded = decode_request(&encode_request(&req)).expect("decodes");
         assert_eq!(req.key(), decoded.key());
-        assert_eq!(decoded.config.fixed_window, Some(4));
+        assert_eq!(decoded.config.window, 4);
         assert!(!decoded.config.opts.reuse_aware);
         let f = decoded.faults.expect("faults survive");
         assert_eq!(f.seed(), 0xFA17);
@@ -1448,20 +1442,22 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_max_window_from_the_wire_compiles_like_search_sample() {
-        // A request may name any window bound. The search stops at the
-        // instances a trial places, so u64::MAX costs what `search_sample`
-        // does instead of exhausting memory, and plans the same.
+    fn windows_outside_one_to_eight_are_refused() {
+        // The sync pass's reducer holds a bit per pair of a window's
+        // steps, so a window as long as the nest asks for memory by the
+        // square of the nest: the decoder refuses any window but 1-8.
         let service = crate::PlanService::new(crate::ServeConfig::default());
         let mut req = suite_requests().remove(3);
-        req.config.search_sample = 64;
-        req.config.max_window = 64;
-        let bounded = service.plan_uncached(&req).expect("bounded compiles");
-        req.config.max_window = usize::MAX;
-        let decoded = decode_request(&encode_request(&req)).expect("decodes");
-        assert_eq!(decoded.config.max_window as u64, u64::MAX);
-        let unbounded = service.plan_uncached(&decoded).expect("unbounded compiles");
-        assert_eq!(bounded, unbounded);
+        req.config.window = 8;
+        let decoded = decode_request(&encode_request(&req)).expect("window 8 decodes");
+        assert_eq!(decoded.config.window, 8);
+        let plan = service.plan_uncached(&decoded).expect("window 8 compiles");
+        assert!(plan.window_sizes().iter().all(|&w| w == 8));
+        for window in [0, 9, usize::MAX] {
+            req.config.window = window;
+            let err = decode_request(&encode_request(&req)).unwrap_err();
+            assert!(matches!(err, CodecError::Invalid(_)), "window {window}: {err:?}");
+        }
         service.shutdown();
     }
 
@@ -1539,7 +1535,7 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_rejected_without_allocation() {
         let mut e = Enc::new();
-        e.u8(REQUEST_CODEC_V2);
+        e.u8(REQUEST_CODEC_V3);
         e.u64(u64::MAX); // array count far beyond the remaining bytes
         let err = decode_request(&e.finish()).unwrap_err();
         assert_eq!(err, CodecError::Oversized("arrays"));
@@ -1552,13 +1548,23 @@ mod tests {
         let mut bytes = encode_request(&suite_requests().remove(2));
         bytes[0] = 1;
         assert_eq!(decode_request(&bytes).unwrap_err(), CodecError::BadVersion("request", 1));
-        let kinds = [REQUEST_CODEC_V2, PLAN_CODEC_V2, STATS_CODEC_V2];
-        assert!(!kinds.iter().any(|k| [1, 2, 3].contains(k)), "retired bytes must stay unused");
+        let kinds = [REQUEST_CODEC_V3, PLAN_CODEC_V2, STATS_CODEC_V2];
+        assert!(!kinds.iter().any(|k| [1, 2, 3, 5].contains(k)), "retired bytes must stay unused");
         assert_eq!(
             kinds.iter().collect::<std::collections::HashSet<_>>().len(),
             kinds.len(),
             "requests, plans and stats need distinct leading bytes"
         );
+    }
+
+    #[test]
+    fn second_layout_requests_are_refused_by_version() {
+        // A request in the second layout leads with byte 5 and carries the
+        // window search's bound and sample; it must never decode as a
+        // single window.
+        let mut bytes = encode_request(&suite_requests().remove(2));
+        bytes[0] = 5;
+        assert_eq!(decode_request(&bytes).unwrap_err(), CodecError::BadVersion("request", 5));
     }
 
     #[test]

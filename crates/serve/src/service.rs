@@ -686,7 +686,7 @@ mod tests {
     fn invalid_config_is_a_typed_error() {
         let service = PlanService::new(ServeConfig::default());
         let mut req = request(16);
-        req.config.max_window = 0;
+        req.config.window = 0;
         let err = service.plan(req).unwrap_err();
         assert!(matches!(err, ServeError::Compile(PartitionError::InvalidConfig(_))));
     }

@@ -94,13 +94,8 @@ fn allocations() -> u64 {
 const PINNED_WITH: &str = "1.95.0";
 
 /// Allocations per pass over the 24 golden inputs, in pipeline order.
-const PINNED: [(&str, u64); 5] = [
-    ("analyze", 21_640),
-    ("window-search", 13_713),
-    ("place", 232),
-    ("split", 869),
-    ("sync", 3_132),
-];
+const PINNED: [(&str, u64); 4] =
+    [("analyze", 21_640), ("place", 1_766), ("split", 801), ("sync", 3_951)];
 
 /// Allocations of simulating the 24 golden plans with default options
 /// (each degraded run's copy of the fault state included).
@@ -188,9 +183,8 @@ fn place_and_split_allocations() -> (u64, usize) {
             .expect("default config is valid");
         for partitioner in [&healthy, &degraded] {
             let mut ctx = PlanCtx::new(partitioner, &w.program, &w.data, &pool, false, &[]);
-            let [analyze, search, place, split, sync] = passes();
+            let [analyze, place, split, sync] = passes();
             analyze.run(&mut ctx);
-            search.run(&mut ctx);
             let before = allocations();
             place.run(&mut ctx);
             allocs += allocations() - before;

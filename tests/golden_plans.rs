@@ -125,10 +125,11 @@ fn digests_are_stable_across_repeated_compiles() {
 }
 
 /// Plans `name` under every pinned variant, healthy and degraded, checks
-/// each digest, and checks that replanning with the chosen window sizes
-/// as hints (`PlanCtx::new`'s `window_hints`, which skip the search)
-/// reproduces it. The default schedule (`baseline`) has no window search
-/// to reuse.
+/// each digest, and checks that replanning with the planned window sizes
+/// as hints (`PlanCtx::new`'s `window_hints`, which name each nest's
+/// window) reproduces it. The default schedule (`baseline`) is not
+/// replanned: it comes from `force_default`, not from the passes'
+/// optimized run this replays.
 fn check_variants(name: &str) {
     let pool = Pool::single();
     for &(variant, _, healthy, degraded) in GOLDEN_VARIANTS.iter().filter(|row| row.1 == name) {

@@ -12,7 +12,7 @@ use dmcp::core::sync::{reaches, transitive_reduce};
 use dmcp::core::unionfind::UnionFind;
 use dmcp::core::{
     nest_assignment, passes, place_nest, resolve_nest, sync_nest, ElemInfo, Layout, NestPlan,
-    NestResolution, PartitionConfig, Partitioner, Placement, PlanCtx,
+    NestResolution, PartitionConfig, Partitioner, PlanCtx,
 };
 use dmcp::ir::nested::Group;
 use dmcp::ir::{ArrayId, BinOp, Expr, Program};
@@ -1146,73 +1146,34 @@ fn case_resolution(built: &BuiltCase, part: &Partitioner, nest: usize) -> NestRe
     )
 }
 
-/// A placement advanced to `k` and then to the end is the placement
-/// advanced once: the same steps, inputs, records and statistics, for
-/// every window 1..=8, split points 0, 1, the window, the search samples
-/// the pipeline test below uses, n − 1 and n, healthy and degraded, split
-/// and default-style.
-#[test]
-fn resumed_placements_equal_uninterrupted_ones() {
-    for seed in 0..40 {
-        let built = gen_mask_case(&mut Rng64::new(seed), 192).build().expect("case builds");
-        for part in case_partitioners(&built, &built.config) {
-            let (layout, opts) = (part.layout(), part.config().opts);
-            for nest in 0..built.program.nests().len() {
-                let resolution = case_resolution(&built, &part, nest);
-                let n = built.program.nests()[nest].iteration_count() as usize
-                    * built.program.nests()[nest].body.len();
-                for (w, force_default) in (1..=8).flat_map(|w| [(w, false), (w, true)]) {
-                    let whole = place_nest(&resolution, layout, opts, w, None, force_default);
-                    assert_eq!(whole.stats.instances as usize, n, "seed {seed}");
-                    for k in [0, 1, w, 17, 64, n.saturating_sub(1), n] {
-                        let mut resumed = Placement::new(layout, opts, w, force_default);
-                        resumed.advance(&resolution, k);
-                        assert_eq!(resumed.placed(), k.min(n), "seed {seed}");
-                        resumed.advance(&resolution, n);
-                        let resumed = resumed.finish();
-                        assert_eq!(
-                            resumed, whole,
-                            "seed {seed} nest {nest} window {w} force_default {force_default}: \
-                             resuming at {k} of {n} changed the placement"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The pipeline, whose place pass continues the window search's winning
-/// trial, places exactly what placing every nest from scratch at its
-/// chosen window does, and after the split rule and sync plans exactly
-/// what those do to the from-scratch placements. A sample of 17 leaves
-/// every window above 1 mid-window when the place pass resumes; over
-/// these 256 cases, resetting the L1 model or the window position on
-/// resume changes some placement.
+/// The pipeline places exactly what placing every nest from scratch at
+/// its window does, and after the split rule and sync plans exactly what
+/// those do to the from-scratch placements, at every window 1..=8,
+/// healthy and degraded.
 #[test]
 fn the_pipeline_equals_placing_every_nest_from_scratch() {
     let pool = Pool::single();
     for seed in 0..256 {
         let built = gen_mask_case(&mut Rng64::new(seed), 192).build().expect("case builds");
-        for search_sample in [17, 64] {
-            let config = PartitionConfig { max_window: 8, search_sample, ..built.config.clone() };
+        for window in PartitionConfig::WINDOWS {
+            let config = PartitionConfig { window, ..built.config.clone() };
             for part in case_partitioners(&built, &config) {
                 let (layout, opts) = (part.layout(), config.opts);
                 let mut ctx = PlanCtx::new(&part, &built.program, &built.data, &pool, false, &[]);
-                let [analyze, search, place, split, sync] = passes();
-                for pass in [analyze, search, place] {
+                let [analyze, place, split, sync] = passes();
+                for pass in [analyze, place] {
                     pass.run(&mut ctx);
                 }
                 let mut want: Vec<NestPlan> = Vec::new();
                 for nc in &ctx.nests {
                     let resolution = case_resolution(&built, &part, nc.nest);
-                    let w = nc.window.expect("window decided");
-                    let mut plan = place_nest(&resolution, layout, opts, w, None, false);
-                    let label = format!("seed {seed} sample {search_sample} nest {}", nc.nest);
+                    assert_eq!(nc.window, window, "seed {seed}: the analyze pass's window");
+                    let mut plan = place_nest(&resolution, layout, opts, window, false);
+                    let label = format!("seed {seed} window {window} nest {}", nc.nest);
                     assert_eq!(nc.plan.as_ref(), Some(&plan), "{label}: placement differs");
                     let (warm_opt, warm_def) = plan.stats.warm_movement();
                     if warm_opt as f64 > opts.split_threshold * warm_def as f64 {
-                        plan = place_nest(&resolution, layout, opts, w, None, true);
+                        plan = place_nest(&resolution, layout, opts, window, true);
                     }
                     sync_nest(&mut plan);
                     want.push(plan);
@@ -1223,7 +1184,7 @@ fn the_pipeline_equals_placing_every_nest_from_scratch() {
                     assert_eq!(
                         (&got.schedule, &got.stats),
                         (&want.schedule, &want.stats),
-                        "seed {seed} sample {search_sample} nest {}",
+                        "seed {seed} window {window} nest {}",
                         got.nest
                     );
                 }

@@ -79,7 +79,7 @@ fn random_programs_stay_correct_with_odd_knobs() {
         let picks = random_picks(&mut rng, 1, 4);
         let window = 1 + rng.gen_range(8) as usize;
         let cfg = PartitionConfig {
-            fixed_window: Some(window),
+            window,
             opts: dmcp::core::PlanOptions {
                 reuse_aware: rng.gen_bool(0.5),
                 split_threshold: 2.0, // force splitting even when unprofitable

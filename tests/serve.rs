@@ -209,7 +209,7 @@ fn plan_key_is_sensitive_to_mesh_and_config() {
     assert_ne!(key, mesh_key, "mesh shape must be part of the fingerprint");
 
     let mut config = base.config.clone();
-    config.max_window += 1;
+    config.window = config.window % 8 + 1;
     let config_key = PlanRequest::new(base.program.clone(), base.machine.clone(), config)
         .with_data(base.data.clone())
         .key();
