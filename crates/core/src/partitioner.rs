@@ -6,8 +6,8 @@
 //! 4.4) instead plans a sample of each nest at every window from 1 to 8
 //! and keeps the one with the least planned movement; in the simulator
 //! that search never beat a fixed window of 6, so the planner has no
-//! search (DESIGN.md §7.12). The result is one [`Schedule`] per nest plus all
-//! the statistics the evaluation needs.
+//! search (DESIGN.md §7.12). The result is one [`Schedule`] per nest
+//! plus all the statistics the evaluation needs.
 
 use crate::error::PartitionError;
 use crate::layout::Layout;
