@@ -517,8 +517,8 @@ pub fn gen_div_case(rng: &mut Rng64) -> CaseSpec {
 
 /// A window size from [`PartitionConfig::WINDOWS`], uniformly.
 fn gen_window(rng: &mut Rng64) -> usize {
-    let windows = PartitionConfig::WINDOWS;
-    windows.start() + rng.gen_range((windows.end() - windows.start() + 1) as u64) as usize
+    let (lo, hi) = PartitionConfig::WINDOWS.into_inner();
+    lo + rng.gen_range((hi - lo + 1) as u64) as usize
 }
 
 /// Generates a "wild" spec for the program-shape fuzz: extreme loop

@@ -269,7 +269,7 @@ impl Layout {
     /// (requester only matters under SNC-4), re-homed under faults; `mc`
     /// overrides the controller. Both are lookups in [`HomeTables`], which
     /// hold what [`dmcp_mem::Snuca::home_node`] and
-    /// [`dmcp_mem::Snuca::controller_for_home`] answer.
+    /// [`dmcp_mem::Snuca::controller_node`] answer.
     fn home_and_mc(&self, pa: PhysAddr, requester: NodeId, mc: Option<NodeId>) -> (NodeId, NodeId) {
         let t = &self.tables;
         let cluster = self.machine.cluster;

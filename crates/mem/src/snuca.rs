@@ -66,12 +66,7 @@ impl Snuca {
 
     /// Memory controller that services an L2 miss on `pa`.
     pub fn controller_node(&self, pa: PhysAddr, requester: NodeId) -> NodeId {
-        self.controller_for_home(pa, requester, self.home_node(pa, requester))
-    }
-
-    /// [`Snuca::controller_node`] when the caller already has `home`, the
-    /// line's [`Snuca::home_node`] for the same requester.
-    pub fn controller_for_home(&self, pa: PhysAddr, requester: NodeId, home: NodeId) -> NodeId {
+        let home = self.home_node(pa, requester);
         self.cluster.controller(self.mesh, requester, home, self.map.channel_of_phys(pa))
     }
 }
