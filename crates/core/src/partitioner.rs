@@ -157,7 +157,7 @@ pub struct NestPartition {
     pub nest: usize,
     /// The subcomputation schedule.
     pub schedule: Schedule,
-    /// Planning statistics (including the chosen window size).
+    /// Planning statistics (including the window size).
     pub stats: NestStats,
 }
 
@@ -263,7 +263,7 @@ impl PartitionOutput {
         mix
     }
 
-    /// Chosen window size per nest.
+    /// The window size each nest was planned at.
     pub fn window_sizes(&self) -> Vec<usize> {
         self.nests.iter().map(|n| n.stats.window_size).collect()
     }

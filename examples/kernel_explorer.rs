@@ -35,7 +35,7 @@ fn main() {
     let optimized = partitioner.plan(&w.program, &w.data, Pool::global(), false).expect("plans");
     let baseline = partitioner.plan(&w.program, &w.data, Pool::global(), true).expect("plans");
     println!(
-        "chosen window sizes per nest: {:?}; subcomputation parallelism avg {:.2} / max {}",
+        "window sizes per nest: {:?}; subcomputation parallelism avg {:.2} / max {}",
         optimized.window_sizes(),
         optimized.avg_parallelism(),
         optimized.max_parallelism()
