@@ -128,7 +128,6 @@ mod tests {
     use dmcp_core::{PartitionConfig, Partitioner};
     use dmcp_ir::ProgramBuilder;
     use dmcp_mach::MachineConfig;
-    use dmcp_pool::Pool;
 
     fn setup() -> (Program, Partitioner) {
         let mut b = ProgramBuilder::new();
@@ -177,8 +176,8 @@ mod tests {
             &p,
             PartitionConfig { assignment: Some(asg), ..PartitionConfig::default() },
         );
-        let base_naive = naive.plan(&p, &data, Pool::global(), true).unwrap();
-        let base_prof = profiled.plan(&p, &data, Pool::global(), true).unwrap();
+        let base_naive = naive.plan(&p, &data, true).unwrap();
+        let base_prof = profiled.plan(&p, &data, true).unwrap();
         assert!(
             base_prof.movement_default() <= base_naive.movement_default(),
             "profiled {} vs naive {}",

@@ -11,8 +11,8 @@
 //!    awareness on vs off.
 //!
 //! Each study fans its 12 workloads out over `dmcp-pool` (one task per
-//! application, rows printed in suite order; every task plans
-//! sequentially so thread count never changes a number).
+//! application, rows printed in suite order, so thread count never
+//! changes a number).
 //!
 //! ```text
 //! cargo run --release -p dmcp-bench --bin ablations [-- --scale-tiny]
@@ -39,14 +39,13 @@ fn main() {
     sync_reduction_stats(scale, &pool);
 }
 
-/// `partition_guided` under `cfg`, planning sequentially (the
-/// suite-level pool provides the parallelism). Returns
-/// `(exec_time, movement)` of the guarded winner.
+/// `partition_guided` under `cfg`. Returns `(exec_time, movement)` of the
+/// guarded winner.
 fn run(w: &Workload, cfg: PartitionConfig) -> (f64, u64) {
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &w.program, cfg);
     let sim = SimOptions::default();
-    let out = partition_guided(&part, &w.program, &w.data, &Pool::single(), sim);
+    let out = partition_guided(&part, &w.program, &w.data, sim);
     let r = run_schedules(&w.program, part.layout(), &out, sim);
     (r.exec_time, r.movement)
 }
@@ -158,7 +157,7 @@ fn sync_reduction_stats(scale: Scale, pool: &Pool) {
     let machine = MachineConfig::knl_like();
     let rows = pool.map(&all(scale), |_, w| {
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-        let out = part.plan(&w.program, &w.data, &Pool::single(), false).expect("default plans");
+        let out = part.plan(&w.program, &w.data, false).expect("default plans");
         let before: u64 = out.nests.iter().map(|n| n.stats.syncs_before).sum();
         let after: u64 = out.nests.iter().map(|n| n.stats.syncs_after).sum();
         (w.name, before, after)

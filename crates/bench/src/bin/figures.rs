@@ -276,8 +276,7 @@ fn geomeans(reductions: &[f64]) -> String {
 fn record(suite: &[AppEval], scale: Scale, pins: bool) -> Vec<String> {
     header("Record: reductions vs the baseline, served | evaluated (time / movement / energy)");
     let config = PartitionConfig::default();
-    let served = Pool::global()
-        .map(&all(scale), |_, w| served_reductions(w, &config, None, &Pool::single()));
+    let served = Pool::global().map(&all(scale), |_, w| served_reductions(w, &config, None));
     let rows: Vec<(&str, [f64; 6])> = suite
         .iter()
         .zip(served)
@@ -582,8 +581,7 @@ fn fig20_21(scale: Scale, reuse_aware: bool) {
             .map(|&window| {
                 let opts = PlanOptions { reuse_aware, ..PlanOptions::default() };
                 let config = PartitionConfig { window, opts, ..PartitionConfig::default() };
-                Pool::global()
-                    .map(&suite, |_, w| served_reductions(w, &config, faults, &Pool::single()))
+                Pool::global().map(&suite, |_, w| served_reductions(w, &config, faults))
             })
             .collect();
         for (k, axis) in ["time", "move", "energy"].into_iter().enumerate() {

@@ -61,18 +61,17 @@ pub fn standard_config(w: &Workload, machine: &MachineConfig) -> PartitionConfig
     PartitionConfig { assignment: Some(assignment), ..PartitionConfig::default() }
 }
 
-/// Evaluates one workload under the standard configuration, planning
-/// over `pool`.
-pub fn evaluate(w: &Workload, machine: &MachineConfig, pool: &Pool) -> AppEval {
+/// Evaluates one workload under the standard configuration.
+pub fn evaluate(w: &Workload, machine: &MachineConfig) -> AppEval {
     let cfg = standard_config(w, machine);
     let partitioner = Partitioner::new(machine, &w.program, cfg.clone());
     let sim = SimOptions { track_instances: true, ..SimOptions::default() };
 
-    let mut opt = partition_guided(&partitioner, &w.program, &w.data, pool, sim);
+    let mut opt = partition_guided(&partitioner, &w.program, &w.data, sim);
     // The record keeps the plan: drop the placement's emission reserve, as
     // the serve compile path does before caching one.
     opt.shrink_to_fit();
-    let base = partitioner.plan(&w.program, &w.data, pool, true).expect("baseline plans");
+    let base = partitioner.plan(&w.program, &w.data, true).expect("baseline plans");
     let r_opt = run_schedules(&w.program, partitioner.layout(), &opt, sim);
     let r_base = run_schedules(&w.program, partitioner.layout(), &base, sim);
 
@@ -84,8 +83,7 @@ pub fn evaluate(w: &Workload, machine: &MachineConfig, pool: &Pool) -> AppEval {
         ..cfg
     };
     let forced = Partitioner::new(machine, &w.program, force_cfg);
-    let remapped =
-        forced.plan(&w.program, &w.data, pool, false).expect("forced split plans").remapped();
+    let remapped = forced.plan(&w.program, &w.data, false).expect("forced split plans").remapped();
 
     AppEval {
         name: w.name,
@@ -100,18 +98,18 @@ pub fn evaluate(w: &Workload, machine: &MachineConfig, pool: &Pool) -> AppEval {
 
 /// Evaluates the full suite over `pool` at *workload* grain — one task
 /// per application, results in suite order (each task plans its own
-/// workload sequentially, so thread count never changes any output).
+/// workload, so thread count never changes any output).
 pub fn evaluate_suite(scale: Scale, pool: &Pool) -> Vec<AppEval> {
     let machine = MachineConfig::knl_like();
     let suite = all(scale);
-    pool.map(&suite, |_, w| evaluate(w, &machine, &Pool::single()))
+    pool.map(&suite, |_, w| evaluate(w, &machine))
 }
 
 /// Plans one workload under `cfg` and pairs its per-nest movement with
 /// the `dmcp-bound` lower bound.
 pub fn gap_eval(w: &Workload, machine: &MachineConfig, cfg: PartitionConfig) -> GapReport {
     let part = Partitioner::new(machine, &w.program, cfg);
-    let out = part.plan(&w.program, &w.data, Pool::global(), false).expect("gap config plans");
+    let out = part.plan(&w.program, &w.data, false).expect("gap config plans");
     gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out)
 }
 
@@ -138,9 +136,9 @@ pub fn config_exec_time(
     let partitioner = Partitioner::new(&machine, &w.program, PartitionConfig::default());
     let opts = SimOptions { memory_mode: memory, ..SimOptions::default() };
     let out = if optimized {
-        partition_guided(&partitioner, &w.program, &w.data, Pool::global(), opts)
+        partition_guided(&partitioner, &w.program, &w.data, opts)
     } else {
-        partitioner.plan(&w.program, &w.data, Pool::global(), true).expect("baseline plans")
+        partitioner.plan(&w.program, &w.data, true).expect("baseline plans")
     };
     run_schedules(&w.program, partitioner.layout(), &out, opts).exec_time
 }
@@ -161,8 +159,7 @@ pub fn window_run(
         ..base_cfg.clone()
     };
     let partitioner = Partitioner::new(&machine, &w.program, cfg);
-    let out =
-        partition_guided(&partitioner, &w.program, &w.data, Pool::global(), SimOptions::default());
+    let out = partition_guided(&partitioner, &w.program, &w.data, SimOptions::default());
     let r = run_schedules(&w.program, partitioner.layout(), &out, SimOptions::default());
     (r.exec_time, r.l1_hit_rate())
 }
@@ -175,8 +172,8 @@ pub fn data_mapping_comparison(w: &Workload) -> (f64, f64, f64) {
 
     // Default and ours share a layout.
     let part = Partitioner::new(&machine, &w.program, cfg.clone());
-    let base = part.plan(&w.program, &w.data, Pool::global(), true).expect("baseline plans");
-    let ours = partition_guided(&part, &w.program, &w.data, Pool::global(), SimOptions::default());
+    let base = part.plan(&w.program, &w.data, true).expect("baseline plans");
+    let ours = partition_guided(&part, &w.program, &w.data, SimOptions::default());
     let r_base = run_schedules(&w.program, part.layout(), &base, SimOptions::default());
     let r_ours = run_schedules(&w.program, part.layout(), &ours, SimOptions::default());
 
@@ -187,12 +184,11 @@ pub fn data_mapping_comparison(w: &Workload) -> (f64, f64, f64) {
     for &(page, mc) in &overrides {
         mapped.layout_mut().override_page_controller(page, mc);
     }
-    let dm_base = mapped.plan(&w.program, &w.data, Pool::global(), true).expect("baseline plans");
+    let dm_base = mapped.plan(&w.program, &w.data, true).expect("baseline plans");
     let r_dm = run_schedules(&w.program, mapped.layout(), &dm_base, SimOptions::default());
 
     // Combined: overrides + our partitioning.
-    let dm_ours =
-        partition_guided(&mapped, &w.program, &w.data, Pool::global(), SimOptions::default());
+    let dm_ours = partition_guided(&mapped, &w.program, &w.data, SimOptions::default());
     let r_comb = run_schedules(&w.program, mapped.layout(), &dm_ours, SimOptions::default());
 
     (
@@ -204,7 +200,7 @@ pub fn data_mapping_comparison(w: &Workload) -> (f64, f64, f64) {
 
 /// Plans `w` as `dmcp-serve` and perfbench do ([`Partitioner::plan`],
 /// with `PartitionConfig::default()` as `config`) on the healthy machine,
-/// or on the one `faults` degrade, and its baseline over `pool`, simulates
+/// or on the one `faults` degrade, and its baseline, simulates
 /// both with instance tracking on, and returns the plan's time (Figure
 /// 17), mean per-instance movement (Figure 13) and energy (Figure 24)
 /// reductions, as fractions. [`AppEval`] has the same for the evaluated
@@ -217,7 +213,6 @@ pub fn served_reductions(
     w: &Workload,
     config: &PartitionConfig,
     faults: Option<&FaultState>,
-    pool: &Pool,
 ) -> [f64; 3] {
     let machine = MachineConfig::knl_like();
     let sim = SimOptions { track_instances: true, ..SimOptions::default() };
@@ -226,8 +221,8 @@ pub fn served_reductions(
         Some(f) => Partitioner::new_degraded(&machine, &w.program, config.clone(), f)
             .expect("degraded partitioner"),
     };
-    let opt = part.plan(&w.program, &w.data, pool, false).expect("served plans");
-    let base = part.plan(&w.program, &w.data, pool, true).expect("baseline plans");
+    let opt = part.plan(&w.program, &w.data, false).expect("served plans");
+    let base = part.plan(&w.program, &w.data, true).expect("baseline plans");
     let simulate = |out: &PartitionOutput| match faults {
         None => run_schedules(&w.program, part.layout(), out, sim),
         Some(f) => run_schedules_degraded(&w.program, part.layout(), out, sim, f.clone()),
@@ -263,7 +258,7 @@ mod tests {
     fn evaluate_one_app_end_to_end() {
         let machine = MachineConfig::knl_like();
         let w = dmcp::workloads::by_name("lu", Scale::Tiny).unwrap();
-        let eval = evaluate(&w, &machine, Pool::global());
+        let eval = evaluate(&w, &machine);
         assert!(eval.exec_reduction() > 0.0, "LU should improve");
         let (avg, max) = eval.movement_reduction();
         assert!(avg > 0.0 && max >= avg);

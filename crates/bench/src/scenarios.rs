@@ -9,7 +9,6 @@ use dmcp::core::{PartitionConfig, PartitionOutput, Partitioner, PlanOptions};
 use dmcp::ir::program::DataStore;
 use dmcp::ir::Program;
 use dmcp::mach::MachineConfig;
-use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions, SimReport};
 
 /// Which run to perform.
@@ -42,7 +41,7 @@ pub enum Scenario {
 /// schedules, simulates both on the profiling data, and keeps the faster
 /// one — the same profile-driven methodology the paper's baseline and
 /// data-to-MC mapping already use. This is the entry point the evaluation
-/// uses for "our approach". Both plans fan out over `pool`.
+/// uses for "our approach".
 ///
 /// # Panics
 ///
@@ -54,7 +53,6 @@ pub enum Scenario {
 /// use dmcp::core::{PartitionConfig, Partitioner};
 /// use dmcp::ir::ProgramBuilder;
 /// use dmcp::mach::MachineConfig;
-/// use dmcp::pool::Pool;
 /// use dmcp::sim::{run_schedules, SimOptions};
 /// use dmcp_bench::scenarios::partition_guided;
 ///
@@ -68,8 +66,8 @@ pub enum Scenario {
 /// let part = Partitioner::new(&machine, &p, PartitionConfig::default());
 /// let data = p.initial_data();
 ///
-/// let chosen = partition_guided(&part, &p, &data, Pool::global(), SimOptions::default());
-/// let baseline = part.plan(&p, &data, Pool::global(), true).unwrap();
+/// let chosen = partition_guided(&part, &p, &data, SimOptions::default());
+/// let baseline = part.plan(&p, &data, true).unwrap();
 /// let r_c = run_schedules(&p, part.layout(), &chosen, SimOptions::default());
 /// let r_b = run_schedules(&p, part.layout(), &baseline, SimOptions::default());
 /// assert!(r_c.exec_time <= r_b.exec_time);
@@ -78,11 +76,10 @@ pub fn partition_guided(
     partitioner: &Partitioner,
     program: &Program,
     data: &DataStore,
-    pool: &Pool,
     sim: SimOptions,
 ) -> PartitionOutput {
     let plan = |force_default| {
-        partitioner.plan(program, data, pool, force_default).expect("guided partitioning failed")
+        partitioner.plan(program, data, force_default).expect("guided partitioning failed")
     };
     let opt = plan(false);
     let base = plan(true);
@@ -112,9 +109,8 @@ pub fn run_program(
     let partitioner = Partitioner::new(machine, program, config.clone());
     let sim = SimOptions::default();
 
-    let baseline =
-        || partitioner.plan(program, data, Pool::global(), true).expect("baseline planning failed");
-    let optimized = || partition_guided(&partitioner, program, data, Pool::global(), sim);
+    let baseline = || partitioner.plan(program, data, true).expect("baseline planning failed");
+    let optimized = || partition_guided(&partitioner, program, data, sim);
 
     match scenario {
         Scenario::Optimized => run_schedules(program, partitioner.layout(), &optimized(), sim),
@@ -129,7 +125,7 @@ pub fn run_program(
                 ..config.clone()
             };
             let ideal = Partitioner::new(machine, program, ideal_cfg);
-            let out = partition_guided(&ideal, program, data, Pool::global(), sim);
+            let out = partition_guided(&ideal, program, data, sim);
             run_schedules(program, ideal.layout(), &out, sim)
         }
         Scenario::S1L1Pattern => {

@@ -20,7 +20,6 @@
 use dmcp_bound::{gap_report, GapReport};
 use dmcp_core::{PartitionConfig, Partitioner};
 use dmcp_mach::MachineConfig;
-use dmcp_pool::Pool;
 use dmcp_workloads::{all, Scale};
 use std::process::ExitCode;
 
@@ -127,7 +126,7 @@ fn main() -> ExitCode {
     let mut reports: Vec<GapReport> = Vec::new();
     for w in &suite {
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-        let out = part.plan(&w.program, &w.data, Pool::global(), false).expect("valid config");
+        let out = part.plan(&w.program, &w.data, false).expect("valid config");
         reports.push(gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out));
     }
 

@@ -150,9 +150,7 @@ fn hwang_floor(mst: u64) -> u64 {
 ///
 /// `assignment` must be the iteration→core map the planner used (one entry
 /// per iteration, cycled) — [`nest_assignment`] reproduces the pipeline's
-/// choice. `limit_instances` truncates the replay after that many statement
-/// instances (`None` replays the whole nest, matching the planner's final
-/// full-nest plan).
+/// choice.
 pub fn bound_nest(
     program: &Program,
     nest_index: usize,
@@ -160,13 +158,11 @@ pub fn bound_nest(
     data: &DataStore,
     config: &PartitionConfig,
     assignment: &[NodeId],
-    limit_instances: Option<u64>,
 ) -> NestBound {
     assert!(!assignment.is_empty(), "need a default core assignment");
     let nest = &program.nests()[nest_index];
     let mesh = layout.machine().mesh;
     let exact_mesh = mesh.node_count() <= DAG_MESH_LIMIT;
-    let limit = limit_instances.unwrap_or(u64::MAX);
 
     // First-touch tracking. `touched` under-approximates every cache the
     // planner's accounting can hit out of (window L1 map, persistent
@@ -184,12 +180,9 @@ pub fn bound_nest(
     let mut bound = 0u64;
 
     let mut leaves: Vec<&ArrayRef> = Vec::new();
-    'outer: for (it, iter) in nest.iterations().enumerate() {
+    for (it, iter) in nest.iterations().enumerate() {
         let core = assignment[it % assignment.len()];
         for stmt in &nest.body {
-            if instances >= limit {
-                break 'outer;
-            }
             instances += 1;
 
             let lhs_elem = program.element_of(&stmt.lhs, &iter, data);
@@ -323,7 +316,7 @@ pub fn bound_program(
         .map(|n| {
             let iters = program.nests()[n].iteration_count();
             let assignment = nest_assignment(config, layout, layout.machine().mesh, iters);
-            bound_nest(program, n, layout, data, config, &assignment, None)
+            bound_nest(program, n, layout, data, config, &assignment)
         })
         .collect()
 }
@@ -361,7 +354,6 @@ mod tests {
     use super::*;
     use dmcp_core::Partitioner;
     use dmcp_mach::{MachineConfig, Mesh};
-    use dmcp_pool::Pool;
     use dmcp_workloads::{all, Scale};
 
     fn tiny_machine(mesh: Mesh) -> MachineConfig {
@@ -377,7 +369,7 @@ mod tests {
             let machine = tiny_machine(mesh);
             for w in all(Scale::Tiny).iter().take(4) {
                 let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-                let out = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
+                let out = part.plan(&w.program, &w.data, false).unwrap();
                 let report =
                     gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out);
                 assert!(
@@ -399,7 +391,7 @@ mod tests {
         let machine = MachineConfig::knl_like();
         for w in &all(Scale::Tiny) {
             let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-            let out = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
+            let out = part.plan(&w.program, &w.data, false).unwrap();
             let report =
                 gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out);
             assert!(report.nests.iter().all(|(nb, _)| nb.dag.is_none()));
@@ -429,7 +421,7 @@ mod tests {
         let config = PartitionConfig { window: 4, ..PartitionConfig::default() };
         let data = program.initial_data();
         let part = Partitioner::new(&machine, &program, config);
-        let out = part.plan(&program, &data, Pool::global(), false).unwrap();
+        let out = part.plan(&program, &data, false).unwrap();
         let report = gap_report("seed-34", &program, part.layout(), &data, part.config(), &out);
         assert!(
             report.sound(),
@@ -446,7 +438,7 @@ mod tests {
         let machine = tiny_machine(Mesh::new(3, 3));
         for w in all(Scale::Tiny).iter().take(4) {
             let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-            let base = part.plan(&w.program, &w.data, Pool::global(), true).unwrap();
+            let base = part.plan(&w.program, &w.data, true).unwrap();
             let report =
                 gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &base);
             assert!(

@@ -21,7 +21,6 @@ use dmcp_mach::graph::{max_pairwise_sets, mst_weight_sets, steiner_min_sets};
 use dmcp_mach::rng::Rng64;
 use dmcp_mach::symmetry::translate;
 use dmcp_mach::{FaultState, Mesh, MeshTransform, NodeId};
-use dmcp_pool::Pool;
 
 /// Plans a built case and demands `bound ≤ movement_opt` per nest and in
 /// total, healthy first, then (when the spec carries faults) degraded.
@@ -29,7 +28,7 @@ pub fn check_bound_sound(spec: &CaseSpec) -> Result<(), String> {
     let built = spec.build()?;
     let part = Partitioner::new(&built.machine, &built.program, built.config.clone());
     let out = part
-        .plan(&built.program, &built.data, Pool::global(), false)
+        .plan(&built.program, &built.data, false)
         .map_err(|e| format!("healthy planning failed: {e}"))?;
     let report =
         gap_report("healthy", &built.program, part.layout(), &built.data, part.config(), &out);
@@ -54,7 +53,7 @@ pub fn check_bound_sound(spec: &CaseSpec) -> Result<(), String> {
         return Ok(());
     };
     let dout = dpart
-        .plan(&built.program, &built.data, Pool::global(), false)
+        .plan(&built.program, &built.data, false)
         .map_err(|e| format!("degraded planning failed: {e}"))?;
     let dreport =
         gap_report("degraded", &built.program, dpart.layout(), &built.data, dpart.config(), &dout);

@@ -22,7 +22,6 @@ use dmcp_ir::exec::run_sequential;
 use dmcp_ir::program::DataStore;
 use dmcp_mach::rng::Rng64;
 use dmcp_mach::FaultState;
-use dmcp_pool::Pool;
 
 fn compare(label: &str, got: &DataStore, want: &DataStore, rel_tol: f64) -> Result<(), String> {
     if !got.same_shape(want) {
@@ -97,7 +96,7 @@ pub fn check_healthy(
 ) -> Result<(), String> {
     let part = Partitioner::new(&built.machine, &built.program, built.config.clone());
     let plan = |force_default| {
-        part.plan(&built.program, &built.data, Pool::global(), force_default)
+        part.plan(&built.program, &built.data, force_default)
             .map_err(|e| format!("planning failed: {e}"))
     };
     let out = plan(false)?;
@@ -136,7 +135,7 @@ pub fn check_degraded(built: &BuiltCase, rel_tol: f64) -> Result<(), String> {
         Partitioner::new_degraded(&built.machine, &built.program, built.config.clone(), &state)
             .map_err(|e| format!("degraded partitioner construction failed: {e:?}"))?;
     let out = part
-        .plan(&built.program, &built.data, Pool::global(), false)
+        .plan(&built.program, &built.data, false)
         .map_err(|e| format!("degraded planning failed: {e}"))?;
 
     if !state.is_trivial() {
@@ -207,7 +206,7 @@ mod tests {
         let spec = gen_mask_case(&mut rng, 128);
         let built = spec.build().expect("builds");
         let part = Partitioner::new(&built.machine, &built.program, built.config.clone());
-        let out = part.plan(&built.program, &built.data, Pool::global(), false).unwrap();
+        let out = part.plan(&built.program, &built.data, false).unwrap();
         for nest in &out.nests {
             let order = random_topo_order(&nest.schedule, &mut rng);
             assert_eq!(order.len(), nest.schedule.steps.len());

@@ -97,7 +97,6 @@ mod tests {
     use crate::gencase::gen_mask_case;
     use dmcp_core::Partitioner;
     use dmcp_mach::rng::Rng64;
-    use dmcp_pool::Pool;
 
     #[test]
     fn digest_is_deterministic_and_discriminates() {
@@ -105,8 +104,8 @@ mod tests {
         let spec = gen_mask_case(&mut rng, 128);
         let built = spec.build().expect("builds");
         let part = Partitioner::new(&built.machine, &built.program, built.config.clone());
-        let out = part.plan(&built.program, &built.data, Pool::global(), false).unwrap();
-        let again = part.plan(&built.program, &built.data, Pool::global(), false).unwrap();
+        let out = part.plan(&built.program, &built.data, false).unwrap();
+        let again = part.plan(&built.program, &built.data, false).unwrap();
         assert_eq!(plan_digest(&out), plan_digest(&again));
 
         // Perturbing a single step's node must change the digest.

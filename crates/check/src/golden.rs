@@ -28,7 +28,6 @@ use dmcp_ir::StableHasher;
 use dmcp_mach::{ClusterMode, FaultPlan, FaultState, MachineConfig, Mesh, NodeId};
 use dmcp_mem::page::PagePolicy;
 use dmcp_mem::MemoryMode;
-use dmcp_pool::Pool;
 use dmcp_serve::codec::encode_plan;
 use dmcp_serve::PlanRequest;
 use dmcp_workloads::{by_name, Scale, Workload};
@@ -141,11 +140,11 @@ pub fn large_mesh_machine() -> MachineConfig {
 }
 
 /// The plan digest of `name` on [`large_mesh_machine`] (default config),
-/// healthy or under [`canonical_faults`], compiled over `pool`.
+/// healthy or under [`canonical_faults`].
 #[must_use]
-pub fn large_mesh_digest(name: &str, degraded: bool, pool: &Pool) -> u64 {
+pub fn large_mesh_digest(name: &str, degraded: bool) -> u64 {
     let machine = if degraded { "large-degraded" } else { "large-healthy" };
-    plan_digest(&GoldenInput::plan(machine, name, pool).output)
+    plan_digest(&GoldenInput::plan(machine, name).output)
 }
 
 /// The canonical degradation every degraded golden is pinned under: one
@@ -163,29 +162,28 @@ fn workload(name: &str) -> Workload {
     by_name(name, Scale::Tiny).unwrap_or_else(|| panic!("unknown workload {name}"))
 }
 
-/// Compiles `name` on a healthy machine over `pool` (default config).
+/// Compiles `name` on a healthy machine (default config).
 #[must_use]
-pub fn healthy_output(name: &str, pool: &Pool) -> PartitionOutput {
-    GoldenInput::plan("healthy", name, pool).output
+pub fn healthy_output(name: &str) -> PartitionOutput {
+    GoldenInput::plan("healthy", name).output
 }
 
-/// Compiles `name` under [`canonical_faults`] over `pool` (default
-/// config).
+/// Compiles `name` under [`canonical_faults`] (default config).
 #[must_use]
-pub fn degraded_output(name: &str, pool: &Pool) -> PartitionOutput {
-    GoldenInput::plan("degraded", name, pool).output
+pub fn degraded_output(name: &str) -> PartitionOutput {
+    GoldenInput::plan("degraded", name).output
 }
 
-/// The healthy plan digest of `name`, compiled over `pool`.
+/// The healthy plan digest of `name`.
 #[must_use]
-pub fn healthy_digest(name: &str, pool: &Pool) -> u64 {
-    plan_digest(&healthy_output(name, pool))
+pub fn healthy_digest(name: &str) -> u64 {
+    plan_digest(&healthy_output(name))
 }
 
-/// The degraded plan digest of `name`, compiled over `pool`.
+/// The degraded plan digest of `name`.
 #[must_use]
-pub fn degraded_digest(name: &str, pool: &Pool) -> u64 {
-    plan_digest(&degraded_output(name, pool))
+pub fn degraded_digest(name: &str) -> u64 {
+    plan_digest(&degraded_output(name))
 }
 
 /// The `(healthy, degraded)` [`dmcp_serve::PlanKey`] digests of `name`.
@@ -296,15 +294,15 @@ pub struct VariantRun {
     pub output: PartitionOutput,
 }
 
-/// Compiles `name` under `variant`, healthy or under [`canonical_faults`],
-/// over `pool`. `None` where [`Partitioner::new_degraded`] refuses the
-/// variant's config.
+/// Compiles `name` under `variant`, healthy or under [`canonical_faults`].
+/// `None` where [`Partitioner::new_degraded`] refuses the variant's
+/// config.
 ///
 /// # Panics
 ///
 /// Panics on a variant outside [`VARIANTS`].
 #[must_use]
-pub fn variant_run(variant: &str, name: &str, degraded: bool, pool: &Pool) -> Option<VariantRun> {
+pub fn variant_run(variant: &str, name: &str, degraded: bool) -> Option<VariantRun> {
     let w = workload(name);
     let (machine, config) = variant_config(variant);
     let mut part = if degraded {
@@ -322,8 +320,7 @@ pub fn variant_run(variant: &str, name: &str, degraded: bool, pool: &Pool) -> Op
             part.layout_mut().override_page_controller(page, mc);
         }
     }
-    let output =
-        part.plan(&w.program, &w.data, pool, variant == "baseline").expect("variant plans");
+    let output = part.plan(&w.program, &w.data, variant == "baseline").expect("variant plans");
     Some(VariantRun { workload: w, partitioner: part, output })
 }
 
@@ -473,7 +470,7 @@ impl GoldenInput {
     /// Panics on another machine name, or if a fault plan is rejected
     /// (none is).
     #[must_use]
-    pub fn plan(machine: &str, name: &str, pool: &Pool) -> Self {
+    pub fn plan(machine: &str, name: &str) -> Self {
         let (config, plan) = match machine {
             "healthy" => (MachineConfig::knl_like(), None),
             "degraded" => (MachineConfig::knl_like(), Some(canonical_faults())),
@@ -492,7 +489,7 @@ impl GoldenInput {
             None => Partitioner::new(&config, &workload.program, PartitionConfig::default()),
         };
         let output = partitioner
-            .plan(&workload.program, &workload.data, pool, false)
+            .plan(&workload.program, &workload.data, false)
             .expect("default config is valid");
         Self { workload, partitioner, output, faults }
     }
@@ -595,10 +592,10 @@ pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[
     ("lossy", "track-instances", "Radix", 0x805395e8329d489e),
 ];
 
-/// Plans and simulates every [`GOLDEN_SIM`] row, in table order, over
-/// `pool`; each plan is made once and simulated under all its options.
+/// Plans and simulates every [`GOLDEN_SIM`] row, in table order; each
+/// plan is made once and simulated under all its options.
 #[must_use]
-pub fn sim_golden_rows(pool: &Pool) -> Vec<(&'static str, &'static str, &'static str, u64)> {
+pub fn sim_golden_rows() -> Vec<(&'static str, &'static str, &'static str, u64)> {
     let suite: Vec<&'static str> = GOLDEN_HEALTHY.iter().map(|&(name, _)| name).collect();
     let large: Vec<&'static str> = GOLDEN_LARGE_MESH.iter().map(|&(name, _, _)| name).collect();
     let matrix: [(&'static str, &[&'static str], &[&'static str]); 6] = [
@@ -612,7 +609,7 @@ pub fn sim_golden_rows(pool: &Pool) -> Vec<(&'static str, &'static str, &'static
     let mut rows = Vec::new();
     for (machine, workloads, options) in matrix {
         for &name in workloads {
-            let input = GoldenInput::plan(machine, name, pool);
+            let input = GoldenInput::plan(machine, name);
             for &option in options {
                 let digest = sim_digest(&input.simulate(sim_options(option)));
                 rows.push((machine, option, name, digest));
@@ -669,15 +666,14 @@ mod tests {
     #[test]
     #[ignore]
     fn print_golden_tables() {
-        let pool = Pool::single();
         println!("pub const GOLDEN_HEALTHY: &[(&str, u64)] = &[");
         for w in all(Scale::Tiny) {
-            println!("    (\"{}\", {:#018x}),", w.name, healthy_digest(w.name, &pool));
+            println!("    (\"{}\", {:#018x}),", w.name, healthy_digest(w.name));
         }
         println!("];");
         println!("pub const GOLDEN_DEGRADED: &[(&str, u64)] = &[");
         for w in all(Scale::Tiny) {
-            println!("    (\"{}\", {:#018x}),", w.name, degraded_digest(w.name, &pool));
+            println!("    (\"{}\", {:#018x}),", w.name, degraded_digest(w.name));
         }
         println!("];");
         println!("pub const GOLDEN_KEYS: &[(&str, u64, u64)] = &[");
@@ -689,9 +685,8 @@ mod tests {
         println!("pub const GOLDEN_VARIANTS: &[(&str, &str, u64, Option<u64>)] = &[");
         for variant in VARIANTS {
             for name in VARIANT_WORKLOADS {
-                let digest = |degraded| {
-                    variant_run(variant, name, degraded, &pool).map(|r| plan_digest(&r.output))
-                };
+                let digest =
+                    |degraded| variant_run(variant, name, degraded).map(|r| plan_digest(&r.output));
                 let h = digest(false).expect("healthy always plans");
                 let d = match digest(true) {
                     Some(d) => format!("Some({d:#018x})"),
@@ -703,20 +698,19 @@ mod tests {
         println!("];");
         println!("pub const GOLDEN_PLAN_BYTES: &[(&str, usize, u64, usize, u64)] = &[");
         for w in all(Scale::Tiny) {
-            let (hl, hs) = plan_bytes_pin(&healthy_output(w.name, &pool));
-            let (dl, ds) = plan_bytes_pin(&degraded_output(w.name, &pool));
+            let (hl, hs) = plan_bytes_pin(&healthy_output(w.name));
+            let (dl, ds) = plan_bytes_pin(&degraded_output(w.name));
             println!("    (\"{}\", {hl}, {hs:#018x}, {dl}, {ds:#018x}),", w.name);
         }
         println!("];");
         println!("pub const GOLDEN_LARGE_MESH: &[(&str, u64, u64)] = &[");
         for &(name, _, _) in GOLDEN_LARGE_MESH {
-            let (h, d) =
-                (large_mesh_digest(name, false, &pool), large_mesh_digest(name, true, &pool));
+            let (h, d) = (large_mesh_digest(name, false), large_mesh_digest(name, true));
             println!("    (\"{name}\", {h:#018x}, {d:#018x}),");
         }
         println!("];");
         println!("pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[");
-        for (machine, options, name, digest) in sim_golden_rows(&pool) {
+        for (machine, options, name, digest) in sim_golden_rows() {
             println!("    (\"{machine}\", \"{options}\", \"{name}\", {digest:#018x}),");
         }
         println!("];");

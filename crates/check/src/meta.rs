@@ -26,7 +26,6 @@ use dmcp_ir::ProgramBuilder;
 use dmcp_mach::rng::Rng64;
 use dmcp_mach::symmetry::translate;
 use dmcp_mach::{route_avoiding, FaultPlan, FaultState, Mesh, MeshTransform, NodeId};
-use dmcp_pool::Pool;
 use dmcp_serve::PlanRequest;
 
 /// Rebuilds `spec` under fresh names and demands identical partitioner
@@ -42,10 +41,10 @@ pub fn check_rename(spec: &CaseSpec) -> Result<(), String> {
         .map_err(|e| format!("renamed build: {e}"))?;
 
     let out_a = Partitioner::new(&built.machine, &built.program, built.config.clone())
-        .plan(&built.program, &built.data, Pool::global(), false)
+        .plan(&built.program, &built.data, false)
         .map_err(|e| format!("base planning failed: {e}"))?;
     let out_b = Partitioner::new(&renamed.machine, &renamed.program, renamed.config.clone())
-        .plan(&renamed.program, &renamed.data, Pool::global(), false)
+        .plan(&renamed.program, &renamed.data, false)
         .map_err(|e| format!("renamed planning failed: {e}"))?;
     if out_a != out_b {
         return Err("renaming changed the partitioner output".into());

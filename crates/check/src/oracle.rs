@@ -118,7 +118,7 @@ pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
         opts: PlanOptions { reuse_aware: false, ..PlanOptions::default() },
         ..PartitionConfig::default()
     };
-    let nb = dmcp_bound::bound_nest(&program, 0, layout, &data, &bound_config, &[core], None);
+    let nb = dmcp_bound::bound_nest(&program, 0, layout, &data, &bound_config, &[core]);
     if nb.bound != outcome.steiner {
         return Err(format!(
             "lower bound {} diverged from the exact Steiner floor {}: stmt `{stmt}` on \

@@ -410,7 +410,6 @@ mod tests {
     use crate::{PartitionConfig, Partitioner};
     use dmcp_ir::{Program, ProgramBuilder};
     use dmcp_mach::MachineConfig;
-    use dmcp_pool::Pool;
 
     fn setup() -> (Program, MachineConfig, Partitioner) {
         let mut b = ProgramBuilder::new();
@@ -436,8 +435,8 @@ mod tests {
     fn optimized_beats_baseline_in_time_and_movement() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
-        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
+        let opt = part.plan(&program, &data, false).unwrap();
+        let base = part.plan(&program, &data, true).unwrap();
         let r_opt = simulate(&part, &opt, SimOptions::default());
         let r_base = simulate(&part, &base, SimOptions::default());
         assert!(
@@ -458,7 +457,7 @@ mod tests {
     fn ideal_network_is_faster_still() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
+        let opt = part.plan(&program, &data, false).unwrap();
         let r = simulate(&part, &opt, SimOptions::default());
         let r_ideal =
             simulate(&part, &opt, SimOptions { ideal_network: true, ..SimOptions::default() });
@@ -472,7 +471,7 @@ mod tests {
     fn l1_override_enforces_rate() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
+        let base = part.plan(&program, &data, true).unwrap();
         let r = simulate(
             &part,
             &base,
@@ -485,7 +484,7 @@ mod tests {
     fn movement_scale_speeds_up_network_time() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
+        let base = part.plan(&program, &data, true).unwrap();
         let r1 = simulate(&part, &base, SimOptions::default());
         let r2 = simulate(
             &part,
@@ -499,7 +498,7 @@ mod tests {
     fn sync_counted_for_split_schedules() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
+        let opt = part.plan(&program, &data, false).unwrap();
         let r = simulate(&part, &opt, SimOptions::default());
         assert!(r.sync_count > 0, "split schedules should synchronize");
     }
@@ -508,7 +507,7 @@ mod tests {
     fn instance_tracking_records_movement() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
+        let base = part.plan(&program, &data, true).unwrap();
         let r =
             simulate(&part, &base, SimOptions { track_instances: true, ..SimOptions::default() });
         assert!(!r.per_instance_movement.is_empty());
@@ -520,7 +519,7 @@ mod tests {
     fn predictor_accuracy_is_measured() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
+        let opt = part.plan(&program, &data, false).unwrap();
         let r = simulate(&part, &opt, SimOptions::default());
         assert!(r.predictor_accuracy > 0.0 && r.predictor_accuracy <= 1.0);
     }
@@ -538,7 +537,7 @@ mod tests {
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
         let data = p.initial_data();
-        let out = part.plan(&p, &data, Pool::global(), true).unwrap();
+        let out = part.plan(&p, &data, true).unwrap();
         // Run nest 1 alone vs both: total time must be at least nest 1's.
         let mut e1 = Engine::new(part.layout(), SimOptions::default());
         e1.run(&out.nests[0].schedule);
@@ -569,13 +568,10 @@ mod tests {
             assignment: Some(vec![NodeId::new(0, 0)]),
             ..PartitionConfig::default()
         };
-        let nest0 = Partitioner::new(&machine, &p, pinned)
-            .plan(&p, &data, Pool::global(), true)
-            .unwrap()
-            .nests[0]
-            .clone();
+        let nest0 =
+            Partitioner::new(&machine, &p, pinned).plan(&p, &data, true).unwrap().nests[0].clone();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let nest1 = part.plan(&p, &data, Pool::global(), true).unwrap().nests[1].clone();
+        let nest1 = part.plan(&p, &data, true).unwrap().nests[1].clone();
         assert!(nest0.schedule.steps.iter().all(|s| s.node == NodeId::new(0, 0)));
 
         let mut engine = Engine::new(part.layout(), SimOptions::default());
@@ -593,7 +589,7 @@ mod tests {
     fn extra_sync_charge_slows_the_run() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let base = part.plan(&program, &data, Pool::global(), true).unwrap();
+        let base = part.plan(&program, &data, true).unwrap();
         let plain = simulate(&part, &base, SimOptions::default());
         let charged = simulate(
             &part,
@@ -638,7 +634,7 @@ mod tests {
     fn energy_components_are_positive() {
         let (program, _, part) = setup();
         let data = program.initial_data();
-        let opt = part.plan(&program, &data, Pool::global(), false).unwrap();
+        let opt = part.plan(&program, &data, false).unwrap();
         let r = simulate(&part, &opt, SimOptions::default());
         assert!(r.energy.link > 0.0);
         assert!(r.energy.cache > 0.0);

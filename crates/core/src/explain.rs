@@ -112,7 +112,7 @@ mod tests {
         let p = b.build();
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let out = part.plan(&p, &p.initial_data(), &dmcp_pool::Pool::single(), false).unwrap();
+        let out = part.plan(&p, &p.initial_data(), false).unwrap();
         (p, out.nests[0].schedule.clone())
     }
 

@@ -32,7 +32,6 @@
 //! use dmcp_core::{PartitionConfig, Partitioner};
 //! use dmcp_ir::ProgramBuilder;
 //! use dmcp_mach::MachineConfig;
-//! use dmcp_pool::Pool;
 //!
 //! let mut b = ProgramBuilder::new();
 //! for n in ["A", "B", "C", "D", "E"] {
@@ -44,7 +43,7 @@
 //! let machine = MachineConfig::knl_like();
 //! let partitioner = Partitioner::new(&machine, &program, PartitionConfig::default());
 //! let data = program.initial_data();
-//! let out = partitioner.plan(&program, &data, Pool::global(), false).unwrap();
+//! let out = partitioner.plan(&program, &data, false).unwrap();
 //! assert_eq!(out.nests.len(), 1);
 //! assert!(out.nests[0].stats.movement_opt <= out.nests[0].stats.movement_default);
 //! ```

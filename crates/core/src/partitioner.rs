@@ -342,10 +342,7 @@ impl Partitioner {
     /// Plans every nest of `program`, resolving indirect references
     /// through `data` (the inspector-collected information). Runs the
     /// staged pipeline ([`crate::pipeline`]) — analyze → place → split
-    /// decision → sync — fanning its parallel dimensions out
-    /// over `pool`; the output is bit-identical for every thread count.
-    /// Callers already fanning out at a coarser grain (per-workload
-    /// sweeps, service workers) pass [`Pool::single`].
+    /// decision → sync — one nest after another, on the calling thread.
     ///
     /// With `force_default` every nest gets the *default*
     /// (iteration-granularity) schedule instead: one sequence of steps per
@@ -362,11 +359,10 @@ impl Partitioner {
         &self,
         program: &Program,
         data: &DataStore,
-        pool: &Pool,
         force_default: bool,
     ) -> Result<PartitionOutput, PartitionError> {
         self.config.validate()?;
-        let mut ctx = PlanCtx::new(self, program, data, pool, force_default, &[]);
+        let mut ctx = PlanCtx::unhinted(self, program, data, force_default);
         for pass in passes() {
             pass.run(&mut ctx);
         }
@@ -375,9 +371,9 @@ impl Partitioner {
         Ok(out)
     }
 
-    /// [`Partitioner::plan`] of the optimized schedules. The benchmark
-    /// harness in `perfbench/` plans through this; everything else calls
-    /// [`Partitioner::plan`].
+    /// [`Partitioner::plan`] of the optimized schedules; `_pool` is unused.
+    /// The benchmark harness in `perfbench/` plans through this;
+    /// everything else calls [`Partitioner::plan`].
     ///
     /// # Panics
     ///
@@ -386,9 +382,9 @@ impl Partitioner {
         &self,
         program: &Program,
         data: &DataStore,
-        pool: &Pool,
+        _pool: &Pool,
     ) -> PartitionOutput {
-        self.plan(program, data, pool, false).expect("partitioning failed")
+        self.plan(program, data, false).expect("partitioning failed")
     }
 
     /// Verifies the every-step-on-a-live-node invariant.
@@ -475,7 +471,7 @@ mod tests {
 
     /// Plans `p` over its initial data.
     fn plan(part: &Partitioner, p: &Program, force_default: bool) -> PartitionOutput {
-        part.plan(p, &p.initial_data(), Pool::global(), force_default).unwrap()
+        part.plan(p, &p.initial_data(), force_default).unwrap()
     }
 
     #[test]
@@ -651,7 +647,7 @@ mod tests {
         let mut part =
             Partitioner::new_degraded(&machine, &p, PartitionConfig::default(), &faults).unwrap();
         part.config = cfg;
-        let err = part.plan(&p, &p.initial_data(), Pool::global(), true).unwrap_err();
+        let err = part.plan(&p, &p.initial_data(), true).unwrap_err();
         assert!(matches!(err, PartitionError::DeadNodeInSchedule { node, .. } if node == victim));
     }
 
@@ -668,7 +664,7 @@ mod tests {
         ] {
             let part = Partitioner::new(&machine, &p, bad);
             for force_default in [false, true] {
-                let err = part.plan(&p, &data, Pool::global(), force_default).unwrap_err();
+                let err = part.plan(&p, &data, force_default).unwrap_err();
                 assert!(matches!(err, PartitionError::InvalidConfig(_)), "{err:?}");
             }
         }

@@ -17,11 +17,8 @@
 //! 4. [`SyncPass`] — dependence wiring and per-window transitive
 //!    reduction ([`crate::window::sync_nest`]).
 //!
-//! Every parallel dimension (per-nest resolution, per-nest placement,
-//! replans, per-nest sync) fans out over the context's [`Pool`] with
-//! ordered joins, and nothing ever depends on thread identity, so the
-//! pipeline is bit-identical across thread counts — `Pool::single()` and
-//! `Pool::new(8)` produce the same golden digests.
+//! Every pass walks the nests in program order, one after another, and
+//! updates each [`NestCtx`] in place.
 
 use crate::layout::Layout;
 use crate::partitioner::{
@@ -62,8 +59,6 @@ pub struct PlanCtx<'a> {
     pub layout: &'a Layout,
     /// The partitioner configuration.
     pub config: &'a PartitionConfig,
-    /// The pool every pass fans out over.
-    pub pool: &'a Pool,
     /// Generate the default (iteration-granularity) schedule throughout.
     pub force_default: bool,
     /// Caller-provided per-nest window sizes (missing entries →
@@ -75,14 +70,37 @@ pub struct PlanCtx<'a> {
 
 impl<'a> PlanCtx<'a> {
     /// Builds the context for one run of `partitioner` over `program`.
+    /// The pipeline runs on the calling thread; `_pool` is unused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window hint lies outside [`PartitionConfig::WINDOWS`].
     #[must_use]
     pub fn new(
         partitioner: &'a Partitioner,
         program: &'a Program,
         data: &'a DataStore,
-        pool: &'a Pool,
+        _pool: &Pool,
         force_default: bool,
         window_hints: &'a [usize],
+    ) -> Self {
+        for (nest, hint) in window_hints.iter().enumerate() {
+            assert!(
+                PartitionConfig::WINDOWS.contains(hint),
+                "window hint {hint} for nest {nest} outside {:?}",
+                PartitionConfig::WINDOWS
+            );
+        }
+        Self { window_hints, ..Self::unhinted(partitioner, program, data, force_default) }
+    }
+
+    /// The context [`Partitioner::plan`] runs: every nest at the
+    /// configured window.
+    pub(crate) fn unhinted(
+        partitioner: &'a Partitioner,
+        program: &'a Program,
+        data: &'a DataStore,
+        force_default: bool,
     ) -> Self {
         Self {
             program,
@@ -90,17 +108,10 @@ impl<'a> PlanCtx<'a> {
             machine: partitioner.machine(),
             layout: partitioner.layout(),
             config: partitioner.config(),
-            pool,
             force_default,
-            window_hints,
+            window_hints: &[],
             nests: Vec::new(),
         }
-    }
-
-    /// The resolution of `nest` (by position in [`PlanCtx::nests`]), which
-    /// every placement of it walks.
-    fn resolution(&self, pos: usize) -> &NestResolution {
-        self.nests[pos].resolution.as_ref().expect("nest resolved before placement")
     }
 
     /// Consumes the context into the partitioner's output.
@@ -124,7 +135,7 @@ impl<'a> PlanCtx<'a> {
 }
 
 /// One stateless stage of the planning pipeline.
-pub trait Pass: Sync {
+pub trait Pass {
     /// The pass's name, for tracing and test assertions.
     fn name(&self) -> &'static str;
     /// Runs the pass over the shared context.
@@ -138,7 +149,7 @@ pub fn passes() -> [&'static dyn Pass; 4] {
 }
 
 /// Pass 1: resolve assignments, window sizes and the statement-instance
-/// stream per nest, one pool task (and one fresh predictor) per nest.
+/// stream per nest, with one fresh predictor per nest.
 pub struct AnalyzePass;
 
 impl Pass for AnalyzePass {
@@ -147,32 +158,37 @@ impl Pass for AnalyzePass {
     }
 
     fn run(&self, ctx: &mut PlanCtx) {
-        let c: &PlanCtx = ctx;
-        let nests = c.pool.run(c.program.nests().len(), |n| {
-            let iters = c.program.nests()[n].iteration_count();
-            let assignment = nest_assignment(c.config, c.layout, c.machine.mesh, iters);
-            let window = if c.force_default {
+        let nests = ctx.program.nests();
+        ctx.nests = Vec::with_capacity(nests.len());
+        for (n, nest) in nests.iter().enumerate() {
+            let iters = nest.iteration_count();
+            let assignment = nest_assignment(ctx.config, ctx.layout, ctx.machine.mesh, iters);
+            let window = if ctx.force_default {
                 1
             } else {
-                c.window_hints.get(n).copied().unwrap_or(c.config.window)
+                ctx.window_hints.get(n).copied().unwrap_or(ctx.config.window)
             };
             let resolution = resolve_nest(
-                c.program,
+                ctx.program,
                 n,
-                c.layout,
-                c.data,
-                c.config.predictor.build(c.machine),
-                c.config.opts,
+                ctx.layout,
+                ctx.data,
+                ctx.config.predictor.build(ctx.machine),
+                ctx.config.opts,
                 &assignment,
             );
-            NestCtx { nest: n, assignment, window, resolution: Some(resolution), plan: None }
-        });
-        ctx.nests = nests;
+            ctx.nests.push(NestCtx {
+                nest: n,
+                assignment,
+                window,
+                resolution: Some(resolution),
+                plan: None,
+            });
+        }
     }
 }
 
-/// Pass 2: full placement of every nest at its window size, one pool task
-/// per nest.
+/// Pass 2: full placement of every nest at its window size.
 pub struct PlacePass;
 
 impl Pass for PlacePass {
@@ -181,14 +197,10 @@ impl Pass for PlacePass {
     }
 
     fn run(&self, ctx: &mut PlanCtx) {
-        let plans: Vec<NestPlan> = {
-            let c: &PlanCtx = ctx;
-            c.pool.run(c.nests.len(), |pos| {
-                let window = c.nests[pos].window;
-                place_nest(c.resolution(pos), c.layout, c.config.opts, window, c.force_default)
-            })
-        };
-        for (nc, plan) in ctx.nests.iter_mut().zip(plans) {
+        for nc in &mut ctx.nests {
+            let resolution = nc.resolution.as_ref().expect("nest resolved before placement");
+            let plan =
+                place_nest(resolution, ctx.layout, ctx.config.opts, nc.window, ctx.force_default);
             nc.plan = Some(plan);
         }
     }
@@ -200,7 +212,8 @@ impl Pass for PlacePass {
 /// beats default execution (mixed placements destroy each other's L1
 /// locality, so the choice is made for the whole nest). Judged on the
 /// warm half of the records — the cold-start sweep, all predicted
-/// misses, is unrepresentative of steady state. Flagged nests are
+/// misses, is unrepresentative of steady state. A nest whose warm planned
+/// movement does not clear `split_threshold` × default movement is
 /// re-placed at iteration granularity with the *same* window size.
 /// Placement ends here, so the pass drops every nest's resolution.
 pub struct SplitPass;
@@ -211,41 +224,24 @@ impl Pass for SplitPass {
     }
 
     fn run(&self, ctx: &mut PlanCtx) {
-        if !ctx.force_default {
-            replan_flagged(ctx);
-        }
         for nc in &mut ctx.nests {
+            if !ctx.force_default {
+                let stats = &nc.plan.as_ref().expect("placed before split").stats;
+                let (warm_opt, warm_def) = stats.warm_movement();
+                if warm_opt as f64 > ctx.config.opts.split_threshold * warm_def as f64 {
+                    let resolution = nc.resolution.as_ref().expect("nest resolved before split");
+                    let plan = place_nest(resolution, ctx.layout, ctx.config.opts, nc.window, true);
+                    nc.plan = Some(plan);
+                }
+            }
             nc.resolution = None;
         }
     }
 }
 
-/// Re-places default-style every nest whose warm planned movement does
-/// not clear `split_threshold` × default movement.
-fn replan_flagged(ctx: &mut PlanCtx) {
-    let flagged: Vec<usize> = (0..ctx.nests.len())
-        .filter(|&pos| {
-            let stats = &ctx.nests[pos].plan.as_ref().expect("placed before split").stats;
-            let (warm_opt, warm_def) = stats.warm_movement();
-            warm_opt as f64 > ctx.config.opts.split_threshold * warm_def as f64
-        })
-        .collect();
-    let replans: Vec<NestPlan> = {
-        let c: &PlanCtx = ctx;
-        c.pool.map(&flagged, |_, &pos| {
-            place_nest(c.resolution(pos), c.layout, c.config.opts, c.nests[pos].window, true)
-        })
-    };
-    for (&pos, plan) in flagged.iter().zip(replans) {
-        ctx.nests[pos].plan = Some(plan);
-    }
-}
-
-/// Pass 4: dependence wiring and per-window sync minimisation.
-///
-/// Nests are independent, so they fan out over the pool; within a nest
-/// the replay is inherently sequential (dependences chain through the
-/// instance stream).
+/// Pass 4: dependence wiring and per-window sync minimisation. Within a
+/// nest the replay is inherently sequential (dependences chain through
+/// the instance stream).
 pub struct SyncPass;
 
 impl Pass for SyncPass {
@@ -254,14 +250,8 @@ impl Pass for SyncPass {
     }
 
     fn run(&self, ctx: &mut PlanCtx) {
-        let plans: Vec<NestPlan> =
-            ctx.nests.iter_mut().map(|nc| nc.plan.take().expect("placed before sync")).collect();
-        let synced = ctx.pool.map_vec(plans, |_, mut plan| {
-            sync_nest(&mut plan);
-            plan
-        });
-        for (nc, plan) in ctx.nests.iter_mut().zip(synced) {
-            nc.plan = Some(plan);
+        for nc in &mut ctx.nests {
+            sync_nest(nc.plan.as_mut().expect("placed before sync"));
         }
     }
 }
@@ -295,7 +285,7 @@ mod tests {
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
         let data = p.initial_data();
-        let mut ctx = PlanCtx::new(&part, &p, &data, Pool::global(), false, &[]);
+        let mut ctx = PlanCtx::new(&part, &p, &data, &Pool::single(), false, &[]);
         for pass in passes() {
             pass.run(&mut ctx);
         }
@@ -304,17 +294,6 @@ mod tests {
         let out = ctx.into_output();
         assert_eq!(out.nests.len(), 2);
         assert_eq!(out.window_sizes().len(), 2);
-    }
-
-    #[test]
-    fn thread_count_is_invisible_in_the_output() {
-        let p = program();
-        let machine = MachineConfig::knl_like();
-        let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let data = p.initial_data();
-        let seq = part.plan(&p, &data, &Pool::single(), false).unwrap();
-        let par = part.plan(&p, &data, &Pool::new(8), false).unwrap();
-        assert_eq!(seq, par, "pooled planning must be bit-identical across thread counts");
     }
 
     #[test]
@@ -341,5 +320,25 @@ mod tests {
         let mut ctx = PlanCtx::new(&part, &p, &data, &pool, true, &[3]);
         AnalyzePass.run(&mut ctx);
         assert!(ctx.nests.iter().all(|n| n.window == 1), "baselines plan at window 1");
+    }
+
+    fn context_with_hints(hints: &[usize]) {
+        let p = program();
+        let machine = MachineConfig::knl_like();
+        let part = Partitioner::new(&machine, &p, PartitionConfig::default());
+        let data = p.initial_data();
+        let _ = PlanCtx::new(&part, &p, &data, &Pool::single(), false, hints);
+    }
+
+    #[test]
+    #[should_panic(expected = "window hint 0 for nest 0 outside 1..=8")]
+    fn a_zero_window_hint_is_refused() {
+        context_with_hints(&[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "window hint 9 for nest 0 outside 1..=8")]
+    fn a_window_hint_above_eight_is_refused() {
+        context_with_hints(&[9]);
     }
 }

@@ -21,7 +21,6 @@
 use crate::{Layout, PartitionConfig, PartitionError, PartitionOutput, Partitioner};
 use dmcp_ir::Program;
 use dmcp_mach::{FaultPlan, FaultState, MachineConfig};
-use dmcp_pool::Pool;
 
 pub use crate::cachesim::{CacheSystem, ServedBy};
 pub use crate::engine::{Engine, SimOptions};
@@ -151,7 +150,7 @@ pub fn fault_sweep(
         let faults = FaultState::new(plan, machine.mesh)?;
         let live = faults.live_nodes().len() as u32;
         let partitioner = Partitioner::new_degraded(machine, program, config.clone(), &faults)?;
-        let out = partitioner.plan(program, &data, Pool::global(), false)?;
+        let out = partitioner.plan(program, &data, false)?;
         let report = run_schedules_degraded(program, partitioner.layout(), &out, sim, faults);
         let ratio = |x: f64, h: f64| if h == 0.0 { 1.0 } else { x / h };
         let (movement_ratio, avg_latency_ratio, max_latency_ratio, exec_time_ratio) =
@@ -229,7 +228,7 @@ mod tests {
         assert_eq!(rows.len(), 4);
         // Reference run through the original fault-free code paths.
         let part = Partitioner::new(&machine, &p, cfg);
-        let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
+        let out = part.plan(&p, &p.initial_data(), false).unwrap();
         let healthy = run_schedules(&p, part.layout(), &out, SimOptions::default());
         assert_eq!(rows[0].report, healthy, "0% row must be bit-identical to healthy");
         assert_eq!(rows[0].movement_ratio, 1.0);

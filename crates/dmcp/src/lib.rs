@@ -15,12 +15,12 @@
 //! |---|---|---|
 //! | [`mach`] | `dmcp-mach` | mesh topology, XY routing, cluster modes, machine config |
 //! | [`mem`] | `dmcp-mem` | address mapping, SNUCA, page colouring, caches, miss predictor |
-//! | [`ir`] | `dmcp-ir` | statement language, loop nests, dependences, inspector |
+//! | [`ir`] | `dmcp-ir` | statement language, loop nests, nested operand sets, fingerprints |
 //! | [`core`] | `dmcp-core` | **the paper's algorithm**: MST splitting, windows, scheduling; one entry point, `Partitioner::plan` |
 //! | [`sim`] | `dmcp-core` (`dmcp_core::sim`) | trace-driven timing/energy simulation of plans, fault sweeps |
 //! | [`workloads`] | `dmcp-workloads` | the 12 kernels (Splash-2 + Mantevo shapes) |
 //! | [`baselines`] | `dmcp-baselines` | profiled default placement, data-to-MC mapping |
-//! | [`pool`] | `dmcp-pool` | deterministic fork-join thread pool shared by planner, serve, check |
+//! | [`pool`] | `dmcp-pool` | deterministic fork-join pool for per-workload and per-seed sweeps; serve's worker pool |
 //! | [`serve`] | `dmcp-serve` | plan compilation service: content-addressed cache, worker pool |
 //! | [`check`] | `dmcp-check` | property-testing harness: generators, oracles, shrinking, goldens |
 //! | [`hash`] | `dmcp-hash` | shared stable-hash primitives: FNV-1a, frame checksum, splitmix64 finalizer |
@@ -35,13 +35,12 @@
 //! use dmcp::bound::gap_report;
 //! use dmcp::core::{PartitionConfig, Partitioner};
 //! use dmcp::mach::MachineConfig;
-//! use dmcp::pool::Pool;
 //! use dmcp::workloads::{by_name, Scale};
 //!
 //! let w = by_name("fft", Scale::Tiny).expect("known workload");
 //! let machine = MachineConfig::knl_like();
 //! let partitioner = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-//! let optimized = partitioner.plan(&w.program, &w.data, Pool::global(), false).unwrap();
+//! let optimized = partitioner.plan(&w.program, &w.data, false).unwrap();
 //!
 //! let gap = gap_report(
 //!     w.name, &w.program, partitioner.layout(), &w.data, partitioner.config(), &optimized,
@@ -55,7 +54,6 @@
 //! ```
 //! use dmcp::core::{PartitionConfig, Partitioner};
 //! use dmcp::mach::MachineConfig;
-//! use dmcp::pool::Pool;
 //! use dmcp::sim::{run_schedules, SimOptions};
 //! use dmcp::workloads::{by_name, Scale};
 //!
@@ -65,8 +63,8 @@
 //!
 //! // `plan(.., false)` is the optimized plan, `plan(.., true)` the
 //! // iteration-granularity baseline.
-//! let optimized = partitioner.plan(&w.program, &w.data, Pool::global(), false).unwrap();
-//! let baseline = partitioner.plan(&w.program, &w.data, Pool::global(), true).unwrap();
+//! let optimized = partitioner.plan(&w.program, &w.data, false).unwrap();
+//! let baseline = partitioner.plan(&w.program, &w.data, true).unwrap();
 //!
 //! let r_opt = run_schedules(&w.program, partitioner.layout(), &optimized, SimOptions::default());
 //! let r_base = run_schedules(&w.program, partitioner.layout(), &baseline, SimOptions::default());

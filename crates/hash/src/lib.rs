@@ -9,7 +9,7 @@
 //!   a 900 KB plan is verified in tens of microseconds rather than the
 //!   milliseconds FNV-1a's byte-serial chain takes;
 //! * **splitmix64** — the avalanche finalizer behind `dmcp-mach`'s RNG and
-//!   fingerprint accumulator and `dmcp-pool`'s per-task seed streams;
+//!   fingerprint accumulator;
 //! * **[`KeyedState`]** — the hasher of the planner's interning maps: one
 //!   keyed splitmix64 round per word, with a key drawn once per process.
 //!

@@ -3,9 +3,12 @@
 //! The paper's algorithm operates on *statements inside loop nests*: it needs
 //! to see each statement's operand array references, the operator
 //! priority/parenthesis structure (to build the "nested sets" of
-//! Section 4.2), the loop iteration space (to enumerate statement instances
-//! and windows), and the data dependences between nearby statements
-//! (Section 4.5). This crate supplies exactly that:
+//! Section 4.2) and the loop iteration space (to enumerate statement
+//! instances and windows). This crate supplies exactly that. The data
+//! dependences between nearby statements (Section 4.5) are tracked per
+//! element by the planner's sync pass (`dmcp-core`), and an indirect
+//! reference resolves through the request's [`DataStore`]
+//! ([`Program::element_of`]), which holds the inspector's data:
 //!
 //! - [`op`] — binary operators, their reorderability classes and cost
 //!   weights (division is 10× an add for load balancing);
@@ -19,10 +22,6 @@
 //! - [`nested`] — extraction of the paper's nested operand sets from an
 //!   expression, normalising `-`/`/` chains into sign/inverse flags so the
 //!   MST may legally reorder them;
-//! - [`deps`] — instance-level flow/anti/output dependences and
-//!   may-dependences for indirect references;
-//! - [`inspector`] — the inspector half of the inspector/executor scheme
-//!   used to resolve may-dependences at "run time";
 //! - [`fingerprint`] — the canonical structural hash (`StableHash`) the
 //!   serving layer keys its plan cache on.
 //!
@@ -40,12 +39,10 @@
 //! ```
 
 pub mod access;
-pub mod deps;
 pub mod display;
 pub mod exec;
 pub mod expr;
 pub mod fingerprint;
-pub mod inspector;
 pub mod lexer;
 pub mod nested;
 pub mod op;
@@ -54,7 +51,6 @@ pub mod program;
 pub mod symbol;
 
 pub use access::{ArrayId, ArrayRef, IndexExpr};
-pub use deps::{DepKind, Dependence};
 pub use expr::Expr;
 pub use fingerprint::{StableHash, StableHasher};
 pub use nested::{Element, Group, OpClass, Term};

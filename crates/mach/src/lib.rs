@@ -56,5 +56,5 @@ pub use fault::{route_avoiding, FaultError, FaultPlan, FaultState, RouteError, S
 pub use fingerprint::Fingerprint;
 pub use mesh::{Mesh, Quadrant};
 pub use node::NodeId;
-pub use routing::{Link, RouteOrder, RoutePath};
+pub use routing::{Link, RoutePath};
 pub use symmetry::MeshTransform;

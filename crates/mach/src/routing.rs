@@ -138,45 +138,6 @@ impl<'a> IntoIterator for &'a RoutePath {
     }
 }
 
-/// Deterministic routing dimension order.
-///
-/// The simulator uses XY throughout; YX exists because the paper claims the
-/// approach "can work with any type of on-chip network topology" — the
-/// movement metric only depends on hop *counts*, which are identical for
-/// any minimal dimension-ordered route.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum RouteOrder {
-    /// Travel the x dimension first (the mesh default).
-    #[default]
-    XY,
-    /// Travel the y dimension first.
-    YX,
-}
-
-/// Computes a minimal dimension-ordered route with the given order.
-pub fn route_with(src: NodeId, dst: NodeId, order: RouteOrder) -> RoutePath {
-    match order {
-        RouteOrder::XY => route(src, dst),
-        RouteOrder::YX => {
-            let mut links = Vec::with_capacity(src.manhattan(dst) as usize);
-            let mut cur = src;
-            while cur.y() != dst.y() {
-                let ny = if dst.y() > cur.y() { cur.y() + 1 } else { cur.y() - 1 };
-                let next = NodeId::new(cur.x(), ny);
-                links.push(Link::new(cur, next));
-                cur = next;
-            }
-            while cur.x() != dst.x() {
-                let nx = if dst.x() > cur.x() { cur.x() + 1 } else { cur.x() - 1 };
-                let next = NodeId::new(nx, cur.y());
-                links.push(Link::new(cur, next));
-                cur = next;
-            }
-            RoutePath { links }
-        }
-    }
-}
-
 /// Computes the XY route from `src` to `dst`: move along x until the columns
 /// match, then along y.
 ///
@@ -263,33 +224,6 @@ mod tests {
     #[should_panic(expected = "not adjacent")]
     fn non_adjacent_link_panics() {
         let _ = Link::new(NodeId::new(0, 0), NodeId::new(2, 0));
-    }
-
-    #[test]
-    fn yx_routes_are_minimal_and_y_first() {
-        let a = NodeId::new(1, 4);
-        let b = NodeId::new(4, 0);
-        let p = route_with(a, b, RouteOrder::YX);
-        assert_eq!(p.len(), a.manhattan(b));
-        assert_eq!(p.links()[0].dst(), NodeId::new(1, 3), "y moves first");
-        let mut cur = a;
-        for l in &p {
-            assert_eq!(l.src(), cur);
-            cur = l.dst();
-        }
-        assert_eq!(cur, b);
-    }
-
-    #[test]
-    fn xy_and_yx_agree_on_hop_count() {
-        for (sx, sy, dx, dy) in [(0u16, 0u16, 5u16, 5u16), (3, 1, 3, 4), (2, 2, 0, 2)] {
-            let s = NodeId::new(sx, sy);
-            let d = NodeId::new(dx, dy);
-            assert_eq!(
-                route_with(s, d, RouteOrder::XY).len(),
-                route_with(s, d, RouteOrder::YX).len()
-            );
-        }
     }
 
     #[test]

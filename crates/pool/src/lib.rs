@@ -1,9 +1,9 @@
 //! `dmcp-pool` — the repo's one shared execution substrate.
 //!
-//! Every parallel dimension in the planning stack is *embarrassingly*
-//! parallel (per-nest planning, the 1‥8 window-size search, per-seed
-//! property sweeps, per-workload evaluation), so this crate provides
-//! exactly two shapes and nothing more:
+//! The sweeps that fan out are *embarrassingly* parallel (per-workload
+//! evaluation in `dmcp-bench`, per-seed property sweeps in `dmcp-check`),
+//! and a service takes work over time, so this crate provides exactly two
+//! shapes and nothing more:
 //!
 //! * [`Pool`] — scoped fork-join over a fixed item list with
 //!   **deterministic ordered joins**: `map` returns results in input
@@ -17,19 +17,17 @@
 //!   [`SubmitError`]s so callers shed load instead of blocking; closing
 //!   drains everything already admitted before the workers exit.
 //!
+//! The planner runs on its caller's thread, so nothing nests pools.
+//!
 //! Determinism rules for pooled execution:
 //!
 //! 1. tasks never share mutable state — each returns its result by value
 //!    and the pool reassembles them by input index;
-//! 2. anything seeded derives its stream from the task *index* via
-//!    [`task_seed`] (splitmix64), never from thread identity or arrival
-//!    order;
-//! 3. reductions over pooled results happen on the caller, in input
+//! 2. reductions over pooled results happen on the caller, in input
 //!    order.
 //!
 //! Under those rules `Pool::new(1)` and `Pool::new(8)` are
-//! indistinguishable except in wall-time, which is what the golden-plan
-//! determinism tests pin.
+//! indistinguishable except in wall-time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -56,8 +54,7 @@ pub fn default_threads() -> usize {
 ///
 /// The pool owns no threads between calls: each [`Pool::map`] spawns up
 /// to `threads` scoped workers, runs the items, joins, and returns the
-/// results in input order. That keeps it safe to nest (a pooled caller
-/// may itself run under a pool) and free when idle.
+/// results in input order, so it costs nothing when idle.
 #[derive(Clone, Debug)]
 pub struct Pool {
     threads: usize,
@@ -148,28 +145,6 @@ impl Pool {
         slots.into_iter().map(|s| s.expect("pool: every index produced a result")).collect()
     }
 
-    /// [`Pool::map`] over *owned* items: each item is moved into exactly
-    /// one task call, so `f` can consume it (e.g. transform a plan in
-    /// place) without `T: Sync` or cloning. Results come back in input
-    /// order, and panics propagate exactly as in [`Pool::map`].
-    pub fn map_vec<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        if self.threads == 1 || items.len() <= 1 {
-            return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
-        }
-        // Each slot is taken exactly once (the cursor hands every index to
-        // one worker), so the mutexes are uncontended.
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.map(&slots, |i, slot| {
-            let item = slot.lock().expect("pool slot poisoned").take();
-            f(i, item.expect("pool: slot consumed twice"))
-        })
-    }
-
     /// [`Pool::map`] over the index range `0..n` (no item list needed).
     pub fn run<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
@@ -185,17 +160,6 @@ impl Default for Pool {
     fn default() -> Self {
         Self::new(default_threads())
     }
-}
-
-/// Derives the seed for task `index` of a pooled run from `seed0`
-/// (splitmix64 finalizer over the pair). A pure function of the inputs,
-/// so streams are identical whatever thread count runs the tasks. The
-/// finalizer is the shared [`dmcp_hash::mix`] — the same function
-/// `dmcp_mach::rng::mix` re-exports.
-#[must_use]
-pub fn task_seed(seed0: u64, index: u64) -> u64 {
-    use dmcp_hash::{mix, GOLDEN_GAMMA};
-    mix(seed0 ^ mix(index.wrapping_mul(GOLDEN_GAMMA)))
 }
 
 /// Typed admission errors for [`WorkerPool::try_submit`].
@@ -383,23 +347,11 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let seq = Pool::single().run(64, |i| task_seed(0xD4C9, i as u64));
-        let par = Pool::new(8).run(64, |i| task_seed(0xD4C9, i as u64));
+        let task =
+            |i: usize| (i as u64 ^ 0xD4C9).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+        let seq = Pool::single().run(64, task);
+        let par = Pool::new(8).run(64, task);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn map_vec_consumes_each_item_exactly_once() {
-        // Non-Clone items prove ownership is moved, not copied.
-        struct Token(u64);
-        for threads in [1, 4] {
-            let items: Vec<Token> = (0..50).map(Token).collect();
-            let out = Pool::new(threads).map_vec(items, |i, t| {
-                assert_eq!(i as u64, t.0);
-                t.0 + 1
-            });
-            assert_eq!(out, (1..=50).collect::<Vec<_>>());
-        }
     }
 
     #[test]
@@ -423,14 +375,6 @@ mod tests {
             })
         });
         assert!(caught.is_err(), "the planted panic must surface");
-    }
-
-    #[test]
-    fn task_seed_is_pure_and_spreads() {
-        assert_eq!(task_seed(1, 2), task_seed(1, 2));
-        let seeds: std::collections::HashSet<u64> =
-            (0..1000).map(|i| task_seed(0xABCD, i)).collect();
-        assert_eq!(seeds.len(), 1000, "per-task streams must not collide");
     }
 
     #[test]

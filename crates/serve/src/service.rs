@@ -23,7 +23,7 @@ use crate::key::{PlanKey, PlanRequest};
 use crate::storage::{RealIo, StorageIo};
 use dmcp_core::{PartitionError, PartitionOutput, Partitioner};
 use dmcp_mach::FaultState;
-use dmcp_pool::{Pool, SubmitError, WorkerPool};
+use dmcp_pool::{SubmitError, WorkerPool};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -47,8 +47,6 @@ pub struct ServeConfig {
     /// memory-only. Memory-cache misses fall through to disk before
     /// compiling; compiles write through.
     pub disk_dir: Option<PathBuf>,
-    /// Segment-rotation threshold for the disk tier.
-    pub disk_segment_bytes: u64,
     /// Interval between degraded-tier re-probes (see
     /// [`DiskTier::open_with_io`]).
     pub disk_reprobe: Duration,
@@ -75,7 +73,6 @@ impl fmt::Debug for ServeConfig {
             .field("cache_bytes", &self.cache_bytes)
             .field("cache_shards", &self.cache_shards)
             .field("disk_dir", &self.disk_dir)
-            .field("disk_segment_bytes", &self.disk_segment_bytes)
             .field("disk_reprobe", &self.disk_reprobe)
             .field("disk_io", &self.disk_io.as_ref().map(|_| "custom"))
             .field("wait_timeout", &self.wait_timeout)
@@ -92,7 +89,6 @@ impl Default for ServeConfig {
             cache_bytes: 64 << 20,
             cache_shards: 8,
             disk_dir: None,
-            disk_segment_bytes: DEFAULT_SEGMENT_BYTES,
             disk_reprobe: DEFAULT_REPROBE,
             disk_io: None,
             wait_timeout: Some(Duration::from_secs(120)),
@@ -291,10 +287,9 @@ fn compile_output(request: &PlanRequest) -> Result<PartitionOutput, PartitionErr
             &initial
         }
     };
-    // Concurrency lives at the request grain here (the service's worker
-    // pool), so each compile runs its pipeline single-threaded — plans are
-    // bit-identical either way.
-    let mut out = partitioner.plan(&request.program, data, &Pool::single(), false)?;
+    // Concurrency lives at the request grain (the service's worker pool);
+    // each compile plans on its worker's thread.
+    let mut out = partitioner.plan(&request.program, data, false)?;
     // The plan is kept (cached, persisted, served), so it drops the
     // placement's reserve and `approx_plan_bytes` is its buffers' size.
     out.shrink_to_fit();
@@ -428,7 +423,7 @@ impl PlanService {
                 let io: Arc<dyn StorageIo> =
                     config.disk_io.clone().unwrap_or_else(|| Arc::new(RealIo));
                 Some(
-                    DiskTier::open_with_io(dir, config.disk_segment_bytes, config.disk_reprobe, io)
+                    DiskTier::open_with_io(dir, DEFAULT_SEGMENT_BYTES, config.disk_reprobe, io)
                         .map_err(|e| ServeError::Disk(e.to_string()))?,
                 )
             }

@@ -18,7 +18,6 @@
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::ir::ProgramBuilder;
 use dmcp::mach::{FaultPlan, FaultState, MachineConfig};
-use dmcp::pool::Pool;
 use dmcp::serve::{PlanRequest, PlanService, ServeConfig};
 use dmcp::sim::{degradation_table, fault_sweep, run_schedules_degraded, FaultSweepConfig};
 
@@ -100,8 +99,7 @@ fn main() {
     // The healthy service plan is bit-identical to a direct run that never
     // heard of the service (or of faults).
     let direct = Partitioner::new(&machine, &program, config.clone());
-    let healthy =
-        direct.plan(&program, &program.initial_data(), Pool::global(), false).expect("plans");
+    let healthy = direct.plan(&program, &program.initial_data(), false).expect("plans");
     assert_eq!(**round1[0].as_ref().expect("healthy plan"), healthy);
 
     // And a degraded service plan simulates exactly like the sweep row.

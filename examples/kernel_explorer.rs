@@ -8,7 +8,6 @@
 use dmcp::baselines::locality_assignment;
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::MachineConfig;
-use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{by_name, Scale};
 
@@ -32,8 +31,8 @@ fn main() {
     let cfg = PartitionConfig { assignment: Some(assignment), ..PartitionConfig::default() };
     let partitioner = Partitioner::new(&machine, &w.program, cfg);
 
-    let optimized = partitioner.plan(&w.program, &w.data, Pool::global(), false).expect("plans");
-    let baseline = partitioner.plan(&w.program, &w.data, Pool::global(), true).expect("plans");
+    let optimized = partitioner.plan(&w.program, &w.data, false).expect("plans");
+    let baseline = partitioner.plan(&w.program, &w.data, true).expect("plans");
     println!(
         "window sizes per nest: {:?}; subcomputation parallelism avg {:.2} / max {}",
         optimized.window_sizes(),

@@ -8,7 +8,6 @@
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::{ClusterMode, MachineConfig, Mesh};
 use dmcp::mem::MemoryMode;
-use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{by_name, Scale};
 
@@ -20,9 +19,9 @@ fn run(
 ) -> f64 {
     let part = Partitioner::new(machine, &w.program, PartitionConfig::default());
     let out = if optimized {
-        part.plan(&w.program, &w.data, Pool::global(), false).expect("plans")
+        part.plan(&w.program, &w.data, false).expect("plans")
     } else {
-        part.plan(&w.program, &w.data, Pool::global(), true).expect("plans")
+        part.plan(&w.program, &w.data, true).expect("plans")
     };
     let opts = SimOptions { memory_mode: mode, ..SimOptions::default() };
     run_schedules(&w.program, part.layout(), &out, opts).exec_time

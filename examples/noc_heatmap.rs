@@ -8,7 +8,6 @@
 
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::{MachineConfig, Mesh, NodeId};
-use dmcp::pool::Pool;
 use dmcp::sim::{Engine, Network, SimOptions};
 use dmcp::workloads::{by_name, Scale};
 use std::fmt::Write;
@@ -23,8 +22,8 @@ fn main() {
     let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
 
     for (label, out) in [
-        ("default placement", part.plan(&w.program, &w.data, Pool::global(), true).expect("plans")),
-        ("partitioned", part.plan(&w.program, &w.data, Pool::global(), false).expect("plans")),
+        ("default placement", part.plan(&w.program, &w.data, true).expect("plans")),
+        ("partitioned", part.plan(&w.program, &w.data, false).expect("plans")),
     ] {
         let mut engine = Engine::new(part.layout(), SimOptions::default());
         for nest in &out.nests {
@@ -114,7 +113,7 @@ mod tests {
         let p = b.build();
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
+        let out = part.plan(&p, &p.initial_data(), false).unwrap();
         let mut engine = Engine::new(part.layout(), SimOptions::default());
         for nest in &out.nests {
             engine.run(&nest.schedule);

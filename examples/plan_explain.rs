@@ -10,7 +10,6 @@ use dmcp::bound::gap_report;
 use dmcp::core::explain::{explain_instance, schedule_to_dot};
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::MachineConfig;
-use dmcp::pool::Pool;
 use dmcp::workloads::{by_name, Scale};
 
 fn main() {
@@ -25,7 +24,7 @@ fn main() {
     };
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-    let out = part.plan(&w.program, &w.data, Pool::global(), false).expect("plans");
+    let out = part.plan(&w.program, &w.data, false).expect("plans");
     let schedule = &out.nests[0].schedule;
 
     println!("== {} ==", w.name);

@@ -6,7 +6,6 @@
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::ir::ProgramBuilder;
 use dmcp::mach::MachineConfig;
-use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions};
 
 fn main() {
@@ -31,8 +30,8 @@ fn main() {
     let partitioner = Partitioner::new(&machine, &program, PartitionConfig::default());
     let data = program.initial_data();
 
-    let optimized = partitioner.plan(&program, &data, Pool::global(), false).expect("plans");
-    let baseline = partitioner.plan(&program, &data, Pool::global(), true).expect("plans");
+    let optimized = partitioner.plan(&program, &data, false).expect("plans");
+    let baseline = partitioner.plan(&program, &data, true).expect("plans");
     println!(
         "planned movement: default {} links, optimized {} links ({:.1}% less), window sizes {:?}",
         optimized.movement_default(),

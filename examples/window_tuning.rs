@@ -8,7 +8,6 @@
 
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::MachineConfig;
-use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{by_name, Scale};
 
@@ -21,7 +20,7 @@ fn main() {
     let machine = MachineConfig::knl_like();
 
     let base_part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-    let baseline = base_part.plan(&w.program, &w.data, Pool::global(), true).expect("plans");
+    let baseline = base_part.plan(&w.program, &w.data, true).expect("plans");
     let r_base = run_schedules(&w.program, base_part.layout(), &baseline, SimOptions::default());
     println!("== {} == (baseline {:.0} cycles)", w.name, r_base.exec_time);
     println!("{:<10} {:>14} {:>12} {:>10}", "window", "exec-reduction", "movement", "L1 rate");
@@ -30,7 +29,7 @@ fn main() {
     for window in PartitionConfig::WINDOWS {
         let cfg = PartitionConfig { window, ..PartitionConfig::default() };
         let part = Partitioner::new(&machine, &w.program, cfg);
-        let out = part.plan(&w.program, &w.data, Pool::global(), false).expect("plans");
+        let out = part.plan(&w.program, &w.data, false).expect("plans");
         let r = run_schedules(&w.program, part.layout(), &out, SimOptions::default());
         println!(
             "{:<10} {:>13.1}% {:>12} {:>9.1}%",

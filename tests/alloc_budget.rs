@@ -5,11 +5,11 @@
 //! installs a global allocator that counts per thread — tests running
 //! beside each other in this binary do not add to each other's counts —
 //! plans the 24 golden inputs (the 12 Tiny workloads, healthy and under
-//! the canonical faults) on `Pool::single()` through `PlanCtx` and
-//! `passes()`, and checks every pass against [`PINNED`]. It then
-//! simulates the 24 golden plans and checks the simulator's total
-//! against [`PINNED_SIM`]. Separately it checks that placing (the place
-//! and split passes) allocates less than once per 100 steps it emits.
+//! the canonical faults) through `PlanCtx` and `passes()`, and checks
+//! every pass against [`PINNED`]. It then simulates the 24 golden plans
+//! and checks the simulator's total against [`PINNED_SIM`]. Separately it
+//! checks that placing (the place and split passes) allocates less than
+//! once per 100 steps it emits.
 //!
 //! Every pass repeats its count exactly, whatever key the process draws
 //! for its hash maps: the two maps left on the planning path — line
@@ -95,7 +95,7 @@ const PINNED_WITH: &str = "1.95.0";
 
 /// Allocations per pass over the 24 golden inputs, in pipeline order.
 const PINNED: [(&str, u64); 4] =
-    [("analyze", 21_640), ("place", 1_766), ("split", 801), ("sync", 3_951)];
+    [("analyze", 21_616), ("place", 1_718), ("split", 777), ("sync", 3_927)];
 
 /// Allocations of simulating the 24 golden plans with default options
 /// (each degraded run's copy of the fault state included).
@@ -142,11 +142,10 @@ fn every_pass_stays_within_its_allocation_budget() {
 /// Simulates the 24 golden plans (planned outside the count) and returns
 /// the simulator's allocations.
 fn sim_allocations() -> u64 {
-    let pool = Pool::single();
     let mut total = 0;
     for (name, _) in GOLDEN_HEALTHY {
         for machine in ["healthy", "degraded"] {
-            let input = GoldenInput::plan(machine, name, &pool);
+            let input = GoldenInput::plan(machine, name);
             let before = allocations();
             let _report = input.simulate(SimOptions::default());
             total += allocations() - before;

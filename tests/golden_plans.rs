@@ -57,11 +57,10 @@ fn golden_tables_cover_the_whole_suite() {
 
 #[test]
 fn every_golden_plan_encodes_to_its_pinned_bytes_and_back() {
-    let pool = Pool::single();
     for &(name, healthy_len, healthy_sum, degraded_len, degraded_sum) in GOLDEN_PLAN_BYTES {
         let runs = [
-            ("healthy", healthy_output(name, &pool), (healthy_len, healthy_sum)),
-            ("degraded", degraded_output(name, &pool), (degraded_len, degraded_sum)),
+            ("healthy", healthy_output(name), (healthy_len, healthy_sum)),
+            ("degraded", degraded_output(name), (degraded_len, degraded_sum)),
         ];
         for (machine, plan, want) in runs {
             let got = plan_bytes_pin(&plan);
@@ -75,18 +74,16 @@ fn every_golden_plan_encodes_to_its_pinned_bytes_and_back() {
 
 #[test]
 fn every_workload_matches_its_healthy_golden() {
-    let pool = Pool::single();
     for (name, want) in GOLDEN_HEALTHY {
-        let got = healthy_digest(name, &pool);
+        let got = healthy_digest(name);
         assert_eq!(got, *want, "{name}: healthy plan digest drifted ({got:#018x})");
     }
 }
 
 #[test]
 fn every_workload_matches_its_degraded_golden() {
-    let pool = Pool::single();
     for (name, want) in GOLDEN_DEGRADED {
-        let got = degraded_digest(name, &pool);
+        let got = degraded_digest(name);
         assert_eq!(got, *want, "{name}: degraded plan digest drifted ({got:#018x})");
     }
 }
@@ -101,26 +98,11 @@ fn every_workload_matches_its_key_goldens() {
     }
 }
 
-/// The pooled pipeline must be bit-identical regardless of thread
-/// count: an 8-thread pool reproduces the single-thread goldens for
-/// every workload, healthy and degraded.
-#[test]
-fn eight_threads_reproduce_the_single_thread_goldens() {
-    let pool = Pool::new(8);
-    for (name, want) in GOLDEN_HEALTHY {
-        assert_eq!(healthy_digest(name, &pool), *want, "{name}: healthy digest thread-dependent");
-    }
-    for (name, want) in GOLDEN_DEGRADED {
-        assert_eq!(degraded_digest(name, &pool), *want, "{name}: degraded digest thread-dependent");
-    }
-}
-
 #[test]
 fn digests_are_stable_across_repeated_compiles() {
-    let pool = Pool::single();
     for name in ["FFT", "Ocean"] {
-        assert_eq!(healthy_digest(name, &pool), healthy_digest(name, &pool));
-        assert_eq!(degraded_digest(name, &pool), degraded_digest(name, &pool));
+        assert_eq!(healthy_digest(name), healthy_digest(name));
+        assert_eq!(degraded_digest(name), degraded_digest(name));
     }
 }
 
@@ -131,16 +113,16 @@ fn digests_are_stable_across_repeated_compiles() {
 /// replanned: it comes from `force_default`, not from the passes'
 /// optimized run this replays.
 fn check_variants(name: &str) {
-    let pool = Pool::single();
     for &(variant, _, healthy, degraded) in GOLDEN_VARIANTS.iter().filter(|row| row.1 == name) {
         for (faulty, want) in [(false, Some(healthy)), (true, degraded)] {
-            let run = variant_run(variant, name, faulty, &pool);
+            let run = variant_run(variant, name, faulty);
             let got = run.as_ref().map(|r| plan_digest(&r.output));
             assert_eq!(got, want, "{name} {variant} (degraded: {faulty}): plan digest drifted");
             let Some(run) = run.filter(|_| variant != "baseline") else { continue };
             let w = &run.workload;
             let hints = run.output.window_sizes();
-            let mut ctx = PlanCtx::new(&run.partitioner, &w.program, &w.data, &pool, false, &hints);
+            let mut ctx =
+                PlanCtx::new(&run.partitioner, &w.program, &w.data, &Pool::single(), false, &hints);
             for pass in passes() {
                 pass.run(&mut ctx);
             }
@@ -164,17 +146,14 @@ fn radix_matches_its_variant_goldens() {
     check_variants("Radix");
 }
 
-/// The 10×10-mesh pins hold at one and at eight threads, healthy and
-/// degraded.
+/// The 10×10-mesh pins hold, healthy and degraded.
 #[test]
-fn large_mesh_plans_match_their_goldens_at_one_and_eight_threads() {
-    for pool in [Pool::single(), Pool::new(8)] {
-        for &(name, healthy, degraded) in GOLDEN_LARGE_MESH {
-            let got = large_mesh_digest(name, false, &pool);
-            assert_eq!(got, healthy, "{name}: 10x10 healthy digest drifted ({got:#018x})");
-            let got = large_mesh_digest(name, true, &pool);
-            assert_eq!(got, degraded, "{name}: 10x10 degraded digest drifted ({got:#018x})");
-        }
+fn large_mesh_plans_match_their_goldens() {
+    for &(name, healthy, degraded) in GOLDEN_LARGE_MESH {
+        let got = large_mesh_digest(name, false);
+        assert_eq!(got, healthy, "{name}: 10x10 healthy digest drifted ({got:#018x})");
+        let got = large_mesh_digest(name, true);
+        assert_eq!(got, degraded, "{name}: 10x10 degraded digest drifted ({got:#018x})");
     }
 }
 
@@ -182,7 +161,7 @@ fn large_mesh_plans_match_their_goldens_at_one_and_eight_threads() {
 /// simulator reported when the table was pinned.
 #[test]
 fn every_sim_report_matches_its_golden() {
-    let got = sim_golden_rows(&Pool::single());
+    let got = sim_golden_rows();
     assert_eq!(got.len(), GOLDEN_SIM.len(), "one pin per simulator golden run");
     for (got, want) in got.iter().zip(GOLDEN_SIM) {
         let (machine, options, name, digest) = *got;
@@ -199,8 +178,7 @@ fn every_sim_report_matches_its_golden() {
 #[test]
 fn the_lossy_sim_goldens_detour_drop_and_retry() {
     for name in ["FFT", "Radix"] {
-        let report =
-            GoldenInput::plan("lossy", name, &Pool::single()).simulate(SimOptions::default());
+        let report = GoldenInput::plan("lossy", name).simulate(SimOptions::default());
         assert!(report.net_detour_hops > 0, "{name}: no detour");
         assert!(report.net_dropped_flits > 0, "{name}: no drop");
         assert!(report.net_retries > 0, "{name}: no retry");

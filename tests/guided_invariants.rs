@@ -5,7 +5,6 @@
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::{ClusterMode, MachineConfig};
 use dmcp::mem::MemoryMode;
-use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{all, Scale};
 use dmcp_bench::scenarios::partition_guided;
@@ -16,8 +15,8 @@ fn guided_partitioning_never_loses_to_the_baseline() {
     for w in all(Scale::Tiny) {
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
         let sim = SimOptions::default();
-        let guided = partition_guided(&part, &w.program, &w.data, Pool::global(), sim);
-        let base = part.plan(&w.program, &w.data, Pool::global(), true).unwrap();
+        let guided = partition_guided(&part, &w.program, &w.data, sim);
+        let base = part.plan(&w.program, &w.data, true).unwrap();
         let r_g = run_schedules(&w.program, part.layout(), &guided, sim);
         let r_b = run_schedules(&w.program, part.layout(), &base, sim);
         assert!(
@@ -40,8 +39,8 @@ fn guided_invariant_holds_across_cluster_modes() {
             let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
             for memory in [MemoryMode::Flat, MemoryMode::Cache] {
                 let sim = SimOptions { memory_mode: memory, ..SimOptions::default() };
-                let guided = partition_guided(&part, &w.program, &w.data, Pool::global(), sim);
-                let base = part.plan(&w.program, &w.data, Pool::global(), true).unwrap();
+                let guided = partition_guided(&part, &w.program, &w.data, sim);
+                let base = part.plan(&w.program, &w.data, true).unwrap();
                 let r_g = run_schedules(&w.program, part.layout(), &guided, sim);
                 let r_b = run_schedules(&w.program, part.layout(), &base, sim);
                 assert!(
@@ -60,8 +59,7 @@ fn guided_output_is_always_numerically_correct() {
     let machine = MachineConfig::knl_like();
     for w in all(Scale::Tiny) {
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-        let guided =
-            partition_guided(&part, &w.program, &w.data, Pool::global(), SimOptions::default());
+        let guided = partition_guided(&part, &w.program, &w.data, SimOptions::default());
         let mut got = w.data.clone();
         for nest in &guided.nests {
             nest.schedule.execute_values(&mut got);

@@ -4,7 +4,6 @@ use dmcp::core::mst::{kruskal, MstVertex};
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::ir::ProgramBuilder;
 use dmcp::mach::{MachineConfig, NodeId};
-use dmcp::pool::Pool;
 
 fn star(dest: NodeId, srcs: &[NodeId]) -> u32 {
     srcs.iter().map(|s| s.manhattan(dest)).sum()
@@ -100,7 +99,7 @@ fn running_example_planned_reduction() {
     let p = b.build();
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-    let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
+    let out = part.plan(&p, &p.initial_data(), false).unwrap();
     assert!(out.movement_opt() < out.movement_default());
     // Individual instances may pay a balance detour or suffer a cold-start
     // misprediction, but the overwhelming majority must be at or below the

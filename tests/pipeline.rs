@@ -5,7 +5,6 @@ use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::ir::ProgramBuilder;
 use dmcp::mach::{ClusterMode, MachineConfig};
 use dmcp::mem::MemoryMode;
-use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{by_name, Scale};
 use dmcp_bench::scenarios::{run_program, Scenario};
@@ -31,8 +30,8 @@ fn optimized_improves_movement_time_and_l1() {
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &p, PartitionConfig::default());
     let data = p.initial_data();
-    let opt = part.plan(&p, &data, Pool::global(), false).unwrap();
-    let base = part.plan(&p, &data, Pool::global(), true).unwrap();
+    let opt = part.plan(&p, &data, false).unwrap();
+    let base = part.plan(&p, &data, true).unwrap();
     let r_opt = run_schedules(&p, part.layout(), &opt, SimOptions::default());
     let r_base = run_schedules(&p, part.layout(), &base, SimOptions::default());
     assert!(r_opt.movement < r_base.movement);
@@ -49,8 +48,8 @@ fn profiled_baseline_composes_with_partitioner() {
     let asg = locality_assignment(&p, scout.layout(), &data, 0);
     let cfg = PartitionConfig { assignment: Some(asg), ..PartitionConfig::default() };
     let part = Partitioner::new(&machine, &p, cfg);
-    let opt = part.plan(&p, &data, Pool::global(), false).unwrap();
-    let base = part.plan(&p, &data, Pool::global(), true).unwrap();
+    let opt = part.plan(&p, &data, false).unwrap();
+    let base = part.plan(&p, &data, true).unwrap();
     let r_opt = run_schedules(&p, part.layout(), &opt, SimOptions::default());
     let r_base = run_schedules(&p, part.layout(), &base, SimOptions::default());
     assert!(
@@ -73,7 +72,7 @@ fn data_mapping_overrides_change_miss_paths() {
     for (page, mc) in overrides {
         part.layout_mut().override_page_controller(page, mc);
     }
-    let base = part.plan(&p, &data, Pool::global(), true).unwrap();
+    let base = part.plan(&p, &data, true).unwrap();
     let r = run_schedules(&p, part.layout(), &base, SimOptions::default());
     assert!(r.exec_time > 0.0);
 }
@@ -98,7 +97,7 @@ fn cluster_and_memory_modes_all_run() {
         for memory in MemoryMode::ALL {
             let machine = MachineConfig::knl_like().with_cluster(cluster);
             let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-            let out = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
+            let out = part.plan(&w.program, &w.data, false).unwrap();
             let opts = SimOptions { memory_mode: memory, ..SimOptions::default() };
             let r = run_schedules(&w.program, part.layout(), &out, opts);
             assert!(r.exec_time > 0.0, "({cluster}, {memory}) produced no time");
@@ -112,8 +111,8 @@ fn energy_improves_with_the_optimization() {
     let w = by_name("radix", Scale::Tiny).unwrap();
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-    let opt = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
-    let base = part.plan(&w.program, &w.data, Pool::global(), true).unwrap();
+    let opt = part.plan(&w.program, &w.data, false).unwrap();
+    let base = part.plan(&w.program, &w.data, true).unwrap();
     let r_opt = run_schedules(&w.program, part.layout(), &opt, SimOptions::default());
     let r_base = run_schedules(&w.program, part.layout(), &base, SimOptions::default());
     assert!(
@@ -129,8 +128,8 @@ fn instance_tracking_supports_figure_13() {
     let w = by_name("lu", Scale::Tiny).unwrap();
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-    let opt = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
-    let base = part.plan(&w.program, &w.data, Pool::global(), true).unwrap();
+    let opt = part.plan(&w.program, &w.data, false).unwrap();
+    let base = part.plan(&w.program, &w.data, true).unwrap();
     let track = SimOptions { track_instances: true, ..SimOptions::default() };
     let r_opt = run_schedules(&w.program, part.layout(), &opt, track);
     let r_base = run_schedules(&w.program, part.layout(), &base, track);

@@ -10,7 +10,6 @@ use dmcp::ir::{Program, ProgramBuilder};
 use dmcp::mach::rng::Rng64;
 use dmcp::mach::{FaultPlan, FaultState, MachineConfig, Mesh};
 use dmcp::mem::page::PagePolicy;
-use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, run_schedules_degraded, SimOptions};
 
 /// Statement templates a random program draws from (all over arrays
@@ -45,7 +44,7 @@ fn random_picks(rng: &mut Rng64, min: u64, max: u64) -> Vec<usize> {
 fn check(program: &Program, cfg: PartitionConfig) {
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, program, cfg);
-    let out = part.plan(program, &program.initial_data(), Pool::global(), false).unwrap();
+    let out = part.plan(program, &program.initial_data(), false).unwrap();
     let mut got = program.initial_data();
     for nest in &out.nests {
         nest.schedule.validate().expect("valid schedule");
@@ -104,7 +103,7 @@ fn scramble_page_policy_still_correct_but_hurts_location_knowledge() {
     );
     // Both must stay numerically correct.
     for part in [&preserving, &scrambled] {
-        let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
+        let out = part.plan(&p, &p.initial_data(), false).unwrap();
         let mut got = p.initial_data();
         for nest in &out.nests {
             nest.schedule.execute_values(&mut got);
@@ -121,7 +120,7 @@ fn tiny_meshes_partition_and_simulate() {
     for (c, r) in [(2u16, 2u16), (4, 2), (3, 5)] {
         let machine = MachineConfig::knl_like().with_mesh(Mesh::new(c, r));
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
+        let out = part.plan(&p, &p.initial_data(), false).unwrap();
         for nest in &out.nests {
             nest.schedule.validate().unwrap();
             for s in &nest.schedule.steps {
@@ -139,7 +138,7 @@ fn partitioning_and_simulation_are_deterministic() {
     let machine = MachineConfig::knl_like();
     let run = || {
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
+        let out = part.plan(&p, &p.initial_data(), false).unwrap();
         let rep = run_schedules(&p, part.layout(), &out, SimOptions::default());
         (out, rep)
     };
@@ -163,7 +162,7 @@ fn single_iteration_nests_work() {
     let p = b.build();
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-    let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
+    let out = part.plan(&p, &p.initial_data(), false).unwrap();
     assert!(!out.nests[0].schedule.is_empty());
     let mut got = p.initial_data();
     out.nests[0].schedule.execute_values(&mut got);
@@ -200,7 +199,7 @@ fn degraded_partitioning_avoids_dead_nodes_and_is_deterministic() {
         let run = || {
             let part = Partitioner::new_degraded(&machine, &p, PartitionConfig::default(), &faults)
                 .expect("degraded partitioner");
-            part.plan(&p, &p.initial_data(), Pool::global(), false).expect("degraded partition")
+            part.plan(&p, &p.initial_data(), false).expect("degraded partition")
         };
         let out = run();
         for nest in &out.nests {
@@ -238,14 +237,14 @@ fn degraded_simulation_completes_with_fault_accounting() {
     let p = random_program(&[0, 1, 3], 24);
     let healthy = {
         let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let out = part.plan(&p, &p.initial_data(), Pool::global(), false).unwrap();
+        let out = part.plan(&p, &p.initial_data(), false).unwrap();
         run_schedules(&p, part.layout(), &out, SimOptions::default())
     };
     let plan = FaultPlan::random(machine.mesh, 0.10, 0.05, 0.10, 0.25, 0xBEEF);
     let faults = FaultState::new(plan, machine.mesh).expect("valid plan");
     let part = Partitioner::new_degraded(&machine, &p, PartitionConfig::default(), &faults)
         .expect("degraded partitioner");
-    let out = part.plan(&p, &p.initial_data(), Pool::global(), false).expect("degraded partition");
+    let out = part.plan(&p, &p.initial_data(), false).expect("degraded partition");
     let rep = run_schedules_degraded(&p, part.layout(), &out, SimOptions::default(), faults);
     assert!(rep.exec_time > 0.0, "degraded run failed to simulate");
     assert!(

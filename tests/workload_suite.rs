@@ -3,7 +3,6 @@
 
 use dmcp::core::{PartitionConfig, Partitioner};
 use dmcp::mach::MachineConfig;
-use dmcp::pool::Pool;
 use dmcp::sim::{run_schedules, SimOptions};
 use dmcp::workloads::{all, by_name, Scale};
 
@@ -12,7 +11,7 @@ fn every_workload_partitions_and_stays_numerically_correct() {
     for w in all(Scale::Tiny) {
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-        let out = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
+        let out = part.plan(&w.program, &w.data, false).unwrap();
         let mut got = w.data.clone();
         for nest in &out.nests {
             nest.schedule.validate().unwrap_or_else(|e| panic!("{}: {e}", w.name));
@@ -38,7 +37,7 @@ fn every_workload_reduces_planned_movement() {
     for w in all(Scale::Tiny) {
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-        let out = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
+        let out = part.plan(&w.program, &w.data, false).unwrap();
         assert!(
             out.movement_opt() <= out.movement_default(),
             "{}: planned movement regressed ({} > {})",
@@ -68,8 +67,8 @@ fn fmm_served_plan_beats_its_baseline_in_the_simulator() {
     let w = by_name("fmm", Scale::Tiny).unwrap();
     let machine = MachineConfig::knl_like();
     let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-    let opt = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
-    let base = part.plan(&w.program, &w.data, Pool::global(), true).unwrap();
+    let opt = part.plan(&w.program, &w.data, false).unwrap();
+    let base = part.plan(&w.program, &w.data, true).unwrap();
     assert!(opt.nests.iter().any(|n| n.stats.fallback_count < n.stats.instances), "FMM splits");
     let r_opt = run_schedules(&w.program, part.layout(), &opt, SimOptions::default());
     let r_base = run_schedules(&w.program, part.layout(), &base, SimOptions::default());
@@ -84,8 +83,8 @@ fn every_workload_simulates_with_sane_metrics() {
     for w in all(Scale::Tiny) {
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-        let opt = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
-        let base = part.plan(&w.program, &w.data, Pool::global(), true).unwrap();
+        let opt = part.plan(&w.program, &w.data, false).unwrap();
+        let base = part.plan(&w.program, &w.data, true).unwrap();
         let r_opt = run_schedules(&w.program, part.layout(), &opt, SimOptions::default());
         let r_base = run_schedules(&w.program, part.layout(), &base, SimOptions::default());
         assert!(r_opt.exec_time > 0.0, "{}", w.name);
@@ -121,8 +120,8 @@ fn suite_wide_means_are_in_the_papers_ballpark() {
     for w in all(Scale::Tiny) {
         let machine = MachineConfig::knl_like();
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
-        let opt = part.plan(&w.program, &w.data, Pool::global(), false).unwrap();
-        let base = part.plan(&w.program, &w.data, Pool::global(), true).unwrap();
+        let opt = part.plan(&w.program, &w.data, false).unwrap();
+        let base = part.plan(&w.program, &w.data, true).unwrap();
         let r_opt = run_schedules(&w.program, part.layout(), &opt, SimOptions::default());
         let r_base = run_schedules(&w.program, part.layout(), &base, SimOptions::default());
         let ratio = r_opt.movement as f64 / r_base.movement as f64;
