@@ -31,7 +31,8 @@ fn main() {
     let scale =
         if std::env::args().any(|a| a == "--scale-tiny") { Scale::Tiny } else { Scale::Small };
     let pool = Pool::default();
-    println!("(workload sweeps run on {} pool thread(s))", pool.threads());
+    // On stderr: the count follows the host, and no number depends on it.
+    eprintln!("(workload sweeps run on {} pool thread(s))", pool.threads());
     reuse_ablation(scale, &pool);
     gap_ablation(scale, &pool);
     balance_ablation(scale, &pool);

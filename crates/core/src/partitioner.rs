@@ -132,13 +132,21 @@ impl PartitionConfig {
     /// # Errors
     ///
     /// [`PartitionError::InvalidConfig`] for a window outside
-    /// [`PartitionConfig::WINDOWS`] or an empty explicit assignment.
+    /// [`PartitionConfig::WINDOWS`], a negative or NaN balance threshold
+    /// (+∞ is valid: it turns the skip rule off) or an empty explicit
+    /// assignment.
     pub fn validate(&self) -> Result<(), PartitionError> {
         if !Self::WINDOWS.contains(&self.window) {
             return Err(PartitionError::InvalidConfig(format!(
                 "window {} outside {:?}",
                 self.window,
                 Self::WINDOWS
+            )));
+        }
+        let threshold = self.opts.balance_threshold;
+        if threshold.is_nan() || threshold < 0.0 {
+            return Err(PartitionError::InvalidConfig(format!(
+                "balance threshold {threshold} is negative or NaN"
             )));
         }
         if matches!(&self.assignment, Some(a) if a.is_empty()) {
@@ -656,11 +664,19 @@ mod tests {
         let p = program(&["A[i] = B[i] + 1"], 16);
         let machine = MachineConfig::knl_like();
         let data = p.initial_data();
+        let threshold = |balance_threshold| PartitionConfig {
+            opts: PlanOptions { balance_threshold, ..PlanOptions::default() },
+            ..PartitionConfig::default()
+        };
         for bad in [
             PartitionConfig { window: 0, ..PartitionConfig::default() },
             PartitionConfig { window: 9, ..PartitionConfig::default() },
             PartitionConfig { window: usize::MAX, ..PartitionConfig::default() },
             PartitionConfig { assignment: Some(vec![]), ..PartitionConfig::default() },
+            // The load tracker asserts a non-negative threshold: these
+            // panicked inside `plan` before `validate` refused them.
+            threshold(-0.5),
+            threshold(f64::NAN),
         ] {
             let part = Partitioner::new(&machine, &p, bad);
             for force_default in [false, true] {
@@ -671,6 +687,7 @@ mod tests {
         for window in PartitionConfig::WINDOWS {
             assert!(PartitionConfig { window, ..PartitionConfig::default() }.validate().is_ok());
         }
+        assert!(threshold(f64::INFINITY).validate().is_ok(), "+inf turns the skip rule off");
     }
 
     #[test]

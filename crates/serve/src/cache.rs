@@ -1,15 +1,20 @@
 //! The sharded, content-addressed plan cache.
 //!
-//! Compiled [`PartitionOutput`]s are memoized under their [`PlanKey`]. The
-//! cache is split into `N` shards, each behind its own [`Mutex`], so
-//! concurrent lookups from the worker pool and from client threads contend
-//! per-shard rather than on one global lock. Each shard runs an LRU policy
-//! over an *approximate byte* accounting of its plans (a plan's size is
-//! dominated by its steps, inputs and per-instance records), and the whole
-//! cache keeps hit/miss/insert/eviction counters that snapshot into a
-//! [`CacheStats`] report.
+//! Compiled [`PartitionOutput`]s are memoized under their [`PlanKey`],
+//! each beside its framed `PlanOk` reply, so a hit is answered with one
+//! write of bytes made when the plan entered the cache. The cache is split
+//! into `N` shards, each behind its own [`Mutex`], so concurrent lookups
+//! from the worker pool and from client threads contend per-shard rather
+//! than on one global lock. Each shard runs an LRU policy over an
+//! *approximate byte* accounting of its entries (a plan's size is
+//! dominated by its steps, inputs and per-instance records; its frame is
+//! counted by length), and the whole cache keeps
+//! hit/miss/insert/eviction counters that snapshot into a [`CacheStats`]
+//! report.
 
+use crate::codec::encode_plan;
 use crate::key::PlanKey;
+use crate::wire::{frame_bytes, FrameKind, FRAME_HEADER_BYTES, FRAME_TRAILER_BYTES};
 use dmcp_core::{NestPartition, PartitionOutput, StmtRecord};
 use dmcp_core::{Step, StepInput, SubId};
 use std::collections::HashMap;
@@ -40,6 +45,38 @@ pub fn approx_plan_bytes(plan: &PartitionOutput) -> usize {
     bytes
 }
 
+/// A plan as the cache holds it: the plan and its framed `PlanOk` reply
+/// (header, [`encode_plan`] bytes and checksum in one buffer). The frame
+/// is made once per residency and shared by every reply.
+#[derive(Clone)]
+pub(crate) struct CachedPlan {
+    pub(crate) plan: Arc<PartitionOutput>,
+    pub(crate) frame: Arc<[u8]>,
+}
+
+impl CachedPlan {
+    /// Frames `payload`, which must be `encode_plan(&plan)`.
+    pub(crate) fn new(plan: Arc<PartitionOutput>, payload: &[u8]) -> Self {
+        Self { plan, frame: frame_bytes(FrameKind::PlanOk, payload).into() }
+    }
+
+    /// Encodes and frames `plan`.
+    pub(crate) fn encode(plan: Arc<PartitionOutput>) -> Self {
+        let payload = encode_plan(&plan);
+        Self::new(plan, &payload)
+    }
+
+    /// The frame's payload: the plan's encoded bytes.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.frame[FRAME_HEADER_BYTES..self.frame.len() - FRAME_TRAILER_BYTES]
+    }
+
+    /// What the entry counts against its shard's budget.
+    fn bytes(&self) -> usize {
+        approx_plan_bytes(&self.plan) + self.frame.len()
+    }
+}
+
 /// Counter snapshot of one cache (or one service run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -53,7 +90,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Plans currently resident.
     pub entries: u64,
-    /// Approximate bytes currently resident.
+    /// Approximate bytes currently resident: each plan's
+    /// [`approx_plan_bytes`] plus the length of its frame.
     pub bytes: u64,
 }
 
@@ -71,7 +109,7 @@ impl CacheStats {
 }
 
 struct Entry {
-    plan: Arc<PartitionOutput>,
+    cached: CachedPlan,
     bytes: usize,
     /// Last-touch stamp from the shard's monotonic tick; smallest = LRU.
     stamp: u64,
@@ -84,12 +122,12 @@ struct Shard {
 }
 
 impl Shard {
-    fn touch(&mut self, key: PlanKey) -> Option<Arc<PartitionOutput>> {
+    fn touch(&mut self, key: PlanKey) -> Option<CachedPlan> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(&key).map(|e| {
             e.stamp = tick;
-            Arc::clone(&e.plan)
+            e.cached.clone()
         })
     }
 }
@@ -130,6 +168,11 @@ impl ShardedPlanCache {
 
     /// Looks up a plan, refreshing its LRU position on a hit.
     pub fn get(&self, key: PlanKey) -> Option<Arc<PartitionOutput>> {
+        self.lookup(key).map(|hit| hit.plan)
+    }
+
+    /// [`ShardedPlanCache::get`] of the whole entry, frame included.
+    pub(crate) fn lookup(&self, key: PlanKey) -> Option<CachedPlan> {
         let found = self.shard(key).lock().expect("cache shard poisoned").touch(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -138,19 +181,25 @@ impl ShardedPlanCache {
         found
     }
 
-    /// Inserts a plan, evicting least-recently-used entries of the shard
-    /// until it fits the byte budget. A plan larger than the whole shard
-    /// budget is not retained. Re-inserting an existing key refreshes the
-    /// entry.
+    /// Inserts a plan, encoded and framed for the replies it will answer,
+    /// evicting least-recently-used entries of the shard until the entry
+    /// (plan and frame) fits the byte budget. An entry larger than the
+    /// whole shard budget is not retained. Re-inserting an existing key
+    /// refreshes the entry.
     pub fn insert(&self, key: PlanKey, plan: Arc<PartitionOutput>) {
+        self.store(key, CachedPlan::encode(plan));
+    }
+
+    /// [`ShardedPlanCache::insert`] of a plan already framed.
+    pub(crate) fn store(&self, key: PlanKey, cached: CachedPlan) {
         if self.shard_capacity == 0 {
             return;
         }
-        let bytes = approx_plan_bytes(&plan);
+        let bytes = cached.bytes();
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let stamp = shard.tick;
-        if let Some(old) = shard.map.insert(key, Entry { plan, bytes, stamp }) {
+        if let Some(old) = shard.map.insert(key, Entry { cached, bytes, stamp }) {
             shard.bytes -= old.bytes;
         }
         shard.bytes += bytes;
@@ -215,6 +264,11 @@ mod tests {
         }]))
     }
 
+    /// What a `plan(steps)` entry counts against its shard.
+    fn entry_bytes(steps: usize) -> usize {
+        CachedPlan::encode(plan(steps)).bytes()
+    }
+
     #[test]
     fn hit_miss_and_insert_counters() {
         let cache = ShardedPlanCache::new(4, 1 << 20);
@@ -230,8 +284,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        // Single shard so ordering is observable; capacity fits two plans.
-        let two = 2 * approx_plan_bytes(&plan(8));
+        // Single shard so ordering is observable; capacity fits two entries.
+        let two = 2 * entry_bytes(8);
         let cache = ShardedPlanCache::new(1, two);
         cache.insert(key(1), plan(8));
         cache.insert(key(2), plan(8));
@@ -255,13 +309,33 @@ mod tests {
 
     #[test]
     fn oversized_plan_is_not_retained() {
-        let small = approx_plan_bytes(&plan(2));
+        let small = entry_bytes(2);
         let cache = ShardedPlanCache::new(1, small);
         cache.insert(key(1), plan(64));
         assert!(cache.get(key(1)).is_none());
         // But a fitting plan stays.
         cache.insert(key(2), plan(2));
         assert!(cache.get(key(2)).is_some());
+    }
+
+    #[test]
+    fn an_entry_counts_the_plan_and_its_frame() {
+        let p = plan(8);
+        let frame_len = frame_bytes(FrameKind::PlanOk, &encode_plan(&p)).len();
+        let both = approx_plan_bytes(&p) + frame_len;
+        let cache = ShardedPlanCache::new(1, both);
+        cache.insert(key(1), Arc::clone(&p));
+        assert_eq!(cache.stats().bytes, both as u64);
+        let hit = cache.lookup(key(1)).expect("fits exactly");
+        assert_eq!(hit.payload(), encode_plan(&p));
+
+        // A budget that holds the plan but not the plan and its frame
+        // keeps nothing.
+        let cache = ShardedPlanCache::new(1, both - 1);
+        cache.insert(key(1), p);
+        assert!(cache.get(key(1)).is_none());
+        let s = cache.stats();
+        assert_eq!((s.entries, s.bytes, s.evictions), (0, 0, 1));
     }
 
     #[test]

@@ -793,7 +793,13 @@ pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
     };
     config.opts.reuse_aware = d.u8()? != 0;
     config.opts.ideal_analysis = d.u8()? != 0;
-    config.opts.balance_threshold = d.f64()?;
+    // The planner's load tracker asserts a non-negative threshold; +∞
+    // turns the skip rule off and stays valid.
+    let balance = d.f64()?;
+    if balance.is_nan() || balance < 0.0 {
+        return Err(CodecError::Invalid(format!("balance threshold {balance}")));
+    }
+    config.opts.balance_threshold = balance;
     config.opts.split_threshold = d.f64()?;
     config.predictor = match d.u8()? {
         0 => PredictorSpec::Reuse,
@@ -1459,6 +1465,23 @@ mod tests {
             assert!(matches!(err, CodecError::Invalid(_)), "window {window}: {err:?}");
         }
         service.shutdown();
+    }
+
+    #[test]
+    fn negative_and_nan_balance_thresholds_are_refused() {
+        // The planner's load tracker asserts a non-negative threshold, so
+        // these decoded and then panicked inside the compile.
+        let mut req = suite_requests().remove(0);
+        for threshold in [-0.5, f64::NAN] {
+            req.config.opts.balance_threshold = threshold;
+            let err = decode_request(&encode_request(&req)).unwrap_err();
+            assert!(matches!(err, CodecError::Invalid(_)), "threshold {threshold}: {err:?}");
+        }
+        for threshold in [0.0, 0.10, f64::INFINITY] {
+            req.config.opts.balance_threshold = threshold;
+            let decoded = decode_request(&encode_request(&req)).expect("a valid threshold");
+            assert_eq!(decoded.key(), req.key(), "threshold {threshold}");
+        }
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The TCP front end: accepts connections, decodes request frames, drives
 //! the [`PlanService`] and answers with plan bytes or typed error frames.
+//! A plan reply is the cache's framed `PlanOk` frame, written as it is,
+//! and every frame leaves in one write, so a connection serves request
+//! after request without waiting on the peer's delayed ACK.
 //!
 //! Robustness posture:
 //!
@@ -21,11 +24,11 @@
 //!   then connects to the listener itself to wake it, and the loop drops
 //!   whatever it accepts once the flag is set.
 
-use crate::codec::{decode_request, encode_plan, encode_stats};
-use crate::service::PlanService;
+use crate::codec::{decode_request, encode_stats};
+use crate::service::{PlanService, PlanTicket};
 use crate::wire::{encode_error, read_frame, write_frame, ErrorCode, FrameKind, WireError};
 use dmcp_pool::{SubmitError, WorkerPool};
-use std::io;
+use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -259,9 +262,9 @@ fn answer_plan(service: &PlanService, stream: &mut TcpStream, payload: &[u8]) ->
             return false;
         }
     };
-    let outcome = service.submit(request).and_then(crate::service::PlanTicket::wait);
+    let outcome = service.submit(request).and_then(PlanTicket::wait_frame);
     let write = match outcome {
-        Ok(plan) => write_frame(stream, FrameKind::PlanOk, &encode_plan(&plan)),
+        Ok(frame) => stream.write_all(&frame),
         Err(e) => {
             let payload = encode_error(ErrorCode::from(&e), &e.to_string());
             write_frame(stream, FrameKind::Error, &payload)

@@ -11,13 +11,20 @@
 //! 3. otherwise a job enters the bounded queue. A full queue is a typed
 //!    admission error ([`ServeError::QueueFull`]) so callers can shed load
 //!    instead of blocking unboundedly;
-//! 4. a worker thread dequeues the job, compiles it, stores the plan in
-//!    the cache and wakes every ticket of the flight.
+//! 4. a worker thread dequeues the job, compiles it, encodes and frames
+//!    the plan once, stores both in the cache (and the encoded bytes on
+//!    disk) and wakes every ticket of the flight.
+//!
+//! Every ticket resolves to the cache's entry: the plan for in-process
+//! callers ([`PlanTicket::wait`]) and its framed reply for the TCP front
+//! end ([`PlanTicket::wait_frame`]), which answers a hit, a disk promotion
+//! and a fresh compile alike with one write.
 //!
 //! Shutdown is graceful: [`PlanService::shutdown`] closes the queue,
 //! workers drain what was admitted, and every outstanding ticket resolves.
 
-use crate::cache::{CacheStats, ShardedPlanCache};
+use crate::cache::{CacheStats, CachedPlan, ShardedPlanCache};
+use crate::codec::{decode_plan, encode_plan};
 use crate::disk::{DiskStats, DiskTier, DEFAULT_REPROBE, DEFAULT_SEGMENT_BYTES};
 use crate::key::{PlanKey, PlanRequest};
 use crate::storage::{RealIo, StorageIo};
@@ -148,9 +155,13 @@ impl From<PartitionError> for ServeError {
 /// The result every ticket resolves to.
 pub type PlanResult = Result<Arc<PartitionOutput>, ServeError>;
 
+/// What a flight resolves to: the cache's entry for the key, whether or
+/// not the cache kept it.
+type Resolved = Result<CachedPlan, ServeError>;
+
 /// One in-flight compilation, shared by every ticket waiting on it.
 struct Flight {
-    done: Mutex<Option<PlanResult>>,
+    done: Mutex<Option<Resolved>>,
     cv: Condvar,
 }
 
@@ -159,7 +170,7 @@ impl Flight {
         Arc::new(Self { done: Mutex::new(None), cv: Condvar::new() })
     }
 
-    fn complete(&self, result: PlanResult) {
+    fn complete(&self, result: Resolved) {
         *self.done.lock().expect("flight poisoned") = Some(result);
         self.cv.notify_all();
     }
@@ -167,7 +178,7 @@ impl Flight {
     /// Waits for the flight to resolve, up to `timeout` (`None` waits
     /// unboundedly). Elapsing the deadline is [`ServeError::Timeout`]; the
     /// flight itself keeps running and may still populate the cache.
-    fn wait_deadline(&self, timeout: Option<Duration>) -> PlanResult {
+    fn wait_deadline(&self, timeout: Option<Duration>) -> Resolved {
         let mut done = self.done.lock().expect("flight poisoned");
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
@@ -204,7 +215,7 @@ pub struct PlanTicket {
 }
 
 enum TicketInner {
-    Ready(Arc<PartitionOutput>),
+    Ready(CachedPlan),
     Flight(Arc<Flight>),
 }
 
@@ -217,8 +228,24 @@ impl PlanTicket {
     /// [`ServeError::Timeout`] when the deadline elapses first; otherwise
     /// whatever the compile resolved to.
     pub fn wait(self) -> PlanResult {
+        self.resolve().map(|cached| cached.plan)
+    }
+
+    /// [`PlanTicket::wait`], returning the plan's framed `PlanOk` reply
+    /// instead: one buffer of header, plan bytes and checksum, made once
+    /// per cache residency and shared by every reply, which the TCP front
+    /// end writes as it is.
+    ///
+    /// # Errors
+    ///
+    /// As [`PlanTicket::wait`].
+    pub fn wait_frame(self) -> Result<Arc<[u8]>, ServeError> {
+        self.resolve().map(|cached| cached.frame)
+    }
+
+    fn resolve(self) -> Resolved {
         match self.inner {
-            TicketInner::Ready(plan) => Ok(plan),
+            TicketInner::Ready(cached) => Ok(cached),
             TicketInner::Flight(f) => {
                 let result = f.wait_deadline(self.wait_timeout);
                 if matches!(result, Err(ServeError::Timeout)) {
@@ -297,37 +324,37 @@ fn compile_output(request: &PlanRequest) -> Result<PartitionOutput, PartitionErr
 }
 
 impl Inner {
-    /// Probes memory, then disk. A disk hit is decoded, promoted into the
-    /// memory LRU and served; a payload that fails to decode is treated as
-    /// a miss (the caller recompiles — corruption degrades, never lies).
-    fn lookup(&self, key: PlanKey) -> Option<Arc<PartitionOutput>> {
-        if let Some(plan) = self.cache.get(key) {
-            return Some(plan);
+    /// Probes memory, then disk. A disk hit is decoded once, promoted into
+    /// the memory LRU and served; a payload that fails to decode is treated
+    /// as a miss (the caller recompiles — corruption degrades, never lies).
+    /// A payload that decodes is framed as it is: the plan codec admits one
+    /// encoding per plan, so it is the bytes `encode_plan` would write.
+    fn lookup(&self, key: PlanKey) -> Option<CachedPlan> {
+        if let Some(hit) = self.cache.lookup(key) {
+            return Some(hit);
         }
         let bytes = self.disk.as_ref()?.get(key)?;
-        match crate::codec::decode_plan(&bytes) {
-            Ok(out) => {
-                let plan = Arc::new(out);
-                self.cache.insert(key, Arc::clone(&plan));
-                Some(plan)
-            }
-            Err(_) => None,
-        }
+        let plan = decode_plan(&bytes).ok()?;
+        debug_assert!(encode_plan(&plan) == bytes, "a stored plan is not its one encoding");
+        let promoted = CachedPlan::new(Arc::new(plan), &bytes);
+        self.cache.store(key, promoted.clone());
+        Some(promoted)
     }
 
-    /// Compiles one request and stores the plan in both tiers.
-    fn compile(&self, key: PlanKey, request: &PlanRequest) -> PlanResult {
+    /// Compiles one request, encodes and frames the plan once, and stores
+    /// the frame in memory and its payload on disk.
+    fn compile(&self, key: PlanKey, request: &PlanRequest) -> Resolved {
         assert!(!self.chaos_compile_panic, "chaos: injected compile panic");
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(compile_output(request)?);
-        self.cache.insert(key, Arc::clone(&plan));
+        let compiled = CachedPlan::encode(Arc::new(compile_output(request)?));
+        self.cache.store(key, compiled.clone());
         if let Some(disk) = &self.disk {
             // Write-through. An append failure only costs durability of
             // this one plan (it stays served from memory); a partial
             // append is the torn tail the next open truncates.
-            let _ = disk.put(key, &crate::codec::encode_plan(&plan));
+            let _ = disk.put(key, compiled.payload());
         }
-        Ok(plan)
+        Ok(compiled)
     }
 
     fn run_job(&self, job: Job) {
@@ -342,7 +369,7 @@ impl Inner {
         // hanging and poisoning the worker.
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match self.lookup(job.key) {
-                Some(plan) => Ok(plan),
+                Some(found) => Ok(found),
                 None => self.compile(job.key, &job.request),
             }))
             .unwrap_or_else(|payload| {
@@ -458,8 +485,8 @@ impl PlanService {
         }
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         let key = request.key();
-        if let Some(plan) = self.inner.lookup(key) {
-            return Ok(self.ticket(TicketInner::Ready(plan)));
+        if let Some(found) = self.inner.lookup(key) {
+            return Ok(self.ticket(TicketInner::Ready(found)));
         }
         let mut inflight = self.inner.inflight.lock().expect("inflight poisoned");
         if let Some(flight) = inflight.get(&key) {
@@ -628,6 +655,7 @@ impl PlanService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{read_frame, FrameKind};
     use dmcp_ir::{Program, ProgramBuilder};
     use dmcp_mach::MachineConfig;
 
@@ -680,10 +708,68 @@ mod tests {
     #[test]
     fn invalid_config_is_a_typed_error() {
         let service = PlanService::new(ServeConfig::default());
-        let mut req = request(16);
-        req.config.window = 0;
-        let err = service.plan(req).unwrap_err();
-        assert!(matches!(err, ServeError::Compile(PartitionError::InvalidConfig(_))));
+        let edits: [fn(&mut PlanRequest); 3] = [
+            |req| req.config.window = 0,
+            // A contained panic (`Internal`) before `validate` refused them.
+            |req| req.config.opts.balance_threshold = -0.5,
+            |req| req.config.opts.balance_threshold = f64::NAN,
+        ];
+        for edit in edits {
+            let mut req = request(16);
+            edit(&mut req);
+            let err = service.plan(req).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Compile(PartitionError::InvalidConfig(_))),
+                "{err:?}"
+            );
+        }
+        assert_eq!(service.stats().panics, 0);
+    }
+
+    #[test]
+    fn hits_share_the_compile_frame_and_it_holds_the_plan_bytes() {
+        let service = PlanService::new(ServeConfig::default());
+        let compiled = service.submit(request(32)).unwrap().wait_frame().unwrap();
+        let first = service.submit(request(32)).unwrap();
+        assert!(first.from_cache());
+        let first = first.wait_frame().unwrap();
+        let second = service.submit(request(32)).unwrap().wait_frame().unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "two hits, one frame");
+        assert!(Arc::ptr_eq(&compiled, &first), "the compile's reply is the cached frame");
+        let plan = service.plan(request(32)).unwrap();
+        let (kind, payload) = read_frame(&mut &first[..]).expect("a valid frame");
+        assert_eq!(kind, FrameKind::PlanOk);
+        assert_eq!(payload, encode_plan(&plan));
+        assert_eq!(service.stats().compiles, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn an_undecodable_disk_record_is_a_miss_and_never_sent() {
+        let config = ServeConfig {
+            disk_dir: Some("/undecodable".into()),
+            disk_io: Some(Arc::new(crate::storage::MemIo::new())),
+            ..ServeConfig::default()
+        };
+        let service = PlanService::try_new(config).unwrap();
+        let fresh = encode_plan(&service.plan_uncached(&request(32)).unwrap());
+        // A plan cut short: the record's checksum holds, the plan does not
+        // decode.
+        let stored = &fresh[..fresh.len() - 1];
+        assert!(decode_plan(stored).is_err());
+        service.disk().unwrap().put(request(32).key(), stored).unwrap();
+
+        let frame = service.submit(request(32)).unwrap().wait_frame().unwrap();
+        let (kind, payload) = read_frame(&mut &frame[..]).unwrap();
+        assert_eq!(kind, FrameKind::PlanOk);
+        assert_eq!(payload, fresh, "the reply is the fresh plan's frame");
+        let stats = service.stats();
+        assert!(stats.disk.hits > 0, "the record was read");
+        assert_eq!(stats.compiles, 1, "and the request compiled");
+        let again = service.submit(request(32)).unwrap().wait_frame().unwrap();
+        assert!(Arc::ptr_eq(&frame, &again), "the compile stays in memory");
+        assert_eq!(service.stats().compiles, 1);
+        service.shutdown();
     }
 
     #[test]

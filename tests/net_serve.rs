@@ -141,6 +141,42 @@ fn read_reply(stream: &mut TcpStream) -> Result<(FrameKind, Vec<u8>), WireError>
     read_frame(stream)
 }
 
+/// Five requests on one connection, one after another: each reply is the
+/// plan's bytes, and a reused connection answers as fast as a fresh one.
+/// A frame written in three parts left its small trailing write waiting
+/// for the peer's delayed ACK, about 44 ms per exchange after the first;
+/// a healthy exchange of a memory hit takes under a millisecond.
+#[test]
+fn one_connection_serves_request_after_request_without_stalling() {
+    let service = Arc::new(PlanService::try_new(ServeConfig::default()).expect("service"));
+    let server = PlanServer::start(Arc::clone(&service), "127.0.0.1:0", NetConfig::default())
+        .expect("bind loopback");
+    let req = request("fft");
+    let plan = service.plan(req.clone()).expect("warm the key");
+    let expected = dmcp::serve::codec::encode_plan(&plan);
+    let payload = encode_request(&req);
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect raw");
+    let mut exchanges = Vec::new();
+    for round in 0..5 {
+        let started = Instant::now();
+        write_frame(&mut stream, FrameKind::PlanRequest, &payload).expect("write request");
+        match read_reply(&mut stream) {
+            Ok((FrameKind::PlanOk, reply)) => {
+                assert!(reply == expected, "round {round}: the reply is not the plan's bytes");
+            }
+            other => panic!("round {round}: expected a plan, got {other:?}"),
+        }
+        exchanges.push(started.elapsed());
+    }
+    drop(stream);
+    exchanges.sort();
+    let median = exchanges[exchanges.len() / 2];
+    assert!(median < Duration::from_millis(20), "median exchange {median:?} ({exchanges:?})");
+    assert_eq!(service.stats().compiles, 1, "every request on the connection was a hit");
+    halt(server, service);
+}
+
 /// Byte soup on a raw socket: the server answers with a typed error
 /// frame (or closes cleanly) within its deadline, never hangs, and keeps
 /// serving well-formed clients afterwards.
