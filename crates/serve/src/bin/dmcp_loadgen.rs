@@ -29,17 +29,20 @@
 //! response that arrives matches an independently compiled reference plan
 //! bit for bit, that the tier degrades to memory-only instead of failing
 //! requests, and that it recovers (drains its parked writes) once the
-//! storm lifts. Error rate, retry counts and the measured recovery time
-//! land in a `"chaos"` section of `BENCH_serve.json`; wrong plans, an
-//! unrecovered tier or undrained writes exit nonzero.
+//! storm lifts. Each proxied request gets its own client, and so its own
+//! scripted connection. Error rate, retry counts and the measured
+//! recovery time land in a `"chaos"` section of `BENCH_serve.json`;
+//! wrong plans, an unrecovered tier, undrained writes, or wire faults
+//! that never fired (no flipped byte, no dropped connection) exit
+//! nonzero.
 
 use dmcp_ir::ProgramBuilder;
 use dmcp_mach::rng::Rng64;
 use dmcp_mach::MachineConfig;
 use dmcp_serve::codec::{decode_plan, encode_request};
 use dmcp_serve::{
-    ChaosAction, ChaosProxy, ClientConfig, FaultyIo, MemIo, NetConfig, PlanClient, PlanRequest,
-    PlanServer, PlanService, ServeConfig, ServeStats, StorageIo,
+    ChaosAction, ChaosProxy, ClientConfig, ClientError, FaultyIo, MemIo, NetConfig, PlanClient,
+    PlanRequest, PlanServer, PlanService, ServeConfig, ServeStats, StorageIo,
 };
 use dmcp_workloads::Scale;
 use std::net::SocketAddr;
@@ -262,10 +265,16 @@ struct ChaosOutcome {
 }
 
 impl ChaosOutcome {
-    /// The acceptance bar: no wrong plan ever surfaced, the storm was
-    /// actually felt, and the tier came back with nothing parked.
+    /// The acceptance bar: no wrong plan ever surfaced, the storm and the
+    /// wire faults were actually felt, and the tier came back with nothing
+    /// parked.
     fn passed(&self) -> bool {
-        self.wrong_plans == 0 && self.degraded_observed && self.recovered && self.pending_after == 0
+        self.wrong_plans == 0
+            && self.degraded_observed
+            && self.recovered
+            && self.pending_after == 0
+            && self.proxy_flipped >= 1
+            && self.proxy_dropped >= 1
     }
 
     fn render_json(&self) -> String {
@@ -395,10 +404,10 @@ fn chaos_request(trips: i64) -> PlanRequest {
     PlanRequest::new(b.build(), MachineConfig::knl_like(), <_>::default())
 }
 
-/// Sends `requests` through `client`, comparing every decoded response
+/// Sends each of `requests` with `send`, comparing every decoded response
 /// against its reference plan. Returns (wrong, failed).
 fn chaos_phase(
-    client: &mut PlanClient,
+    mut send: impl FnMut(&[u8]) -> Result<Vec<u8>, ClientError>,
     requests: &[PlanRequest],
     references: &[dmcp_serve::PlanResult],
 ) -> (usize, usize) {
@@ -408,7 +417,7 @@ fn chaos_phase(
             Ok(r) => r,
             Err(_) => continue,
         };
-        match client.plan_bytes(&encode_request(req)) {
+        match send(&encode_request(req)) {
             Ok(bytes) => match decode_plan(&bytes) {
                 Ok(plan) if plan == **reference => {}
                 _ => wrong += 1,
@@ -478,18 +487,27 @@ fn run_chaos(args: &Args) -> Result<ChaosOutcome, String> {
     };
     let mut direct = PlanClient::connect(addr, client_config.clone())
         .map_err(|e| format!("direct client: {e}"))?;
-    let mut proxied = PlanClient::connect(proxy.local_addr(), client_config.clone())
-        .map_err(|e| format!("proxied client: {e}"))?;
-    let mut probe =
-        PlanClient::connect(addr, client_config).map_err(|e| format!("probe client: {e}"))?;
+    let mut probe = PlanClient::connect(addr, client_config.clone())
+        .map_err(|e| format!("probe client: {e}"))?;
+    let mut counters = Vec::new();
+    // One client per proxied request: the proxy scripts its faults per
+    // connection, and a client keeps its connection, so requests sharing
+    // one client would share one scripted connection.
+    let send_proxied = |payload: &[u8]| {
+        let mut client = PlanClient::connect(proxy.local_addr(), client_config.clone())
+            .map_err(|e| ClientError::Io(e.to_string()))?;
+        let reply = client.plan_bytes(payload);
+        counters.push(client.counters());
+        reply
+    };
 
     // Phase 0: healthy baseline, direct.
-    let (mut wrong, mut failed) = chaos_phase(&mut direct, &phases[0], &references[0]);
+    let (mut wrong, mut failed) = chaos_phase(|p| direct.plan_bytes(p), &phases[0], &references[0]);
     println!("chaos: healthy phase done (wrong={wrong} failed={failed})");
 
     // Phase 1: disk storm + wire chaos, through the proxy.
     chaos.set_storm(true);
-    let (w, f) = chaos_phase(&mut proxied, &phases[1], &references[1]);
+    let (w, f) = chaos_phase(send_proxied, &phases[1], &references[1]);
     wrong += w;
     failed += f;
     let mid = probe.stats().map_err(|e| format!("mid-storm stats: {e}"))?;
@@ -515,7 +533,7 @@ fn run_chaos(args: &Args) -> Result<ChaosOutcome, String> {
     let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Phase 2: healthy again, direct.
-    let (w, f) = chaos_phase(&mut direct, &phases[2], &references[2]);
+    let (w, f) = chaos_phase(|p| direct.plan_bytes(p), &phases[2], &references[2]);
     wrong += w;
     failed += f;
 
@@ -524,7 +542,7 @@ fn run_chaos(args: &Args) -> Result<ChaosOutcome, String> {
     proxy.stop();
     teardown(server, service)?;
 
-    let counters = [direct.counters(), proxied.counters(), probe.counters()];
+    counters.extend([direct.counters(), probe.counters()]);
     Ok(ChaosOutcome {
         requests: 3 * PER_PHASE,
         wrong_plans: wrong,
@@ -576,16 +594,20 @@ fn chaos_main(args: &Args) -> ExitCode {
     }
     println!("wrote {}", args.out);
     if outcome.passed() {
-        println!("chaos drill passed: zero wrong plans, tier degraded and recovered");
+        println!(
+            "chaos drill passed: zero wrong plans, wire faults fired, tier degraded and recovered"
+        );
         ExitCode::SUCCESS
     } else {
         eprintln!(
             "FAIL: chaos drill (wrong_plans={} degraded_observed={} recovered={} \
-             pending_after={})",
+             pending_after={} proxy_flipped={} proxy_dropped={})",
             outcome.wrong_plans,
             outcome.degraded_observed,
             outcome.recovered,
             outcome.pending_after,
+            outcome.proxy_flipped,
+            outcome.proxy_dropped,
         );
         ExitCode::FAILURE
     }

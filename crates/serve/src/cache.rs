@@ -11,12 +11,20 @@
 //! counted by length), and the whole cache keeps
 //! hit/miss/insert/eviction counters that snapshot into a [`CacheStats`]
 //! report.
+//!
+//! Beside the key index sits a request-bytes index. The TCP front end
+//! records the encoded request that last resolved to an entry as that
+//! entry's *alias*, so the same bytes sent again find the entry without
+//! being decoded or hashed into a key. An alias is bounded by its entry:
+//! one per entry (the latest wins), counted against the entry's shard
+//! budget, and dropped when the entry is evicted or replaced.
 
 use crate::codec::encode_plan;
 use crate::key::PlanKey;
 use crate::wire::{frame_bytes, FrameKind, FRAME_HEADER_BYTES, FRAME_TRAILER_BYTES};
 use dmcp_core::{NestPartition, PartitionOutput, StmtRecord};
 use dmcp_core::{Step, StepInput, SubId};
+use dmcp_hash::KeyedState;
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,7 +99,8 @@ pub struct CacheStats {
     /// Plans currently resident.
     pub entries: u64,
     /// Approximate bytes currently resident: each plan's
-    /// [`approx_plan_bytes`] plus the length of its frame.
+    /// [`approx_plan_bytes`] plus the lengths of its frame and of its
+    /// alias, the request bytes last resolved to it over the wire.
     pub bytes: u64,
 }
 
@@ -110,6 +119,9 @@ impl CacheStats {
 
 struct Entry {
     cached: CachedPlan,
+    /// The request bytes last resolved to this entry over the wire.
+    alias: Option<Arc<[u8]>>,
+    /// What the entry counts against its shard: plan, frame and alias.
     bytes: usize,
     /// Last-touch stamp from the shard's monotonic tick; smallest = LRU.
     stamp: u64,
@@ -136,6 +148,10 @@ impl Shard {
 /// lookup misses, nothing is stored).
 pub struct ShardedPlanCache {
     shards: Vec<Mutex<Shard>>,
+    /// The request-bytes index: each resident alias → its entry's key. The
+    /// keyed hash only picks a bucket; a probe compares the bytes in full.
+    /// Taken after a shard's lock, never before one.
+    aliases: Mutex<HashMap<Arc<[u8]>, PlanKey, KeyedState>>,
     /// Per-shard byte budget (total capacity / shard count).
     shard_capacity: usize,
     hits: AtomicU64,
@@ -155,6 +171,7 @@ impl ShardedPlanCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(Shard { map: HashMap::new(), bytes: 0, tick: 0 }))
                 .collect(),
+            aliases: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -199,26 +216,75 @@ impl ShardedPlanCache {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let stamp = shard.tick;
-        if let Some(old) = shard.map.insert(key, Entry { cached, bytes, stamp }) {
+        if let Some(old) = shard.map.insert(key, Entry { cached, alias: None, bytes, stamp }) {
             shard.bytes -= old.bytes;
+            self.unindex(key, old.alias);
         }
         shard.bytes += bytes;
         self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.fit(&mut shard);
+    }
+
+    /// The entry whose alias is `request`, refreshing its LRU position. A
+    /// find counts as a hit; a miss counts nothing, since the caller then
+    /// decodes the request and looks its key up.
+    pub(crate) fn lookup_alias(&self, request: &[u8]) -> Option<CachedPlan> {
+        let key = *self.aliases.lock().expect("alias index poisoned").get(request)?;
+        let found = self.shard(key).lock().expect("cache shard poisoned").touch(key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(found)
+    }
+
+    /// Makes `request`, bytes that decoded to a request for `key`, the
+    /// alias of `key`'s entry in place of its previous one, and evicts as
+    /// [`ShardedPlanCache::store`] does if the entry no longer fits. Does
+    /// nothing when `key` is not resident.
+    pub(crate) fn alias(&self, key: PlanKey, request: &[u8]) {
+        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        let Some(entry) = shard.map.get_mut(&key) else { return };
+        if entry.alias.as_deref() == Some(request) {
+            return;
+        }
+        let alias: Arc<[u8]> = request.into();
+        let old = entry.alias.replace(Arc::clone(&alias));
+        let old_len = old.as_ref().map_or(0, |a| a.len());
+        entry.bytes = entry.bytes - old_len + alias.len();
+        shard.bytes = shard.bytes - old_len + alias.len();
+        self.unindex(key, old);
+        self.aliases.lock().expect("alias index poisoned").insert(alias, key);
+        self.fit(&mut shard);
+    }
+
+    /// Evicts least-recently-used entries, each with its alias, until the
+    /// shard fits its budget.
+    fn fit(&self, shard: &mut Shard) {
         while shard.bytes > self.shard_capacity {
             let Some((&victim, _)) = shard.map.iter().min_by_key(|(_, e)| e.stamp) else {
                 break;
             };
             let gone = shard.map.remove(&victim).expect("victim present");
             shard.bytes -= gone.bytes;
+            self.unindex(victim, gone.alias);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Drops every entry (counters are preserved).
+    /// Drops `alias`, which belonged to `key`'s entry, from the index.
+    fn unindex(&self, key: PlanKey, alias: Option<Arc<[u8]>>) {
+        let Some(alias) = alias else { return };
+        let mut aliases = self.aliases.lock().expect("alias index poisoned");
+        if aliases.get(&alias) == Some(&key) {
+            aliases.remove(&alias);
+        }
+    }
+
+    /// Drops every entry and alias (counters are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut s = shard.lock().expect("cache shard poisoned");
-            s.map.clear();
+            for (key, entry) in s.map.drain() {
+                self.unindex(key, entry.alias);
+            }
             s.bytes = 0;
         }
     }
@@ -336,6 +402,34 @@ mod tests {
         assert!(cache.get(key(1)).is_none());
         let s = cache.stats();
         assert_eq!((s.entries, s.bytes, s.evictions), (0, 0, 1));
+    }
+
+    #[test]
+    fn an_alias_counts_against_its_entry_and_goes_with_it() {
+        let cache = ShardedPlanCache::new(1, 2 * entry_bytes(8) + 16);
+        cache.insert(key(1), plan(8));
+        let plain = cache.stats().bytes;
+        cache.alias(key(1), b"request one");
+        assert_eq!(cache.stats().bytes, plain + 11, "the alias counts");
+        assert!(cache.lookup_alias(b"request one").is_some());
+        assert!(cache.lookup_alias(b"request 1").is_none());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 0), "an index miss counts nothing");
+
+        cache.alias(key(1), b"request 1");
+        assert!(cache.lookup_alias(b"request one").is_none(), "the latest alias wins");
+        assert_eq!(cache.stats().bytes, plain + 9);
+        cache.insert(key(1), plan(8));
+        assert!(cache.lookup_alias(b"request 1").is_none(), "replacing drops the alias");
+        assert_eq!(cache.stats().bytes, plain);
+        cache.alias(key(2), b"request two");
+        assert!(cache.lookup_alias(b"request two").is_none(), "no entry, no alias");
+
+        cache.alias(key(1), b"request one");
+        cache.insert(key(2), plan(8));
+        cache.insert(key(3), plan(8));
+        assert!(cache.lookup_alias(b"request one").is_none(), "evicted with its entry");
+        assert!(cache.aliases.lock().unwrap().is_empty());
     }
 
     #[test]

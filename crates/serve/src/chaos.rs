@@ -13,7 +13,10 @@
 //! The script is deterministic: connection *k* (in accept order) gets
 //! `script[k]`; connections past the end of the script pass through
 //! untouched, so "fail the first N attempts, then heal" is just a script
-//! of N faults.
+//! of N faults. A `PlanClient` keeps its connection between requests and
+//! opens a fresh one only after a failure, so its retries meet the next
+//! scripted connection but its next request does not: to fault every
+//! request, give each its own client.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -11,9 +11,16 @@
 //! splitmix64 [`Rng64`] so a fleet of clients released by the same event
 //! does not stampede the server in lockstep.
 //!
-//! One connection serves one request: reconnect-per-attempt keeps retry
-//! semantics trivial (no half-read stream state) and lets the server's
-//! bounded handler pool turn over quickly.
+//! The client keeps its connection between requests, so a repeated
+//! request pays no connect. Any transport or framing failure drops the
+//! connection, and the next attempt opens a fresh one, so a retry never
+//! reads a half-read stream. The server closes a connection that idles
+//! while another waits for a handler, or past its `io_timeout`; a kept
+//! connection that fails before the first reply byte arrives (a write
+//! error, or EOF or reset where the reply's header should be) was closed
+//! that way, and the request is sent again at once on a fresh connection.
+//! That resend is not a retry: plan requests are idempotent, so it is safe
+//! even with `max_retries: 0`.
 
 use crate::codec::{decode_plan, decode_stats, encode_request, CodecError};
 use crate::key::PlanRequest;
@@ -22,7 +29,7 @@ use crate::wire::{decode_error, read_frame, write_frame, ErrorCode, FrameKind, W
 use dmcp_core::PartitionOutput;
 use dmcp_mach::rng::Rng64;
 use std::fmt;
-use std::io;
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -105,19 +112,25 @@ pub struct ClientCounters {
     pub failed: u64,
     /// Extra attempts spent on backoff-and-retry.
     pub retries: u64,
-    /// Connection attempts made (first tries and retries alike).
+    /// Attempts made (first tries and retries alike). The resend of a
+    /// request whose kept connection the server had closed belongs to its
+    /// attempt.
     pub attempts: u64,
     /// Total time slept in backoff.
     pub backoff: Duration,
 }
 
-/// A plan-service client. Not `Sync`: give each client thread its own
-/// (they are cheap — a client holds no connection between requests).
+/// A plan-service client. Not `Sync`: give each client thread its own.
+/// It holds at most one connection, opened by its first request and kept
+/// for the next; dropping the client closes it.
 pub struct PlanClient {
     addr: SocketAddr,
     config: ClientConfig,
     rng: Rng64,
     counters: ClientCounters,
+    /// The kept connection; `None` before the first request and after a
+    /// transport or framing failure.
+    conn: Option<TcpStream>,
 }
 
 impl PlanClient {
@@ -132,7 +145,7 @@ impl PlanClient {
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "address resolved empty"))?;
         let rng = Rng64::new(config.seed);
-        Ok(Self { addr, config, rng, counters: ClientCounters::default() })
+        Ok(Self { addr, config, rng, counters: ClientCounters::default(), conn: None })
     }
 
     /// Counter snapshot.
@@ -162,15 +175,7 @@ impl PlanClient {
     /// Same as [`PlanClient::plan`].
     pub fn plan_bytes(&mut self, request_payload: &[u8]) -> Result<Vec<u8>, ClientError> {
         let out = self.with_retry(|client| {
-            let (kind, payload) = client.exchange(FrameKind::PlanRequest, request_payload)?;
-            match kind {
-                FrameKind::PlanOk => Ok(payload),
-                FrameKind::Error => {
-                    let (code, msg) = decode_error(&payload);
-                    Err(ClientError::Server(code, msg))
-                }
-                other => Err(ClientError::Protocol(format!("unexpected response {other:?}"))),
-            }
+            client.request(FrameKind::PlanRequest, request_payload, FrameKind::PlanOk)
         });
         match &out {
             Ok(_) => self.counters.ok += 1,
@@ -186,14 +191,29 @@ impl PlanClient {
     ///
     /// Socket, server or decode failures.
     pub fn stats(&mut self) -> Result<ServeStats, ClientError> {
-        let (kind, payload) = self.exchange(FrameKind::StatsRequest, &[])?;
-        match kind {
-            FrameKind::StatsOk => decode_stats(&payload).map_err(ClientError::Codec),
-            FrameKind::Error => {
-                let (code, msg) = decode_error(&payload);
+        let payload = self.request(FrameKind::StatsRequest, &[], FrameKind::StatsOk)?;
+        decode_stats(&payload).map_err(ClientError::Codec)
+    }
+
+    /// One exchange whose reply must be a frame of kind `expected` or a
+    /// typed error frame ([`ClientError::Server`]). Any other kind means
+    /// the peer is not speaking this protocol, and the connection goes.
+    fn request(
+        &mut self,
+        kind: FrameKind,
+        payload: &[u8],
+        expected: FrameKind,
+    ) -> Result<Vec<u8>, ClientError> {
+        match self.exchange(kind, payload)? {
+            (got, reply) if got == expected => Ok(reply),
+            (FrameKind::Error, reply) => {
+                let (code, msg) = decode_error(&reply);
                 Err(ClientError::Server(code, msg))
             }
-            other => Err(ClientError::Protocol(format!("unexpected response {other:?}"))),
+            (other, _) => {
+                self.conn = None;
+                Err(ClientError::Protocol(format!("unexpected response {other:?}")))
+            }
         }
     }
 
@@ -230,20 +250,76 @@ impl PlanClient {
         std::thread::sleep(slept);
     }
 
-    /// One connect–send–receive exchange.
+    /// One send–receive exchange: on the kept connection when there is
+    /// one, else on a fresh one, which is kept if the exchange succeeds. A
+    /// kept connection the server closed while idle gets the request again
+    /// on a fresh connection.
     fn exchange(
         &mut self,
         kind: FrameKind,
         payload: &[u8],
     ) -> Result<(FrameKind, Vec<u8>), ClientError> {
+        if let Some(mut stream) = self.conn.take() {
+            match send_receive(&mut stream, kind, payload) {
+                Ok(reply) => {
+                    self.conn = Some(stream);
+                    return Ok(reply);
+                }
+                Err(Failure { closed_while_idle: true, .. }) => {}
+                Err(failure) => return Err(failure.error),
+            }
+        }
         let mut stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
             .map_err(|e| ClientError::Io(e.to_string()))?;
         stream
             .set_read_timeout(Some(self.config.io_timeout))
             .and_then(|()| stream.set_write_timeout(Some(self.config.io_timeout)))
             .map_err(|e| ClientError::Io(e.to_string()))?;
-        write_frame(&mut stream, kind, payload).map_err(|e| ClientError::Io(e.to_string()))?;
-        read_frame(&mut stream).map_err(|e| match e {
+        let reply = send_receive(&mut stream, kind, payload).map_err(|f| f.error)?;
+        self.conn = Some(stream);
+        Ok(reply)
+    }
+}
+
+/// Why an exchange on one connection failed.
+struct Failure {
+    error: ClientError,
+    /// Whether the failure looks like a connection the server had already
+    /// closed: the request could not be written, or the stream ended or
+    /// was reset before any byte of the reply.
+    closed_while_idle: bool,
+}
+
+/// Writes one request frame and reads the reply frame. Any failure leaves
+/// the stream unusable, and the caller drops it.
+fn send_receive(
+    stream: &mut TcpStream,
+    kind: FrameKind,
+    payload: &[u8],
+) -> Result<(FrameKind, Vec<u8>), Failure> {
+    let io_failure = |e: io::Error, closed_while_idle| Failure {
+        error: ClientError::Io(e.to_string()),
+        closed_while_idle,
+    };
+    write_frame(stream, kind, payload).map_err(|e| io_failure(e, true))?;
+    // Wait for the reply's first byte, so that a stream the server closed
+    // (EOF or reset here) is told apart from one cut mid-reply.
+    match stream.peek(&mut [0u8]) {
+        Ok(0) => {
+            return Err(Failure {
+                error: ClientError::Io("closed before response".to_string()),
+                closed_while_idle: true,
+            })
+        }
+        Ok(_) => {}
+        Err(e) => {
+            let reset =
+                matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted);
+            return Err(io_failure(e, reset));
+        }
+    }
+    read_frame(stream).map_err(|e| {
+        let error = match e {
             // Socket failures (including a server that died mid-response)
             // are retryable. A checksum mismatch is corruption *in
             // transit* — the server never sends a frame that fails its
@@ -255,6 +331,7 @@ impl PlanClient {
             WireError::Closed => ClientError::Io("closed before response".to_string()),
             WireError::BadChecksum => ClientError::Io("response checksum mismatch".to_string()),
             malformed => ClientError::Protocol(malformed.to_string()),
-        })
-    }
+        };
+        Failure { error, closed_while_idle: false }
+    })
 }

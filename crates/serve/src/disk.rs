@@ -92,7 +92,7 @@ pub struct DiskStats {
     /// Records appended.
     pub writes: u64,
     /// Records dropped because their payload failed verification when
-    /// read back (bit rot after recovery).
+    /// read back (bit rot after recovery), or did not decode as a plan.
     pub corrupt_drops: u64,
     /// Records currently indexed.
     pub records: u64,
@@ -382,6 +382,16 @@ impl DiskTier {
                 self.state.lock().expect("disk tier poisoned").index.remove(&key);
                 None
             }
+        }
+    }
+
+    /// Drops `key`'s record, whose payload verified but did not decode,
+    /// from the index and counts it in `corrupt_drops`. The record stays
+    /// in its segment; the next [`DiskTier::put`] of the key appends a
+    /// fresh one, which a later open's scan prefers.
+    pub(crate) fn discard(&self, key: PlanKey) {
+        if self.state.lock().expect("disk tier poisoned").index.remove(&key).is_some() {
+            self.corrupt_drops.fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -11,7 +11,8 @@
 //!   [`dmcp_mach::Fingerprint`] accumulator for machines and faults, and
 //!   `PartitionConfig::fingerprint` for the planner knobs);
 //! * [`ShardedPlanCache`] — an N-shard LRU over approximate plan bytes
-//!   with hit/miss/insert/eviction counters;
+//!   with hit/miss/insert/eviction counters, and an index from the wire
+//!   bytes of a request to the entry they resolved to;
 //! * [`PlanService`] — a bounded-queue worker pool with single-flight
 //!   deduplication (concurrent requests for one key compile once), typed
 //!   admission control ([`ServeError::QueueFull`], [`ServeError::Timeout`])
@@ -24,8 +25,9 @@
 //! * [`wire`] / [`codec`] — the length-prefixed binary frame protocol and
 //!   the request/plan byte codec it carries;
 //! * [`PlanServer`] / [`PlanClient`] — the TCP front end (typed error
-//!   frames, per-connection deadlines, bounded handler pool) and a client
-//!   with connect/request timeouts and jittered-backoff retry.
+//!   frames, per-connection deadlines, bounded handler pool whose idle
+//!   connections yield to queued ones) and a client that keeps its
+//!   connection, with connect/request timeouts and jittered-backoff retry.
 //!
 //! Two binaries ship with the crate: `dmcp-serve`, the server, and
 //! `dmcp-loadgen`, the one load driver (an open-loop zipf mix over TCP,

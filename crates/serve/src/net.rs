@@ -1,39 +1,57 @@
-//! The TCP front end: accepts connections, decodes request frames, drives
+//! The TCP front end: accepts connections, reads request frames, drives
 //! the [`PlanService`] and answers with plan bytes or typed error frames.
 //! A plan reply is the cache's framed `PlanOk` frame, written as it is,
 //! and every frame leaves in one write, so a connection serves request
-//! after request without waiting on the peer's delayed ACK.
+//! after request without waiting on the peer's delayed ACK. Request bytes
+//! equal to those of a request already resolved to a resident cache entry
+//! are answered from the service's request-bytes index, undecoded.
+//!
+//! Connection lifecycle: an accepted connection is *queued* until a
+//! handler of the bounded [`WorkerPool`] takes it; from then on it is
+//! *idle* between frames (its handler waits for the first byte of the
+//! next one) and *busy* while a frame is read and answered. Clients keep
+//! their connections between requests, so an idle connection holds its
+//! handler; whenever more connections are open than there are handlers —
+//! checked when the accept loop admits one and when a handler goes idle —
+//! the longest-idle connection that has answered a request is closed, and
+//! its handler takes a queued one. A busy connection is never cut, and a
+//! new one gets its first request answered before it can yield.
 //!
 //! Robustness posture:
 //!
 //! * every connection gets read/write deadlines (`set_read_timeout`) — a
-//!   stalled or malicious peer times out instead of pinning a handler;
+//!   stalled or malicious peer times out instead of pinning a handler,
+//!   and a connection idle for that long is closed;
 //! * malformed frames (bad magic/version/kind, oversized length, checksum
 //!   mismatch, undecodable request) are answered with a typed error frame
 //!   and the connection is closed — once framing desyncs nothing later on
 //!   the stream can be trusted;
 //! * request-level failures (queue full, wait timeout, compile error)
 //!   are answered with a typed error frame and the connection *stays
-//!   open* — framing is intact, the client may pipeline the next request;
-//! * connections are handled by a bounded [`WorkerPool`]; when it is
-//!   saturated the accept loop answers `QueueFull` inline and drops the
-//!   connection — load is shed with a typed error, never by hanging;
-//! * shutdown stops accepting, finishes in-flight connections, then
-//!   returns. The accept loop blocks in `accept` (no polling, so a new
-//!   connection is taken the moment it arrives); stopping sets a flag and
-//!   then connects to the listener itself to wake it, and the loop drops
-//!   whatever it accepts once the flag is set.
+//!   open* — framing is intact, the client may send the next request;
+//! * when the handler pool's queue is full too, the accept loop answers
+//!   `QueueFull` inline and drops the connection — load is shed with a
+//!   typed error, never by hanging;
+//! * shutdown stops accepting, closes every idle connection (and every
+//!   queued one, unanswered), lets each busy connection finish its
+//!   request, then returns, so a client that keeps its connection cannot
+//!   hold a stop for the read deadline. The accept loop blocks in `accept`
+//!   (no polling, so a new connection is taken the moment it arrives);
+//!   stopping sets a flag and then connects to the listener itself to
+//!   wake it, and the loop drops whatever it accepts once the flag is set.
 
 use crate::codec::{decode_request, encode_stats};
-use crate::service::{PlanService, PlanTicket};
+use crate::service::PlanService;
 use crate::wire::{encode_error, read_frame, write_frame, ErrorCode, FrameKind, WireError};
 use dmcp_pool::{SubmitError, WorkerPool};
 use std::io::{self, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Back-off after a failed `accept` (say, out of file descriptors), so an
 /// error that persists cannot spin the accept thread.
@@ -44,10 +62,11 @@ const WAKE_TIMEOUT: Duration = Duration::from_millis(200);
 /// Server knobs.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Per-connection read/write deadline. A peer that stalls mid-frame
-    /// for longer than this is disconnected.
+    /// Per-connection read/write deadline. A peer that stalls mid-frame,
+    /// or sends no frame, for longer than this is disconnected.
     pub io_timeout: Duration,
-    /// Threads handling accepted connections.
+    /// Threads handling accepted connections, one connection each. With
+    /// more connections open, the longest-idle one is closed.
     pub conn_workers: usize,
     /// Accepted connections waiting for a handler before the accept loop
     /// sheds load with `QueueFull`.
@@ -97,8 +116,9 @@ impl PlanServer {
         self.local_addr
     }
 
-    /// Graceful stop: no new connections are accepted, in-flight
-    /// connections finish, then this returns.
+    /// Graceful stop: no new connections are accepted, idle and queued
+    /// connections are closed, each request being answered finishes, then
+    /// this returns. A client's kept connection does not hold it up.
     pub fn stop(mut self) {
         self.halt();
     }
@@ -138,6 +158,108 @@ fn wake_addr(local: SocketAddr) -> SocketAddr {
     SocketAddr::new(ip, local.port())
 }
 
+/// The open connections, shared by the accept loop and the handlers.
+struct Conns {
+    table: Mutex<Table>,
+    /// Connection handlers: with more connections open, idle ones close.
+    handlers: usize,
+}
+
+#[derive(Default)]
+struct Table {
+    next_id: u64,
+    open: Vec<Conn>,
+    /// Set by stop: no connection goes idle again.
+    closing: bool,
+}
+
+struct Conn {
+    id: u64,
+    /// A clone of the socket, to close it from outside its handler.
+    stream: TcpStream,
+    /// Since when its handler has waited for the next frame; `None` while
+    /// the connection is queued or a request is being answered.
+    idle_since: Option<Instant>,
+    /// Whether a frame has been read from it. Only such a connection
+    /// yields its handler: on a new one, the client awaits its first reply.
+    used: bool,
+}
+
+impl Conns {
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("connection table poisoned")
+    }
+
+    /// Adds an accepted connection, queued; returns its id.
+    fn register(&self, stream: TcpStream) -> u64 {
+        let mut table = self.lock();
+        let id = table.next_id;
+        table.next_id += 1;
+        table.open.push(Conn { id, stream, idle_since: None, used: false });
+        id
+    }
+
+    /// Drops connection `id`, if it is still open.
+    fn remove(&self, id: u64) {
+        self.lock().open.retain(|c| c.id != id);
+    }
+
+    /// After an admission: closes idle connections while more are open
+    /// than there are handlers.
+    fn admitted(&self) {
+        self.lock().close_longest_idle(self.handlers);
+    }
+
+    /// Marks `id` idle, then lets idle connections yield to queued ones.
+    /// `false` when `id` is to close instead: the server is stopping, or it
+    /// was the one to yield.
+    fn idle(&self, id: u64) -> bool {
+        let mut table = self.lock();
+        if table.closing {
+            return false;
+        }
+        let Some(conn) = table.open.iter_mut().find(|c| c.id == id) else { return false };
+        conn.idle_since = Some(Instant::now());
+        table.close_longest_idle(self.handlers);
+        table.open.iter().any(|c| c.id == id)
+    }
+
+    /// Marks `id` busy: its peer began a frame. `false` when it was closed
+    /// while idle.
+    fn busy(&self, id: u64) -> bool {
+        let mut table = self.lock();
+        let Some(conn) = table.open.iter_mut().find(|c| c.id == id) else { return false };
+        conn.idle_since = None;
+        conn.used = true;
+        true
+    }
+
+    /// On stop: closes every idle connection; from now on a handler closes
+    /// its connection instead of waiting for another frame.
+    fn close_idle(&self) {
+        let mut table = self.lock();
+        table.closing = true;
+        for conn in table.open.iter().filter(|c| c.idle_since.is_some()) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        table.open.retain(|c| c.idle_since.is_none());
+    }
+}
+
+impl Table {
+    /// Closes the longest-idle used connection while more than `handlers`
+    /// are open. Its handler, woken by the shutdown, returns and takes a
+    /// queued connection.
+    fn close_longest_idle(&mut self, handlers: usize) {
+        while self.open.len() > handlers {
+            let used = self.open.iter().enumerate().filter(|(_, c)| c.used);
+            let idle = used.filter_map(|(k, c)| Some((c.idle_since?, k)));
+            let Some((_, k)) = idle.min() else { break };
+            let _ = self.open.swap_remove(k).stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     service: &Arc<PlanService>,
@@ -145,6 +267,7 @@ fn accept_loop(
     stop: &Arc<AtomicBool>,
 ) {
     let pool = WorkerPool::new("dmcp-serve-conn", config.conn_workers, config.conn_queue);
+    let conns = Arc::new(Conns { table: Mutex::default(), handlers: config.conn_workers.max(1) });
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             // The connection that woke a stopping server, or one that
@@ -153,36 +276,45 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 let _ = stream.set_read_timeout(Some(config.io_timeout));
                 let _ = stream.set_write_timeout(Some(config.io_timeout));
-                let service = Arc::clone(service);
-                let mut stream_for_job = match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => continue,
+                let (Ok(mut stream_for_job), Ok(registered)) =
+                    (stream.try_clone(), stream.try_clone())
+                else {
+                    continue;
                 };
-                let admitted =
-                    pool.try_submit(move || handle_connection(&service, &mut stream_for_job));
-                if let Err(e) = admitted {
-                    // Shed load with a typed frame rather than a hang.
-                    let code = match e {
-                        SubmitError::QueueFull => ErrorCode::QueueFull,
-                        SubmitError::Closed => ErrorCode::ShuttingDown,
-                    };
-                    let mut stream = stream;
-                    let _ = write_frame(
-                        &mut stream,
-                        FrameKind::Error,
-                        &encode_error(code, "connection handlers saturated"),
-                    );
+                let id = conns.register(registered);
+                let service = Arc::clone(service);
+                let conns_for_job = Arc::clone(&conns);
+                let admitted = pool.try_submit(move || {
+                    handle_connection(&service, &conns_for_job, id, &mut stream_for_job);
+                });
+                match admitted {
+                    Ok(()) => conns.admitted(),
+                    Err(e) => {
+                        conns.remove(id);
+                        // Shed load with a typed frame rather than a hang.
+                        let code = match e {
+                            SubmitError::QueueFull => ErrorCode::QueueFull,
+                            SubmitError::Closed => ErrorCode::ShuttingDown,
+                        };
+                        let mut stream = stream;
+                        let _ = write_frame(
+                            &mut stream,
+                            FrameKind::Error,
+                            &encode_error(code, "connection handlers saturated"),
+                        );
+                    }
                 }
             }
             Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
+    conns.close_idle();
     // Dropping the pool drains connections already admitted.
     drop(pool);
 }
 
 /// Serves one connection until clean close, socket error, malformed
-/// input or read timeout.
+/// input, read timeout, or the server closing it while idle.
 ///
 /// Each request is additionally wrapped in `catch_unwind`: a panic while
 /// answering (a compile bug, a poisoned lock) is contained as a typed
@@ -190,8 +322,14 @@ fn accept_loop(
 /// kept alive — one bad request must not take the whole connection pool
 /// with it. (The service's own workers contain compile panics too; this
 /// is the second fence, for panics in the answer path itself.)
-fn handle_connection(service: &PlanService, stream: &mut TcpStream) {
-    loop {
+fn handle_connection(service: &PlanService, conns: &Conns, id: u64, stream: &mut TcpStream) {
+    while conns.idle(id) {
+        // Idle until the first byte of the next frame arrives: EOF, the
+        // shutdown that closes an idle connection, or the read deadline
+        // end the connection instead.
+        if !matches!(stream.peek(&mut [0u8]), Ok(1..)) || !conns.busy(id) {
+            break;
+        }
         match read_frame(stream) {
             Ok((FrameKind::PlanRequest, payload)) => {
                 let answered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -199,12 +337,12 @@ fn handle_connection(service: &PlanService, stream: &mut TcpStream) {
                 }));
                 match answered {
                     Ok(true) => {}
-                    Ok(false) => return,
+                    Ok(false) => break,
                     Err(_) => {
                         let payload =
                             encode_error(ErrorCode::Internal, "handler panicked (contained)");
                         if write_frame(stream, FrameKind::Error, &payload).is_err() {
-                            return;
+                            break;
                         }
                     }
                 }
@@ -221,7 +359,7 @@ fn handle_connection(service: &PlanService, stream: &mut TcpStream) {
                     ),
                 };
                 if write_frame(stream, kind, &payload).is_err() {
-                    return;
+                    break;
                 }
             }
             Ok((kind, _)) => {
@@ -230,9 +368,9 @@ fn handle_connection(service: &PlanService, stream: &mut TcpStream) {
                 let payload =
                     encode_error(ErrorCode::Malformed, &format!("unexpected frame kind {kind:?}"));
                 let _ = write_frame(stream, FrameKind::Error, &payload);
-                return;
+                break;
             }
-            Err(WireError::Closed) => return,
+            Err(WireError::Closed) => break,
             Err(e) if e.is_malformed() => {
                 // Garbage on the stream: answer with a typed frame, then
                 // close — after a framing error nothing later can be
@@ -242,18 +380,23 @@ fn handle_connection(service: &PlanService, stream: &mut TcpStream) {
                     _ => ErrorCode::Malformed,
                 };
                 let _ = write_frame(stream, FrameKind::Error, &encode_error(code, &e.to_string()));
-                return;
+                break;
             }
             // Socket failure (including read timeout): nothing sensible
             // to answer on a broken socket.
-            Err(_) => return,
+            Err(_) => break,
         }
     }
+    conns.remove(id);
 }
 
-/// Decodes and serves one plan request. Returns `false` when the
+/// Serves one plan request: from the request-bytes index when it holds
+/// these bytes, else decoded and submitted. Returns `false` when the
 /// connection should close (malformed request or socket failure).
 fn answer_plan(service: &PlanService, stream: &mut TcpStream, payload: &[u8]) -> bool {
+    if let Some(frame) = service.indexed_frame(payload) {
+        return stream.write_all(&frame).is_ok();
+    }
     let request = match decode_request(payload) {
         Ok(r) => r,
         Err(e) => {
@@ -262,9 +405,8 @@ fn answer_plan(service: &PlanService, stream: &mut TcpStream, payload: &[u8]) ->
             return false;
         }
     };
-    let outcome = service.submit(request).and_then(PlanTicket::wait_frame);
-    let write = match outcome {
-        Ok(frame) => stream.write_all(&frame),
+    let write = match service.answer_decoded(request, payload, |frame| stream.write_all(frame)) {
+        Ok(written) => written,
         Err(e) => {
             let payload = encode_error(ErrorCode::from(&e), &e.to_string());
             write_frame(stream, FrameKind::Error, &payload)

@@ -20,6 +20,11 @@
 //! end ([`PlanTicket::wait_frame`]), which answers a hit, a disk promotion
 //! and a fresh compile alike with one write.
 //!
+//! The TCP front end holds each request as the bytes it arrived in. Once
+//! decoded bytes resolve to an entry, the cache keeps them as the entry's
+//! alias, and the same bytes sent again are answered from the cache's
+//! request-bytes index before step 1: no decode, no key, one lookup.
+//!
 //! Shutdown is graceful: [`PlanService::shutdown`] closes the queue,
 //! workers drain what was admitted, and every outstanding ticket resolves.
 
@@ -325,16 +330,22 @@ fn compile_output(request: &PlanRequest) -> Result<PartitionOutput, PartitionErr
 
 impl Inner {
     /// Probes memory, then disk. A disk hit is decoded once, promoted into
-    /// the memory LRU and served; a payload that fails to decode is treated
-    /// as a miss (the caller recompiles — corruption degrades, never lies).
-    /// A payload that decodes is framed as it is: the plan codec admits one
-    /// encoding per plan, so it is the bytes `encode_plan` would write.
+    /// the memory LRU and served. A payload that fails to decode is a miss
+    /// (the caller recompiles — corruption degrades, never lies), and its
+    /// record leaves the disk index, so the compile's write-through appends
+    /// a fresh one and nothing reads the bad one again. A payload that
+    /// decodes is framed as it is: the plan codec admits one encoding per
+    /// plan, so it is the bytes `encode_plan` would write.
     fn lookup(&self, key: PlanKey) -> Option<CachedPlan> {
         if let Some(hit) = self.cache.lookup(key) {
             return Some(hit);
         }
-        let bytes = self.disk.as_ref()?.get(key)?;
-        let plan = decode_plan(&bytes).ok()?;
+        let disk = self.disk.as_ref()?;
+        let bytes = disk.get(key)?;
+        let Ok(plan) = decode_plan(&bytes) else {
+            disk.discard(key);
+            return None;
+        };
         debug_assert!(encode_plan(&plan) == bytes, "a stored plan is not its one encoding");
         let promoted = CachedPlan::new(Arc::new(plan), &bytes);
         self.cache.store(key, promoted.clone());
@@ -480,11 +491,15 @@ impl PlanService {
     /// [`ServeError::QueueFull`] when the bounded queue cannot admit the
     /// request, [`ServeError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, request: PlanRequest) -> Result<PlanTicket, ServeError> {
+        self.submit_keyed(request.key(), request)
+    }
+
+    /// [`PlanService::submit`] of a request whose key is `key`.
+    fn submit_keyed(&self, key: PlanKey, request: PlanRequest) -> Result<PlanTicket, ServeError> {
         if !self.inner.admitting.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        let key = request.key();
         if let Some(found) = self.inner.lookup(key) {
             return Ok(self.ticket(TicketInner::Ready(found)));
         }
@@ -511,6 +526,42 @@ impl PlanService {
             return Err(e);
         }
         Ok(self.ticket(TicketInner::Flight(flight)))
+    }
+
+    /// The framed reply for the encoded request `payload`, from the
+    /// cache's request-bytes index: `Some` when equal bytes were last
+    /// resolved to an entry that is still resident. It counts as a
+    /// submitted request and a cache hit, like the decoded hit it saves.
+    pub(crate) fn indexed_frame(&self, payload: &[u8]) -> Option<Arc<[u8]>> {
+        if !self.inner.admitting.load(Ordering::SeqCst) {
+            return None;
+        }
+        let found = self.inner.cache.lookup_alias(payload)?;
+        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
+        Some(found.frame)
+    }
+
+    /// Submits `request`, decoded from `payload`, waits for its framed
+    /// reply and hands it to `send`. Then, the request resolved (a hit, a
+    /// disk promotion or a compile), `payload` becomes the alias of the
+    /// key's cache entry: recorded after the reply left, it adds nothing
+    /// to the reply's latency.
+    ///
+    /// # Errors
+    ///
+    /// As [`PlanService::submit`] and [`PlanTicket::wait_frame`]; an error
+    /// records no alias.
+    pub(crate) fn answer_decoded<T>(
+        &self,
+        request: PlanRequest,
+        payload: &[u8],
+        send: impl FnOnce(&Arc<[u8]>) -> T,
+    ) -> Result<T, ServeError> {
+        let key = request.key();
+        let frame = self.submit_keyed(key, request)?.wait_frame()?;
+        let sent = send(&frame);
+        self.inner.cache.alias(key, payload);
+        Ok(sent)
     }
 
     fn ticket(&self, inner: TicketInner) -> PlanTicket {
@@ -655,7 +706,10 @@ impl PlanService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::approx_plan_bytes;
+    use crate::codec::{decode_request, encode_request};
     use crate::wire::{read_frame, FrameKind};
+    use dmcp_ir::display::statement_to_string;
     use dmcp_ir::{Program, ProgramBuilder};
     use dmcp_mach::MachineConfig;
 
@@ -769,6 +823,105 @@ mod tests {
         let again = service.submit(request(32)).unwrap().wait_frame().unwrap();
         assert!(Arc::ptr_eq(&frame, &again), "the compile stays in memory");
         assert_eq!(service.stats().compiles, 1);
+        service.shutdown();
+    }
+
+    /// Three boots over one directory holding a truncated FFT plan: the
+    /// first reads the record once, compiles and appends a fresh record;
+    /// the next two read the fresh record and compile nothing.
+    #[test]
+    fn an_undecodable_disk_record_is_replaced_by_the_recompile() {
+        // Every boot's config clones the one in-memory store.
+        let config = ServeConfig {
+            disk_dir: Some("/replaced".into()),
+            disk_io: Some(Arc::new(crate::storage::MemIo::new())),
+            ..ServeConfig::default()
+        };
+        let w = dmcp_workloads::by_name("fft", dmcp_workloads::Scale::Tiny).unwrap();
+        let fft = PlanRequest::new(w.program, MachineConfig::knl_like(), <_>::default())
+            .with_data(w.data);
+        let service = PlanService::try_new(config.clone()).unwrap();
+        let fresh = encode_plan(&service.plan_uncached(&fft).unwrap());
+        service.disk().unwrap().put(fft.key(), &fresh[..fresh.len() - 1]).unwrap();
+        service.shutdown();
+
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let service = PlanService::try_new(config.clone()).unwrap();
+            let plan = service.plan(fft.clone()).unwrap();
+            assert_eq!(encode_plan(&plan), fresh);
+            let stats = service.stats();
+            seen.push((stats.compiles, stats.disk.hits));
+            service.shutdown();
+        }
+        assert_eq!(seen, [(1, 1), (0, 1), (0, 1)], "(compiles, disk hits) per boot");
+    }
+
+    /// `payload` with its one statement spelled with extra spaces: other
+    /// bytes, the same request.
+    fn respelled(payload: &[u8]) -> Vec<u8> {
+        let request = decode_request(payload).unwrap();
+        let stmt = &request.program.nests()[0].body[0];
+        let text = statement_to_string(stmt, &request.program, &["v0".to_string()]);
+        let at = payload.windows(text.len()).position(|w| w == text.as_bytes()).unwrap();
+        let spelled = text.replace(" = ", "  =  ");
+        let mut out = payload[..at - 8].to_vec();
+        out.extend_from_slice(&(spelled.len() as u64).to_le_bytes());
+        out.extend_from_slice(spelled.as_bytes());
+        out.extend_from_slice(&payload[at + text.len()..]);
+        out
+    }
+
+    #[test]
+    fn repeated_request_bytes_are_answered_from_the_index() {
+        let service = PlanService::new(ServeConfig::default());
+        let payload = encode_request(&request(32));
+        let decode = |bytes: &[u8]| decode_request(bytes).unwrap();
+        assert!(service.indexed_frame(&payload).is_none(), "nothing is indexed yet");
+        let compiled = service.answer_decoded(decode(&payload), &payload, Arc::clone).unwrap();
+        let before = service.stats();
+        let hit = service.indexed_frame(&payload).expect("the compile indexed its bytes");
+        assert!(Arc::ptr_eq(&compiled, &hit), "the index answers with the compile's frame");
+        let after = service.stats();
+        assert_eq!(after.submitted, before.submitted + 1, "an index answer is a request");
+        assert_eq!(after.cache.hits, before.cache.hits + 1, "and a cache hit");
+        assert_eq!(after.cache.misses, before.cache.misses);
+
+        // The entry counts its plan, its frame and its alias.
+        let plan = service.plan(request(32)).unwrap();
+        let entry = approx_plan_bytes(&plan) + compiled.len() + payload.len();
+        assert_eq!(service.stats().cache.bytes, entry as u64);
+
+        // Other bytes of the same request decode to the same entry, whose
+        // alias they become: the latest bytes win.
+        let other = respelled(&payload);
+        assert_ne!(other, payload);
+        assert_eq!(decode(&other).key(), request(32).key());
+        assert!(service.indexed_frame(&other).is_none(), "other bytes are not indexed");
+        let same = service.answer_decoded(decode(&other), &other, Arc::clone).unwrap();
+        assert!(Arc::ptr_eq(&compiled, &same), "they decode to the same entry");
+        assert!(service.indexed_frame(&other).is_some());
+        assert!(service.indexed_frame(&payload).is_none(), "one alias per entry");
+        assert_eq!(service.stats().compiles, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn an_evicted_entry_takes_its_alias_with_it() {
+        let (a, b) = (encode_request(&request(32)), encode_request(&request(48)));
+        let decode = |bytes: &[u8]| decode_request(bytes).unwrap();
+        // A budget that holds the first entry with its alias, and no more.
+        let sizing = PlanService::new(ServeConfig::default());
+        sizing.answer_decoded(decode(&a), &a, Arc::clone).unwrap();
+        let budget = sizing.stats().cache.bytes as usize;
+        let config = ServeConfig { cache_bytes: budget, cache_shards: 1, ..ServeConfig::default() };
+        let service = PlanService::new(config);
+        service.answer_decoded(decode(&a), &a, Arc::clone).unwrap();
+        assert!(service.indexed_frame(&a).is_some(), "the entry fits with its alias");
+        service.answer_decoded(decode(&b), &b, Arc::clone).unwrap();
+        assert!(service.indexed_frame(&a).is_none(), "evicted with its entry");
+        service.answer_decoded(decode(&a), &a, Arc::clone).unwrap();
+        assert_eq!(service.stats().compiles, 3, "so the bytes compile again");
         service.shutdown();
     }
 

@@ -177,6 +177,113 @@ fn one_connection_serves_request_after_request_without_stalling() {
     halt(server, service);
 }
 
+/// One client sends six requests through a pass-through proxy: decoded
+/// hits, a compile, and repeats answered from the request-bytes index. The
+/// client keeps its connection, so the proxy sees one, and every reply is
+/// the plan's bytes.
+#[test]
+fn one_client_keeps_one_connection_for_every_request() {
+    let dir = tmpdir("keep-alive");
+    let (server, service, addr) = boot(&dir, NetConfig::default());
+    for name in ["fft", "lu"] {
+        service.plan(request(name)).expect("warm the key");
+    }
+    let proxy = ChaosProxy::start(addr, Vec::new()).expect("start proxy");
+    let mut client =
+        PlanClient::connect(proxy.local_addr(), ClientConfig::default()).expect("connect");
+    for name in ["fft", "lu", "ocean", "fft", "ocean", "lu"] {
+        let reply = client.plan_bytes(&encode_request(&request(name))).expect("plan");
+        let plan = service.plan(request(name)).expect("in-process hit");
+        assert!(reply == dmcp::serve::codec::encode_plan(&plan), "{name}: not the plan's bytes");
+    }
+    assert_eq!(proxy.counters().connections, 1, "one connection served every request");
+    let counters = client.counters();
+    assert_eq!((counters.ok, counters.attempts, counters.retries), (6, 6, 0));
+    assert_eq!(service.stats().compiles, 3, "fft and lu warmed, ocean compiled");
+
+    proxy.stop();
+    halt(server, service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two clients that never retry take turns on a server with one handler.
+/// Each keeps its connection, so each new connection finds the handler
+/// held by the other's idle one: the idle connection is closed and its
+/// handler takes the queued one, and a client whose kept connection was
+/// closed while idle sends its request again on a fresh connection. Every
+/// request is answered long before the 10-s read deadline, without a
+/// retry.
+#[test]
+fn idle_connections_yield_their_handler_to_queued_ones() {
+    let dir = tmpdir("idle-yield");
+    let net = NetConfig { conn_workers: 1, ..NetConfig::default() };
+    let (server, service, addr) = boot(&dir, net.clone());
+    let names = ["fft", "lu"];
+    let payloads = names.map(|name| {
+        service.plan(request(name)).expect("warm the key");
+        encode_request(&request(name))
+    });
+    let config = ClientConfig { max_retries: 0, ..ClientConfig::default() };
+    let mut clients = names.map(|_| PlanClient::connect(addr, config.clone()).expect("connect"));
+    for round in 0..5 {
+        for (client, (name, payload)) in clients.iter_mut().zip(names.iter().zip(&payloads)) {
+            let started = Instant::now();
+            client.plan_bytes(payload).unwrap_or_else(|e| panic!("round {round}, {name}: {e}"));
+            let took = started.elapsed();
+            assert!(took < net.io_timeout / 4, "round {round}, {name}: took {took:?}");
+        }
+    }
+    for client in &clients {
+        let counters = client.counters();
+        assert_eq!((counters.ok, counters.failed, counters.retries), (5, 0, 0));
+    }
+    assert_eq!(service.stats().submitted, 12, "2 warm-ups and 10 requests over the wire");
+
+    halt(server, service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Three clients that never retry queue up behind a busy connection on a
+/// server with one handler. When the handler frees up, each new
+/// connection gets its request answered before it can be closed for
+/// another, so all three are served.
+#[test]
+fn queued_new_connections_are_each_answered_before_they_yield() {
+    let dir = tmpdir("queued-new");
+    let net = NetConfig { conn_workers: 1, ..NetConfig::default() };
+    let (server, service, addr) = boot(&dir, net);
+    service.plan(request("fft")).expect("warm the key");
+    let payload = encode_request(&request("fft"));
+
+    // Hold the one handler mid-request: the frame's last bytes come later.
+    let mut frame = Vec::new();
+    write_frame(&mut frame, FrameKind::PlanRequest, &payload).expect("frame");
+    let mut held = TcpStream::connect(addr).expect("connect raw");
+    held.write_all(&frame[..frame.len() - 1]).expect("write most of a request");
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..3)
+            .map(|seed| {
+                let payload = &payload;
+                scope.spawn(move || {
+                    let config = ClientConfig { max_retries: 0, seed, ..ClientConfig::default() };
+                    let mut client = PlanClient::connect(addr, config).expect("connect");
+                    client.plan_bytes(payload).map(|_| client.counters().retries)
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(300));
+        held.write_all(&frame[frame.len() - 1..]).expect("finish the request");
+        assert!(matches!(read_reply(&mut held), Ok((FrameKind::PlanOk, _))));
+        for client in clients {
+            let retries = client.join().expect("client thread");
+            assert_eq!(retries.expect("every queued connection is served"), 0);
+        }
+    });
+
+    halt(server, service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Byte soup on a raw socket: the server answers with a typed error
 /// frame (or closes cleanly) within its deadline, never hangs, and keeps
 /// serving well-formed clients afterwards.
