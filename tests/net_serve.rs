@@ -4,9 +4,10 @@
 //! that tears the last record).
 
 use dmcp::core::PartitionConfig;
+use dmcp::ir::ProgramBuilder;
 use dmcp::mach::rng::Rng64;
 use dmcp::mach::MachineConfig;
-use dmcp::serve::codec::encode_request;
+use dmcp::serve::codec::{decode_plan, encode_request};
 use dmcp::serve::wire::{
     decode_error, read_frame, write_frame, ErrorCode, FrameKind, WireError, FRAME_MAGIC,
     MAX_FRAME_BYTES, WIRE_VERSION,
@@ -425,7 +426,10 @@ fn stalled_mid_frame_peer_is_disconnected_by_the_deadline() {
 }
 
 /// Concurrent clients over TCP for every workload: single-flight and the
-/// cache keep compiles at one per distinct key even under fan-in.
+/// cache keep compiles at one per distinct key even under fan-in. A fresh
+/// server and service on the same cache directory then take the same
+/// fan-in entirely from disk: nothing compiles, and every reply is its
+/// request's cold reply byte for byte.
 #[test]
 fn concurrent_tcp_clients_share_one_compile_per_key() {
     let dir = tmpdir("fan-in");
@@ -442,25 +446,42 @@ fn concurrent_tcp_clients_share_one_compile_per_key() {
         .collect();
     let distinct = payloads.len() as u64;
 
-    std::thread::scope(|scope| {
-        for c in 0..4 {
-            let payloads = &payloads;
-            scope.spawn(move || {
-                let config = ClientConfig { seed: 0xFA51_0000 + c, ..ClientConfig::default() };
-                let mut client = PlanClient::connect(addr, config).expect("connect");
-                for p in payloads {
-                    client.plan_bytes(p).expect("plan over tcp");
-                }
-            });
-        }
-    });
-
+    let cold = fan_in(addr, &payloads);
     let mut client = PlanClient::connect(addr, ClientConfig::default()).expect("connect");
     let stats = client.stats().expect("stats");
     assert_eq!(stats.compiles, distinct, "one compile per distinct key");
     assert_eq!(stats.submitted, 4 * distinct, "every request was admitted");
     halt(server, service);
+
+    // Fresh process state, same directory: only the disk remembers.
+    let (server, service, addr) = boot(&dir, NetConfig::default());
+    let warm = fan_in(addr, &payloads);
+    for (c, replies) in cold.iter().chain(&warm).enumerate() {
+        assert!(*replies == cold[0], "client {c}: a reply differs from the cold one");
+    }
+    let mut client = PlanClient::connect(addr, ClientConfig::default()).expect("reconnect");
+    let stats = client.stats().expect("warm stats");
+    assert_eq!(stats.compiles, 0, "the warm pass must not compile anything");
+    assert_eq!(stats.disk.recovered_records, distinct, "recovery indexes every key");
+    halt(server, service);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Four concurrent clients each send every payload; returns each client's
+/// replies in payload order. Every request must succeed.
+fn fan_in(addr: SocketAddr, payloads: &[Vec<u8>]) -> Vec<Vec<Vec<u8>>> {
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|c| {
+                scope.spawn(move || {
+                    let config = ClientConfig { seed: 0xFA51_0000 + c, ..ClientConfig::default() };
+                    let mut client = PlanClient::connect(addr, config).expect("connect");
+                    payloads.iter().map(|p| client.plan_bytes(p).expect("plan over tcp")).collect()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect()
+    })
 }
 
 /// A fast-retry client config for the chaos-proxy tests.
@@ -614,6 +635,149 @@ fn disk_storm_degrades_to_memory_only_and_recovers_end_to_end() {
     };
     assert!(recovered, "the tier must restore and drain once the storm lifts");
 
+    halt(server, service);
+}
+
+/// A four-array program whose cache key differs for every `trips`, so
+/// that fresh keys compile, and write to disk, while the disk fails.
+fn synthetic_request(trips: i64) -> PlanRequest {
+    let mut b = ProgramBuilder::new();
+    for name in ["A", "B", "C", "D"] {
+        b.array(name, &[4096], 8);
+    }
+    b.nest(&[("i", 0, trips)], &["A[i] = B[i] + C[i] + D[i]"]).expect("synthetic nest");
+    PlanRequest::new(b.build(), MachineConfig::knl_like(), PartitionConfig::default())
+}
+
+/// A disk storm and wire faults at once, under concurrent load. The
+/// durable tier rides a fault injector over an in-memory store. Three
+/// phases of 8 fresh keys run healthy and direct, then in a storm through
+/// a `ChaosProxy` that flips, cuts, splits, stalls and refuses replies,
+/// then recovered and direct. Every request succeeds with the plan an
+/// independent service compiles, the tier degrades in the storm, and it
+/// is restored with nothing parked once the storm lifts.
+///
+/// The proxy hands out its script in accept order, and each of its five
+/// failing entries (0, 2, 6, 8 and 10) costs whichever client meets it
+/// one retry. So the 8 proxied requests, one client each from 2 threads,
+/// succeed on entries 1, 3, 4, 5, 7, 9, 11 and 12: exactly 13 connections
+/// and 5 retries, in any interleaving, within every client's 6 retries.
+#[test]
+fn disk_storm_and_wire_faults_together_never_serve_a_wrong_plan() {
+    const PER_PHASE: usize = 8;
+    let phases: Vec<Vec<PlanRequest>> = (0..3)
+        .map(|p| {
+            (0..PER_PHASE).map(|i| synthetic_request((16 + p * PER_PHASE + i) as i64)).collect()
+        })
+        .collect();
+    let referee = PlanService::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let references: Vec<Vec<_>> = phases
+        .iter()
+        .map(|reqs| {
+            reqs.iter().map(|r| referee.plan_uncached(r).expect("reference plan")).collect()
+        })
+        .collect();
+    referee.shutdown();
+    let assert_reference = |phase: usize, i: usize, reply: Result<Vec<u8>, ClientError>| {
+        let bytes = reply.unwrap_or_else(|e| panic!("phase {phase}, request {i} failed: {e}"));
+        let plan = decode_plan(&bytes).expect("a served plan decodes");
+        assert!(plan == *references[phase][i], "phase {phase}, request {i}: wrong plan");
+    };
+
+    let faulty = FaultyIo::new(Arc::new(MemIo::new()), 0x10AD_4E4E);
+    let chaos = faulty.chaos();
+    let config = ServeConfig {
+        disk_dir: Some("/chaos-cache".into()),
+        disk_io: Some(Arc::new(faulty) as Arc<dyn StorageIo>),
+        disk_reprobe: Duration::from_millis(25),
+        ..ServeConfig::default()
+    };
+    let service = Arc::new(PlanService::try_new(config).expect("open virtual tier"));
+    let server = PlanServer::start(Arc::clone(&service), "127.0.0.1:0", NetConfig::default())
+        .expect("bind loopback");
+    let addr = server.local_addr();
+    let script = vec![
+        ChaosAction::BitFlip { offset: 16, mask: 0x20 },
+        ChaosAction::Pass,
+        ChaosAction::Drop { after: 10 },
+        ChaosAction::Pass,
+        ChaosAction::Split { chunk: 9, gap: Duration::from_millis(1) },
+        ChaosAction::Delay(Duration::from_millis(10)),
+        ChaosAction::Refuse,
+        ChaosAction::Pass,
+        ChaosAction::BitFlip { offset: 40, mask: 0x01 },
+        ChaosAction::Pass,
+        ChaosAction::Drop { after: 3 },
+        ChaosAction::Pass,
+    ];
+    let proxy = ChaosProxy::start(addr, script).expect("start proxy");
+    let client_config = ClientConfig {
+        io_timeout: Duration::from_secs(5),
+        max_retries: 6,
+        backoff_base: Duration::from_millis(10),
+        seed: 0xC4A0,
+        ..ClientConfig::default()
+    };
+    let mut direct = PlanClient::connect(addr, client_config.clone()).expect("connect direct");
+    let mut probe = PlanClient::connect(addr, client_config.clone()).expect("connect probe");
+
+    for (i, req) in phases[0].iter().enumerate() {
+        assert_reference(0, i, direct.plan_bytes(&encode_request(req)));
+    }
+
+    chaos.set_storm(true);
+    let retries: u64 = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..2)
+            .map(|t| {
+                let (proxy, client_config) = (&proxy, &client_config);
+                let (phases, assert_reference) = (&phases, &assert_reference);
+                scope.spawn(move || {
+                    let mut retries = 0;
+                    for i in (t..PER_PHASE).step_by(2) {
+                        // The proxy scripts faults per connection, and a
+                        // client keeps its connection: one client each.
+                        let mut client =
+                            PlanClient::connect(proxy.local_addr(), client_config.clone())
+                                .expect("connect proxied");
+                        assert_reference(1, i, client.plan_bytes(&encode_request(&phases[1][i])));
+                        retries += client.counters().retries;
+                    }
+                    retries
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().expect("client thread")).sum()
+    });
+    let mid = probe.stats().expect("mid-storm stats");
+    assert!(mid.disk.degraded, "the storm must degrade the tier to memory-only");
+    assert!(mid.disk.errors > 0, "disk failures must be counted");
+
+    chaos.set_storm(false);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let s = probe.stats().expect("recovery stats");
+        if !s.disk.degraded && s.disk.pending_records == 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the tier must restore and drain within 5 s");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    for (i, req) in phases[2].iter().enumerate() {
+        assert_reference(2, i, direct.plan_bytes(&encode_request(req)));
+    }
+    let end = probe.stats().expect("final stats");
+    assert_eq!(end.disk.pending_records, 0, "nothing is parked at the end");
+
+    let wire = proxy.counters();
+    assert_eq!(
+        (wire.connections, wire.flipped, wire.dropped, wire.refused),
+        (13, 2, 2, 1),
+        "every scripted fault fired once and 8 entries passed: {wire:?}"
+    );
+    assert_eq!(retries, 5, "each failing entry costs one retry");
+
+    proxy.stop();
     halt(server, service);
 }
 
