@@ -19,7 +19,7 @@
 //! drift fails both.
 
 use crate::digest::plan_digest;
-use dmcp_baselines::preferred_mc_overrides;
+use dmcp_core::baselines::preferred_mc_overrides;
 use dmcp_core::sim::{run_schedules, run_schedules_degraded, SimOptions, SimReport};
 use dmcp_core::{
     nest_assignment, PartitionConfig, PartitionOutput, Partitioner, PlanOptions, PredictorSpec,

@@ -14,7 +14,7 @@
 //! Both are profile-driven: they walk the program's reference stream once
 //! (the profiling run) before placement is fixed.
 
-use dmcp_core::Layout;
+use crate::Layout;
 use dmcp_ir::program::{DataStore, Program};
 use dmcp_mach::NodeId;
 use std::collections::HashMap;
@@ -120,106 +120,4 @@ pub fn preferred_mc_overrides(
         .collect();
     overrides.sort_unstable_by_key(|&(p, _)| p);
     overrides
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dmcp_core::{PartitionConfig, Partitioner};
-    use dmcp_ir::ProgramBuilder;
-    use dmcp_mach::MachineConfig;
-
-    fn setup() -> (Program, Partitioner) {
-        let mut b = ProgramBuilder::new();
-        for n in ["A", "B", "C", "D"] {
-            b.array(n, &[1024], 64);
-        }
-        b.nest(&[("i", 0, 256)], &["A[i] = B[i] + C[i] + D[i]"]).unwrap();
-        let p = b.build();
-        let machine = MachineConfig::knl_like();
-        let part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        (p, part)
-    }
-
-    #[test]
-    fn assignment_covers_all_iterations_and_many_cores() {
-        let (p, part) = setup();
-        let data = p.initial_data();
-        let asg = locality_assignment(&p, part.layout(), &data, 0);
-        assert_eq!(asg.len(), 256);
-        let distinct: std::collections::HashSet<_> = asg.iter().collect();
-        assert!(distinct.len() >= 30, "only {} cores used", distinct.len());
-    }
-
-    #[test]
-    fn assignment_is_chunk_contiguous() {
-        let (p, part) = setup();
-        let data = p.initial_data();
-        let asg = locality_assignment(&p, part.layout(), &data, 0);
-        // 256 iterations over 36 nodes -> chunks of 8.
-        for c in 0..(256 / 8) {
-            let chunk = &asg[c * 8..(c + 1) * 8];
-            assert!(chunk.iter().all(|&n| n == chunk[0]), "chunk {c} not uniform");
-        }
-    }
-
-    #[test]
-    fn profiled_assignment_beats_naive_chunking_on_planned_movement() {
-        let (p, part) = setup();
-        let data = p.initial_data();
-        let asg = locality_assignment(&p, part.layout(), &data, 0);
-        let machine = MachineConfig::knl_like();
-
-        let naive = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let profiled = Partitioner::new(
-            &machine,
-            &p,
-            PartitionConfig { assignment: Some(asg), ..PartitionConfig::default() },
-        );
-        let base_naive = naive.plan(&p, &data, true).unwrap();
-        let base_prof = profiled.plan(&p, &data, true).unwrap();
-        assert!(
-            base_prof.movement_default() <= base_naive.movement_default(),
-            "profiled {} vs naive {}",
-            base_prof.movement_default(),
-            base_naive.movement_default()
-        );
-    }
-
-    #[test]
-    fn mc_overrides_cover_touched_pages() {
-        let (p, part) = setup();
-        let data = p.initial_data();
-        let asg = locality_assignment(&p, part.layout(), &data, 0);
-        let overrides = preferred_mc_overrides(&p, part.layout(), &data, 0, &asg);
-        // 4 arrays × 256 touched elements × 64 B = 64 KiB ≈ 16+ pages.
-        assert!(overrides.len() >= 16, "got {}", overrides.len());
-        let corners = part.layout().machine().mesh.memory_controllers();
-        assert!(overrides.iter().all(|(_, mc)| corners.contains(mc)));
-    }
-
-    #[test]
-    fn overrides_are_deterministic() {
-        let (p, part) = setup();
-        let data = p.initial_data();
-        let asg = locality_assignment(&p, part.layout(), &data, 0);
-        let a = preferred_mc_overrides(&p, part.layout(), &data, 0, &asg);
-        let b = preferred_mc_overrides(&p, part.layout(), &data, 0, &asg);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn overrides_install_into_layout() {
-        let (p, _) = setup();
-        let machine = MachineConfig::knl_like();
-        let mut part = Partitioner::new(&machine, &p, PartitionConfig::default());
-        let data = p.initial_data();
-        let asg = locality_assignment(&p, part.layout(), &data, 0);
-        let overrides = preferred_mc_overrides(&p, part.layout(), &data, 0, &asg);
-        let n = overrides.len();
-        for (page, mc) in overrides {
-            part.layout_mut().override_page_controller(page, mc);
-        }
-        assert_eq!(part.layout().override_count(), n);
-    }
 }

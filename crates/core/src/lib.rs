@@ -24,7 +24,8 @@
 //! [`Partitioner::plan`] is the one planning entry point. It validates the
 //! configuration, runs the passes of [`pipeline`] and checks that a
 //! degraded plan runs only on live nodes; with `force_default` it emits
-//! the iteration-granularity baseline instead.
+//! the iteration-granularity baseline instead. The profile-driven
+//! placements the paper compares against are in [`baselines`].
 //!
 //! # Examples
 //!
@@ -49,6 +50,7 @@
 //! ```
 
 pub mod balance;
+pub mod baselines;
 pub mod error;
 pub mod explain;
 pub mod l1model;
@@ -83,3 +85,107 @@ pub use split::PlanOptions;
 pub use stats::{OpMix, StmtRecord};
 pub use step::{ElemLoc, Operand, Schedule, Span, Step, StepInput, StmtTag, StoreTarget, SubId};
 pub use window::{place_nest, sync_nest, NestPlan, NestStats};
+
+#[cfg(test)]
+mod tests {
+    //! The baselines, driven through the partitioner and its layout.
+    use crate::baselines::{locality_assignment, preferred_mc_overrides};
+    use crate::{PartitionConfig, Partitioner};
+    use dmcp_ir::program::Program;
+    use dmcp_ir::ProgramBuilder;
+    use dmcp_mach::MachineConfig;
+
+    fn setup() -> (Program, Partitioner) {
+        let mut b = ProgramBuilder::new();
+        for n in ["A", "B", "C", "D"] {
+            b.array(n, &[1024], 64);
+        }
+        b.nest(&[("i", 0, 256)], &["A[i] = B[i] + C[i] + D[i]"]).unwrap();
+        let p = b.build();
+        let machine = MachineConfig::knl_like();
+        let part = Partitioner::new(&machine, &p, PartitionConfig::default());
+        (p, part)
+    }
+
+    #[test]
+    fn assignment_covers_all_iterations_and_many_cores() {
+        let (p, part) = setup();
+        let data = p.initial_data();
+        let asg = locality_assignment(&p, part.layout(), &data, 0);
+        assert_eq!(asg.len(), 256);
+        let distinct: std::collections::HashSet<_> = asg.iter().collect();
+        assert!(distinct.len() >= 30, "only {} cores used", distinct.len());
+    }
+
+    #[test]
+    fn assignment_is_chunk_contiguous() {
+        let (p, part) = setup();
+        let data = p.initial_data();
+        let asg = locality_assignment(&p, part.layout(), &data, 0);
+        // 256 iterations over 36 nodes -> chunks of 8.
+        for c in 0..(256 / 8) {
+            let chunk = &asg[c * 8..(c + 1) * 8];
+            assert!(chunk.iter().all(|&n| n == chunk[0]), "chunk {c} not uniform");
+        }
+    }
+
+    #[test]
+    fn profiled_assignment_beats_naive_chunking_on_planned_movement() {
+        let (p, part) = setup();
+        let data = p.initial_data();
+        let asg = locality_assignment(&p, part.layout(), &data, 0);
+        let machine = MachineConfig::knl_like();
+
+        let naive = Partitioner::new(&machine, &p, PartitionConfig::default());
+        let profiled = Partitioner::new(
+            &machine,
+            &p,
+            PartitionConfig { assignment: Some(asg), ..PartitionConfig::default() },
+        );
+        let base_naive = naive.plan(&p, &data, true).unwrap();
+        let base_prof = profiled.plan(&p, &data, true).unwrap();
+        assert!(
+            base_prof.movement_default() <= base_naive.movement_default(),
+            "profiled {} vs naive {}",
+            base_prof.movement_default(),
+            base_naive.movement_default()
+        );
+    }
+
+    #[test]
+    fn mc_overrides_cover_touched_pages() {
+        let (p, part) = setup();
+        let data = p.initial_data();
+        let asg = locality_assignment(&p, part.layout(), &data, 0);
+        let overrides = preferred_mc_overrides(&p, part.layout(), &data, 0, &asg);
+        // 4 arrays × 256 touched elements × 64 B = 64 KiB ≈ 16+ pages.
+        assert!(overrides.len() >= 16, "got {}", overrides.len());
+        let corners = part.layout().machine().mesh.memory_controllers();
+        assert!(overrides.iter().all(|(_, mc)| corners.contains(mc)));
+    }
+
+    #[test]
+    fn overrides_are_deterministic() {
+        let (p, part) = setup();
+        let data = p.initial_data();
+        let asg = locality_assignment(&p, part.layout(), &data, 0);
+        let a = preferred_mc_overrides(&p, part.layout(), &data, 0, &asg);
+        let b = preferred_mc_overrides(&p, part.layout(), &data, 0, &asg);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn overrides_install_into_layout() {
+        let (p, _) = setup();
+        let machine = MachineConfig::knl_like();
+        let mut part = Partitioner::new(&machine, &p, PartitionConfig::default());
+        let data = p.initial_data();
+        let asg = locality_assignment(&p, part.layout(), &data, 0);
+        let overrides = preferred_mc_overrides(&p, part.layout(), &data, 0, &asg);
+        let n = overrides.len();
+        for (page, mc) in overrides {
+            part.layout_mut().override_page_controller(page, mc);
+        }
+        assert_eq!(part.layout().override_count(), n);
+    }
+}

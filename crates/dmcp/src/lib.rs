@@ -19,9 +19,9 @@
 //! | [`core`] | `dmcp-core` | **the paper's algorithm**: MST splitting, windows, scheduling; one entry point, `Partitioner::plan` |
 //! | [`sim`] | `dmcp-core` (`dmcp_core::sim`) | trace-driven timing/energy simulation of plans, fault sweeps |
 //! | [`workloads`] | `dmcp-workloads` | the 12 kernels (Splash-2 + Mantevo shapes) |
-//! | [`baselines`] | `dmcp-baselines` | profiled default placement, data-to-MC mapping |
-//! | [`pool`] | `dmcp-pool` | deterministic fork-join pool for per-workload and per-seed sweeps; serve's worker pool |
-//! | [`serve`] | `dmcp-serve` | plan compilation service: content-addressed cache, worker pool |
+//! | [`baselines`] | `dmcp-core` (`dmcp_core::baselines`) | profiled default placement, data-to-MC mapping |
+//! | [`pool`] | `dmcp-pool` | deterministic fork-join pool for per-workload and per-seed sweeps |
+//! | [`serve`] | `dmcp-serve` | plan compilation service: content-addressed cache, worker pool, TCP server and client |
 //! | [`check`] | `dmcp-check` | property-testing harness: generators, oracles, shrinking, goldens |
 //! | [`hash`] | `dmcp-hash` | shared stable-hash primitives: FNV-1a, frame checksum, splitmix64 finalizer |
 //! | [`bound`] | `dmcp-bound` | data-movement lower bounds and the optimality-gap dashboard |
@@ -71,10 +71,10 @@
 //! assert!(r_opt.movement <= r_base.movement);
 //! ```
 
-pub use dmcp_baselines as baselines;
 pub use dmcp_bound as bound;
 pub use dmcp_check as check;
 pub use dmcp_core as core;
+pub use dmcp_core::baselines;
 pub use dmcp_core::sim;
 pub use dmcp_hash as hash;
 pub use dmcp_ir as ir;

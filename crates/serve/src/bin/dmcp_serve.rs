@@ -7,8 +7,9 @@
 //! ```
 //!
 //! SIGINT/SIGTERM trigger a graceful drain: stop accepting, finish
-//! in-flight work, flush the durable tier, then exit. To put load on a
-//! server, use `dmcp-loadgen`.
+//! in-flight work, flush the durable tier, then exit. Load and latency
+//! numbers come from the benchmark in `perfbench/` (its `serve_hot` and
+//! `serve_cold` workloads).
 
 use dmcp_serve::{NetConfig, PlanServer, PlanService, ServeConfig};
 use std::process::ExitCode;

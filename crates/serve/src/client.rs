@@ -167,8 +167,8 @@ impl PlanClient {
         decode_plan(&bytes).map_err(ClientError::Codec)
     }
 
-    /// Requests a plan from an already-encoded request payload (the load
-    /// generator encodes each workload once and replays the bytes).
+    /// Requests a plan from an already-encoded request payload, so a
+    /// caller that sends one request many times encodes it once.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@
 //! are answered from the service's request-bytes index, undecoded.
 //!
 //! Connection lifecycle: an accepted connection is *queued* until a
-//! handler of the bounded [`WorkerPool`] takes it; from then on it is
+//! handler of the bounded `WorkerPool` takes it; from then on it is
 //! *idle* between frames (its handler waits for the first byte of the
 //! next one) and *busy* while a frame is read and answered. Clients keep
 //! their connections between requests, so an idle connection holds its
@@ -43,7 +43,7 @@
 use crate::codec::{decode_request, encode_stats};
 use crate::service::PlanService;
 use crate::wire::{encode_error, read_frame, write_frame, ErrorCode, FrameKind, WireError};
-use dmcp_pool::{SubmitError, WorkerPool};
+use crate::{SubmitError, WorkerPool};
 use std::io::{self, Write};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,

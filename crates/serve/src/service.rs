@@ -33,9 +33,9 @@ use crate::codec::{decode_plan, encode_plan};
 use crate::disk::{DiskStats, DiskTier, DEFAULT_REPROBE, DEFAULT_SEGMENT_BYTES};
 use crate::key::{PlanKey, PlanRequest};
 use crate::storage::{RealIo, StorageIo};
+use crate::{SubmitError, WorkerPool};
 use dmcp_core::{PartitionError, PartitionOutput, Partitioner};
 use dmcp_mach::FaultState;
-use dmcp_pool::{SubmitError, WorkerPool};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;

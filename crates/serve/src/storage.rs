@@ -14,8 +14,8 @@
 //!   write (a prefix lands, the call errors), simulate a crash at an
 //!   exact operation boundary (the in-flight write is torn to a seeded
 //!   prefix and every later operation fails), or run a *storm* (every
-//!   mutating operation fails until the storm is lifted — the loadgen's
-//!   disk-fault storm).
+//!   mutating operation fails until the storm is lifted — the chaos
+//!   drill's disk-fault storm in `tests/net_serve.rs`).
 //!
 //! Fault points are counted over *mutating* operations only (writes,
 //! flushes, syncs, truncates, renames, creates), because those are the
@@ -322,8 +322,8 @@ impl StorageIo for Arc<MemIo> {
 /// Never-fires sentinel for the operation-index knobs.
 const NEVER: u64 = u64::MAX;
 
-/// Shared, thread-safe fault switchboard of a [`FaultyIo`]. Tests and the
-/// loadgen hold a clone to arm faults and read the operation counter.
+/// Shared, thread-safe fault switchboard of a [`FaultyIo`]. Tests hold a
+/// clone to arm faults and read the operation counter.
 #[derive(Debug)]
 pub struct ChaosState {
     /// Mutating operations attempted so far (armed or not).
