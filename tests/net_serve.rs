@@ -456,8 +456,10 @@ fn concurrent_tcp_clients_share_one_compile_per_key() {
     // Fresh process state, same directory: only the disk remembers.
     let (server, service, addr) = boot(&dir, NetConfig::default());
     let warm = fan_in(addr, &payloads);
-    for (c, replies) in cold.iter().chain(&warm).enumerate() {
-        assert!(*replies == cold[0], "client {c}: a reply differs from the cold one");
+    for (pass, replies) in [("cold", &cold), ("warm", &warm)] {
+        for (c, replies) in replies.iter().enumerate() {
+            assert!(*replies == cold[0], "{pass} client {c}: a reply differs from the cold one");
+        }
     }
     let mut client = PlanClient::connect(addr, ClientConfig::default()).expect("reconnect");
     let stats = client.stats().expect("warm stats");
