@@ -6,7 +6,9 @@
 //! configuration in [`VARIANTS`], and [`GOLDEN_LARGE_MESH`]: FFT, Radix
 //! and LU on a 10×10 mesh. [`GOLDEN_SIM`] pins what the simulator reports
 //! for those plans, field by field, and [`GOLDEN_PLAN_BYTES`] the bytes
-//! the plan server sends for them.
+//! the plan server sends for them. [`GOLDEN_BOUND`] pins every field of
+//! the data-movement lower bound of the suite, healthy and degraded, and
+//! of FFT and Radix on a 3×3 mesh, where its exact path runs.
 //!
 //! These tables pin the planner's output bit-for-bit across refactors.
 //! Any change to splitting, placement, window choice, sync reduction or
@@ -19,12 +21,13 @@
 //! drift fails both.
 
 use crate::digest::plan_digest;
+use dmcp_bound::{bound_program, NestBound};
 use dmcp_core::baselines::preferred_mc_overrides;
 use dmcp_core::sim::{run_schedules, run_schedules_degraded, SimOptions, SimReport};
 use dmcp_core::{
     nest_assignment, PartitionConfig, PartitionOutput, Partitioner, PlanOptions, PredictorSpec,
 };
-use dmcp_ir::StableHasher;
+use dmcp_ir::{Program, StableHasher};
 use dmcp_mach::{ClusterMode, FaultPlan, FaultState, MachineConfig, Mesh, NodeId};
 use dmcp_mem::page::PagePolicy;
 use dmcp_mem::MemoryMode;
@@ -444,6 +447,37 @@ fn sim_options(name: &str) -> SimOptions {
     }
 }
 
+/// The partitioner (default config) for `program` on the golden machine
+/// `machine`, and the fault state it plans under: `healthy`, `degraded`
+/// ([`canonical_faults`]), `lossy` (a seeded random plan with dead nodes,
+/// dead links and lossy links), `large-healthy`/`large-degraded` (the
+/// first two on [`large_mesh_machine`]), or `3x3` (healthy, on a 3×3
+/// mesh, small enough for the lower bound's exact path).
+///
+/// # Panics
+///
+/// Panics on another machine name, or if a fault plan is rejected (none
+/// is).
+#[must_use]
+pub fn golden_partitioner(machine: &str, program: &Program) -> (Partitioner, Option<FaultState>) {
+    let (config, plan) = match machine {
+        "healthy" => (MachineConfig::knl_like(), None),
+        "degraded" => (MachineConfig::knl_like(), Some(canonical_faults())),
+        "lossy" => (MachineConfig::knl_like(), Some(lossy_faults())),
+        "large-healthy" => (large_mesh_machine(), None),
+        "large-degraded" => (large_mesh_machine(), Some(canonical_faults())),
+        "3x3" => (MachineConfig::knl_like().with_mesh(Mesh::new(3, 3)), None),
+        other => panic!("unknown golden machine {other}"),
+    };
+    let faults = plan.map(|p| FaultState::new(p, config.mesh).expect("golden faults fit"));
+    let partitioner = match &faults {
+        Some(f) => Partitioner::new_degraded(&config, program, PartitionConfig::default(), f)
+            .expect("default config is valid"),
+        None => Partitioner::new(&config, program, PartitionConfig::default()),
+    };
+    (partitioner, faults)
+}
+
 /// One golden input, planned: the workload, the partitioner its plan
 /// came from, the plan, and the fault state it was planned and is
 /// simulated under (`None` on a healthy machine).
@@ -459,35 +493,16 @@ pub struct GoldenInput {
 }
 
 impl GoldenInput {
-    /// Plans `name` (default config) on the golden machine `machine`:
-    /// `healthy`, `degraded` ([`canonical_faults`]), `lossy` (a seeded
-    /// random plan with dead nodes, dead links and lossy links), or
-    /// `large-healthy`/`large-degraded` (the first two on
-    /// [`large_mesh_machine`]).
+    /// Plans `name` (default config) on the golden machine `machine` (see
+    /// [`golden_partitioner`]).
     ///
     /// # Panics
     ///
-    /// Panics on another machine name, or if a fault plan is rejected
-    /// (none is).
+    /// Panics where [`golden_partitioner`] does.
     #[must_use]
     pub fn plan(machine: &str, name: &str) -> Self {
-        let (config, plan) = match machine {
-            "healthy" => (MachineConfig::knl_like(), None),
-            "degraded" => (MachineConfig::knl_like(), Some(canonical_faults())),
-            "lossy" => (MachineConfig::knl_like(), Some(lossy_faults())),
-            "large-healthy" => (large_mesh_machine(), None),
-            "large-degraded" => (large_mesh_machine(), Some(canonical_faults())),
-            other => panic!("unknown simulator golden machine {other}"),
-        };
         let workload = workload(name);
-        let faults = plan.map(|p| FaultState::new(p, config.mesh).expect("golden faults fit"));
-        let partitioner = match &faults {
-            Some(f) => {
-                Partitioner::new_degraded(&config, &workload.program, PartitionConfig::default(), f)
-                    .expect("default config is valid")
-            }
-            None => Partitioner::new(&config, &workload.program, PartitionConfig::default()),
-        };
+        let (partitioner, faults) = golden_partitioner(machine, &workload.program);
         let output = partitioner
             .plan(&workload.program, &workload.data, false)
             .expect("default config is valid");
@@ -619,6 +634,78 @@ pub fn sim_golden_rows() -> Vec<(&'static str, &'static str, &'static str, u64)>
     rows
 }
 
+/// Expected lower bound of every nest for every golden bound run, in
+/// [`bound_golden_rows`] order: the 12 workloads on the `healthy` and
+/// `degraded` machines, where only the portable kernels run, then FFT and
+/// Radix on the `3x3` machine, where the exact Dreyfus–Wagner bound runs
+/// too (see [`golden_partitioner`]). A row is `(machine, workload,
+/// [nest, instances, chargeable_leaves, footprint_lines, compulsory,
+/// bound], dag)`, the fields of one [`NestBound`] ([`bound_row`]).
+///
+/// The plan digests pin what the planner pays; these pin the floor it is
+/// measured against, so a change to the bound's replay cannot pass as
+/// long as it stays sound. Rows move with the bound's construction, or
+/// with the planner's resolution of the instance stream it reads.
+pub const GOLDEN_BOUND: &[(&str, &str, [u64; 6], Option<u64>)] = &[
+    ("healthy", "Barnes", [0, 2048, 1654, 1792, 6110, 6110], None),
+    ("healthy", "Cholesky", [0, 4096, 1058, 2050, 117, 117], None),
+    ("healthy", "FFT", [0, 1024, 768, 768, 1256, 1256], None),
+    ("healthy", "FMM", [0, 1024, 819, 768, 1484, 1484], None),
+    ("healthy", "LU", [0, 4096, 1088, 1088, 138, 138], None),
+    ("healthy", "Ocean", [0, 2688, 1856, 1792, 5846, 5846], None),
+    ("healthy", "Radiosity", [0, 1024, 962, 800, 3351, 3351], None),
+    ("healthy", "Radix", [0, 1536, 608, 320, 2100, 2100], None),
+    ("healthy", "Raytrace", [0, 1024, 915, 1024, 1387, 1387], None),
+    ("healthy", "Water", [0, 2540, 1276, 2032, 2467, 2467], None),
+    ("healthy", "MiniMD", [0, 2048, 2565, 2048, 4067, 4067], None),
+    ("healthy", "MiniXyce", [0, 1024, 680, 1280, 1495, 1495], None),
+    ("degraded", "Barnes", [0, 2048, 1654, 1792, 6188, 6188], None),
+    ("degraded", "Cholesky", [0, 4096, 1058, 2050, 118, 118], None),
+    ("degraded", "FFT", [0, 1024, 768, 768, 1258, 1258], None),
+    ("degraded", "FMM", [0, 1024, 819, 768, 1493, 1493], None),
+    ("degraded", "LU", [0, 4096, 1088, 1088, 141, 141], None),
+    ("degraded", "Ocean", [0, 2688, 1856, 1792, 5871, 5871], None),
+    ("degraded", "Radiosity", [0, 1024, 962, 800, 3343, 3343], None),
+    ("degraded", "Radix", [0, 1536, 608, 320, 2091, 2091], None),
+    ("degraded", "Raytrace", [0, 1024, 915, 1024, 1398, 1398], None),
+    ("degraded", "Water", [0, 2540, 1276, 2032, 2486, 2486], None),
+    ("degraded", "MiniMD", [0, 2048, 2565, 2048, 4089, 4089], None),
+    ("degraded", "MiniXyce", [0, 1024, 680, 1280, 1500, 1500], None),
+    ("3x3", "FFT", [0, 1024, 768, 768, 607, 676], Some(676)),
+    ("3x3", "Radix", [0, 1536, 608, 320, 946, 946], Some(946)),
+];
+
+/// One [`GOLDEN_BOUND`] row's values: `[nest, instances,
+/// chargeable_leaves, footprint_lines, compulsory, bound]` and `dag`.
+#[must_use]
+pub fn bound_row(bound: &NestBound) -> ([u64; 6], Option<u64>) {
+    // Destructured so that a new field fails to compile here until it is
+    // pinned.
+    let NestBound { nest, instances, chargeable_leaves, footprint_lines, compulsory, dag, bound } =
+        *bound;
+    ([nest as u64, instances, chargeable_leaves, footprint_lines, compulsory, bound], dag)
+}
+
+/// Bounds every [`GOLDEN_BOUND`] run, in table order, one row per nest.
+#[must_use]
+pub fn bound_golden_rows() -> Vec<(&'static str, &'static str, [u64; 6], Option<u64>)> {
+    let suite: Vec<&'static str> = GOLDEN_HEALTHY.iter().map(|&(name, _)| name).collect();
+    let matrix: [(&'static str, &[&'static str]); 3] =
+        [("healthy", &suite), ("degraded", &suite), ("3x3", &VARIANT_WORKLOADS)];
+    let mut rows = Vec::new();
+    for (machine, workloads) in matrix {
+        for &name in workloads {
+            let w = workload(name);
+            let (part, _) = golden_partitioner(machine, &w.program);
+            for nb in bound_program(&w.program, part.layout(), &w.data, part.config()) {
+                let (fields, dag) = bound_row(&nb);
+                rows.push((machine, name, fields, dag));
+            }
+        }
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,6 +799,11 @@ mod tests {
         println!("pub const GOLDEN_SIM: &[(&str, &str, &str, u64)] = &[");
         for (machine, options, name, digest) in sim_golden_rows() {
             println!("    (\"{machine}\", \"{options}\", \"{name}\", {digest:#018x}),");
+        }
+        println!("];");
+        println!("pub const GOLDEN_BOUND: &[(&str, &str, [u64; 6], Option<u64>)] = &[");
+        for (machine, name, fields, dag) in bound_golden_rows() {
+            println!("    (\"{machine}\", \"{name}\", {fields:?}, {dag:?}),");
         }
         println!("];");
     }

@@ -19,6 +19,9 @@
 //! mesh, both MCDRAM memory modes and every counterfactual option.
 //! `GOLDEN_PLAN_BYTES` pins the length and checksum of every golden
 //! plan's encoding, and each must decode back to the identical plan.
+//! `GOLDEN_BOUND` pins every field of the data-movement lower bound the
+//! planner's movement is measured against, healthy, degraded and on a
+//! 3×3 mesh, where the bound's exact path runs.
 //!
 //! To regenerate after an intentional planner change:
 //!
@@ -27,9 +30,10 @@
 //! ```
 
 use dmcp::check::golden::{
-    degraded_digest, degraded_output, healthy_digest, healthy_output, key_digests,
-    large_mesh_digest, plan_bytes_pin, sim_golden_rows, variant_run, GoldenInput, GOLDEN_DEGRADED,
-    GOLDEN_HEALTHY, GOLDEN_KEYS, GOLDEN_LARGE_MESH, GOLDEN_PLAN_BYTES, GOLDEN_SIM, GOLDEN_VARIANTS,
+    bound_golden_rows, degraded_digest, degraded_output, healthy_digest, healthy_output,
+    key_digests, large_mesh_digest, plan_bytes_pin, sim_golden_rows, variant_run, GoldenInput,
+    GOLDEN_BOUND, GOLDEN_DEGRADED, GOLDEN_HEALTHY, GOLDEN_KEYS, GOLDEN_LARGE_MESH,
+    GOLDEN_PLAN_BYTES, GOLDEN_SIM, GOLDEN_VARIANTS,
 };
 use dmcp::check::plan_digest;
 use dmcp::core::{passes, PlanCtx};
@@ -170,6 +174,25 @@ fn every_sim_report_matches_its_golden() {
             digest, want.3,
             "{name} on {machine} with {options} options: simulator report drifted ({digest:#018x})"
         );
+    }
+}
+
+/// Every golden bound run bounds every nest, field for field, as it did
+/// when the table was pinned; the `3x3` rows take the exact path.
+#[test]
+fn every_lower_bound_matches_its_golden() {
+    let got = bound_golden_rows();
+    assert_eq!(got.len(), GOLDEN_BOUND.len(), "one pin per nest of every golden bound run");
+    for (got, want) in got.iter().zip(GOLDEN_BOUND) {
+        let (machine, name, fields, dag) = *got;
+        assert_eq!((machine, name), (want.0, want.1), "row order changed");
+        assert_eq!(
+            (fields, dag),
+            (want.2, want.3),
+            "{name} on {machine}: [nest, instances, chargeable_leaves, footprint_lines, \
+             compulsory, bound] and dag drifted"
+        );
+        assert_eq!(dag.is_some(), machine == "3x3", "{name} on {machine}: exact path");
     }
 }
 
