@@ -630,9 +630,9 @@ pub fn decode_request(bytes: &[u8]) -> Result<PlanRequest, CodecError> {
             }
             dims.push(ext);
         }
-        let total: u64 = dims.iter().product();
-        if total > 1 << 32 {
-            return Err(CodecError::Invalid(format!("array {k} has {total} elements")));
+        let total = dims.iter().try_fold(1u64, |n, &ext| n.checked_mul(ext));
+        if total.is_none_or(|n| n > 1 << 32) {
+            return Err(CodecError::Invalid(format!("array {k} has {dims:?} elements")));
         }
         let elem_size = d.u32()?;
         if elem_size == 0 || elem_size > 4096 {
@@ -1506,6 +1506,26 @@ mod tests {
         // and the default L1 on the largest mesh, stay accepted.
         assert!(decode_with(|m| m.l1_bytes = 32 * 1024).is_ok());
         assert!(decode_with(|m| m.mesh = Mesh::new(256, 256)).is_ok());
+    }
+
+    #[test]
+    fn array_extents_whose_product_overflows_are_refused() {
+        // Each extent passes the per-extent cap, but their product
+        // overflows u64: unchecked, it wrapped to 0 (and passed the
+        // element cap) in release and panicked in debug.
+        for dims in [vec![1u64 << 32, 1 << 32], vec![1 << 16; 4]] {
+            let mut e = Enc::new();
+            e.u8(REQUEST_CODEC_V3);
+            e.u64(1);
+            e.u64(dims.len() as u64);
+            for &ext in &dims {
+                e.u64(ext);
+            }
+            e.u32(8);
+            e.u8(0);
+            let err = decode_request(&e.finish()).unwrap_err();
+            assert!(matches!(err, CodecError::Invalid(_)), "{dims:?}: {err:?}");
+        }
     }
 
     #[test]
