@@ -17,10 +17,10 @@
 //! dmcp-bound [--scale tiny|small|full] [--out BENCH_bound.json] [--pins]
 //! ```
 
-use dmcp_bound::{gap_report, GapReport};
-use dmcp_core::{PartitionConfig, Partitioner};
-use dmcp_mach::MachineConfig;
-use dmcp_workloads::{all, Scale};
+use dmcp::bound::{gap_report, GapReport};
+use dmcp::core::{PartitionConfig, Partitioner};
+use dmcp::mach::MachineConfig;
+use dmcp::workloads::{all, Scale};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: dmcp-bound [--scale tiny|small|full] [--out PATH] [--pins]";
@@ -127,7 +127,7 @@ fn main() -> ExitCode {
     for w in &suite {
         let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
         let out = part.plan(&w.program, &w.data, false).expect("valid config");
-        reports.push(gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out));
+        reports.push(gap_report(w.name, &w.program, &part, &w.data, &out));
     }
 
     let mut failures: Vec<String> = Vec::new();

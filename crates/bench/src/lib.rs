@@ -106,11 +106,11 @@ pub fn evaluate_suite(scale: Scale, pool: &Pool) -> Vec<AppEval> {
 }
 
 /// Plans one workload under `cfg` and pairs its per-nest movement with
-/// the `dmcp-bound` lower bound.
+/// the lower bound ([`dmcp::bound`]).
 pub fn gap_eval(w: &Workload, machine: &MachineConfig, cfg: PartitionConfig) -> GapReport {
     let part = Partitioner::new(machine, &w.program, cfg);
     let out = part.plan(&w.program, &w.data, false).expect("gap config plans");
-    gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out)
+    gap_report(w.name, &w.program, &part, &w.data, &out)
 }
 
 /// The optimality-gap dashboard over the full suite under the standard

@@ -1,4 +1,4 @@
-//! Properties of the `dmcp-bound` movement lower bounds.
+//! Properties of the movement lower bounds ([`dmcp_core::bound`]).
 //!
 //! * **Soundness** — on every generated case, healthy *and* degraded, the
 //!   per-nest lower bound never exceeds the planner's reported optimized
@@ -15,7 +15,7 @@
 //!   [`crate::meta::check_isometry`] demands of the point kernels.
 
 use crate::gencase::{pick_node, CaseSpec};
-use dmcp_bound::{bound_program, gap_report, NestBound};
+use dmcp_core::bound::{bound_program, gap_report, NestBound};
 use dmcp_core::Partitioner;
 use dmcp_mach::graph::{max_pairwise_sets, mst_weight_sets, steiner_min_sets};
 use dmcp_mach::rng::Rng64;
@@ -30,8 +30,7 @@ pub fn check_bound_sound(spec: &CaseSpec) -> Result<(), String> {
     let out = part
         .plan(&built.program, &built.data, false)
         .map_err(|e| format!("healthy planning failed: {e}"))?;
-    let report =
-        gap_report("healthy", &built.program, part.layout(), &built.data, part.config(), &out);
+    let report = gap_report("healthy", &built.program, &part, &built.data, &out);
     if !report.sound() {
         return Err(format!(
             "healthy bound {} exceeds planner movement {} (per nest: {:?})",
@@ -55,8 +54,7 @@ pub fn check_bound_sound(spec: &CaseSpec) -> Result<(), String> {
     let dout = dpart
         .plan(&built.program, &built.data, false)
         .map_err(|e| format!("degraded planning failed: {e}"))?;
-    let dreport =
-        gap_report("degraded", &built.program, dpart.layout(), &built.data, dpart.config(), &dout);
+    let dreport = gap_report("degraded", &built.program, &dpart, &built.data, &dout);
     if !dreport.sound() {
         return Err(format!(
             "degraded bound {} exceeds planner movement {} (per nest: {:?})",
@@ -81,7 +79,7 @@ pub fn check_bound_rename(spec: &CaseSpec) -> Result<(), String> {
 
     let bounds_of = |b: &crate::gencase::BuiltCase| -> Vec<NestBound> {
         let part = Partitioner::new(&b.machine, &b.program, b.config.clone());
-        bound_program(&b.program, part.layout(), &b.data, part.config())
+        bound_program(&b.program, &part, &b.data)
     };
     let a = bounds_of(&built);
     let b = bounds_of(&renamed);

@@ -21,8 +21,8 @@
 //! drift fails both.
 
 use crate::digest::plan_digest;
-use dmcp_bound::{bound_program, NestBound};
 use dmcp_core::baselines::preferred_mc_overrides;
+use dmcp_core::bound::{bound_program, NestBound};
 use dmcp_core::sim::{run_schedules, run_schedules_degraded, SimOptions, SimReport};
 use dmcp_core::{
     nest_assignment, PartitionConfig, PartitionOutput, Partitioner, PlanOptions, PredictorSpec,
@@ -697,7 +697,7 @@ pub fn bound_golden_rows() -> Vec<(&'static str, &'static str, [u64; 6], Option<
         for &name in workloads {
             let w = workload(name);
             let (part, _) = golden_partitioner(machine, &w.program);
-            for nb in bound_program(&w.program, part.layout(), &w.data, part.config()) {
+            for nb in bound_program(&w.program, &part, &w.data) {
                 let (fields, dag) = bound_row(&nb);
                 rows.push((machine, name, fields, dag));
             }

@@ -23,7 +23,7 @@
 //! * [`meta`] — metamorphic sweeps: variable renaming, mesh
 //!   translation/rotation of home-node sets, fault-plan route
 //!   monotonicity;
-//! * [`boundprop`] — the `dmcp-bound` lower bound never exceeds planner
+//! * [`boundprop`] — the lower bound (`dmcp_core::bound`) never exceeds planner
 //!   movement (healthy and degraded), and is invariant under renaming and
 //!   mesh isometries;
 //! * [`crashprop`] — crash-consistency fuzzing of the durable plan tier:

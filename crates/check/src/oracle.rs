@@ -28,6 +28,7 @@
 //! schedule, so equality there follows from both lines.
 
 use crate::gencase::pick_node;
+use dmcp_core::bound::bound_nest;
 use dmcp_core::partitioner::PredictorSpec;
 use dmcp_core::{
     place_nest, resolve_nest, HitPredictor, PartitionConfig, Partitioner, PlanOptions,
@@ -37,7 +38,7 @@ use dmcp_mach::rng::Rng64;
 use dmcp_mach::{MachineConfig, Mesh, NodeId};
 
 // The MST and Dreyfus–Wagner Steiner kernels were promoted to
-// `dmcp_mach::graph` so `dmcp-bound` shares the oracle-validated
+// `dmcp_mach::graph` so the lower bound shares the oracle-validated
 // implementation; these re-exports keep the historical
 // `crate::oracle::{mst_weight, steiner_min}` paths working.
 pub use dmcp_mach::graph::{mst_weight, steiner_min};
@@ -109,16 +110,17 @@ pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
         steiner: steiner_min(&mesh, &terminals),
     };
 
-    // Cross-validate the `dmcp-bound` lower bound against the exact floor:
-    // in the oracle regime (single fresh instance, always-hit predictor)
-    // its option groups collapse to exactly these terminals, so the nest
-    // bound must equal the Steiner minimum — and can never exceed it.
+    // Cross-validate the lower bound of the resolution just placed against
+    // the exact floor: in the oracle regime (single fresh instance,
+    // always-hit predictor) its option groups collapse to exactly these
+    // terminals, so the nest bound must equal the Steiner minimum — and
+    // can never exceed it.
     let bound_config = PartitionConfig {
         predictor: PredictorSpec::AlwaysHit,
         opts: PlanOptions { reuse_aware: false, ..PlanOptions::default() },
         ..PartitionConfig::default()
     };
-    let nb = dmcp_bound::bound_nest(&program, 0, layout, &data, &bound_config, &[core]);
+    let nb = bound_nest(&program, &resolution, layout, &bound_config);
     if nb.bound != outcome.steiner {
         return Err(format!(
             "lower bound {} diverged from the exact Steiner floor {}: stmt `{stmt}` on \

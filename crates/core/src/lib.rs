@@ -25,7 +25,9 @@
 //! configuration, runs the passes of [`pipeline`] and checks that a
 //! degraded plan runs only on live nodes; with `force_default` it emits
 //! the iteration-granularity baseline instead. The profile-driven
-//! placements the paper compares against are in [`baselines`].
+//! placements the paper compares against are in [`baselines`], and
+//! [`bound`] bounds from below the movement any plan of the planner's
+//! instance stream pays.
 //!
 //! # Examples
 //!
@@ -51,6 +53,7 @@
 
 pub mod balance;
 pub mod baselines;
+pub mod bound;
 pub mod error;
 pub mod explain;
 pub mod l1model;
@@ -88,12 +91,15 @@ pub use window::{place_nest, sync_nest, NestPlan, NestStats};
 
 #[cfg(test)]
 mod tests {
-    //! The baselines, driven through the partitioner and its layout.
+    //! The baselines and the lower bound, driven through the partitioner
+    //! on real programs.
     use crate::baselines::{locality_assignment, preferred_mc_overrides};
+    use crate::bound::{bound_program, gap_report, GapReport};
     use crate::{PartitionConfig, Partitioner};
     use dmcp_ir::program::Program;
-    use dmcp_ir::ProgramBuilder;
-    use dmcp_mach::MachineConfig;
+    use dmcp_ir::{Group, ProgramBuilder};
+    use dmcp_mach::{MachineConfig, Mesh};
+    use dmcp_workloads::{all, Scale};
 
     fn setup() -> (Program, Partitioner) {
         let mut b = ProgramBuilder::new();
@@ -187,5 +193,130 @@ mod tests {
             part.layout_mut().override_page_controller(page, mc);
         }
         assert_eq!(part.layout().override_count(), n);
+    }
+
+    fn tiny_machine(mesh: Mesh) -> MachineConfig {
+        MachineConfig { mesh, ..MachineConfig::knl_like() }
+    }
+
+    /// On every exact mesh the bound must sit below the planner's movement
+    /// for every workload nest, healthy and degraded alike — and stay
+    /// finite and nonzero for real programs.
+    #[test]
+    fn bound_never_exceeds_planner_movement_on_small_meshes() {
+        for mesh in [Mesh::new(2, 2), Mesh::new(3, 3)] {
+            let machine = tiny_machine(mesh);
+            for w in all(Scale::Tiny).iter().take(4) {
+                let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
+                let out = part.plan(&w.program, &w.data, false).unwrap();
+                let report = gap_report(w.name, &w.program, &part, &w.data, &out);
+                assert!(
+                    report.sound(),
+                    "{} on {mesh:?}: bound {} above planner movement {}",
+                    w.name,
+                    report.bound,
+                    report.planner_movement
+                );
+                assert!(report.gap_ratio() >= 1.0);
+            }
+        }
+    }
+
+    /// The full-size mesh path (kernels only, no exact DAG bound) must also
+    /// be sound over the whole suite.
+    #[test]
+    fn bound_is_sound_on_the_paper_machine() {
+        let machine = MachineConfig::knl_like();
+        for w in &all(Scale::Tiny) {
+            let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
+            let out = part.plan(&w.program, &w.data, false).unwrap();
+            let report = gap_report(w.name, &w.program, &part, &w.data, &out);
+            assert!(report.nests.iter().all(|(nb, _)| nb.dag.is_none()));
+            assert!(
+                report.sound(),
+                "{}: bound {} above planner movement {}",
+                w.name,
+                report.bound,
+                report.planner_movement
+            );
+        }
+    }
+
+    /// Shrunken `dmcp-check` counterexample (`bound-sound`, seed 34): the
+    /// split statement sources its unanalyzable operand `a1[a2[i0]]` at the
+    /// store home and plans no movement, so the bound must not charge the
+    /// core leg only a fallback statement pays (it charged 5).
+    #[test]
+    fn split_statements_pay_no_core_leg_for_unanalyzable_operands() {
+        let mut b = ProgramBuilder::new();
+        for name in ["a0", "a1", "a2"] {
+            b.array(name, &[4], 8);
+        }
+        b.nest(&[("i0", 1, 2)], &["a1[i0 + 2] = a1[a2[i0]] & 63"]).unwrap();
+        let program = b.build();
+        let machine = MachineConfig::knl_like();
+        let config = PartitionConfig { window: 4, ..PartitionConfig::default() };
+        let data = program.initial_data();
+        let part = Partitioner::new(&machine, &program, config);
+        let out = part.plan(&program, &data, false).unwrap();
+        let report = gap_report("seed-34", &program, &part, &data, &out);
+        assert!(
+            report.sound(),
+            "bound {} above planner movement {}",
+            report.bound,
+            report.planner_movement
+        );
+    }
+
+    /// The baseline (all-default) accounting is an accounting the planner
+    /// can legitimately report; the bound must respect it too.
+    #[test]
+    fn bound_respects_the_default_baseline_accounting() {
+        let machine = tiny_machine(Mesh::new(3, 3));
+        for w in all(Scale::Tiny).iter().take(4) {
+            let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
+            let base = part.plan(&w.program, &w.data, true).unwrap();
+            let report = gap_report(w.name, &w.program, &part, &w.data, &base);
+            assert!(
+                report.sound(),
+                "{}: bound {} above baseline movement {}",
+                w.name,
+                report.bound,
+                report.planner_movement
+            );
+        }
+    }
+
+    /// Footprint estimates are finite, and nonzero whenever a nest has at
+    /// least one affine reference.
+    #[test]
+    fn footprint_lines_reflects_affine_references() {
+        let machine = MachineConfig::knl_like();
+        for w in &all(Scale::Tiny) {
+            let part = Partitioner::new(&machine, &w.program, PartitionConfig::default());
+            for nb in bound_program(&w.program, &part, &w.data) {
+                let nest = &w.program.nests()[nb.nest];
+                let any_affine = nest.body.iter().any(|s| {
+                    let rhs = Group::of_expr(&s.rhs);
+                    rhs.all_leaves()
+                        .into_iter()
+                        .chain(std::iter::once(&s.lhs))
+                        .any(|r| r.is_affine())
+                });
+                assert_eq!(nb.footprint_lines > 0, any_affine, "{} nest {}", w.name, nb.nest);
+            }
+        }
+    }
+
+    /// Gap-ratio edge cases: zero/zero is optimal, nonzero/zero is vacuous.
+    #[test]
+    fn gap_ratio_edge_cases() {
+        let mut r =
+            GapReport { name: "x".into(), planner_movement: 0, bound: 0, nests: Vec::new() };
+        assert_eq!(r.gap_ratio(), 1.0);
+        r.planner_movement = 7;
+        assert!(r.gap_ratio().is_infinite());
+        r.bound = 7;
+        assert_eq!(r.gap_ratio(), 1.0);
     }
 }

@@ -419,8 +419,8 @@ impl Partitioner {
 /// mesh (healthy) or the layout's live nodes (degraded).
 ///
 /// This is exactly what the pipeline's analyze pass resolves, factored out
-/// so external movement accounting — the `dmcp-bound` lower bounds — can
-/// replay the same instance→core stream the planner used.
+/// so a caller that needs a nest's assignment without planning it (the
+/// Figure-23 data-to-controller overrides) gets the one the planner uses.
 pub fn nest_assignment(
     config: &PartitionConfig,
     layout: &Layout,

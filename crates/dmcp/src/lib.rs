@@ -24,7 +24,7 @@
 //! | [`serve`] | `dmcp-serve` | plan compilation service: content-addressed cache, worker pool, TCP server and client |
 //! | [`check`] | `dmcp-check` | property-testing harness: generators, oracles, shrinking, goldens |
 //! | [`hash`] | `dmcp-hash` | shared stable-hash primitives: FNV-1a, frame checksum, splitmix64 finalizer |
-//! | [`bound`] | `dmcp-bound` | data-movement lower bounds and the optimality-gap dashboard |
+//! | [`bound`] | `dmcp-core` (`dmcp_core::bound`) | data-movement lower bounds on the planner's instance stream and the optimality-gap dashboard |
 //!
 //! # How close to optimal?
 //!
@@ -42,9 +42,7 @@
 //! let partitioner = Partitioner::new(&machine, &w.program, PartitionConfig::default());
 //! let optimized = partitioner.plan(&w.program, &w.data, false).unwrap();
 //!
-//! let gap = gap_report(
-//!     w.name, &w.program, partitioner.layout(), &w.data, partitioner.config(), &optimized,
-//! );
+//! let gap = gap_report(w.name, &w.program, &partitioner, &w.data, &optimized);
 //! assert!(gap.sound()); // movement can never drop below the bound
 //! assert!(gap.gap_ratio() >= 1.0); // 1.0 would mean provably optimal
 //! ```
@@ -71,10 +69,10 @@
 //! assert!(r_opt.movement <= r_base.movement);
 //! ```
 
-pub use dmcp_bound as bound;
 pub use dmcp_check as check;
 pub use dmcp_core as core;
 pub use dmcp_core::baselines;
+pub use dmcp_core::bound;
 pub use dmcp_core::sim;
 pub use dmcp_hash as hash;
 pub use dmcp_ir as ir;

@@ -38,7 +38,7 @@ fn main() {
         }
     }
     if show_gap {
-        let gap = gap_report(w.name, &w.program, part.layout(), &w.data, part.config(), &out);
+        let gap = gap_report(w.name, &w.program, &part, &w.data, &out);
         println!("\noptimality gap (movement vs provable lower bound):");
         for (nb, movement) in &gap.nests {
             println!(
