@@ -104,15 +104,6 @@ impl CacheSystem {
         self.l2[self.mesh.node_index(home) as usize].get_or_insert_with(|| Cache::new(sets, ways))
     }
 
-    /// `true` if `line` currently sits in `home`'s L2 bank (used to measure
-    /// the compile-time predictor's accuracy).
-    pub fn l2_contains(&self, home: NodeId, line: LineAddr) -> bool {
-        self.mesh.contains(home)
-            && self.l2[self.mesh.node_index(home) as usize]
-                .as_ref()
-                .is_some_and(|c| c.contains(line))
-    }
-
     /// L1 hit rate so far.
     pub fn l1_hit_rate(&self) -> f64 {
         let total = self.l1_hits + self.l1_misses;
@@ -182,8 +173,8 @@ mod tests {
         let mut s = sys();
         let line = LineAddr::new(9);
         s.write(n(2, 2), line, n(4, 4));
-        assert!(s.l2_contains(n(4, 4), line));
         assert_eq!(s.read(n(2, 2), line, n(4, 4), false), ServedBy::L1);
+        assert_eq!(s.read(n(0, 0), line, n(4, 4), false), ServedBy::L2);
     }
 
     #[test]

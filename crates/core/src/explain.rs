@@ -4,7 +4,7 @@
 //! Figures 6/8 sketch them: one line per step with its node, fold and
 //! operand sources, plus per-statement movement accounting.
 
-use crate::step::{Operand, Schedule, StmtTag};
+use crate::step::{Operand, Schedule};
 use dmcp_ir::Program;
 use std::fmt::Write;
 
@@ -89,13 +89,6 @@ pub fn schedule_to_dot(schedule: &Schedule, max_instances: u64) -> String {
     out
 }
 
-/// Which statement instances share a tag helper for tests/tools.
-pub fn instance_tags(schedule: &Schedule) -> Vec<StmtTag> {
-    let mut tags: Vec<StmtTag> = schedule.steps.iter().map(|s| s.tag).collect();
-    tags.dedup();
-    tags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,12 +135,5 @@ mod tests {
         // Edges only reference declared steps (all ids < elided cutoff's
         // last id; structural sanity).
         assert!(dot.matches("->").count() >= 1);
-    }
-
-    #[test]
-    fn instance_tags_cover_the_schedule() {
-        let (_, s) = schedule();
-        let tags = instance_tags(&s);
-        assert_eq!(tags.len(), 8, "one tag run per instance");
     }
 }

@@ -326,24 +326,6 @@ impl Layout {
         ElemInfo { line: self.map.line_of(pa), home, mc, hot }
     }
 
-    /// [`Layout::locate`] and [`Layout::believed`] together, from one
-    /// translation: `(real, believed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `array` is not an array of the layout's program.
-    pub fn locate_and_believe(
-        &self,
-        array: ArrayId,
-        elem: u64,
-        requester: NodeId,
-    ) -> (ElemInfo, ElemInfo) {
-        let (va, pa, page, hot) = self.translate(array, elem);
-        let (home, mc) = self.home_and_mc(pa, requester, page.mc);
-        let real = ElemInfo { line: self.map.line_of(pa), home, mc, hot };
-        (real, self.believe(va, pa, requester, hot))
-    }
-
     /// Installs a page→controller override (profile-guided data-to-MC
     /// mapping) on every virtual page the layout maps to physical page
     /// `ppn`; a page the layout does not map is ignored.

@@ -202,13 +202,6 @@ impl PartitionOutput {
         self.nests.iter().map(|n| n.stats.movement_default).sum()
     }
 
-    /// Per-nest optimized movement, as `(nest index, movement)` pairs in
-    /// program order. This is the accounting the optimality-gap dashboard
-    /// compares against the `dmcp-bound` lower bounds.
-    pub fn movement_by_nest(&self) -> Vec<(usize, u64)> {
-        self.nests.iter().map(|n| (n.nest, n.stats.movement_opt)).collect()
-    }
-
     /// Mean per-instance movement reduction across all nests.
     pub fn avg_movement_reduction(&self) -> f64 {
         let (mut sum, mut n) = (0.0, 0u64);

@@ -201,11 +201,6 @@ impl Schedule {
             .chain(self.waits_of(step).iter().copied())
     }
 
-    /// Cost of `step` in operation units (division counts `div_factor`).
-    pub fn op_cost(&self, step: &Step, div_factor: f64) -> f64 {
-        self.inputs_of(step).iter().map(|i| i.op.cost(div_factor)).sum()
-    }
-
     /// Appends a fold input to the step being built: the next
     /// [`Schedule::push_step`] takes it.
     pub fn push_input(&mut self, input: StepInput) {
@@ -547,15 +542,5 @@ mod tests {
         let id = sched.push_step(NodeId::new(0, 0), Some(0.0), None, StmtTag::default());
         let producers: Vec<_> = sched.producers(&sched.steps[id.index()]).collect();
         assert_eq!(producers, vec![SubId(0), SubId(1)]);
-    }
-
-    #[test]
-    fn op_cost_weights_division() {
-        let sched = one_step(
-            Some(1.0),
-            &[input(BinOp::Mul, Operand::Const(2.0)), input(BinOp::Div, Operand::Const(4.0))],
-            &[],
-        );
-        assert_eq!(sched.op_cost(&sched.steps[0], 10.0), 11.0);
     }
 }

@@ -162,17 +162,6 @@ impl Group {
         }
     }
 
-    /// The leaf references of this group only (not of nested groups).
-    pub fn direct_leaves(&self) -> Vec<&ArrayRef> {
-        self.elems
-            .iter()
-            .filter_map(|e| match &e.term {
-                Term::Leaf(r) => Some(r),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// All leaf references, recursively.
     pub fn all_leaves(&self) -> Vec<&ArrayRef> {
         let mut out = Vec::new();
@@ -306,7 +295,7 @@ mod tests {
         assert_eq!(g.class, OpClass::AddLike);
         assert_eq!(g.elems.len(), 4);
         assert_eq!(g.depth(), 1);
-        assert_eq!(g.direct_leaves().len(), 4);
+        assert!(g.elems.iter().all(|e| matches!(e.term, Term::Leaf(_))));
     }
 
     #[test]

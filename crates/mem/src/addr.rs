@@ -182,11 +182,6 @@ impl AddressMap {
         (idx % u64::from(self.banks)) as u32
     }
 
-    /// Bank index of a line address.
-    pub fn bank_of_line(self, line: LineAddr) -> u32 {
-        self.bank_of(self.line_base(line))
-    }
-
     /// Memory channel of a physical address: page-granularity mapping from
     /// the bits just above the page offset (Figure 2b).
     pub fn channel_of_phys(self, pa: PhysAddr) -> u32 {
@@ -271,7 +266,6 @@ mod tests {
         let pa = PhysAddr::new(0xdead_beef);
         let line = m.line_of(pa);
         assert_eq!(m.line_base(line).raw(), 0xdead_beef & !63);
-        assert_eq!(m.bank_of_line(line), m.bank_of(pa));
     }
 
     #[test]

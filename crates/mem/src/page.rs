@@ -109,11 +109,6 @@ impl PageTable {
         self.frames.policy()
     }
 
-    /// Number of pages mapped so far.
-    pub fn mapped_pages(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Translates a virtual address, allocating the page on first touch.
     pub fn translate(&mut self, va: VirtAddr) -> PhysAddr {
         let vpn = self.map.virt_page(va);
@@ -192,8 +187,9 @@ mod tests {
     fn lookup_does_not_allocate() {
         let mut pt = PageTable::new(map(), PagePolicy::ColorPreserving);
         assert!(pt.lookup(VirtAddr::new(0x5000)).is_none());
+        assert!(pt.lookup(VirtAddr::new(0x5abc)).is_none(), "the first lookup mapped the page");
         pt.translate(VirtAddr::new(0x5000));
         assert!(pt.lookup(VirtAddr::new(0x5abc)).is_some());
-        assert_eq!(pt.mapped_pages(), 1);
+        assert!(pt.lookup(VirtAddr::new(0x6000)).is_none(), "translating mapped a second page");
     }
 }

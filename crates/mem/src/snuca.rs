@@ -7,7 +7,7 @@
 //! and simulator ask: *which node is the home bank?* and *which memory
 //! controller services a miss?*
 
-use crate::addr::{AddressMap, LineAddr, PhysAddr};
+use crate::addr::{AddressMap, PhysAddr};
 use dmcp_mach::{ClusterMode, Mesh, NodeId};
 
 /// SNUCA lookup: physical address → home node / memory controller.
@@ -57,11 +57,6 @@ impl Snuca {
     /// L2 is partitioned per quadrant).
     pub fn home_node(&self, pa: PhysAddr, requester: NodeId) -> NodeId {
         self.cluster.home_bank(self.mesh, requester, self.map.bank_of(pa))
-    }
-
-    /// Home L2 bank node of a line address.
-    pub fn home_node_of_line(&self, line: LineAddr, requester: NodeId) -> NodeId {
-        self.home_node(self.map.line_base(line), requester)
     }
 
     /// Memory controller that services an L2 miss on `pa`.
@@ -114,14 +109,5 @@ mod tests {
             let mc = s.controller_node(PhysAddr::new(i << 12), NodeId::new(2, 3));
             assert!(corners.contains(&mc));
         }
-    }
-
-    #[test]
-    fn line_and_addr_lookup_agree() {
-        let s = snuca(ClusterMode::Quadrant);
-        let pa = PhysAddr::new(0xFEED_BEEF);
-        let line = s.map().line_of(pa);
-        let req = NodeId::new(1, 1);
-        assert_eq!(s.home_node(pa, req), s.home_node_of_line(line, req));
     }
 }

@@ -561,8 +561,7 @@ fn degraded_state(rng: &mut Rng64, mesh: Mesh) -> FaultState {
 }
 
 /// The dense-table `Layout` and the page-table reference agree field for
-/// field — `locate`, `believed`, `locate_and_believe`, `phys_of` and
-/// `page_of` — on every element (and a few past the end, which wrap) of
+/// field — `locate`, `believed`, `phys_of` and `page_of` — on every element (and a few past the end, which wrap) of
 /// every array of the 12 Tiny workloads and of generated programs, with
 /// requesters cycling over the mesh, under both page policies, every
 /// cluster mode (SNC-4 homes follow the requester), healthy and degraded,
@@ -616,11 +615,6 @@ fn dense_layout_matches_the_page_table_reference() {
                             let at = format!("{what}: array {a} element {elem} from {req}");
                             assert_eq!(layout.locate(array, elem, req), real, "{at}");
                             assert_eq!(layout.believed(array, elem, req), belief, "{at}");
-                            assert_eq!(
-                                layout.locate_and_believe(array, elem, req),
-                                (real, belief),
-                                "{at}"
-                            );
                             let pa = reference.phys_of(program, array, elem);
                             assert_eq!(layout.phys_of(array, elem), pa, "{at}");
                             assert_eq!(layout.page_of(array, elem), reference.map.phys_page(pa));
