@@ -7,7 +7,7 @@
 //! 4. colour-preserving vs scrambled page allocation (the paper's OS
 //!    support vs a stock allocator),
 //! 5. synchronization transitive reduction on vs off (arc counts),
-//! 6. the optimality gap (movement / `dmcp-bound` lower bound) with reuse
+//! 6. the optimality gap (movement / `dmcp::bound` lower bound) with reuse
 //!    awareness on vs off.
 //!
 //! Each study fans its 12 workloads out over `dmcp-pool` (one task per
@@ -74,7 +74,7 @@ fn reuse_ablation(scale: Scale, pool: &Pool) {
 }
 
 /// Optimality gap under reuse-aware vs reuse-agnostic planning: how far
-/// above its mode-specific `dmcp-bound` floor each mode's movement sits.
+/// above its mode-specific lower bound each mode's movement sits.
 /// The floors differ — without reuse every per-core-fresh line is
 /// chargeable, so the agnostic floor is tighter and its ratio smaller
 /// even though its movement is higher. A ratio below 1.0 anywhere is a

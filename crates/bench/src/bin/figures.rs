@@ -214,7 +214,7 @@ fn main() {
 }
 
 /// The optimality-gap dashboard: planner movement against the provable
-/// data-movement lower bound (`dmcp-bound`; the paper has no such figure —
+/// data-movement lower bound (`dmcp::bound`; the paper has no such figure —
 /// this quantifies how much of the remaining movement is compulsory).
 fn gap(scale: Scale) {
     header("Optimality gap: planner movement vs data-movement lower bound");

@@ -448,18 +448,9 @@ fn sim_options(name: &str) -> SimOptions {
 }
 
 /// The partitioner (default config) for `program` on the golden machine
-/// `machine`, and the fault state it plans under: `healthy`, `degraded`
-/// ([`canonical_faults`]), `lossy` (a seeded random plan with dead nodes,
-/// dead links and lossy links), `large-healthy`/`large-degraded` (the
-/// first two on [`large_mesh_machine`]), or `3x3` (healthy, on a 3×3
-/// mesh, small enough for the lower bound's exact path).
-///
-/// # Panics
-///
-/// Panics on another machine name, or if a fault plan is rejected (none
-/// is).
-#[must_use]
-pub fn golden_partitioner(machine: &str, program: &Program) -> (Partitioner, Option<FaultState>) {
+/// `machine` (see [`GoldenInput::plan`]), and the fault state it plans
+/// under.
+fn golden_partitioner(machine: &str, program: &Program) -> (Partitioner, Option<FaultState>) {
     let (config, plan) = match machine {
         "healthy" => (MachineConfig::knl_like(), None),
         "degraded" => (MachineConfig::knl_like(), Some(canonical_faults())),
@@ -493,12 +484,17 @@ pub struct GoldenInput {
 }
 
 impl GoldenInput {
-    /// Plans `name` (default config) on the golden machine `machine` (see
-    /// [`golden_partitioner`]).
+    /// Plans `name` (default config) on the golden machine `machine`:
+    /// `healthy`, `degraded` ([`canonical_faults`]), `lossy` (a seeded
+    /// random plan with dead nodes, dead links and lossy links),
+    /// `large-healthy`/`large-degraded` (the first two on
+    /// [`large_mesh_machine`]), or `3x3` (healthy, on a 3×3 mesh, small
+    /// enough for the lower bound's exact path).
     ///
     /// # Panics
     ///
-    /// Panics where [`golden_partitioner`] does.
+    /// Panics on another machine name, or if a fault plan is rejected
+    /// (none is).
     #[must_use]
     pub fn plan(machine: &str, name: &str) -> Self {
         let workload = workload(name);
@@ -638,14 +634,15 @@ pub fn sim_golden_rows() -> Vec<(&'static str, &'static str, &'static str, u64)>
 /// [`bound_golden_rows`] order: the 12 workloads on the `healthy` and
 /// `degraded` machines, where only the portable kernels run, then FFT and
 /// Radix on the `3x3` machine, where the exact Dreyfus–Wagner bound runs
-/// too (see [`golden_partitioner`]). A row is `(machine, workload,
+/// too (see [`GoldenInput::plan`]). A row is `(machine, workload,
 /// [nest, instances, chargeable_leaves, footprint_lines, compulsory,
-/// bound], dag)`, the fields of one [`NestBound`] ([`bound_row`]).
+/// bound], dag)`, the fields of one [`NestBound`].
 ///
 /// The plan digests pin what the planner pays; these pin the floor it is
-/// measured against, so a change to the bound's replay cannot pass as
-/// long as it stays sound. Rows move with the bound's construction, or
-/// with the planner's resolution of the instance stream it reads.
+/// measured against, so a change to how the bound walks the instance
+/// stream cannot pass merely by staying sound. Rows move with the
+/// bound's construction, or with the analyze pass's resolution of the
+/// stream, which the bound reads.
 pub const GOLDEN_BOUND: &[(&str, &str, [u64; 6], Option<u64>)] = &[
     ("healthy", "Barnes", [0, 2048, 1654, 1792, 6110, 6110], None),
     ("healthy", "Cholesky", [0, 4096, 1058, 2050, 117, 117], None),
@@ -677,8 +674,7 @@ pub const GOLDEN_BOUND: &[(&str, &str, [u64; 6], Option<u64>)] = &[
 
 /// One [`GOLDEN_BOUND`] row's values: `[nest, instances,
 /// chargeable_leaves, footprint_lines, compulsory, bound]` and `dag`.
-#[must_use]
-pub fn bound_row(bound: &NestBound) -> ([u64; 6], Option<u64>) {
+fn bound_row(bound: &NestBound) -> ([u64; 6], Option<u64>) {
     // Destructured so that a new field fails to compile here until it is
     // pinned.
     let NestBound { nest, instances, chargeable_leaves, footprint_lines, compulsory, dag, bound } =

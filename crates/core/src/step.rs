@@ -13,9 +13,12 @@
 //! [`Schedule::push_step`]) keep that layout, and [`Schedule::validate`]
 //! refuses any other.
 //!
-//! The same representation expresses the unoptimized baseline (one step per
-//! statement instance, executed on the iteration's assigned core), so the
-//! simulator treats both identically.
+//! The same representation expresses the unoptimized baseline, so the
+//! simulator treats both identically. A baseline statement instance runs
+//! wholly on its iteration's assigned core, but it is not one step: it is
+//! planned like any forced statement, one fold step per edge of its nested
+//! sets' MSTs, every step on the core. Over the Tiny suite the baselines
+//! have 1.58× as many steps as nested sets.
 
 use dmcp_ir::{ArrayId, BinOp};
 use dmcp_mach::NodeId;

@@ -217,7 +217,7 @@ impl ArrayRef {
     /// references, whose footprint is data-dependent.
     ///
     /// This is the static "distinct footprint" term of the compulsory
-    /// lower-bound construction (`dmcp-bound`); subscript wrapping into
+    /// lower-bound construction (`dmcp_core::bound`); subscript wrapping into
     /// the array extents downstream can only merge tuples, so the product
     /// stays an upper bound on touched elements.
     pub fn footprint_over(&self, ranges: &[(i64, i64)]) -> Option<u64> {

@@ -1,8 +1,8 @@
 //! Exact graph kernels over the mesh metric: MST and Steiner minima.
 //!
 //! Promoted out of `dmcp-check`'s oracle so every consumer — the oracle
-//! itself and the `dmcp-bound` lower bounds — shares one validated
-//! implementation instead of a copy.
+//! itself and the lower bounds of `dmcp_core::bound` — shares one
+//! validated implementation instead of a copy.
 //!
 //! Two families live here:
 //!
@@ -11,7 +11,7 @@
 //! * *group* kernels ([`mst_weight_sets`], [`steiner_min_sets`],
 //!   [`max_pairwise_sets`]) over terminal **option sets**: each terminal
 //!   may sit at any one node of its set, and the kernel minimises over the
-//!   choices. `dmcp-bound` uses these because a planned operand's paid
+//!   choices. The lower bound uses these because a planned operand's paid
 //!   source is one of a small believed-location set (home bank or memory
 //!   controller) that the bound must not guess.
 //!

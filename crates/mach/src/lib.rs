@@ -23,7 +23,7 @@
 //! - [`symmetry`] — the Manhattan-distance-preserving mesh relabellings the
 //!   metamorphic test sweeps are built on;
 //! - [`graph`] — exact MST/Steiner kernels over the mesh metric (shared by
-//!   the `dmcp-check` oracle and the `dmcp-bound` lower bounds);
+//!   the `dmcp-check` oracle and the lower bounds of `dmcp_core::bound`);
 //! - [`fingerprint`] — stable machine/fault fingerprints for the serving
 //!   layer's plan cache.
 //!
