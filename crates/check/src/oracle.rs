@@ -115,11 +115,7 @@ pub fn check_oracle_case(rng: &mut Rng64) -> Result<OracleOutcome, String> {
     // always-hit predictor) its option groups collapse to exactly these
     // terminals, so the nest bound must equal the Steiner minimum — and
     // can never exceed it.
-    let bound_config = PartitionConfig {
-        predictor: PredictorSpec::AlwaysHit,
-        opts: PlanOptions { reuse_aware: false, ..PlanOptions::default() },
-        ..PartitionConfig::default()
-    };
+    let bound_config = PartitionConfig { opts, ..part.config().clone() };
     let nb = bound_nest(&program, &resolution, layout, &bound_config);
     if nb.bound != outcome.steiner {
         return Err(format!(

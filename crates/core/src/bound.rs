@@ -169,7 +169,8 @@ pub fn bound_nest(
     for i in 0..resolution.instance_count() {
         let (inst, leaves, _) = resolution.instance(i);
         let core = inst.core;
-        let on_core = |line: u32| line as usize * nodes + mesh.node_index(core) as usize;
+        let core_index = mesh.node_index(core) as usize;
+        let on_core = |line: u32| line as usize * nodes + core_index;
 
         // Option groups this instance's paid legs must span. The store
         // home is always required: split accounting roots its MST there,
